@@ -21,12 +21,6 @@ def signed_dphi(phi_a, phi_b):
         d + TWO_PI if d <= -np.pi else d)
 
 
-def abs_dphi(phi_a, phi_b):
-    """Shortest unsigned arc between two azimuths, in [0, pi]."""
-    d = np.abs(np.mod(phi_a - phi_b, TWO_PI))
-    return np.minimum(d, TWO_PI - d)
-
-
 def wrap_theta(theta):
     """Wrap an ellipse rotation into the canonical range [0, pi)."""
     return np.mod(theta, np.pi)

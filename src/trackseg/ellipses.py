@@ -229,13 +229,6 @@ def ellipse_from_dict(d: dict) -> Ellipse5:
                     float(d["b"]), float(d["theta"]))
 
 
-def dilate(e: Ellipse5, factor: float) -> Ellipse5:
-    """Scale both semi-axes about the center."""
-    if factor <= 0.0:
-        raise DomainError("dilation factor must be positive")
-    return Ellipse5(e.eta_c, e.phi_c, e.a * factor, e.b * factor, e.theta)
-
-
 def mvee(points, tolerance: float = 1e-6, axis_floor: float = AXIS_FLOOR,
          max_iterations: int = 100_000) -> Ellipse5:
     """Minimum-area enclosing ellipse of eta-phi points.

@@ -68,6 +68,7 @@ class NumericError(TracksegError):
         if component is not None:
             parts.append(f"component={component}")
         super().__init__(" ".join(parts))
+        self.detail = message
         self.epoch = epoch
         self.graph_id = graph_id
         self.component = component

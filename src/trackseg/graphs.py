@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import abs_dphi
 from .ellipses import Ellipse5, ellipse_from_dict, ellipse_to_dict, mvee
 from .errors import ConfigError, ConsistencyError
 from .events import Event
@@ -59,14 +58,6 @@ class Graph:
         return len(self.edges)
 
 
-def eta_phi_distance(p1, p2) -> float:
-    """Euclidean distance in the eta-phi plane with phi wrapped to the
-    shortest arc."""
-    deta = p1[0] - p2[0]
-    dphi = float(abs_dphi(p1[1], p2[1]))
-    return math.hypot(deta, dphi)
-
-
 def _adjacency(points: np.ndarray, eps: float) -> np.ndarray:
     """Boolean n x n matrix of pairs within eps (inclusive, self included)."""
     eta = points[:, 0]
@@ -111,28 +102,11 @@ def dbscan(points, params: DbscanParams) -> np.ndarray:
     return labels
 
 
-def _cluster_edges(members: list[int], layers: np.ndarray,
-                   topology: str) -> list[tuple[int, int]]:
-    if topology == "complete":
-        return list(itertools.combinations(members, 2))
-    if topology == "layer-adjacent":
-        # connect hits on consecutive distinct layers within the cluster
-        present = sorted({int(layers[m]) for m in members})
-        rank = {layer: k for k, layer in enumerate(present)}
-        edges = []
-        for i, j in itertools.combinations(members, 2):
-            if abs(rank[int(layers[i])] - rank[int(layers[j])]) == 1:
-                edges.append((i, j))
-        return edges
-    raise ConfigError(f"unknown edge topology {topology!r}")
-
-
-def build_graph(e: Event, params: DbscanParams,
-                topology: str = "complete") -> Graph:
+def build_graph(e: Event, params: DbscanParams) -> Graph:
     """Build the hit graph of an event.
 
-    Hits are clustered in eta-phi; every cluster contributes its pairs as
-    edges (complete subgraph by default), unclustered hits stay isolated.
+    Hits are clustered in eta-phi; every cluster contributes all its pairs
+    as edges (a complete subgraph), unclustered hits stay isolated.
     An edge is labeled true iff both endpoints share a nonzero particle
     id.  Vertex states initialize to (z, layer).
     """
@@ -147,7 +121,7 @@ def build_graph(e: Event, params: DbscanParams,
     edges: list[tuple[int, int]] = []
     for cluster in range(labels.max() + 1 if labels.size else 0):
         members = np.flatnonzero(labels == cluster).tolist()
-        edges.extend(_cluster_edges(members, layers, topology))
+        edges.extend(itertools.combinations(members, 2))
     edge_arr = np.array(edges, dtype=int).reshape(-1, 2)
     truth = (pid[edge_arr[:, 0]] == pid[edge_arr[:, 1]]) \
         & (pid[edge_arr[:, 0]] != 0) if len(edge_arr) else np.zeros(0, bool)
@@ -240,6 +214,14 @@ def graph_from_dict(d: dict) -> Graph:
     if d.get("format") != "graph-v1":
         raise ConsistencyError(f"not a graph-v1 document: "
                                f"format={d.get('format')!r}")
+    try:
+        return _graph_from_doc(d)
+    except KeyError as err:
+        raise ConsistencyError(f"graph-v1 document lacks key {err}") \
+            from err
+
+
+def _graph_from_doc(d: dict) -> Graph:
     verts = d["vertices"]
     n = len(verts)
     edges = np.array([[e[0], e[1]] for e in d["edges"]],

@@ -44,7 +44,6 @@ class SelectionSection:
 class DbscanSection:
     eps: float = 0.05
     min_pts: int = 2
-    topology: str = "complete"
     ellipse_padding: float = 1.1
     axis_floor: float = 1e-4
     mvee_tolerance: float = 1e-6
@@ -54,7 +53,6 @@ class DbscanSection:
 class ModelSection:
     iterations: int = 4
     hidden: int = 64
-    two_logit_classifier: bool = False
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
 
@@ -130,14 +128,13 @@ class RunConfig:
 
     def model_config(self) -> ModelConfig:
         m = self.model
-        specs = default_specs(m.hidden, m.two_logit_classifier)
+        specs = default_specs(m.hidden)
         return ModelConfig(
             iterations=m.iterations, h_spec=specs["h"], f_spec=specs["f"],
             g_spec=specs["g"], classifier_spec=specs["classifier"],
             localization_spec=specs["localization"],
             tracking_spec=specs["tracking"],
             loss_weights=tuple(m.loss_weights), box_scales=BoxScales(),
-            two_logit_classifier=m.two_logit_classifier,
             seed=self.seed + _MODEL_SEED_OFFSET)
 
     def train_config(self) -> TrainConfig:

@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 
 from ..ellipses import ellipse_from_dict, ellipse_to_dict
-from ..errors import ConsistencyError
+from ..errors import ConsistencyError, ParseError
 from ..events import Event, Hit, TruthTrack
 from ..kinematics import CircleTrack, TrackParams
 from ..postprocess import TrackCandidate
@@ -24,7 +24,11 @@ def write_json(path, doc: dict) -> None:
 
 
 def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ParseError(f"{path} is not valid JSON: {err.msg}",
+                         line=err.lineno) from err
 
 
 def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:

@@ -98,7 +98,7 @@ def stage_build_graphs(cfg: RunConfig) -> list[Path]:
     paths = []
     for event_path in _sorted_files(_events_dir(cfg), "event_*.json"):
         event = event_from_dict(read_json(event_path))
-        graph = build_graph(event, cfg.dbscan_params(), cfg.dbscan.topology)
+        graph = build_graph(event, cfg.dbscan_params())
         ellipses = truth_ellipses(event, cfg.dbscan.ellipse_padding,
                                   cfg.dbscan.axis_floor,
                                   cfg.dbscan.mvee_tolerance)
@@ -148,17 +148,13 @@ def _infer_one(cfg: RunConfig, model: tracknet.Model, graph) -> dict:
     raw = merge_ellipses([result.ellipses[i] for i in kept],
                          [result.class_prob[i] for i in kept],
                          cfg.nms.t_h, cfg.nms.iou_resolution)
-    candidates = []
-    for cand in raw:
-        member_vertices = tuple(kept[k] for k in cand.member_vertex_ids)
-        params = None
-        if len(member_vertices) >= 1:
-            pt, eps = tracknet.cluster_params_from_states(
-                model, result.final_state[list(member_vertices)],
-                graph.vertex_xy[list(member_vertices)])
-            params = (pt, eps)
-        candidates.append(TrackCandidate(cand.ellipse, cand.confidence,
-                                         member_vertices, params))
+    members = [tuple(kept[k] for k in cand.member_vertex_ids)
+               for cand in raw]
+    params = tracknet.cluster_params_from_states(
+        model, result.final_state, members, graph.vertex_xy)
+    candidates = [TrackCandidate(cand.ellipse, cand.confidence, vids,
+                                 (float(pt), float(eps)))
+                  for cand, vids, (pt, eps) in zip(raw, members, params)]
     vertices = list(zip(graph.eta, graph.phi, result.class_prob))
     assignments = assign_hits(candidates, vertices, cfg.nms.class_threshold)
     return prediction_to_dict(graph.event_id, graph.vertex_hit_ids,

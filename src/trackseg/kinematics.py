@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DomainError, FitError
@@ -25,20 +23,6 @@ PT_COEFF = 0.3
 
 # normal-equation condition number above which a fit is rejected
 FIT_CONDITION_LIMIT = 1e10
-
-
-@dataclass(frozen=True)
-class PointXY:
-    """Cartesian point in the transverse plane (meters)."""
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class PointUV:
-    """Conformal-space point (1/meters)."""
-    u: float
-    v: float
 
 
 @dataclass(frozen=True)
@@ -89,23 +73,13 @@ class TrackParams:
 
 
 def conformal_xy(x, y):
-    """Vectorized conformal map: (u, v) = (x, y)/(x^2 + y^2)."""
+    """Vectorized conformal map (u, v) = (x, y)/(x^2 + y^2), an involution."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rho2 = x * x + y * y
     if np.any(rho2 <= 0.0):
         raise DomainError("conformal map undefined at the beamline (x=y=0)")
     return x / rho2, y / rho2
-
-
-def to_conformal(p: PointXY | PointUV):
-    """Map a transverse point into u-v space (or back; the map is its own
-    inverse, so applying it twice returns the original point)."""
-    if isinstance(p, PointUV):
-        x, y = conformal_xy(p.u, p.v)
-        return PointXY(float(x), float(y))
-    u, v = conformal_xy(p.x, p.y)
-    return PointUV(float(u), float(v))
 
 
 def pseudorapidity(theta: float) -> float:
@@ -125,19 +99,14 @@ def pt_from_radius(field_b: float, radius: float) -> float:
     return PT_COEFF * field_b * radius
 
 
-def fit_parabola(points: Sequence[PointUV] | np.ndarray) -> ParabolaCoeffs:
-    """Least-squares fit of v = c0 + c1*u + c2*u^2 over conformal points.
+def fit_parabola(points) -> ParabolaCoeffs:
+    """Least-squares fit of v = c0 + c1*u + c2*u^2 over n >= 3 (u, v) rows.
 
-    Accepts a sequence of PointUV or an (n, 2) array of (u, v) rows,
-    n >= 3.  Solved via normal equations after scaling each design column
-    to unit norm; rank-deficient designs (all-equal u, or any scaled
-    normal matrix with condition number above 1e10) raise FitError.
+    Solved via normal equations after scaling each design column to unit
+    norm; rank-deficient designs (all-equal u, or any scaled normal
+    matrix with condition number above 1e10) raise FitError.
     """
-    if not isinstance(points, np.ndarray) and len(points) \
-            and isinstance(points[0], PointUV):
-        arr = np.asarray([(p.u, p.v) for p in points], dtype=float)
-    else:
-        arr = np.asarray(points, dtype=float)
+    arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise DomainError(f"need >= 3 (u, v) points, got shape {arr.shape}")
     u, v = arr[:, 0], arr[:, 1]

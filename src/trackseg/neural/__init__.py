@@ -1,14 +1,13 @@
 """Self-contained differentiable core: a reverse-mode tape over numpy
-float64 arrays, dense layers, max aggregation, the pipeline losses and a
-deterministic Adam optimizer."""
+float64 arrays, dense layers, the pipeline losses and a deterministic
+Adam optimizer."""
 
 from .autodiff import Tape, Var
 from .nn import (AdamState, MlpSpec, adam_step, bce_loss, gradients,
-                 huber_loss, init_mlp_params, max_aggregate, mlp_forward,
-                 mse_tracking_loss)
+                 huber_loss, init_mlp_params, mlp_forward, mse_tracking_loss)
 
 __all__ = [
     "Tape", "Var", "MlpSpec", "AdamState", "init_mlp_params", "mlp_forward",
-    "max_aggregate", "bce_loss", "huber_loss", "mse_tracking_loss",
+    "bce_loss", "huber_loss", "mse_tracking_loss",
     "adam_step", "gradients",
 ]

@@ -64,7 +64,7 @@ class Tape:
     def backward(self, loss: Var) -> None:
         """Reverse sweep from a scalar loss; may run once per tape."""
         if self._done:
-            raise StateError("tape already backpropagated; build a new tape")
+            raise StateError("tape already used; build a new tape")
         if loss.tape is not self:
             raise StateError("loss does not belong to this tape")
         if loss.data.size != 1:
@@ -75,11 +75,16 @@ class Tape:
         for node in reversed(self._nodes):
             if node._backward is not None:
                 node._backward(node.grad)
-
-    def reset(self) -> None:
+        # Vars point back at the tape: break the cycle so refcounting frees
         self._nodes.clear()
-        self._done = False
-        self.kink_margin = math.inf
+
+    def __enter__(self) -> "Tape":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Ends a forward-only tape, breaking the cycle as backward does."""
+        self._done = True
+        self._nodes.clear()
 
     def _note_margin(self, margin: float) -> None:
         if margin < self.kink_margin:

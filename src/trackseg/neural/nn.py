@@ -1,4 +1,4 @@
-"""Dense layers, max aggregation, the pipeline losses and Adam.
+"""Dense layers, the pipeline losses and Adam.
 
 Loss functions accept either Vars (for training) or plain arrays (for
 direct evaluation); the array path runs the same formula on a throwaway
@@ -70,20 +70,6 @@ def mlp_forward(spec: MlpSpec, params: dict[str, Var], x: Var,
     return x
 
 
-def max_aggregate(edge_features, segment_ids, num_segments: int):
-    """Componentwise per-segment maximum; empty segments yield zeros.
-
-    Accepts a Var (differentiable; ties route to the lowest edge index)
-    or a plain array (returns an array).
-    """
-    if isinstance(edge_features, Var):
-        return ad.segment_max(edge_features, segment_ids, num_segments)
-    tape = Tape()
-    out = ad.segment_max(tape.const(np.asarray(edge_features, dtype=float)),
-                         segment_ids, num_segments)
-    return out.data
-
-
 def _column(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 1:
@@ -100,8 +86,8 @@ def _loss_value(build, *var_args):
     for a in var_args:
         if isinstance(a, Var):
             return build(a.tape)
-    tape = Tape()
-    return float(build(tape).data)
+    with Tape() as tape:
+        return float(build(tape).data)
 
 
 def bce_loss(y_true, p, clamp: float = BCE_CLAMP):

@@ -124,10 +124,9 @@ def choose_threshold(truth_pairs) -> ThresholdResult:
         raise DomainError("need at least one pair of each class")
 
     values = np.unique([iou for iou, _ in pairs])
-    # elementary intervals: below min, between consecutive values, above max
-    upper = min(values[-1] + 1.0, 1.0) if values[-1] < 1.0 \
-        else values[-1] + 1.0
-    bounds = np.concatenate([[max(values[0] - 1.0, 0.0)], values, [upper]])
+    # elementary intervals: below min, between consecutive values, above
+    # max, all inside [0, 1] so every midpoint is a valid threshold
+    bounds = np.concatenate([[max(values[0] - 1.0, 0.0)], values, [1.0]])
     intervals, accs = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi <= lo:

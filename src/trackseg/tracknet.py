@@ -23,7 +23,7 @@ import numpy as np
 from .angles import signed_dphi
 from .ellipses import BoxScales, EncodedBox, decode_box, encode_box
 from .errors import (ConfigError, ConsistencyError, FitError, NumericError,
-                     StateError)
+                     ParseError, StateError)
 from .graphs import Graph
 from .kinematics import canonical_parabola_coeffs
 from .neural import autodiff as ad
@@ -38,16 +38,15 @@ EDGE_FEATURE_DIM = 4
 TRACKING_FEATURE_DIM = 5  # 3 parabola coefficients + 2 state-max components
 
 
-def default_specs(hidden: int = 64, two_logit: bool = False):
+def default_specs(hidden: int = 64):
     """MLP shapes used by the reference configuration."""
     return {
         "h": MlpSpec((STATE_DIM, hidden, COORD_DIM)),
         "f": MlpSpec((COORD_DIM + STATE_DIM, hidden, hidden,
                       EDGE_FEATURE_DIM)),
         "g": MlpSpec((EDGE_FEATURE_DIM + STATE_DIM, hidden, STATE_DIM)),
-        "classifier": MlpSpec(
-            (STATE_DIM, hidden, hidden, hidden, 2 if two_logit else 1),
-            output_activation="identity" if two_logit else "sigmoid"),
+        "classifier": MlpSpec((STATE_DIM, hidden, hidden, hidden, 1),
+                              output_activation="sigmoid"),
         "localization": MlpSpec((STATE_DIM, hidden, hidden, hidden, 5)),
         "tracking": MlpSpec((TRACKING_FEATURE_DIM, hidden, 2)),
     }
@@ -67,7 +66,6 @@ class ModelConfig:
         default_factory=lambda: default_specs()["tracking"])
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     box_scales: BoxScales = field(default_factory=BoxScales)
-    two_logit_classifier: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -87,9 +85,8 @@ class ModelConfig:
              "g output must match the state (residual update)"),
             (self.classifier_spec.layer_widths[0] == STATE_DIM,
              "classifier reads the final state"),
-            (self.classifier_spec.layer_widths[-1]
-             == (2 if self.two_logit_classifier else 1),
-             "classifier output width inconsistent with two_logit setting"),
+            (self.classifier_spec.layer_widths[-1] == 1,
+             "classifier must emit one track probability"),
             (self.localization_spec.layer_widths[0] == STATE_DIM,
              "localization reads the final state"),
             (self.localization_spec.layer_widths[-1] == 5,
@@ -120,7 +117,6 @@ class ModelConfig:
             "box_scales": {"eta_m": b.eta_m, "phi_m": b.phi_m, "a_m": b.a_m,
                            "b_m": b.b_m, "theta_m": b.theta_m,
                            "delta_theta": b.delta_theta},
-            "two_logit_classifier": self.two_logit_classifier,
             "seed": self.seed,
         }
 
@@ -138,7 +134,6 @@ class ModelConfig:
             tracking_spec=spec(d["tracking_spec"]),
             loss_weights=tuple(d["loss_weights"]),
             box_scales=BoxScales(**d["box_scales"]),
-            two_logit_classifier=bool(d["two_logit_classifier"]),
             seed=int(d["seed"]),
         )
 
@@ -169,10 +164,6 @@ class Model:
                                       "loc."))
         params.update(init_mlp_params(self.config.tracking_spec, rng, "trk."))
         return params
-
-    def expected_shapes(self) -> dict[str, tuple]:
-        blank = Model(self.config)
-        return {name: arr.shape for name, arr in blank.params.items()}
 
 
 @dataclass
@@ -235,62 +226,48 @@ def gnn_forward(model: Model, graph: Graph, tape: Tape | None = None,
                              f"g{t}.")
         s = ad.add(update, s)
 
-    if cfg.two_logit_classifier:
-        logits = mlp_forward(cfg.classifier_spec, leaves, s, "cls.")
-        prob = ad.sigmoid(ad.sub(ad.slice_cols(logits, 1, 2),
-                                 ad.slice_cols(logits, 0, 1)))
-    else:
-        prob = mlp_forward(cfg.classifier_spec, leaves, s, "cls.")
+    prob = mlp_forward(cfg.classifier_spec, leaves, s, "cls.")
     box = mlp_forward(cfg.localization_spec, leaves, s, "loc.")
     return VertexOutputs(prob, box, s, tape, leaves)
 
 
-def predict_cluster_params(model: Model, outputs: VertexOutputs,
-                           cluster_vertices, hits_xy):
-    """Track-parameter head over one cluster of vertices.
+def predict_cluster_params(model: Model, final_state: Var,
+                           leaves: dict[str, Var], clusters,
+                           hits_xy) -> Var:
+    """Track-parameter head over a set of vertex clusters.
 
-    Features: the conformal parabola coefficients of the cluster's hits
-    (zeroed, with fit_ok False, when the cluster has fewer than 3 hits or
-    the fit degenerates) and the componentwise max of the member final
-    states.  Returns (prediction Var of shape (1, 2), fit_ok).
+    Features per cluster: the conformal parabola coefficients of its hits
+    (zero when the cluster has fewer than 3 hits or the fit degenerates)
+    and the componentwise max of its member final states.  `hits_xy` is
+    indexed by vertex id.  Returns a (n_clusters, 2) Var of (p_T, eps_T).
     """
-    vids = np.asarray(cluster_vertices, dtype=int)
-    fit_ok = False
-    coeffs = (0.0, 0.0, 0.0)
-    if len(vids) >= 3:
-        try:
-            c = canonical_parabola_coeffs(np.asarray(hits_xy, dtype=float))
-            coeffs = (c.c0, c.c1, c.c2)
-            fit_ok = True
-        except FitError:
-            pass
-    member_states = ad.gather_rows(outputs.final_state, vids)
-    state_max = ad.segment_max(member_states, np.zeros(len(vids), dtype=int),
-                               1)
-    feats = ad.concat_cols([outputs.tape.const(np.array([coeffs])),
-                            state_max])
-    return mlp_forward(model.config.tracking_spec, outputs.leaves, feats,
-                       "trk."), fit_ok
+    clusters = [np.asarray(vids, dtype=int) for vids in clusters]
+    hits_xy = np.asarray(hits_xy, dtype=float)
+    coeffs = np.zeros((len(clusters), 3))
+    for k, vids in enumerate(clusters):
+        if len(vids) >= 3:
+            try:
+                c = canonical_parabola_coeffs(hits_xy[vids])
+                coeffs[k] = (c.c0, c.c1, c.c2)
+            except FitError:
+                pass
+    members = np.concatenate([np.zeros(0, dtype=int), *clusters])
+    segment = np.repeat(np.arange(len(clusters)),
+                        [len(vids) for vids in clusters])
+    state_max = ad.segment_max(ad.gather_rows(final_state, members), segment,
+                               len(clusters))
+    feats = ad.concat_cols([final_state.tape.const(coeffs), state_max])
+    return mlp_forward(model.config.tracking_spec, leaves, feats, "trk.")
 
 
-def cluster_params_from_states(model: Model, final_states: np.ndarray,
-                               hits_xy: np.ndarray) -> tuple[float, float]:
-    """Gradient-free track-parameter prediction for one cluster, given
-    the member rows of an inference pass's final states."""
-    tape = Tape()
-    leaves = {name: tape.leaf(p) for name, p in model.params.items()
-              if name.startswith("trk.")}
-    coeffs = (0.0, 0.0, 0.0)
-    if len(final_states) >= 3:
-        try:
-            c = canonical_parabola_coeffs(np.asarray(hits_xy, dtype=float))
-            coeffs = (c.c0, c.c1, c.c2)
-        except FitError:
-            pass
-    state_max = np.max(np.asarray(final_states, dtype=float), axis=0)
-    feats = tape.const(np.concatenate([coeffs, state_max])[None, :])
-    out = mlp_forward(model.config.tracking_spec, leaves, feats, "trk.")
-    return float(out.data[0, 0]), float(out.data[0, 1])
+def cluster_params_from_states(model: Model, final_state: np.ndarray,
+                               clusters, hits_xy) -> np.ndarray:
+    """Gradient-free entry to the head for an inference pass's states."""
+    with Tape() as tape:
+        leaves = {name: tape.leaf(p) for name, p in model.params.items()
+                  if name.startswith("trk.")}
+        return predict_cluster_params(model, tape.const(final_state),
+                                      leaves, clusters, hits_xy).data
 
 
 def build_targets(graph: Graph, scales: BoxScales):
@@ -322,15 +299,7 @@ def total_loss(outputs: VertexOutputs, targets, cluster_preds,
     alpha, beta, gamma = weights
     l_c = bce_loss(y, outputs.class_prob)
     l_loc = huber_loss(outputs.encoded_box, target_enc, mask, huber_delta)
-    if cluster_preds is None:
-        truth_arr = np.asarray(cluster_truth, dtype=float).reshape(-1, 2)
-        if len(truth_arr):
-            raise ConsistencyError("cluster truth given without predictions")
-        warnings.warn("tracking loss over an empty cluster set",
-                      RuntimeWarning, stacklevel=2)
-        l_t = outputs.tape.const(0.0)
-    else:
-        l_t = mse_tracking_loss(cluster_preds, cluster_truth, tracking_scales)
+    l_t = mse_tracking_loss(cluster_preds, cluster_truth, tracking_scales)
     total = ad.add(ad.add(ad.scale(l_c, alpha), ad.scale(l_loc, beta)),
                    ad.scale(l_t, gamma))
     components = {"l_c": float(l_c.data), "l_loc": float(l_loc.data),
@@ -374,15 +343,12 @@ def train_step(model: Model, graph: Graph, state: AdamState,
     The tracking loss runs over truth clusters, so the parameter head
     learns independently of segmentation quality.
     """
-    tape = Tape()
-    outputs = gnn_forward(model, graph, tape)
-    preds, truths = [], []
-    for pid, vids in _truth_clusters(graph):
-        pv, _ = predict_cluster_params(model, outputs, vids,
-                                       graph.vertex_xy[vids])
-        preds.append(pv)
-        truths.append(graph.truth_params[pid])
-    cluster_preds = ad.concat_rows(preds) if preds else None
+    outputs = gnn_forward(model, graph)
+    clusters = _truth_clusters(graph)
+    cluster_preds = predict_cluster_params(
+        model, outputs.final_state, outputs.leaves,
+        [vids for _, vids in clusters], graph.vertex_xy)
+    truths = [graph.truth_params[pid] for pid, _ in clusters]
     targets = build_targets(graph, model.config.box_scales)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -422,7 +388,9 @@ def train(model: Model, dataset: list[Graph], cfg: TrainConfig,
             try:
                 components = train_step(model, dataset[gi], state, cfg)
             except NumericError as err:
-                raise NumericError(str(err), epoch=epoch) from err
+                raise NumericError(err.detail, epoch=epoch,
+                                   graph_id=err.graph_id,
+                                   component=err.component) from err
             for key in sums:
                 sums[key] += components[key]
         record = {key: value / len(dataset) for key, value in sums.items()}
@@ -443,9 +411,11 @@ def infer(model: Model, graph: Graph,
           threshold: float = 0.5) -> InferResult:
     """Forward pass plus a decoded ellipse for every vertex whose track
     probability reaches the threshold."""
-    outputs = gnn_forward(model, graph)
-    prob = outputs.class_prob_array()
-    boxes = outputs.encoded_box.data.copy()
+    with Tape() as tape:
+        outputs = gnn_forward(model, graph, tape)
+        prob = outputs.class_prob_array()
+        boxes = outputs.encoded_box.data.copy()
+        final_state = outputs.final_state.data.copy()
     ellipses = []
     for i in range(graph.n_vertices):
         if prob[i] >= threshold:
@@ -454,7 +424,7 @@ def infer(model: Model, graph: Graph,
                                        model.config.box_scales))
         else:
             ellipses.append(None)
-    return InferResult(prob, boxes, outputs.final_state.data.copy(), ellipses)
+    return InferResult(prob, boxes, final_state, ellipses)
 
 
 def save_checkpoint(model: Model, state: AdamState, epoch: int, path,
@@ -482,7 +452,11 @@ def save_checkpoint(model: Model, state: AdamState, epoch: int, path,
 def load_checkpoint(path):
     """Read a checkpoint; rejects parameter shapes that do not match the
     embedded config."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ParseError(f"checkpoint {path} is not valid JSON: {err.msg}",
+                         line=err.lineno) from err
     if doc.get("format") != "tracknet-v1":
         raise ConsistencyError(f"not a tracknet-v1 checkpoint: "
                                f"format={doc.get('format')!r}")

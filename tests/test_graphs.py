@@ -10,22 +10,10 @@ from trackseg.ellipses import point_in_ellipse
 from trackseg.errors import ConfigError, ConsistencyError
 from trackseg.events import GenConfig, generate_event
 from trackseg.graphs import (DbscanParams, assign_vertex_targets,
-                             build_graph, dbscan, eta_phi_distance,
-                             graph_from_dict, graph_to_dict, truth_ellipses)
+                             build_graph, dbscan, graph_from_dict,
+                             graph_to_dict, truth_ellipses)
 
 TWO_PI = 2.0 * math.pi
-
-
-class TestEtaPhiDistance:
-    def test_wraparound(self):
-        assert eta_phi_distance((0.0, 0.05), (0.0, TWO_PI - 0.05)) == \
-            pytest.approx(0.1)
-
-    def test_identical(self):
-        assert eta_phi_distance((1.0, 2.0), (1.0, 2.0)) == 0.0
-
-    def test_pure_eta(self):
-        assert eta_phi_distance((0.0, 0.0), (3.0, 0.0)) == pytest.approx(3.0)
 
 
 class TestDbscan:
@@ -142,21 +130,6 @@ class TestBuildGraph:
         for i, h in enumerate(e.hits):
             assert g.state[i, 0] == h.z
             assert g.state[i, 1] == float(h.layer)
-
-    def test_layer_adjacent_topology(self, detector):
-        gen = GenConfig(n_tracks=1, noise_fraction=0.0,
-                        hit_smearing_sigma=0.0, seed=23)
-        e = generate_event(detector, gen)
-        g = build_graph(e, DbscanParams(), topology="layer-adjacent")
-        assert g.n_edges == 3  # chain over 4 layers
-        for i, j in g.edges:
-            assert abs(int(g.state[i, 1]) - int(g.state[j, 1])) == 1
-
-    def test_unknown_topology(self, detector):
-        gen = GenConfig(n_tracks=1, seed=1)
-        e = generate_event(detector, gen)
-        with pytest.raises(ConfigError):
-            build_graph(e, DbscanParams(), topology="ring")
 
     def test_empty_event_rejected(self):
         from trackseg.events import Event

@@ -204,6 +204,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"training": {"learning_rate": 1e-3}})
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("dbscan", "topology", "complete"),
+        ("model", "two_logit_classifier", False)])
+    def test_removed_keys_exit_2(self, tmp_path, section, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        assert main(["--config", str(path), "generate"]) == 2
+
     def test_file_loading(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 3,
@@ -312,6 +320,20 @@ class TestCli:
     def test_missing_input_dir_exits_2(self, tmp_path):
         cfg_path = tiny_cli_config(tmp_path)
         assert main(["--config", str(cfg_path), "train"]) == 2
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:100],
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "vertices"})],
+        ids=["truncated", "no-vertices"])
+    def test_malformed_graph_exits_3(self, tmp_path, capsys, damage):
+        cfg_path = tiny_cli_config(tmp_path)
+        for cmd in ("generate", "build-graphs"):
+            assert main(["--config", str(cfg_path), cmd]) == 0
+        graph = tmp_path / "out" / "graphs" / "graph_00000.json"
+        graph.write_text(damage(graph.read_text()))
+        assert main(["--config", str(cfg_path), "train"]) == 3
+        assert "data error" in capsys.readouterr().err
 
     def test_missing_trackml_path_named(self, tmp_path, capsys):
         cfg_path = tiny_cli_config(tmp_path)

@@ -5,11 +5,11 @@ import pytest
 
 from oracles import sample_circle
 from trackseg.errors import DomainError, FitError
-from trackseg.kinematics import (CircleTrack, ParabolaCoeffs, PointUV,
-                                 PointXY, canonical_parabola_coeffs,
+from trackseg.kinematics import (CircleTrack, ParabolaCoeffs,
+                                 canonical_parabola_coeffs, conformal_xy,
                                  extract_track_params, fit_parabola,
                                  fit_track_conformal, pseudorapidity,
-                                 pt_from_radius, to_conformal)
+                                 pt_from_radius)
 
 # -ln(tan(pi/6)) = ln(3)/2, evaluated independently at high precision
 ETA_AT_PI_OVER_3 = 0.5493061443340548
@@ -17,32 +17,32 @@ ETA_AT_PI_OVER_3 = 0.5493061443340548
 
 class TestConformal:
     def test_on_axis(self):
-        p = to_conformal(PointXY(2.0, 0.0))
-        assert (p.u, p.v) == (0.5, 0.0)
+        u, v = conformal_xy(2.0, 0.0)
+        assert (u, v) == (0.5, 0.0)
 
     def test_symmetric(self):
-        p = to_conformal(PointXY(1.0, 1.0))
-        assert (p.u, p.v) == (0.5, 0.5)
+        u, v = conformal_xy(1.0, 1.0)
+        assert (u, v) == (0.5, 0.5)
 
     def test_prompt_circle_point_hits_line_form(self):
         # (0, 2) lies on the circle through the origin with a=0, b=1
-        p = to_conformal(PointXY(0.0, 2.0))
-        assert p.u == 0.0
-        assert p.v == pytest.approx(1.0 / (2.0 * 1.0), abs=1e-15)
+        u, v = conformal_xy(0.0, 2.0)
+        assert u == 0.0
+        assert v == pytest.approx(1.0 / (2.0 * 1.0), abs=1e-15)
 
     def test_origin_rejected(self):
         with pytest.raises(DomainError):
-            to_conformal(PointXY(0.0, 0.0))
+            conformal_xy(0.0, 0.0)
 
     def test_involution(self):
         rng = np.random.default_rng(1)
         for _ in range(10_000):
             r = 10.0 ** rng.uniform(-3, 3)
             ang = rng.uniform(0, 2 * math.pi)
-            p = PointXY(r * math.cos(ang), r * math.sin(ang))
-            q = to_conformal(to_conformal(p))
-            assert abs(q.x - p.x) <= 1e-12 * max(1.0, abs(p.x))
-            assert abs(q.y - p.y) <= 1e-12 * max(1.0, abs(p.y))
+            x, y = r * math.cos(ang), r * math.sin(ang)
+            qx, qy = conformal_xy(*conformal_xy(x, y))
+            assert abs(qx - x) <= 1e-12 * max(1.0, abs(x))
+            assert abs(qy - y) <= 1e-12 * max(1.0, abs(y))
 
 
 class TestPseudorapidity:
@@ -92,8 +92,7 @@ class TestPtFromRadius:
 
 class TestFitParabola:
     def test_constant(self):
-        c = fit_parabola([PointUV(0.0, 0.5), PointUV(0.1, 0.5),
-                          PointUV(0.2, 0.5)])
+        c = fit_parabola([(0.0, 0.5), (0.1, 0.5), (0.2, 0.5)])
         assert c.c0 == pytest.approx(0.5, abs=1e-12)
         assert c.c1 == pytest.approx(0.0, abs=1e-12)
         assert c.c2 == pytest.approx(0.0, abs=1e-12)

@@ -5,8 +5,8 @@ import pytest
 
 from trackseg.errors import ConfigError, ShapeError, StateError
 from trackseg.neural import (AdamState, MlpSpec, Tape, adam_step, bce_loss,
-                             gradients, huber_loss, max_aggregate,
-                             mlp_forward, mse_tracking_loss)
+                             gradients, huber_loss, mlp_forward,
+                             mse_tracking_loss)
 from trackseg.neural import autodiff as ad
 
 
@@ -121,7 +121,15 @@ class TestPrimitiveGradients:
         check_op_gradient(build, x0)
 
 
+def max_aggregate(features, segment_ids, num_segments):
+    """Forward value of segment_max on a plain array."""
+    v = Tape().const(np.asarray(features, dtype=float))
+    return ad.segment_max(v, segment_ids, num_segments).data
+
+
 class TestMaxAggregate:
+    """Forward contract of segment_max, the per-vertex max aggregation."""
+
     def test_identity_single_edges(self):
         feats = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = max_aggregate(feats, np.array([0, 1]), 2)
@@ -386,9 +394,12 @@ class TestGradients:
         t.backward(loss)
         with pytest.raises(StateError):
             t.backward(loss)
-        t.reset()
-        v = t.leaf(np.array([1.0]))
-        t.backward(ad.sum_all(v))  # usable again after reset
+        # a tape ended by its context manager is used up as well
+        with Tape() as t:
+            loss = ad.sum_all(t.leaf(np.array([1.0, 2.0])))
+        assert loss.item() == 3.0
+        with pytest.raises(StateError):
+            t.backward(loss)
 
     def test_cross_tape_rejected(self):
         t1, t2 = Tape(), Tape()

@@ -198,6 +198,13 @@ class TestChooseThreshold:
             acc_at = 0.5 * (np.mean(pos > t) + np.mean(neg <= t))
             assert acc_at == pytest.approx(result.balanced_accuracy)
 
+    def test_iou_of_one_stays_inside_unit_interval(self):
+        for pairs in ([(1.0, True), (1.0, False)],
+                      [(0.5, True), (1.0, False)]):
+            result = choose_threshold(pairs)
+            assert 0.0 < result.threshold < 1.0
+            merge_ellipses([], [], result.threshold)  # accepted
+
     def test_single_class_rejected(self):
         with pytest.raises(DomainError):
             choose_threshold([(0.5, True), (0.6, True)])

@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -6,15 +7,13 @@ import pytest
 
 from conftest import make_training_graph
 from trackseg import tracknet as tn
-from trackseg.errors import ConfigError, NumericError, StateError
+from trackseg.errors import ConfigError, NumericError, ParseError, StateError
 from trackseg.graphs import Graph
-from trackseg.neural import AdamState, Tape
-from trackseg.neural import autodiff as ad
+from trackseg.neural import AdamState, Tape, mlp_forward
 
 
 def small_config(seed=0, iterations=2, hidden=8, **kwargs):
-    specs = tn.default_specs(hidden, kwargs.get("two_logit_classifier",
-                                                False))
+    specs = tn.default_specs(hidden)
     return tn.ModelConfig(
         iterations=iterations, h_spec=specs["h"], f_spec=specs["f"],
         g_spec=specs["g"], classifier_spec=specs["classifier"],
@@ -117,12 +116,6 @@ class TestForward:
         with pytest.raises(StateError):
             tn.gnn_forward(m, toy_graph)
 
-    def test_two_logit_classifier_option(self, toy_graph):
-        m = tn.Model(small_config(seed=8, two_logit_classifier=True))
-        out = tn.gnn_forward(m, toy_graph)
-        assert out.class_prob.data.shape == (toy_graph.n_vertices, 1)
-        assert np.all((out.class_prob.data > 0) & (out.class_prob.data < 1))
-
     def test_config_shape_validation(self):
         from trackseg.neural import MlpSpec
         with pytest.raises(ConfigError):
@@ -200,8 +193,8 @@ class TestPredictClusterParams:
                 m.params[k] = np.zeros_like(m.params[k])
         m.params["trk.b1"] = np.array([3.5, 2e-4])
         out = tn.gnn_forward(m, g)
-        pred, fit_ok = tn.predict_cluster_params(m, out, [0, 1, 2, 3],
-                                                 g.vertex_xy)
+        pred = tn.predict_cluster_params(m, out.final_state, out.leaves,
+                                         [[0, 1, 2, 3]], g.vertex_xy)
         assert np.allclose(pred.data, [[3.5, 2e-4]])
 
     def test_prompt_track_has_small_c2_feature(self):
@@ -215,27 +208,52 @@ class TestPredictClusterParams:
         g = tiny_graph()
         m = tn.Model(small_config(seed=14))
         out = tn.gnn_forward(m, g)
-        pred, fit_ok = tn.predict_cluster_params(m, out, [0, 1],
-                                                 g.vertex_xy[:2])
-        assert not fit_ok
+        pred = tn.predict_cluster_params(m, out.final_state, out.leaves,
+                                         [[0, 1]], g.vertex_xy)
+        # the parabola features are zeroed: only the state max is read
+        state_max = out.final_state.data[:2].max(axis=0)
+        feats = out.tape.const(np.concatenate([np.zeros(3), state_max])[None])
+        zero_fit = mlp_forward(m.config.tracking_spec, out.leaves, feats,
+                               "trk.")
+        assert np.array_equal(pred.data, zero_fit.data)
         assert pred.data.shape == (1, 2)
 
     def test_output_shape(self):
         g = tiny_graph()
         m = tn.Model(small_config(seed=15))
         out = tn.gnn_forward(m, g)
-        pred, _ = tn.predict_cluster_params(m, out, [0, 1, 2],
-                                            g.vertex_xy[:3])
+        pred = tn.predict_cluster_params(m, out.final_state, out.leaves,
+                                         [[0, 1, 2]], g.vertex_xy)
         assert pred.data.shape == (1, 2)
+        none = tn.predict_cluster_params(m, out.final_state, out.leaves, [],
+                                         g.vertex_xy)
+        assert none.data.shape == (0, 2)
+
+    def test_batched_matches_one_call_per_cluster(self):
+        g = make_training_graph(seed=32, n_tracks=4)[1]
+        m = tn.Model(small_config(seed=15))
+        out = tn.gnn_forward(m, g)
+        clusters = [np.flatnonzero(g.vertex_particle_id == pid)
+                    for pid in sorted(g.truth_params)] + [[0, 1], [2]]
+        batched = tn.predict_cluster_params(m, out.final_state, out.leaves,
+                                            clusters, g.vertex_xy)
+        assert batched.data.shape == (len(clusters), 2)
+        for k, vids in enumerate(clusters):
+            single = tn.predict_cluster_params(m, out.final_state,
+                                               out.leaves, [vids],
+                                               g.vertex_xy)
+            assert np.allclose(batched.data[k], single.data[0], rtol=1e-12,
+                               atol=0.0)
 
     def test_numpy_path_matches_tape_path(self):
         g = tiny_graph()
         m = tn.Model(small_config(seed=16))
         out = tn.gnn_forward(m, g)
         vids = [0, 1, 2, 3]
-        pred, _ = tn.predict_cluster_params(m, out, vids, g.vertex_xy)
-        pt, eps = tn.cluster_params_from_states(
-            m, out.final_state.data[vids], g.vertex_xy)
+        pred = tn.predict_cluster_params(m, out.final_state, out.leaves,
+                                         [vids], g.vertex_xy)
+        (pt, eps), = tn.cluster_params_from_states(
+            m, out.final_state.data, [vids], g.vertex_xy)
         assert pt == pytest.approx(pred.data[0, 0], rel=1e-12)
         assert eps == pytest.approx(pred.data[0, 1], rel=1e-12)
 
@@ -246,15 +264,14 @@ def composite_loss(cfg, graph, params):
     m = tn.Model(cfg, params)
     tape = Tape()
     out = tn.gnn_forward(m, graph, tape)
-    preds, truths = [], []
-    for pid in sorted(graph.truth_params):
-        vids = np.flatnonzero(graph.vertex_particle_id == pid)
-        pv, _ = tn.predict_cluster_params(m, out, vids,
-                                          graph.vertex_xy[vids])
-        preds.append(pv)
-        truths.append(graph.truth_params[pid])
+    pids = sorted(graph.truth_params)
+    clusters = [np.flatnonzero(graph.vertex_particle_id == pid)
+                for pid in pids]
+    preds = tn.predict_cluster_params(m, out.final_state, out.leaves,
+                                      clusters, graph.vertex_xy)
+    truths = [graph.truth_params[pid] for pid in pids]
     targets = tn.build_targets(graph, cfg.box_scales)
-    total, _ = tn.total_loss(out, targets, ad.concat_rows(preds), truths,
+    total, _ = tn.total_loss(out, targets, preds, truths,
                              tracking_scales=(1.0, 1.0))
     return total, out, tape
 
@@ -356,6 +373,22 @@ class TestTrain:
                 warnings.simplefilter("ignore")
                 tn.train(m, [g], tn.TrainConfig(epochs=1, lr=1e-3))
         assert err.value.epoch == 1
+        assert err.value.graph_id == g.event_id
+        assert err.value.component == "l_loc"
+        assert str(err.value).count("graph=") == 1
+        assert str(err.value).count("component=") == 1
+
+    def test_train_step_without_truth_tracks(self):
+        g = tiny_graph()
+        g.vertex_class = np.zeros(g.n_vertices, dtype=bool)
+        g.vertex_particle_id = np.zeros(g.n_vertices, dtype=int)
+        g.truth_params = {}
+        assert g.n_edges > 0
+        m = tn.Model(small_config(seed=28))
+        comps = tn.train_step(m, g, AdamState(lr=1e-3),
+                              tn.TrainConfig(epochs=1, lr=1e-3))
+        assert math.isfinite(comps["l_total"])
+        assert comps["l_t"] == 0.0
 
     def test_empty_dataset_rejected(self):
         m = tn.Model(small_config())
@@ -391,6 +424,21 @@ class TestInfer:
                 assert e.a >= e.b > 0.0
                 assert 0.0 <= e.theta < math.pi
 
+    def test_leaves_no_reference_cycles(self, toy_graph):
+        # forward-only tapes are released, so refcounting frees them and
+        # peak memory does not wait on the cyclic GC
+        m = tn.Model(small_config(seed=27))
+        vids = list(range(toy_graph.n_vertices))
+        gc.collect()
+        gc.disable()
+        try:
+            r = tn.infer(m, toy_graph, threshold=0.0)
+            tn.cluster_params_from_states(m, r.final_state, [vids],
+                                          toy_graph.vertex_xy)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -422,6 +470,14 @@ class TestCheckpoint:
         doc["params"]["cls.W0"] = [[0.0]]
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
+            tn.load_checkpoint(path)
+
+    def test_truncated_file_is_a_parse_error(self, tmp_path):
+        m = tn.Model(small_config(seed=27))
+        path = tmp_path / "ckpt.json"
+        tn.save_checkpoint(m, AdamState(), epoch=0, path=path)
+        path.write_text(path.read_text()[:50])
+        with pytest.raises(ParseError):
             tn.load_checkpoint(path)
 
     def test_rejects_wrong_format(self, tmp_path):
