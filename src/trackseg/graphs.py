@@ -13,6 +13,7 @@ import numpy as np
 from .ellipses import Ellipse5, ellipse_from_dict, ellipse_to_dict, mvee
 from .errors import ConfigError, ConsistencyError
 from .events import Event
+from .jsonio import parsing
 
 
 @dataclass(frozen=True)
@@ -211,14 +212,8 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(d: dict) -> Graph:
-    if d.get("format") != "graph-v1":
-        raise ConsistencyError(f"not a graph-v1 document: "
-                               f"format={d.get('format')!r}")
-    try:
+    with parsing(d, "graph-v1"):
         return _graph_from_doc(d)
-    except KeyError as err:
-        raise ConsistencyError(f"graph-v1 document lacks key {err}") \
-            from err
 
 
 def _graph_from_doc(d: dict) -> Graph:

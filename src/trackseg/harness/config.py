@@ -11,11 +11,10 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from ..ellipses import BoxScales
 from ..errors import ConfigError
 from ..events import DetectorConfig, GenConfig
 from ..graphs import DbscanParams
-from ..tracknet import ModelConfig, TrainConfig, default_specs
+from ..tracknet import ModelConfig, TrainConfig
 
 # seed offsets for the derived per-stage streams
 _MODEL_SEED_OFFSET = 101
@@ -128,13 +127,9 @@ class RunConfig:
 
     def model_config(self) -> ModelConfig:
         m = self.model
-        specs = default_specs(m.hidden)
         return ModelConfig(
-            iterations=m.iterations, h_spec=specs["h"], f_spec=specs["f"],
-            g_spec=specs["g"], classifier_spec=specs["classifier"],
-            localization_spec=specs["localization"],
-            tracking_spec=specs["tracking"],
-            loss_weights=tuple(m.loss_weights), box_scales=BoxScales(),
+            iterations=m.iterations, hidden=m.hidden,
+            loss_weights=tuple(m.loss_weights),
             seed=self.seed + _MODEL_SEED_OFFSET)
 
     def train_config(self) -> TrainConfig:

@@ -3,32 +3,15 @@ metrics.  Graph and checkpoint formats live with their own modules."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from ..ellipses import ellipse_from_dict, ellipse_to_dict
-from ..errors import ConsistencyError, ParseError
 from ..events import Event, Hit, TruthTrack
+from ..jsonio import parsing, read_json, write_json
 from ..kinematics import CircleTrack, TrackParams
 from ..postprocess import TrackCandidate
 
 EVENT_FORMAT = "event-v1"
 PRED_FORMAT = "pred-v1"
 METRICS_FORMAT = "metrics-v1"
-
-
-def write_json(path, doc: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc))
-
-
-def read_json(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{path} is not valid JSON: {err.msg}",
-                         line=err.lineno) from err
 
 
 def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
@@ -54,23 +37,22 @@ def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
 
 
 def event_from_dict(d: dict) -> Event:
-    if d.get("format") != EVENT_FORMAT:
-        raise ConsistencyError(f"not an {EVENT_FORMAT} document: "
-                               f"format={d.get('format')!r}")
-    hits = tuple(
-        Hit(int(h["hit_id"]), float(h["x"]), float(h["y"]), float(h["z"]),
-            float(h["r"]), float(h["eta"]), float(h["phi"]),
-            int(h["layer"]), int(h["particle_id"]), int(h.get("volume", 0)))
-        for h in d["hits"])
-    tracks = tuple(
-        TruthTrack(int(t["particle_id"]),
-                   TrackParams(float(t["pt"]), float(t["eps_t"]),
-                               float(t["a"]), float(t["b"])),
-                   CircleTrack(float(t["a"]), float(t["b"]), float(t["R"]),
-                               int(t["charge"])),
-                   tuple(int(i) for i in t["hit_ids"]))
-        for t in d["tracks"])
-    return Event(int(d["event_id"]), hits, tracks, float(d["field_b"]))
+    with parsing(d, EVENT_FORMAT):
+        hits = tuple(
+            Hit(int(h["hit_id"]), float(h["x"]), float(h["y"]),
+                float(h["z"]), float(h["r"]), float(h["eta"]),
+                float(h["phi"]), int(h["layer"]), int(h["particle_id"]),
+                int(h.get("volume", 0)))
+            for h in d["hits"])
+        tracks = tuple(
+            TruthTrack(int(t["particle_id"]),
+                       TrackParams(float(t["pt"]), float(t["eps_t"]),
+                                   float(t["a"]), float(t["b"])),
+                       CircleTrack(float(t["a"]), float(t["b"]),
+                                   float(t["R"]), int(t["charge"])),
+                       tuple(int(i) for i in t["hit_ids"]))
+            for t in d["tracks"])
+        return Event(int(d["event_id"]), hits, tracks, float(d["field_b"]))
 
 
 def prediction_to_dict(event_id: int, vertex_hit_ids, class_prob, ellipses,
@@ -98,23 +80,21 @@ def prediction_to_dict(event_id: int, vertex_hit_ids, class_prob, ellipses,
 
 
 def prediction_from_dict(d: dict) -> dict:
-    if d.get("format") != PRED_FORMAT:
-        raise ConsistencyError(f"not a {PRED_FORMAT} document: "
-                               f"format={d.get('format')!r}")
-    return {
-        "event_id": int(d["event_id"]),
-        "vertex_hit_ids": [int(i) for i in d["vertex_hit_ids"]],
-        "class_prob": [float(p) for p in d["class_prob"]],
-        "ellipses": [ellipse_from_dict(e) if e is not None else None
-                     for e in d["ellipses"]],
-        "candidates": [
-            TrackCandidate(
-                ellipse=ellipse_from_dict(c["ellipse"]),
-                confidence=float(c["confidence"]),
-                member_vertex_ids=tuple(c["member_vertex_ids"]),
-                params=tuple(c["params"]) if c["params"] is not None
-                else None)
-            for c in d["candidates"]],
-        "assignments": [int(a) if a is not None else None
-                        for a in d["assignments"]],
-    }
+    with parsing(d, PRED_FORMAT):
+        return {
+            "event_id": int(d["event_id"]),
+            "vertex_hit_ids": [int(i) for i in d["vertex_hit_ids"]],
+            "class_prob": [float(p) for p in d["class_prob"]],
+            "ellipses": [ellipse_from_dict(e) if e is not None else None
+                         for e in d["ellipses"]],
+            "candidates": [
+                TrackCandidate(
+                    ellipse=ellipse_from_dict(c["ellipse"]),
+                    confidence=float(c["confidence"]),
+                    member_vertex_ids=tuple(c["member_vertex_ids"]),
+                    params=tuple(c["params"]) if c["params"] is not None
+                    else None)
+                for c in d["candidates"]],
+            "assignments": [int(a) if a is not None else None
+                            for a in d["assignments"]],
+        }

@@ -4,13 +4,17 @@ Artifacts live under the configured output directory:
 
     events/event_00000.json     one document per event
     graphs/graph_00000.json     one graph per event
-    checkpoint.json             trained model + optimizer state
+    checkpoint.json             tracknet-v2: model config, flat parameter
+                                vector in parameter-name order, flat Adam
+                                moments (v1 checkpoints are rejected with
+                                exit 3 and must be retrained)
     history.json                per-epoch loss components
     predictions/pred_00000.json per-event inference output
     metrics.json                evaluation summary
     plots/event_00000.svg       eta-phi event display
     run.log                     stage log
 
+Every JSON artifact is written atomically (temp file, then rename).
 Training uses all but the last `eval.n_holdout` graphs; inference and
 evaluation run on the held-out tail (or everything when n_holdout is 0).
 """

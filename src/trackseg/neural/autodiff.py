@@ -130,32 +130,6 @@ def add(a: Var, b: Var) -> Var:
     return tape._node(out_data, backward)
 
 
-def sub(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub shape mismatch: {a.data.shape} vs "
-                         f"{b.data.shape}")
-
-    def backward(g):
-        a.grad += g
-        b.grad -= g
-
-    return tape._node(a.data - b.data, backward)
-
-
-def mul(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul shape mismatch: {a.data.shape} vs "
-                         f"{b.data.shape}")
-
-    def backward(g):
-        a.grad += g * b.data
-        b.grad += g * a.data
-
-    return tape._node(a.data * b.data, backward)
-
-
 def scale(a: Var, s: float) -> Var:
     def backward(g):
         a.grad += g * s
@@ -268,27 +242,6 @@ def concat_cols(parts: list[Var]) -> Var:
     return tape._node(out_data, backward)
 
 
-def concat_rows(parts: list[Var]) -> Var:
-    tape = _same_tape(*parts)
-    heights = [p.data.shape[0] for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=0)
-
-    def backward(g):
-        start = 0
-        for p, h in zip(parts, heights):
-            p.grad += g[start:start + h]
-            start += h
-
-    return tape._node(out_data, backward)
-
-
-def slice_cols(a: Var, start: int, stop: int) -> Var:
-    def backward(g):
-        a.grad[:, start:stop] += g
-
-    return a.tape._node(a.data[:, start:stop].copy(), backward)
-
-
 def gather_rows(a: Var, idx: np.ndarray) -> Var:
     idx = np.asarray(idx, dtype=int)
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
@@ -352,11 +305,3 @@ def sum_all(a: Var) -> Var:
 
     return a.tape._node(np.sum(a.data), backward)
 
-
-def mean_all(a: Var) -> Var:
-    n = a.data.size
-
-    def backward(g):
-        a.grad += g / n
-
-    return a.tape._node(np.mean(a.data), backward)

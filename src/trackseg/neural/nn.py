@@ -8,7 +8,7 @@ tape and returns a float.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,17 +21,14 @@ BCE_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Fully-connected stack: layer_widths includes input and output."""
+    """Fully-connected ReLU stack: layer_widths includes input and
+    output."""
     layer_widths: tuple[int, ...]
-    hidden_activation: str = "relu"
     output_activation: str = "identity"
 
     def __post_init__(self):
         if len(self.layer_widths) < 2 or any(w <= 0 for w in self.layer_widths):
             raise ConfigError(f"bad layer widths {self.layer_widths}")
-        if self.hidden_activation != "relu":
-            raise ConfigError(f"unsupported hidden activation "
-                              f"{self.hidden_activation!r}")
         if self.output_activation not in ("identity", "sigmoid"):
             raise ConfigError(f"unsupported output activation "
                               f"{self.output_activation!r}")
@@ -167,47 +164,45 @@ def mse_tracking_loss(pred, truth, scales=(1.0, 1e-3)):
 
 @dataclass
 class AdamState:
-    """Optimizer state; moment accumulators are keyed like the params."""
+    """Optimizer state; the moment accumulators are flat arrays laid out
+    like the parameter vector, None before the first step."""
     lr: float = 1e-6
     beta1: float = 0.9
     beta2: float = 0.999
     eps_hat: float = 1e-8
     weight_decay: float = 1e-5
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adam_step(state: AdamState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray]):
-    """One Adam update with bias correction and decoupled weight decay
-    (params shrink by lr*wd before the moment update).  Mutates params
-    and state in place; deterministic."""
+def adam_step(state: AdamState, flat: np.ndarray, grad: np.ndarray):
+    """One Adam update of the flat parameter vector with bias correction
+    and decoupled weight decay (params shrink by lr*wd before the moment
+    update).  Mutates flat and state in place; deterministic."""
+    if grad.shape != flat.shape:
+        raise ShapeError(f"gradient shape {grad.shape} vs parameter shape "
+                         f"{flat.shape}")
+    if state.m is None:
+        state.m = np.zeros_like(flat)
+        state.v = np.zeros_like(flat)
     state.step += 1
     t = state.step
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} vs parameter shape "
-                             f"{p.shape} for {name!r}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        if state.weight_decay:
-            p *= 1.0 - state.lr * state.weight_decay
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps_hat)
-    return params, state
+    if state.weight_decay:
+        flat *= 1.0 - state.lr * state.weight_decay
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps_hat)
 
 
-def gradients(loss: Var, leaves: dict[str, Var]) -> dict[str, np.ndarray]:
-    """Run the reverse sweep and collect one gradient per named leaf."""
+def gradients(loss: Var, leaves: dict[str, Var]) -> np.ndarray:
+    """Run the reverse sweep and return the leaves' gradients as one flat
+    vector, in leaf order."""
     loss.tape.backward(loss)
-    return {name: leaf.grad.copy() for name, leaf in leaves.items()}
+    return np.concatenate([np.zeros(0),
+                           *(leaf.grad.ravel() for leaf in leaves.values())])

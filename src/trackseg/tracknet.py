@@ -12,19 +12,18 @@ coefficients with the componentwise max of member states.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import signed_dphi
-from .ellipses import BoxScales, EncodedBox, decode_box, encode_box
+from .ellipses import EncodedBox, decode_box, encode_box
 from .errors import (ConfigError, ConsistencyError, FitError, NumericError,
-                     ParseError, StateError)
+                     StateError)
 from .graphs import Graph
+from .jsonio import parsing, read_json, write_json
 from .kinematics import canonical_parabola_coeffs
 from .neural import autodiff as ad
 from .neural.autodiff import Tape, Var
@@ -36,106 +35,47 @@ STATE_DIM = 2
 COORD_DIM = 2
 EDGE_FEATURE_DIM = 4
 TRACKING_FEATURE_DIM = 5  # 3 parabola coefficients + 2 state-max components
-
-
-def default_specs(hidden: int = 64):
-    """MLP shapes used by the reference configuration."""
-    return {
-        "h": MlpSpec((STATE_DIM, hidden, COORD_DIM)),
-        "f": MlpSpec((COORD_DIM + STATE_DIM, hidden, hidden,
-                      EDGE_FEATURE_DIM)),
-        "g": MlpSpec((EDGE_FEATURE_DIM + STATE_DIM, hidden, STATE_DIM)),
-        "classifier": MlpSpec((STATE_DIM, hidden, hidden, hidden, 1),
-                              output_activation="sigmoid"),
-        "localization": MlpSpec((STATE_DIM, hidden, hidden, hidden, 5)),
-        "tracking": MlpSpec((TRACKING_FEATURE_DIM, hidden, 2)),
-    }
+CHECKPOINT_FORMAT = "tracknet-v2"
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """T message-passing iterations and the MLP width fix the network:
+    every layer shape follows from them and the state, coordinate and
+    edge-feature sizes."""
     iterations: int = 4
-    h_spec: MlpSpec = field(default_factory=lambda: default_specs()["h"])
-    f_spec: MlpSpec = field(default_factory=lambda: default_specs()["f"])
-    g_spec: MlpSpec = field(default_factory=lambda: default_specs()["g"])
-    classifier_spec: MlpSpec = field(
-        default_factory=lambda: default_specs()["classifier"])
-    localization_spec: MlpSpec = field(
-        default_factory=lambda: default_specs()["localization"])
-    tracking_spec: MlpSpec = field(
-        default_factory=lambda: default_specs()["tracking"])
+    hidden: int = 64
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    box_scales: BoxScales = field(default_factory=BoxScales)
     seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError(f"need >= 1 iteration, got {self.iterations}")
-        checks = [
-            (self.h_spec.layer_widths[0] == STATE_DIM,
-             "h input must be the state"),
-            (self.h_spec.layer_widths[-1] == COORD_DIM,
-             "h output must be a coordinate offset"),
-            (self.f_spec.layer_widths[0] == COORD_DIM + STATE_DIM,
-             "f input must be coordinate difference + sender state"),
-            (self.g_spec.layer_widths[0]
-             == self.f_spec.layer_widths[-1] + STATE_DIM,
-             "g input must be aggregate + state"),
-            (self.g_spec.layer_widths[-1] == STATE_DIM,
-             "g output must match the state (residual update)"),
-            (self.classifier_spec.layer_widths[0] == STATE_DIM,
-             "classifier reads the final state"),
-            (self.classifier_spec.layer_widths[-1] == 1,
-             "classifier must emit one track probability"),
-            (self.localization_spec.layer_widths[0] == STATE_DIM,
-             "localization reads the final state"),
-            (self.localization_spec.layer_widths[-1] == 5,
-             "localization must emit the 5 encoded-box residuals"),
-            (self.tracking_spec.layer_widths[0] == TRACKING_FEATURE_DIM,
-             "tracking head reads 5 features"),
-            (self.tracking_spec.layer_widths[-1] == 2,
-             "tracking head must emit (p_T, eps_T)"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise ConfigError(msg)
+        if self.hidden < 1:
+            raise ConfigError(f"need hidden width >= 1, got {self.hidden}")
+
+    @property
+    def specs(self) -> dict[str, MlpSpec]:
+        """MLP shapes per block: h, f, g and the three heads."""
+        w = self.hidden
+        return {
+            "h": MlpSpec((STATE_DIM, w, COORD_DIM)),
+            "f": MlpSpec((COORD_DIM + STATE_DIM, w, w, EDGE_FEATURE_DIM)),
+            "g": MlpSpec((EDGE_FEATURE_DIM + STATE_DIM, w, STATE_DIM)),
+            "classifier": MlpSpec((STATE_DIM, w, w, w, 1),
+                                  output_activation="sigmoid"),
+            "localization": MlpSpec((STATE_DIM, w, w, w, 5)),
+            "tracking": MlpSpec((TRACKING_FEATURE_DIM, w, 2)),
+        }
 
     def to_dict(self) -> dict:
-        def spec(s: MlpSpec):
-            return {"layer_widths": list(s.layer_widths),
-                    "hidden_activation": s.hidden_activation,
-                    "output_activation": s.output_activation}
-        b = self.box_scales
-        return {
-            "iterations": self.iterations,
-            "h_spec": spec(self.h_spec), "f_spec": spec(self.f_spec),
-            "g_spec": spec(self.g_spec),
-            "classifier_spec": spec(self.classifier_spec),
-            "localization_spec": spec(self.localization_spec),
-            "tracking_spec": spec(self.tracking_spec),
-            "loss_weights": list(self.loss_weights),
-            "box_scales": {"eta_m": b.eta_m, "phi_m": b.phi_m, "a_m": b.a_m,
-                           "b_m": b.b_m, "theta_m": b.theta_m,
-                           "delta_theta": b.delta_theta},
-            "seed": self.seed,
-        }
+        return {"iterations": self.iterations, "hidden": self.hidden,
+                "loss_weights": list(self.loss_weights), "seed": self.seed}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        def spec(sd):
-            return MlpSpec(tuple(sd["layer_widths"]),
-                           sd["hidden_activation"], sd["output_activation"])
-        return cls(
-            iterations=int(d["iterations"]),
-            h_spec=spec(d["h_spec"]), f_spec=spec(d["f_spec"]),
-            g_spec=spec(d["g_spec"]),
-            classifier_spec=spec(d["classifier_spec"]),
-            localization_spec=spec(d["localization_spec"]),
-            tracking_spec=spec(d["tracking_spec"]),
-            loss_weights=tuple(d["loss_weights"]),
-            box_scales=BoxScales(**d["box_scales"]),
-            seed=int(d["seed"]),
-        )
+        return cls(int(d["iterations"]), int(d["hidden"]),
+                   tuple(d["loss_weights"]), int(d["seed"]))
 
 
 class Model:
@@ -143,26 +83,36 @@ class Model:
 
     Parameter names follow "<block><iteration>.<W|b><layer>", e.g.
     "f2.W0"; heads use "cls.", "loc." and "trk.".  Each iteration owns a
-    distinct parameter set.
+    distinct parameter set.  All parameters live in one float64 vector,
+    `flat`; every `params[name]` is a reshaped view into it, in name
+    order.  A given params dict is copied into a new vector.
     """
 
     def __init__(self, config: ModelConfig, params=None):
         self.config = config
-        self.params: dict[str, np.ndarray] = params if params is not None \
-            else self._init_params()
+        params = self._init_params() if params is None else params
+        self.flat = np.concatenate(
+            [np.zeros(0), *(np.ravel(p) for p in params.values())])
+        self.params: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, p in params.items():
+            size = np.size(p)
+            self.params[name] = self.flat[offset:offset + size] \
+                .reshape(np.shape(p))
+            offset += size
 
     def _init_params(self) -> dict[str, np.ndarray]:
+        specs = self.config.specs
         rng = np.random.default_rng(self.config.seed)
         params: dict[str, np.ndarray] = {}
         for t in range(1, self.config.iterations + 1):
-            params.update(init_mlp_params(self.config.h_spec, rng, f"h{t}."))
-            params.update(init_mlp_params(self.config.f_spec, rng, f"f{t}."))
-            params.update(init_mlp_params(self.config.g_spec, rng, f"g{t}."))
-        params.update(init_mlp_params(self.config.classifier_spec, rng,
-                                      "cls."))
-        params.update(init_mlp_params(self.config.localization_spec, rng,
-                                      "loc."))
-        params.update(init_mlp_params(self.config.tracking_spec, rng, "trk."))
+            for block in "hfg":
+                params.update(init_mlp_params(specs[block], rng,
+                                              f"{block}{t}."))
+        for block, prefix in (("classifier", "cls."),
+                              ("localization", "loc."),
+                              ("tracking", "trk.")):
+            params.update(init_mlp_params(specs[block], rng, prefix))
         return params
 
 
@@ -200,7 +150,7 @@ def gnn_forward(model: Model, graph: Graph, tape: Tape | None = None,
     """
     if not model.params:
         raise StateError("model has no parameters")
-    cfg = model.config
+    specs = model.config.specs
     tape = tape if tape is not None else Tape()
     leaves = {name: tape.leaf(p) for name, p in model.params.items()}
 
@@ -213,21 +163,21 @@ def gnn_forward(model: Model, graph: Graph, tape: Tape | None = None,
         np.zeros((0, COORD_DIM))
 
     s = tape.const(graph.state)
-    for t in range(1, cfg.iterations + 1):
+    for t in range(1, model.config.iterations + 1):
         if auto_registration:
-            dx = mlp_forward(cfg.h_spec, leaves, s, f"h{t}.")
+            dx = mlp_forward(specs["h"], leaves, s, f"h{t}.")
             shifted = ad.add(tape.const(coord_diff), ad.gather_rows(dx, dst))
         else:
             shifted = tape.const(coord_diff)
         edge_in = ad.concat_cols([shifted, ad.gather_rows(s, src)])
-        msg = mlp_forward(cfg.f_spec, leaves, edge_in, f"f{t}.")
+        msg = mlp_forward(specs["f"], leaves, edge_in, f"f{t}.")
         agg = ad.segment_max(msg, dst, n)
-        update = mlp_forward(cfg.g_spec, leaves, ad.concat_cols([agg, s]),
+        update = mlp_forward(specs["g"], leaves, ad.concat_cols([agg, s]),
                              f"g{t}.")
         s = ad.add(update, s)
 
-    prob = mlp_forward(cfg.classifier_spec, leaves, s, "cls.")
-    box = mlp_forward(cfg.localization_spec, leaves, s, "loc.")
+    prob = mlp_forward(specs["classifier"], leaves, s, "cls.")
+    box = mlp_forward(specs["localization"], leaves, s, "loc.")
     return VertexOutputs(prob, box, s, tape, leaves)
 
 
@@ -257,7 +207,8 @@ def predict_cluster_params(model: Model, final_state: Var,
     state_max = ad.segment_max(ad.gather_rows(final_state, members), segment,
                                len(clusters))
     feats = ad.concat_cols([final_state.tape.const(coeffs), state_max])
-    return mlp_forward(model.config.tracking_spec, leaves, feats, "trk.")
+    return mlp_forward(model.config.specs["tracking"], leaves, feats,
+                       "trk.")
 
 
 def cluster_params_from_states(model: Model, final_state: np.ndarray,
@@ -270,7 +221,7 @@ def cluster_params_from_states(model: Model, final_state: np.ndarray,
                                       leaves, clusters, hits_xy).data
 
 
-def build_targets(graph: Graph, scales: BoxScales):
+def build_targets(graph: Graph):
     """Per-vertex classification labels, track mask and encoded target
     boxes (zero rows for noise vertices)."""
     n = graph.n_vertices
@@ -285,8 +236,8 @@ def build_targets(graph: Graph, scales: BoxScales):
             raise ConsistencyError(
                 f"track vertex {i} has no target ellipse; run "
                 f"assign_vertex_targets first")
-        target_enc[i] = encode_box(
-            ell, (graph.eta[i], graph.phi[i]), scales).as_array()
+        target_enc[i] = encode_box(ell, (graph.eta[i], graph.phi[i])) \
+            .as_array()
     return y, y.copy(), target_enc
 
 
@@ -349,7 +300,7 @@ def train_step(model: Model, graph: Graph, state: AdamState,
         model, outputs.final_state, outputs.leaves,
         [vids for _, vids in clusters], graph.vertex_xy)
     truths = [graph.truth_params[pid] for pid, _ in clusters]
-    targets = build_targets(graph, model.config.box_scales)
+    targets = build_targets(graph)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         total, components = total_loss(
@@ -360,7 +311,7 @@ def train_step(model: Model, graph: Graph, state: AdamState,
             raise NumericError("non-finite loss", graph_id=graph.event_id,
                                component=name)
     grads = gradients(total, outputs.leaves)
-    adam_step(state, model.params, grads)
+    adam_step(state, model.flat, grads)
     return components
 
 
@@ -420,63 +371,49 @@ def infer(model: Model, graph: Graph,
     for i in range(graph.n_vertices):
         if prob[i] >= threshold:
             enc = EncodedBox(*boxes[i])
-            ellipses.append(decode_box(enc, (graph.eta[i], graph.phi[i]),
-                                       model.config.box_scales))
+            ellipses.append(decode_box(enc, (graph.eta[i], graph.phi[i])))
         else:
             ellipses.append(None)
     return InferResult(prob, boxes, final_state, ellipses)
 
 
-def save_checkpoint(model: Model, state: AdamState, epoch: int, path,
-                    extra: dict | None = None) -> None:
-    """Write the tracknet-v1 checkpoint document."""
+def save_checkpoint(model: Model, state: AdamState, epoch: int,
+                    path) -> None:
+    """Write the tracknet-v2 checkpoint document: the model config, the
+    flat parameter vector and the flat Adam moments."""
+    def flat(a):
+        return None if a is None else a.tolist()
+
     doc = {
-        "format": "tracknet-v1",
+        "format": CHECKPOINT_FORMAT,
         "config": model.config.to_dict(),
         "epoch": epoch,
-        "seed": model.config.seed,
-        "params": {k: v.tolist() for k, v in model.params.items()},
+        "params": model.flat.tolist(),
         "adam": {
             "lr": state.lr, "beta1": state.beta1, "beta2": state.beta2,
             "eps_hat": state.eps_hat, "weight_decay": state.weight_decay,
-            "step": state.step,
-            "m": {k: v.tolist() for k, v in state.m.items()},
-            "v": {k: v.tolist() for k, v in state.v.items()},
+            "step": state.step, "m": flat(state.m), "v": flat(state.v),
         },
     }
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc))
+    write_json(path, doc)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; rejects parameter shapes that do not match the
-    embedded config."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ParseError(f"checkpoint {path} is not valid JSON: {err.msg}",
-                         line=err.lineno) from err
-    if doc.get("format") != "tracknet-v1":
-        raise ConsistencyError(f"not a tracknet-v1 checkpoint: "
-                               f"format={doc.get('format')!r}")
-    config = ModelConfig.from_dict(doc["config"])
-    params = {k: np.asarray(v, dtype=float) for k, v in doc["params"].items()}
-    expected = Model(config).params
-    if set(params) != set(expected):
-        raise ConfigError("checkpoint parameter names do not match config")
-    for name, arr in params.items():
-        if arr.shape != expected[name].shape:
-            raise ConfigError(
-                f"checkpoint shape {arr.shape} for {name!r} does not match "
-                f"config shape {expected[name].shape}")
-    model = Model(config, params)
-    a = doc["adam"]
-    state = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
-                      eps_hat=a["eps_hat"], weight_decay=a["weight_decay"],
-                      step=int(a["step"]),
-                      m={k: np.asarray(v, dtype=float)
-                         for k, v in a["m"].items()},
-                      v={k: np.asarray(v, dtype=float)
-                         for k, v in a["v"].items()})
-    return model, state, int(doc["epoch"])
+    """Read a checkpoint; rejects a parameter vector whose length does not
+    match the embedded config."""
+    doc = read_json(path)
+    with parsing(doc, CHECKPOINT_FORMAT):
+        model = Model(ModelConfig.from_dict(doc["config"]))
+        params = np.asarray(doc["params"], dtype=float)
+        if params.shape != model.flat.shape:
+            raise ConfigError(f"checkpoint has {params.size} parameters, "
+                              f"config needs {model.flat.size}")
+        model.flat[:] = params
+        a = doc["adam"]
+        state = AdamState(
+            lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
+            eps_hat=a["eps_hat"], weight_decay=a["weight_decay"],
+            step=int(a["step"]),
+            m=None if a["m"] is None else np.asarray(a["m"], dtype=float),
+            v=None if a["v"] is None else np.asarray(a["v"], dtype=float))
+        return model, state, int(doc["epoch"])

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trackseg
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import ConfigError, ConsistencyError
 from trackseg.events import DetectorConfig, GenConfig, generate_event
@@ -10,7 +15,8 @@ from trackseg.harness.cli import main
 from trackseg.harness.config import (RunConfig, apply_overrides,
                                      config_from_dict, load_config)
 from trackseg.harness.io import (event_from_dict, event_to_dict,
-                                 prediction_from_dict, prediction_to_dict)
+                                 prediction_from_dict, prediction_to_dict,
+                                 read_json, write_json)
 from trackseg.harness.metrics import auc_score, evaluate, metrics_from_dict
 from trackseg.harness.render import render_event_svg
 from trackseg.postprocess import TrackCandidate
@@ -269,6 +275,29 @@ class TestIo:
         assert restored["assignments"] == pred["assignments"]
         assert restored["class_prob"] == pred["class_prob"]
 
+    def test_failed_write_keeps_old_artifact(self, tmp_path, monkeypatch):
+        path = tmp_path / "doc.json"
+        write_json(path, {"v": 1})
+        with pytest.raises(TypeError):
+            write_json(path, {"v": object()})
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            write_json(path, {"v": 2})
+        assert read_json(path) == {"v": 1}
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def _drop_key(key):
+    return lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != key})
+
+
+STAGES = ("generate", "build-graphs", "train", "infer", "evaluate")
+
 
 def tiny_cli_config(tmp_path, **training):
     cfg = {
@@ -321,19 +350,36 @@ class TestCli:
         cfg_path = tiny_cli_config(tmp_path)
         assert main(["--config", str(cfg_path), "train"]) == 2
 
-    @pytest.mark.parametrize("damage", [
-        lambda text: text[:100],
-        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
-                                 if k != "vertices"})],
-        ids=["truncated", "no-vertices"])
-    def test_malformed_graph_exits_3(self, tmp_path, capsys, damage):
+    @pytest.mark.parametrize("artifact, damage, command", [
+        ("graphs/graph_00000.json", lambda text: text[:100], "train"),
+        ("graphs/graph_00000.json", _drop_key("vertices"), "train"),
+        ("events/event_00000.json", _drop_key("hits"), "build-graphs"),
+        ("predictions/pred_*.json", _drop_key("candidates"), "evaluate"),
+        ("checkpoint.json",
+         lambda text: text.replace('"tracknet-v2"', '"tracknet-v1"'),
+         "infer"),
+        ("checkpoint.json", _drop_key("adam"), "infer")],
+        ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
+             "pred-no-candidates", "checkpoint-v1", "checkpoint-no-adam"])
+    def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
+                                        damage, command):
         cfg_path = tiny_cli_config(tmp_path)
-        for cmd in ("generate", "build-graphs"):
+        for cmd in STAGES[:STAGES.index(command)]:
             assert main(["--config", str(cfg_path), cmd]) == 0
-        graph = tmp_path / "out" / "graphs" / "graph_00000.json"
-        graph.write_text(damage(graph.read_text()))
-        assert main(["--config", str(cfg_path), "train"]) == 3
+        path, = (tmp_path / "out").glob(artifact)
+        path.write_text(damage(path.read_text()))
+        assert main(["--config", str(cfg_path), command]) == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(trackseg.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        result = subprocess.run([sys.executable, "-m", "trackseg", "--help"],
+                                env=env, capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 0
+        assert "build-graphs" in result.stdout
 
     def test_missing_trackml_path_named(self, tmp_path, capsys):
         cfg_path = tiny_cli_config(tmp_path)

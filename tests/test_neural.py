@@ -45,8 +45,8 @@ class TestPrimitiveGradients:
         w = rng.normal(0, 1, (3, 2))
 
         def build(t, v):
-            return ad.sum_all(ad.mul(ad.matmul(v, t.const(w)),
-                                     t.const(rng_fixed)))
+            return ad.sum_all(ad.mul_const(ad.matmul(v, t.const(w)),
+                                           rng_fixed))
 
         rng_fixed = rng.normal(0, 1, (4, 2))
         check_op_gradient(build, rng.normal(0, 1, (4, 3)))
@@ -95,7 +95,7 @@ class TestPrimitiveGradients:
         def build(t, v):
             g = ad.gather_rows(v, idx)
             c = ad.concat_cols([g, ad.scale(g, 2.0)])
-            return ad.sum_all(ad.square(ad.slice_cols(c, 1, 3)))
+            return ad.sum_all(ad.square(c))
 
         check_op_gradient(build, rng.normal(0, 1, (3, 2)))
 
@@ -204,8 +204,6 @@ class TestMlp:
     def test_bad_spec(self):
         with pytest.raises(ConfigError):
             MlpSpec((3,))
-        with pytest.raises(ConfigError):
-            MlpSpec((3, 2), hidden_activation="tanh")
 
 
 class TestBce:
@@ -316,16 +314,16 @@ class TestMseTracking:
 
 class TestAdam:
     def test_zero_gradient_no_decay(self):
-        params = {"w": np.array([1.0, -2.0])}
+        w = np.array([1.0, -2.0])
         state = AdamState(lr=1e-3, weight_decay=0.0)
-        adam_step(state, params, {"w": np.zeros(2)})
-        assert np.array_equal(params["w"], np.array([1.0, -2.0]))
+        adam_step(state, w, np.zeros(2))
+        assert np.array_equal(w, np.array([1.0, -2.0]))
 
     def test_first_step_magnitude(self):
-        params = {"w": np.zeros(4)}
+        w = np.zeros(4)
         state = AdamState(lr=1e-3, weight_decay=0.0)
-        adam_step(state, params, {"w": np.ones(4)})
-        assert np.allclose(params["w"], -1e-3, rtol=1e-6)
+        adam_step(state, w, np.ones(4))
+        assert np.allclose(w, -1e-3, rtol=1e-6)
 
     def test_against_scripted_recurrence(self):
         # oracle: straight-line transcription of the Adam update rules
@@ -345,22 +343,23 @@ class TestAdam:
             vhat = ve / (1 - b2**t)
             expected = expected - lr * mhat / (np.sqrt(vhat) + eps)
 
-        params = {"w": w.copy()}
         state = AdamState(lr=lr, beta1=b1, beta2=b2, eps_hat=eps,
                           weight_decay=wd)
         for g in grads:
-            adam_step(state, params, {"w": g})
-        assert np.array_equal(params["w"], expected)
+            adam_step(state, w, g)
+        assert np.array_equal(w, expected)
+        assert np.array_equal(state.m, me)
+        assert np.array_equal(state.v, ve)
 
     def test_deterministic_trajectories(self):
         def run():
             rng = np.random.default_rng(8)
-            params = {"w": rng.normal(0, 1, (3, 3))}
+            w = rng.normal(0, 1, 9)
             state = AdamState(lr=1e-3)
             trace = []
             for _ in range(5):
-                adam_step(state, params, {"w": rng.normal(0, 1, (3, 3))})
-                trace.append(params["w"].copy())
+                adam_step(state, w, rng.normal(0, 1, 9))
+                trace.append(w.copy())
             return trace
 
         for a, b in zip(run(), run()):
@@ -369,7 +368,8 @@ class TestAdam:
     def test_shape_mismatch(self):
         state = AdamState()
         with pytest.raises(ShapeError):
-            adam_step(state, {"w": np.zeros(2)}, {"w": np.zeros(3)})
+            adam_step(state, np.zeros(2), np.zeros(3))
+        assert state.step == 0 and state.m is None
 
 
 class TestGradients:
@@ -377,15 +377,16 @@ class TestGradients:
         t = Tape()
         leaves = {"w": t.leaf(np.array([1.0, 2.0, 3.0]))}
         g = gradients(ad.sum_all(leaves["w"]), leaves)
-        assert np.array_equal(g["w"], np.ones(3))
+        assert np.array_equal(g, np.ones(3))
 
     def test_quadratic(self):
         t = Tape()
         w0 = np.random.default_rng(9).normal(0, 1, (3, 2))
-        leaves = {"w": t.leaf(w0)}
+        leaves = {"w": t.leaf(w0), "c": t.leaf(np.ones(2))}
         loss = ad.scale(ad.sum_all(ad.square(leaves["w"])), 0.5)
         g = gradients(loss, leaves)
-        assert np.allclose(g["w"], w0)
+        # one flat vector in leaf order
+        assert np.allclose(g, np.concatenate([w0.ravel(), np.zeros(2)]))
 
     def test_tape_reuse_rejected(self):
         t = Tape()

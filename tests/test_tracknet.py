@@ -13,12 +13,8 @@ from trackseg.neural import AdamState, Tape, mlp_forward
 
 
 def small_config(seed=0, iterations=2, hidden=8, **kwargs):
-    specs = tn.default_specs(hidden)
-    return tn.ModelConfig(
-        iterations=iterations, h_spec=specs["h"], f_spec=specs["f"],
-        g_spec=specs["g"], classifier_spec=specs["classifier"],
-        localization_spec=specs["localization"],
-        tracking_spec=specs["tracking"], seed=seed, **kwargs)
+    return tn.ModelConfig(iterations=iterations, hidden=hidden, seed=seed,
+                          **kwargs)
 
 
 def zero_model(config):
@@ -108,6 +104,18 @@ class TestForward:
         assert not np.array_equal(m.params["f1.W0"], m.params["f2.W0"])
         assert m.config.iterations == 3
 
+    def test_params_are_views_of_flat(self):
+        m = tn.Model(small_config(seed=2))
+        assert m.flat.dtype == np.float64
+        assert sum(p.size for p in m.params.values()) == m.flat.size
+        for p in m.params.values():
+            assert np.shares_memory(p, m.flat)
+        copy = tn.Model(m.config, m.params)
+        assert not np.shares_memory(copy.flat, m.flat)
+        assert np.array_equal(copy.flat, m.flat)
+        for p in copy.params.values():
+            assert np.shares_memory(p, copy.flat)
+
     def test_default_iterations_is_four(self):
         assert tn.ModelConfig().iterations == 4
 
@@ -117,9 +125,8 @@ class TestForward:
             tn.gnn_forward(m, toy_graph)
 
     def test_config_shape_validation(self):
-        from trackseg.neural import MlpSpec
         with pytest.raises(ConfigError):
-            tn.ModelConfig(localization_spec=MlpSpec((2, 8, 4)))
+            tn.ModelConfig(hidden=0)
         with pytest.raises(ConfigError):
             tn.ModelConfig(iterations=0)
 
@@ -128,7 +135,7 @@ class TestTotalLoss:
     def test_perfect_predictions(self, toy_graph):
         m = tn.Model(small_config(seed=9))
         out = tn.gnn_forward(m, toy_graph)
-        y, mask, enc = tn.build_targets(toy_graph, m.config.box_scales)
+        y, mask, enc = tn.build_targets(toy_graph)
         tape = out.tape
         perfect = tn.VertexOutputs(
             class_prob=tape.const(y[:, None]),
@@ -142,7 +149,7 @@ class TestTotalLoss:
     def test_gamma_zero_ignores_tracking(self, toy_graph):
         m = tn.Model(small_config(seed=10))
         out = tn.gnn_forward(m, toy_graph)
-        targets = tn.build_targets(toy_graph, m.config.box_scales)
+        targets = tn.build_targets(toy_graph)
         tape = out.tape
         p1 = tape.const(np.array([[5.0, 1.0]]))
         p2 = tape.const(np.array([[-3.0, 2.0]]))
@@ -158,7 +165,7 @@ class TestTotalLoss:
         g.vertex_target_ellipse = [make_ellipse(0, 0, 0.05, 0.01, 0.0)] * 4
         m = tn.Model(small_config(seed=11))
         out = tn.gnn_forward(m, g)
-        targets = tn.build_targets(g, m.config.box_scales)
+        targets = tn.build_targets(g)
         preds = out.tape.const(np.array([[2.0, 1e-4]]))
         _, comps = tn.total_loss(out, targets, preds, [(2.5, 3e-4)],
                                  weights=(1.0, 1.0, 1.0))
@@ -170,7 +177,7 @@ class TestTotalLoss:
 
         def total(weights):
             out = tn.gnn_forward(m, toy_graph)
-            targets = tn.build_targets(toy_graph, m.config.box_scales)
+            targets = tn.build_targets(toy_graph)
             preds = out.tape.const(np.array([[2.0, 1e-4]]))
             _, comps = tn.total_loss(out, targets, preds, [(2.5, 3e-4)],
                                      weights=weights)
@@ -188,10 +195,10 @@ class TestPredictClusterParams:
         g = tiny_graph()
         cfg = small_config(seed=13)
         m = tn.Model(cfg)
-        for k in list(m.params):
+        for k in m.params:
             if k.startswith("trk."):
-                m.params[k] = np.zeros_like(m.params[k])
-        m.params["trk.b1"] = np.array([3.5, 2e-4])
+                m.params[k][...] = 0.0
+        m.params["trk.b1"][:] = [3.5, 2e-4]
         out = tn.gnn_forward(m, g)
         pred = tn.predict_cluster_params(m, out.final_state, out.leaves,
                                          [[0, 1, 2, 3]], g.vertex_xy)
@@ -213,7 +220,7 @@ class TestPredictClusterParams:
         # the parabola features are zeroed: only the state max is read
         state_max = out.final_state.data[:2].max(axis=0)
         feats = out.tape.const(np.concatenate([np.zeros(3), state_max])[None])
-        zero_fit = mlp_forward(m.config.tracking_spec, out.leaves, feats,
+        zero_fit = mlp_forward(m.config.specs["tracking"], out.leaves, feats,
                                "trk.")
         assert np.array_equal(pred.data, zero_fit.data)
         assert pred.data.shape == (1, 2)
@@ -270,7 +277,7 @@ def composite_loss(cfg, graph, params):
     preds = tn.predict_cluster_params(m, out.final_state, out.leaves,
                                       clusters, graph.vertex_xy)
     truths = [graph.truth_params[pid] for pid in pids]
-    targets = tn.build_targets(graph, cfg.box_scales)
+    targets = tn.build_targets(graph)
     total, _ = tn.total_loss(out, targets, preds, truths,
                              tracking_scales=(1.0, 1.0))
     return total, out, tape
@@ -291,7 +298,8 @@ def sweep_composite_gradients(graph, cfg, element_cap=None, h=1e-6,
     rng = np.random.default_rng(18)
     for k in model.params:
         if ".b" in k:
-            model.params[k] = rng.uniform(0.01, 0.2, model.params[k].shape)
+            model.params[k][...] = rng.uniform(0.01, 0.2,
+                                               model.params[k].shape)
 
     total, out, _ = composite_loss(cfg, graph, model.params)
     from trackseg.neural import gradients
@@ -300,6 +308,7 @@ def sweep_composite_gradients(graph, cfg, element_cap=None, h=1e-6,
     rng2 = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
+    offset = 0  # of the parameter in the flat gradient vector
     for name, p in model.params.items():
         idx = range(p.size) if element_cap is None else rng2.choice(
             p.size, size=min(element_cap, p.size), replace=False)
@@ -312,9 +321,10 @@ def sweep_composite_gradients(graph, cfg, element_cap=None, h=1e-6,
             if min(tp.kink_margin, tm.kink_margin) < 1e-7:
                 continue
             fd = (float(lp.data) - float(lm.data)) / (2 * h)
-            an = grads[name].flat[fi]
+            an = grads[offset + fi]
             worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-4))
             checked += 1
+        offset += p.size
     return worst, checked
 
 
@@ -450,11 +460,10 @@ class TestCheckpoint:
         m2, state2, epoch = tn.load_checkpoint(path)
         assert epoch == 2
         assert m2.config == m.config
-        for k in m.params:
-            assert np.array_equal(m2.params[k], m.params[k])
+        assert np.array_equal(m2.flat, m.flat)
         assert state2.step == state.step
-        for k in state.m:
-            assert np.array_equal(state2.m[k], state.m[k])
+        assert np.array_equal(state2.m, state.m)
+        assert np.array_equal(state2.v, state.v)
         # the restored model produces identical outputs
         o1 = tn.gnn_forward(m, g)
         o2 = tn.gnn_forward(m2, g)
@@ -467,7 +476,7 @@ class TestCheckpoint:
         tn.save_checkpoint(m, state, epoch=0, path=path)
         import json
         doc = json.loads(path.read_text())
-        doc["params"]["cls.W0"] = [[0.0]]
+        doc["params"] = doc["params"][:-1]
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             tn.load_checkpoint(path)
