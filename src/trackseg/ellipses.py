@@ -25,6 +25,9 @@ _MEMBERSHIP_SLACK = 1e-9
 # smallest admissible semi-axis, in eta-phi units
 AXIS_FLOOR = 1e-4
 
+# vertices of the inscribed polygons ellipse_iou clips
+IOU_RESOLUTION = 64
+
 
 @dataclass(frozen=True)
 class Ellipse5:
@@ -146,10 +149,10 @@ def point_in_ellipse(e: Ellipse5, p: tuple[float, float]) -> bool:
     return bool(_quad_form(e, p[0], p[1]) <= 1.0 + _MEMBERSHIP_SLACK)
 
 
-def _polygon(e: Ellipse5, resolution: int, phi_center: float) -> np.ndarray:
+def _polygon(e: Ellipse5, phi_center: float) -> np.ndarray:
     """Inscribed polygon of the ellipse in a flat chart whose phi
     coordinate is continuous around phi_center."""
-    t = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+    t = np.linspace(0.0, 2.0 * math.pi, IOU_RESOLUTION, endpoint=False)
     ct, st = math.cos(e.theta), math.sin(e.theta)
     x = e.a * np.cos(t)
     y = e.b * np.sin(t)
@@ -195,23 +198,22 @@ def _clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.asarray(output, dtype=float).reshape(-1, 2)
 
 
-def ellipse_iou(e1: Ellipse5, e2: Ellipse5, resolution: int = 64) -> float:
+def ellipse_iou(e1: Ellipse5, e2: Ellipse5) -> float:
     """Intersection-over-union of two ellipses.
 
     Each ellipse is approximated by an inscribed polygon with
-    `resolution` vertices and the intersection computed by convex-polygon
-    clipping, so the approximation error is O(1/resolution^2).  Symmetric
-    in its arguments and exactly 0 for disjoint ellipses.
+    IOU_RESOLUTION vertices and the intersection computed by
+    convex-polygon clipping, so the approximation error is
+    O(1/IOU_RESOLUTION^2).  Symmetric in its arguments and exactly 0 for
+    disjoint ellipses.
     """
-    if resolution < 8:
-        raise DomainError(f"resolution must be >= 8, got {resolution}")
     # quick reject: centers farther than the summed major axes
     center_gap = math.hypot(e1.eta_c - e2.eta_c,
                             float(signed_dphi(e2.phi_c, e1.phi_c)))
     if center_gap > e1.a + e2.a:
         return 0.0
-    p1 = _polygon(e1, resolution, e1.phi_c)
-    p2 = _polygon(e2, resolution, e1.phi_c)
+    p1 = _polygon(e1, e1.phi_c)
+    p2 = _polygon(e2, e1.phi_c)
     inter = _shoelace(_clip_convex(p1, p2))
     union = _shoelace(p1) + _shoelace(p2) - inter
     if union <= 0.0:
@@ -229,8 +231,7 @@ def ellipse_from_dict(d: dict) -> Ellipse5:
                     float(d["b"]), float(d["theta"]))
 
 
-def mvee(points, tolerance: float = 1e-6, axis_floor: float = AXIS_FLOOR,
-         max_iterations: int = 100_000) -> Ellipse5:
+def mvee(points, tolerance: float = 1e-6) -> Ellipse5:
     """Minimum-area enclosing ellipse of eta-phi points.
 
     Runs the Khachiyan barycentric-coordinate-descent scheme to the given
@@ -255,7 +256,7 @@ def mvee(points, tolerance: float = 1e-6, axis_floor: float = AXIS_FLOOR,
     scale = float(np.abs(spread).max())
 
     if scale < 1e-12:  # all points coincident
-        return make_ellipse(center[0], center[1], axis_floor, axis_floor, 0.0)
+        return make_ellipse(center[0], center[1], AXIS_FLOOR, AXIS_FLOOR, 0.0)
 
     # principal direction; collinear sets get the segment treatment
     _, svals, vecs = np.linalg.svd(spread, full_matrices=False)
@@ -265,9 +266,9 @@ def mvee(points, tolerance: float = 1e-6, axis_floor: float = AXIS_FLOOR,
         mid = center + 0.5 * (proj.min() + proj.max()) * axis
         half = 0.5 * float(proj.max() - proj.min())
         theta = math.atan2(axis[1], axis[0])
-        a, b = max(half, axis_floor), axis_floor
+        a, b = max(half, AXIS_FLOOR), AXIS_FLOOR
         e = make_ellipse(mid[0], mid[1], a, b, theta)
-        return _rescale_to_contain(e, flat, axis_floor)
+        return _rescale_to_contain(e, flat)
 
     # the problem is affine-equivariant: normalize each axis to unit
     # extent so elongated sets converge as fast as round ones
@@ -278,7 +279,7 @@ def mvee(points, tolerance: float = 1e-6, axis_floor: float = AXIS_FLOOR,
     q = np.column_stack([norm, np.ones(n)]).T  # (3, n)
     u = np.full(n, 1.0 / n)
     lift = d + 1.0
-    for _ in range(max_iterations):
+    for _ in range(100_000):
         x = q @ (u[:, None] * q.T)
         m = np.einsum("ij,ji->i", q.T @ np.linalg.inv(x), q)
         j_add = int(np.argmax(m))
@@ -308,17 +309,17 @@ def mvee(points, tolerance: float = 1e-6, axis_floor: float = AXIS_FLOOR,
     a = 1.0 / math.sqrt(max(evals[0], 1e-30))
     b = 1.0 / math.sqrt(max(evals[1], 1e-30))
     theta = math.atan2(evecs[1, 0], evecs[0, 0])
-    e = make_ellipse(c[0], c[1], max(a, axis_floor), max(b, axis_floor), theta)
-    return _rescale_to_contain(e, flat, axis_floor)
+    e = make_ellipse(c[0], c[1], max(a, AXIS_FLOOR), max(b, AXIS_FLOOR),
+                     theta)
+    return _rescale_to_contain(e, flat)
 
 
-def _rescale_to_contain(e: Ellipse5, flat_points: np.ndarray,
-                        axis_floor: float) -> Ellipse5:
+def _rescale_to_contain(e: Ellipse5, flat_points: np.ndarray) -> Ellipse5:
     """Scale semi-axes so the farthest point sits on the boundary, never
     dropping below the axis floor."""
     q = float(np.max(_quad_form(e, flat_points[:, 0], flat_points[:, 1])))
     if q <= 0.0:
         return e
     s = math.sqrt(q)
-    return make_ellipse(e.eta_c, e.phi_c, max(e.a * s, axis_floor),
-                        max(e.b * s, axis_floor), e.theta)
+    return make_ellipse(e.eta_c, e.phi_c, max(e.a * s, AXIS_FLOOR),
+                        max(e.b * s, AXIS_FLOOR), e.theta)

@@ -15,6 +15,9 @@ from .errors import ConfigError, ConsistencyError
 from .events import Event
 from .jsonio import parsing
 
+# target ellipses are the tracks' enclosing ellipses grown by this factor
+TARGET_PADDING = 1.1
+
 
 @dataclass(frozen=True)
 class DbscanParams:
@@ -145,19 +148,17 @@ def build_graph(e: Event, params: DbscanParams) -> Graph:
     )
 
 
-def truth_ellipses(e: Event, padding_factor: float = 1.1,
-                   axis_floor: float = 1e-4,
-                   tolerance: float = 1e-6) -> list[tuple[int, Ellipse5]]:
+def truth_ellipses(e: Event) -> list[tuple[int, Ellipse5]]:
     """Minimum-area enclosing ellipse of each truth track's (eta, phi)
-    hits, inflated by padding_factor on both semi-axes.  Degenerate
+    hits, inflated by TARGET_PADDING on both semi-axes.  Degenerate
     tracks (one hit, collinear hits) fall back to the semi-axis floor."""
     hit_lookup = {h.hit_id: h for h in e.hits}
     out = []
     for t in e.tracks:
         pts = [(hit_lookup[i].eta, hit_lookup[i].phi) for i in t.hit_ids]
-        base = mvee(np.asarray(pts), tolerance, axis_floor)
-        padded = Ellipse5(base.eta_c, base.phi_c, base.a * padding_factor,
-                          base.b * padding_factor, base.theta)
+        base = mvee(np.asarray(pts))
+        padded = Ellipse5(base.eta_c, base.phi_c, base.a * TARGET_PADDING,
+                          base.b * TARGET_PADDING, base.theta)
         out.append((t.particle_id, padded))
     return out
 

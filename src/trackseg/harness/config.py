@@ -40,15 +40,6 @@ class SelectionSection:
 
 
 @dataclass(frozen=True)
-class DbscanSection:
-    eps: float = 0.05
-    min_pts: int = 2
-    ellipse_padding: float = 1.1
-    axis_floor: float = 1e-4
-    mvee_tolerance: float = 1e-6
-
-
-@dataclass(frozen=True)
 class ModelSection:
     iterations: int = 4
     hidden: int = 64
@@ -60,20 +51,16 @@ class TrainingSection:
     epochs: int = 30
     lr: float = 1e-6
     weight_decay: float = 1e-5
-    huber_delta: float = 1.0
-    tracking_scales: tuple[float, float] = (1.0, 1e-3)
 
 
 @dataclass(frozen=True)
 class NmsSection:
     t_h: float = 0.5
-    iou_resolution: int = 64
     class_threshold: float = 0.5
 
 
 @dataclass(frozen=True)
 class EvalSection:
-    match_fraction: float = 0.5
     n_holdout: int = 0
 
 
@@ -89,7 +76,7 @@ _SECTION_TYPES = {
     "detector": DetectorConfig,
     "generator": GeneratorSection,
     "selection": SelectionSection,
-    "dbscan": DbscanSection,
+    "dbscan": DbscanParams,
     "model": ModelSection,
     "training": TrainingSection,
     "nms": NmsSection,
@@ -104,7 +91,7 @@ class RunConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     generator: GeneratorSection = field(default_factory=GeneratorSection)
     selection: SelectionSection = field(default_factory=SelectionSection)
-    dbscan: DbscanSection = field(default_factory=DbscanSection)
+    dbscan: DbscanParams = field(default_factory=DbscanParams)
     model: ModelSection = field(default_factory=ModelSection)
     training: TrainingSection = field(default_factory=TrainingSection)
     nms: NmsSection = field(default_factory=NmsSection)
@@ -122,9 +109,6 @@ class RunConfig:
             hit_smearing_sigma=g.hit_smearing_sigma,
             seed=self.seed + _EVENT_SEED_OFFSET + event_index)
 
-    def dbscan_params(self) -> DbscanParams:
-        return DbscanParams(self.dbscan.eps, self.dbscan.min_pts)
-
     def model_config(self) -> ModelConfig:
         m = self.model
         return ModelConfig(
@@ -136,8 +120,6 @@ class RunConfig:
         t = self.training
         return TrainConfig(
             epochs=t.epochs, lr=t.lr, weight_decay=t.weight_decay,
-            huber_delta=t.huber_delta,
-            tracking_scales=tuple(t.tracking_scales),
             shuffle_seed=self.seed + _SHUFFLE_SEED_OFFSET)
 
     # persistence ------------------------------------------------------

@@ -91,9 +91,10 @@ def prediction_from_dict(d: dict) -> dict:
                 TrackCandidate(
                     ellipse=ellipse_from_dict(c["ellipse"]),
                     confidence=float(c["confidence"]),
-                    member_vertex_ids=tuple(c["member_vertex_ids"]),
-                    params=tuple(c["params"]) if c["params"] is not None
-                    else None)
+                    member_vertex_ids=tuple(
+                        int(i) for i in c["member_vertex_ids"]),
+                    params=tuple(float(p) for p in c["params"])
+                    if c["params"] is not None else None)
                 for c in d["candidates"]],
             "assignments": [int(a) if a is not None else None
                             for a in d["assignments"]],

@@ -1,8 +1,8 @@
 """Evaluation metrics: hit classification, instance segmentation and
 parameter resolution.
 
-A candidate matches a truth track when strictly more than the configured
-fraction (default half) of the track's hits are assigned to it.
+A candidate matches a truth track when strictly more than half of the
+track's hits are assigned to it.
 Efficiency counts matched truth tracks; purity counts candidates that
 match at least one track.  All pooling is done in ascending event-id
 order so the numbers are independent of how events were supplied.
@@ -46,21 +46,6 @@ class Metrics:
         }
 
 
-def metrics_from_dict(d: dict) -> Metrics:
-    return Metrics(
-        accuracy=float(d["hit_classification"]["accuracy"]),
-        auc=float(d["hit_classification"]["auc"]),
-        efficiency=float(d["segmentation"]["efficiency"]),
-        purity=float(d["segmentation"]["purity"]),
-        pt_rel_rms=float(d["parameter_resolution"]["pt_rel_rms"]),
-        eps_t_abs_rms=float(d["parameter_resolution"]["eps_t_abs_rms"]),
-        n_events=int(d["counts"]["n_events"]),
-        n_tracks=int(d["counts"]["n_tracks"]),
-        n_candidates=int(d["counts"]["n_candidates"]),
-        flags=dict(d.get("flags", {})),
-    )
-
-
 def auc_score(labels, scores) -> float:
     """Rank-based ROC AUC with average ranks on ties.
 
@@ -94,8 +79,7 @@ def _rms(values) -> float:
 
 
 def evaluate(predictions: dict[int, dict], truth: dict[int, Event],
-             class_threshold: float = 0.5,
-             match_fraction: float = 0.5) -> Metrics:
+             class_threshold: float = 0.5) -> Metrics:
     """Score per-event predictions against truth events.
 
     `predictions` maps event_id to a dict with keys vertex_hit_ids,
@@ -146,7 +130,7 @@ def evaluate(predictions: dict[int, dict], truth: dict[int, Event],
                 if cand is not None:
                     counts[cand] = counts.get(cand, 0) + 1
             for cand, count in sorted(counts.items()):
-                if count > match_fraction * len(track.hit_ids):
+                if 2 * count > len(track.hit_ids):
                     n_matched_tracks += 1
                     matched_this_event.add(cand)
                     params = candidates[cand].params

@@ -102,11 +102,8 @@ def stage_build_graphs(cfg: RunConfig) -> list[Path]:
     paths = []
     for event_path in _sorted_files(_events_dir(cfg), "event_*.json"):
         event = event_from_dict(read_json(event_path))
-        graph = build_graph(event, cfg.dbscan_params())
-        ellipses = truth_ellipses(event, cfg.dbscan.ellipse_padding,
-                                  cfg.dbscan.axis_floor,
-                                  cfg.dbscan.mvee_tolerance)
-        assign_vertex_targets(graph, ellipses)
+        graph = build_graph(event, cfg.dbscan)
+        assign_vertex_targets(graph, truth_ellipses(event))
         doc = graph_to_dict(graph)
         doc["config"] = echo
         path = _graphs_dir(cfg) / f"graph_{event.event_id:05d}.json"
@@ -151,7 +148,7 @@ def _infer_one(cfg: RunConfig, model: tracknet.Model, graph) -> dict:
     kept = [i for i, e in enumerate(result.ellipses) if e is not None]
     raw = merge_ellipses([result.ellipses[i] for i in kept],
                          [result.class_prob[i] for i in kept],
-                         cfg.nms.t_h, cfg.nms.iou_resolution)
+                         cfg.nms.t_h)
     members = [tuple(kept[k] for k in cand.member_vertex_ids)
                for cand in raw]
     params = tracknet.cluster_params_from_states(
@@ -189,8 +186,7 @@ def stage_evaluate(cfg: RunConfig) -> Path:
     for path in _sorted_files(_events_dir(cfg), "event_*.json"):
         event = event_from_dict(read_json(path))
         truth[event.event_id] = event
-    metrics = evaluate(predictions, truth, cfg.nms.class_threshold,
-                       cfg.eval.match_fraction)
+    metrics = evaluate(predictions, truth, cfg.nms.class_threshold)
     doc = {"format": METRICS_FORMAT, **metrics.to_dict(),
            "seed": cfg.seed, "config": cfg.to_dict()}
     write_json(_metrics_path(cfg), doc)
@@ -207,9 +203,7 @@ def stage_plot(cfg: RunConfig, event_index: int = 0,
         raise ConfigError(f"missing input path: {event_path}")
     event = event_from_dict(read_json(event_path))
     if use_truth:
-        shapes = [e for _, e in truth_ellipses(
-            event, cfg.dbscan.ellipse_padding, cfg.dbscan.axis_floor,
-            cfg.dbscan.mvee_tolerance)]
+        shapes = [e for _, e in truth_ellipses(event)]
     else:
         pred_path = _preds_dir(cfg) / f"pred_{event_index:05d}.json"
         if not pred_path.exists():
@@ -224,17 +218,10 @@ def stage_plot(cfg: RunConfig, event_index: int = 0,
 
 def run_pipeline(cfg: RunConfig) -> Path:
     """Full run: produce events, build graphs, train, infer, evaluate and
-    plot the first evaluated event.  External inputs are validated before
-    any artifact is written."""
-    ingest_mode = cfg.paths.hits_csv is not None
-    if ingest_mode:
-        for name in ("hits_csv", "truth_csv", "particles_csv"):
-            value = getattr(cfg.paths, name)
-            if value is None or not Path(value).exists():
-                raise ConfigError(f"missing input path: paths.{name}={value}")
+    plot the first evaluated event.  Ingestion checks its input paths
+    before any artifact is written."""
     _out(cfg).mkdir(parents=True, exist_ok=True)
-
-    if ingest_mode:
+    if cfg.paths.hits_csv is not None:
         stage_ingest(cfg)
     else:
         stage_generate(cfg)

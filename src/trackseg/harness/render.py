@@ -8,7 +8,6 @@ from pathlib import Path
 
 from ..ellipses import Ellipse5
 from ..events import Event
-from ..postprocess import TrackCandidate
 
 WIDTH, HEIGHT = 900, 640
 MARGIN = 60.0
@@ -24,20 +23,9 @@ def _particle_color(rank: int) -> str:
     return f"hsl({hue:.1f},70%,45%)"
 
 
-def _as_ellipses(items) -> list[Ellipse5]:
-    out = []
-    for item in items or []:
-        if item is None:
-            continue
-        out.append(item.ellipse if isinstance(item, TrackCandidate) else item)
-    return out
-
-
-def render_event_svg(event: Event, ellipses, path) -> None:
+def render_event_svg(event: Event, shapes: list[Ellipse5], path) -> None:
     """Write the eta-phi view of an event: one marker per hit (colored by
-    truth particle, noise gray) and one outline per ellipse or candidate.
-    """
-    shapes = _as_ellipses(ellipses)
+    truth particle, noise gray) and one outline per ellipse."""
     etas = [h.eta for h in event.hits] + [e.eta_c for e in shapes]
     if etas:
         lo, hi = min(etas), max(etas)

@@ -11,7 +11,7 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ConsistencyError, ParseError
+from .errors import ConsistencyError, ParseError, TracksegError
 
 
 def write_json(path, doc: dict) -> None:
@@ -36,14 +36,21 @@ def read_json(path) -> dict:
 
 @contextmanager
 def parsing(doc, doc_format: str):
-    """Reject a document without the expected format tag; a KeyError
-    raised inside the block becomes a ConsistencyError naming the key."""
+    """Reject a document without the expected format tag.  Inside the
+    block, a KeyError becomes a ConsistencyError naming the key, and a
+    TypeError or ValueError from a value of the wrong type becomes a
+    ConsistencyError too; package errors pass through unchanged."""
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != doc_format:
         raise ConsistencyError(f"not a {doc_format} document: "
                                f"format={found!r}")
     try:
         yield
+    except TracksegError:
+        raise
     except KeyError as err:
         raise ConsistencyError(f"{doc_format} document lacks key {err}") \
             from err
+    except (TypeError, ValueError) as err:
+        raise ConsistencyError(f"{doc_format} document has a bad value: "
+                               f"{err}") from err

@@ -35,8 +35,8 @@ def _mean_ellipse(members: list[Ellipse5]) -> Ellipse5:
     return make_ellipse(eta_c, phi_c, a, b, theta)
 
 
-def merge_ellipses(ellipses, scores, t_h: float = 0.5,
-                   iou_resolution: int = 64) -> list[TrackCandidate]:
+def merge_ellipses(ellipses, scores,
+                   t_h: float = 0.5) -> list[TrackCandidate]:
     """Greedy seed-anchored grouping of ellipses by IoU.
 
     Repeatedly seeds a group with the highest-scoring unassigned ellipse
@@ -64,7 +64,7 @@ def merge_ellipses(ellipses, scores, t_h: float = 0.5,
         for j in order:
             if assigned[j]:
                 continue
-            if ellipse_iou(ellipses[seed], ellipses[j], iou_resolution) > t_h:
+            if ellipse_iou(ellipses[seed], ellipses[j]) > t_h:
                 group.append(j)
                 assigned[j] = True
         candidates.append(TrackCandidate(

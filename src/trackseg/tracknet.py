@@ -273,11 +273,6 @@ class TrainConfig:
     epochs: int = 30
     lr: float = 1e-6
     weight_decay: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
-    huber_delta: float = 1.0
-    tracking_scales: tuple[float, float] = (1.0, 1e-3)
     shuffle_seed: int = 0
 
     def validate(self):
@@ -305,7 +300,7 @@ def train_step(model: Model, graph: Graph, state: AdamState,
         warnings.simplefilter("ignore", RuntimeWarning)
         total, components = total_loss(
             outputs, targets, cluster_preds, truths,
-            model.config.loss_weights, cfg.huber_delta, cfg.tracking_scales)
+            model.config.loss_weights)
     for name, value in components.items():
         if not math.isfinite(value):
             raise NumericError("non-finite loss", graph_id=graph.event_id,
@@ -327,9 +322,7 @@ def train(model: Model, dataset: list[Graph], cfg: TrainConfig,
         raise ConfigError("training needs a non-empty dataset")
     cfg.validate()
     if state is None:
-        state = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                          eps_hat=cfg.eps_hat,
-                          weight_decay=cfg.weight_decay)
+        state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.shuffle_seed)
     history = []
     for epoch in range(1, cfg.epochs + 1):

@@ -157,7 +157,7 @@ class TestTruthEllipses:
         t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0),
                        CircleTrack(0.0, 1.0, 1.0, 1), (1, 2))
         e = Event(0, hits, (t,), 2.0)
-        (pid, ell), = truth_ellipses(e, padding_factor=1.1)
+        (pid, ell), = truth_ellipses(e)
         assert ell.a == pytest.approx(1.1 * 0.01, rel=1e-9)
         assert ell.b == pytest.approx(1.1 * 1e-4, rel=1e-9)
 
@@ -183,7 +183,7 @@ class TestTruthEllipses:
         t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0),
                        CircleTrack(0.0, 1.0, 1.0, 1), tuple(range(1, 6)))
         e = Event(0, hits, (t,), 2.0)
-        (pid, ell), = truth_ellipses(e, padding_factor=1.1)
+        (pid, ell), = truth_ellipses(e)
         assert ell.theta in (pytest.approx(0.0, abs=1e-9),
                              pytest.approx(math.pi, abs=1e-9))
         assert ell.a == pytest.approx(1.1 * length / 2.0, rel=1e-9)

@@ -10,14 +10,14 @@ import trackseg
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import ConfigError, ConsistencyError
 from trackseg.events import DetectorConfig, GenConfig, generate_event
-from trackseg.graphs import truth_ellipses
+from trackseg.graphs import DbscanParams, truth_ellipses
 from trackseg.harness.cli import main
 from trackseg.harness.config import (RunConfig, apply_overrides,
                                      config_from_dict, load_config)
 from trackseg.harness.io import (event_from_dict, event_to_dict,
                                  prediction_from_dict, prediction_to_dict,
                                  read_json, write_json)
-from trackseg.harness.metrics import auc_score, evaluate, metrics_from_dict
+from trackseg.harness.metrics import auc_score, evaluate
 from trackseg.harness.render import render_event_svg
 from trackseg.postprocess import TrackCandidate
 
@@ -40,9 +40,9 @@ class TestAuc:
         assert auc_score([1, 1], [0.2, 0.9]) == 1.0
 
 
-def truth_identity_prediction(event, padding=1.1):
+def truth_identity_prediction(event):
     """Prediction payload built from truth: one candidate per track."""
-    ellipses = dict(truth_ellipses(event, padding_factor=padding))
+    ellipses = dict(truth_ellipses(event))
     hit_ids = [h.hit_id for h in event.hits]
     class_prob = [1.0 if h.particle_id != 0 else 0.0 for h in event.hits]
     candidates = []
@@ -133,12 +133,6 @@ class TestEvaluate:
                       dict(reversed(list(events.items()))))
         assert m1.to_dict() == m2.to_dict()
 
-    def test_metrics_dict_round_trip(self):
-        e = self.event(seed=98)
-        m = evaluate({e.event_id: truth_identity_prediction(e)},
-                     {e.event_id: e})
-        assert metrics_from_dict(m.to_dict()) == m
-
 
 class TestRender:
     def test_empty_event_valid_svg(self, tmp_path):
@@ -180,13 +174,6 @@ class TestRender:
         render_event_svg(e, shapes, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_accepts_candidates(self, tmp_path):
-        det = DetectorConfig()
-        e = generate_event(det, GenConfig(n_tracks=1, seed=42))
-        cand = TrackCandidate(make_ellipse(0, 1, 0.1, 0.05, 0.0), 0.9, (0,))
-        render_event_svg(e, [cand, None], tmp_path / "c.svg")
-        assert (tmp_path / "c.svg").read_text().count("<ellipse") == 1
-
 
 class TestConfig:
     def test_defaults(self):
@@ -195,6 +182,7 @@ class TestConfig:
         assert cfg.training.epochs == 30
         assert cfg.training.lr == 1e-6
         assert cfg.nms.t_h == 0.5
+        assert cfg.dbscan == DbscanParams(eps=0.05, min_pts=2)
         assert cfg.selection.pt_min == 2.0
         assert cfg.selection.volumes == (7, 8, 9)
 
@@ -212,11 +200,25 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key, value", [
         ("dbscan", "topology", "complete"),
-        ("model", "two_logit_classifier", False)])
+        ("model", "two_logit_classifier", False),
+        ("dbscan", "ellipse_padding", 1.1),
+        ("dbscan", "axis_floor", 1e-4),
+        ("dbscan", "mvee_tolerance", 1e-6),
+        ("nms", "iou_resolution", 64),
+        ("training", "huber_delta", 1.0),
+        ("training", "tracking_scales", [1.0, 1e-3]),
+        ("eval", "match_fraction", 0.5)])
     def test_removed_keys_exit_2(self, tmp_path, section, key, value):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({section: {key: value}}))
         assert main(["--config", str(path), "generate"]) == 2
+
+    def test_bad_dbscan_eps_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dbscan": {"eps": 0},
+                                    "paths": {"out_dir": str(tmp_path)}}))
+        assert main(["--config", str(path), "generate"]) == 2
+        assert "eps" in capsys.readouterr().err
 
     def test_file_loading(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -296,6 +298,21 @@ def _drop_key(key):
         {k: v for k, v in json.loads(text).items() if k != key})
 
 
+def _set_first(key, value):
+    def damage(text):
+        doc = json.loads(text)
+        doc[key][0] = value
+        return json.dumps(doc)
+    return damage
+
+
+def _non_numeric_params(text):
+    doc = json.loads(text)
+    for cand in doc["candidates"]:
+        cand["params"] = ["x", 1.0]
+    return json.dumps(doc)
+
+
 STAGES = ("generate", "build-graphs", "train", "infer", "evaluate")
 
 
@@ -358,9 +375,14 @@ class TestCli:
         ("checkpoint.json",
          lambda text: text.replace('"tracknet-v2"', '"tracknet-v1"'),
          "infer"),
-        ("checkpoint.json", _drop_key("adam"), "infer")],
+        ("checkpoint.json", _drop_key("adam"), "infer"),
+        ("events/event_00000.json", _set_first("hits", 5), "build-graphs"),
+        ("checkpoint.json", _set_first("params", "x"), "infer"),
+        ("predictions/pred_*.json", _non_numeric_params, "evaluate")],
         ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
-             "pred-no-candidates", "checkpoint-v1", "checkpoint-no-adam"])
+             "pred-no-candidates", "checkpoint-v1", "checkpoint-no-adam",
+             "event-hit-not-object", "checkpoint-param-not-number",
+             "pred-param-not-number"])
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
                                         damage, command):
         cfg_path = tiny_cli_config(tmp_path)
@@ -380,6 +402,16 @@ class TestCli:
                                 timeout=60)
         assert result.returncode == 0
         assert "build-graphs" in result.stdout
+
+    def test_run_with_missing_hits_csv_writes_nothing(self, tmp_path,
+                                                       capsys):
+        cfg_path = tiny_cli_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["paths"]["hits_csv"] = str(tmp_path / "missing-hits.csv")
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--config", str(cfg_path), "run"]) == 2
+        assert "hits_csv" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "events").exists()
 
     def test_missing_trackml_path_named(self, tmp_path, capsys):
         cfg_path = tiny_cli_config(tmp_path)
