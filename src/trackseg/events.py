@@ -77,7 +77,7 @@ class DetectorConfig:
     z_halflength: float = 0.5
     field_b: float = 2.0
 
-    def validate(self):
+    def __post_init__(self):
         radii = self.layer_radii
         if len(radii) == 0 or any(r <= 0 for r in radii):
             raise ConfigError("layer radii must be positive")
@@ -94,10 +94,9 @@ class GenConfig:
     eps_range: tuple[float, float] = (0.0, 5e-4)
     eta_range: tuple[float, float] = (-1.0, 1.0)
     noise_fraction: float = 0.1
-    hit_smearing_sigma: float = 0.0
-    seed: int = 0
+    hit_smearing_sigma: float = 2e-4
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_tracks < 0:
             raise ConfigError("n_tracks must be >= 0")
         for name in ("pt_range", "eps_range", "eta_range"):
@@ -165,9 +164,9 @@ def _hit_from_xyz(hit_id: int, x: float, y: float, z: float, layer: int,
                layer, particle_id, volume)
 
 
-def generate_event(det: DetectorConfig, gen: GenConfig,
+def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
                    event_id: int = 0) -> Event:
-    """Generate one synthetic event, deterministic in gen.seed.
+    """Generate one synthetic event, deterministic in seed.
 
     Each track contributes one hit per reachable layer (dropped beyond
     the cylinder half-length); tracks left with no hits are dropped.
@@ -175,8 +174,6 @@ def generate_event(det: DetectorConfig, gen: GenConfig,
     noise/(noise+signal) matches noise_fraction after rounding.  Truth
     parameters come exactly from the generating circle.
     """
-    det.validate()
-    gen.validate()
     r_min = gen.pt_range[0] / (PT_COEFF * det.field_b)
     eps_max = gen.eps_range[1]
     if (2.0 * eps_max * r_min + eps_max**2) / r_min**2 > 0.01:
@@ -184,7 +181,7 @@ def generate_event(det: DetectorConfig, gen: GenConfig,
             "pt_range/eps_range violate the parabola validity bound "
             "|delta|/R^2 <= 0.01")
 
-    rng = np.random.default_rng(gen.seed)
+    rng = np.random.default_rng(seed)
     hits: list[Hit] = []
     tracks: list[TruthTrack] = []
     next_id = 1

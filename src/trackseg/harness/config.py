@@ -1,5 +1,9 @@
 """Run configuration: one JSON file with a section per pipeline stage.
 
+The detector, generator, dbscan, model and training sections are the
+domain configs themselves, so each setting has one declaration and one
+default.  Every value is checked against its field's type and range when
+the config loads, so a bad value is a ConfigError before any stage runs.
 Every artifact the pipeline writes embeds the resolved configuration, so
 a run is reproducible from any of its outputs.  All stage seeds derive
 from the single top-level seed.
@@ -7,8 +11,12 @@ from the single top-level seed.
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+import sys
+import types
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 from ..errors import ConfigError
@@ -16,21 +24,18 @@ from ..events import DetectorConfig, GenConfig
 from ..graphs import DbscanParams
 from ..tracknet import ModelConfig, TrainConfig
 
-# seed offsets for the derived per-stage streams
-_MODEL_SEED_OFFSET = 101
-_SHUFFLE_SEED_OFFSET = 202
-_EVENT_SEED_OFFSET = 1000
-
 
 @dataclass(frozen=True)
-class GeneratorSection:
+class GeneratorSection(GenConfig):
     n_events: int = 10
-    n_tracks: int = 10
-    pt_range: tuple[float, float] = (2.0, 5.0)
-    eps_range: tuple[float, float] = (0.0, 5e-4)
-    eta_range: tuple[float, float] = (-1.0, 1.0)
-    noise_fraction: float = 0.1
-    hit_smearing_sigma: float = 2e-4
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_events < 1:
+            raise ConfigError(f"n_events must be >= 1, got {self.n_events}")
+
+
+TrainingSection = TrainConfig  # the name perfbench/workloads.py imports
 
 
 @dataclass(frozen=True)
@@ -40,28 +45,25 @@ class SelectionSection:
 
 
 @dataclass(frozen=True)
-class ModelSection:
-    iterations: int = 4
-    hidden: int = 64
-    loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-
-
-@dataclass(frozen=True)
-class TrainingSection:
-    epochs: int = 30
-    lr: float = 1e-6
-    weight_decay: float = 1e-5
-
-
-@dataclass(frozen=True)
 class NmsSection:
     t_h: float = 0.5
     class_threshold: float = 0.5
+
+    def __post_init__(self):
+        if not 0.0 < self.t_h < 1.0:
+            raise ConfigError(f"nms t_h must lie in (0, 1), got {self.t_h}")
+        if not 0.0 <= self.class_threshold <= 1.0:
+            raise ConfigError(f"nms class_threshold must lie in [0, 1], "
+                              f"got {self.class_threshold}")
 
 
 @dataclass(frozen=True)
 class EvalSection:
     n_holdout: int = 0
+
+    def __post_init__(self):
+        if self.n_holdout < 0:
+            raise ConfigError(f"n_holdout must be >= 0, got {self.n_holdout}")
 
 
 @dataclass(frozen=True)
@@ -72,19 +74,6 @@ class PathsSection:
     particles_csv: str | None = None
 
 
-_SECTION_TYPES = {
-    "detector": DetectorConfig,
-    "generator": GeneratorSection,
-    "selection": SelectionSection,
-    "dbscan": DbscanParams,
-    "model": ModelSection,
-    "training": TrainingSection,
-    "nms": NmsSection,
-    "eval": EvalSection,
-    "paths": PathsSection,
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
@@ -92,75 +81,69 @@ class RunConfig:
     generator: GeneratorSection = field(default_factory=GeneratorSection)
     selection: SelectionSection = field(default_factory=SelectionSection)
     dbscan: DbscanParams = field(default_factory=DbscanParams)
-    model: ModelSection = field(default_factory=ModelSection)
-    training: TrainingSection = field(default_factory=TrainingSection)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    training: TrainConfig = field(default_factory=TrainConfig)
     nms: NmsSection = field(default_factory=NmsSection)
     eval: EvalSection = field(default_factory=EvalSection)
     paths: PathsSection = field(default_factory=PathsSection)
 
-    # derived objects -------------------------------------------------
-
-    def gen_config(self, event_index: int) -> GenConfig:
-        g = self.generator
-        return GenConfig(
-            n_tracks=g.n_tracks, pt_range=tuple(g.pt_range),
-            eps_range=tuple(g.eps_range), eta_range=tuple(g.eta_range),
-            noise_fraction=g.noise_fraction,
-            hit_smearing_sigma=g.hit_smearing_sigma,
-            seed=self.seed + _EVENT_SEED_OFFSET + event_index)
-
-    def model_config(self) -> ModelConfig:
-        m = self.model
-        return ModelConfig(
-            iterations=m.iterations, hidden=m.hidden,
-            loss_weights=tuple(m.loss_weights),
-            seed=self.seed + _MODEL_SEED_OFFSET)
-
-    def train_config(self) -> TrainConfig:
-        t = self.training
-        return TrainConfig(
-            epochs=t.epochs, lr=t.lr, weight_decay=t.weight_decay,
-            shuffle_seed=self.seed + _SHUFFLE_SEED_OFFSET)
-
-    # persistence ------------------------------------------------------
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
-        doc = {"seed": self.seed}
-        for name in _SECTION_TYPES:
-            section = asdict(getattr(self, name))
-            doc[name] = {k: list(v) if isinstance(v, tuple) else v
-                         for k, v in section.items()}
-        return doc
+        return asdict(self)
 
 
-def _build_section(name: str, cls, data: dict):
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(known)
+def _section(cls, data: dict, prefix: str = ""):
+    """Build the dataclass `cls` from a JSON object: each value is checked
+    against its field's type here and against its range by `cls`."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
-        raise ConfigError(f"unknown keys in section {name!r}: "
-                          f"{sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as err:
-        raise ConfigError(f"bad section {name!r}: {err}") from err
+        raise ConfigError(f"unknown config keys: "
+                          f"{sorted(prefix + key for key in unknown)}")
+    return cls(**{key: _typed(value, hints[key], prefix + key)
+                  for key, value in data.items()})
+
+
+def _typed(value, hint, where: str):
+    """`value` as the annotated type `hint`, or a ConfigError naming
+    `where`.  A JSON object becomes a section, a list a tuple and an int
+    a float where one is declared; a bool is no number and a float must
+    be finite."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if is_dataclass(hint):
+        if isinstance(value, dict):
+            return _section(hint, value, where + ".")
+        raise ConfigError(f"{where} must be an object, got {value!r:.60}")
+    elif origin is types.UnionType:
+        for option in args:
+            with contextlib.suppress(ConfigError):
+                return _typed(value, option, where)
+    elif origin is tuple:
+        if isinstance(value, (list, tuple)):
+            kinds = (args[0],) * len(value) if args[-1] is Ellipsis else args
+            with contextlib.suppress(ConfigError):
+                if len(kinds) == len(value):
+                    return tuple(_typed(v, k, where)
+                                 for v, k in zip(value, kinds))
+    elif isinstance(value, bool):
+        pass
+    elif hint is float:
+        if isinstance(value, (int, float)) and \
+                abs(value) <= sys.float_info.max:
+            return float(value)
+    elif isinstance(value, hint):
+        return value
+    name = hint.__name__ if isinstance(hint, type) else hint
+    raise ConfigError(f"{where} must be {name}, got {value!r:.60}")
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    unknown = set(doc) - set(_SECTION_TYPES) - {"seed"}
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    kwargs = {"seed": int(doc.get("seed", 0))}
-    for name, cls in _SECTION_TYPES.items():
-        if name in doc:
-            if not isinstance(doc[name], dict):
-                raise ConfigError(f"section {name!r} must be an object")
-            kwargs[name] = _build_section(name, cls, doc[name])
-    return RunConfig(**kwargs)
+    """Build a RunConfig from its JSON document; every value is checked
+    against its field's type and range.  Raises ConfigError."""
+    return _section(RunConfig, doc)
 
 
 def load_config(path=None) -> RunConfig:
@@ -172,7 +155,7 @@ def load_config(path=None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # bad bytes, deep nesting
         raise ConfigError(f"config file {path} is not valid JSON: {err}") \
             from err
     if not isinstance(doc, dict):

@@ -39,6 +39,11 @@ from .render import render_event_svg
 
 log = logging.getLogger("trackseg")
 
+# offsets of the per-stage seeds from the run seed
+_EVENT_SEED_OFFSET = 1000
+_MODEL_SEED_OFFSET = 101
+_SHUFFLE_SEED_OFFSET = 202
+
 
 def _out(cfg: RunConfig) -> Path:
     return Path(cfg.paths.out_dir)
@@ -67,7 +72,9 @@ def stage_generate(cfg: RunConfig) -> list[Path]:
     echo = cfg.to_dict()
     paths = []
     for i in range(cfg.generator.n_events):
-        event = generate_event(cfg.detector, cfg.gen_config(i), event_id=i)
+        event = generate_event(cfg.detector, cfg.generator,
+                               seed=cfg.seed + _EVENT_SEED_OFFSET + i,
+                               event_id=i)
         validate_event(event)
         path = _events_dir(cfg) / f"event_{i:05d}.json"
         write_json(path, event_to_dict(event, echo))
@@ -130,8 +137,9 @@ def _split(items, n_holdout: int):
 def stage_train(cfg: RunConfig) -> Path:
     graphs = _load_graphs(cfg)
     train_graphs, _ = _split(graphs, cfg.eval.n_holdout)
-    model = tracknet.Model(cfg.model_config())
-    history, state = tracknet.train(model, train_graphs, cfg.train_config())
+    model = tracknet.Model(cfg.model, seed=cfg.seed + _MODEL_SEED_OFFSET)
+    history, state = tracknet.train(model, train_graphs, cfg.training,
+                                    seed=cfg.seed + _SHUFFLE_SEED_OFFSET)
     save_path = _checkpoint_path(cfg)
     tracknet.save_checkpoint(model, state, epoch=len(history),
                              path=save_path)

@@ -46,13 +46,15 @@ class ModelConfig:
     iterations: int = 4
     hidden: int = 64
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError(f"need >= 1 iteration, got {self.iterations}")
         if self.hidden < 1:
             raise ConfigError(f"need hidden width >= 1, got {self.hidden}")
+        if any(w < 0 for w in self.loss_weights):
+            raise ConfigError(f"loss_weights must be >= 0, got "
+                              f"{self.loss_weights}")
 
     @property
     def specs(self) -> dict[str, MlpSpec]:
@@ -70,12 +72,12 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return {"iterations": self.iterations, "hidden": self.hidden,
-                "loss_weights": list(self.loss_weights), "seed": self.seed}
+                "loss_weights": list(self.loss_weights)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(int(d["iterations"]), int(d["hidden"]),
-                   tuple(d["loss_weights"]), int(d["seed"]))
+                   tuple(d["loss_weights"]))
 
 
 class Model:
@@ -85,12 +87,13 @@ class Model:
     "f2.W0"; heads use "cls.", "loc." and "trk.".  Each iteration owns a
     distinct parameter set.  All parameters live in one float64 vector,
     `flat`; every `params[name]` is a reshaped view into it, in name
-    order.  A given params dict is copied into a new vector.
+    order.  A given params dict is copied into a new vector; without one
+    the parameters are drawn from a stream seeded by `seed`.
     """
 
-    def __init__(self, config: ModelConfig, params=None):
+    def __init__(self, config: ModelConfig, params=None, seed: int = 0):
         self.config = config
-        params = self._init_params() if params is None else params
+        params = self._init_params(seed) if params is None else params
         self.flat = np.concatenate(
             [np.zeros(0), *(np.ravel(p) for p in params.values())])
         self.params: dict[str, np.ndarray] = {}
@@ -101,9 +104,9 @@ class Model:
                 .reshape(np.shape(p))
             offset += size
 
-    def _init_params(self) -> dict[str, np.ndarray]:
+    def _init_params(self, seed: int) -> dict[str, np.ndarray]:
         specs = self.config.specs
-        rng = np.random.default_rng(self.config.seed)
+        rng = np.random.default_rng(seed)
         params: dict[str, np.ndarray] = {}
         for t in range(1, self.config.iterations + 1):
             for block in "hfg":
@@ -273,17 +276,17 @@ class TrainConfig:
     epochs: int = 30
     lr: float = 1e-6
     weight_decay: float = 1e-5
-    shuffle_seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must be >= 0")
 
 
-def train_step(model: Model, graph: Graph, state: AdamState,
-               cfg: TrainConfig):
+def train_step(model: Model, graph: Graph, state: AdamState):
     """One forward/backward/update cycle on a single graph.
 
     The tracking loss runs over truth clusters, so the parameter head
@@ -311,26 +314,24 @@ def train_step(model: Model, graph: Graph, state: AdamState,
 
 
 def train(model: Model, dataset: list[Graph], cfg: TrainConfig,
-          state: AdamState | None = None):
+          seed: int = 0):
     """Train over the dataset, one optimizer step per graph.
 
-    Shuffling is a fixed stream seeded by cfg.shuffle_seed, so reruns
+    Shuffling is a fixed stream seeded by `seed`, so reruns
     from the same initial model produce bit-identical histories.  Returns
     (per-epoch history, final AdamState); the model is updated in place.
     """
     if not dataset:
         raise ConfigError("training needs a non-empty dataset")
-    cfg.validate()
-    if state is None:
-        state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(cfg.shuffle_seed)
+    state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    rng = np.random.default_rng(seed)
     history = []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(dataset))
         sums = {"l_c": 0.0, "l_loc": 0.0, "l_t": 0.0, "l_total": 0.0}
         for gi in order:
             try:
-                components = train_step(model, dataset[gi], state, cfg)
+                components = train_step(model, dataset[gi], state)
             except NumericError as err:
                 raise NumericError(err.detail, epoch=epoch,
                                    graph_id=err.graph_id,

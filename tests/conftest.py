@@ -15,8 +15,8 @@ def make_training_graph(seed=0, n_tracks=5, noise_fraction=0.1,
                         smearing=2e-4, event_id=0):
     det = DetectorConfig()
     gen = GenConfig(n_tracks=n_tracks, noise_fraction=noise_fraction,
-                    hit_smearing_sigma=smearing, seed=seed)
-    event = generate_event(det, gen, event_id=event_id)
+                    hit_smearing_sigma=smearing)
+    event = generate_event(det, gen, seed=seed, event_id=event_id)
     graph = build_graph(event, DbscanParams())
     assign_vertex_targets(graph, truth_ellipses(event))
     return event, graph

@@ -240,8 +240,9 @@ def test_criterion_5_gradient_checks():
     # every parameter element
     _, graph = make_training_graph(seed=41, n_tracks=2, noise_fraction=0.2)
     assert graph.n_vertices <= 12
-    cfg = small_config(seed=17, iterations=2, hidden=6)
-    worst, checked = sweep_composite_gradients(graph, cfg, element_cap=None)
+    cfg = small_config(iterations=2, hidden=6)
+    worst, checked = sweep_composite_gradients(graph, cfg, model_seed=17,
+                                               element_cap=None)
     assert worst < 1e-4
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -254,8 +255,8 @@ def test_criterion_6_architecture_fidelity(toy_graph):
     # T = 4 by default
     assert tn.ModelConfig().iterations == 4
 
-    cfg = small_config(seed=105, iterations=3)
-    m = tn.Model(cfg)
+    cfg = small_config(iterations=3)
+    m = tn.Model(cfg, seed=105)
 
     # per-iteration parameter sets are distinct objects
     for t in range(1, cfg.iterations):
@@ -288,8 +289,8 @@ def build_benchmark_graphs():
     graphs = []
     for i in range(60):
         gen = GenConfig(n_tracks=10, noise_fraction=0.1,
-                        hit_smearing_sigma=2e-4, seed=5000 + i)
-        event = generate_event(det, gen, event_id=i)
+                        hit_smearing_sigma=2e-4)
+        event = generate_event(det, gen, seed=5000 + i, event_id=i)
         g = build_graph(event, DbscanParams())
         assign_vertex_targets(g, truth_ellipses(event))
         graphs.append(g)
@@ -297,9 +298,9 @@ def build_benchmark_graphs():
 
 
 def run_benchmark_training(train_graphs):
-    model = tn.Model(tn.ModelConfig(seed=106))
-    tcfg = tn.TrainConfig(epochs=30, lr=1e-3, shuffle_seed=107)
-    history, _ = tn.train(model, train_graphs, tcfg)
+    model = tn.Model(tn.ModelConfig(), seed=106)
+    tcfg = tn.TrainConfig(epochs=30, lr=1e-3)
+    history, _ = tn.train(model, train_graphs, tcfg, seed=107)
     return model, history
 
 
@@ -377,8 +378,8 @@ def test_criterion_9_identity_pipeline():
     preds = {}
     for i in range(5):
         e = generate_event(det, GenConfig(n_tracks=6, noise_fraction=0.15,
-                                          hit_smearing_sigma=2e-4,
-                                          seed=7000 + i), event_id=i)
+                                          hit_smearing_sigma=2e-4),
+                           seed=7000 + i, event_id=i)
         events[i] = e
         preds[i] = truth_identity_prediction(e)
     m = evaluate(preds, events)

@@ -62,8 +62,8 @@ class TestIntersectHelixLayer:
 class TestGenerateEvent:
     def test_unsmeared_hits_on_circle(self, detector):
         gen = GenConfig(n_tracks=4, noise_fraction=0.0,
-                        hit_smearing_sigma=0.0, seed=3)
-        e = generate_event(detector, gen)
+                        hit_smearing_sigma=0.0)
+        e = generate_event(detector, gen, seed=3)
         lookup = {h.hit_id: h for h in e.hits}
         for t in e.tracks:
             for hid in t.hit_ids:
@@ -73,21 +73,22 @@ class TestGenerateEvent:
 
     def test_deterministic(self, detector):
         gen = GenConfig(n_tracks=6, noise_fraction=0.2,
-                        hit_smearing_sigma=1e-4, seed=9)
-        assert generate_event(detector, gen) == generate_event(detector, gen)
+                        hit_smearing_sigma=1e-4)
+        assert generate_event(detector, gen, seed=9) == \
+            generate_event(detector, gen, seed=9)
 
     def test_noise_counting(self, detector):
         gen = GenConfig(n_tracks=10, eta_range=(-0.5, 0.5),
-                        noise_fraction=0.1, hit_smearing_sigma=0.0, seed=1)
-        e = generate_event(detector, gen)
+                        noise_fraction=0.1, hit_smearing_sigma=0.0)
+        e = generate_event(detector, gen, seed=1)
         n_signal = sum(1 for h in e.hits if h.particle_id != 0)
         n_noise = sum(1 for h in e.hits if h.particle_id == 0)
         assert n_signal == 10 * len(detector.layer_radii)
         assert n_noise == round(n_signal * 0.1 / 0.9)
 
     def test_truth_params_exact(self, detector):
-        gen = GenConfig(n_tracks=5, noise_fraction=0.0, seed=4)
-        e = generate_event(detector, gen)
+        gen = GenConfig(n_tracks=5, noise_fraction=0.0, hit_smearing_sigma=0.0)
+        e = generate_event(detector, gen, seed=4)
         for t in e.tracks:
             assert t.params.p_t == pytest.approx(
                 0.3 * detector.field_b * t.circle.R, rel=1e-12)
@@ -97,26 +98,25 @@ class TestGenerateEvent:
 
     def test_validates(self, detector):
         gen = GenConfig(n_tracks=8, noise_fraction=0.15,
-                        hit_smearing_sigma=2e-4, seed=5)
-        validate_event(generate_event(detector, gen))
+                        hit_smearing_sigma=2e-4)
+        validate_event(generate_event(detector, gen, seed=5))
 
     def test_bad_config(self, detector):
         with pytest.raises(ConfigError):
-            generate_event(detector, GenConfig(noise_fraction=1.0))
+            generate_event(detector, GenConfig(noise_fraction=1.0), seed=0)
         with pytest.raises(ConfigError):
-            generate_event(detector, GenConfig(pt_range=(5.0, 2.0)))
+            generate_event(detector, GenConfig(pt_range=(5.0, 2.0)), seed=0)
         with pytest.raises(ConfigError):
             # 0.1 GeV track with 5 mm displacement violates |delta|/R^2
             generate_event(detector, GenConfig(pt_range=(0.1, 0.2),
-                                               eps_range=(5e-3, 5e-3)))
+                                               eps_range=(5e-3, 5e-3)), seed=0)
 
     def test_truth_closure_through_conformal_fit(self, detector):
         # unsmeared hits refit through the conformal pipeline must
         # reproduce the generating circle
         gen = GenConfig(n_tracks=20, noise_fraction=0.0,
-                        hit_smearing_sigma=0.0, eps_range=(1e-4, 5e-4),
-                        seed=6)
-        e = generate_event(detector, gen)
+                        hit_smearing_sigma=0.0, eps_range=(1e-4, 5e-4))
+        e = generate_event(detector, gen, seed=6)
         lookup = {h.hit_id: h for h in e.hits}
         for t in e.tracks:
             if len(t.hit_ids) < 4:
@@ -239,9 +239,11 @@ class TestApplySelection:
         # one event holding a 1 GeV and a 3 GeV track
         from trackseg.events import Event
         low = generate_event(detector, GenConfig(
-            n_tracks=1, pt_range=(1.0, 1.0), noise_fraction=0.0, seed=2))
+            n_tracks=1, pt_range=(1.0, 1.0), noise_fraction=0.0,
+            hit_smearing_sigma=0.0), seed=2)
         hi = generate_event(detector, GenConfig(
-            n_tracks=1, pt_range=(3.0, 3.0), noise_fraction=0.0, seed=3))
+            n_tracks=1, pt_range=(3.0, 3.0), noise_fraction=0.0,
+            hit_smearing_sigma=0.0), seed=3)
         shift = max(h.hit_id for h in low.hits)
         from dataclasses import replace as dc_replace
         hi_hits = tuple(dc_replace(h, hit_id=h.hit_id + shift,
@@ -269,8 +271,8 @@ class TestApplySelection:
         assert out.tracks == ()
 
     def test_idempotent_and_monotone(self, detector):
-        gen = GenConfig(n_tracks=8, noise_fraction=0.2, seed=12)
-        e = generate_event(detector, gen)
+        gen = GenConfig(n_tracks=8, noise_fraction=0.2, hit_smearing_sigma=0.0)
+        e = generate_event(detector, gen, seed=12)
         once = apply_selection(e, pt_min=3.0, volumes={0})
         twice = apply_selection(once, pt_min=3.0, volumes={0})
         assert once == twice

@@ -80,8 +80,8 @@ class TestDbscan:
 class TestBuildGraph:
     def test_single_cluster_complete(self, detector):
         gen = GenConfig(n_tracks=1, noise_fraction=0.0,
-                        hit_smearing_sigma=0.0, seed=21)
-        e = generate_event(detector, gen)
+                        hit_smearing_sigma=0.0)
+        e = generate_event(detector, gen, seed=21)
         g = build_graph(e, DbscanParams())
         assert g.n_vertices == 4
         assert g.n_edges == 6  # K4
@@ -110,8 +110,8 @@ class TestBuildGraph:
             assert label == same
 
     def test_all_noise_isolated(self, detector):
-        gen = GenConfig(n_tracks=0, noise_fraction=0.0, seed=1)
-        e = generate_event(detector, gen)
+        gen = GenConfig(n_tracks=0, noise_fraction=0.0, hit_smearing_sigma=0.0)
+        e = generate_event(detector, gen, seed=1)
         # no tracks means no hits at all; construct noise-only manually
         from trackseg.events import Event, Hit
         hits = tuple(
@@ -124,8 +124,8 @@ class TestBuildGraph:
         assert not g.vertex_class.any()
 
     def test_state_initialization(self, detector):
-        gen = GenConfig(n_tracks=2, noise_fraction=0.0, seed=22)
-        e = generate_event(detector, gen)
+        gen = GenConfig(n_tracks=2, noise_fraction=0.0, hit_smearing_sigma=0.0)
+        e = generate_event(detector, gen, seed=22)
         g = build_graph(e, DbscanParams())
         for i, h in enumerate(e.hits):
             assert g.state[i, 0] == h.z
@@ -140,8 +140,8 @@ class TestBuildGraph:
 class TestTruthEllipses:
     def test_containment(self, detector):
         gen = GenConfig(n_tracks=8, noise_fraction=0.1,
-                        hit_smearing_sigma=2e-4, seed=24)
-        e = generate_event(detector, gen)
+                        hit_smearing_sigma=2e-4)
+        e = generate_event(detector, gen, seed=24)
         lookup = {h.hit_id: h for h in e.hits}
         for pid, ell in truth_ellipses(e):
             track = next(t for t in e.tracks if t.particle_id == pid)
@@ -191,8 +191,8 @@ class TestTruthEllipses:
 
 class TestAssignTargets:
     def test_counts(self, detector):
-        gen = GenConfig(n_tracks=5, noise_fraction=0.2, seed=25)
-        e = generate_event(detector, gen)
+        gen = GenConfig(n_tracks=5, noise_fraction=0.2, hit_smearing_sigma=0.0)
+        e = generate_event(detector, gen, seed=25)
         g = build_graph(e, DbscanParams())
         assign_vertex_targets(g, truth_ellipses(e))
         n_targets = sum(t is not None for t in g.vertex_target_ellipse)
@@ -201,16 +201,16 @@ class TestAssignTargets:
             assert g.vertex_target_ellipse[i] is None
 
     def test_same_ellipse_per_track(self, detector):
-        gen = GenConfig(n_tracks=1, noise_fraction=0.0, seed=26)
-        e = generate_event(detector, gen)
+        gen = GenConfig(n_tracks=1, noise_fraction=0.0, hit_smearing_sigma=0.0)
+        e = generate_event(detector, gen, seed=26)
         g = build_graph(e, DbscanParams())
         assign_vertex_targets(g, truth_ellipses(e))
         targets = [t for t in g.vertex_target_ellipse if t is not None]
         assert all(t == targets[0] for t in targets)
 
     def test_missing_ellipse_error(self, detector):
-        gen = GenConfig(n_tracks=2, noise_fraction=0.0, seed=27)
-        e = generate_event(detector, gen)
+        gen = GenConfig(n_tracks=2, noise_fraction=0.0, hit_smearing_sigma=0.0)
+        e = generate_event(detector, gen, seed=27)
         g = build_graph(e, DbscanParams())
         with pytest.raises(ConsistencyError):
             assign_vertex_targets(g, [])
@@ -219,8 +219,8 @@ class TestAssignTargets:
 class TestGraphSerialization:
     def test_round_trip(self, detector):
         gen = GenConfig(n_tracks=4, noise_fraction=0.2,
-                        hit_smearing_sigma=1e-4, seed=28)
-        e = generate_event(detector, gen)
+                        hit_smearing_sigma=1e-4)
+        e = generate_event(detector, gen, seed=28)
         g = build_graph(e, DbscanParams())
         assign_vertex_targets(g, truth_ellipses(e))
         d = graph_to_dict(g)
@@ -245,8 +245,8 @@ class TestGraphSerialization:
 def test_edge_label_rederivation(detector):
     # soundness: an edge is true iff its endpoints share a nonzero pid
     gen = GenConfig(n_tracks=8, noise_fraction=0.2,
-                    hit_smearing_sigma=5e-4, seed=29)
-    e = generate_event(detector, gen)
+                    hit_smearing_sigma=5e-4)
+    e = generate_event(detector, gen, seed=29)
     g = build_graph(e, DbscanParams(eps=0.2, min_pts=2))
     pid = g.vertex_particle_id
     for (i, j), label in zip(g.edges, g.truth_edge_labels):
@@ -259,9 +259,8 @@ def test_default_params_cocluster_same_track_pairs(detector):
     total, together = 0, 0
     for seed in range(10):
         gen = GenConfig(n_tracks=10, pt_range=(2.0, 5.0),
-                        noise_fraction=0.1, hit_smearing_sigma=2e-4,
-                        seed=seed)
-        e = generate_event(detector, gen)
+                        noise_fraction=0.1, hit_smearing_sigma=2e-4)
+        e = generate_event(detector, gen, seed=seed)
         pts = [(h.eta, h.phi) for h in e.hits]
         labels = dbscan(pts, DbscanParams())
         index = {h.hit_id: k for k, h in enumerate(e.hits)}

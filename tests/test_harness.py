@@ -5,12 +5,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trackseg
+from trackseg import tracknet
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import ConfigError, ConsistencyError
 from trackseg.events import DetectorConfig, GenConfig, generate_event
 from trackseg.graphs import DbscanParams, truth_ellipses
+from trackseg.harness import pipeline
 from trackseg.harness.cli import main
 from trackseg.harness.config import (RunConfig, apply_overrides,
                                      config_from_dict, load_config)
@@ -71,7 +75,8 @@ class TestEvaluate:
         det = DetectorConfig()
         return generate_event(det, GenConfig(n_tracks=n_tracks,
                                              noise_fraction=0.1,
-                                             seed=seed))
+                                             hit_smearing_sigma=0.0),
+                              seed=seed)
 
     def test_identity_pipeline_perfect(self):
         e = self.event()
@@ -147,7 +152,7 @@ class TestRender:
     def test_element_counts(self, tmp_path):
         det = DetectorConfig()
         e = generate_event(det, GenConfig(n_tracks=2, noise_fraction=0.2,
-                                          seed=40))
+                                          hit_smearing_sigma=0.0), seed=40)
         shapes = [ell for _, ell in truth_ellipses(e)]
         path = tmp_path / "event.svg"
         render_event_svg(e, shapes, path)
@@ -167,12 +172,43 @@ class TestRender:
 
     def test_byte_identical(self, tmp_path):
         det = DetectorConfig()
-        e = generate_event(det, GenConfig(n_tracks=3, seed=41))
+        e = generate_event(det, GenConfig(n_tracks=3, hit_smearing_sigma=0.0),
+                           seed=41)
         shapes = [ell for _, ell in truth_ellipses(e)]
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
         render_event_svg(e, shapes, p1)
         render_event_svg(e, shapes, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# every settable run-config value, the top-level seed as section None
+SETTINGS = [(None, "seed")] + [
+    (section, key) for section, values in RunConfig().to_dict().items()
+    if isinstance(values, dict) for key in values]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
+# (section, key, value); section None is the top level.  Each value
+# fails the type or the range check of its field.
+BAD_VALUES = [
+    ("training", "lr", "0.001"),
+    ("generator", "n_events", "3"),
+    ("model", "hidden", 8.5),
+    ("model", "loss_weights", [1, 1]),
+    ("selection", "volumes", 7),
+    ("detector", "field_b", 0),
+    ("nms", "t_h", 1.5),
+    ("eval", "n_holdout", -1),
+    ("training", "epochs", 0),
+    ("dbscan", "eps", 0),
+    (None, "seed", -1),
+    ("generator", "n_events", 0),
+    ("nms", "class_threshold", 1.5),
+    ("model", "loss_weights", [1, -1, 1]),
+    ("training", "weight_decay", -1e-5)]
 
 
 class TestConfig:
@@ -213,12 +249,35 @@ class TestConfig:
         path.write_text(json.dumps({section: {key: value}}))
         assert main(["--config", str(path), "generate"]) == 2
 
-    def test_bad_dbscan_eps_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section, key, value", BAD_VALUES, ids=[
+        ".".join(filter(None, (section, key))) + "=" + json.dumps(value)
+        for section, key, value in BAD_VALUES])
+    def test_bad_value_exits_2(self, tmp_path, capsys, section, key, value):
+        doc = {key: value} if section is None else {section: {key: value}}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"dbscan": {"eps": 0},
+        path.write_text(json.dumps({**doc,
                                     "paths": {"out_dir": str(tmp_path)}}))
         assert main(["--config", str(path), "generate"]) == 2
-        assert "eps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert not (tmp_path / "events").exists()
+
+    @given(st.lists(st.tuples(st.sampled_from(SETTINGS), JSON_VALUES),
+                    max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_loads_or_is_a_config_error(self, items):
+        doc = {}
+        for (section, key), value in items:
+            if section is None:
+                doc[key] = value
+            else:
+                doc.setdefault(section, {})[key] = value
+        try:
+            cfg = config_from_dict(doc)
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
+        assert config_from_dict(cfg.to_dict()) == cfg
 
     def test_file_loading(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -238,23 +297,44 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+        path.write_bytes(b"\xff\xfe{}")  # not UTF-8 text
+        with pytest.raises(ConfigError):
+            load_config(path)
+        path.write_text('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(ConfigError):
+            load_config(path)
 
     def test_overrides(self):
         cfg = apply_overrides(RunConfig(), seed=9, out_dir="elsewhere")
         assert cfg.seed == 9
         assert cfg.paths.out_dir == "elsewhere"
 
-    def test_derived_seeds_differ(self):
-        cfg = RunConfig(seed=4)
-        assert cfg.gen_config(0).seed != cfg.gen_config(1).seed
-        assert cfg.model_config().seed != cfg.train_config().shuffle_seed
+    def test_derived_seeds_differ(self, tmp_path, monkeypatch):
+        seeds = []
+
+        def recording(fn):
+            def call(*args, seed, **kwargs):
+                seeds.append(seed)
+                return fn(*args, seed=seed, **kwargs)
+            return call
+
+        monkeypatch.setattr(pipeline, "generate_event",
+                            recording(pipeline.generate_event))
+        for name in ("Model", "train"):
+            monkeypatch.setattr(tracknet, name,
+                                recording(getattr(tracknet, name)))
+        cfg_path = tiny_cli_config(tmp_path)
+        for cmd in ("generate", "build-graphs", "train"):
+            assert main(["--config", str(cfg_path), cmd]) == 0
+        assert len(seeds) == 4 + 2  # four events, model init, shuffling
+        assert len(set(seeds)) == len(seeds)
 
 
 class TestIo:
     def test_event_round_trip(self):
         det = DetectorConfig()
         e = generate_event(det, GenConfig(n_tracks=3, noise_fraction=0.2,
-                                          hit_smearing_sigma=1e-4, seed=43))
+                                          hit_smearing_sigma=1e-4), seed=43)
         doc = event_to_dict(e, config_echo={"seed": 1})
         assert doc["format"] == "event-v1"
         assert doc["config"] == {"seed": 1}
@@ -267,7 +347,8 @@ class TestIo:
 
     def test_prediction_round_trip(self):
         det = DetectorConfig()
-        e = generate_event(det, GenConfig(n_tracks=2, seed=44))
+        e = generate_event(det, GenConfig(n_tracks=2, hit_smearing_sigma=0.0),
+                           seed=44)
         pred = truth_identity_prediction(e)
         doc = prediction_to_dict(
             pred["event_id"], pred["vertex_hit_ids"], pred["class_prob"],

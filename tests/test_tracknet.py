@@ -12,9 +12,8 @@ from trackseg.graphs import Graph
 from trackseg.neural import AdamState, Tape, mlp_forward
 
 
-def small_config(seed=0, iterations=2, hidden=8, **kwargs):
-    return tn.ModelConfig(iterations=iterations, hidden=hidden, seed=seed,
-                          **kwargs)
+def small_config(iterations=2, hidden=8, **kwargs):
+    return tn.ModelConfig(iterations=iterations, hidden=hidden, **kwargs)
 
 
 def zero_model(config):
@@ -52,14 +51,14 @@ class TestForward:
 
     def test_single_vertex_graph(self):
         g = tiny_graph(n=1, edges=())
-        m = tn.Model(small_config(seed=3))
+        m = tn.Model(small_config(), seed=3)
         out = tn.gnn_forward(m, g)
         assert out.class_prob.data.shape == (1, 1)
         assert 0.0 < out.class_prob.data[0, 0] < 1.0
 
     def test_permutation_equivariance(self):
         g = make_training_graph(seed=31, n_tracks=4)[1]
-        m = tn.Model(small_config(seed=4))
+        m = tn.Model(small_config(), seed=4)
         out = tn.gnn_forward(m, g)
 
         rng = np.random.default_rng(5)
@@ -85,7 +84,7 @@ class TestForward:
                            atol=1e-12)
 
     def test_auto_registration_off_equals_zero_h(self, toy_graph):
-        m = tn.Model(small_config(seed=6))
+        m = tn.Model(small_config(), seed=6)
         params = {k: (np.zeros_like(v) if k.startswith("h") else v)
                   for k, v in m.params.items()}
         mh = tn.Model(m.config, params)
@@ -105,7 +104,7 @@ class TestForward:
         assert m.config.iterations == 3
 
     def test_params_are_views_of_flat(self):
-        m = tn.Model(small_config(seed=2))
+        m = tn.Model(small_config(), seed=2)
         assert m.flat.dtype == np.float64
         assert sum(p.size for p in m.params.values()) == m.flat.size
         for p in m.params.values():
@@ -133,7 +132,7 @@ class TestForward:
 
 class TestTotalLoss:
     def test_perfect_predictions(self, toy_graph):
-        m = tn.Model(small_config(seed=9))
+        m = tn.Model(small_config(), seed=9)
         out = tn.gnn_forward(m, toy_graph)
         y, mask, enc = tn.build_targets(toy_graph)
         tape = out.tape
@@ -147,7 +146,7 @@ class TestTotalLoss:
         assert comps["l_total"] == pytest.approx(0.0, abs=1e-9)
 
     def test_gamma_zero_ignores_tracking(self, toy_graph):
-        m = tn.Model(small_config(seed=10))
+        m = tn.Model(small_config(), seed=10)
         out = tn.gnn_forward(m, toy_graph)
         targets = tn.build_targets(toy_graph)
         tape = out.tape
@@ -163,7 +162,7 @@ class TestTotalLoss:
         g = tiny_graph()
         from trackseg.ellipses import make_ellipse
         g.vertex_target_ellipse = [make_ellipse(0, 0, 0.05, 0.01, 0.0)] * 4
-        m = tn.Model(small_config(seed=11))
+        m = tn.Model(small_config(), seed=11)
         out = tn.gnn_forward(m, g)
         targets = tn.build_targets(g)
         preds = out.tape.const(np.array([[2.0, 1e-4]]))
@@ -173,7 +172,7 @@ class TestTotalLoss:
         assert comps["l_total"] == pytest.approx(expected, rel=1e-12)
 
     def test_linearity_in_weights(self, toy_graph):
-        m = tn.Model(small_config(seed=12))
+        m = tn.Model(small_config(), seed=12)
 
         def total(weights):
             out = tn.gnn_forward(m, toy_graph)
@@ -193,8 +192,8 @@ class TestTotalLoss:
 class TestPredictClusterParams:
     def test_zero_weight_head_outputs_bias(self):
         g = tiny_graph()
-        cfg = small_config(seed=13)
-        m = tn.Model(cfg)
+        cfg = small_config()
+        m = tn.Model(cfg, seed=13)
         for k in m.params:
             if k.startswith("trk."):
                 m.params[k][...] = 0.0
@@ -213,7 +212,7 @@ class TestPredictClusterParams:
 
     def test_small_cluster_zeroes_fit(self):
         g = tiny_graph()
-        m = tn.Model(small_config(seed=14))
+        m = tn.Model(small_config(), seed=14)
         out = tn.gnn_forward(m, g)
         pred = tn.predict_cluster_params(m, out.final_state, out.leaves,
                                          [[0, 1]], g.vertex_xy)
@@ -227,7 +226,7 @@ class TestPredictClusterParams:
 
     def test_output_shape(self):
         g = tiny_graph()
-        m = tn.Model(small_config(seed=15))
+        m = tn.Model(small_config(), seed=15)
         out = tn.gnn_forward(m, g)
         pred = tn.predict_cluster_params(m, out.final_state, out.leaves,
                                          [[0, 1, 2]], g.vertex_xy)
@@ -238,7 +237,7 @@ class TestPredictClusterParams:
 
     def test_batched_matches_one_call_per_cluster(self):
         g = make_training_graph(seed=32, n_tracks=4)[1]
-        m = tn.Model(small_config(seed=15))
+        m = tn.Model(small_config(), seed=15)
         out = tn.gnn_forward(m, g)
         clusters = [np.flatnonzero(g.vertex_particle_id == pid)
                     for pid in sorted(g.truth_params)] + [[0, 1], [2]]
@@ -254,7 +253,7 @@ class TestPredictClusterParams:
 
     def test_numpy_path_matches_tape_path(self):
         g = tiny_graph()
-        m = tn.Model(small_config(seed=16))
+        m = tn.Model(small_config(), seed=16)
         out = tn.gnn_forward(m, g)
         vids = [0, 1, 2, 3]
         pred = tn.predict_cluster_params(m, out.final_state, out.leaves,
@@ -283,8 +282,8 @@ def composite_loss(cfg, graph, params):
     return total, out, tape
 
 
-def sweep_composite_gradients(graph, cfg, element_cap=None, h=1e-6,
-                              seed=19):
+def sweep_composite_gradients(graph, cfg, model_seed, element_cap=None,
+                              h=1e-6, seed=19):
     """Compare reverse-mode gradients of the composite against central
     differences.
 
@@ -294,7 +293,7 @@ def sweep_composite_gradients(graph, cfg, element_cap=None, h=1e-6,
     absolute terms at that noise level.  Elements whose perturbed passes
     come within 1e-7 of a ReLU/max kink are excluded.
     """
-    model = tn.Model(cfg)
+    model = tn.Model(cfg, seed=model_seed)
     rng = np.random.default_rng(18)
     for k in model.params:
         if ".b" in k:
@@ -333,8 +332,8 @@ class TestEndToEndGradient:
         _, graph = make_training_graph(seed=41, n_tracks=2,
                                        noise_fraction=0.2)
         assert graph.n_vertices <= 12
-        cfg = small_config(seed=17, iterations=2, hidden=6)
-        worst, checked = sweep_composite_gradients(graph, cfg,
+        cfg = small_config(iterations=2, hidden=6)
+        worst, checked = sweep_composite_gradients(graph, cfg, model_seed=17,
                                                    element_cap=6)
         assert checked > 100
         assert worst < 1e-4
@@ -350,7 +349,7 @@ class TestTrain:
         e = Event(0, hits, (), 2.0)
         g = build_graph(e, DbscanParams(eps=0.01, min_pts=2))
         assert g.n_edges == 0
-        m = tn.Model(small_config(seed=20))
+        m = tn.Model(small_config(), seed=20)
         history, _ = tn.train(m, [g], tn.TrainConfig(epochs=1, lr=1e-3))
         assert history[0]["l_loc"] == 0.0
         assert history[0]["l_t"] == 0.0
@@ -362,10 +361,9 @@ class TestTrain:
                   for s in (51, 52, 53)]
 
         def run():
-            m = tn.Model(small_config(seed=21))
-            hist, _ = tn.train(m, graphs,
-                               tn.TrainConfig(epochs=3, lr=1e-3,
-                                              shuffle_seed=5))
+            m = tn.Model(small_config(), seed=21)
+            hist, _ = tn.train(m, graphs, tn.TrainConfig(epochs=3, lr=1e-3),
+                               seed=5)
             return hist, m.params
 
         h1, p1 = run()
@@ -376,7 +374,7 @@ class TestTrain:
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         g = make_training_graph(seed=54, n_tracks=2)[1]
-        m = tn.Model(small_config(seed=22))
+        m = tn.Model(small_config(), seed=22)
         m.params["loc.W0"][:] = np.inf  # poisons the localization loss
         with pytest.raises(NumericError) as err:
             with warnings.catch_warnings():
@@ -394,9 +392,8 @@ class TestTrain:
         g.vertex_particle_id = np.zeros(g.n_vertices, dtype=int)
         g.truth_params = {}
         assert g.n_edges > 0
-        m = tn.Model(small_config(seed=28))
-        comps = tn.train_step(m, g, AdamState(lr=1e-3),
-                              tn.TrainConfig(epochs=1, lr=1e-3))
+        m = tn.Model(small_config(), seed=28)
+        comps = tn.train_step(m, g, AdamState(lr=1e-3))
         assert math.isfinite(comps["l_total"])
         assert comps["l_t"] == 0.0
 
@@ -408,19 +405,19 @@ class TestTrain:
     def test_loss_decreases_on_tiny_problem(self):
         graphs = [make_training_graph(seed=s, n_tracks=3)[1]
                   for s in (61, 62)]
-        m = tn.Model(small_config(seed=23, hidden=16))
+        m = tn.Model(small_config(hidden=16), seed=23)
         hist, _ = tn.train(m, graphs, tn.TrainConfig(epochs=10, lr=1e-3))
         assert hist[-1]["l_total"] < hist[0]["l_total"]
 
 
 class TestInfer:
     def test_threshold_one_no_ellipses(self, toy_graph):
-        m = tn.Model(small_config(seed=24))
+        m = tn.Model(small_config(), seed=24)
         r = tn.infer(m, toy_graph, threshold=1.1)
         assert all(e is None for e in r.ellipses)
 
     def test_threshold_zero_all_ellipses(self, toy_graph):
-        m = tn.Model(small_config(seed=25))
+        m = tn.Model(small_config(), seed=25)
         r = tn.infer(m, toy_graph, threshold=0.0)
         assert all(e is not None for e in r.ellipses)
 
@@ -428,7 +425,7 @@ class TestInfer:
         # decoded boxes satisfy the type invariants on random models
         for seed in range(5):
             g = make_training_graph(seed=70 + seed, n_tracks=3)[1]
-            m = tn.Model(small_config(seed=seed))
+            m = tn.Model(small_config(), seed=seed)
             r = tn.infer(m, g, threshold=0.0)
             for e in r.ellipses:
                 assert e.a >= e.b > 0.0
@@ -437,7 +434,7 @@ class TestInfer:
     def test_leaves_no_reference_cycles(self, toy_graph):
         # forward-only tapes are released, so refcounting frees them and
         # peak memory does not wait on the cyclic GC
-        m = tn.Model(small_config(seed=27))
+        m = tn.Model(small_config(), seed=27)
         vids = list(range(toy_graph.n_vertices))
         gc.collect()
         gc.disable()
@@ -453,7 +450,7 @@ class TestInfer:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         g = make_training_graph(seed=81, n_tracks=2)[1]
-        m = tn.Model(small_config(seed=26))
+        m = tn.Model(small_config(), seed=26)
         hist, state = tn.train(m, [g], tn.TrainConfig(epochs=2, lr=1e-3))
         path = tmp_path / "ckpt.json"
         tn.save_checkpoint(m, state, epoch=2, path=path)
@@ -470,7 +467,7 @@ class TestCheckpoint:
         assert np.array_equal(o1.class_prob.data, o2.class_prob.data)
 
     def test_rejects_mismatched_shapes(self, tmp_path):
-        m = tn.Model(small_config(seed=27))
+        m = tn.Model(small_config(), seed=27)
         state = AdamState()
         path = tmp_path / "ckpt.json"
         tn.save_checkpoint(m, state, epoch=0, path=path)
@@ -481,8 +478,22 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             tn.load_checkpoint(path)
 
+    def test_loads_config_with_seed_key(self, tmp_path):
+        # older tracknet-v2 checkpoints also stored the model seed
+        m = tn.Model(small_config(), seed=27)
+        path = tmp_path / "ckpt.json"
+        tn.save_checkpoint(m, AdamState(), epoch=0, path=path)
+        import json
+        doc = json.loads(path.read_text())
+        assert set(doc["config"]) == {"iterations", "hidden", "loss_weights"}
+        doc["config"]["seed"] = 27
+        path.write_text(json.dumps(doc))
+        m2, _, _ = tn.load_checkpoint(path)
+        assert m2.config == m.config
+        assert np.array_equal(m2.flat, m.flat)
+
     def test_truncated_file_is_a_parse_error(self, tmp_path):
-        m = tn.Model(small_config(seed=27))
+        m = tn.Model(small_config(), seed=27)
         path = tmp_path / "ckpt.json"
         tn.save_checkpoint(m, AdamState(), epoch=0, path=path)
         path.write_text(path.read_text()[:50])
