@@ -220,24 +220,38 @@ def graph_from_dict(d: dict) -> Graph:
 def _graph_from_doc(d: dict) -> Graph:
     verts = d["vertices"]
     n = len(verts)
+    truth = d.get("truth", {})
+
+    def per_vertex(values, what: str, dtype=float, row=()) -> np.ndarray:
+        arr = np.array(values, dtype=dtype)
+        # an empty list stands for zero rows of any width
+        if arr.shape != (n, *row) and not arr.size == n == 0:
+            raise ConsistencyError(f"graph {what} has shape {arr.shape}, "
+                                   f"expected {(n, *row)}")
+        return arr.reshape(n, *row)
+
     edges = np.array([[e[0], e[1]] for e in d["edges"]],
                      dtype=int).reshape(-1, 2)
-    truth = d.get("truth", {})
+    if np.any((edges < 0) | (edges >= n)) or \
+            np.any(edges[:, 0] == edges[:, 1]):
+        raise ConsistencyError(f"graph edges must join two distinct "
+                               f"vertices in [0, {n})")
     return Graph(
         event_id=int(d["event_id"]),
-        eta=np.array([v["eta"] for v in verts], dtype=float),
-        phi=np.array([v["phi"] for v in verts], dtype=float),
-        state=np.array([v["state"] for v in verts],
-                       dtype=float).reshape(n, 2),
+        eta=per_vertex([v["eta"] for v in verts], "eta"),
+        phi=per_vertex([v["phi"] for v in verts], "phi"),
+        state=per_vertex([v["state"] for v in verts], "state", row=(2,)),
         edges=edges,
         truth_edge_labels=np.array([bool(e[2]) for e in d["edges"]],
                                    dtype=bool),
-        vertex_hit_ids=np.array([v["hit_id"] for v in verts], dtype=int),
+        vertex_hit_ids=per_vertex([v["hit_id"] for v in verts], "hit_id",
+                                  int),
         vertex_class=np.array([v["class"] == "track" for v in verts]),
-        vertex_particle_id=np.array(
-            truth.get("vertex_particle_id", [0] * n), dtype=int),
-        vertex_xy=np.array(truth.get("vertex_xy", [[0.0, 0.0]] * n),
-                           dtype=float).reshape(n, 2),
+        vertex_particle_id=per_vertex(
+            truth.get("vertex_particle_id", [0] * n),
+            "truth.vertex_particle_id", int),
+        vertex_xy=per_vertex(truth.get("vertex_xy", [[0.0, 0.0]] * n),
+                             "truth.vertex_xy", row=(2,)),
         truth_params={int(p["particle_id"]): (float(p["pt"]),
                                               float(p["eps_t"]))
                       for p in truth.get("particles", [])},

@@ -12,16 +12,16 @@ from the single top-level seed.
 from __future__ import annotations
 
 import contextlib
-import json
 import sys
 import types
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ParseError
 from ..events import DetectorConfig, GenConfig
 from ..graphs import DbscanParams
+from ..jsonio import read_json
 from ..tracknet import ModelConfig, TrainConfig
 
 
@@ -154,10 +154,9 @@ def load_config(path=None) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except (ValueError, RecursionError) as err:  # bad bytes, deep nesting
-        raise ConfigError(f"config file {path} is not valid JSON: {err}") \
-            from err
+        doc = read_json(path)
+    except ParseError as err:
+        raise ConfigError(str(err)) from err
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return config_from_dict(doc)

@@ -11,7 +11,7 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ConsistencyError, ParseError, TracksegError
+from .errors import ConsistencyError, ParseError
 
 
 def write_json(path, doc: dict) -> None:
@@ -27,30 +27,35 @@ def write_json(path, doc: dict) -> None:
 
 
 def read_json(path) -> dict:
+    """Decode a JSON file; malformed JSON, bytes that are not UTF-8 text
+    and nesting too deep to decode raise ParseError."""
     try:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ParseError(f"{path} is not valid JSON: {err.msg}",
                          line=err.lineno) from err
+    except (UnicodeDecodeError, RecursionError) as err:
+        raise ParseError(f"{path} is not valid JSON: {err}") from err
 
 
 @contextmanager
 def parsing(doc, doc_format: str):
     """Reject a document without the expected format tag.  Inside the
-    block, a KeyError becomes a ConsistencyError naming the key, and a
-    TypeError or ValueError from a value of the wrong type becomes a
-    ConsistencyError too; package errors pass through unchanged."""
+    block, a KeyError becomes a ConsistencyError naming the key, and the
+    errors a value of the wrong type, length or range raises become a
+    ConsistencyError too; among the package's errors these are the
+    ValueErrors (DomainError, e.g. a stored ellipse with a < b, and
+    ShapeError), while ConfigError and DataError pass through."""
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != doc_format:
         raise ConsistencyError(f"not a {doc_format} document: "
                                f"format={found!r}")
     try:
         yield
-    except TracksegError:
-        raise
     except KeyError as err:
         raise ConsistencyError(f"{doc_format} document lacks key {err}") \
             from err
-    except (TypeError, ValueError) as err:
+    except (AttributeError, IndexError, OverflowError, TypeError,
+            ValueError) as err:
         raise ConsistencyError(f"{doc_format} document has a bad value: "
                                f"{err}") from err

@@ -5,7 +5,8 @@ topological order, so the backward pass is a single reverse sweep.  All
 operations are deterministic; ties in max operations route the gradient
 to the lowest contributing index.  The tape tracks the distance of every
 forward pass to the nearest ReLU/max/clip kink (`kink_margin`) so
-finite-difference checks can exclude non-smooth points.
+finite-difference checks can exclude non-smooth points.  A whole dense
+stack (`mlp`) is one node with one backward.
 """
 
 from __future__ import annotations
@@ -29,28 +30,17 @@ class Var:
         self._backward = backward
         self.tape = tape
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
-
 
 class Tape:
     """Operation recorder; one tape per forward/backward cycle."""
 
-    def __init__(self, nan_check: bool = False):
+    def __init__(self):
         self._nodes: list[Var] = []
         self._done = False
-        self.nan_check = nan_check
         self.kink_margin = math.inf
 
     def _node(self, data, backward=None) -> Var:
-        data = np.asarray(data, dtype=np.float64)
-        if self.nan_check and not np.all(np.isfinite(data)):
-            raise FloatingPointError("non-finite value produced on tape")
-        v = Var(data, self, backward)
+        v = Var(np.asarray(data, dtype=np.float64), self, backward)
         self._nodes.append(v)
         return v
 
@@ -99,35 +89,57 @@ def _same_tape(*vars_: Var) -> Tape:
     return tape
 
 
-def matmul(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul mismatch: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
-
-    return tape._node(out_data, backward)
-
-
 def add(a: Var, b: Var) -> Var:
-    """Elementwise sum; b may be a bias row broadcast over a's rows."""
+    """Elementwise sum of two same-shape Vars."""
     tape = _same_tape(a, b)
-    out_data = a.data + b.data
-    if out_data.shape != a.data.shape:
-        raise ShapeError(f"add cannot broadcast {b.data.shape} into "
-                         f"{a.data.shape}")
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add needs equal shapes, got {a.data.shape} and "
+                         f"{b.data.shape}")
 
     def backward(g):
         a.grad += g
-        if b.data.shape == g.shape:
-            b.grad += g
-        else:
-            b.grad += g.sum(axis=0).reshape(b.data.shape)
+        b.grad += g
 
-    return tape._node(out_data, backward)
+    return tape._node(a.data + b.data, backward)
+
+
+def mlp(x: Var, layers: list[tuple[Var, Var]], sigmoid_out: bool) -> Var:
+    """Dense stack over the rows of x: affine then ReLU per hidden layer,
+    affine last, then a sigmoid if `sigmoid_out`.  `layers` holds one
+    (W, b) pair per layer.  Records one node."""
+    tape = _same_tape(x, *(v for layer in layers for v in layer))
+    inputs, pre = [], []  # each layer's input; each hidden pre-activation
+    h = x.data
+    for k, (w, b) in enumerate(layers):
+        if w.data.shape[0] != h.shape[1] or b.data.shape != w.data.shape[1:]:
+            raise ShapeError(f"layer {k}: {h.shape[1]} input columns, W "
+                             f"{w.data.shape}, b {b.data.shape}")
+        inputs.append(h)
+        h = h @ w.data + b.data
+        if k < len(layers) - 1:
+            if h.size:
+                tape._note_margin(float(np.min(np.abs(h))))
+            pre.append(h)
+            # np.maximum (not where) so NaN inputs propagate
+            h = np.maximum(h, 0.0)
+    if sigmoid_out:
+        e = np.exp(-np.abs(h))
+        h = np.where(h >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = h
+
+    def backward(g):
+        if sigmoid_out:
+            g = g * out * (1.0 - out)
+        for k in reversed(range(len(layers))):
+            w, b = layers[k]
+            if k < len(pre):
+                g = g * (pre[k] > 0.0)
+            w.grad += inputs[k].T @ g
+            b.grad += g.sum(axis=0)
+            g = g @ w.data.T
+        x.grad += g
+
+    return tape._node(out, backward)
 
 
 def scale(a: Var, s: float) -> Var:
@@ -158,29 +170,6 @@ def mul_const(a: Var, c) -> Var:
         a.grad += g * c
 
     return a.tape._node(out_data, backward)
-
-
-def relu(a: Var) -> Var:
-    mask = a.data > 0.0
-    if a.data.size:
-        a.tape._note_margin(float(np.min(np.abs(a.data))))
-
-    def backward(g):
-        a.grad += g * mask
-
-    # np.maximum (not where) so NaN inputs propagate instead of zeroing
-    return a.tape._node(np.maximum(a.data, 0.0), backward)
-
-
-def sigmoid(a: Var) -> Var:
-    x = a.data
-    s = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(g):
-        a.grad += g * s * (1.0 - s)
-
-    return a.tape._node(s, backward)
 
 
 def log(a: Var) -> Var:

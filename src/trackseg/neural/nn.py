@@ -1,8 +1,7 @@
 """Dense layers, the pipeline losses and Adam.
 
-Loss functions accept either Vars (for training) or plain arrays (for
-direct evaluation); the array path runs the same formula on a throwaway
-tape and returns a float.
+Each loss takes the prediction as a Var and returns a scalar Var on the
+prediction's tape.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 
 from ..errors import ConfigError, ShapeError
 from . import autodiff as ad
-from .autodiff import Tape, Var
+from .autodiff import Var
 
 BCE_CLAMP = 1e-12
 
@@ -52,19 +51,13 @@ def init_mlp_params(spec: MlpSpec, rng: np.random.Generator,
 
 def mlp_forward(spec: MlpSpec, params: dict[str, Var], x: Var,
                 prefix: str = "") -> Var:
-    """Affine-then-activation per layer; rows preserved."""
+    """Affine-then-activation per layer, rows preserved; one tape node."""
     if x.data.shape[1] != spec.layer_widths[0]:
         raise ShapeError(f"input has {x.data.shape[1]} columns, spec expects "
                          f"{spec.layer_widths[0]}")
-    for i in range(spec.n_layers):
-        x = ad.add(ad.matmul(x, params[f"{prefix}W{i}"]),
-                   params[f"{prefix}b{i}"])
-        last = i == spec.n_layers - 1
-        if not last:
-            x = ad.relu(x)
-        elif spec.output_activation == "sigmoid":
-            x = ad.sigmoid(x)
-    return x
+    layers = [(params[f"{prefix}W{i}"], params[f"{prefix}b{i}"])
+              for i in range(spec.n_layers)]
+    return ad.mlp(x, layers, spec.output_activation == "sigmoid")
 
 
 def _column(x, name: str) -> np.ndarray:
@@ -77,36 +70,21 @@ def _column(x, name: str) -> np.ndarray:
     return arr
 
 
-def _loss_value(build, *var_args):
-    """Run `build` on the args' tape when any is a Var, else on a scratch
-    tape, returning a float."""
-    for a in var_args:
-        if isinstance(a, Var):
-            return build(a.tape)
-    with Tape() as tape:
-        return float(build(tape).data)
-
-
-def bce_loss(y_true, p, clamp: float = BCE_CLAMP):
-    """Mean binary cross entropy with the probabilities clamped to
-    [clamp, 1 - clamp]."""
+def bce_loss(y_true, p: Var, clamp: float = BCE_CLAMP) -> Var:
+    """Mean binary cross entropy of the (n, 1) probabilities `p`, clamped
+    to [clamp, 1 - clamp]."""
     y = _column(y_true, "y_true")
-
-    def build(tape: Tape) -> Var:
-        pv = p if isinstance(p, Var) else tape.const(_column(p, "p"))
-        if pv.data.shape != y.shape:
-            raise ShapeError(f"labels shape {y.shape} vs predictions shape "
-                             f"{pv.data.shape}")
-        ph = ad.clip(pv, clamp, 1.0 - clamp)
-        pos = ad.mul_const(ad.log(ph), y)
-        neg = ad.mul_const(ad.log(ad.add_const(ad.scale(ph, -1.0), 1.0)),
-                           1.0 - y)
-        return ad.scale(ad.sum_all(ad.add(pos, neg)), -1.0 / len(y))
-
-    return _loss_value(build, p)
+    if p.data.shape != y.shape:
+        raise ShapeError(f"labels shape {y.shape} vs predictions shape "
+                         f"{p.data.shape}")
+    ph = ad.clip(p, clamp, 1.0 - clamp)
+    pos = ad.mul_const(ad.log(ph), y)
+    neg = ad.mul_const(ad.log(ad.add_const(ad.scale(ph, -1.0), 1.0)),
+                       1.0 - y)
+    return ad.scale(ad.sum_all(ad.add(pos, neg)), -1.0 / len(y))
 
 
-def huber_loss(pred, target, mask, delta: float = 1.0):
+def huber_loss(pred: Var, target, mask, delta: float = 1.0) -> Var:
     """Masked Huber loss over encoded-box residuals.
 
     Sums the per-component Huber value over the 5 residuals of each
@@ -116,24 +94,18 @@ def huber_loss(pred, target, mask, delta: float = 1.0):
         raise ConfigError(f"huber delta must be positive, got {delta}")
     target = np.asarray(target, dtype=float)
     mask_col = _column(mask, "mask")
-
-    def build(tape: Tape) -> Var:
-        pv = pred if isinstance(pred, Var) else tape.const(
-            np.asarray(pred, dtype=float))
-        if pv.data.shape != target.shape:
-            raise ShapeError(f"pred shape {pv.data.shape} vs target shape "
-                             f"{target.shape}")
-        if len(mask_col) != pv.data.shape[0]:
-            raise ShapeError(f"mask length {len(mask_col)} vs "
-                             f"{pv.data.shape[0]} vertices")
-        h = ad.huber_elem(ad.add_const(pv, -target), delta)
-        return ad.scale(ad.sum_all(ad.mul_const(h, mask_col)),
-                        1.0 / pv.data.shape[0])
-
-    return _loss_value(build, pred)
+    if pred.data.shape != target.shape:
+        raise ShapeError(f"pred shape {pred.data.shape} vs target shape "
+                         f"{target.shape}")
+    if len(mask_col) != pred.data.shape[0]:
+        raise ShapeError(f"mask length {len(mask_col)} vs "
+                         f"{pred.data.shape[0]} vertices")
+    h = ad.huber_elem(ad.add_const(pred, -target), delta)
+    return ad.scale(ad.sum_all(ad.mul_const(h, mask_col)),
+                    1.0 / pred.data.shape[0])
 
 
-def mse_tracking_loss(pred, truth, scales=(1.0, 1e-3)):
+def mse_tracking_loss(pred: Var, truth, scales=(1.0, 1e-3)) -> Var:
     """Scaled mean squared error over per-cluster (p_T, eps_T) pairs.
 
     An empty cluster set is defined as 0 and flagged with a
@@ -144,22 +116,16 @@ def mse_tracking_loss(pred, truth, scales=(1.0, 1e-3)):
         raise ConfigError("tracking loss scales must be positive")
     truth = np.asarray(truth, dtype=float).reshape(-1, 2)
     n = len(truth)
-
-    def build(tape: Tape) -> Var:
-        if n == 0:
-            warnings.warn("tracking loss over an empty cluster set",
-                          RuntimeWarning, stacklevel=3)
-            return tape.const(0.0)
-        pv = pred if isinstance(pred, Var) else tape.const(
-            np.asarray(pred, dtype=float).reshape(-1, 2))
-        if pv.data.shape != truth.shape:
-            raise ShapeError(f"pred shape {pv.data.shape} vs truth shape "
-                             f"{truth.shape}")
-        scaled = ad.mul_const(ad.add_const(pv, -truth),
-                              np.array([1.0 / c_pt, 1.0 / c_eps]))
-        return ad.scale(ad.sum_all(ad.square(scaled)), 1.0 / n)
-
-    return _loss_value(build, pred)
+    if n == 0:
+        warnings.warn("tracking loss over an empty cluster set",
+                      RuntimeWarning, stacklevel=2)
+        return pred.tape.const(0.0)
+    if pred.data.shape != truth.shape:
+        raise ShapeError(f"pred shape {pred.data.shape} vs truth shape "
+                         f"{truth.shape}")
+    scaled = ad.mul_const(ad.add_const(pred, -truth),
+                          np.array([1.0 / c_pt, 1.0 / c_eps]))
+    return ad.scale(ad.sum_all(ad.square(scaled)), 1.0 / n)
 
 
 @dataclass

@@ -20,8 +20,7 @@ import numpy as np
 
 from .angles import signed_dphi
 from .ellipses import EncodedBox, decode_box, encode_box
-from .errors import (ConfigError, ConsistencyError, FitError, NumericError,
-                     StateError)
+from .errors import ConfigError, ConsistencyError, FitError, NumericError
 from .graphs import Graph
 from .jsonio import parsing, read_json, write_json
 from .kinematics import canonical_parabola_coeffs
@@ -134,8 +133,6 @@ class VertexOutputs:
 
 def _directed_edges(graph: Graph):
     """Each undirected edge contributes a message in both directions."""
-    if graph.n_edges == 0:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     i = graph.edges[:, 0]
     j = graph.edges[:, 1]
     src = np.concatenate([j, i])
@@ -151,8 +148,6 @@ def gnn_forward(model: Model, graph: Graph, tape: Tape | None = None,
     vertices receive a zero aggregate.  With auto_registration disabled
     the offset term is dropped entirely (the plain message-passing form).
     """
-    if not model.params:
-        raise StateError("model has no parameters")
     specs = model.config.specs
     tape = tape if tape is not None else Tape()
     leaves = {name: tape.leaf(p) for name, p in model.params.items()}
@@ -162,8 +157,7 @@ def gnn_forward(model: Model, graph: Graph, tape: Tape | None = None,
     deta = graph.eta[src] - graph.eta[dst]
     dphi = np.asarray(signed_dphi(graph.phi[src], graph.phi[dst]),
                       dtype=float).reshape(-1)
-    coord_diff = np.stack([deta, dphi], axis=1) if len(src) else \
-        np.zeros((0, COORD_DIM))
+    coord_diff = np.stack([deta, dphi], axis=1)
 
     s = tape.const(graph.state)
     for t in range(1, model.config.iterations + 1):

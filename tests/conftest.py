@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from trackseg.events import DetectorConfig, GenConfig, generate_event
 from trackseg.graphs import DbscanParams, assign_vertex_targets, \
@@ -29,3 +30,11 @@ def toy_graph():
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+# any JSON value, NaN and infinities included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)

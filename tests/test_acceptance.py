@@ -6,6 +6,7 @@ independent oracles in oracles.py (brute-force DBSCAN, Monte Carlo IoU,
 exact circle sampling) or from closed forms evaluated by hand.
 """
 
+import inspect
 import json
 import math
 import time
@@ -18,7 +19,7 @@ from oracles import (brute_force_dbscan, monte_carlo_iou, partition_of,
                      sample_circle)
 from test_events import HITS_CSV, write_trackml
 from test_harness import tiny_cli_config, truth_identity_prediction
-from test_neural import check_op_gradient
+from test_neural import check_op_gradient, mlp_gradient_builds
 from test_tracknet import small_config, sweep_composite_gradients
 from trackseg import tracknet as tn
 from trackseg.ellipses import (BoxScales, decode_box, ellipse_iou,
@@ -197,28 +198,32 @@ def test_criterion_5_gradient_checks():
     start = time.perf_counter()
     rng = np.random.default_rng(104)
 
-    # every primitive op against central differences; constants are
+    # every public op against central differences; constants are
     # drawn once so the perturbed evaluations see the same function
-    w = rng.normal(0, 1, (3, 2))
     mix = rng.normal(0, 1, (4, 2))
     base53 = rng.normal(0, 1, (5, 3))
     weights32 = rng.normal(0, 1, (3, 2))
     seg = np.array([0, 1, 0, 1])
     idx = np.array([2, 0, 1])
+    # [x, W0, b0, ...]: ReLU layers 3 -> 4 -> 4 -> 2 with an identity
+    # output, and 3 -> 4 -> 2 with a sigmoid output
+    relu_net = [rng.normal(0, 1, shape) for shape in
+                ((4, 3), (3, 4), (4,), (4, 4), (4,), (4, 2), (2,))]
+    sigmoid_net = [rng.normal(0, 1, shape) for shape in
+                   ((4, 3), (3, 4), (4,), (4, 2), (2,))]
+    relu_builds = mlp_gradient_builds(relu_net, False, mix)
+    sigmoid_builds = mlp_gradient_builds(sigmoid_net, True, mix)
     op_builds = {
-        "matmul": (lambda t, v: ad.sum_all(
-            ad.mul_const(ad.matmul(v, t.const(w)), mix)),
-            rng.normal(0, 1, (4, 3))),
-        "add_bias": (lambda t, v: ad.sum_all(
+        **{f"mlp_relu_{name}": (relu_builds[k], relu_net[k])
+           for k, name in ((0, "x"), (3, "W1"), (6, "b2"))},
+        **{f"mlp_sigmoid_{name}": (sigmoid_builds[k], sigmoid_net[k])
+           for k, name in ((0, "x"), (3, "W1"), (4, "b1"))},
+        "add": (lambda t, v: ad.sum_all(
             ad.square(ad.add(t.const(base53), v))),
-            rng.normal(0, 1, 3)),
+            rng.normal(0, 1, (5, 3))),
         "scale_addc_mulc": (lambda t, v: ad.sum_all(ad.mul_const(
             ad.add_const(ad.scale(v, 1.7), 0.3),
             weights32)), rng.normal(0, 1, (3, 2))),
-        "relu": (lambda t, v: ad.sum_all(ad.relu(v)),
-                 np.array([[0.5, -0.7], [1.2, -0.1]])),
-        "sigmoid": (lambda t, v: ad.sum_all(ad.square(ad.sigmoid(v))),
-                    rng.normal(0, 2, (4, 3))),
         "log_clip": (lambda t, v: ad.sum_all(
             ad.log(ad.clip(v, 1e-12, 1 - 1e-12))),
             rng.uniform(0.1, 0.9, (4, 2))),
@@ -233,8 +238,25 @@ def test_criterion_5_gradient_checks():
             ad.square(ad.segment_max(v, seg, 2))),
             rng.normal(0, 1, (4, 3))),
     }
-    for name, (build, x0) in op_builds.items():
-        check_op_gradient(build, x0)
+    # the table must exercise every public op of the autodiff module, so
+    # a new op cannot skip its finite-difference check
+    public_ops = {name for name, f in vars(ad).items()
+                  if inspect.isfunction(f) and f.__module__ == ad.__name__
+                  and not name.startswith("_")}
+    exercised = set()
+
+    def recording(name, op):
+        def call(*args, **kwargs):
+            exercised.add(name)
+            return op(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in public_ops:
+            patch.setattr(ad, name, recording(name, getattr(ad, name)))
+        for name, (build, x0) in op_builds.items():
+            check_op_gradient(build, x0)
+    assert exercised == public_ops, sorted(public_ops ^ exercised)
 
     # full gnn_forward + total_loss composite on a <= 12-vertex graph,
     # every parameter element

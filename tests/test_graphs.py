@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import JSON_VALUES, make_training_graph
 from oracles import brute_force_dbscan, partition_of
 from trackseg.ellipses import point_in_ellipse
-from trackseg.errors import ConfigError, ConsistencyError
+from trackseg.errors import ConfigError, ConsistencyError, DataError
 from trackseg.events import GenConfig, generate_event
-from trackseg.graphs import (DbscanParams, assign_vertex_targets,
+from trackseg.graphs import (DbscanParams, Graph, assign_vertex_targets,
                              build_graph, dbscan, graph_from_dict,
                              graph_to_dict, truth_ellipses)
 
@@ -216,6 +218,27 @@ class TestAssignTargets:
             assign_vertex_targets(g, [])
 
 
+def _paths(node, prefix=()):
+    """Every key and index path into a JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _set_at(doc, path, value):
+    *parents, key = path
+    for step in parents:
+        doc = doc[step]
+    doc[key] = value
+
+
+GRAPH_DOC = json.dumps(graph_to_dict(
+    make_training_graph(seed=28, n_tracks=2, noise_fraction=0.2)[1]))
+GRAPH_DOC_PATHS = list(_paths(json.loads(GRAPH_DOC)))
+
+
 class TestGraphSerialization:
     def test_round_trip(self, detector):
         gen = GenConfig(n_tracks=4, noise_fraction=0.2,
@@ -240,6 +263,28 @@ class TestGraphSerialization:
     def test_format_check(self):
         with pytest.raises(ConsistencyError):
             graph_from_dict({"format": "bogus"})
+
+    @pytest.mark.parametrize("path, value", [
+        (("edges", 0), [-1, 0, False]),
+        (("edges", 0), [2, 2, True]),
+        (("truth", "vertex_xy"), [[0.0, 0.0]])])
+    def test_inconsistent_document_rejected(self, path, value):
+        doc = json.loads(GRAPH_DOC)
+        _set_at(doc, path, value)
+        with pytest.raises(ConsistencyError):
+            graph_from_dict(doc)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_loads_or_is_a_data_error(self, data):
+        doc = json.loads(GRAPH_DOC)
+        _set_at(doc, data.draw(st.sampled_from(GRAPH_DOC_PATHS)),
+                data.draw(JSON_VALUES))
+        try:
+            graph = graph_from_dict(doc)
+        except DataError:
+            return
+        assert isinstance(graph, Graph)
 
 
 def test_edge_label_rederivation(detector):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackseg
+from conftest import JSON_VALUES
 from trackseg import tracknet
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import ConfigError, ConsistencyError
@@ -185,11 +186,6 @@ class TestRender:
 SETTINGS = [(None, "seed")] + [
     (section, key) for section, values in RunConfig().to_dict().items()
     if isinstance(values, dict) for key in values]
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=6)
 
 # (section, key, value); section None is the top level.  Each value
 # fails the type or the range check of its field.
@@ -387,6 +383,18 @@ def _set_first(key, value):
     return damage
 
 
+def _append_out_of_range_edge(text):
+    doc = json.loads(text)
+    doc["edges"].append([0, 999, True])
+    return json.dumps(doc)
+
+
+def _drop_last_particle_id(text):
+    doc = json.loads(text)
+    doc["truth"]["vertex_particle_id"].pop()
+    return json.dumps(doc)
+
+
 def _non_numeric_params(text):
     doc = json.loads(text)
     for cand in doc["candidates"]:
@@ -459,18 +467,27 @@ class TestCli:
         ("checkpoint.json", _drop_key("adam"), "infer"),
         ("events/event_00000.json", _set_first("hits", 5), "build-graphs"),
         ("checkpoint.json", _set_first("params", "x"), "infer"),
-        ("predictions/pred_*.json", _non_numeric_params, "evaluate")],
+        ("predictions/pred_*.json", _non_numeric_params, "evaluate"),
+        ("graphs/graph_00000.json", lambda text: b"\xff\xfe{}", "train"),
+        ("graphs/graph_00000.json", lambda text: "[" * 100_000, "train"),
+        ("graphs/graph_00000.json", _append_out_of_range_edge,
+         "train"),
+        ("graphs/graph_00000.json", _drop_last_particle_id, "train")],
         ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
              "pred-no-candidates", "checkpoint-v1", "checkpoint-no-adam",
              "event-hit-not-object", "checkpoint-param-not-number",
-             "pred-param-not-number"])
+             "pred-param-not-number", "graph-not-utf8",
+             "graph-nested-too-deep", "graph-edge-out-of-range",
+             "graph-particle-ids-short"])
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
                                         damage, command):
         cfg_path = tiny_cli_config(tmp_path)
         for cmd in STAGES[:STAGES.index(command)]:
             assert main(["--config", str(cfg_path), cmd]) == 0
         path, = (tmp_path / "out").glob(artifact)
-        path.write_text(damage(path.read_text()))
+        damaged = damage(path.read_text())
+        path.write_bytes(damaged if isinstance(damaged, bytes)
+                         else damaged.encode())
         assert main(["--config", str(cfg_path), command]) == 3
         assert "data error" in capsys.readouterr().err
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_training_graph
 from trackseg import tracknet as tn
-from trackseg.errors import ConfigError, NumericError, ParseError, StateError
+from trackseg.errors import ConfigError, NumericError, ParseError
 from trackseg.graphs import Graph
 from trackseg.neural import AdamState, Tape, mlp_forward
 
@@ -117,11 +117,6 @@ class TestForward:
 
     def test_default_iterations_is_four(self):
         assert tn.ModelConfig().iterations == 4
-
-    def test_uninitialized_model(self, toy_graph):
-        m = tn.Model(small_config(), params={})
-        with pytest.raises(StateError):
-            tn.gnn_forward(m, toy_graph)
 
     def test_config_shape_validation(self):
         with pytest.raises(ConfigError):
