@@ -124,11 +124,14 @@ def decode_box(d: EncodedBox, vertex: tuple[float, float],
     """Exact inverse of encode_box (theta modulo pi); re-canonicalizes
     the axis ordering for free-form regressed residuals."""
     eta_v, phi_v = vertex
+    try:
+        a, b = math.exp(d.d_a) * scales.a_m, math.exp(d.d_b) * scales.b_m
+    except OverflowError as err:
+        raise DomainError(f"log-axes ({d.d_a}, {d.d_b}) overflow") from err
     return make_ellipse(
         eta_v + d.d_eta * scales.eta_m,
         phi_v + d.d_phi * scales.phi_m,
-        math.exp(d.d_a) * scales.a_m,
-        math.exp(d.d_b) * scales.b_m,
+        a, b,
         d.d_theta * scales.theta_m - scales.delta_theta,
     )
 

@@ -373,11 +373,13 @@ def apply_selection(e: Event, pt_min: float = 0.0,
 
 def validate_event(e: Event) -> None:
     """Check the Event type invariants; raises ConsistencyError."""
-    seen = set()
+    hit_pid: dict[int, int] = {}
     for h in e.hits:
-        if h.hit_id in seen:
+        if h.hit_id in hit_pid:
             raise ConsistencyError(f"duplicate hit_id {h.hit_id}")
-        seen.add(h.hit_id)
+        hit_pid[h.hit_id] = h.particle_id
+        if not all(map(math.isfinite, (h.x, h.y, h.z, h.r, h.eta))):
+            raise ConsistencyError(f"hit {h.hit_id}: non-finite coordinate")
         if abs(h.r - math.hypot(h.x, h.y)) > 1e-12 * max(1.0, h.r):
             raise ConsistencyError(f"hit {h.hit_id}: cached r inconsistent")
         if h.layer < 0:
@@ -389,13 +391,10 @@ def validate_event(e: Event) -> None:
         if not t.hit_ids:
             raise ConsistencyError(f"track {t.particle_id} has no hits")
         for hid in t.hit_ids:
-            if hid not in seen:
+            if hid not in hit_pid:
                 raise ConsistencyError(
                     f"track {t.particle_id} references unknown hit {hid}")
             by_track[hid] = by_track.get(hid, 0) + 1
-    hit_pid = {h.hit_id: h.particle_id for h in e.hits}
-    for t in e.tracks:
-        for hid in t.hit_ids:
             if hit_pid[hid] != t.particle_id:
                 raise ConsistencyError(
                     f"hit {hid} labeled {hit_pid[hid]} but listed under "

@@ -4,7 +4,8 @@ metrics.  Graph and checkpoint formats live with their own modules."""
 from __future__ import annotations
 
 from ..ellipses import ellipse_from_dict, ellipse_to_dict
-from ..events import Event, Hit, TruthTrack
+from ..errors import ConsistencyError
+from ..events import Event, Hit, TruthTrack, validate_event
 from ..jsonio import parsing, read_json, write_json
 from ..kinematics import CircleTrack, TrackParams
 from ..postprocess import TrackCandidate
@@ -37,6 +38,7 @@ def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
 
 
 def event_from_dict(d: dict) -> Event:
+    """Decode an event document and check it with validate_event."""
     with parsing(d, EVENT_FORMAT):
         hits = tuple(
             Hit(int(h["hit_id"]), float(h["x"]), float(h["y"]),
@@ -52,7 +54,9 @@ def event_from_dict(d: dict) -> Event:
                                    float(t["R"]), int(t["charge"])),
                        tuple(int(i) for i in t["hit_ids"]))
             for t in d["tracks"])
-        return Event(int(d["event_id"]), hits, tracks, float(d["field_b"]))
+        event = Event(int(d["event_id"]), hits, tracks, float(d["field_b"]))
+    validate_event(event)
+    return event
 
 
 def prediction_to_dict(event_id: int, vertex_hit_ids, class_prob, ellipses,
@@ -80,8 +84,10 @@ def prediction_to_dict(event_id: int, vertex_hit_ids, class_prob, ellipses,
 
 
 def prediction_from_dict(d: dict) -> dict:
+    """Decode a prediction document and check that its per-vertex lists
+    match vertex_hit_ids and that its indices and params are in range."""
     with parsing(d, PRED_FORMAT):
-        return {
+        pred = {
             "event_id": int(d["event_id"]),
             "vertex_hit_ids": [int(i) for i in d["vertex_hit_ids"]],
             "class_prob": [float(p) for p in d["class_prob"]],
@@ -99,3 +105,18 @@ def prediction_from_dict(d: dict) -> dict:
             "assignments": [int(a) if a is not None else None
                             for a in d["assignments"]],
         }
+    n = len(pred["vertex_hit_ids"])
+    for key in ("class_prob", "ellipses", "assignments"):
+        if len(pred[key]) != n:
+            raise ConsistencyError(f"prediction has {len(pred[key])} {key} "
+                                   f"for {n} vertices")
+    if any(c.params is not None and len(c.params) != 2
+           for c in pred["candidates"]):
+        raise ConsistencyError("prediction candidate params are not "
+                               "(p_T, eps_T) pairs")
+    n_cand = len(pred["candidates"])
+    if any(a is not None and not 0 <= a < n_cand
+           for a in pred["assignments"]):
+        raise ConsistencyError(f"prediction assigns a vertex to none of "
+                               f"its {n_cand} candidates")
+    return pred

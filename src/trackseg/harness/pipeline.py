@@ -75,7 +75,6 @@ def stage_generate(cfg: RunConfig) -> list[Path]:
         event = generate_event(cfg.detector, cfg.generator,
                                seed=cfg.seed + _EVENT_SEED_OFFSET + i,
                                event_id=i)
-        validate_event(event)
         path = _events_dir(cfg) / f"event_{i:05d}.json"
         write_json(path, event_to_dict(event, echo))
         paths.append(path)

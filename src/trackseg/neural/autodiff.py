@@ -4,9 +4,10 @@ A Tape records every Var in creation order, which is already a valid
 topological order, so the backward pass is a single reverse sweep.  All
 operations are deterministic; ties in max operations route the gradient
 to the lowest contributing index.  The tape tracks the distance of every
-forward pass to the nearest ReLU/max/clip kink (`kink_margin`) so
-finite-difference checks can exclude non-smooth points.  A whole dense
-stack (`mlp`) is one node with one backward.
+forward pass to the nearest ReLU/max/clamp/Huber kink (`kink_margin`)
+so finite-difference checks can exclude non-smooth points.  A whole dense
+stack (`mlp`) and each loss (`bce`, `masked_huber`, `scaled_mse`) is one
+node with one backward.
 """
 
 from __future__ import annotations
@@ -149,74 +150,6 @@ def scale(a: Var, s: float) -> Var:
     return a.tape._node(a.data * s, backward)
 
 
-def add_const(a: Var, c) -> Var:
-    c = np.asarray(c, dtype=np.float64)
-
-    def backward(g):
-        a.grad += g
-
-    return a.tape._node(a.data + c, backward)
-
-
-def mul_const(a: Var, c) -> Var:
-    """Elementwise product with a constant broadcastable into a's shape."""
-    c = np.asarray(c, dtype=np.float64)
-    out_data = a.data * c
-    if out_data.shape != a.data.shape:
-        raise ShapeError(f"mul_const cannot broadcast {c.shape} into "
-                         f"{a.data.shape}")
-
-    def backward(g):
-        a.grad += g * c
-
-    return a.tape._node(out_data, backward)
-
-
-def log(a: Var) -> Var:
-    def backward(g):
-        a.grad += g / a.data
-
-    return a.tape._node(np.log(a.data), backward)
-
-
-def clip(a: Var, lo: float, hi: float) -> Var:
-    """Clamp values; gradient passes only through the unclamped region."""
-    inside = (a.data > lo) & (a.data < hi)
-    if a.data.size:
-        a.tape._note_margin(float(np.min(np.minimum(np.abs(a.data - lo),
-                                                    np.abs(a.data - hi)))))
-
-    def backward(g):
-        a.grad += g * inside
-
-    return a.tape._node(np.clip(a.data, lo, hi), backward)
-
-
-def square(a: Var) -> Var:
-    def backward(g):
-        a.grad += g * 2.0 * a.data
-
-    return a.tape._node(a.data * a.data, backward)
-
-
-def huber_elem(a: Var, delta: float) -> Var:
-    """Elementwise Huber value: x^2/2 inside |x| <= delta, linear outside.
-
-    The derivative is clamp(x, -delta, delta), continuous at the knot.
-    """
-    x = a.data
-    absx = np.abs(x)
-    if x.size:
-        a.tape._note_margin(float(np.min(np.abs(absx - delta))))
-    out = np.where(absx <= delta, 0.5 * x * x,
-                   delta * (absx - 0.5 * delta))
-
-    def backward(g):
-        a.grad += g * np.clip(x, -delta, delta)
-
-    return a.tape._node(out, backward)
-
-
 def concat_cols(parts: list[Var]) -> Var:
     tape = _same_tape(*parts)
     widths = [p.data.shape[1] for p in parts]
@@ -288,9 +221,53 @@ def segment_max(a: Var, segment_ids: np.ndarray, num_segments: int) -> Var:
     return a.tape._node(out, backward)
 
 
-def sum_all(a: Var) -> Var:
+def bce(p: Var, y: np.ndarray, clamp: float) -> Var:
+    """Mean binary cross entropy of probabilities p against same-shape
+    labels y.  p is clamped to [clamp, 1 - clamp]; the gradient passes
+    only where p lies strictly inside."""
+    lo, hi = clamp, 1.0 - clamp
+    x = p.data
+    inside = (x > lo) & (x < hi)
+    if x.size:
+        p.tape._note_margin(float(np.min(np.minimum(np.abs(x - lo),
+                                                    np.abs(x - hi)))))
+    ph = np.clip(x, lo, hi)
+    q = ph * -1.0 + 1.0
+    s = -1.0 / len(y)
+
     def backward(g):
-        a.grad += g  # scalar broadcast
+        c = g * s
+        p.grad += ((c * (1.0 - y)) / q * -1.0 + (c * y) / ph) * inside
 
-    return a.tape._node(np.sum(a.data), backward)
+    return p.tape._node(
+        np.sum(np.log(ph) * y + np.log(q) * (1.0 - y)) * s, backward)
 
+
+def masked_huber(pred: Var, target: np.ndarray, mask: np.ndarray,
+                 delta: float) -> Var:
+    """Huber value of each d = pred - target (d^2/2 inside |d| <= delta,
+    linear outside; derivative clamp(d, -delta, delta)), weighted per row
+    by the (n, 1) mask, summed and divided by the row count."""
+    d = pred.data + -target
+    absd = np.abs(d)
+    if d.size:
+        pred.tape._note_margin(float(np.min(np.abs(absd - delta))))
+    h = np.where(absd <= delta, 0.5 * d * d, delta * (absd - 0.5 * delta))
+    s = 1.0 / pred.data.shape[0]
+
+    def backward(g):
+        pred.grad += ((g * s) * mask) * np.clip(d, -delta, delta)
+
+    return pred.tape._node(np.sum(h * mask) * s, backward)
+
+
+def scaled_mse(pred: Var, truth: np.ndarray, inv_scales: np.ndarray) -> Var:
+    """Sum of squared residuals (pred - truth) * inv_scales, divided by
+    the row count."""
+    sc = (pred.data + -truth) * inv_scales
+    s = 1.0 / pred.data.shape[0]
+
+    def backward(g):
+        pred.grad += (((g * s) * 2.0) * sc) * inv_scales
+
+    return pred.tape._node(np.sum(sc * sc) * s, backward)

@@ -1,7 +1,7 @@
 """Dense layers, the pipeline losses and Adam.
 
-Each loss takes the prediction as a Var and returns a scalar Var on the
-prediction's tape.
+Each loss checks its inputs, takes the prediction as a Var and records
+one autodiff node: a scalar Var on the prediction's tape.
 """
 
 from __future__ import annotations
@@ -51,10 +51,8 @@ def init_mlp_params(spec: MlpSpec, rng: np.random.Generator,
 
 def mlp_forward(spec: MlpSpec, params: dict[str, Var], x: Var,
                 prefix: str = "") -> Var:
-    """Affine-then-activation per layer, rows preserved; one tape node."""
-    if x.data.shape[1] != spec.layer_widths[0]:
-        raise ShapeError(f"input has {x.data.shape[1]} columns, spec expects "
-                         f"{spec.layer_widths[0]}")
+    """Affine-then-activation per layer, rows preserved; one tape node,
+    which checks the layer shapes."""
     layers = [(params[f"{prefix}W{i}"], params[f"{prefix}b{i}"])
               for i in range(spec.n_layers)]
     return ad.mlp(x, layers, spec.output_activation == "sigmoid")
@@ -77,11 +75,7 @@ def bce_loss(y_true, p: Var, clamp: float = BCE_CLAMP) -> Var:
     if p.data.shape != y.shape:
         raise ShapeError(f"labels shape {y.shape} vs predictions shape "
                          f"{p.data.shape}")
-    ph = ad.clip(p, clamp, 1.0 - clamp)
-    pos = ad.mul_const(ad.log(ph), y)
-    neg = ad.mul_const(ad.log(ad.add_const(ad.scale(ph, -1.0), 1.0)),
-                       1.0 - y)
-    return ad.scale(ad.sum_all(ad.add(pos, neg)), -1.0 / len(y))
+    return ad.bce(p, y, clamp)
 
 
 def huber_loss(pred: Var, target, mask, delta: float = 1.0) -> Var:
@@ -100,9 +94,7 @@ def huber_loss(pred: Var, target, mask, delta: float = 1.0) -> Var:
     if len(mask_col) != pred.data.shape[0]:
         raise ShapeError(f"mask length {len(mask_col)} vs "
                          f"{pred.data.shape[0]} vertices")
-    h = ad.huber_elem(ad.add_const(pred, -target), delta)
-    return ad.scale(ad.sum_all(ad.mul_const(h, mask_col)),
-                    1.0 / pred.data.shape[0])
+    return ad.masked_huber(pred, target, mask_col, delta)
 
 
 def mse_tracking_loss(pred: Var, truth, scales=(1.0, 1e-3)) -> Var:
@@ -115,17 +107,14 @@ def mse_tracking_loss(pred: Var, truth, scales=(1.0, 1e-3)) -> Var:
     if c_pt <= 0 or c_eps <= 0:
         raise ConfigError("tracking loss scales must be positive")
     truth = np.asarray(truth, dtype=float).reshape(-1, 2)
-    n = len(truth)
-    if n == 0:
+    if len(truth) == 0:
         warnings.warn("tracking loss over an empty cluster set",
                       RuntimeWarning, stacklevel=2)
         return pred.tape.const(0.0)
     if pred.data.shape != truth.shape:
         raise ShapeError(f"pred shape {pred.data.shape} vs truth shape "
                          f"{truth.shape}")
-    scaled = ad.mul_const(ad.add_const(pred, -truth),
-                          np.array([1.0 / c_pt, 1.0 / c_eps]))
-    return ad.scale(ad.sum_all(ad.square(scaled)), 1.0 / n)
+    return ad.scaled_mse(pred, truth, np.array([1.0 / c_pt, 1.0 / c_eps]))
 
 
 @dataclass

@@ -69,6 +69,15 @@ class ModelConfig:
             "tracking": MlpSpec((TRACKING_FEATURE_DIM, w, 2)),
         }
 
+    @property
+    def n_params(self) -> int:
+        """Length of the flat parameter vector, known without building it."""
+        sizes = {block: sum((a + 1) * b for a, b in zip(spec.layer_widths,
+                                                       spec.layer_widths[1:]))
+                 for block, spec in self.specs.items()}
+        return sum(sizes.values()) + (self.iterations - 1) * (
+            sizes["h"] + sizes["f"] + sizes["g"])
+
     def to_dict(self) -> dict:
         return {"iterations": self.iterations, "hidden": self.hidden,
                 "loss_weights": list(self.loss_weights)}
@@ -126,9 +135,6 @@ class VertexOutputs:
     final_state: Var
     tape: Tape
     leaves: dict[str, Var]
-
-    def class_prob_array(self) -> np.ndarray:
-        return self.class_prob.data[:, 0].copy()
 
 
 def _directed_edges(graph: Graph):
@@ -219,8 +225,8 @@ def cluster_params_from_states(model: Model, final_state: np.ndarray,
 
 
 def build_targets(graph: Graph):
-    """Per-vertex classification labels, track mask and encoded target
-    boxes (zero rows for noise vertices)."""
+    """Per-vertex classification labels, which also mask the localization
+    loss, and encoded target boxes (zero rows for noise vertices)."""
     n = graph.n_vertices
     y = graph.vertex_class.astype(float)
     target_enc = np.zeros((n, 5))
@@ -235,7 +241,7 @@ def build_targets(graph: Graph):
                 f"assign_vertex_targets first")
         target_enc[i] = encode_box(ell, (graph.eta[i], graph.phi[i])) \
             .as_array()
-    return y, y.copy(), target_enc
+    return y, target_enc
 
 
 def total_loss(outputs: VertexOutputs, targets, cluster_preds,
@@ -243,10 +249,10 @@ def total_loss(outputs: VertexOutputs, targets, cluster_preds,
                huber_delta: float = 1.0, tracking_scales=(1.0, 1e-3)):
     """Weighted sum of the classification, localization and tracking
     losses; returns (total Var, per-component float breakdown)."""
-    y, mask, target_enc = targets
+    y, target_enc = targets
     alpha, beta, gamma = weights
     l_c = bce_loss(y, outputs.class_prob)
-    l_loc = huber_loss(outputs.encoded_box, target_enc, mask, huber_delta)
+    l_loc = huber_loss(outputs.encoded_box, target_enc, y, huber_delta)
     l_t = mse_tracking_loss(cluster_preds, cluster_truth, tracking_scales)
     total = ad.add(ad.add(ad.scale(l_c, alpha), ad.scale(l_loc, beta)),
                    ad.scale(l_t, gamma))
@@ -352,7 +358,7 @@ def infer(model: Model, graph: Graph,
     probability reaches the threshold."""
     with Tape() as tape:
         outputs = gnn_forward(model, graph, tape)
-        prob = outputs.class_prob_array()
+        prob = outputs.class_prob.data[:, 0].copy()
         boxes = outputs.encoded_box.data.copy()
         final_state = outputs.final_state.data.copy()
     ellipses = []
@@ -387,15 +393,19 @@ def save_checkpoint(model: Model, state: AdamState, epoch: int,
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; rejects a parameter vector whose length does not
-    match the embedded config."""
+    """Read a checkpoint; rejects a parameter vector that is not finite or
+    whose length does not match the embedded config, before any model
+    of that config is built."""
     doc = read_json(path)
     with parsing(doc, CHECKPOINT_FORMAT):
-        model = Model(ModelConfig.from_dict(doc["config"]))
+        config = ModelConfig.from_dict(doc["config"])
         params = np.asarray(doc["params"], dtype=float)
-        if params.shape != model.flat.shape:
+        if params.shape != (config.n_params,):
             raise ConfigError(f"checkpoint has {params.size} parameters, "
-                              f"config needs {model.flat.size}")
+                              f"config needs {config.n_params}")
+        if not np.all(np.isfinite(params)):
+            raise ConsistencyError("checkpoint has non-finite parameters")
+        model = Model(config)
         model.flat[:] = params
         a = doc["adam"]
         state = AdamState(

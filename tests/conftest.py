@@ -38,3 +38,19 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=6)
+
+
+def doc_paths(node, prefix=()):
+    """Every key and index path into a JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from doc_paths(child, prefix + (key,))
+
+
+def set_at(doc, path, value):
+    *parents, key = path
+    for step in parents:
+        doc = doc[step]
+    doc[key] = value

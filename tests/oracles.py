@@ -2,12 +2,24 @@
 
 Nothing here may call the code paths it checks: DBSCAN is re-derived
 from the density-connectivity definition, IoU from Monte Carlo sampling,
-and ellipse membership from the raw quadratic form.
+ellipse membership from the raw quadratic form, and the gradient checks
+reduce to a scalar through a test-local node.
 """
 
 import math
 
 import numpy as np
+
+
+def weighted_sum(v, w):
+    """Scalar sum(v * w) recorded on v's tape as one node: a linear
+    reducer for gradient checks of the autodiff ops."""
+    w = np.asarray(w, dtype=float)
+
+    def backward(g):
+        v.grad += g * w
+
+    return v.tape._node(np.sum(v.data * w), backward)
 
 
 def wrap_dphi(a, b):

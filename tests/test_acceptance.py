@@ -16,7 +16,7 @@ import pytest
 
 from conftest import make_training_graph
 from oracles import (brute_force_dbscan, monte_carlo_iou, partition_of,
-                     sample_circle)
+                     sample_circle, weighted_sum)
 from test_events import HITS_CSV, write_trackml
 from test_harness import tiny_cli_config, truth_identity_prediction
 from test_neural import check_op_gradient, mlp_gradient_builds
@@ -213,29 +213,34 @@ def test_criterion_5_gradient_checks():
                    ((4, 3), (3, 4), (4,), (4, 2), (2,))]
     relu_builds = mlp_gradient_builds(relu_net, False, mix)
     sigmoid_builds = mlp_gradient_builds(sigmoid_net, True, mix)
+    # weights of the linear reducer, one array per output shape
+    w53, w34, w23 = (rng.normal(0, 1, shape)
+                     for shape in ((5, 3), (3, 4), (2, 3)))
+    labels = np.array([[1.0], [0.0], [0.0], [1.0]])
+    # residuals on both sides of the Huber knot; the last row masked out
+    huber_x0 = np.array([[0.4, -0.3], [1.7, -2.5], [0.6, 2.2]])
+    huber_mask = np.array([[1.0], [1.0], [0.0]])
+    mse_truth = rng.normal(0, 1, (3, 2))
     op_builds = {
         **{f"mlp_relu_{name}": (relu_builds[k], relu_net[k])
            for k, name in ((0, "x"), (3, "W1"), (6, "b2"))},
         **{f"mlp_sigmoid_{name}": (sigmoid_builds[k], sigmoid_net[k])
            for k, name in ((0, "x"), (3, "W1"), (4, "b1"))},
-        "add": (lambda t, v: ad.sum_all(
-            ad.square(ad.add(t.const(base53), v))),
-            rng.normal(0, 1, (5, 3))),
-        "scale_addc_mulc": (lambda t, v: ad.sum_all(ad.mul_const(
-            ad.add_const(ad.scale(v, 1.7), 0.3),
-            weights32)), rng.normal(0, 1, (3, 2))),
-        "log_clip": (lambda t, v: ad.sum_all(
-            ad.log(ad.clip(v, 1e-12, 1 - 1e-12))),
-            rng.uniform(0.1, 0.9, (4, 2))),
-        "square": (lambda t, v: ad.sum_all(ad.square(v)),
-                   rng.normal(0, 1, (3, 3))),
-        "huber": (lambda t, v: ad.sum_all(ad.huber_elem(v, 1.0)),
-                  np.array([[0.4, -0.3], [1.7, -2.5]])),
-        "concat_slice_gather": (lambda t, v: ad.sum_all(ad.square(
-            ad.concat_cols([ad.gather_rows(v, idx), ad.gather_rows(v, idx)]))),
-            rng.normal(0, 1, (3, 2))),
-        "segment_max": (lambda t, v: ad.sum_all(
-            ad.square(ad.segment_max(v, seg, 2))),
+        "add": (lambda t, v: weighted_sum(ad.add(t.const(base53), v), w53),
+                rng.normal(0, 1, (5, 3))),
+        "scale": (lambda t, v: weighted_sum(ad.scale(v, 1.7), weights32),
+                  rng.normal(0, 1, (3, 2))),
+        "bce": (lambda t, v: ad.bce(v, labels, 1e-12),
+                rng.uniform(0.1, 0.9, (4, 1))),
+        "masked_huber": (lambda t, v: ad.masked_huber(
+            v, np.zeros((3, 2)), huber_mask, 1.0), huber_x0),
+        "scaled_mse": (lambda t, v: ad.scaled_mse(
+            v, mse_truth, np.array([1.0, 0.5])), rng.normal(0, 1, (3, 2))),
+        "concat_slice_gather": (lambda t, v: weighted_sum(
+            ad.concat_cols([ad.gather_rows(v, idx), ad.gather_rows(v, idx)]),
+            w34), rng.normal(0, 1, (3, 2))),
+        "segment_max": (lambda t, v: weighted_sum(
+            ad.segment_max(v, seg, 2), w23),
             rng.normal(0, 1, (4, 3))),
     }
     # the table must exercise every public op of the autodiff module, so

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, make_training_graph
+from conftest import JSON_VALUES, doc_paths, make_training_graph, set_at
 from oracles import brute_force_dbscan, partition_of
 from trackseg.ellipses import point_in_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
@@ -218,25 +218,9 @@ class TestAssignTargets:
             assign_vertex_targets(g, [])
 
 
-def _paths(node, prefix=()):
-    """Every key and index path into a JSON document."""
-    items = node.items() if isinstance(node, dict) else \
-        enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        yield prefix + (key,)
-        yield from _paths(child, prefix + (key,))
-
-
-def _set_at(doc, path, value):
-    *parents, key = path
-    for step in parents:
-        doc = doc[step]
-    doc[key] = value
-
-
 GRAPH_DOC = json.dumps(graph_to_dict(
     make_training_graph(seed=28, n_tracks=2, noise_fraction=0.2)[1]))
-GRAPH_DOC_PATHS = list(_paths(json.loads(GRAPH_DOC)))
+GRAPH_DOC_PATHS = list(doc_paths(json.loads(GRAPH_DOC)))
 
 
 class TestGraphSerialization:
@@ -270,7 +254,7 @@ class TestGraphSerialization:
         (("truth", "vertex_xy"), [[0.0, 0.0]])])
     def test_inconsistent_document_rejected(self, path, value):
         doc = json.loads(GRAPH_DOC)
-        _set_at(doc, path, value)
+        set_at(doc, path, value)
         with pytest.raises(ConsistencyError):
             graph_from_dict(doc)
 
@@ -278,8 +262,8 @@ class TestGraphSerialization:
     @settings(max_examples=300, deadline=None)
     def test_any_json_value_loads_or_is_a_data_error(self, data):
         doc = json.loads(GRAPH_DOC)
-        _set_at(doc, data.draw(st.sampled_from(GRAPH_DOC_PATHS)),
-                data.draw(JSON_VALUES))
+        set_at(doc, data.draw(st.sampled_from(GRAPH_DOC_PATHS)),
+               data.draw(JSON_VALUES))
         try:
             graph = graph_from_dict(doc)
         except DataError:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackseg
-from conftest import JSON_VALUES
+from conftest import JSON_VALUES, doc_paths, set_at
 from trackseg import tracknet
 from trackseg.ellipses import make_ellipse
-from trackseg.errors import ConfigError, ConsistencyError
+from trackseg.errors import ConfigError, ConsistencyError, DataError
 from trackseg.events import DetectorConfig, GenConfig, generate_event
-from trackseg.graphs import DbscanParams, truth_ellipses
+from trackseg.graphs import (DbscanParams, assign_vertex_targets, build_graph,
+                             truth_ellipses)
 from trackseg.harness import pipeline
 from trackseg.harness.cli import main
 from trackseg.harness.config import (RunConfig, apply_overrides,
@@ -326,6 +328,24 @@ class TestConfig:
         assert len(set(seeds)) == len(seeds)
 
 
+FUZZ_EVENT = generate_event(
+    DetectorConfig(), GenConfig(n_tracks=2, noise_fraction=0.2,
+                                hit_smearing_sigma=1e-4), seed=45)
+EVENT_DOC = json.dumps(event_to_dict(FUZZ_EVENT))
+EVENT_DOC_PATHS = list(doc_paths(json.loads(EVENT_DOC)))
+
+
+def _prediction_doc():
+    pred = truth_identity_prediction(FUZZ_EVENT)
+    return json.dumps(prediction_to_dict(
+        pred["event_id"], pred["vertex_hit_ids"], pred["class_prob"],
+        pred["ellipses"], pred["candidates"], pred["assignments"]))
+
+
+PRED_DOC = _prediction_doc()
+PRED_DOC_PATHS = list(doc_paths(json.loads(PRED_DOC)))
+
+
 class TestIo:
     def test_event_round_trip(self):
         det = DetectorConfig()
@@ -354,6 +374,39 @@ class TestIo:
         assert restored["assignments"] == pred["assignments"]
         assert restored["class_prob"] == pred["class_prob"]
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_builds_a_graph_or_is_a_data_error(self, data):
+        doc = json.loads(EVENT_DOC)
+        set_at(doc, data.draw(st.sampled_from(EVENT_DOC_PATHS)),
+               data.draw(JSON_VALUES))
+        try:
+            event = event_from_dict(doc)
+        except DataError:
+            return
+        # what build-graphs does with the event
+        graph = build_graph(event, DbscanParams())
+        assign_vertex_targets(graph, truth_ellipses(event))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_evaluates_or_is_a_data_error(self, data):
+        doc = json.loads(PRED_DOC)
+        set_at(doc, data.draw(st.sampled_from(PRED_DOC_PATHS)),
+               data.draw(JSON_VALUES))
+        try:
+            pred = prediction_from_dict(doc)
+            evaluate({pred["event_id"]: pred},
+                     {FUZZ_EVENT.event_id: FUZZ_EVENT})
+        except DataError:
+            return
+        n_vertices, n_candidates = (len(pred["vertex_hit_ids"]),
+                                    len(pred["candidates"]))
+        assert all(len(pred[key]) == n_vertices
+                   for key in ("class_prob", "ellipses", "assignments"))
+        assert all(a is None or 0 <= a < n_candidates
+                   for a in pred["assignments"])
+
     def test_failed_write_keeps_old_artifact(self, tmp_path, monkeypatch):
         path = tmp_path / "doc.json"
         write_json(path, {"v": 1})
@@ -379,6 +432,15 @@ def _set_first(key, value):
     def damage(text):
         doc = json.loads(text)
         doc[key][0] = value
+        return json.dumps(doc)
+    return damage
+
+
+def _edited(change):
+    """Damage that applies change(doc) to the decoded document."""
+    def damage(text):
+        doc = json.loads(text)
+        change(doc)
         return json.dumps(doc)
     return damage
 
@@ -472,13 +534,22 @@ class TestCli:
         ("graphs/graph_00000.json", lambda text: "[" * 100_000, "train"),
         ("graphs/graph_00000.json", _append_out_of_range_edge,
          "train"),
-        ("graphs/graph_00000.json", _drop_last_particle_id, "train")],
+        ("graphs/graph_00000.json", _drop_last_particle_id, "train"),
+        ("events/event_00000.json",
+         _edited(lambda doc: doc["tracks"][0]["hit_ids"].append(99999)),
+         "build-graphs"),
+        ("events/event_00000.json",
+         _edited(lambda doc: doc["hits"][0].update(eta=math.nan)),
+         "build-graphs"),
+        ("predictions/pred_*.json", _set_first("assignments", 999),
+         "evaluate")],
         ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
              "pred-no-candidates", "checkpoint-v1", "checkpoint-no-adam",
              "event-hit-not-object", "checkpoint-param-not-number",
              "pred-param-not-number", "graph-not-utf8",
              "graph-nested-too-deep", "graph-edge-out-of-range",
-             "graph-particle-ids-short"])
+             "graph-particle-ids-short", "event-track-unknown-hit",
+             "event-hit-nan-eta", "pred-assignment-out-of-range"])
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
                                         damage, command):
         cfg_path = tiny_cli_config(tmp_path)

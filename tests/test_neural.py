@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import weighted_sum
 from trackseg.errors import ConfigError, ShapeError, StateError
 from trackseg.neural import (AdamState, MlpSpec, Tape, adam_step, bce_loss,
                              gradients, huber_loss, init_mlp_params,
@@ -47,7 +48,7 @@ def mlp_gradient_builds(arrays, sigmoid_out, mix):
             x, *wb = [v if k == which else t.const(a)
                       for k, a in enumerate(arrays)]
             out = ad.mlp(x, list(zip(wb[::2], wb[1::2])), sigmoid_out)
-            return ad.sum_all(ad.mul_const(out, mix))
+            return weighted_sum(out, mix)
         return build
     return [build_for(k) for k in range(len(arrays))]
 
@@ -65,11 +66,13 @@ class TestPrimitiveGradients:
     def test_add(self):
         rng = np.random.default_rng(1)
         x = rng.normal(0, 1, (5, 3))
+        x0 = rng.normal(0, 1, (5, 3))
+        w = rng.normal(0, 1, (5, 3))
 
         def build(t, v):
-            return ad.sum_all(ad.square(ad.add(t.const(x), v)))
+            return weighted_sum(ad.add(t.const(x), v), w)
 
-        check_op_gradient(build, rng.normal(0, 1, (5, 3)))
+        check_op_gradient(build, x0)
         t = Tape()
         with pytest.raises(ShapeError):  # no bias-row broadcasting
             ad.add(t.const(x), t.const(np.zeros(3)))
@@ -91,34 +94,48 @@ class TestPrimitiveGradients:
         for build, a in zip(mlp_gradient_builds(arrays, True, mix), arrays):
             check_op_gradient(build, a)
 
+    # the loss ops below run under a scale, so their upstream gradient
+    # is not 1
+
     def test_log_clip_interior(self):
         x0 = np.array([[0.3, 0.6], [0.9, 0.2]])
+        y = np.array([[1.0, 0.0], [0.0, 1.0]])
         check_op_gradient(
-            lambda t, v: ad.sum_all(ad.log(ad.clip(v, 1e-12, 1 - 1e-12))),
-            x0)
+            lambda t, v: ad.scale(ad.bce(v, y, 1e-12), 0.7), x0)
 
     def test_clip_blocks_gradient_outside(self):
         t = Tape()
-        v = t.leaf(np.array([2.0, 0.5]))
-        loss = ad.sum_all(ad.clip(v, 0.0, 1.0))
-        t.backward(loss)
-        assert v.grad[0] == 0.0 and v.grad[1] == 1.0
+        v = t.leaf(np.array([[0.95], [0.5]]))
+        t.backward(ad.bce(v, np.ones((2, 1)), 0.1))
+        assert v.grad[0, 0] == 0.0 and v.grad[1, 0] == -1.0
+        assert t.kink_margin == pytest.approx(0.05)
 
     def test_huber_both_branches(self):
-        x0 = np.array([[0.4, -0.3], [1.7, -2.5]])
+        # the last row is masked out: zero gradient
+        x0 = np.array([[0.4, -0.3], [1.7, -2.5], [0.6, 2.2]])
+        mask = np.array([[1.0], [1.0], [0.0]])
+        check_op_gradient(lambda t, v: ad.scale(
+            ad.masked_huber(v, np.zeros((3, 2)), mask, 1.0), 0.7), x0)
+
+    def test_scaled_mse(self):
+        rng = np.random.default_rng(5)
+        truth = rng.normal(0, 1, (3, 2))
+        x0 = truth + 1e-3 * rng.normal(0, 1, (3, 2))
+        inv = np.array([1.0, 1e3])  # 1 / the default tracking scales
         check_op_gradient(
-            lambda t, v: ad.sum_all(ad.huber_elem(v, 1.0)), x0)
+            lambda t, v: ad.scale(ad.scaled_mse(v, truth, inv), 0.7), x0)
 
     def test_concat_slice_gather(self):
         rng = np.random.default_rng(3)
         idx = np.array([2, 0, 1, 2])
+        x0 = rng.normal(0, 1, (3, 2))
+        w = rng.normal(0, 1, (4, 4))
 
         def build(t, v):
             g = ad.gather_rows(v, idx)
-            c = ad.concat_cols([g, ad.scale(g, 2.0)])
-            return ad.sum_all(ad.square(c))
+            return weighted_sum(ad.concat_cols([g, ad.scale(g, 2.0)]), w)
 
-        check_op_gradient(build, rng.normal(0, 1, (3, 2)))
+        check_op_gradient(build, x0)
 
     def test_segment_max_gradient_routing(self):
         # upstream gradient flows only to the argmax entries
@@ -127,7 +144,7 @@ class TestPrimitiveGradients:
         t = Tape()
         v = t.leaf(x0)
         out = ad.segment_max(v, seg, 2)
-        t.backward(ad.sum_all(out))
+        t.backward(weighted_sum(out, np.ones((2, 2))))
         expected = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         assert np.array_equal(v.grad, expected)
 
@@ -135,9 +152,10 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(4)
         seg = np.array([0, 1, 0, 1, 0])
         x0 = rng.normal(0, 1, (5, 3))
+        w = rng.normal(0, 1, (2, 3))
 
         def build(t, v):
-            return ad.sum_all(ad.square(ad.segment_max(v, seg, 2)))
+            return weighted_sum(ad.segment_max(v, seg, 2), w)
 
         check_op_gradient(build, x0)
 
@@ -171,7 +189,7 @@ class TestMaxAggregate:
         t = Tape()
         v = t.leaf(np.array([[5.0], [5.0]]))
         out = ad.segment_max(v, np.array([0, 0]), 1)
-        t.backward(ad.sum_all(out))
+        t.backward(weighted_sum(out, np.ones((1, 1))))
         assert np.array_equal(v.grad, np.array([[1.0], [0.0]]))
         assert t.kink_margin == 0.0  # a tie is a kink
 
@@ -357,6 +375,19 @@ class TestMseTracking:
                        rng.normal(0, 3, (n, 2))) >= 0.0
 
 
+def test_each_loss_call_is_one_tape_node():
+    t = Tape()
+    prob = t.leaf(np.full((3, 1), 0.4))
+    box = t.leaf(np.zeros((3, 5)))
+    params = t.leaf(np.ones((2, 2)))
+    for call in (lambda: bce_loss([1.0, 0.0, 1.0], prob),
+                 lambda: huber_loss(box, np.ones((3, 5)), [1.0, 0.0, 1.0]),
+                 lambda: mse_tracking_loss(params, [[2.0, 1e-4], [1.0, 0.0]])):
+        before = len(t._nodes)
+        call()
+        assert len(t._nodes) == before + 1
+
+
 class TestAdam:
     def test_zero_gradient_no_decay(self):
         w = np.array([1.0, -2.0])
@@ -421,14 +452,16 @@ class TestGradients:
     def test_sum_of_params(self):
         t = Tape()
         leaves = {"w": t.leaf(np.array([1.0, 2.0, 3.0]))}
-        g = gradients(ad.sum_all(leaves["w"]), leaves)
+        g = gradients(weighted_sum(leaves["w"], np.ones(3)), leaves)
         assert np.array_equal(g, np.ones(3))
 
     def test_quadratic(self):
         t = Tape()
         w0 = np.random.default_rng(9).normal(0, 1, (3, 2))
         leaves = {"w": t.leaf(w0), "c": t.leaf(np.ones(2))}
-        loss = ad.scale(ad.sum_all(ad.square(leaves["w"])), 0.5)
+        # 1.5 * sum(w^2) / 3 rows
+        loss = ad.scale(ad.scaled_mse(leaves["w"], np.zeros((3, 2)),
+                                      np.ones(2)), 1.5)
         g = gradients(loss, leaves)
         # one flat vector in leaf order
         assert np.allclose(g, np.concatenate([w0.ravel(), np.zeros(2)]))
@@ -436,13 +469,13 @@ class TestGradients:
     def test_tape_reuse_rejected(self):
         t = Tape()
         v = t.leaf(np.array([1.0]))
-        loss = ad.sum_all(v)
+        loss = weighted_sum(v, np.ones(1))
         t.backward(loss)
         with pytest.raises(StateError):
             t.backward(loss)
         # a tape ended by its context manager is used up as well
         with Tape() as t:
-            loss = ad.sum_all(t.leaf(np.array([1.0, 2.0])))
+            loss = weighted_sum(t.leaf(np.array([1.0, 2.0])), np.ones(2))
         assert float(loss.data) == 3.0
         with pytest.raises(StateError):
             t.backward(loss)

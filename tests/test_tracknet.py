@@ -1,13 +1,19 @@
 import gc
+import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_training_graph
+from conftest import JSON_VALUES, doc_paths, make_training_graph, set_at
 from trackseg import tracknet as tn
-from trackseg.errors import ConfigError, NumericError, ParseError
+from trackseg.errors import (ConfigError, DataError, DomainError,
+                             NumericError, ParseError)
 from trackseg.graphs import Graph
 from trackseg.neural import AdamState, Tape, mlp_forward
 
@@ -129,14 +135,14 @@ class TestTotalLoss:
     def test_perfect_predictions(self, toy_graph):
         m = tn.Model(small_config(), seed=9)
         out = tn.gnn_forward(m, toy_graph)
-        y, mask, enc = tn.build_targets(toy_graph)
+        y, enc = tn.build_targets(toy_graph)
         tape = out.tape
         perfect = tn.VertexOutputs(
             class_prob=tape.const(y[:, None]),
             encoded_box=tape.const(enc),
             final_state=out.final_state, tape=tape, leaves=out.leaves)
         preds = tape.const(np.array([[2.0, 1e-4]]))
-        total, comps = tn.total_loss(perfect, (y, mask, enc), preds,
+        total, comps = tn.total_loss(perfect, (y, enc), preds,
                                      [(2.0, 1e-4)])
         assert comps["l_total"] == pytest.approx(0.0, abs=1e-9)
 
@@ -442,7 +448,42 @@ class TestInfer:
             gc.enable()
 
 
+FUZZ_GRAPH = make_training_graph(seed=82, n_tracks=2, noise_fraction=0.2)[1]
+
+
+def _trained_checkpoint_doc():
+    model = tn.Model(tn.ModelConfig(iterations=1, hidden=2), seed=28)
+    _, state = tn.train(model, [FUZZ_GRAPH], tn.TrainConfig(epochs=1,
+                                                            lr=1e-3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        tn.save_checkpoint(model, state, epoch=1, path=path)
+        return path.read_text()
+
+
+CHECKPOINT_DOC = _trained_checkpoint_doc()
+CHECKPOINT_DOC_PATHS = list(doc_paths(json.loads(CHECKPOINT_DOC)))
+
+
 class TestCheckpoint:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_infers_or_is_a_load_error(self, data):
+        doc = json.loads(CHECKPOINT_DOC)
+        set_at(doc, data.draw(st.sampled_from(CHECKPOINT_DOC_PATHS)),
+               data.draw(JSON_VALUES))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ckpt.json"
+            path.write_text(json.dumps(doc))
+            try:
+                model, _, _ = tn.load_checkpoint(path)
+            except (ConfigError, DataError):
+                return
+        try:
+            tn.infer(model, FUZZ_GRAPH)
+        except DomainError:
+            pass  # finite weights whose boxes cannot be decoded: exit 4
+
     def test_round_trip(self, tmp_path):
         g = make_training_graph(seed=81, n_tracks=2)[1]
         m = tn.Model(small_config(), seed=26)
@@ -466,9 +507,18 @@ class TestCheckpoint:
         state = AdamState()
         path = tmp_path / "ckpt.json"
         tn.save_checkpoint(m, state, epoch=0, path=path)
-        import json
         doc = json.loads(path.read_text())
         doc["params"] = doc["params"][:-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            tn.load_checkpoint(path)
+
+    def test_rejects_oversized_config_before_building(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        tn.save_checkpoint(tn.Model(small_config()), AdamState(), epoch=0,
+                           path=path)
+        doc = json.loads(path.read_text())
+        doc["config"]["hidden"] = 10**6  # terabytes of parameters
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             tn.load_checkpoint(path)
@@ -478,7 +528,6 @@ class TestCheckpoint:
         m = tn.Model(small_config(), seed=27)
         path = tmp_path / "ckpt.json"
         tn.save_checkpoint(m, AdamState(), epoch=0, path=path)
-        import json
         doc = json.loads(path.read_text())
         assert set(doc["config"]) == {"iterations", "hidden", "loss_weights"}
         doc["config"]["seed"] = 27
