@@ -28,6 +28,15 @@ AXIS_FLOOR = 1e-4
 # vertices of the inscribed polygons ellipse_iou clips
 IOU_RESOLUTION = 64
 
+# scales of the box encoding; they bring each encoded component to a
+# comparable magnitude for pixel-scale tracks
+ETA_M = 0.01
+PHI_M = 0.004
+A_M = 0.038
+B_M = 0.005
+THETA_M = math.pi / 4.0
+DELTA_THETA = 0.5
+
 
 @dataclass(frozen=True)
 class Ellipse5:
@@ -44,10 +53,6 @@ class Ellipse5:
                               f"got a={self.a}, b={self.b}")
         if not (0.0 <= self.theta < math.pi):
             raise DomainError(f"theta must lie in [0, pi), got {self.theta}")
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.a * self.b
 
 
 def make_ellipse(eta_c: float, phi_c: float, a: float, b: float,
@@ -78,61 +83,38 @@ class EncodedBox:
                          self.d_theta])
 
 
-@dataclass(frozen=True)
-class BoxScales:
-    """Constant scale parameters of the box encoding.
-
-    Defaults bring each encoded component to a comparable magnitude for
-    pixel-scale tracks.
-    """
-    eta_m: float = 0.01
-    phi_m: float = 0.004
-    a_m: float = 0.038
-    b_m: float = 0.005
-    theta_m: float = math.pi / 4.0
-    delta_theta: float = 0.5
-
-    def __post_init__(self):
-        for name in ("eta_m", "phi_m", "a_m", "b_m", "theta_m"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"scale {name} must be positive")
-
-
-def encode_box(e: Ellipse5, vertex: tuple[float, float],
-               scales: BoxScales = BoxScales()) -> EncodedBox:
+def encode_box(e: Ellipse5, vertex: tuple[float, float]) -> EncodedBox:
     """Encode an ellipse as residuals relative to a vertex position.
 
     d_eta and d_phi are scaled center offsets (phi along the shortest
     signed arc), d_a and d_b are log-ratios against the scale axes, and
-    d_theta is (theta + delta_theta)/theta_m with the numerator folded
-    into [-pi/2, pi/2) so that theta = -delta_theta (mod pi) encodes to
+    d_theta is (theta + DELTA_THETA)/THETA_M with the numerator folded
+    into [-pi/2, pi/2) so that theta = -DELTA_THETA (mod pi) encodes to
     exactly zero.
     """
     eta_v, phi_v = vertex
     return EncodedBox(
-        d_eta=(e.eta_c - eta_v) / scales.eta_m,
-        d_phi=float(signed_dphi(e.phi_c, phi_v)) / scales.phi_m,
-        d_a=math.log(e.a / scales.a_m),
-        d_b=math.log(e.b / scales.b_m),
-        d_theta=float(wrap_half_pi(e.theta + scales.delta_theta))
-        / scales.theta_m,
+        d_eta=(e.eta_c - eta_v) / ETA_M,
+        d_phi=float(signed_dphi(e.phi_c, phi_v)) / PHI_M,
+        d_a=math.log(e.a / A_M),
+        d_b=math.log(e.b / B_M),
+        d_theta=float(wrap_half_pi(e.theta + DELTA_THETA)) / THETA_M,
     )
 
 
-def decode_box(d: EncodedBox, vertex: tuple[float, float],
-               scales: BoxScales = BoxScales()) -> Ellipse5:
+def decode_box(d: EncodedBox, vertex: tuple[float, float]) -> Ellipse5:
     """Exact inverse of encode_box (theta modulo pi); re-canonicalizes
     the axis ordering for free-form regressed residuals."""
     eta_v, phi_v = vertex
     try:
-        a, b = math.exp(d.d_a) * scales.a_m, math.exp(d.d_b) * scales.b_m
+        a, b = math.exp(d.d_a) * A_M, math.exp(d.d_b) * B_M
     except OverflowError as err:
         raise DomainError(f"log-axes ({d.d_a}, {d.d_b}) overflow") from err
     return make_ellipse(
-        eta_v + d.d_eta * scales.eta_m,
-        phi_v + d.d_phi * scales.phi_m,
+        eta_v + d.d_eta * ETA_M,
+        phi_v + d.d_phi * PHI_M,
         a, b,
-        d.d_theta * scales.theta_m - scales.delta_theta,
+        d.d_theta * THETA_M - DELTA_THETA,
     )
 
 
@@ -230,8 +212,10 @@ def ellipse_to_dict(e: Ellipse5) -> dict:
 
 
 def ellipse_from_dict(d: dict) -> Ellipse5:
-    return Ellipse5(float(d["eta_c"]), float(d["phi_c"]), float(d["a"]),
-                    float(d["b"]), float(d["theta"]))
+    values = [float(d[k]) for k in ("eta_c", "phi_c", "a", "b", "theta")]
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"ellipse parameters must be finite, got {values}")
+    return Ellipse5(*values)
 
 
 def mvee(points, tolerance: float = 1e-6) -> Ellipse5:

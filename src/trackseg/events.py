@@ -28,9 +28,6 @@ from .kinematics import PT_COEFF, CircleTrack, TrackParams, pseudorapidity
 
 MM_TO_M = 1e-3
 
-# TrackML pixel sub-detector volume ids
-PIXEL_VOLUMES = frozenset({7, 8, 9})
-
 TRACKML_HITS_HEADER = ["hit_id", "x", "y", "z", "volume_id", "layer_id",
                        "module_id"]
 TRACKML_TRUTH_HEADER = ["hit_id", "particle_id", "tx", "ty", "tz", "tpx",

@@ -1,5 +1,5 @@
 """Graph construction: DBSCAN clustering in eta-phi, edge building,
-state initialization, truth edge labels and per-track target ellipses."""
+state initialization and per-track target ellipses."""
 
 from __future__ import annotations
 
@@ -17,6 +17,8 @@ from .jsonio import parsing
 
 # target ellipses are the tracks' enclosing ellipses grown by this factor
 TARGET_PADDING = 1.1
+
+GRAPH_FORMAT = "graph-v2"
 
 
 @dataclass(frozen=True)
@@ -38,20 +40,24 @@ class Graph:
     Vertices are hits with coordinates (eta, phi) and initial state
     (z, layer); edges are undirected, stored once with i < j.  The truth
     block (particle ids, transverse hit coordinates, per-particle
-    parameters) makes a stored graph a self-contained training sample.
+    parameters and target ellipses) makes a stored graph a
+    self-contained training sample.
     """
     event_id: int
     eta: np.ndarray
     phi: np.ndarray
     state: np.ndarray
     edges: np.ndarray
-    truth_edge_labels: np.ndarray
     vertex_hit_ids: np.ndarray
-    vertex_class: np.ndarray  # True for track vertices
-    vertex_particle_id: np.ndarray
+    vertex_particle_id: np.ndarray  # 0 for noise vertices
     vertex_xy: np.ndarray
     truth_params: dict[int, tuple[float, float]] = field(default_factory=dict)
     vertex_target_ellipse: list = field(default_factory=list)
+
+    @property
+    def vertex_class(self) -> np.ndarray:
+        """True for track vertices."""
+        return self.vertex_particle_id != 0
 
     @property
     def n_vertices(self) -> int:
@@ -111,8 +117,7 @@ def build_graph(e: Event, params: DbscanParams) -> Graph:
 
     Hits are clustered in eta-phi; every cluster contributes all its pairs
     as edges (a complete subgraph), unclustered hits stay isolated.
-    An edge is labeled true iff both endpoints share a nonzero particle
-    id.  Vertex states initialize to (z, layer).
+    Vertex states initialize to (z, layer).
     """
     if not e.hits:
         raise ConsistencyError("cannot build a graph from an empty event")
@@ -126,9 +131,6 @@ def build_graph(e: Event, params: DbscanParams) -> Graph:
     for cluster in range(labels.max() + 1 if labels.size else 0):
         members = np.flatnonzero(labels == cluster).tolist()
         edges.extend(itertools.combinations(members, 2))
-    edge_arr = np.array(edges, dtype=int).reshape(-1, 2)
-    truth = (pid[edge_arr[:, 0]] == pid[edge_arr[:, 1]]) \
-        & (pid[edge_arr[:, 0]] != 0) if len(edge_arr) else np.zeros(0, bool)
 
     return Graph(
         event_id=e.event_id,
@@ -136,10 +138,8 @@ def build_graph(e: Event, params: DbscanParams) -> Graph:
         phi=phi,
         state=np.stack([np.array([h.z for h in e.hits]),
                         layers.astype(float)], axis=1),
-        edges=edge_arr,
-        truth_edge_labels=truth,
+        edges=np.array(edges, dtype=int).reshape(-1, 2),
         vertex_hit_ids=np.array([h.hit_id for h in e.hits], dtype=int),
-        vertex_class=pid != 0,
         vertex_particle_id=pid,
         vertex_xy=np.array([[h.x, h.y] for h in e.hits]),
         truth_params={t.particle_id: (t.params.p_t, t.params.eps_t)
@@ -172,55 +172,68 @@ def assign_vertex_targets(g: Graph, ellipses) -> Graph:
     """
     table = dict(ellipses)
     targets = []
-    for is_track, pid in zip(g.vertex_class, g.vertex_particle_id):
-        if not is_track:
+    for pid in g.vertex_particle_id.tolist():
+        if pid == 0:
             targets.append(None)
             continue
-        if int(pid) not in table:
+        if pid not in table:
             raise ConsistencyError(f"no truth ellipse for particle {pid}")
-        targets.append(table[int(pid)])
+        targets.append(table[pid])
     g.vertex_target_ellipse = targets
     return g
 
 
 def graph_to_dict(g: Graph) -> dict:
-    """Serialize a graph to the graph-v1 JSON document layout."""
-    vertices = []
-    for i in range(g.n_vertices):
-        target = g.vertex_target_ellipse[i] if g.vertex_target_ellipse else None
-        vertices.append({
-            "eta": float(g.eta[i]),
-            "phi": float(g.phi[i]),
-            "state": [float(g.state[i, 0]), float(g.state[i, 1])],
-            "hit_id": int(g.vertex_hit_ids[i]),
-            "class": "track" if g.vertex_class[i] else "noise",
-            "target": ellipse_to_dict(target) if target is not None else None,
-        })
+    """Serialize a graph to the graph-v2 JSON document layout, which
+    stores each particle's target ellipse once, in its truth entry."""
+    targets = {}
+    for pid, target in zip(g.vertex_particle_id.tolist(),
+                           g.vertex_target_ellipse):
+        if target is not None:
+            targets.setdefault(pid, target)
     return {
-        "format": "graph-v1",
+        "format": GRAPH_FORMAT,
         "event_id": g.event_id,
-        "vertices": vertices,
-        "edges": [[int(i), int(j), bool(t)]
-                  for (i, j), t in zip(g.edges, g.truth_edge_labels)],
+        "vertices": [
+            {"eta": eta, "phi": phi, "state": state, "hit_id": hit_id}
+            for eta, phi, state, hit_id in zip(
+                g.eta.tolist(), g.phi.tolist(), g.state.tolist(),
+                g.vertex_hit_ids.tolist())],
+        "edges": g.edges.tolist(),
         "truth": {
-            "vertex_particle_id": [int(p) for p in g.vertex_particle_id],
-            "vertex_xy": [[float(x), float(y)] for x, y in g.vertex_xy],
+            "vertex_particle_id": g.vertex_particle_id.tolist(),
+            "vertex_xy": g.vertex_xy.tolist(),
             "particles": [
-                {"particle_id": int(pid), "pt": pt, "eps_t": eps}
+                {"particle_id": pid, "pt": pt, "eps_t": eps,
+                 "target": ellipse_to_dict(targets[pid])
+                 if pid in targets else None}
                 for pid, (pt, eps) in sorted(g.truth_params.items())],
         },
     }
 
 
 def graph_from_dict(d: dict) -> Graph:
-    with parsing(d, "graph-v1"):
+    """Decode a graph-v2 document.  Edges must be [i, j] pairs of
+    distinct vertices, every float finite and every nonzero vertex
+    particle id listed under truth.particles; otherwise, and for a
+    graph-v1 document, raises ConsistencyError."""
+    if isinstance(d, dict) and d.get("format") == "graph-v1":
+        raise ConsistencyError("graph-v1 document: rebuild the graphs with "
+                               "build-graphs")
+    with parsing(d, GRAPH_FORMAT):
         return _graph_from_doc(d)
+
+
+def _finite(values, what: str):
+    if not np.all(np.isfinite(values)):
+        raise ConsistencyError(f"graph {what} has non-finite values")
+    return values
 
 
 def _graph_from_doc(d: dict) -> Graph:
     verts = d["vertices"]
     n = len(verts)
-    truth = d.get("truth", {})
+    truth = d["truth"]
 
     def per_vertex(values, what: str, dtype=float, row=()) -> np.ndarray:
         arr = np.array(values, dtype=dtype)
@@ -228,34 +241,41 @@ def _graph_from_doc(d: dict) -> Graph:
         if arr.shape != (n, *row) and not arr.size == n == 0:
             raise ConsistencyError(f"graph {what} has shape {arr.shape}, "
                                    f"expected {(n, *row)}")
-        return arr.reshape(n, *row)
+        return _finite(arr.reshape(n, *row), what)
 
-    edges = np.array([[e[0], e[1]] for e in d["edges"]],
-                     dtype=int).reshape(-1, 2)
+    edges = np.array(d["edges"], dtype=int)
+    if edges.shape == (0,):
+        edges = edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ConsistencyError("graph edges must be [i, j] pairs")
     if np.any((edges < 0) | (edges >= n)) or \
             np.any(edges[:, 0] == edges[:, 1]):
         raise ConsistencyError(f"graph edges must join two distinct "
                                f"vertices in [0, {n})")
+    pid = per_vertex(truth["vertex_particle_id"], "truth.vertex_particle_id",
+                     int)
+    params, targets = {}, {}
+    for p in truth["particles"]:
+        k = int(p["particle_id"])
+        params[k] = _finite((float(p["pt"]), float(p["eps_t"])),
+                            f"particle {k}")
+        targets[k] = ellipse_from_dict(p["target"]) \
+            if p["target"] is not None else None
+    missing = set(pid[pid != 0].tolist()) - params.keys()
+    if missing:
+        raise ConsistencyError(f"graph vertices belong to particles "
+                               f"{sorted(missing)}, which have no entry")
     return Graph(
         event_id=int(d["event_id"]),
         eta=per_vertex([v["eta"] for v in verts], "eta"),
         phi=per_vertex([v["phi"] for v in verts], "phi"),
         state=per_vertex([v["state"] for v in verts], "state", row=(2,)),
         edges=edges,
-        truth_edge_labels=np.array([bool(e[2]) for e in d["edges"]],
-                                   dtype=bool),
         vertex_hit_ids=per_vertex([v["hit_id"] for v in verts], "hit_id",
                                   int),
-        vertex_class=np.array([v["class"] == "track" for v in verts]),
-        vertex_particle_id=per_vertex(
-            truth.get("vertex_particle_id", [0] * n),
-            "truth.vertex_particle_id", int),
-        vertex_xy=per_vertex(truth.get("vertex_xy", [[0.0, 0.0]] * n),
-                             "truth.vertex_xy", row=(2,)),
-        truth_params={int(p["particle_id"]): (float(p["pt"]),
-                                              float(p["eps_t"]))
-                      for p in truth.get("particles", [])},
-        vertex_target_ellipse=[
-            ellipse_from_dict(v["target"]) if v["target"] is not None else None
-            for v in verts],
+        vertex_particle_id=pid,
+        vertex_xy=per_vertex(truth["vertex_xy"], "truth.vertex_xy", row=(2,)),
+        truth_params=params,
+        vertex_target_ellipse=[targets[k] if k else None
+                               for k in pid.tolist()],
     )

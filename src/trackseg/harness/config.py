@@ -41,7 +41,7 @@ TrainingSection = TrainConfig  # the name perfbench/workloads.py imports
 @dataclass(frozen=True)
 class SelectionSection:
     pt_min: float = 2.0
-    volumes: tuple[int, ...] = (7, 8, 9)
+    volumes: tuple[int, ...] = (7, 8, 9)  # the TrackML pixel volumes
 
 
 @dataclass(frozen=True)

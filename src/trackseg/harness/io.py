@@ -3,6 +3,8 @@ metrics.  Graph and checkpoint formats live with their own modules."""
 
 from __future__ import annotations
 
+import math
+
 from ..ellipses import ellipse_from_dict, ellipse_to_dict
 from ..errors import ConsistencyError
 from ..events import Event, Hit, TruthTrack, validate_event
@@ -85,7 +87,9 @@ def prediction_to_dict(event_id: int, vertex_hit_ids, class_prob, ellipses,
 
 def prediction_from_dict(d: dict) -> dict:
     """Decode a prediction document and check that its per-vertex lists
-    match vertex_hit_ids and that its indices and params are in range."""
+    match vertex_hit_ids, that its indices and params are in range, that
+    every class probability lies in [0, 1] and that candidate confidences
+    and params are finite."""
     with parsing(d, PRED_FORMAT):
         pred = {
             "event_id": int(d["event_id"]),
@@ -110,10 +114,16 @@ def prediction_from_dict(d: dict) -> dict:
         if len(pred[key]) != n:
             raise ConsistencyError(f"prediction has {len(pred[key])} {key} "
                                    f"for {n} vertices")
+    if not all(0.0 <= p <= 1.0 for p in pred["class_prob"]):
+        raise ConsistencyError("prediction class_prob must lie in [0, 1]")
     if any(c.params is not None and len(c.params) != 2
            for c in pred["candidates"]):
         raise ConsistencyError("prediction candidate params are not "
                                "(p_T, eps_T) pairs")
+    if not all(map(math.isfinite, [v for c in pred["candidates"] for v in
+                                   (c.confidence, *(c.params or ()))])):
+        raise ConsistencyError("prediction candidates must have finite "
+                               "confidence and params")
     n_cand = len(pred["candidates"])
     if any(a is not None and not 0 <= a < n_cand
            for a in pred["assignments"]):

@@ -29,9 +29,9 @@ FIT_CONDITION_LIMIT = 1e10
 class CircleTrack:
     """Transverse circle (x-a)^2 + (y-b)^2 = R^2 with a charge sign.
 
-    The displacement delta = R^2 - a^2 - b^2 vanishes for circles through
-    the beamline; parabola extraction assumes |delta| << R^2 (enforced by
-    callers, not here).
+    R^2 - a^2 - b^2 vanishes for circles through the beamline; parabola
+    extraction assumes it is small against R^2 (enforced by callers, not
+    here).
     """
     a: float
     b: float
@@ -43,10 +43,6 @@ class CircleTrack:
             raise DomainError(f"circle radius must be positive, got {self.R}")
         if self.charge not in (-1, 1):
             raise DomainError(f"charge must be +-1, got {self.charge}")
-
-    @property
-    def delta(self) -> float:
-        return self.R**2 - self.a**2 - self.b**2
 
 
 @dataclass(frozen=True)

@@ -15,22 +15,22 @@ from ..errors import ConfigError, ShapeError
 from . import autodiff as ad
 from .autodiff import Var
 
+# probabilities clamp to [BCE_CLAMP, 1 - BCE_CLAMP] inside the BCE log
 BCE_CLAMP = 1e-12
+# the localization loss is quadratic within HUBER_DELTA, linear beyond
+HUBER_DELTA = 1.0
 
 
 @dataclass(frozen=True)
 class MlpSpec:
     """Fully-connected ReLU stack: layer_widths includes input and
-    output."""
+    output; the output layer is linear, or a sigmoid with sigmoid_out."""
     layer_widths: tuple[int, ...]
-    output_activation: str = "identity"
+    sigmoid_out: bool = False
 
     def __post_init__(self):
         if len(self.layer_widths) < 2 or any(w <= 0 for w in self.layer_widths):
             raise ConfigError(f"bad layer widths {self.layer_widths}")
-        if self.output_activation not in ("identity", "sigmoid"):
-            raise ConfigError(f"unsupported output activation "
-                              f"{self.output_activation!r}")
 
     @property
     def n_layers(self) -> int:
@@ -55,7 +55,7 @@ def mlp_forward(spec: MlpSpec, params: dict[str, Var], x: Var,
     which checks the layer shapes."""
     layers = [(params[f"{prefix}W{i}"], params[f"{prefix}b{i}"])
               for i in range(spec.n_layers)]
-    return ad.mlp(x, layers, spec.output_activation == "sigmoid")
+    return ad.mlp(x, layers, spec.sigmoid_out)
 
 
 def _column(x, name: str) -> np.ndarray:
@@ -68,24 +68,22 @@ def _column(x, name: str) -> np.ndarray:
     return arr
 
 
-def bce_loss(y_true, p: Var, clamp: float = BCE_CLAMP) -> Var:
+def bce_loss(y_true, p: Var) -> Var:
     """Mean binary cross entropy of the (n, 1) probabilities `p`, clamped
-    to [clamp, 1 - clamp]."""
+    to [BCE_CLAMP, 1 - BCE_CLAMP]."""
     y = _column(y_true, "y_true")
     if p.data.shape != y.shape:
         raise ShapeError(f"labels shape {y.shape} vs predictions shape "
                          f"{p.data.shape}")
-    return ad.bce(p, y, clamp)
+    return ad.bce(p, y, BCE_CLAMP)
 
 
-def huber_loss(pred: Var, target, mask, delta: float = 1.0) -> Var:
+def huber_loss(pred: Var, target, mask) -> Var:
     """Masked Huber loss over encoded-box residuals.
 
     Sums the per-component Huber value over the 5 residuals of each
     masked vertex and divides by the total number of vertices.
     """
-    if delta <= 0:
-        raise ConfigError(f"huber delta must be positive, got {delta}")
     target = np.asarray(target, dtype=float)
     mask_col = _column(mask, "mask")
     if pred.data.shape != target.shape:
@@ -94,7 +92,7 @@ def huber_loss(pred: Var, target, mask, delta: float = 1.0) -> Var:
     if len(mask_col) != pred.data.shape[0]:
         raise ShapeError(f"mask length {len(mask_col)} vs "
                          f"{pred.data.shape[0]} vertices")
-    return ad.masked_huber(pred, target, mask_col, delta)
+    return ad.masked_huber(pred, target, mask_col, HUBER_DELTA)
 
 
 def mse_tracking_loss(pred: Var, truth, scales=(1.0, 1e-3)) -> Var:

@@ -63,8 +63,7 @@ class ModelConfig:
             "h": MlpSpec((STATE_DIM, w, COORD_DIM)),
             "f": MlpSpec((COORD_DIM + STATE_DIM, w, w, EDGE_FEATURE_DIM)),
             "g": MlpSpec((EDGE_FEATURE_DIM + STATE_DIM, w, STATE_DIM)),
-            "classifier": MlpSpec((STATE_DIM, w, w, w, 1),
-                                  output_activation="sigmoid"),
+            "classifier": MlpSpec((STATE_DIM, w, w, w, 1), sigmoid_out=True),
             "localization": MlpSpec((STATE_DIM, w, w, w, 5)),
             "tracking": MlpSpec((TRACKING_FEATURE_DIM, w, 2)),
         }
@@ -95,28 +94,15 @@ class Model:
     "f2.W0"; heads use "cls.", "loc." and "trk.".  Each iteration owns a
     distinct parameter set.  All parameters live in one float64 vector,
     `flat`; every `params[name]` is a reshaped view into it, in name
-    order.  A given params dict is copied into a new vector; without one
-    the parameters are drawn from a stream seeded by `seed`.
+    order.  The parameters are drawn from a stream seeded by `seed`.
     """
 
-    def __init__(self, config: ModelConfig, params=None, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        params = self._init_params(seed) if params is None else params
-        self.flat = np.concatenate(
-            [np.zeros(0), *(np.ravel(p) for p in params.values())])
-        self.params: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, p in params.items():
-            size = np.size(p)
-            self.params[name] = self.flat[offset:offset + size] \
-                .reshape(np.shape(p))
-            offset += size
-
-    def _init_params(self, seed: int) -> dict[str, np.ndarray]:
-        specs = self.config.specs
+        specs = config.specs
         rng = np.random.default_rng(seed)
         params: dict[str, np.ndarray] = {}
-        for t in range(1, self.config.iterations + 1):
+        for t in range(1, config.iterations + 1):
             for block in "hfg":
                 params.update(init_mlp_params(specs[block], rng,
                                               f"{block}{t}."))
@@ -124,16 +110,21 @@ class Model:
                               ("localization", "loc."),
                               ("tracking", "trk.")):
             params.update(init_mlp_params(specs[block], rng, prefix))
-        return params
+        self.flat = np.concatenate([p.ravel() for p in params.values()])
+        self.params: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, p in params.items():
+            self.params[name] = self.flat[offset:offset + p.size] \
+                .reshape(p.shape)
+            offset += p.size
 
 
 @dataclass
 class VertexOutputs:
-    """Per-vertex head outputs plus the tape that produced them."""
+    """Per-vertex head outputs and the parameter leaves they came from."""
     class_prob: Var
     encoded_box: Var
     final_state: Var
-    tape: Tape
     leaves: dict[str, Var]
 
 
@@ -181,7 +172,7 @@ def gnn_forward(model: Model, graph: Graph, tape: Tape | None = None,
 
     prob = mlp_forward(specs["classifier"], leaves, s, "cls.")
     box = mlp_forward(specs["localization"], leaves, s, "loc.")
-    return VertexOutputs(prob, box, s, tape, leaves)
+    return VertexOutputs(prob, box, s, leaves)
 
 
 def predict_cluster_params(model: Model, final_state: Var,
@@ -227,12 +218,9 @@ def cluster_params_from_states(model: Model, final_state: np.ndarray,
 def build_targets(graph: Graph):
     """Per-vertex classification labels, which also mask the localization
     loss, and encoded target boxes (zero rows for noise vertices)."""
-    n = graph.n_vertices
-    y = graph.vertex_class.astype(float)
-    target_enc = np.zeros((n, 5))
-    for i in range(n):
-        if not graph.vertex_class[i]:
-            continue
+    is_track = graph.vertex_class
+    target_enc = np.zeros((graph.n_vertices, 5))
+    for i in np.flatnonzero(is_track):
         ell = graph.vertex_target_ellipse[i] if graph.vertex_target_ellipse \
             else None
         if ell is None:
@@ -241,18 +229,18 @@ def build_targets(graph: Graph):
                 f"assign_vertex_targets first")
         target_enc[i] = encode_box(ell, (graph.eta[i], graph.phi[i])) \
             .as_array()
-    return y, target_enc
+    return is_track.astype(float), target_enc
 
 
 def total_loss(outputs: VertexOutputs, targets, cluster_preds,
                cluster_truth, weights=(1.0, 1.0, 1.0),
-               huber_delta: float = 1.0, tracking_scales=(1.0, 1e-3)):
+               tracking_scales=(1.0, 1e-3)):
     """Weighted sum of the classification, localization and tracking
     losses; returns (total Var, per-component float breakdown)."""
     y, target_enc = targets
     alpha, beta, gamma = weights
     l_c = bce_loss(y, outputs.class_prob)
-    l_loc = huber_loss(outputs.encoded_box, target_enc, y, huber_delta)
+    l_loc = huber_loss(outputs.encoded_box, target_enc, y)
     l_t = mse_tracking_loss(cluster_preds, cluster_truth, tracking_scales)
     total = ad.add(ad.add(ad.scale(l_c, alpha), ad.scale(l_loc, beta)),
                    ad.scale(l_t, gamma))
@@ -347,7 +335,6 @@ def train(model: Model, dataset: list[Graph], cfg: TrainConfig,
 @dataclass
 class InferResult:
     class_prob: np.ndarray
-    encoded_box: np.ndarray
     final_state: np.ndarray
     ellipses: list  # Ellipse5 or None per vertex, thresholded
 
@@ -368,7 +355,7 @@ def infer(model: Model, graph: Graph,
             ellipses.append(decode_box(enc, (graph.eta[i], graph.phi[i])))
         else:
             ellipses.append(None)
-    return InferResult(prob, boxes, final_state, ellipses)
+    return InferResult(prob, final_state, ellipses)
 
 
 def save_checkpoint(model: Model, state: AdamState, epoch: int,

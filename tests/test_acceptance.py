@@ -22,8 +22,8 @@ from test_harness import tiny_cli_config, truth_identity_prediction
 from test_neural import check_op_gradient, mlp_gradient_builds
 from test_tracknet import small_config, sweep_composite_gradients
 from trackseg import tracknet as tn
-from trackseg.ellipses import (BoxScales, decode_box, ellipse_iou,
-                               encode_box, make_ellipse, mvee)
+from trackseg.ellipses import (decode_box, ellipse_iou, encode_box,
+                               make_ellipse, mvee)
 from trackseg.errors import ParseError
 from trackseg.events import (DetectorConfig, GenConfig, generate_event,
                              read_trackml_event)
@@ -141,7 +141,6 @@ def test_criterion_3_dbscan_oracle_equivalence():
 
 def test_criterion_4_ellipse_suite():
     rng = np.random.default_rng(103)
-    scales = BoxScales()
 
     # encode/decode identity over 10^4 random cases
     worst = 0.0
@@ -151,7 +150,7 @@ def test_criterion_4_ellipse_suite():
                          rng.uniform(0.2 * a, a), rng.uniform(0, math.pi))
         vtx = (e.eta_c + rng.uniform(-0.02, 0.02),
                (e.phi_c + rng.uniform(-0.01, 0.01)) % TWO_PI)
-        back = decode_box(encode_box(e, vtx, scales), vtx, scales)
+        back = decode_box(encode_box(e, vtx), vtx)
         dphi = abs(back.phi_c - e.phi_c + math.pi) % TWO_PI - math.pi
         dtheta = abs(back.theta - e.theta) % math.pi
         worst = max(worst, abs(back.eta_c - e.eta_c), abs(dphi),
@@ -293,19 +292,19 @@ def test_criterion_6_architecture_fidelity(toy_graph):
 
     # with h^t forced to zero the auto-registration form reduces to the
     # plain message-passing form
-    params = {k: (np.zeros_like(v) if k.startswith("h") else v)
-              for k, v in m.params.items()}
-    mh = tn.Model(cfg, params)
-    eq2 = tn.gnn_forward(mh, toy_graph, auto_registration=True)
-    eq1 = tn.gnn_forward(mh, toy_graph, auto_registration=False)
+    for k, v in m.params.items():
+        if k.startswith("h"):
+            v[...] = 0.0
+    eq2 = tn.gnn_forward(m, toy_graph, auto_registration=True)
+    eq1 = tn.gnn_forward(m, toy_graph, auto_registration=False)
     for a, b in ((eq2.final_state, eq1.final_state),
                  (eq2.class_prob, eq1.class_prob),
                  (eq2.encoded_box, eq1.encoded_box)):
         assert np.max(np.abs(a.data - b.data)) <= 1e-12
 
     # residual connection: the zero network is a fixed point of the state
-    zero = tn.Model(cfg, {k: np.zeros_like(v) for k, v in m.params.items()})
-    out = tn.gnn_forward(zero, toy_graph)
+    m.flat[:] = 0.0
+    out = tn.gnn_forward(m, toy_graph)
     assert np.array_equal(out.final_state.data, toy_graph.state)
     assert np.all(out.class_prob.data == 0.5)
     report("6 architecture fidelity")

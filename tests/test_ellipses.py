@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import monte_carlo_iou, point_in_ellipse_quadform
-from trackseg.ellipses import (AXIS_FLOOR, BoxScales, Ellipse5, EncodedBox,
-                               decode_box, ellipse_from_dict, ellipse_iou,
+from trackseg.ellipses import (A_M, AXIS_FLOOR, B_M, DELTA_THETA, PHI_M,
+                               Ellipse5, EncodedBox, decode_box,
+                               ellipse_from_dict, ellipse_iou,
                                ellipse_to_dict, encode_box, make_ellipse,
                                mvee, point_in_ellipse)
 from trackseg.errors import DomainError
@@ -38,51 +39,52 @@ class TestEllipse5:
         e = make_ellipse(0.5, 1.2, 0.3, 0.1, 2.0)
         assert ellipse_from_dict(ellipse_to_dict(e)) == e
 
+    @pytest.mark.parametrize("key", ["eta_c", "phi_c", "a", "b", "theta"])
+    def test_dict_non_finite_rejected(self, key):
+        d = ellipse_to_dict(make_ellipse(0.5, 1.2, 0.3, 0.1, 2.0))
+        for value in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ellipse_from_dict({**d, key: value})
+
 
 class TestEncodeDecode:
     def test_zero_case_with_default_scales(self):
-        s = BoxScales()
-        e = make_ellipse(0.5, 2.0, s.a_m, s.b_m, -s.delta_theta)
-        d = encode_box(e, (0.5, 2.0), s)
+        e = make_ellipse(0.5, 2.0, A_M, B_M, -DELTA_THETA)
+        d = encode_box(e, (0.5, 2.0))
         assert d.as_array() == pytest.approx(np.zeros(5), abs=1e-12)
 
     def test_eta_offset_unit(self):
-        s = BoxScales()
-        e = make_ellipse(0.51, 2.0, s.a_m, s.b_m, -s.delta_theta)
-        assert encode_box(e, (0.5, 2.0), s).d_eta == pytest.approx(1.0)
+        e = make_ellipse(0.51, 2.0, A_M, B_M, -DELTA_THETA)
+        assert encode_box(e, (0.5, 2.0)).d_eta == pytest.approx(1.0)
 
     def test_theta_encoding(self):
-        s = BoxScales()  # theta_m = pi/4, delta_theta = 0.5
+        # THETA_M = pi/4, DELTA_THETA = 0.5
         e = make_ellipse(0.0, 0.0, 0.1, 0.05, math.pi / 4)
-        assert encode_box(e, (0.0, 0.0), s).d_theta == \
+        assert encode_box(e, (0.0, 0.0)).d_theta == \
             pytest.approx(1.0 + 2.0 / math.pi)
 
     def test_decode_zero(self):
-        s = BoxScales()
-        e = decode_box(EncodedBox(0, 0, 0, 0, 0), (0.0, 0.0), s)
-        assert e.a == pytest.approx(s.a_m)
-        assert e.b == pytest.approx(s.b_m)
-        assert e.theta == pytest.approx(math.pi - s.delta_theta)
+        e = decode_box(EncodedBox(0, 0, 0, 0, 0), (0.0, 0.0))
+        assert e.a == pytest.approx(A_M)
+        assert e.b == pytest.approx(B_M)
+        assert e.theta == pytest.approx(math.pi - DELTA_THETA)
 
     def test_log_axis_decoding(self):
-        s = BoxScales()
-        e = decode_box(EncodedBox(0, 0, math.log(2.0), 0, 0), (0, 0), s)
+        e = decode_box(EncodedBox(0, 0, math.log(2.0), 0, 0), (0, 0))
         assert e.a == pytest.approx(0.076)
 
     def test_phi_wrap_in_encoding(self):
-        s = BoxScales()
         e = make_ellipse(0.0, 0.002, 0.05, 0.01, 0.0)
-        d = encode_box(e, (0.0, TWO_PI - 0.002), s)
-        assert d.d_phi == pytest.approx(0.004 / s.phi_m)
+        d = encode_box(e, (0.0, TWO_PI - 0.002))
+        assert d.d_phi == pytest.approx(0.004 / PHI_M)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(5)
-        s = BoxScales()
         for _ in range(10_000):
             e = random_ellipse(rng)
             vertex = (e.eta_c + rng.uniform(-0.02, 0.02),
                       (e.phi_c + rng.uniform(-0.01, 0.01)) % TWO_PI)
-            back = decode_box(encode_box(e, vertex, s), vertex, s)
+            back = decode_box(encode_box(e, vertex), vertex)
             assert abs(back.eta_c - e.eta_c) < 1e-12
             assert abs((back.phi_c - e.phi_c + math.pi) % TWO_PI
                        - math.pi) < 1e-12
@@ -98,17 +100,12 @@ class TestEncodeDecode:
            theta=st.floats(0, 3.14))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_hypothesis(self, eta, phi, a, ratio, theta):
-        s = BoxScales()
         e = make_ellipse(eta, phi, a, a * ratio, theta)
-        back = decode_box(encode_box(e, (eta, phi), s), (eta, phi), s)
+        back = decode_box(encode_box(e, (eta, phi)), (eta, phi))
         assert back.a == pytest.approx(e.a, rel=1e-12)
         assert back.b == pytest.approx(e.b, rel=1e-12)
         dt = abs(back.theta - e.theta) % math.pi
         assert min(dt, math.pi - dt) < 1e-9
-
-    def test_nonpositive_axes_rejected(self):
-        with pytest.raises(DomainError):
-            BoxScales(a_m=0.0)
 
 
 class TestMembership:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import JSON_VALUES, doc_paths, make_training_graph, set_at
 from oracles import brute_force_dbscan, partition_of
-from trackseg.ellipses import point_in_ellipse
+from trackseg.ellipses import ellipse_from_dict, point_in_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
 from trackseg.events import GenConfig, generate_event
 from trackseg.graphs import (DbscanParams, Graph, assign_vertex_targets,
@@ -87,10 +88,11 @@ class TestBuildGraph:
         g = build_graph(e, DbscanParams())
         assert g.n_vertices == 4
         assert g.n_edges == 6  # K4
-        assert bool(g.truth_edge_labels.all())
+        assert len(set(g.vertex_particle_id.tolist())) == 1
 
     def test_mixed_cluster_edge_labels(self):
-        # two particles share one cluster: cross edges false, intra true
+        # two particles share one cluster, which still becomes one
+        # complete subgraph
         from trackseg.events import Event, Hit
         from trackseg.kinematics import CircleTrack, TrackParams
         from trackseg.events import TruthTrack
@@ -107,9 +109,9 @@ class TestBuildGraph:
         e = Event(0, hits, tracks, 2.0)
         g = build_graph(e, DbscanParams(eps=0.05, min_pts=2))
         assert g.n_edges == 6
-        for (i, j), label in zip(g.edges, g.truth_edge_labels):
-            same = g.vertex_particle_id[i] == g.vertex_particle_id[j]
-            assert label == same
+        assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3],
+                                    [2, 3]]
+        assert g.vertex_class.all()
 
     def test_all_noise_isolated(self, detector):
         gen = GenConfig(n_tracks=0, noise_fraction=0.0, hit_smearing_sigma=0.0)
@@ -231,14 +233,14 @@ class TestGraphSerialization:
         g = build_graph(e, DbscanParams())
         assign_vertex_targets(g, truth_ellipses(e))
         d = graph_to_dict(g)
-        assert d["format"] == "graph-v1"
-        g2 = graph_from_dict(d)
+        assert d["format"] == "graph-v2"
+        g2 = graph_from_dict(json.loads(json.dumps(d)))
         assert np.array_equal(g2.eta, g.eta)
         assert np.array_equal(g2.phi, g.phi)
         assert np.array_equal(g2.state, g.state)
         assert np.array_equal(g2.edges, g.edges)
-        assert np.array_equal(g2.truth_edge_labels, g.truth_edge_labels)
         assert np.array_equal(g2.vertex_hit_ids, g.vertex_hit_ids)
+        assert np.array_equal(g2.vertex_particle_id, g.vertex_particle_id)
         assert np.array_equal(g2.vertex_class, g.vertex_class)
         assert np.array_equal(g2.vertex_xy, g.vertex_xy)
         assert g2.truth_params == g.truth_params
@@ -248,10 +250,42 @@ class TestGraphSerialization:
         with pytest.raises(ConsistencyError):
             graph_from_dict({"format": "bogus"})
 
+    def test_targets_stored_once_per_particle(self):
+        doc = json.loads(GRAPH_DOC)
+        assert all(set(v) == {"eta", "phi", "state", "hit_id"}
+                   for v in doc["vertices"])
+        assert all(len(e) == 2 for e in doc["edges"])
+        g = graph_from_dict(doc)
+        targets = {p["particle_id"]: p["target"]
+                   for p in doc["truth"]["particles"]}
+        for pid, target in zip(g.vertex_particle_id, g.vertex_target_ellipse):
+            assert target == (None if pid == 0 else
+                              ellipse_from_dict(targets[pid]))
+
+    def test_unassigned_targets_round_trip_as_null(self):
+        g = build_graph(make_training_graph(seed=30, n_tracks=2)[0],
+                        DbscanParams())
+        d = graph_to_dict(g)
+        assert all(p["target"] is None for p in d["truth"]["particles"])
+        assert graph_from_dict(d).vertex_target_ellipse == [None] * \
+            g.n_vertices
+
     @pytest.mark.parametrize("path, value", [
-        (("edges", 0), [-1, 0, False]),
-        (("edges", 0), [2, 2, True]),
-        (("truth", "vertex_xy"), [[0.0, 0.0]])])
+        (("edges", 0), [-1, 0]),
+        (("edges", 0), [2, 2]),
+        (("truth", "vertex_xy"), [[0.0, 0.0]]),
+        (("format",), "graph-v1"),
+        (("edges", 0), [0, 1, True]),
+        (("edges",), [[0]]),
+        (("vertices", 0, "eta"), None),
+        (("vertices", 0, "phi"), float("inf")),
+        (("vertices", 0, "state"), [float("nan"), 0.0]),
+        (("truth", "vertex_xy", 0), [0.1, float("nan")]),
+        (("truth", "particles", 0, "pt"), float("nan")),
+        (("truth", "particles", 0, "eps_t"), None),
+        (("truth", "particles", 0, "target", "eta_c"), float("inf")),
+        (("truth", "particles"), []),
+        (("truth",), {"vertex_xy": []})])
     def test_inconsistent_document_rejected(self, path, value):
         doc = json.loads(GRAPH_DOC)
         set_at(doc, path, value)
@@ -269,17 +303,12 @@ class TestGraphSerialization:
         except DataError:
             return
         assert isinstance(graph, Graph)
-
-
-def test_edge_label_rederivation(detector):
-    # soundness: an edge is true iff its endpoints share a nonzero pid
-    gen = GenConfig(n_tracks=8, noise_fraction=0.2,
-                    hit_smearing_sigma=5e-4)
-    e = generate_event(detector, gen, seed=29)
-    g = build_graph(e, DbscanParams(eps=0.2, min_pts=2))
-    pid = g.vertex_particle_id
-    for (i, j), label in zip(g.edges, g.truth_edge_labels):
-        assert label == (pid[i] == pid[j] and pid[i] != 0)
+        loaded = [graph.eta, graph.phi, graph.state, graph.vertex_xy,
+                  list(graph.truth_params.values()),
+                  [astuple(e) for e in graph.vertex_target_ellipse
+                   if e is not None]]
+        for values in loaded:
+            assert np.all(np.isfinite(np.asarray(values, dtype=float)))
 
 
 def test_default_params_cocluster_same_track_pairs(detector):

@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -374,6 +376,19 @@ class TestIo:
         assert restored["assignments"] == pred["assignments"]
         assert restored["class_prob"] == pred["class_prob"]
 
+    @pytest.mark.parametrize("path, value", [
+        (("class_prob", 0), math.nan),
+        (("class_prob", 0), 1.5),
+        (("class_prob", 0), -0.1),
+        (("candidates", 0, "confidence"), math.inf),
+        (("candidates", 0, "params", 1), math.nan),
+        (("candidates", 0, "ellipse", "phi_c"), math.nan)])
+    def test_prediction_with_bad_number_rejected(self, path, value):
+        doc = json.loads(PRED_DOC)
+        set_at(doc, path, value)
+        with pytest.raises(ConsistencyError):
+            prediction_from_dict(doc)
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_any_json_value_builds_a_graph_or_is_a_data_error(self, data):
@@ -406,6 +421,12 @@ class TestIo:
                    for key in ("class_prob", "ellipses", "assignments"))
         assert all(a is None or 0 <= a < n_candidates
                    for a in pred["assignments"])
+        assert all(0.0 <= p <= 1.0 for p in pred["class_prob"])
+        loaded = [*(astuple(e) for e in pred["ellipses"] if e is not None),
+                  *(astuple(c.ellipse) for c in pred["candidates"]),
+                  *((c.confidence, *(c.params or ()))
+                    for c in pred["candidates"])]
+        assert all(map(math.isfinite, itertools.chain(*loaded)))
 
     def test_failed_write_keeps_old_artifact(self, tmp_path, monkeypatch):
         path = tmp_path / "doc.json"
@@ -447,7 +468,7 @@ def _edited(change):
 
 def _append_out_of_range_edge(text):
     doc = json.loads(text)
-    doc["edges"].append([0, 999, True])
+    doc["edges"].append([0, 999])
     return json.dumps(doc)
 
 
@@ -542,14 +563,27 @@ class TestCli:
          _edited(lambda doc: doc["hits"][0].update(eta=math.nan)),
          "build-graphs"),
         ("predictions/pred_*.json", _set_first("assignments", 999),
-         "evaluate")],
+         "evaluate"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc["vertices"][0].update(eta=None)), "train"),
+        ("predictions/pred_*.json", _set_first("class_prob", math.nan),
+         "evaluate"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc.update(format="graph-v1")), "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc["edges"].append([0, 1, True])), "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc["truth"]["particles"].pop()), "train")],
         ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
              "pred-no-candidates", "checkpoint-v1", "checkpoint-no-adam",
              "event-hit-not-object", "checkpoint-param-not-number",
              "pred-param-not-number", "graph-not-utf8",
              "graph-nested-too-deep", "graph-edge-out-of-range",
              "graph-particle-ids-short", "event-track-unknown-hit",
-             "event-hit-nan-eta", "pred-assignment-out-of-range"])
+             "event-hit-nan-eta", "pred-assignment-out-of-range",
+             "graph-vertex-eta-null", "pred-class-prob-nan",
+             "graph-v1-format", "graph-edge-not-a-pair",
+             "graph-particle-missing"])
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
                                         damage, command):
         cfg_path = tiny_cli_config(tmp_path)

@@ -209,10 +209,6 @@ class TestDisplacedParabolaAccuracy:
 
 
 class TestCircleTrack:
-    def test_delta(self):
-        c = CircleTrack(0.6, 0.8, 1.0, 1)
-        assert c.delta == pytest.approx(0.0)
-
     def test_invalid(self):
         with pytest.raises(DomainError):
             CircleTrack(0.0, 0.0, -1.0, 1)

@@ -1,0 +1,90 @@
+"""Every public top-level name of the package has a user besides the tests.
+
+A public top-level function, class or UPPER_CASE constant of
+`src/trackseg` must be referenced outside its own definition somewhere in
+`src/`, `perfbench/` or `pyproject.toml`.  A reference is a name or an
+attribute in code, or a word inside a string that is not a docstring (the
+benchmark tracer names its targets in strings).  Imports and `__all__`
+entries do not count: a name that is only re-exported has no user.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "trackseg"
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# their fate is an open ROADMAP decision: wire into the pipeline or delete
+ALLOWED_UNUSED = {"choose_threshold", "fit_track_conformal"}
+
+
+def _defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name)
+            and CONSTANT.fullmatch(t.id)]
+
+
+def public_definitions():
+    """(module path, name, first line, last line) per public definition."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for name in _defined_names(node):
+                if not name.startswith("_"):
+                    yield path, name, node.lineno, node.end_lineno
+
+
+def _is_dunder_all(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def references(path):
+    """(word, line) for every reference in one Python file."""
+    tree = ast.parse(path.read_text())
+    skipped = set()
+    for node in ast.walk(tree):
+        if _is_dunder_all(node) or (isinstance(node, ast.Expr) and
+                                    isinstance(node.value, ast.Constant)):
+            skipped.update(id(n) for n in ast.walk(node))
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for word in WORD.findall(node.value):
+                yield word, node.lineno
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    refs = {}
+    for top in ("src", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            if "tests" in path.relative_to(ROOT).parts:
+                continue
+            for word, line in references(path):
+                refs.setdefault(word, []).append((path, line))
+    config_words = set(WORD.findall((ROOT / "pyproject.toml").read_text()))
+
+    unused = []
+    for path, name, first, last in public_definitions():
+        used = name in config_words or any(
+            not (ref_path == path and first <= line <= last)
+            for ref_path, line in refs.get(name, ()))
+        if not used and name not in ALLOWED_UNUSED:
+            unused.append(f"{path.relative_to(ROOT)}: {name}")
+    assert unused == []
+
+
+def test_allowlist_names_exist():
+    names = {name for _, name, _, _ in public_definitions()}
+    assert ALLOWED_UNUSED <= names

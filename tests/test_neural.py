@@ -9,6 +9,7 @@ from trackseg.neural import (AdamState, MlpSpec, Tape, adam_step, bce_loss,
                              gradients, huber_loss, init_mlp_params,
                              mlp_forward, mse_tracking_loss)
 from trackseg.neural import autodiff as ad
+from trackseg.neural.nn import HUBER_DELTA
 
 
 def finite_difference(f, x0, h=1e-6):
@@ -200,7 +201,7 @@ class TestMaxAggregate:
 
 class TestMlp:
     def test_zero_weights_bias_only(self):
-        spec = MlpSpec((3, 2), output_activation="identity")
+        spec = MlpSpec((3, 2))
         t = Tape()
         params = {"W0": t.const(np.zeros((3, 2))),
                   "b0": t.const(np.array([0.5, -1.0]))}
@@ -245,7 +246,7 @@ class TestMlp:
             MlpSpec((3,))
 
     def test_one_tape_node_per_call(self):
-        spec = MlpSpec((3, 4, 4, 1), output_activation="sigmoid")
+        spec = MlpSpec((3, 4, 4, 1), sigmoid_out=True)
         t = Tape()
         params = {k: t.leaf(v) for k, v in
                   init_mlp_params(spec, np.random.default_rng(3)).items()}
@@ -266,8 +267,8 @@ def bce(y, p):
     return float(bce_loss(y, const(p, (-1, 1))).data)
 
 
-def huber(pred, target, mask, **kwargs):
-    return float(huber_loss(const(pred), target, mask, **kwargs).data)
+def huber(pred, target, mask):
+    return float(huber_loss(const(pred), target, mask).data)
 
 
 def mse(pred, truth, **kwargs):
@@ -313,29 +314,29 @@ class TestHuber:
         pred = np.zeros((1, 5))
         target = np.zeros((1, 5))
         target[0, 0] = -0.5
-        assert huber(pred, target, [1.0], delta=1.0) == pytest.approx(0.125)
+        assert huber(pred, target, [1.0]) == pytest.approx(0.125)
 
     def test_linear_branch(self):
         pred = np.zeros((1, 5))
         target = np.zeros((1, 5))
         target[0, 0] = -2.0
-        assert huber(pred, target, [1.0], delta=1.0) == pytest.approx(1.5)
+        assert huber(pred, target, [1.0]) == pytest.approx(1.5)
 
     def test_mask_and_normalization(self):
         pred = np.zeros((4, 5))
         target = np.zeros((4, 5))
         target[:, 0] = -2.0
         # only two vertices masked in, averaged over all four
-        assert huber(pred, target, [1, 1, 0, 0], delta=1.0) == \
+        assert huber(pred, target, [1, 1, 0, 0]) == \
             pytest.approx(2 * 1.5 / 4)
 
     def test_continuity_at_knot(self):
-        delta = 1.0
+        delta = HUBER_DELTA
         eps = 1e-9
         below = huber(np.array([[delta - eps, 0, 0, 0, 0]]),
-                      np.zeros((1, 5)), [1.0], delta=delta)
+                      np.zeros((1, 5)), [1.0])
         above = huber(np.array([[delta + eps, 0, 0, 0, 0]]),
-                      np.zeros((1, 5)), [1.0], delta=delta)
+                      np.zeros((1, 5)), [1.0])
         assert abs(above - below) < 1e-8
         # derivative continuity: clamp(x) is continuous by construction
         assert abs((above - below) / (2 * eps) - delta) < 1e-4

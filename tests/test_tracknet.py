@@ -24,8 +24,8 @@ def small_config(iterations=2, hidden=8, **kwargs):
 
 def zero_model(config):
     m = tn.Model(config)
-    return tn.Model(config, {k: np.zeros_like(v)
-                             for k, v in m.params.items()})
+    m.flat[:] = 0.0
+    return m
 
 
 def tiny_graph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 2))):
@@ -37,9 +37,7 @@ def tiny_graph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 2))):
         phi=rng.uniform(0, 2 * math.pi, n),
         state=rng.normal(0, 0.3, (n, 2)),
         edges=edges,
-        truth_edge_labels=np.ones(len(edges), dtype=bool),
         vertex_hit_ids=np.arange(1, n + 1),
-        vertex_class=np.ones(n, dtype=bool),
         vertex_particle_id=np.ones(n, dtype=int),
         vertex_xy=rng.uniform(0.02, 0.2, (n, 2)),
         truth_params={1: (2.5, 3e-4)},
@@ -74,9 +72,7 @@ class TestForward:
             event_id=g.event_id,
             eta=g.eta[perm], phi=g.phi[perm], state=g.state[perm],
             edges=np.sort(inv[g.edges], axis=1) if g.n_edges else g.edges,
-            truth_edge_labels=g.truth_edge_labels,
             vertex_hit_ids=g.vertex_hit_ids[perm],
-            vertex_class=g.vertex_class[perm],
             vertex_particle_id=g.vertex_particle_id[perm],
             vertex_xy=g.vertex_xy[perm],
             truth_params=g.truth_params,
@@ -91,11 +87,11 @@ class TestForward:
 
     def test_auto_registration_off_equals_zero_h(self, toy_graph):
         m = tn.Model(small_config(), seed=6)
-        params = {k: (np.zeros_like(v) if k.startswith("h") else v)
-                  for k, v in m.params.items()}
-        mh = tn.Model(m.config, params)
-        with_reg = tn.gnn_forward(mh, toy_graph, auto_registration=True)
-        without = tn.gnn_forward(mh, toy_graph, auto_registration=False)
+        for k, v in m.params.items():
+            if k.startswith("h"):
+                v[...] = 0.0
+        with_reg = tn.gnn_forward(m, toy_graph, auto_registration=True)
+        without = tn.gnn_forward(m, toy_graph, auto_registration=False)
         assert np.array_equal(with_reg.final_state.data,
                               without.final_state.data)
         assert np.array_equal(with_reg.class_prob.data,
@@ -115,7 +111,7 @@ class TestForward:
         assert sum(p.size for p in m.params.values()) == m.flat.size
         for p in m.params.values():
             assert np.shares_memory(p, m.flat)
-        copy = tn.Model(m.config, m.params)
+        copy = tn.Model(m.config, seed=2)
         assert not np.shares_memory(copy.flat, m.flat)
         assert np.array_equal(copy.flat, m.flat)
         for p in copy.params.values():
@@ -136,11 +132,11 @@ class TestTotalLoss:
         m = tn.Model(small_config(), seed=9)
         out = tn.gnn_forward(m, toy_graph)
         y, enc = tn.build_targets(toy_graph)
-        tape = out.tape
+        tape = out.final_state.tape
         perfect = tn.VertexOutputs(
             class_prob=tape.const(y[:, None]),
             encoded_box=tape.const(enc),
-            final_state=out.final_state, tape=tape, leaves=out.leaves)
+            final_state=out.final_state, leaves=out.leaves)
         preds = tape.const(np.array([[2.0, 1e-4]]))
         total, comps = tn.total_loss(perfect, (y, enc), preds,
                                      [(2.0, 1e-4)])
@@ -150,7 +146,7 @@ class TestTotalLoss:
         m = tn.Model(small_config(), seed=10)
         out = tn.gnn_forward(m, toy_graph)
         targets = tn.build_targets(toy_graph)
-        tape = out.tape
+        tape = out.final_state.tape
         p1 = tape.const(np.array([[5.0, 1.0]]))
         p2 = tape.const(np.array([[-3.0, 2.0]]))
         t1, _ = tn.total_loss(out, targets, p1, [(2.0, 1e-4)],
@@ -166,7 +162,7 @@ class TestTotalLoss:
         m = tn.Model(small_config(), seed=11)
         out = tn.gnn_forward(m, g)
         targets = tn.build_targets(g)
-        preds = out.tape.const(np.array([[2.0, 1e-4]]))
+        preds = out.final_state.tape.const(np.array([[2.0, 1e-4]]))
         _, comps = tn.total_loss(out, targets, preds, [(2.5, 3e-4)],
                                  weights=(1.0, 1.0, 1.0))
         expected = comps["l_c"] + comps["l_loc"] + comps["l_t"]
@@ -178,7 +174,7 @@ class TestTotalLoss:
         def total(weights):
             out = tn.gnn_forward(m, toy_graph)
             targets = tn.build_targets(toy_graph)
-            preds = out.tape.const(np.array([[2.0, 1e-4]]))
+            preds = out.final_state.tape.const(np.array([[2.0, 1e-4]]))
             _, comps = tn.total_loss(out, targets, preds, [(2.5, 3e-4)],
                                      weights=weights)
             return comps
@@ -219,7 +215,8 @@ class TestPredictClusterParams:
                                          [[0, 1]], g.vertex_xy)
         # the parabola features are zeroed: only the state max is read
         state_max = out.final_state.data[:2].max(axis=0)
-        feats = out.tape.const(np.concatenate([np.zeros(3), state_max])[None])
+        feats = out.final_state.tape.const(
+            np.concatenate([np.zeros(3), state_max])[None])
         zero_fit = mlp_forward(m.config.specs["tracking"], out.leaves, feats,
                                "trk.")
         assert np.array_equal(pred.data, zero_fit.data)
@@ -265,10 +262,12 @@ class TestPredictClusterParams:
         assert eps == pytest.approx(pred.data[0, 1], rel=1e-12)
 
 
-def composite_loss(cfg, graph, params):
-    """Full gnn_forward + total_loss composite, unit tracking scales so
-    the finite-difference comparison stays well conditioned."""
-    m = tn.Model(cfg, params)
+def composite_loss(cfg, graph, flat):
+    """Full gnn_forward + total_loss composite at the flat parameter
+    vector `flat`, unit tracking scales so the finite-difference
+    comparison stays well conditioned."""
+    m = tn.Model(cfg)
+    m.flat[:] = flat
     tape = Tape()
     out = tn.gnn_forward(m, graph, tape)
     pids = sorted(graph.truth_params)
@@ -301,7 +300,7 @@ def sweep_composite_gradients(graph, cfg, model_seed, element_cap=None,
             model.params[k][...] = rng.uniform(0.01, 0.2,
                                                model.params[k].shape)
 
-    total, out, _ = composite_loss(cfg, graph, model.params)
+    total, out, _ = composite_loss(cfg, graph, model.flat)
     from trackseg.neural import gradients
     grads = gradients(total, out.leaves)
 
@@ -313,11 +312,11 @@ def sweep_composite_gradients(graph, cfg, model_seed, element_cap=None,
         idx = range(p.size) if element_cap is None else rng2.choice(
             p.size, size=min(element_cap, p.size), replace=False)
         for fi in idx:
-            pp = {k: v.copy() for k, v in model.params.items()}
-            pp[name].flat[fi] += h
-            lp, _, tp = composite_loss(cfg, graph, pp)
-            pp[name].flat[fi] -= 2 * h
-            lm, _, tm = composite_loss(cfg, graph, pp)
+            flat = model.flat.copy()
+            flat[offset + fi] += h
+            lp, _, tp = composite_loss(cfg, graph, flat)
+            flat[offset + fi] -= 2 * h
+            lm, _, tm = composite_loss(cfg, graph, flat)
             if min(tp.kink_margin, tm.kink_margin) < 1e-7:
                 continue
             fd = (float(lp.data) - float(lm.data)) / (2 * h)
@@ -389,7 +388,6 @@ class TestTrain:
 
     def test_train_step_without_truth_tracks(self):
         g = tiny_graph()
-        g.vertex_class = np.zeros(g.n_vertices, dtype=bool)
         g.vertex_particle_id = np.zeros(g.n_vertices, dtype=int)
         g.truth_params = {}
         assert g.n_edges > 0
