@@ -4,9 +4,9 @@ Artifacts live under the configured output directory:
 
     events/event_00000.json     one document per event
     graphs/graph_00000.json     one graph per event
-    checkpoint.json             tracknet-v2: model config, flat parameter
-                                vector in parameter-name order, flat Adam
-                                moments (v1 checkpoints are rejected with
+    checkpoint.json             tracknet-v3: model config and flat
+                                parameter vector in parameter-name order
+                                (v1 and v2 checkpoints are rejected with
                                 exit 3 and must be retrained)
     history.json                per-epoch loss components
     predictions/pred_00000.json per-event inference output
@@ -24,8 +24,10 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
+import numpy as np
+
 from .. import tracknet
-from ..errors import ConfigError
+from ..errors import ConfigError, NumericError
 from ..events import apply_selection, generate_event, read_trackml_event, \
     validate_event
 from ..graphs import assign_vertex_targets, build_graph, graph_from_dict, \
@@ -137,11 +139,10 @@ def stage_train(cfg: RunConfig) -> Path:
     graphs = _load_graphs(cfg)
     train_graphs, _ = _split(graphs, cfg.eval.n_holdout)
     model = tracknet.Model(cfg.model, seed=cfg.seed + _MODEL_SEED_OFFSET)
-    history, state = tracknet.train(model, train_graphs, cfg.training,
-                                    seed=cfg.seed + _SHUFFLE_SEED_OFFSET)
+    history = tracknet.train(model, train_graphs, cfg.training,
+                             seed=cfg.seed + _SHUFFLE_SEED_OFFSET)
     save_path = _checkpoint_path(cfg)
-    tracknet.save_checkpoint(model, state, epoch=len(history),
-                             path=save_path)
+    tracknet.save_checkpoint(model, save_path)
     write_json(_history_path(cfg),
                {"format": "history-v1", "history": history,
                 "seed": cfg.seed, "config": cfg.to_dict()})
@@ -160,6 +161,10 @@ def _infer_one(cfg: RunConfig, model: tracknet.Model, graph) -> dict:
                for cand in raw]
     params = tracknet.cluster_params_from_states(
         model, result.final_state, members, graph.vertex_xy)
+    if not np.all(np.isfinite(params)):
+        raise NumericError("non-finite inference output",
+                           graph_id=graph.event_id,
+                           component="candidate (p_T, eps_T)")
     candidates = [TrackCandidate(cand.ellipse, cand.confidence, vids,
                                  (float(pt), float(eps)))
                   for cand, vids, (pt, eps) in zip(raw, members, params)]
@@ -171,7 +176,7 @@ def _infer_one(cfg: RunConfig, model: tracknet.Model, graph) -> dict:
 
 
 def stage_infer(cfg: RunConfig) -> list[Path]:
-    model, _, _ = tracknet.load_checkpoint(_checkpoint_path(cfg))
+    model = tracknet.load_checkpoint(_checkpoint_path(cfg))
     graphs = _load_graphs(cfg)
     _, eval_graphs = _split(graphs, cfg.eval.n_holdout)
     paths = []

@@ -3,16 +3,11 @@
 A Tape records every Var in creation order, which is already a valid
 topological order, so the backward pass is a single reverse sweep.  All
 operations are deterministic; ties in max operations route the gradient
-to the lowest contributing index.  The tape tracks the distance of every
-forward pass to the nearest ReLU/max/clamp/Huber kink (`kink_margin`)
-so finite-difference checks can exclude non-smooth points.  A whole dense
-stack (`mlp`) and each loss (`bce`, `masked_huber`, `scaled_mse`) is one
-node with one backward.
+to the lowest contributing index.  A whole dense stack (`mlp`) and each
+loss (`bce`, `masked_huber`, `scaled_mse`) is one node with one backward.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -38,7 +33,6 @@ class Tape:
     def __init__(self):
         self._nodes: list[Var] = []
         self._done = False
-        self.kink_margin = math.inf
 
     def _node(self, data, backward=None) -> Var:
         v = Var(np.asarray(data, dtype=np.float64), self, backward)
@@ -77,10 +71,6 @@ class Tape:
         self._done = True
         self._nodes.clear()
 
-    def _note_margin(self, margin: float) -> None:
-        if margin < self.kink_margin:
-            self.kink_margin = margin
-
 
 def _same_tape(*vars_: Var) -> Tape:
     tape = vars_[0].tape
@@ -118,8 +108,6 @@ def mlp(x: Var, layers: list[tuple[Var, Var]], sigmoid_out: bool) -> Var:
         inputs.append(h)
         h = h @ w.data + b.data
         if k < len(layers) - 1:
-            if h.size:
-                tape._note_margin(float(np.min(np.abs(h))))
             pre.append(h)
             # np.maximum (not where) so NaN inputs propagate
             h = np.maximum(h, 0.0)
@@ -198,19 +186,6 @@ def segment_max(a: Var, segment_ids: np.ndarray, num_segments: int) -> Var:
     row_ids = np.broadcast_to(np.arange(m)[:, None], (m, k))
     sel = np.full((num_segments, k), m, dtype=int)
     np.minimum.at(sel, seg, np.where(winners, row_ids, m))
-
-    if m:
-        win_counts = np.zeros((num_segments, k))
-        np.add.at(win_counts, seg, winners.astype(float))
-        if np.any(win_counts > 1.0):
-            a.tape._note_margin(0.0)
-        masked = np.where(winners, -np.inf, a.data)
-        second = np.full((num_segments, k), -np.inf)
-        np.maximum.at(second, seg, masked)
-        valid = np.isfinite(second) & ~empty
-        if np.any(valid):
-            a.tape._note_margin(float((out[valid] - second[valid]).min()))
-
     out = np.where(empty, 0.0, out)
 
     def backward(g):
@@ -228,9 +203,6 @@ def bce(p: Var, y: np.ndarray, clamp: float) -> Var:
     lo, hi = clamp, 1.0 - clamp
     x = p.data
     inside = (x > lo) & (x < hi)
-    if x.size:
-        p.tape._note_margin(float(np.min(np.minimum(np.abs(x - lo),
-                                                    np.abs(x - hi)))))
     ph = np.clip(x, lo, hi)
     q = ph * -1.0 + 1.0
     s = -1.0 / len(y)
@@ -250,8 +222,6 @@ def masked_huber(pred: Var, target: np.ndarray, mask: np.ndarray,
     by the (n, 1) mask, summed and divided by the row count."""
     d = pred.data + -target
     absd = np.abs(d)
-    if d.size:
-        pred.tape._note_margin(float(np.min(np.abs(absd - delta))))
     h = np.where(absd <= delta, 0.5 * d * d, delta * (absd - 0.5 * delta))
     s = 1.0 / pred.data.shape[0]
 

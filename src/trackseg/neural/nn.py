@@ -19,6 +19,10 @@ from .autodiff import Var
 BCE_CLAMP = 1e-12
 # the localization loss is quadratic within HUBER_DELTA, linear beyond
 HUBER_DELTA = 1.0
+# Adam's moment decay rates and the denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,6 @@ class AdamState:
     """Optimizer state; the moment accumulators are flat arrays laid out
     like the parameter vector, None before the first step."""
     lr: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
     weight_decay: float = 1e-5
     step: int = 0
     m: np.ndarray | None = None
@@ -144,13 +145,13 @@ def adam_step(state: AdamState, flat: np.ndarray, grad: np.ndarray):
     if state.weight_decay:
         flat *= 1.0 - state.lr * state.weight_decay
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps_hat)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    flat -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def gradients(loss: Var, leaves: dict[str, Var]) -> np.ndarray:

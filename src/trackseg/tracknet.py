@@ -34,7 +34,7 @@ STATE_DIM = 2
 COORD_DIM = 2
 EDGE_FEATURE_DIM = 4
 TRACKING_FEATURE_DIM = 5  # 3 parabola coefficients + 2 state-max components
-CHECKPOINT_FORMAT = "tracknet-v2"
+CHECKPOINT_FORMAT = "tracknet-v3"
 
 
 @dataclass(frozen=True)
@@ -137,13 +137,12 @@ def _directed_edges(graph: Graph):
     return src, dst
 
 
-def gnn_forward(model: Model, graph: Graph, tape: Tape | None = None,
-                auto_registration: bool = True) -> VertexOutputs:
+def gnn_forward(model: Model, graph: Graph,
+                tape: Tape | None = None) -> VertexOutputs:
     """Run the T message-passing iterations and the per-vertex heads.
 
     Coordinate differences use the wrapped shortest arc in phi; isolated
-    vertices receive a zero aggregate.  With auto_registration disabled
-    the offset term is dropped entirely (the plain message-passing form).
+    vertices receive a zero aggregate.
     """
     specs = model.config.specs
     tape = tape if tape is not None else Tape()
@@ -158,11 +157,8 @@ def gnn_forward(model: Model, graph: Graph, tape: Tape | None = None,
 
     s = tape.const(graph.state)
     for t in range(1, model.config.iterations + 1):
-        if auto_registration:
-            dx = mlp_forward(specs["h"], leaves, s, f"h{t}.")
-            shifted = ad.add(tape.const(coord_diff), ad.gather_rows(dx, dst))
-        else:
-            shifted = tape.const(coord_diff)
+        dx = mlp_forward(specs["h"], leaves, s, f"h{t}.")
+        shifted = ad.add(tape.const(coord_diff), ad.gather_rows(dx, dst))
         edge_in = ad.concat_cols([shifted, ad.gather_rows(s, src)])
         msg = mlp_forward(specs["f"], leaves, edge_in, f"f{t}.")
         agg = ad.segment_max(msg, dst, n)
@@ -307,7 +303,7 @@ def train(model: Model, dataset: list[Graph], cfg: TrainConfig,
 
     Shuffling is a fixed stream seeded by `seed`, so reruns
     from the same initial model produce bit-identical histories.  Returns
-    (per-epoch history, final AdamState); the model is updated in place.
+    the per-epoch history; the model is updated in place.
     """
     if not dataset:
         raise ConfigError("training needs a non-empty dataset")
@@ -329,7 +325,7 @@ def train(model: Model, dataset: list[Graph], cfg: TrainConfig,
         record = {key: value / len(dataset) for key, value in sums.items()}
         record["epoch"] = epoch
         history.append(record)
-    return history, state
+    return history
 
 
 @dataclass
@@ -342,12 +338,17 @@ class InferResult:
 def infer(model: Model, graph: Graph,
           threshold: float = 0.5) -> InferResult:
     """Forward pass plus a decoded ellipse for every vertex whose track
-    probability reaches the threshold."""
+    probability reaches the threshold.  A non-finite class probability or
+    encoded box raises NumericError naming the graph and the output."""
     with Tape() as tape:
         outputs = gnn_forward(model, graph, tape)
         prob = outputs.class_prob.data[:, 0].copy()
         boxes = outputs.encoded_box.data.copy()
         final_state = outputs.final_state.data.copy()
+    for name, values in (("class_prob", prob), ("encoded_box", boxes)):
+        if not np.all(np.isfinite(values)):
+            raise NumericError("non-finite inference output",
+                               graph_id=graph.event_id, component=name)
     ellipses = []
     for i in range(graph.n_vertices):
         if prob[i] >= threshold:
@@ -358,47 +359,35 @@ def infer(model: Model, graph: Graph,
     return InferResult(prob, final_state, ellipses)
 
 
-def save_checkpoint(model: Model, state: AdamState, epoch: int,
-                    path) -> None:
-    """Write the tracknet-v2 checkpoint document: the model config, the
-    flat parameter vector and the flat Adam moments."""
-    def flat(a):
-        return None if a is None else a.tolist()
-
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "config": model.config.to_dict(),
-        "epoch": epoch,
-        "params": model.flat.tolist(),
-        "adam": {
-            "lr": state.lr, "beta1": state.beta1, "beta2": state.beta2,
-            "eps_hat": state.eps_hat, "weight_decay": state.weight_decay,
-            "step": state.step, "m": flat(state.m), "v": flat(state.v),
-        },
-    }
-    write_json(path, doc)
+def save_checkpoint(model: Model, path) -> None:
+    """Write the tracknet-v3 checkpoint document: the model config and
+    the flat parameter vector."""
+    write_json(path, {"format": CHECKPOINT_FORMAT,
+                      "config": model.config.to_dict(),
+                      "params": model.flat.tolist()})
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; rejects a parameter vector that is not finite or
-    whose length does not match the embedded config, before any model
-    of that config is built."""
+def load_checkpoint(path) -> Model:
+    """Read a checkpoint into a Model.  An invalid config, or a parameter
+    vector that is not finite or whose length does not match the config,
+    raises ConsistencyError before any model of that config is built."""
     doc = read_json(path)
+    if isinstance(doc, dict) and doc.get("format") in ("tracknet-v1",
+                                                       "tracknet-v2"):
+        raise ConsistencyError(f"{path} is a {doc['format']} checkpoint; "
+                               f"retrain to write {CHECKPOINT_FORMAT}")
     with parsing(doc, CHECKPOINT_FORMAT):
-        config = ModelConfig.from_dict(doc["config"])
+        try:
+            config = ModelConfig.from_dict(doc["config"])
+        except ConfigError as err:
+            raise ConsistencyError(f"checkpoint config: {err}") from err
         params = np.asarray(doc["params"], dtype=float)
         if params.shape != (config.n_params,):
-            raise ConfigError(f"checkpoint has {params.size} parameters, "
-                              f"config needs {config.n_params}")
+            raise ConsistencyError(f"checkpoint has {params.size} "
+                                   f"parameters, config needs "
+                                   f"{config.n_params}")
         if not np.all(np.isfinite(params)):
             raise ConsistencyError("checkpoint has non-finite parameters")
         model = Model(config)
         model.flat[:] = params
-        a = doc["adam"]
-        state = AdamState(
-            lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
-            eps_hat=a["eps_hat"], weight_decay=a["weight_decay"],
-            step=int(a["step"]),
-            m=None if a["m"] is None else np.asarray(a["m"], dtype=float),
-            v=None if a["v"] is None else np.asarray(a["v"], dtype=float))
-        return model, state, int(doc["epoch"])
+        return model

@@ -2,8 +2,9 @@
 
 Nothing here may call the code paths it checks: DBSCAN is re-derived
 from the density-connectivity definition, IoU from Monte Carlo sampling,
-ellipse membership from the raw quadratic form, and the gradient checks
-reduce to a scalar through a test-local node.
+ellipse membership from the raw quadratic form, plain message passing
+vertex by vertex, and the gradient checks reduce to a scalar through a
+test-local node.
 """
 
 import math
@@ -25,6 +26,46 @@ def weighted_sum(v, w):
 def wrap_dphi(a, b):
     d = np.abs(np.asarray(a) - np.asarray(b)) % (2.0 * math.pi)
     return np.minimum(d, 2.0 * math.pi - d)
+
+
+def _dense(params, prefix, x):
+    """ReLU stack read layer by layer from params: W0, b0, W1, ..."""
+    k = 0
+    while f"{prefix}W{k}" in params:
+        if k:
+            x = np.maximum(x, 0.0)
+        x = x @ params[f"{prefix}W{k}"] + params[f"{prefix}b{k}"]
+        k += 1
+    return x
+
+
+def plain_message_passing(params, iterations, graph):
+    """Message passing without auto-registration, vertex by vertex, in
+    the form of Point-GNN (Shi & Rajkumar, CVPR 2020):
+    s_i <- g([max_j f([x_j - x_i, s_j]), s_i]) + s_i over the neighbors
+    j of i, with x = (eta, phi) and phi differences wrapped; a vertex
+    without neighbors aggregates zeros.  Returns the final states, the
+    classifier's probabilities and the encoded boxes."""
+    n = len(graph.state)
+    neighbors = [[] for _ in range(n)]
+    for i, j in graph.edges:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    s = np.array(graph.state, dtype=float)
+    for t in range(1, iterations + 1):
+        new = np.empty_like(s)
+        for i in range(n):
+            js = np.array(neighbors[i], dtype=int)
+            d_phi = (graph.phi[js] - graph.phi[i] + math.pi) % (
+                2.0 * math.pi) - math.pi
+            msgs = _dense(params, f"f{t}.", np.column_stack(
+                [graph.eta[js] - graph.eta[i], d_phi, s[js]]))
+            agg = msgs.max(axis=0) if len(js) else np.zeros(msgs.shape[1])
+            new[i] = _dense(params, f"g{t}.",
+                            np.concatenate([agg, s[i]])[None, :])[0] + s[i]
+        s = new
+    prob = 1.0 / (1.0 + np.exp(-_dense(params, "cls.", s)))
+    return s, prob, _dense(params, "loc.", s)
 
 
 def brute_force_dbscan(points, eps, min_pts):

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import make_training_graph
 from oracles import (brute_force_dbscan, monte_carlo_iou, partition_of,
-                     sample_circle, weighted_sum)
+                     plain_message_passing, sample_circle, weighted_sum)
 from test_events import HITS_CSV, write_trackml
 from test_harness import tiny_cli_config, truth_identity_prediction
 from test_neural import check_op_gradient, mlp_gradient_builds
@@ -269,6 +269,7 @@ def test_criterion_5_gradient_checks():
     cfg = small_config(iterations=2, hidden=6)
     worst, checked = sweep_composite_gradients(graph, cfg, model_seed=17,
                                                element_cap=None)
+    assert checked == cfg.n_params
     assert worst < 1e-4
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -290,17 +291,16 @@ def test_criterion_6_architecture_fidelity(toy_graph):
         assert m.params[f"g{t}.W0"] is not m.params[f"g{t + 1}.W0"]
         assert m.params[f"h{t}.W0"] is not m.params[f"h{t + 1}.W0"]
 
-    # with h^t forced to zero the auto-registration form reduces to the
-    # plain message-passing form
+    # with h^t forced to zero the auto-registration form (Eq. 2) reduces
+    # to the plain message-passing form (Eq. 1) of the reference oracle
     for k, v in m.params.items():
         if k.startswith("h"):
             v[...] = 0.0
-    eq2 = tn.gnn_forward(m, toy_graph, auto_registration=True)
-    eq1 = tn.gnn_forward(m, toy_graph, auto_registration=False)
-    for a, b in ((eq2.final_state, eq1.final_state),
-                 (eq2.class_prob, eq1.class_prob),
-                 (eq2.encoded_box, eq1.encoded_box)):
-        assert np.max(np.abs(a.data - b.data)) <= 1e-12
+    eq2 = tn.gnn_forward(m, toy_graph)
+    eq1 = plain_message_passing(m.params, cfg.iterations, toy_graph)
+    for a, b in zip((eq2.final_state, eq2.class_prob, eq2.encoded_box),
+                    eq1):
+        assert np.max(np.abs(a.data - b)) <= 1e-12
 
     # residual connection: the zero network is a fixed point of the state
     m.flat[:] = 0.0
@@ -326,7 +326,7 @@ def build_benchmark_graphs():
 def run_benchmark_training(train_graphs):
     model = tn.Model(tn.ModelConfig(), seed=106)
     tcfg = tn.TrainConfig(epochs=30, lr=1e-3)
-    history, _ = tn.train(model, train_graphs, tcfg, seed=107)
+    history = tn.train(model, train_graphs, tcfg, seed=107)
     return model, history
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 
@@ -545,9 +546,9 @@ class TestCli:
         ("events/event_00000.json", _drop_key("hits"), "build-graphs"),
         ("predictions/pred_*.json", _drop_key("candidates"), "evaluate"),
         ("checkpoint.json",
-         lambda text: text.replace('"tracknet-v2"', '"tracknet-v1"'),
+         lambda text: text.replace('"tracknet-v3"', '"tracknet-v1"'),
          "infer"),
-        ("checkpoint.json", _drop_key("adam"), "infer"),
+        ("checkpoint.json", _drop_key("params"), "infer"),
         ("events/event_00000.json", _set_first("hits", 5), "build-graphs"),
         ("checkpoint.json", _set_first("params", "x"), "infer"),
         ("predictions/pred_*.json", _non_numeric_params, "evaluate"),
@@ -573,9 +574,13 @@ class TestCli:
         ("graphs/graph_00000.json",
          _edited(lambda doc: doc["edges"].append([0, 1, True])), "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["truth"]["particles"].pop()), "train")],
+         _edited(lambda doc: doc["truth"]["particles"].pop()), "train"),
+        ("checkpoint.json", _edited(lambda doc: doc["params"].pop()),
+         "infer"),
+        ("checkpoint.json",
+         _edited(lambda doc: doc["config"].update(hidden=0)), "infer")],
         ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
-             "pred-no-candidates", "checkpoint-v1", "checkpoint-no-adam",
+             "pred-no-candidates", "checkpoint-v1", "checkpoint-no-params",
              "event-hit-not-object", "checkpoint-param-not-number",
              "pred-param-not-number", "graph-not-utf8",
              "graph-nested-too-deep", "graph-edge-out-of-range",
@@ -583,7 +588,8 @@ class TestCli:
              "event-hit-nan-eta", "pred-assignment-out-of-range",
              "graph-vertex-eta-null", "pred-class-prob-nan",
              "graph-v1-format", "graph-edge-not-a-pair",
-             "graph-particle-missing"])
+             "graph-particle-missing", "checkpoint-param-count",
+             "checkpoint-hidden-zero"])
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
                                         damage, command):
         cfg_path = tiny_cli_config(tmp_path)
@@ -595,6 +601,32 @@ class TestCli:
                          else damaged.encode())
         assert main(["--config", str(cfg_path), command]) == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prefix, output", [
+        ("", "component=class_prob"), ("trk.", "component=candidate")],
+        ids=["whole-model", "track-head"])
+    def test_non_finite_inference_output_exits_4(self, tmp_path, capsys,
+                                                 prefix, output):
+        # finite parameters of alternating sign +-1e200 overflow the
+        # forward pass; "trk." damages only the track-parameter head
+        cfg_path = tiny_cli_config(tmp_path)
+        for cmd in STAGES[:STAGES.index("infer")]:
+            assert main(["--config", str(cfg_path), cmd]) == 0
+        path = tmp_path / "out" / "checkpoint.json"
+        model = tracknet.load_checkpoint(path)
+        for name, p in model.params.items():
+            if name.startswith(prefix):
+                p.flat[:] = 1e200
+                p.flat[1::2] = -1e200
+        tracknet.save_checkpoint(model, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["--config", str(cfg_path), "infer"]) == 4
+        err = capsys.readouterr().err
+        # the held-out graph is the last of the four events
+        assert "numeric failure" in err and "graph=3" in err
+        assert output in err
+        assert not list((tmp_path / "out").glob("predictions/pred_*.json"))
 
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(trackseg.__file__).parents[1])

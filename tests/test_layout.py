@@ -1,4 +1,4 @@
-"""Every public top-level name of the package has a user besides the tests.
+"""Every public name of the package has a user besides the tests.
 
 A public top-level function, class or UPPER_CASE constant of
 `src/trackseg` must be referenced outside its own definition somewhere in
@@ -6,6 +6,11 @@ A public top-level function, class or UPPER_CASE constant of
 attribute in code, or a word inside a string that is not a docstring (the
 benchmark tracer names its targets in strings).  Imports and `__all__`
 entries do not count: a name that is only re-exported has no user.
+
+A public attribute that a class assigns as `self.X = ...` must be read
+(`obj.X` in a load) outside that class somewhere in `src/` or
+`perfbench/`, so no state is kept that nothing reads.  Exception classes
+are exempt: their attributes are diagnostics for whoever catches them.
 """
 
 import ast
@@ -65,14 +70,18 @@ def references(path):
                 yield word, node.lineno
 
 
-def test_every_public_name_has_a_user_outside_the_tests():
-    refs = {}
+def _code_files():
     for top in ("src", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
-            if "tests" in path.relative_to(ROOT).parts:
-                continue
-            for word, line in references(path):
-                refs.setdefault(word, []).append((path, line))
+            if "tests" not in path.relative_to(ROOT).parts:
+                yield path
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    refs = {}
+    for path in _code_files():
+        for word, line in references(path):
+            refs.setdefault(word, []).append((path, line))
     config_words = set(WORD.findall((ROOT / "pyproject.toml").read_text()))
 
     unused = []
@@ -83,6 +92,55 @@ def test_every_public_name_has_a_user_outside_the_tests():
         if not used and name not in ALLOWED_UNUSED:
             unused.append(f"{path.relative_to(ROOT)}: {name}")
     assert unused == []
+
+
+def _is_exception_class(node):
+    """Derives from Exception or from a class named ...Error."""
+    return any(isinstance(b, ast.Name) and
+               (b.id == "Exception" or b.id.endswith("Error"))
+               for b in node.bases)
+
+
+def assigned_attributes():
+    """(module path, class, attribute, first line, last line) for every
+    public `self.X = ...` in a method of a non-exception class."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef) or \
+                    _is_exception_class(node):
+                continue
+            for sub in ast.walk(node):
+                targets = sub.targets if isinstance(sub, ast.Assign) else \
+                    [sub.target] if isinstance(sub, ast.AnnAssign) else []
+                for t in targets:
+                    if (isinstance(t, ast.Attribute) and
+                            isinstance(t.value, ast.Name) and
+                            t.value.id == "self" and
+                            not t.attr.startswith("_")):
+                        yield (path, node.name, t.attr, node.lineno,
+                               node.end_lineno)
+
+
+def test_every_assigned_attribute_is_read_outside_its_class():
+    reads = {}
+    for path in _code_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+
+    unread = sorted({
+        f"{path.relative_to(ROOT)}: {cls}.{attr}"
+        for path, cls, attr, first, last in assigned_attributes()
+        if all(ref_path == path and first <= line <= last
+               for ref_path, line in reads.get(attr, ()))})
+    assert unread == []
+
+
+def test_attribute_check_sees_the_package_classes():
+    found = {(cls, attr) for _, cls, attr, _, _ in assigned_attributes()}
+    assert {("Var", "data"), ("Model", "flat"), ("Model", "params")} <= found
+    assert not any(cls.endswith("Error") for cls, _ in found)
 
 
 def test_allowlist_names_exist():
