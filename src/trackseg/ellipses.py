@@ -17,6 +17,7 @@ import numpy as np
 from .angles import (circular_mean, signed_dphi, wrap_half_pi, wrap_phi,
                      wrap_theta)
 from .errors import DomainError
+from .jsonio import number
 
 # membership is boundary-inclusive; the slack absorbs rounding on points
 # constructed to lie exactly on the boundary
@@ -69,22 +70,9 @@ def make_ellipse(eta_c: float, phi_c: float, a: float, b: float,
                     float(wrap_theta(theta)))
 
 
-@dataclass(frozen=True)
-class EncodedBox:
-    """Dimensionless residual encoding of an ellipse against a vertex."""
-    d_eta: float
-    d_phi: float
-    d_a: float
-    d_b: float
-    d_theta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d_eta, self.d_phi, self.d_a, self.d_b,
-                         self.d_theta])
-
-
-def encode_box(e: Ellipse5, vertex: tuple[float, float]) -> EncodedBox:
-    """Encode an ellipse as residuals relative to a vertex position.
+def encode_box(e: Ellipse5, vertex: tuple[float, float]) -> np.ndarray:
+    """Encode an ellipse as the dimensionless residual row (d_eta, d_phi,
+    d_a, d_b, d_theta) relative to a vertex position.
 
     d_eta and d_phi are scaled center offsets (phi along the shortest
     signed arc), d_a and d_b are log-ratios against the scale axes, and
@@ -93,28 +81,30 @@ def encode_box(e: Ellipse5, vertex: tuple[float, float]) -> EncodedBox:
     exactly zero.
     """
     eta_v, phi_v = vertex
-    return EncodedBox(
-        d_eta=(e.eta_c - eta_v) / ETA_M,
-        d_phi=float(signed_dphi(e.phi_c, phi_v)) / PHI_M,
-        d_a=math.log(e.a / A_M),
-        d_b=math.log(e.b / B_M),
-        d_theta=float(wrap_half_pi(e.theta + DELTA_THETA)) / THETA_M,
-    )
+    return np.array([
+        (e.eta_c - eta_v) / ETA_M,
+        float(signed_dphi(e.phi_c, phi_v)) / PHI_M,
+        math.log(e.a / A_M),
+        math.log(e.b / B_M),
+        float(wrap_half_pi(e.theta + DELTA_THETA)) / THETA_M,
+    ])
 
 
-def decode_box(d: EncodedBox, vertex: tuple[float, float]) -> Ellipse5:
-    """Exact inverse of encode_box (theta modulo pi); re-canonicalizes
-    the axis ordering for free-form regressed residuals."""
+def decode_box(d, vertex: tuple[float, float]) -> Ellipse5:
+    """Exact inverse of encode_box (theta modulo pi) for any length-5
+    row; re-canonicalizes the axis ordering for free-form regressed
+    residuals."""
     eta_v, phi_v = vertex
+    d_eta, d_phi, d_a, d_b, d_theta = d
     try:
-        a, b = math.exp(d.d_a) * A_M, math.exp(d.d_b) * B_M
+        a, b = math.exp(d_a) * A_M, math.exp(d_b) * B_M
     except OverflowError as err:
-        raise DomainError(f"log-axes ({d.d_a}, {d.d_b}) overflow") from err
+        raise DomainError(f"log-axes ({d_a}, {d_b}) overflow") from err
     return make_ellipse(
-        eta_v + d.d_eta * ETA_M,
-        phi_v + d.d_phi * PHI_M,
+        eta_v + d_eta * ETA_M,
+        phi_v + d_phi * PHI_M,
         a, b,
-        d.d_theta * THETA_M - DELTA_THETA,
+        d_theta * THETA_M - DELTA_THETA,
     )
 
 
@@ -212,7 +202,7 @@ def ellipse_to_dict(e: Ellipse5) -> dict:
 
 
 def ellipse_from_dict(d: dict) -> Ellipse5:
-    values = [float(d[k]) for k in ("eta_c", "phi_c", "a", "b", "theta")]
+    values = [number(d[k]) for k in ("eta_c", "phi_c", "a", "b", "theta")]
     if not all(map(math.isfinite, values)):
         raise DomainError(f"ellipse parameters must be finite, got {values}")
     return Ellipse5(*values)

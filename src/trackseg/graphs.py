@@ -13,7 +13,7 @@ import numpy as np
 from .ellipses import Ellipse5, ellipse_from_dict, ellipse_to_dict, mvee
 from .errors import ConfigError, ConsistencyError
 from .events import Event
-from .jsonio import parsing
+from .jsonio import number, numbers, parsing
 
 # target ellipses are the tracks' enclosing ellipses grown by this factor
 TARGET_PADDING = 1.1
@@ -214,9 +214,10 @@ def graph_to_dict(g: Graph) -> dict:
 
 def graph_from_dict(d: dict) -> Graph:
     """Decode a graph-v2 document.  Edges must be [i, j] pairs of
-    distinct vertices, every float finite and every nonzero vertex
-    particle id listed under truth.particles; otherwise, and for a
-    graph-v1 document, raises ConsistencyError."""
+    distinct vertices, ids and edge ends JSON ints, every other number
+    a finite JSON number and every nonzero vertex particle id listed
+    under truth.particles; otherwise, and for a graph-v1 document,
+    raises ConsistencyError."""
     if isinstance(d, dict) and d.get("format") == "graph-v1":
         raise ConsistencyError("graph-v1 document: rebuild the graphs with "
                                "build-graphs")
@@ -241,6 +242,8 @@ def _graph_from_doc(d: dict) -> Graph:
         if arr.shape != (n, *row) and not arr.size == n == 0:
             raise ConsistencyError(f"graph {what} has shape {arr.shape}, "
                                    f"expected {(n, *row)}")
+        numbers(itertools.chain.from_iterable(values) if row else values,
+                dtype)
         return _finite(arr.reshape(n, *row), what)
 
     edges = np.array(d["edges"], dtype=int)
@@ -248,6 +251,7 @@ def _graph_from_doc(d: dict) -> Graph:
         edges = edges.reshape(0, 2)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ConsistencyError("graph edges must be [i, j] pairs")
+    numbers(itertools.chain.from_iterable(d["edges"]), int)
     if np.any((edges < 0) | (edges >= n)) or \
             np.any(edges[:, 0] == edges[:, 1]):
         raise ConsistencyError(f"graph edges must join two distinct "
@@ -256,8 +260,8 @@ def _graph_from_doc(d: dict) -> Graph:
                      int)
     params, targets = {}, {}
     for p in truth["particles"]:
-        k = int(p["particle_id"])
-        params[k] = _finite((float(p["pt"]), float(p["eps_t"])),
+        k = number(p["particle_id"], int)
+        params[k] = _finite((number(p["pt"]), number(p["eps_t"])),
                             f"particle {k}")
         targets[k] = ellipse_from_dict(p["target"]) \
             if p["target"] is not None else None
@@ -266,7 +270,7 @@ def _graph_from_doc(d: dict) -> Graph:
         raise ConsistencyError(f"graph vertices belong to particles "
                                f"{sorted(missing)}, which have no entry")
     return Graph(
-        event_id=int(d["event_id"]),
+        event_id=number(d["event_id"], int),
         eta=per_vertex([v["eta"] for v in verts], "eta"),
         phi=per_vertex([v["phi"] for v in verts], "phi"),
         state=per_vertex([v["state"] for v in verts], "state", row=(2,)),

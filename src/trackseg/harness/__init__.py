@@ -1,6 +1,1 @@
 """Orchestration: configuration, persistence, metrics, rendering, CLI."""
-
-from .config import RunConfig, load_config
-from .metrics import Metrics, evaluate
-
-__all__ = ["RunConfig", "load_config", "Metrics", "evaluate"]

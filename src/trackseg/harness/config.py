@@ -18,10 +18,10 @@ import typing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
-from ..errors import ConfigError, ParseError
+from ..errors import ConfigError, ConsistencyError, ParseError
 from ..events import DetectorConfig, GenConfig
 from ..graphs import DbscanParams
-from ..jsonio import read_json
+from ..jsonio import number, read_json
 from ..tracknet import ModelConfig, TrainConfig
 
 
@@ -110,8 +110,8 @@ def _section(cls, data: dict, prefix: str = ""):
 def _typed(value, hint, where: str):
     """`value` as the annotated type `hint`, or a ConfigError naming
     `where`.  A JSON object becomes a section, a list a tuple and an int
-    a float where one is declared; a bool is no number and a float must
-    be finite."""
+    a float where one is declared; a number must pass `jsonio.number`
+    (a bool is no number) and be finite."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if is_dataclass(hint):
         if isinstance(value, dict):
@@ -128,12 +128,10 @@ def _typed(value, hint, where: str):
                 if len(kinds) == len(value):
                     return tuple(_typed(v, k, where)
                                  for v, k in zip(value, kinds))
-    elif isinstance(value, bool):
-        pass
-    elif hint is float:
-        if isinstance(value, (int, float)) and \
-                abs(value) <= sys.float_info.max:
-            return float(value)
+    elif hint in (int, float):
+        with contextlib.suppress(ConsistencyError):
+            if abs(number(value, hint)) <= sys.float_info.max:
+                return hint(value)
     elif isinstance(value, hint):
         return value
     name = hint.__name__ if isinstance(hint, type) else hint

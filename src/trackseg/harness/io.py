@@ -8,7 +8,8 @@ import math
 from ..ellipses import ellipse_from_dict, ellipse_to_dict
 from ..errors import ConsistencyError
 from ..events import Event, Hit, TruthTrack, validate_event
-from ..jsonio import parsing, read_json, write_json
+# perfbench/workloads.py imports read_json from this module
+from ..jsonio import number, parsing, read_json
 from ..kinematics import CircleTrack, TrackParams
 from ..postprocess import TrackCandidate
 
@@ -43,20 +44,22 @@ def event_from_dict(d: dict) -> Event:
     """Decode an event document and check it with validate_event."""
     with parsing(d, EVENT_FORMAT):
         hits = tuple(
-            Hit(int(h["hit_id"]), float(h["x"]), float(h["y"]),
-                float(h["z"]), float(h["r"]), float(h["eta"]),
-                float(h["phi"]), int(h["layer"]), int(h["particle_id"]),
-                int(h.get("volume", 0)))
+            Hit(number(h["hit_id"], int), number(h["x"]), number(h["y"]),
+                number(h["z"]), number(h["r"]), number(h["eta"]),
+                number(h["phi"]), number(h["layer"], int),
+                number(h["particle_id"], int),
+                number(h.get("volume", 0), int))
             for h in d["hits"])
         tracks = tuple(
-            TruthTrack(int(t["particle_id"]),
-                       TrackParams(float(t["pt"]), float(t["eps_t"]),
-                                   float(t["a"]), float(t["b"])),
-                       CircleTrack(float(t["a"]), float(t["b"]),
-                                   float(t["R"]), int(t["charge"])),
-                       tuple(int(i) for i in t["hit_ids"]))
+            TruthTrack(number(t["particle_id"], int),
+                       TrackParams(number(t["pt"]), number(t["eps_t"]),
+                                   number(t["a"]), number(t["b"])),
+                       CircleTrack(number(t["a"]), number(t["b"]),
+                                   number(t["R"]), number(t["charge"], int)),
+                       tuple(number(i, int) for i in t["hit_ids"]))
             for t in d["tracks"])
-        event = Event(int(d["event_id"]), hits, tracks, float(d["field_b"]))
+        event = Event(number(d["event_id"], int), hits, tracks,
+                      number(d["field_b"]))
     validate_event(event)
     return event
 
@@ -92,21 +95,21 @@ def prediction_from_dict(d: dict) -> dict:
     and params are finite."""
     with parsing(d, PRED_FORMAT):
         pred = {
-            "event_id": int(d["event_id"]),
-            "vertex_hit_ids": [int(i) for i in d["vertex_hit_ids"]],
-            "class_prob": [float(p) for p in d["class_prob"]],
+            "event_id": number(d["event_id"], int),
+            "vertex_hit_ids": [number(i, int) for i in d["vertex_hit_ids"]],
+            "class_prob": [number(p) for p in d["class_prob"]],
             "ellipses": [ellipse_from_dict(e) if e is not None else None
                          for e in d["ellipses"]],
             "candidates": [
                 TrackCandidate(
                     ellipse=ellipse_from_dict(c["ellipse"]),
-                    confidence=float(c["confidence"]),
+                    confidence=number(c["confidence"]),
                     member_vertex_ids=tuple(
-                        int(i) for i in c["member_vertex_ids"]),
-                    params=tuple(float(p) for p in c["params"])
+                        number(i, int) for i in c["member_vertex_ids"]),
+                    params=tuple(number(p) for p in c["params"])
                     if c["params"] is not None else None)
                 for c in d["candidates"]],
-            "assignments": [int(a) if a is not None else None
+            "assignments": [number(a, int) if a is not None else None
                             for a in d["assignments"]],
         }
     n = len(pred["vertex_hit_ids"])

@@ -1,5 +1,6 @@
 """Evaluation metrics: hit classification, instance segmentation and
-parameter resolution.
+parameter resolution, returned by `evaluate` as the nested body of the
+metrics document.
 
 A candidate matches a truth track when strictly more than half of the
 track's hits are assigned to it.
@@ -10,40 +11,10 @@ order so the numbers are independent of how events were supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..errors import ConsistencyError
 from ..events import Event
-
-
-@dataclass
-class Metrics:
-    accuracy: float
-    auc: float
-    efficiency: float
-    purity: float
-    pt_rel_rms: float
-    eps_t_abs_rms: float
-    n_events: int
-    n_tracks: int
-    n_candidates: int
-    flags: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "hit_classification": {"accuracy": self.accuracy,
-                                   "auc": self.auc},
-            "segmentation": {"efficiency": self.efficiency,
-                             "purity": self.purity},
-            "parameter_resolution": {"pt_rel_rms": self.pt_rel_rms,
-                                     "eps_t_abs_rms": self.eps_t_abs_rms},
-            "counts": {"n_events": self.n_events,
-                       "n_tracks": self.n_tracks,
-                       "n_candidates": self.n_candidates},
-            "flags": self.flags,
-        }
 
 
 def auc_score(labels, scores) -> float:
@@ -79,12 +50,14 @@ def _rms(values) -> float:
 
 
 def evaluate(predictions: dict[int, dict], truth: dict[int, Event],
-             class_threshold: float = 0.5) -> Metrics:
+             class_threshold: float = 0.5) -> dict:
     """Score per-event predictions against truth events.
 
     `predictions` maps event_id to a dict with keys vertex_hit_ids,
     class_prob, candidates, assignments (the pred-v1 payload).  Every
-    predicted event must have a truth event.
+    predicted event must have a truth event.  Returns the body of the
+    metrics document: hit_classification, segmentation,
+    parameter_resolution, counts and flags.
     """
     missing = set(predictions) - set(truth)
     if missing:
@@ -146,8 +119,9 @@ def evaluate(predictions: dict[int, dict], truth: dict[int, Event],
     if len(labels_arr):
         predicted = scores_arr >= class_threshold
         accuracy = float(np.mean(predicted == labels_arr))
+        auc = auc_score(labels_arr, scores_arr)
     else:
-        accuracy = 1.0
+        accuracy = auc = 1.0
         flags["no_hits"] = True
 
     if n_candidates == 0:
@@ -159,15 +133,12 @@ def evaluate(predictions: dict[int, dict], truth: dict[int, Event],
     if not pt_residuals:
         flags["no_matched_params"] = True
 
-    return Metrics(
-        accuracy=accuracy,
-        auc=auc_score(labels_arr, scores_arr) if len(labels_arr) else 1.0,
-        efficiency=efficiency,
-        purity=purity,
-        pt_rel_rms=_rms(pt_residuals),
-        eps_t_abs_rms=_rms(eps_residuals),
-        n_events=len(predictions),
-        n_tracks=n_tracks,
-        n_candidates=n_candidates,
-        flags=flags,
-    )
+    return {
+        "hit_classification": {"accuracy": accuracy, "auc": auc},
+        "segmentation": {"efficiency": efficiency, "purity": purity},
+        "parameter_resolution": {"pt_rel_rms": _rms(pt_residuals),
+                                 "eps_t_abs_rms": _rms(eps_residuals)},
+        "counts": {"n_events": len(predictions), "n_tracks": n_tracks,
+                   "n_candidates": n_candidates},
+        "flags": flags,
+    }

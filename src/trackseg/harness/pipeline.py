@@ -32,10 +32,11 @@ from ..events import apply_selection, generate_event, read_trackml_event, \
     validate_event
 from ..graphs import assign_vertex_targets, build_graph, graph_from_dict, \
     graph_to_dict, truth_ellipses
+from ..jsonio import read_json, write_json
 from ..postprocess import TrackCandidate, assign_hits, merge_ellipses
 from .config import RunConfig
 from .io import (event_from_dict, event_to_dict, prediction_from_dict,
-                 prediction_to_dict, read_json, write_json, METRICS_FORMAT)
+                 prediction_to_dict, METRICS_FORMAT)
 from .metrics import evaluate
 from .render import render_event_svg
 
@@ -199,12 +200,13 @@ def stage_evaluate(cfg: RunConfig) -> Path:
         event = event_from_dict(read_json(path))
         truth[event.event_id] = event
     metrics = evaluate(predictions, truth, cfg.nms.class_threshold)
-    doc = {"format": METRICS_FORMAT, **metrics.to_dict(),
+    doc = {"format": METRICS_FORMAT, **metrics,
            "seed": cfg.seed, "config": cfg.to_dict()}
     write_json(_metrics_path(cfg), doc)
+    hits, seg = metrics["hit_classification"], metrics["segmentation"]
     log.info("metrics: accuracy=%.3f auc=%.3f efficiency=%.3f purity=%.3f",
-             metrics.accuracy, metrics.auc, metrics.efficiency,
-             metrics.purity)
+             hits["accuracy"], hits["auc"], seg["efficiency"],
+             seg["purity"])
     return _metrics_path(cfg)
 
 

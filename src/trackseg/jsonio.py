@@ -1,4 +1,5 @@
-"""JSON artifacts on disk: read, write atomically, check the format tag.
+"""JSON artifacts on disk: read, write atomically, check the format tag
+and the type of each number.
 
 A write goes to a sibling temp file that is then renamed over the
 target, so a failed write leaves any earlier artifact intact.
@@ -59,3 +60,26 @@ def parsing(doc, doc_format: str):
             ValueError) as err:
         raise ConsistencyError(f"{doc_format} document has a bad value: "
                                f"{err}") from err
+
+
+# what a JSON number of each kind must be an instance of: a bool is no
+# number, an int kind takes only an int and a float kind an int too
+_NUMBER_TYPES = {int: int, float: (int, float)}
+
+
+def numbers(values, kind: type = float) -> None:
+    """ConsistencyError unless every one of the iterable `values` is a
+    JSON number of `kind`.  One pass collects their types, so the check
+    costs little per value."""
+    for t in set(map(type, values)):
+        if t is bool or not issubclass(t, _NUMBER_TYPES[kind]):
+            raise ConsistencyError(f"expected {kind.__name__} values, "
+                                   f"found {t.__name__}")
+
+
+def number(value, kind: type = float):
+    """`value` as `kind` if it is a JSON number of that kind, else
+    ConsistencyError."""
+    if type(value) is not kind:
+        numbers((value,), kind)
+    return kind(value)

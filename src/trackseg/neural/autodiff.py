@@ -3,8 +3,9 @@
 A Tape records every Var in creation order, which is already a valid
 topological order, so the backward pass is a single reverse sweep.  All
 operations are deterministic; ties in max operations route the gradient
-to the lowest contributing index.  A whole dense stack (`mlp`) and each
-loss (`bce`, `masked_huber`, `scaled_mse`) is one node with one backward.
+to the lowest contributing index.  A whole dense stack (`mlp`) is one
+node with one backward; the losses live in `nn` and record their own
+nodes through `Tape.node`.
 """
 
 from __future__ import annotations
@@ -34,14 +35,16 @@ class Tape:
         self._nodes: list[Var] = []
         self._done = False
 
-    def _node(self, data, backward=None) -> Var:
+    def node(self, data, backward=None) -> Var:
+        """Record a Var whose `backward` scatters its gradient to its
+        parents; None marks a value that routes no gradient."""
         v = Var(np.asarray(data, dtype=np.float64), self, backward)
         self._nodes.append(v)
         return v
 
     def const(self, data) -> Var:
         """Wrap a value that needs no gradient routing."""
-        return self._node(data)
+        return self.node(data)
 
     # parameters are consts whose .grad is read after backward
     leaf = const
@@ -91,7 +94,7 @@ def add(a: Var, b: Var) -> Var:
         a.grad += g
         b.grad += g
 
-    return tape._node(a.data + b.data, backward)
+    return tape.node(a.data + b.data, backward)
 
 
 def mlp(x: Var, layers: list[tuple[Var, Var]], sigmoid_out: bool) -> Var:
@@ -128,14 +131,14 @@ def mlp(x: Var, layers: list[tuple[Var, Var]], sigmoid_out: bool) -> Var:
             g = g @ w.data.T
         x.grad += g
 
-    return tape._node(out, backward)
+    return tape.node(out, backward)
 
 
 def scale(a: Var, s: float) -> Var:
     def backward(g):
         a.grad += g * s
 
-    return a.tape._node(a.data * s, backward)
+    return a.tape.node(a.data * s, backward)
 
 
 def concat_cols(parts: list[Var]) -> Var:
@@ -149,7 +152,7 @@ def concat_cols(parts: list[Var]) -> Var:
             p.grad += g[:, start:start + w]
             start += w
 
-    return tape._node(out_data, backward)
+    return tape.node(out_data, backward)
 
 
 def gather_rows(a: Var, idx: np.ndarray) -> Var:
@@ -160,7 +163,7 @@ def gather_rows(a: Var, idx: np.ndarray) -> Var:
     def backward(g):
         np.add.at(a.grad, idx, g)
 
-    return a.tape._node(a.data[idx], backward)
+    return a.tape.node(a.data[idx], backward)
 
 
 def segment_max(a: Var, segment_ids: np.ndarray, num_segments: int) -> Var:
@@ -179,65 +182,18 @@ def segment_max(a: Var, segment_ids: np.ndarray, num_segments: int) -> Var:
 
     out = np.full((num_segments, k), -np.inf)
     np.maximum.at(out, seg, a.data)
-    empty = np.isinf(out)
 
     # winner per (segment, column): lowest row index attaining the max
     winners = a.data == out[seg]
     row_ids = np.broadcast_to(np.arange(m)[:, None], (m, k))
     sel = np.full((num_segments, k), m, dtype=int)
     np.minimum.at(sel, seg, np.where(winners, row_ids, m))
-    out = np.where(empty, 0.0, out)
+    out[np.bincount(seg, minlength=num_segments) == 0] = 0.0
 
     def backward(g):
         s_idx, c_idx = np.nonzero(sel < m)
         if s_idx.size:
             np.add.at(a.grad, (sel[s_idx, c_idx], c_idx), g[s_idx, c_idx])
 
-    return a.tape._node(out, backward)
+    return a.tape.node(out, backward)
 
-
-def bce(p: Var, y: np.ndarray, clamp: float) -> Var:
-    """Mean binary cross entropy of probabilities p against same-shape
-    labels y.  p is clamped to [clamp, 1 - clamp]; the gradient passes
-    only where p lies strictly inside."""
-    lo, hi = clamp, 1.0 - clamp
-    x = p.data
-    inside = (x > lo) & (x < hi)
-    ph = np.clip(x, lo, hi)
-    q = ph * -1.0 + 1.0
-    s = -1.0 / len(y)
-
-    def backward(g):
-        c = g * s
-        p.grad += ((c * (1.0 - y)) / q * -1.0 + (c * y) / ph) * inside
-
-    return p.tape._node(
-        np.sum(np.log(ph) * y + np.log(q) * (1.0 - y)) * s, backward)
-
-
-def masked_huber(pred: Var, target: np.ndarray, mask: np.ndarray,
-                 delta: float) -> Var:
-    """Huber value of each d = pred - target (d^2/2 inside |d| <= delta,
-    linear outside; derivative clamp(d, -delta, delta)), weighted per row
-    by the (n, 1) mask, summed and divided by the row count."""
-    d = pred.data + -target
-    absd = np.abs(d)
-    h = np.where(absd <= delta, 0.5 * d * d, delta * (absd - 0.5 * delta))
-    s = 1.0 / pred.data.shape[0]
-
-    def backward(g):
-        pred.grad += ((g * s) * mask) * np.clip(d, -delta, delta)
-
-    return pred.tape._node(np.sum(h * mask) * s, backward)
-
-
-def scaled_mse(pred: Var, truth: np.ndarray, inv_scales: np.ndarray) -> Var:
-    """Sum of squared residuals (pred - truth) * inv_scales, divided by
-    the row count."""
-    sc = (pred.data + -truth) * inv_scales
-    s = 1.0 / pred.data.shape[0]
-
-    def backward(g):
-        pred.grad += (((g * s) * 2.0) * sc) * inv_scales
-
-    return pred.tape._node(np.sum(sc * sc) * s, backward)

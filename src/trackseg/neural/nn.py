@@ -1,12 +1,12 @@
 """Dense layers, the pipeline losses and Adam.
 
 Each loss checks its inputs, takes the prediction as a Var and records
-one autodiff node: a scalar Var on the prediction's tape.
+itself as one autodiff node (`Tape.node`) with a closed-form backward: a
+scalar Var on the prediction's tape.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,19 +74,34 @@ def _column(x, name: str) -> np.ndarray:
 
 def bce_loss(y_true, p: Var) -> Var:
     """Mean binary cross entropy of the (n, 1) probabilities `p`, clamped
-    to [BCE_CLAMP, 1 - BCE_CLAMP]."""
+    to [BCE_CLAMP, 1 - BCE_CLAMP]; the gradient passes only where p lies
+    strictly inside."""
     y = _column(y_true, "y_true")
     if p.data.shape != y.shape:
         raise ShapeError(f"labels shape {y.shape} vs predictions shape "
                          f"{p.data.shape}")
-    return ad.bce(p, y, BCE_CLAMP)
+    lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
+    x = p.data
+    inside = (x > lo) & (x < hi)
+    ph = np.clip(x, lo, hi)
+    q = ph * -1.0 + 1.0
+    s = -1.0 / len(y)
+
+    def backward(g):
+        c = g * s
+        p.grad += ((c * (1.0 - y)) / q * -1.0 + (c * y) / ph) * inside
+
+    return p.tape.node(
+        np.sum(np.log(ph) * y + np.log(q) * (1.0 - y)) * s, backward)
 
 
 def huber_loss(pred: Var, target, mask) -> Var:
-    """Masked Huber loss over encoded-box residuals.
+    """Masked Huber loss over encoded-box residuals d = pred - target.
 
-    Sums the per-component Huber value over the 5 residuals of each
-    masked vertex and divides by the total number of vertices.
+    Each component costs d^2/2 inside |d| <= HUBER_DELTA and grows
+    linearly beyond (derivative clamp(d, -HUBER_DELTA, HUBER_DELTA)).
+    Sums the per-component value over the 5 residuals of each masked
+    vertex and divides by the total number of vertices.
     """
     target = np.asarray(target, dtype=float)
     mask_col = _column(mask, "mask")
@@ -96,27 +111,39 @@ def huber_loss(pred: Var, target, mask) -> Var:
     if len(mask_col) != pred.data.shape[0]:
         raise ShapeError(f"mask length {len(mask_col)} vs "
                          f"{pred.data.shape[0]} vertices")
-    return ad.masked_huber(pred, target, mask_col, HUBER_DELTA)
+    delta = HUBER_DELTA
+    d = pred.data + -target
+    absd = np.abs(d)
+    h = np.where(absd <= delta, 0.5 * d * d, delta * (absd - 0.5 * delta))
+    s = 1.0 / pred.data.shape[0]
+
+    def backward(g):
+        pred.grad += ((g * s) * mask_col) * np.clip(d, -delta, delta)
+
+    return pred.tape.node(np.sum(h * mask_col) * s, backward)
 
 
 def mse_tracking_loss(pred: Var, truth, scales=(1.0, 1e-3)) -> Var:
-    """Scaled mean squared error over per-cluster (p_T, eps_T) pairs.
-
-    An empty cluster set is defined as 0 and flagged with a
-    RuntimeWarning.
-    """
+    """Sum of squared scaled residuals (pred - truth) / scales over the
+    per-cluster (p_T, eps_T) pairs, divided by the cluster count; an
+    empty cluster set costs 0."""
     c_pt, c_eps = scales
     if c_pt <= 0 or c_eps <= 0:
         raise ConfigError("tracking loss scales must be positive")
     truth = np.asarray(truth, dtype=float).reshape(-1, 2)
     if len(truth) == 0:
-        warnings.warn("tracking loss over an empty cluster set",
-                      RuntimeWarning, stacklevel=2)
         return pred.tape.const(0.0)
     if pred.data.shape != truth.shape:
         raise ShapeError(f"pred shape {pred.data.shape} vs truth shape "
                          f"{truth.shape}")
-    return ad.scaled_mse(pred, truth, np.array([1.0 / c_pt, 1.0 / c_eps]))
+    inv_scales = np.array([1.0 / c_pt, 1.0 / c_eps])
+    sc = (pred.data + -truth) * inv_scales
+    s = 1.0 / pred.data.shape[0]
+
+    def backward(g):
+        pred.grad += (((g * s) * 2.0) * sc) * inv_scales
+
+    return pred.tape.node(np.sum(sc * sc) * s, backward)
 
 
 @dataclass

@@ -13,16 +13,15 @@ coefficients with the componentwise max of member states.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .angles import signed_dphi
-from .ellipses import EncodedBox, decode_box, encode_box
+from .ellipses import decode_box, encode_box
 from .errors import ConfigError, ConsistencyError, FitError, NumericError
 from .graphs import Graph
-from .jsonio import parsing, read_json, write_json
+from .jsonio import number, numbers, parsing, read_json, write_json
 from .kinematics import canonical_parabola_coeffs
 from .neural import autodiff as ad
 from .neural.autodiff import Tape, Var
@@ -77,15 +76,6 @@ class ModelConfig:
         return sum(sizes.values()) + (self.iterations - 1) * (
             sizes["h"] + sizes["f"] + sizes["g"])
 
-    def to_dict(self) -> dict:
-        return {"iterations": self.iterations, "hidden": self.hidden,
-                "loss_weights": list(self.loss_weights)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(int(d["iterations"]), int(d["hidden"]),
-                   tuple(d["loss_weights"]))
-
 
 class Model:
     """Per-iteration MLP parameter sets plus the three heads.
@@ -128,15 +118,6 @@ class VertexOutputs:
     leaves: dict[str, Var]
 
 
-def _directed_edges(graph: Graph):
-    """Each undirected edge contributes a message in both directions."""
-    i = graph.edges[:, 0]
-    j = graph.edges[:, 1]
-    src = np.concatenate([j, i])
-    dst = np.concatenate([i, j])
-    return src, dst
-
-
 def gnn_forward(model: Model, graph: Graph,
                 tape: Tape | None = None) -> VertexOutputs:
     """Run the T message-passing iterations and the per-vertex heads.
@@ -149,7 +130,9 @@ def gnn_forward(model: Model, graph: Graph,
     leaves = {name: tape.leaf(p) for name, p in model.params.items()}
 
     n = graph.n_vertices
-    src, dst = _directed_edges(graph)
+    # each undirected edge carries a message in both directions
+    i, j = graph.edges[:, 0], graph.edges[:, 1]
+    src, dst = np.concatenate([j, i]), np.concatenate([i, j])
     deta = graph.eta[src] - graph.eta[dst]
     dphi = np.asarray(signed_dphi(graph.phi[src], graph.phi[dst]),
                       dtype=float).reshape(-1)
@@ -223,8 +206,7 @@ def build_targets(graph: Graph):
             raise ConsistencyError(
                 f"track vertex {i} has no target ellipse; run "
                 f"assign_vertex_targets first")
-        target_enc[i] = encode_box(ell, (graph.eta[i], graph.phi[i])) \
-            .as_array()
+        target_enc[i] = encode_box(ell, (graph.eta[i], graph.phi[i]))
     return is_track.astype(float), target_enc
 
 
@@ -283,11 +265,8 @@ def train_step(model: Model, graph: Graph, state: AdamState):
         [vids for _, vids in clusters], graph.vertex_xy)
     truths = [graph.truth_params[pid] for pid, _ in clusters]
     targets = build_targets(graph)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        total, components = total_loss(
-            outputs, targets, cluster_preds, truths,
-            model.config.loss_weights)
+    total, components = total_loss(outputs, targets, cluster_preds, truths,
+                                   model.config.loss_weights)
     for name, value in components.items():
         if not math.isfinite(value):
             raise NumericError("non-finite loss", graph_id=graph.event_id,
@@ -349,13 +328,9 @@ def infer(model: Model, graph: Graph,
         if not np.all(np.isfinite(values)):
             raise NumericError("non-finite inference output",
                                graph_id=graph.event_id, component=name)
-    ellipses = []
-    for i in range(graph.n_vertices):
-        if prob[i] >= threshold:
-            enc = EncodedBox(*boxes[i])
-            ellipses.append(decode_box(enc, (graph.eta[i], graph.phi[i])))
-        else:
-            ellipses.append(None)
+    ellipses = [decode_box(boxes[i], (graph.eta[i], graph.phi[i]))
+                if prob[i] >= threshold else None
+                for i in range(graph.n_vertices)]
     return InferResult(prob, final_state, ellipses)
 
 
@@ -363,7 +338,7 @@ def save_checkpoint(model: Model, path) -> None:
     """Write the tracknet-v3 checkpoint document: the model config and
     the flat parameter vector."""
     write_json(path, {"format": CHECKPOINT_FORMAT,
-                      "config": model.config.to_dict(),
+                      "config": asdict(model.config),
                       "params": model.flat.tolist()})
 
 
@@ -377,10 +352,14 @@ def load_checkpoint(path) -> Model:
         raise ConsistencyError(f"{path} is a {doc['format']} checkpoint; "
                                f"retrain to write {CHECKPOINT_FORMAT}")
     with parsing(doc, CHECKPOINT_FORMAT):
+        c = doc["config"]
         try:
-            config = ModelConfig.from_dict(doc["config"])
+            config = ModelConfig(number(c["iterations"], int),
+                                 number(c["hidden"], int),
+                                 tuple(number(w) for w in c["loss_weights"]))
         except ConfigError as err:
             raise ConsistencyError(f"checkpoint config: {err}") from err
+        numbers(doc["params"])
         params = np.asarray(doc["params"], dtype=float)
         if params.shape != (config.n_params,):
             raise ConsistencyError(f"checkpoint has {params.size} "

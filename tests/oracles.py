@@ -20,7 +20,7 @@ def weighted_sum(v, w):
     def backward(g):
         v.grad += g * w
 
-    return v.tape._node(np.sum(v.data * w), backward)
+    return v.tape.node(np.sum(v.data * w), backward)
 
 
 def wrap_dphi(a, b):

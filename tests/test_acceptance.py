@@ -33,6 +33,7 @@ from trackseg.harness.cli import main
 from trackseg.harness.metrics import auc_score, evaluate
 from trackseg.kinematics import extract_track_params, fit_parabola
 from trackseg.neural import autodiff as ad
+from trackseg.neural.nn import bce_loss, huber_loss, mse_tracking_loss
 from trackseg.postprocess import choose_threshold, merge_ellipses
 
 TWO_PI = 2.0 * math.pi
@@ -197,8 +198,9 @@ def test_criterion_5_gradient_checks():
     start = time.perf_counter()
     rng = np.random.default_rng(104)
 
-    # every public op against central differences; constants are
-    # drawn once so the perturbed evaluations see the same function
+    # every public op and the three losses against central differences;
+    # constants are drawn once so the perturbed evaluations see the same
+    # function
     mix = rng.normal(0, 1, (4, 2))
     base53 = rng.normal(0, 1, (5, 3))
     weights32 = rng.normal(0, 1, (3, 2))
@@ -229,12 +231,12 @@ def test_criterion_5_gradient_checks():
                 rng.normal(0, 1, (5, 3))),
         "scale": (lambda t, v: weighted_sum(ad.scale(v, 1.7), weights32),
                   rng.normal(0, 1, (3, 2))),
-        "bce": (lambda t, v: ad.bce(v, labels, 1e-12),
-                rng.uniform(0.1, 0.9, (4, 1))),
-        "masked_huber": (lambda t, v: ad.masked_huber(
-            v, np.zeros((3, 2)), huber_mask, 1.0), huber_x0),
-        "scaled_mse": (lambda t, v: ad.scaled_mse(
-            v, mse_truth, np.array([1.0, 0.5])), rng.normal(0, 1, (3, 2))),
+        "bce_loss": (lambda t, v: bce_loss(labels, v),
+                     rng.uniform(0.1, 0.9, (4, 1))),
+        "huber_loss": (lambda t, v: huber_loss(
+            v, np.zeros((3, 2)), huber_mask), huber_x0),
+        "mse_tracking_loss": (lambda t, v: mse_tracking_loss(
+            v, mse_truth, scales=(1.0, 2.0)), rng.normal(0, 1, (3, 2))),
         "concat_slice_gather": (lambda t, v: weighted_sum(
             ad.concat_cols([ad.gather_rows(v, idx), ad.gather_rows(v, idx)]),
             w34), rng.normal(0, 1, (3, 2))),
@@ -408,11 +410,11 @@ def test_criterion_9_identity_pipeline():
                            seed=7000 + i, event_id=i)
         events[i] = e
         preds[i] = truth_identity_prediction(e)
-    m = evaluate(preds, events)
-    assert m.efficiency == 1.0
-    assert m.purity == 1.0
+    seg = evaluate(preds, events)["segmentation"]
+    assert seg["efficiency"] == 1.0
+    assert seg["purity"] == 1.0
     report("9 identity pipeline",
-           f"(efficiency {m.efficiency}, purity {m.purity})")
+           f"(efficiency {seg['efficiency']}, purity {seg['purity']})")
 
 
 def test_criterion_10_rendering(tmp_path):

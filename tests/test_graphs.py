@@ -285,7 +285,12 @@ class TestGraphSerialization:
         (("truth", "particles", 0, "eps_t"), None),
         (("truth", "particles", 0, "target", "eta_c"), float("inf")),
         (("truth", "particles"), []),
-        (("truth",), {"vertex_xy": []})])
+        (("truth",), {"vertex_xy": []}),
+        (("edges", 0), [0.9, 1]),
+        (("truth", "vertex_particle_id", 0), 1.5),
+        (("vertices", 0, "state"), [0.1, True]),
+        (("vertices", 0, "hit_id"), "1"),
+        (("truth", "particles", 0, "particle_id"), 1.0)])
     def test_inconsistent_document_rejected(self, path, value):
         doc = json.loads(GRAPH_DOC)
         set_at(doc, path, value)

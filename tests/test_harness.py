@@ -25,10 +25,10 @@ from trackseg.harness.cli import main
 from trackseg.harness.config import (RunConfig, apply_overrides,
                                      config_from_dict, load_config)
 from trackseg.harness.io import (event_from_dict, event_to_dict,
-                                 prediction_from_dict, prediction_to_dict,
-                                 read_json, write_json)
+                                 prediction_from_dict, prediction_to_dict)
 from trackseg.harness.metrics import auc_score, evaluate
 from trackseg.harness.render import render_event_svg
+from trackseg.jsonio import read_json, write_json
 from trackseg.postprocess import TrackCandidate
 
 
@@ -88,12 +88,10 @@ class TestEvaluate:
         e = self.event()
         m = evaluate({e.event_id: truth_identity_prediction(e)},
                      {e.event_id: e})
-        assert m.efficiency == 1.0
-        assert m.purity == 1.0
-        assert m.accuracy == 1.0
-        assert m.auc == 1.0
-        assert m.pt_rel_rms == 0.0
-        assert m.eps_t_abs_rms == 0.0
+        assert m["segmentation"] == {"efficiency": 1.0, "purity": 1.0}
+        assert m["hit_classification"] == {"accuracy": 1.0, "auc": 1.0}
+        assert m["parameter_resolution"] == {"pt_rel_rms": 0.0,
+                                             "eps_t_abs_rms": 0.0}
 
     def test_zero_candidates(self):
         e = self.event(seed=91)
@@ -101,9 +99,8 @@ class TestEvaluate:
         pred["candidates"] = []
         pred["assignments"] = [None] * len(pred["assignments"])
         m = evaluate({e.event_id: pred}, {e.event_id: e})
-        assert m.efficiency == 0.0
-        assert m.purity == 0.0
-        assert m.flags.get("no_candidates")
+        assert m["segmentation"] == {"efficiency": 0.0, "purity": 0.0}
+        assert m["flags"].get("no_candidates")
 
     def test_half_matched(self):
         e = self.event(seed=92, n_tracks=2)
@@ -114,8 +111,7 @@ class TestEvaluate:
             a if e.hits[i].particle_id != second_pid else None
             for i, a in enumerate(pred["assignments"])]
         m = evaluate({e.event_id: pred}, {e.event_id: e})
-        assert m.efficiency == 0.5
-        assert m.purity == 0.5
+        assert m["segmentation"] == {"efficiency": 0.5, "purity": 0.5}
 
     def test_event_id_mismatch(self):
         e = self.event(seed=93)
@@ -131,9 +127,10 @@ class TestEvaluate:
                                 params=(t.params.p_t * 1.1,
                                         t.params.eps_t + 2e-4))
         pred["candidates"] = [biased]
-        m = evaluate({e.event_id: pred}, {e.event_id: e})
-        assert m.pt_rel_rms == pytest.approx(0.1)
-        assert m.eps_t_abs_rms == pytest.approx(2e-4)
+        res = evaluate({e.event_id: pred},
+                       {e.event_id: e})["parameter_resolution"]
+        assert res["pt_rel_rms"] == pytest.approx(0.1)
+        assert res["eps_t_abs_rms"] == pytest.approx(2e-4)
 
     def test_event_order_invariance(self):
         events = {i: self.event(seed=95 + i) for i in range(3)}
@@ -142,7 +139,7 @@ class TestEvaluate:
         m1 = evaluate(preds, events)
         m2 = evaluate(dict(reversed(list(preds.items()))),
                       dict(reversed(list(events.items()))))
-        assert m1.to_dict() == m2.to_dict()
+        assert m1 == m2
 
 
 class TestRender:
@@ -383,12 +380,27 @@ class TestIo:
         (("class_prob", 0), -0.1),
         (("candidates", 0, "confidence"), math.inf),
         (("candidates", 0, "params", 1), math.nan),
-        (("candidates", 0, "ellipse", "phi_c"), math.nan)])
+        (("candidates", 0, "ellipse", "phi_c"), math.nan),
+        (("assignments", 1), 0.7),
+        (("candidates", 0, "member_vertex_ids"), [True, 1]),
+        (("candidates", 0, "ellipse", "a"), "0.1"),
+        (("event_id",), False)])
     def test_prediction_with_bad_number_rejected(self, path, value):
         doc = json.loads(PRED_DOC)
         set_at(doc, path, value)
         with pytest.raises(ConsistencyError):
             prediction_from_dict(doc)
+
+    # a bool is no number and an int field takes only an int
+    @pytest.mark.parametrize("path, value", [
+        (("hits", 0, "layer"), 1.7),
+        (("hits", 0, "hit_id"), "1"),
+        (("tracks", 0, "charge"), 1.0)])
+    def test_event_with_wrong_typed_number_rejected(self, path, value):
+        doc = json.loads(EVENT_DOC)
+        set_at(doc, path, value)
+        with pytest.raises(ConsistencyError):
+            event_from_dict(doc)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -578,7 +590,19 @@ class TestCli:
         ("checkpoint.json", _edited(lambda doc: doc["params"].pop()),
          "infer"),
         ("checkpoint.json",
-         _edited(lambda doc: doc["config"].update(hidden=0)), "infer")],
+         _edited(lambda doc: doc["config"].update(hidden=0)), "infer"),
+        ("events/event_00000.json",
+         _edited(lambda doc: doc["hits"][0].update(layer=1.7)),
+         "build-graphs"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc["edges"].append([0.9, 1])), "train"),
+        ("predictions/pred_*.json",
+         _edited(lambda doc: doc["vertex_hit_ids"].__setitem__(
+             0, doc["vertex_hit_ids"][0] + 0.5)), "evaluate"),
+        ("checkpoint.json",
+         _edited(lambda doc: doc["config"].update(
+             iterations=doc["config"]["iterations"] + 0.9)),
+         "infer")],
         ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
              "pred-no-candidates", "checkpoint-v1", "checkpoint-no-params",
              "event-hit-not-object", "checkpoint-param-not-number",
@@ -589,7 +613,9 @@ class TestCli:
              "graph-vertex-eta-null", "pred-class-prob-nan",
              "graph-v1-format", "graph-edge-not-a-pair",
              "graph-particle-missing", "checkpoint-param-count",
-             "checkpoint-hidden-zero"])
+             "checkpoint-hidden-zero", "event-layer-not-int",
+             "graph-edge-not-int", "pred-hit-id-not-int",
+             "checkpoint-iterations-not-int"])
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
                                         damage, command):
         cfg_path = tiny_cli_config(tmp_path)

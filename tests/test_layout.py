@@ -7,6 +7,9 @@ attribute in code, or a word inside a string that is not a docstring (the
 benchmark tracer names its targets in strings).  Imports and `__all__`
 entries do not count: a name that is only re-exported has no user.
 
+A package `__init__.py` holds no import and no `__all__`: a re-export
+can only hide a dead name, so code imports from the defining module.
+
 A public attribute that a class assigns as `self.X = ...` must be read
 (`obj.X` in a load) outside that class somewhere in `src/` or
 `perfbench/`, so no state is kept that nothing reads.  Exception classes
@@ -92,6 +95,16 @@ def test_every_public_name_has_a_user_outside_the_tests():
         if not used and name not in ALLOWED_UNUSED:
             unused.append(f"{path.relative_to(ROOT)}: {name}")
     assert unused == []
+
+
+def test_package_inits_export_nothing():
+    exporting = []
+    for path in sorted(PACKAGE.rglob("__init__.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    _is_dunder_all(node):
+                exporting.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert exporting == []
 
 
 def _is_exception_class(node):

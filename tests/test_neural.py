@@ -1,15 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from oracles import weighted_sum
 from trackseg.errors import ConfigError, ShapeError, StateError
-from trackseg.neural import (AdamState, MlpSpec, Tape, adam_step, bce_loss,
-                             gradients, huber_loss, init_mlp_params,
-                             mlp_forward, mse_tracking_loss)
 from trackseg.neural import autodiff as ad
-from trackseg.neural.nn import HUBER_DELTA
+from trackseg.neural.autodiff import Tape
+from trackseg.neural.nn import (HUBER_DELTA, AdamState, MlpSpec, adam_step,
+                                bce_loss, gradients, huber_loss,
+                                init_mlp_params, mlp_forward,
+                                mse_tracking_loss)
 
 
 def finite_difference(f, x0, h=1e-6):
@@ -95,19 +97,19 @@ class TestPrimitiveGradients:
         for build, a in zip(mlp_gradient_builds(arrays, True, mix), arrays):
             check_op_gradient(build, a)
 
-    # the loss ops below run under a scale, so their upstream gradient
-    # is not 1
+    # the losses below run under a scale, so their upstream gradient is
+    # not 1
 
     def test_log_clip_interior(self):
-        x0 = np.array([[0.3, 0.6], [0.9, 0.2]])
-        y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        check_op_gradient(
-            lambda t, v: ad.scale(ad.bce(v, y, 1e-12), 0.7), x0)
+        x0 = np.array([[0.3], [0.6], [0.9], [0.2]])
+        y = np.array([[1.0], [0.0], [0.0], [1.0]])
+        check_op_gradient(lambda t, v: ad.scale(bce_loss(y, v), 0.7), x0)
 
     def test_clip_blocks_gradient_outside(self):
+        # 1.0 lies beyond the clamp at 1 - BCE_CLAMP
         t = Tape()
-        v = t.leaf(np.array([[0.95], [0.5]]))
-        t.backward(ad.bce(v, np.ones((2, 1)), 0.1))
+        v = t.leaf(np.array([[1.0], [0.5]]))
+        t.backward(bce_loss(np.ones((2, 1)), v))
         assert v.grad[0, 0] == 0.0 and v.grad[1, 0] == -1.0
 
     def test_huber_both_branches(self):
@@ -115,15 +117,15 @@ class TestPrimitiveGradients:
         x0 = np.array([[0.4, -0.3], [1.7, -2.5], [0.6, 2.2]])
         mask = np.array([[1.0], [1.0], [0.0]])
         check_op_gradient(lambda t, v: ad.scale(
-            ad.masked_huber(v, np.zeros((3, 2)), mask, 1.0), 0.7), x0)
+            huber_loss(v, np.zeros((3, 2)), mask), 0.7), x0)
 
     def test_scaled_mse(self):
+        # the default tracking scales (1, 1e-3)
         rng = np.random.default_rng(5)
         truth = rng.normal(0, 1, (3, 2))
         x0 = truth + 1e-3 * rng.normal(0, 1, (3, 2))
-        inv = np.array([1.0, 1e3])  # 1 / the default tracking scales
         check_op_gradient(
-            lambda t, v: ad.scale(ad.scaled_mse(v, truth, inv), 0.7), x0)
+            lambda t, v: ad.scale(mse_tracking_loss(v, truth), 0.7), x0)
 
     def test_concat_slice_gather(self):
         rng = np.random.default_rng(3)
@@ -195,6 +197,13 @@ class TestMaxAggregate:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             max_aggregate(np.ones((2, 2)), np.array([0, 5]), 2)
+
+    def test_infinite_maximum_is_kept(self):
+        # only a segment without rows reads 0; an overflowed message
+        # must reach the non-finite checks downstream
+        feats = np.array([[np.inf, 1.0], [2.0, -np.inf]])
+        out = max_aggregate(feats, np.array([0, 1]), 2)
+        assert np.array_equal(out, feats)
 
 
 class TestMlp:
@@ -362,7 +371,8 @@ class TestMseTracking:
         assert mse(pred, truth, scales=(1.0, 1e-3)) == pytest.approx(1.0)
 
     def test_empty_warns_zero(self):
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             value = mse(np.zeros((0, 2)), np.zeros((0, 2)))
         assert value == 0.0
 
@@ -458,8 +468,8 @@ class TestGradients:
         w0 = np.random.default_rng(9).normal(0, 1, (3, 2))
         leaves = {"w": t.leaf(w0), "c": t.leaf(np.ones(2))}
         # 1.5 * sum(w^2) / 3 rows
-        loss = ad.scale(ad.scaled_mse(leaves["w"], np.zeros((3, 2)),
-                                      np.ones(2)), 1.5)
+        loss = ad.scale(mse_tracking_loss(leaves["w"], np.zeros((3, 2)),
+                                          scales=(1.0, 1.0)), 1.5)
         g = gradients(loss, leaves)
         # one flat vector in leaf order
         assert np.allclose(g, np.concatenate([w0.ravel(), np.zeros(2)]))

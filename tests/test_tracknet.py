@@ -16,7 +16,8 @@ from trackseg import tracknet as tn
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
                              DomainError, NumericError, ParseError)
 from trackseg.graphs import Graph
-from trackseg.neural import AdamState, Tape, mlp_forward
+from trackseg.neural.autodiff import Tape
+from trackseg.neural.nn import AdamState, gradients, mlp_forward
 
 
 def small_config(iterations=2, hidden=8, **kwargs):
@@ -300,7 +301,6 @@ def sweep_composite_gradients(graph, cfg, model_seed, element_cap=None,
                                                model.params[k].shape)
 
     total, out, _ = composite_loss(cfg, graph, model.flat)
-    from trackseg.neural import gradients
     grads = gradients(total, out.leaves)
 
     rng2 = np.random.default_rng(seed)
@@ -515,7 +515,8 @@ class TestCheckpoint:
             tn.load_checkpoint(path)
 
     @pytest.mark.parametrize("key, value", [
-        ("iterations", -1), ("loss_weights", [1, -1, 1])])
+        ("iterations", -1), ("loss_weights", [1, -1, 1]),
+        ("iterations", 2.9), ("loss_weights", [1.0, True, 1.0])])
     def test_rejects_invalid_config_as_data(self, tmp_path, key, value):
         path = tmp_path / "ckpt.json"
         tn.save_checkpoint(tn.Model(small_config()), path)
