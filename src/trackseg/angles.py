@@ -8,9 +8,16 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+def _mod(x, period):
+    """x modulo period in [0, period) for a float or an array; a tiny
+    negative x, which the modulo rounds up to period, folds to 0."""
+    r = x % period
+    return r - period * (r == period)
+
+
 def wrap_phi(phi):
     """Wrap an azimuth into [0, 2*pi)."""
-    return np.mod(phi, TWO_PI)
+    return _mod(phi, TWO_PI)
 
 
 def signed_dphi(phi_a, phi_b):
@@ -23,12 +30,12 @@ def signed_dphi(phi_a, phi_b):
 
 def wrap_theta(theta):
     """Wrap an ellipse rotation into the canonical range [0, pi)."""
-    return np.mod(theta, np.pi)
+    return _mod(theta, np.pi)
 
 
 def wrap_half_pi(x):
     """Map an angle to its representative in [-pi/2, pi/2), period pi."""
-    return np.mod(x + 0.5 * np.pi, np.pi) - 0.5 * np.pi
+    return _mod(x + 0.5 * np.pi, np.pi) - 0.5 * np.pi
 
 
 def circular_mean(angles, period=TWO_PI):
@@ -41,4 +48,4 @@ def circular_mean(angles, period=TWO_PI):
     s, c = np.sin(a).mean(), np.cos(a).mean()
     if abs(s) < 1e-300 and abs(c) < 1e-300:
         return 0.0
-    return float(np.mod(np.arctan2(s, c) * (period / TWO_PI), period))
+    return float(_mod(np.arctan2(s, c) * (period / TWO_PI), period))

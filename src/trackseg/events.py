@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +38,12 @@ TRACKML_PARTICLES_HEADER = ["particle_id", "vx", "vy", "vz", "px", "py",
 
 @dataclass(frozen=True)
 class Hit:
-    """One detector measurement.  particle_id 0 marks noise."""
+    """One detector measurement.  particle_id 0 marks noise; eta and phi
+    are derived from (x, y, z) by hit_from_xyz."""
     hit_id: int
     x: float
     y: float
     z: float
-    r: float
     eta: float
     phi: float
     layer: int
@@ -53,10 +53,9 @@ class Hit:
 
 @dataclass(frozen=True)
 class TruthTrack:
+    """A particle's truth parameters; its hits carry its particle_id."""
     particle_id: int
     params: TrackParams
-    circle: CircleTrack
-    hit_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,13 @@ class Event:
     event_id: int
     hits: tuple[Hit, ...]
     tracks: tuple[TruthTrack, ...]
-    field_b: float
+
+    def track_hits(self) -> dict[int, list[Hit]]:
+        """The hits grouped by particle id (0: noise), in event order."""
+        groups: dict[int, list[Hit]] = {}
+        for h in self.hits:
+            groups.setdefault(h.particle_id, []).append(h)
+        return groups
 
 
 @dataclass(frozen=True)
@@ -153,11 +158,12 @@ def intersect_helix_layer(circle: CircleTrack, phi0: float, eta: float,
     return px, py, z
 
 
-def _hit_from_xyz(hit_id: int, x: float, y: float, z: float, layer: int,
-                  particle_id: int, volume: int = 0) -> Hit:
-    r = math.hypot(x, y)
-    eta = pseudorapidity(math.atan2(r, z))
-    return Hit(hit_id, x, y, z, r, eta, float(wrap_phi(math.atan2(y, x))),
+def hit_from_xyz(hit_id: int, x: float, y: float, z: float, layer: int,
+                 particle_id: int, volume: int = 0) -> Hit:
+    """A hit at (x, y, z) with its derived eta and phi; a hit on the
+    beamline has no polar angle in (0, pi) and raises DomainError."""
+    eta = pseudorapidity(math.atan2(math.hypot(x, y), z))
+    return Hit(hit_id, x, y, z, eta, float(wrap_phi(math.atan2(y, x))),
                layer, particle_id, volume)
 
 
@@ -193,8 +199,7 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
         charge = int(rng.integers(0, 2)) * 2 - 1
         side = int(rng.integers(0, 2)) * 2 - 1
         d = radius + side * eps
-        circle = CircleTrack(d * math.cos(alpha), d * math.sin(alpha),
-                             radius, charge)
+        circle = CircleTrack(d * math.cos(alpha), d * math.sin(alpha), radius)
         # charge +1 circulates counterclockwise under this convention
         phi0 = alpha - charge * 0.5 * math.pi
 
@@ -209,14 +214,13 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
                 x, y, z = x + dx, y + dy, z + dz
             if abs(z) > det.z_halflength:
                 continue
-            track_hits.append(_hit_from_xyz(next_id, x, y, z, layer, pid))
+            track_hits.append(hit_from_xyz(next_id, x, y, z, layer, pid))
             next_id += 1
         if not track_hits:
             continue
         hits.extend(track_hits)
-        params = TrackParams(pt, abs(d - radius), circle.a, circle.b)
-        tracks.append(TruthTrack(pid, params, circle,
-                                 tuple(h.hit_id for h in track_hits)))
+        tracks.append(TruthTrack(
+            pid, TrackParams(pt, abs(d - radius), circle.a, circle.b)))
 
     n_signal = len(hits)
     nf = gen.noise_fraction
@@ -227,11 +231,11 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
         eta = rng.uniform(*gen.eta_range)
         r = det.layer_radii[layer]
         z = r * math.sinh(eta)
-        hits.append(_hit_from_xyz(next_id, r * math.cos(phi),
-                                  r * math.sin(phi), z, layer, 0))
+        hits.append(hit_from_xyz(next_id, r * math.cos(phi),
+                                 r * math.sin(phi), z, layer, 0))
         next_id += 1
 
-    return Event(event_id, tuple(hits), tuple(tracks), det.field_b)
+    return Event(event_id, tuple(hits), tuple(tracks))
 
 
 def _read_csv_rows(path, expected_header: list[str]):
@@ -301,43 +305,31 @@ def read_trackml_event(hits_path, truth_path, particles_path,
         particles[vals[0]] = (vals[1] * MM_TO_M, vals[2] * MM_TO_M,
                               vals[4], vals[5], vals[7])
 
-    def particle_circle(pid):
+    params = {}
+    for pid in sorted(set(hit_particle.values()) - {0}):
+        if pid not in particles:
+            raise ConsistencyError(
+                f"particle {pid} in truth but not in particles file")
         vx, vy, px, py, q = particles[pid]
         pt = math.hypot(px, py)
         if pt <= 0.0 or q not in (-1, 1):
-            return None
+            continue
         radius = pt / (PT_COEFF * field_b)
         phi_c = math.atan2(py, px) - q * 0.5 * math.pi
         a = vx + radius * math.cos(phi_c)
         b = vy + radius * math.sin(phi_c)
-        circle = CircleTrack(a, b, radius, q)
-        params = TrackParams(pt, abs(math.hypot(a, b) - radius), a, b)
-        return params, circle
-
-    circles = {}
-    for pid in sorted(set(hit_particle.values())):
-        if pid == 0:
-            continue
-        if pid not in particles:
-            raise ConsistencyError(
-                f"particle {pid} in truth but not in particles file")
-        circles[pid] = particle_circle(pid)
+        params[pid] = TrackParams(pt, abs(math.hypot(a, b) - radius), a, b)
 
     hits = []
-    track_hits: dict[int, list[int]] = {}
     for hit_id in order:
         x, y, z, volume, layer = raw_hits[hit_id]
         pid = hit_particle.get(hit_id, 0)
-        if pid != 0 and circles.get(pid) is None:
+        if pid not in params:
             pid = 0  # unparametrizable particle: keep the hit as noise
-        hits.append(_hit_from_xyz(hit_id, x, y, z, layer, pid, volume))
-        if pid != 0:
-            track_hits.setdefault(pid, []).append(hit_id)
+        hits.append(hit_from_xyz(hit_id, x, y, z, layer, pid, volume))
 
-    tracks = tuple(
-        TruthTrack(pid, circles[pid][0], circles[pid][1], tuple(ids))
-        for pid, ids in sorted(track_hits.items()))
-    return Event(event_id, tuple(hits), tracks, field_b)
+    tracks = tuple(TruthTrack(pid, p) for pid, p in params.items())
+    return Event(event_id, tuple(hits), tracks)
 
 
 def apply_selection(e: Event, pt_min: float = 0.0,
@@ -359,45 +351,28 @@ def apply_selection(e: Event, pt_min: float = 0.0,
         return track_pt.get(h.particle_id, 0.0) >= pt_min
 
     kept = tuple(h for h in e.hits if keep(h))
-    kept_ids = {h.hit_id for h in kept}
-    tracks = []
-    for t in e.tracks:
-        ids = tuple(i for i in t.hit_ids if i in kept_ids)
-        if ids:
-            tracks.append(replace(t, hit_ids=ids))
-    return Event(e.event_id, kept, tuple(tracks), e.field_b)
+    kept_pids = {h.particle_id for h in kept}
+    return Event(e.event_id, kept,
+                 tuple(t for t in e.tracks if t.particle_id in kept_pids))
 
 
 def validate_event(e: Event) -> None:
     """Check the Event type invariants; raises ConsistencyError."""
-    hit_pid: dict[int, int] = {}
+    seen: set[int] = set()
     for h in e.hits:
-        if h.hit_id in hit_pid:
+        if h.hit_id in seen:
             raise ConsistencyError(f"duplicate hit_id {h.hit_id}")
-        hit_pid[h.hit_id] = h.particle_id
-        if not all(map(math.isfinite, (h.x, h.y, h.z, h.r, h.eta))):
+        seen.add(h.hit_id)
+        if not all(map(math.isfinite, (h.x, h.y, h.z))):
             raise ConsistencyError(f"hit {h.hit_id}: non-finite coordinate")
-        if abs(h.r - math.hypot(h.x, h.y)) > 1e-12 * max(1.0, h.r):
-            raise ConsistencyError(f"hit {h.hit_id}: cached r inconsistent")
+        if max(abs(h.hit_id), abs(h.particle_id)) >= 2**63:
+            raise ConsistencyError(f"hit {h.hit_id}: id beyond int64")
         if h.layer < 0:
             raise ConsistencyError(f"hit {h.hit_id}: negative layer")
         if not 0.0 <= h.phi < 2.0 * math.pi:
             raise ConsistencyError(f"hit {h.hit_id}: phi out of [0, 2pi)")
-    by_track: dict[int, int] = {}
-    for t in e.tracks:
-        if not t.hit_ids:
-            raise ConsistencyError(f"track {t.particle_id} has no hits")
-        for hid in t.hit_ids:
-            if hid not in hit_pid:
-                raise ConsistencyError(
-                    f"track {t.particle_id} references unknown hit {hid}")
-            by_track[hid] = by_track.get(hid, 0) + 1
-            if hit_pid[hid] != t.particle_id:
-                raise ConsistencyError(
-                    f"hit {hid} labeled {hit_pid[hid]} but listed under "
-                    f"track {t.particle_id}")
-    for h in e.hits:
-        if h.particle_id != 0 and by_track.get(h.hit_id, 0) != 1:
-            raise ConsistencyError(
-                f"non-noise hit {h.hit_id} referenced by "
-                f"{by_track.get(h.hit_id, 0)} tracks")
+    # track ids are distinct, nonzero and the nonzero hit particle ids
+    track_pids = sorted(t.particle_id for t in e.tracks)
+    if track_pids != sorted({h.particle_id for h in e.hits} - {0}):
+        raise ConsistencyError("each particle with hits needs exactly one "
+                               "track, and each track a hit")

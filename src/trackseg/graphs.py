@@ -152,10 +152,10 @@ def truth_ellipses(e: Event) -> list[tuple[int, Ellipse5]]:
     """Minimum-area enclosing ellipse of each truth track's (eta, phi)
     hits, inflated by TARGET_PADDING on both semi-axes.  Degenerate
     tracks (one hit, collinear hits) fall back to the semi-axis floor."""
-    hit_lookup = {h.hit_id: h for h in e.hits}
+    track_hits = e.track_hits()
     out = []
     for t in e.tracks:
-        pts = [(hit_lookup[i].eta, hit_lookup[i].phi) for i in t.hit_ids]
+        pts = [(h.eta, h.phi) for h in track_hits[t.particle_id]]
         base = mvee(np.asarray(pts))
         padded = Ellipse5(base.eta_c, base.phi_c, base.a * TARGET_PADDING,
                           base.b * TARGET_PADDING, base.theta)

@@ -60,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _setup_logging(cfg, verbose: bool) -> None:
     root = logging.getLogger("trackseg")
     root.setLevel(logging.DEBUG if verbose else logging.INFO)
-    root.handlers.clear()
+    for handler in root.handlers[:]:
+        root.removeHandler(handler)
+        handler.close()
     console = logging.StreamHandler(sys.stderr)
     console.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
     root.addHandler(console)

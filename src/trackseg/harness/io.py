@@ -7,32 +7,31 @@ import math
 
 from ..ellipses import ellipse_from_dict, ellipse_to_dict
 from ..errors import ConsistencyError
-from ..events import Event, Hit, TruthTrack, validate_event
+from ..events import Event, TruthTrack, hit_from_xyz, validate_event
 # perfbench/workloads.py imports read_json from this module
 from ..jsonio import number, parsing, read_json
-from ..kinematics import CircleTrack, TrackParams
+from ..kinematics import TrackParams
 from ..postprocess import TrackCandidate
 
-EVENT_FORMAT = "event-v1"
+EVENT_FORMAT = "event-v2"
 PRED_FORMAT = "pred-v1"
 METRICS_FORMAT = "metrics-v1"
 
 
 def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
+    """The event-v2 document: measured hits and truth track parameters;
+    hit eta and phi and each track's hits are derived again on read."""
     doc = {
         "format": EVENT_FORMAT,
         "event_id": e.event_id,
-        "field_b": e.field_b,
         "hits": [
-            {"hit_id": h.hit_id, "x": h.x, "y": h.y, "z": h.z, "r": h.r,
-             "eta": h.eta, "phi": h.phi, "layer": h.layer,
-             "particle_id": h.particle_id, "volume": h.volume}
+            {"hit_id": h.hit_id, "x": h.x, "y": h.y, "z": h.z,
+             "layer": h.layer, "particle_id": h.particle_id,
+             "volume": h.volume}
             for h in e.hits],
         "tracks": [
             {"particle_id": t.particle_id, "pt": t.params.p_t,
-             "eps_t": t.params.eps_t, "a": t.circle.a, "b": t.circle.b,
-             "R": t.circle.R, "charge": t.circle.charge,
-             "hit_ids": list(t.hit_ids)}
+             "eps_t": t.params.eps_t, "a": t.params.a, "b": t.params.b}
             for t in e.tracks],
     }
     if config_echo is not None:
@@ -41,25 +40,25 @@ def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
 
 
 def event_from_dict(d: dict) -> Event:
-    """Decode an event document and check it with validate_event."""
+    """Decode an event-v2 document and check it with validate_event; an
+    event-v1 document or a hit on the beamline raises ConsistencyError."""
+    if isinstance(d, dict) and d.get("format") == "event-v1":
+        raise ConsistencyError("event-v1 document: regenerate the events "
+                               "with generate or ingest")
     with parsing(d, EVENT_FORMAT):
         hits = tuple(
-            Hit(number(h["hit_id"], int), number(h["x"]), number(h["y"]),
-                number(h["z"]), number(h["r"]), number(h["eta"]),
-                number(h["phi"]), number(h["layer"], int),
-                number(h["particle_id"], int),
-                number(h.get("volume", 0), int))
+            hit_from_xyz(number(h["hit_id"], int), number(h["x"]),
+                         number(h["y"]), number(h["z"]),
+                         number(h["layer"], int),
+                         number(h["particle_id"], int),
+                         number(h["volume"], int))
             for h in d["hits"])
         tracks = tuple(
             TruthTrack(number(t["particle_id"], int),
                        TrackParams(number(t["pt"]), number(t["eps_t"]),
-                                   number(t["a"]), number(t["b"])),
-                       CircleTrack(number(t["a"]), number(t["b"]),
-                                   number(t["R"]), number(t["charge"], int)),
-                       tuple(number(i, int) for i in t["hit_ids"]))
+                                   number(t["a"]), number(t["b"])))
             for t in d["tracks"])
-        event = Event(number(d["event_id"], int), hits, tracks,
-                      number(d["field_b"]))
+        event = Event(number(d["event_id"], int), hits, tracks)
     validate_event(event)
     return event
 

@@ -95,15 +95,17 @@ def evaluate(predictions: dict[int, dict], truth: dict[int, Event],
             if cand is not None}
 
         matched_this_event = set()
+        track_hits = event.track_hits()
         for track in event.tracks:
             n_tracks += 1
+            hits = track_hits[track.particle_id]
             counts: dict[int, int] = {}
-            for hid in track.hit_ids:
-                cand = assignment_by_hit.get(hid)
+            for h in hits:
+                cand = assignment_by_hit.get(h.hit_id)
                 if cand is not None:
                     counts[cand] = counts.get(cand, 0) + 1
             for cand, count in sorted(counts.items()):
-                if 2 * count > len(track.hit_ids):
+                if 2 * count > len(hits):
                     n_matched_tracks += 1
                     matched_this_event.add(cand)
                     params = candidates[cand].params

@@ -2,7 +2,9 @@
 
 Artifacts live under the configured output directory:
 
-    events/event_00000.json     one document per event
+    events/event_00000.json     one event-v2 document per event
+                                (v1 events are rejected with exit 3 and
+                                must be regenerated)
     graphs/graph_00000.json     one graph per event
     checkpoint.json             tracknet-v3: model config and flat
                                 parameter vector in parameter-name order

@@ -27,7 +27,7 @@ FIT_CONDITION_LIMIT = 1e10
 
 @dataclass(frozen=True)
 class CircleTrack:
-    """Transverse circle (x-a)^2 + (y-b)^2 = R^2 with a charge sign.
+    """Transverse circle (x-a)^2 + (y-b)^2 = R^2.
 
     R^2 - a^2 - b^2 vanishes for circles through the beamline; parabola
     extraction assumes it is small against R^2 (enforced by callers, not
@@ -36,13 +36,10 @@ class CircleTrack:
     a: float
     b: float
     R: float
-    charge: int = 1
 
     def __post_init__(self):
         if not (self.R > 0 and math.isfinite(self.R)):
             raise DomainError(f"circle radius must be positive, got {self.R}")
-        if self.charge not in (-1, 1):
-            raise DomainError(f"charge must be +-1, got {self.charge}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +76,8 @@ def conformal_xy(x, y):
 
 
 def pseudorapidity(theta: float) -> float:
-    """eta = -ln(tan(theta/2)) for a polar angle theta in (0, pi)."""
-    if not (0.0 < theta < math.pi):
+    """eta = -ln(tan(theta/2)) for a polar angle with theta/2 in (0, pi/2)."""
+    if not (0.0 < 0.5 * theta < 0.5 * math.pi):
         raise DomainError(f"polar angle must lie in (0, pi), got {theta}")
     return -math.log(math.tan(0.5 * theta))
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ class TestIntersectHelixLayer:
     def test_on_layer_radius(self):
         # prompt circle through the origin, layer at the circle diameter
         radius = 2.0
-        c = CircleTrack(0.0, radius, radius, 1)
+        c = CircleTrack(0.0, radius, radius)
         pos = intersect_helix_layer(c, phi0=0.0, eta=0.0, layer_radius=1.5)
         assert pos is not None
         x, y, z = pos
@@ -28,7 +29,7 @@ class TestIntersectHelixLayer:
             radius = 1e4
             alpha = phi0 + 0.5 * math.pi  # counterclockwise convention
             c = CircleTrack(radius * math.cos(alpha),
-                            radius * math.sin(alpha), radius, 1)
+                            radius * math.sin(alpha), radius)
             pos = intersect_helix_layer(c, phi0, eta=0.0, layer_radius=0.1)
             x, y, _ = pos
             azim = math.atan2(y, x) % (2 * math.pi)
@@ -36,12 +37,12 @@ class TestIntersectHelixLayer:
                 < 2 * (0.1 / radius)
 
     def test_unreachable(self):
-        c = CircleTrack(0.05, 0.0, 0.1, 1)  # max reach 0.15 m
+        c = CircleTrack(0.05, 0.0, 0.1)  # max reach 0.15 m
         assert intersect_helix_layer(c, math.pi / 2, 0.0, 0.5) is None
 
     def test_z_from_eta(self):
         radius = 3.0
-        c = CircleTrack(0.0, radius, radius, 1)
+        c = CircleTrack(0.0, radius, radius)
         eta = 0.8
         x, y, z = intersect_helix_layer(c, 0.0, eta, 0.5)
         # transverse arc from the origin subtends the intersection chord
@@ -52,7 +53,7 @@ class TestIntersectHelixLayer:
     def test_first_intersection_chosen(self):
         # both senses must give a point on the layer, at different spots
         radius = 2.0
-        c = CircleTrack(0.0, radius, radius, 1)
+        c = CircleTrack(0.0, radius, radius)
         p_ccw = intersect_helix_layer(c, 0.0, 0.0, 1.0)
         p_cw = intersect_helix_layer(c, math.pi, 0.0, 1.0)
         assert p_ccw is not None and p_cw is not None
@@ -64,12 +65,12 @@ class TestGenerateEvent:
         gen = GenConfig(n_tracks=4, noise_fraction=0.0,
                         hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=3)
-        lookup = {h.hit_id: h for h in e.hits}
+        track_hits = e.track_hits()
         for t in e.tracks:
-            for hid in t.hit_ids:
-                h = lookup[hid]
-                r = math.hypot(h.x - t.circle.a, h.y - t.circle.b)
-                assert abs(r - t.circle.R) < 1e-10
+            radius = t.params.p_t / (0.3 * detector.field_b)
+            for h in track_hits[t.particle_id]:
+                r = math.hypot(h.x - t.params.a, h.y - t.params.b)
+                assert abs(r - radius) < 1e-10
 
     def test_deterministic(self, detector):
         gen = GenConfig(n_tracks=6, noise_fraction=0.2,
@@ -90,10 +91,9 @@ class TestGenerateEvent:
         gen = GenConfig(n_tracks=5, noise_fraction=0.0, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=4)
         for t in e.tracks:
-            assert t.params.p_t == pytest.approx(
-                0.3 * detector.field_b * t.circle.R, rel=1e-12)
-            d = math.hypot(t.circle.a, t.circle.b)
-            assert t.params.eps_t == pytest.approx(abs(d - t.circle.R),
+            radius = t.params.p_t / (0.3 * detector.field_b)
+            d = math.hypot(t.params.a, t.params.b)
+            assert t.params.eps_t == pytest.approx(abs(d - radius),
                                                    rel=1e-9, abs=1e-15)
 
     def test_validates(self, detector):
@@ -117,15 +117,33 @@ class TestGenerateEvent:
         gen = GenConfig(n_tracks=20, noise_fraction=0.0,
                         hit_smearing_sigma=0.0, eps_range=(1e-4, 5e-4))
         e = generate_event(detector, gen, seed=6)
-        lookup = {h.hit_id: h for h in e.hits}
+        track_hits = e.track_hits()
         for t in e.tracks:
-            if len(t.hit_ids) < 4:
+            hits = track_hits[t.particle_id]
+            if len(hits) < 4:
                 continue
-            xy = np.array([[lookup[i].x, lookup[i].y] for i in t.hit_ids])
+            xy = np.array([[h.x, h.y] for h in hits])
             fit = fit_track_conformal(xy, detector.field_b)
-            assert fit.a == pytest.approx(t.circle.a, rel=1e-3, abs=1e-4)
-            assert fit.b == pytest.approx(t.circle.b, rel=1e-3, abs=1e-4)
+            assert fit.a == pytest.approx(t.params.a, rel=1e-3, abs=1e-4)
+            assert fit.b == pytest.approx(t.params.b, rel=1e-3, abs=1e-4)
             assert abs(fit.eps_t) == pytest.approx(t.params.eps_t, rel=5e-2)
+
+
+class TestValidateEvent:
+    @pytest.mark.parametrize("damage", [
+        lambda e: replace(e, tracks=e.tracks[1:]),
+        lambda e: replace(e, tracks=e.tracks + (
+            replace(e.tracks[0], particle_id=99),)),
+        lambda e: replace(e, tracks=e.tracks + e.tracks[:1]),
+        lambda e: replace(e, tracks=e.tracks + (
+            replace(e.tracks[0], particle_id=0),))],
+        ids=["hits-without-track", "track-without-hits", "track-repeated",
+             "track-id-zero"])
+    def test_track_ids_are_the_hit_particle_ids(self, detector, damage):
+        e = generate_event(detector, GenConfig(n_tracks=3), seed=7)
+        validate_event(e)
+        with pytest.raises(ConsistencyError):
+            validate_event(damage(e))
 
 
 HITS_CSV = """hit_id,x,y,z,volume_id,layer_id,module_id
@@ -173,13 +191,12 @@ class TestReadTrackml:
         e = read_trackml_event(*write_trackml(tmp_path))
         assert len(e.tracks) == 1
         assert e.tracks[0].params.p_t == pytest.approx(5.0)
-        assert e.tracks[0].hit_ids == (1, 2)
+        assert [h.hit_id for h in e.track_hits()[101]] == [1, 2]
 
     def test_derived_coordinates(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))
         h = e.hits[1]
-        assert h.r == pytest.approx(math.hypot(0.032, 0.0015))
-        theta = math.atan2(h.r, h.z)
+        theta = math.atan2(math.hypot(0.032, 0.0015), h.z)
         assert h.eta == pytest.approx(-math.log(math.tan(theta / 2.0)))
         assert h.phi == pytest.approx(math.atan2(0.0015, 0.032))
 
@@ -245,13 +262,10 @@ class TestApplySelection:
             n_tracks=1, pt_range=(3.0, 3.0), noise_fraction=0.0,
             hit_smearing_sigma=0.0), seed=3)
         shift = max(h.hit_id for h in low.hits)
-        from dataclasses import replace as dc_replace
-        hi_hits = tuple(dc_replace(h, hit_id=h.hit_id + shift,
-                                   particle_id=2) for h in hi.hits)
-        hi_track = dc_replace(hi.tracks[0], particle_id=2,
-                              hit_ids=tuple(h.hit_id for h in hi_hits))
-        merged = Event(0, low.hits + hi_hits, (low.tracks[0], hi_track),
-                       detector.field_b)
+        hi_hits = tuple(replace(h, hit_id=h.hit_id + shift, particle_id=2)
+                        for h in hi.hits)
+        hi_track = replace(hi.tracks[0], particle_id=2)
+        merged = Event(0, low.hits + hi_hits, (low.tracks[0], hi_track))
         validate_event(merged)
         kept = apply_selection(merged, pt_min=2.0)
         assert {h.particle_id for h in kept.hits} == {2}

@@ -93,20 +93,17 @@ class TestBuildGraph:
     def test_mixed_cluster_edge_labels(self):
         # two particles share one cluster, which still becomes one
         # complete subgraph
-        from trackseg.events import Event, Hit
-        from trackseg.kinematics import CircleTrack, TrackParams
-        from trackseg.events import TruthTrack
+        from trackseg.events import Event, Hit, TruthTrack
+        from trackseg.kinematics import TrackParams
 
         def hit(hid, eta, phi, pid):
-            return Hit(hid, 0.1, 0.0, 0.0, 0.1, eta, phi, 0, pid)
+            return Hit(hid, 0.1, 0.0, 0.0, eta, phi, 0, pid)
 
         hits = (hit(1, 0.0, 1.0, 1), hit(2, 0.01, 1.0, 1),
                 hit(3, 0.02, 1.0, 2), hit(4, 0.03, 1.0, 2))
         params = TrackParams(1.0, 0.0, 0.0, 1.0)
-        circle = CircleTrack(0.0, 1.0, 1.0, 1)
-        tracks = (TruthTrack(1, params, circle, (1, 2)),
-                  TruthTrack(2, params, circle, (3, 4)))
-        e = Event(0, hits, tracks, 2.0)
+        tracks = (TruthTrack(1, params), TruthTrack(2, params))
+        e = Event(0, hits, tracks)
         g = build_graph(e, DbscanParams(eps=0.05, min_pts=2))
         assert g.n_edges == 6
         assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3],
@@ -119,10 +116,10 @@ class TestBuildGraph:
         # no tracks means no hits at all; construct noise-only manually
         from trackseg.events import Event, Hit
         hits = tuple(
-            Hit(i + 1, 0.1, 0.0, 0.0, 0.1, float(i), (i * 2.0) % TWO_PI,
+            Hit(i + 1, 0.1, 0.0, 0.0, float(i), (i * 2.0) % TWO_PI,
                 0, 0)
             for i in range(5))
-        e = Event(0, hits, (), 2.0)
+        e = Event(0, hits, ())
         g = build_graph(e, DbscanParams(eps=0.05, min_pts=2))
         assert g.n_edges == 0
         assert not g.vertex_class.any()
@@ -138,7 +135,7 @@ class TestBuildGraph:
     def test_empty_event_rejected(self):
         from trackseg.events import Event
         with pytest.raises(ConsistencyError):
-            build_graph(Event(0, (), (), 2.0), DbscanParams())
+            build_graph(Event(0, (), ()), DbscanParams())
 
 
 class TestTruthEllipses:
@@ -146,32 +143,28 @@ class TestTruthEllipses:
         gen = GenConfig(n_tracks=8, noise_fraction=0.1,
                         hit_smearing_sigma=2e-4)
         e = generate_event(detector, gen, seed=24)
-        lookup = {h.hit_id: h for h in e.hits}
+        track_hits = e.track_hits()
         for pid, ell in truth_ellipses(e):
-            track = next(t for t in e.tracks if t.particle_id == pid)
-            for hid in track.hit_ids:
-                h = lookup[hid]
+            for h in track_hits[pid]:
                 assert point_in_ellipse(ell, (h.eta, h.phi))
 
     def test_two_hit_track_floor_minor_axis(self):
         from trackseg.events import Event, Hit, TruthTrack
-        from trackseg.kinematics import CircleTrack, TrackParams
-        hits = (Hit(1, 0.1, 0.0, 0.0, 0.1, 0.0, 1.0, 0, 1),
-                Hit(2, 0.1, 0.0, 0.0, 0.1, 0.02, 1.0, 1, 1))
-        t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0),
-                       CircleTrack(0.0, 1.0, 1.0, 1), (1, 2))
-        e = Event(0, hits, (t,), 2.0)
+        from trackseg.kinematics import TrackParams
+        hits = (Hit(1, 0.1, 0.0, 0.0, 0.0, 1.0, 0, 1),
+                Hit(2, 0.1, 0.0, 0.0, 0.02, 1.0, 1, 1))
+        t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0))
+        e = Event(0, hits, (t,))
         (pid, ell), = truth_ellipses(e)
         assert ell.a == pytest.approx(1.1 * 0.01, rel=1e-9)
         assert ell.b == pytest.approx(1.1 * 1e-4, rel=1e-9)
 
     def test_single_hit_track(self):
         from trackseg.events import Event, Hit, TruthTrack
-        from trackseg.kinematics import CircleTrack, TrackParams
-        hits = (Hit(1, 0.1, 0.0, 0.0, 0.1, 0.3, 2.0, 0, 1),)
-        t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0),
-                       CircleTrack(0.0, 1.0, 1.0, 1), (1,))
-        e = Event(0, hits, (t,), 2.0)
+        from trackseg.kinematics import TrackParams
+        hits = (Hit(1, 0.1, 0.0, 0.0, 0.3, 2.0, 0, 1),)
+        t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0))
+        e = Event(0, hits, (t,))
         (pid, ell), = truth_ellipses(e)
         assert (ell.eta_c, ell.phi_c) == (0.3, 2.0)
         assert ell.a == pytest.approx(1.1e-4)
@@ -179,14 +172,13 @@ class TestTruthEllipses:
 
     def test_collinear_in_eta(self):
         from trackseg.events import Event, Hit, TruthTrack
-        from trackseg.kinematics import CircleTrack, TrackParams
+        from trackseg.kinematics import TrackParams
         length = 0.4
         hits = tuple(
-            Hit(i + 1, 0.1, 0.0, 0.0, 0.1, i * length / 4.0, 1.5, 0, 1)
+            Hit(i + 1, 0.1, 0.0, 0.0, i * length / 4.0, 1.5, 0, 1)
             for i in range(5))
-        t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0),
-                       CircleTrack(0.0, 1.0, 1.0, 1), tuple(range(1, 6)))
-        e = Event(0, hits, (t,), 2.0)
+        t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0))
+        e = Event(0, hits, (t,))
         (pid, ell), = truth_ellipses(e)
         assert ell.theta in (pytest.approx(0.0, abs=1e-9),
                              pytest.approx(math.pi, abs=1e-9))
@@ -326,9 +318,9 @@ def test_default_params_cocluster_same_track_pairs(detector):
         e = generate_event(detector, gen, seed=seed)
         pts = [(h.eta, h.phi) for h in e.hits]
         labels = dbscan(pts, DbscanParams())
-        index = {h.hit_id: k for k, h in enumerate(e.hits)}
         for t in e.tracks:
-            ids = [index[i] for i in t.hit_ids]
+            ids = [k for k, h in enumerate(e.hits)
+                   if h.particle_id == t.particle_id]
             for x in range(len(ids)):
                 for y in range(x + 1, len(ids)):
                     total += 1

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 import trackseg
 from conftest import JSON_VALUES, doc_paths, set_at
+from test_events import write_trackml
 from trackseg import tracknet
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
-from trackseg.events import DetectorConfig, GenConfig, generate_event
+from trackseg.events import (DetectorConfig, GenConfig, generate_event,
+                             read_trackml_event)
 from trackseg.graphs import (DbscanParams, assign_vertex_targets, build_graph,
                              truth_ellipses)
 from trackseg.harness import pipeline
@@ -146,7 +148,7 @@ class TestRender:
     def test_empty_event_valid_svg(self, tmp_path):
         from trackseg.events import Event
         path = tmp_path / "empty.svg"
-        render_event_svg(Event(0, (), (), 2.0), [], path)
+        render_event_svg(Event(0, (), ()), [], path)
         text = path.read_text()
         assert text.startswith("<svg")
         assert "</svg>" in text
@@ -165,8 +167,8 @@ class TestRender:
 
     def test_single_hit_single_ellipse(self, tmp_path):
         from trackseg.events import Event, Hit
-        hit = Hit(1, 0.1, 0.0, 0.0, 0.1, 0.5, 1.0, 0, 0)
-        e = Event(0, (hit,), (), 2.0)
+        hit = Hit(1, 0.1, 0.0, 0.0, 0.5, 1.0, 0, 0)
+        e = Event(0, (hit,), ())
         path = tmp_path / "one.svg"
         render_event_svg(e, [make_ellipse(0.5, 1.0, 0.1, 0.05, 0.3)], path)
         text = path.read_text()
@@ -352,10 +354,23 @@ class TestIo:
         e = generate_event(det, GenConfig(n_tracks=3, noise_fraction=0.2,
                                           hit_smearing_sigma=1e-4), seed=43)
         doc = event_to_dict(e, config_echo={"seed": 1})
-        assert doc["format"] == "event-v1"
+        assert doc["format"] == "event-v2"
         assert doc["config"] == {"seed": 1}
         restored = event_from_dict(doc)
         assert restored == e
+
+    @pytest.mark.parametrize("source", ["generated", "trackml"])
+    def test_event_text_round_trip_is_bit_identical(self, source, tmp_path):
+        if source == "generated":
+            e = generate_event(DetectorConfig(), GenConfig(
+                n_tracks=5, noise_fraction=0.2, hit_smearing_sigma=2e-4),
+                seed=46)
+        else:
+            e = read_trackml_event(*write_trackml(tmp_path))
+        restored = event_from_dict(json.loads(json.dumps(event_to_dict(e))))
+        assert restored == e
+        assert [(h.eta.hex(), h.phi.hex()) for h in restored.hits] == \
+            [(h.eta.hex(), h.phi.hex()) for h in e.hits]
 
     def test_event_format_check(self):
         with pytest.raises(ConsistencyError):
@@ -391,11 +406,13 @@ class TestIo:
         with pytest.raises(ConsistencyError):
             prediction_from_dict(doc)
 
-    # a bool is no number and an int field takes only an int
+    # a bool is no number, an int field takes only an int, and ids must
+    # fit the int64 arrays of a graph
     @pytest.mark.parametrize("path, value", [
         (("hits", 0, "layer"), 1.7),
         (("hits", 0, "hit_id"), "1"),
-        (("tracks", 0, "charge"), 1.0)])
+        (("tracks", 0, "particle_id"), 1.0),
+        (("hits", -1, "hit_id"), 2**63)])
     def test_event_with_wrong_typed_number_rejected(self, path, value):
         doc = json.loads(EVENT_DOC)
         set_at(doc, path, value)
@@ -570,10 +587,7 @@ class TestCli:
          "train"),
         ("graphs/graph_00000.json", _drop_last_particle_id, "train"),
         ("events/event_00000.json",
-         _edited(lambda doc: doc["tracks"][0]["hit_ids"].append(99999)),
-         "build-graphs"),
-        ("events/event_00000.json",
-         _edited(lambda doc: doc["hits"][0].update(eta=math.nan)),
+         _edited(lambda doc: doc["hits"][0].update(z=math.nan)),
          "build-graphs"),
         ("predictions/pred_*.json", _set_first("assignments", 999),
          "evaluate"),
@@ -602,20 +616,36 @@ class TestCli:
         ("checkpoint.json",
          _edited(lambda doc: doc["config"].update(
              iterations=doc["config"]["iterations"] + 0.9)),
-         "infer")],
+         "infer"),
+        ("events/event_00000.json",
+         _edited(lambda doc: doc.update(format="event-v1")), "build-graphs"),
+        ("events/event_00000.json",
+         _edited(lambda doc: doc["hits"][0].update(x=0.0, y=0.0)),
+         "build-graphs"),
+        ("events/event_00000.json",
+         _edited(lambda doc: doc["tracks"].append(
+             dict(doc["tracks"][0], particle_id=999))), "build-graphs"),
+        ("events/event_00000.json",
+         _edited(lambda doc: doc["hits"][0].update(particle_id=999)),
+         "build-graphs"),
+        ("events/event_00000.json",
+         _edited(lambda doc: doc["tracks"].append(doc["tracks"][0])),
+         "build-graphs")],
         ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
              "pred-no-candidates", "checkpoint-v1", "checkpoint-no-params",
              "event-hit-not-object", "checkpoint-param-not-number",
              "pred-param-not-number", "graph-not-utf8",
              "graph-nested-too-deep", "graph-edge-out-of-range",
-             "graph-particle-ids-short", "event-track-unknown-hit",
-             "event-hit-nan-eta", "pred-assignment-out-of-range",
+             "graph-particle-ids-short", "event-hit-nan-eta",
+             "pred-assignment-out-of-range",
              "graph-vertex-eta-null", "pred-class-prob-nan",
              "graph-v1-format", "graph-edge-not-a-pair",
              "graph-particle-missing", "checkpoint-param-count",
              "checkpoint-hidden-zero", "event-layer-not-int",
              "graph-edge-not-int", "pred-hit-id-not-int",
-             "checkpoint-iterations-not-int"])
+             "checkpoint-iterations-not-int", "event-v1-format",
+             "event-hit-on-beamline", "event-track-without-hits",
+             "event-hit-without-track", "event-track-id-repeated"])
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
                                         damage, command):
         cfg_path = tiny_cli_config(tmp_path)

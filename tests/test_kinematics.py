@@ -68,7 +68,8 @@ class TestPseudorapidity:
         etas = [pseudorapidity(t) for t in thetas]
         assert all(a > b for a, b in zip(etas, etas[1:]))
 
-    @pytest.mark.parametrize("theta", [0.0, math.pi, -0.1, 4.0])
+    # the smallest positive theta halves to 0
+    @pytest.mark.parametrize("theta", [0.0, math.pi, -0.1, 4.0, 5e-324])
     def test_domain(self, theta):
         with pytest.raises(DomainError):
             pseudorapidity(theta)
@@ -211,9 +212,9 @@ class TestDisplacedParabolaAccuracy:
 class TestCircleTrack:
     def test_invalid(self):
         with pytest.raises(DomainError):
-            CircleTrack(0.0, 0.0, -1.0, 1)
+            CircleTrack(0.0, 0.0, -1.0)
         with pytest.raises(DomainError):
-            CircleTrack(0.0, 0.0, 1.0, 2)
+            CircleTrack(0.0, 0.0, math.inf)
 
 
 def test_canonical_coeffs_match_raw_fit_when_well_oriented():

@@ -342,9 +342,9 @@ class TestTrain:
         from trackseg.events import Event, Hit
         from trackseg.graphs import DbscanParams, build_graph
         hits = tuple(
-            Hit(i + 1, 0.1, 0.0, 0.0, 0.1, float(i), (2.0 * i) % 6.28, 0, 0)
+            Hit(i + 1, 0.1, 0.0, 0.0, float(i), (2.0 * i) % 6.28, 0, 0)
             for i in range(6))
-        e = Event(0, hits, (), 2.0)
+        e = Event(0, hits, ())
         g = build_graph(e, DbscanParams(eps=0.01, min_pts=2))
         assert g.n_edges == 0
         m = tn.Model(small_config(), seed=20)
