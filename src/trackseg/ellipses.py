@@ -29,6 +29,9 @@ AXIS_FLOOR = 1e-4
 # vertices of the inscribed polygons ellipse_iou clips
 IOU_RESOLUTION = 64
 
+# mvee stops once no step can gain more than this relative amount
+MVEE_TOLERANCE = 1e-6
+
 # scales of the box encoding; they bring each encoded component to a
 # comparable magnitude for pixel-scale tracks
 ETA_M = 0.01
@@ -208,12 +211,12 @@ def ellipse_from_dict(d: dict) -> Ellipse5:
     return Ellipse5(*values)
 
 
-def mvee(points, tolerance: float = 1e-6) -> Ellipse5:
+def mvee(points) -> Ellipse5:
     """Minimum-area enclosing ellipse of eta-phi points.
 
-    Runs the Khachiyan barycentric-coordinate-descent scheme to the given
-    tolerance, then rescales the result so the farthest input point lies
-    exactly on the boundary (guaranteeing containment).  Degenerate
+    Runs the Khachiyan barycentric-coordinate-descent scheme to
+    MVEE_TOLERANCE, then rescales the result so the farthest input point
+    lies exactly on the boundary (guaranteeing containment).  Degenerate
     inputs are handled directly: a single or coincident point set yields
     a floor-radius circle, collinear points a segment-spanning ellipse
     with the minor axis at the floor.  phi is unwrapped around its
@@ -261,13 +264,13 @@ def mvee(points, tolerance: float = 1e-6) -> Ellipse5:
         m = np.einsum("ij,ji->i", q.T @ np.linalg.inv(x), q)
         j_add = int(np.argmax(m))
         # away step over the current support gives linear convergence
-        # (plain ascent needs O(1/tolerance) iterations)
+        # (plain ascent needs O(1/MVEE_TOLERANCE) iterations)
         support = u > 1e-12
         m_support = np.where(support, m, np.inf)
         j_away = int(np.argmin(m_support))
         gain_add = m[j_add] - lift
         gain_away = lift - m_support[j_away]
-        if max(gain_add, gain_away) <= lift * tolerance:
+        if max(gain_add, gain_away) <= lift * MVEE_TOLERANCE:
             break
         j = j_add if gain_add >= gain_away else j_away
         beta = (m[j] - lift) / (lift * (m[j] - 1.0))

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .angles import wrap_phi
-from .errors import ConfigError, ConsistencyError, ParseError
+from .errors import ConfigError, ConsistencyError, DomainError, \
+    ParseError
 from .kinematics import PT_COEFF, CircleTrack, TrackParams, pseudorapidity
 
 MM_TO_M = 1e-3
@@ -36,10 +37,11 @@ TRACKML_PARTICLES_HEADER = ["particle_id", "vx", "vy", "vz", "px", "py",
                             "pz", "q", "nhits"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hit:
     """One detector measurement.  particle_id 0 marks noise; eta and phi
-    are derived from (x, y, z) by hit_from_xyz."""
+    are derived from (x, y, z) by hit_from_xyz.  Slots keep the many
+    short-lived hits a graph document decodes into small."""
     hit_id: int
     x: float
     y: float
@@ -160,8 +162,11 @@ def intersect_helix_layer(circle: CircleTrack, phi0: float, eta: float,
 
 def hit_from_xyz(hit_id: int, x: float, y: float, z: float, layer: int,
                  particle_id: int, volume: int = 0) -> Hit:
-    """A hit at (x, y, z) with its derived eta and phi; a hit on the
-    beamline has no polar angle in (0, pi) and raises DomainError."""
+    """A hit at (x, y, z) with its derived eta and phi; a non-finite
+    coordinate, or a hit on the beamline, which has no polar angle in
+    (0, pi), raises DomainError."""
+    if not all(map(math.isfinite, (x, y, z))):
+        raise DomainError(f"hit {hit_id}: non-finite coordinate")
     eta = pseudorapidity(math.atan2(math.hypot(x, y), z))
     return Hit(hit_id, x, y, z, eta, float(wrap_phi(math.atan2(y, x))),
                layer, particle_id, volume)
@@ -263,6 +268,8 @@ def _parse_fields(path, lineno, row, int_cols: set[int]):
     for i, cell in enumerate(row):
         try:
             out.append(int(cell) if i in int_cols else float(cell))
+            if i not in int_cols and not math.isfinite(out[-1]):
+                raise ValueError(f"{cell!r} is not finite")
         except ValueError:
             raise ParseError(f"{path}: bad value {cell!r} in column {i}",
                              line=lineno)
@@ -270,25 +277,25 @@ def _parse_fields(path, lineno, row, int_cols: set[int]):
 
 
 def read_trackml_event(hits_path, truth_path, particles_path,
-                       field_b: float = 2.0, event_id: int = 0) -> Event:
-    """Ingest one TrackML event from its hits/truth/particles CSV files.
+                       field_b: float = 2.0) -> Event:
+    """Ingest one TrackML event, as event 0, from its hits/truth/particles
+    CSV files.
 
     Distances are converted mm -> m; per-particle p_T comes from the
     particles file momenta; the truth circle is reconstructed from the
     production vertex, momentum direction and charge assuming an ideal
     solenoid field.  Particles with zero p_T or a non-unit charge cannot
-    form a circle and their hits are kept as noise.
+    form a circle and their hits are kept as noise.  A hit on the
+    beamline raises ParseError naming its line.
     """
     raw_hits: dict[int, tuple] = {}
-    order: list[int] = []
     for lineno, row in _read_csv_rows(hits_path, TRACKML_HITS_HEADER):
         vals = _parse_fields(hits_path, lineno, row, {0, 4, 5, 6})
         hit_id = vals[0]
         if hit_id in raw_hits:
             raise ConsistencyError(f"duplicate hit_id {hit_id} in {hits_path}")
         raw_hits[hit_id] = (vals[1] * MM_TO_M, vals[2] * MM_TO_M,
-                            vals[3] * MM_TO_M, vals[4], vals[5])
-        order.append(hit_id)
+                            vals[3] * MM_TO_M, vals[4], vals[5], lineno)
 
     hit_particle: dict[int, int] = {}
     for lineno, row in _read_csv_rows(truth_path, TRACKML_TRUTH_HEADER):
@@ -321,15 +328,18 @@ def read_trackml_event(hits_path, truth_path, particles_path,
         params[pid] = TrackParams(pt, abs(math.hypot(a, b) - radius), a, b)
 
     hits = []
-    for hit_id in order:
-        x, y, z, volume, layer = raw_hits[hit_id]
+    for hit_id, (x, y, z, volume, layer, lineno) in raw_hits.items():
         pid = hit_particle.get(hit_id, 0)
         if pid not in params:
             pid = 0  # unparametrizable particle: keep the hit as noise
-        hits.append(hit_from_xyz(hit_id, x, y, z, layer, pid, volume))
+        try:
+            hits.append(hit_from_xyz(hit_id, x, y, z, layer, pid, volume))
+        except DomainError as err:
+            raise ParseError(f"{hits_path}: hit {hit_id}: {err}",
+                             line=lineno) from err
 
     tracks = tuple(TruthTrack(pid, p) for pid, p in params.items())
-    return Event(event_id, tuple(hits), tracks)
+    return Event(0, tuple(hits), tracks)
 
 
 def apply_selection(e: Event, pt_min: float = 0.0,

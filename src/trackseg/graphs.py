@@ -12,13 +12,13 @@ import numpy as np
 
 from .ellipses import Ellipse5, ellipse_from_dict, ellipse_to_dict, mvee
 from .errors import ConfigError, ConsistencyError
-from .events import Event
+from .events import Event, hit_from_xyz
 from .jsonio import number, numbers, parsing
 
 # target ellipses are the tracks' enclosing ellipses grown by this factor
 TARGET_PADDING = 1.1
 
-GRAPH_FORMAT = "graph-v2"
+GRAPH_FORMAT = "graph-v3"
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,9 @@ class Graph:
     """Hit graph of one event.
 
     Vertices are hits with coordinates (eta, phi) and initial state
-    (z, layer); edges are undirected, stored once with i < j.  The truth
-    block (particle ids, transverse hit coordinates, per-particle
-    parameters and target ellipses) makes a stored graph a
+    (z, layer); edges are undirected, stored once with i < j.  Each
+    vertex's particle id and transverse coordinates, with the
+    per-particle parameters and target ellipses, make a stored graph a
     self-contained training sample.
     """
     event_id: int
@@ -121,30 +121,33 @@ def build_graph(e: Event, params: DbscanParams) -> Graph:
     """
     if not e.hits:
         raise ConsistencyError("cannot build a graph from an empty event")
-    eta = np.array([h.eta for h in e.hits])
-    phi = np.array([h.phi for h in e.hits])
-    layers = np.array([h.layer for h in e.hits])
-    pid = np.array([h.particle_id for h in e.hits])
-
-    labels = dbscan(np.stack([eta, phi], axis=1), params)
+    labels = dbscan([(h.eta, h.phi) for h in e.hits], params)
     edges: list[tuple[int, int]] = []
     for cluster in range(labels.max() + 1 if labels.size else 0):
         members = np.flatnonzero(labels == cluster).tolist()
         edges.extend(itertools.combinations(members, 2))
+    return _graph(e.event_id, e.hits, edges,
+                  {t.particle_id: (t.params.p_t, t.params.eps_t)
+                   for t in e.tracks}, {})
 
+
+def _graph(event_id: int, hits, edges, truth_params: dict,
+           targets: dict) -> Graph:
+    """The Graph of `hits` joined by `edges`; each track vertex gets its
+    particle's entry in `targets`, None when it has none."""
     return Graph(
-        event_id=e.event_id,
-        eta=eta,
-        phi=phi,
-        state=np.stack([np.array([h.z for h in e.hits]),
-                        layers.astype(float)], axis=1),
+        event_id=event_id,
+        eta=np.array([h.eta for h in hits]),
+        phi=np.array([h.phi for h in hits]),
+        state=np.array([(h.z, float(h.layer)) for h in hits]).reshape(-1, 2),
         edges=np.array(edges, dtype=int).reshape(-1, 2),
-        vertex_hit_ids=np.array([h.hit_id for h in e.hits], dtype=int),
-        vertex_particle_id=pid,
-        vertex_xy=np.array([[h.x, h.y] for h in e.hits]),
-        truth_params={t.particle_id: (t.params.p_t, t.params.eps_t)
-                      for t in e.tracks},
-        vertex_target_ellipse=[None] * len(e.hits),
+        vertex_hit_ids=np.array([h.hit_id for h in hits], dtype=int),
+        vertex_particle_id=np.array([h.particle_id for h in hits],
+                                    dtype=int),
+        vertex_xy=np.array([(h.x, h.y) for h in hits]).reshape(-1, 2),
+        truth_params=truth_params,
+        vertex_target_ellipse=[targets.get(h.particle_id)
+                               if h.particle_id else None for h in hits],
     )
 
 
@@ -184,8 +187,9 @@ def assign_vertex_targets(g: Graph, ellipses) -> Graph:
 
 
 def graph_to_dict(g: Graph) -> dict:
-    """Serialize a graph to the graph-v2 JSON document layout, which
-    stores each particle's target ellipse once, in its truth entry."""
+    """Serialize a graph to the graph-v3 JSON document layout: each
+    vertex is the hit it came from, and each particle's target ellipse
+    is stored once, in its particle entry."""
     targets = {}
     for pid, target in zip(g.vertex_particle_id.tolist(),
                            g.vertex_target_ellipse):
@@ -195,91 +199,58 @@ def graph_to_dict(g: Graph) -> dict:
         "format": GRAPH_FORMAT,
         "event_id": g.event_id,
         "vertices": [
-            {"eta": eta, "phi": phi, "state": state, "hit_id": hit_id}
-            for eta, phi, state, hit_id in zip(
-                g.eta.tolist(), g.phi.tolist(), g.state.tolist(),
-                g.vertex_hit_ids.tolist())],
+            {"hit_id": hit_id, "x": x, "y": y, "z": z, "layer": int(layer),
+             "particle_id": pid}
+            for hit_id, (x, y), (z, layer), pid in zip(
+                g.vertex_hit_ids.tolist(), g.vertex_xy.tolist(),
+                g.state.tolist(), g.vertex_particle_id.tolist())],
         "edges": g.edges.tolist(),
-        "truth": {
-            "vertex_particle_id": g.vertex_particle_id.tolist(),
-            "vertex_xy": g.vertex_xy.tolist(),
-            "particles": [
-                {"particle_id": pid, "pt": pt, "eps_t": eps,
-                 "target": ellipse_to_dict(targets[pid])
-                 if pid in targets else None}
-                for pid, (pt, eps) in sorted(g.truth_params.items())],
-        },
+        "particles": [
+            {"particle_id": pid, "pt": pt, "eps_t": eps,
+             "target": ellipse_to_dict(targets[pid])
+             if pid in targets else None}
+            for pid, (pt, eps) in sorted(g.truth_params.items())],
     }
 
 
 def graph_from_dict(d: dict) -> Graph:
-    """Decode a graph-v2 document.  Edges must be [i, j] pairs of
+    """Decode a graph-v3 document.  Edges must be [i, j] pairs of
     distinct vertices, ids and edge ends JSON ints, every other number
-    a finite JSON number and every nonzero vertex particle id listed
-    under truth.particles; otherwise, and for a graph-v1 document,
-    raises ConsistencyError."""
-    if isinstance(d, dict) and d.get("format") == "graph-v1":
-        raise ConsistencyError("graph-v1 document: rebuild the graphs with "
-                               "build-graphs")
+    a finite JSON number, no vertex on the beamline and every nonzero
+    vertex particle id listed under particles; otherwise, and for a
+    graph-v1 or graph-v2 document, raises ConsistencyError."""
+    if isinstance(d, dict) and d.get("format") in ("graph-v1", "graph-v2"):
+        raise ConsistencyError(f"{d['format']} document: rebuild the graphs "
+                               f"with build-graphs")
     with parsing(d, GRAPH_FORMAT):
-        return _graph_from_doc(d)
-
-
-def _finite(values, what: str):
-    if not np.all(np.isfinite(values)):
-        raise ConsistencyError(f"graph {what} has non-finite values")
-    return values
-
-
-def _graph_from_doc(d: dict) -> Graph:
-    verts = d["vertices"]
-    n = len(verts)
-    truth = d["truth"]
-
-    def per_vertex(values, what: str, dtype=float, row=()) -> np.ndarray:
-        arr = np.array(values, dtype=dtype)
-        # an empty list stands for zero rows of any width
-        if arr.shape != (n, *row) and not arr.size == n == 0:
-            raise ConsistencyError(f"graph {what} has shape {arr.shape}, "
-                                   f"expected {(n, *row)}")
-        numbers(itertools.chain.from_iterable(values) if row else values,
-                dtype)
-        return _finite(arr.reshape(n, *row), what)
-
-    edges = np.array(d["edges"], dtype=int)
-    if edges.shape == (0,):
-        edges = edges.reshape(0, 2)
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ConsistencyError("graph edges must be [i, j] pairs")
-    numbers(itertools.chain.from_iterable(d["edges"]), int)
-    if np.any((edges < 0) | (edges >= n)) or \
-            np.any(edges[:, 0] == edges[:, 1]):
-        raise ConsistencyError(f"graph edges must join two distinct "
-                               f"vertices in [0, {n})")
-    pid = per_vertex(truth["vertex_particle_id"], "truth.vertex_particle_id",
-                     int)
-    params, targets = {}, {}
-    for p in truth["particles"]:
-        k = number(p["particle_id"], int)
-        params[k] = _finite((number(p["pt"]), number(p["eps_t"])),
-                            f"particle {k}")
-        targets[k] = ellipse_from_dict(p["target"]) \
-            if p["target"] is not None else None
-    missing = set(pid[pid != 0].tolist()) - params.keys()
-    if missing:
-        raise ConsistencyError(f"graph vertices belong to particles "
-                               f"{sorted(missing)}, which have no entry")
-    return Graph(
-        event_id=number(d["event_id"], int),
-        eta=per_vertex([v["eta"] for v in verts], "eta"),
-        phi=per_vertex([v["phi"] for v in verts], "phi"),
-        state=per_vertex([v["state"] for v in verts], "state", row=(2,)),
-        edges=edges,
-        vertex_hit_ids=per_vertex([v["hit_id"] for v in verts], "hit_id",
-                                  int),
-        vertex_particle_id=pid,
-        vertex_xy=per_vertex(truth["vertex_xy"], "truth.vertex_xy", row=(2,)),
-        truth_params=params,
-        vertex_target_ellipse=[targets[k] if k else None
-                               for k in pid.tolist()],
-    )
+        hits = [hit_from_xyz(number(v["hit_id"], int), number(v["x"]),
+                             number(v["y"]), number(v["z"]),
+                             number(v["layer"], int),
+                             number(v["particle_id"], int))
+                for v in d["vertices"]]
+        n = len(hits)
+        edges = np.array(d["edges"], dtype=int)
+        if edges.shape == (0,):
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ConsistencyError("graph edges must be [i, j] pairs")
+        numbers(itertools.chain.from_iterable(d["edges"]), int)
+        if np.any((edges < 0) | (edges >= n)) or \
+                np.any(edges[:, 0] == edges[:, 1]):
+            raise ConsistencyError(f"graph edges must join two distinct "
+                                   f"vertices in [0, {n})")
+        params, targets = {}, {}
+        for p in d["particles"]:
+            k = number(p["particle_id"], int)
+            params[k] = (number(p["pt"]), number(p["eps_t"]))
+            if not all(map(math.isfinite, params[k])):
+                raise ConsistencyError(f"graph particle {k} has non-finite "
+                                       f"values")
+            targets[k] = ellipse_from_dict(p["target"]) \
+                if p["target"] is not None else None
+        missing = {h.particle_id for h in hits} - {0} - params.keys()
+        if missing:
+            raise ConsistencyError(f"graph vertices belong to particles "
+                                   f"{sorted(missing)}, which have no entry")
+        return _graph(number(d["event_id"], int), hits, edges, params,
+                      targets)

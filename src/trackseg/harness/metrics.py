@@ -28,16 +28,11 @@ def auc_score(labels, scores) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 1.0
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # the average 1-based rank of each group of tied scores
+    _, group, counts = np.unique(scores, return_inverse=True,
+                                 return_counts=True)
+    group_ranks = np.cumsum(counts) - (counts - 1) / 2.0
+    ranks = group_ranks[group]
     u = float(ranks[labels].sum()) - 0.5 * n_pos * (n_pos + 1)
     return u / (n_pos * n_neg)
 

@@ -5,7 +5,9 @@ Artifacts live under the configured output directory:
     events/event_00000.json     one event-v2 document per event
                                 (v1 events are rejected with exit 3 and
                                 must be regenerated)
-    graphs/graph_00000.json     one graph per event
+    graphs/graph_00000.json     one graph-v3 document per event
+                                (v1 and v2 graphs are rejected with
+                                exit 3 and must be rebuilt)
     checkpoint.json             tracknet-v3: model config and flat
                                 parameter vector in parameter-name order
                                 (v1 and v2 checkpoints are rejected with

@@ -194,8 +194,7 @@ class TestIou:
 
 class TestMvee:
     def test_unit_square(self):
-        e = mvee(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-                 tolerance=1e-6)
+        e = mvee(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
         r = math.sqrt(2.0) / 2.0
         assert e.eta_c == pytest.approx(0.5, abs=1e-3)
         assert e.phi_c == pytest.approx(0.5, abs=1e-3)
@@ -215,7 +214,7 @@ class TestMvee:
             * math.sin(th),
             2.0 + a0 * np.cos(t) * math.sin(th) + b0 * np.sin(t)
             * math.cos(th)], axis=1)
-        e = mvee(pts, tolerance=1e-7)
+        e = mvee(pts)
         assert e.a == pytest.approx(a0, abs=1e-3)
         assert e.b == pytest.approx(b0, abs=1e-3)
         assert e.theta == pytest.approx(th, abs=1e-3)
@@ -234,7 +233,7 @@ class TestMvee:
         for _ in range(100):
             k = int(rng.integers(1, 25))
             pts = rng.normal(0, 1, (k, 2)) * rng.uniform(1e-3, 0.5, 2)
-            e = mvee(pts, tolerance=1e-6)
+            e = mvee(pts)
             inflated = Ellipse5(e.eta_c, e.phi_c, e.a * (1 + 1e-6),
                                 e.b * (1 + 1e-6), e.theta)
             assert np.all(point_in_ellipse_quadform(

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trackseg.errors import ConfigError, ConsistencyError, ParseError
+from trackseg.errors import (ConfigError, ConsistencyError, DomainError,
+                             ParseError)
 from trackseg.events import (GenConfig, apply_selection, generate_event,
-                             intersect_helix_layer, read_trackml_event,
-                             validate_event)
+                             hit_from_xyz, intersect_helix_layer,
+                             read_trackml_event, validate_event)
 from trackseg.kinematics import CircleTrack, fit_track_conformal
 
 
@@ -174,6 +175,15 @@ def write_trackml(tmp_path, hits=HITS_CSV, truth=TRUTH_CSV,
     return paths
 
 
+@pytest.mark.parametrize("x, y, z", [
+    (math.inf, 0.0, 0.1), (0.1, math.nan, 0.1), (0.1, 0.0, -math.inf),
+    (0.0, 0.0, 0.3)], ids=["x-inf", "y-nan", "z-inf", "on-beamline"])
+def test_hit_without_a_polar_angle_rejected(x, y, z):
+    # an infinite x alone would still give eta 0 and phi 0
+    with pytest.raises(DomainError):
+        hit_from_xyz(1, x, y, z, 0, 0)
+
+
 class TestReadTrackml:
     def test_golden_rows(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))
@@ -244,6 +254,21 @@ class TestReadTrackml:
 
     def test_validates(self, tmp_path):
         validate_event(read_trackml_event(*write_trackml(tmp_path)))
+
+    @pytest.mark.parametrize("files, message", [
+        ({"hits": HITS_CSV.replace("-64.4,-7.2", "0.0,0.0")},
+         "hits.csv: hit 1: polar angle"),
+        ({"hits": HITS_CSV.replace("-64.4", "nan")},
+         "hits.csv: bad value 'nan' in column 1"),
+        ({"particles": PARTICLES_CSV.replace("3.0,4.0", "nan,4.0")},
+         "particles.csv: bad value 'nan' in column 4")],
+        ids=["hit-on-beamline", "hit-x-nan", "particle-px-nan"])
+    def test_bad_number_names_file_and_line(self, tmp_path, files, message):
+        with pytest.raises(ParseError) as err:
+            read_trackml_event(*write_trackml(tmp_path, **files))
+        assert err.value.line == 2
+        assert str(err.value).startswith("line 2: ")
+        assert message in str(err.value)
 
 
 class TestApplySelection:

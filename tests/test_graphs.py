@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import JSON_VALUES, doc_paths, make_training_graph, set_at
 from oracles import brute_force_dbscan, partition_of
+from test_events import write_trackml
 from trackseg.ellipses import ellipse_from_dict, point_in_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
-from trackseg.events import GenConfig, generate_event
+from trackseg.events import GenConfig, generate_event, read_trackml_event
 from trackseg.graphs import (DbscanParams, Graph, assign_vertex_targets,
                              build_graph, dbscan, graph_from_dict,
                              graph_to_dict, truth_ellipses)
@@ -217,6 +218,23 @@ GRAPH_DOC = json.dumps(graph_to_dict(
 GRAPH_DOC_PATHS = list(doc_paths(json.loads(GRAPH_DOC)))
 
 
+def _vertex(**fields):
+    """A graph-v3 vertex: the first vertex of GRAPH_DOC with `fields`."""
+    return {**json.loads(GRAPH_DOC)["vertices"][0], **fields}
+
+
+def _assert_same_graph(g2, g):
+    for name in ("eta", "phi", "state", "edges", "vertex_hit_ids",
+                 "vertex_particle_id", "vertex_class", "vertex_xy"):
+        assert np.array_equal(getattr(g2, name), getattr(g, name)), name
+    assert [(e.hex(), p.hex()) for e, p in zip(g2.eta.tolist(),
+                                               g2.phi.tolist())] == \
+        [(e.hex(), p.hex()) for e, p in zip(g.eta.tolist(), g.phi.tolist())]
+    assert g2.state.dtype == g.state.dtype == float
+    assert g2.truth_params == g.truth_params
+    assert g2.vertex_target_ellipse == g.vertex_target_ellipse
+
+
 class TestGraphSerialization:
     def test_round_trip(self, detector):
         gen = GenConfig(n_tracks=4, noise_fraction=0.2,
@@ -225,31 +243,37 @@ class TestGraphSerialization:
         g = build_graph(e, DbscanParams())
         assign_vertex_targets(g, truth_ellipses(e))
         d = graph_to_dict(g)
-        assert d["format"] == "graph-v2"
-        g2 = graph_from_dict(json.loads(json.dumps(d)))
-        assert np.array_equal(g2.eta, g.eta)
-        assert np.array_equal(g2.phi, g.phi)
-        assert np.array_equal(g2.state, g.state)
-        assert np.array_equal(g2.edges, g.edges)
-        assert np.array_equal(g2.vertex_hit_ids, g.vertex_hit_ids)
-        assert np.array_equal(g2.vertex_particle_id, g.vertex_particle_id)
-        assert np.array_equal(g2.vertex_class, g.vertex_class)
-        assert np.array_equal(g2.vertex_xy, g.vertex_xy)
-        assert g2.truth_params == g.truth_params
-        assert g2.vertex_target_ellipse == g.vertex_target_ellipse
+        assert d["format"] == "graph-v3"
+        _assert_same_graph(graph_from_dict(json.loads(json.dumps(d))), g)
+
+    def test_trackml_round_trip(self, tmp_path):
+        e = read_trackml_event(*write_trackml(tmp_path))
+        g = build_graph(e, DbscanParams())
+        assign_vertex_targets(g, truth_ellipses(e))
+        _assert_same_graph(
+            graph_from_dict(json.loads(json.dumps(graph_to_dict(g)))), g)
 
     def test_format_check(self):
         with pytest.raises(ConsistencyError):
             graph_from_dict({"format": "bogus"})
 
+    @pytest.mark.parametrize("old", ["graph-v1", "graph-v2"])
+    def test_old_format_asks_for_a_rebuild(self, old):
+        doc = json.loads(GRAPH_DOC)
+        doc["format"] = old
+        with pytest.raises(ConsistencyError, match="build-graphs"):
+            graph_from_dict(doc)
+
     def test_targets_stored_once_per_particle(self):
         doc = json.loads(GRAPH_DOC)
-        assert all(set(v) == {"eta", "phi", "state", "hit_id"}
-                   for v in doc["vertices"])
+        assert set(doc) == {"format", "event_id", "vertices", "edges",
+                            "particles"}
+        assert all(list(v) == ["hit_id", "x", "y", "z", "layer",
+                               "particle_id"] for v in doc["vertices"])
+        assert all(type(v["layer"]) is int for v in doc["vertices"])
         assert all(len(e) == 2 for e in doc["edges"])
         g = graph_from_dict(doc)
-        targets = {p["particle_id"]: p["target"]
-                   for p in doc["truth"]["particles"]}
+        targets = {p["particle_id"]: p["target"] for p in doc["particles"]}
         for pid, target in zip(g.vertex_particle_id, g.vertex_target_ellipse):
             assert target == (None if pid == 0 else
                               ellipse_from_dict(targets[pid]))
@@ -258,31 +282,37 @@ class TestGraphSerialization:
         g = build_graph(make_training_graph(seed=30, n_tracks=2)[0],
                         DbscanParams())
         d = graph_to_dict(g)
-        assert all(p["target"] is None for p in d["truth"]["particles"])
+        assert all(p["target"] is None for p in d["particles"])
         assert graph_from_dict(d).vertex_target_ellipse == [None] * \
             g.n_vertices
 
     @pytest.mark.parametrize("path, value", [
         (("edges", 0), [-1, 0]),
         (("edges", 0), [2, 2]),
-        (("truth", "vertex_xy"), [[0.0, 0.0]]),
+        (("vertices", 0), [0.1, 0.0, 0.0]),
         (("format",), "graph-v1"),
         (("edges", 0), [0, 1, True]),
         (("edges",), [[0]]),
-        (("vertices", 0, "eta"), None),
-        (("vertices", 0, "phi"), float("inf")),
-        (("vertices", 0, "state"), [float("nan"), 0.0]),
-        (("truth", "vertex_xy", 0), [0.1, float("nan")]),
-        (("truth", "particles", 0, "pt"), float("nan")),
-        (("truth", "particles", 0, "eps_t"), None),
-        (("truth", "particles", 0, "target", "eta_c"), float("inf")),
-        (("truth", "particles"), []),
-        (("truth",), {"vertex_xy": []}),
+        (("vertices", 0, "x"), None),
+        (("vertices", 0, "x"), float("inf")),
+        (("vertices", 0), _vertex(z=float("nan"))),
+        (("vertices", 0), _vertex(y=float("-inf"))),
+        (("particles", 0, "pt"), float("nan")),
+        (("particles", 0, "eps_t"), None),
+        (("particles", 0, "target", "eta_c"), float("inf")),
+        (("particles",), []),
+        (("vertices", 0), {"x": 0.1, "y": 0.0, "z": 0.0}),
         (("edges", 0), [0.9, 1]),
-        (("truth", "vertex_particle_id", 0), 1.5),
-        (("vertices", 0, "state"), [0.1, True]),
+        (("vertices", 0, "particle_id"), 1.5),
+        (("vertices", 0, "layer"), [0]),
         (("vertices", 0, "hit_id"), "1"),
-        (("truth", "particles", 0, "particle_id"), 1.0)])
+        (("particles", 0, "particle_id"), 1.0),
+        (("format",), "graph-v2"),
+        (("vertices", 0), _vertex(x=0.0, y=0.0)),
+        (("vertices", 0, "particle_id"), 999),
+        (("vertices", 0, "hit_id"), 2**63),
+        (("vertices", 0, "layer"), 1.7),
+        (("vertices", 0, "z"), True)])
     def test_inconsistent_document_rejected(self, path, value):
         doc = json.loads(GRAPH_DOC)
         set_at(doc, path, value)

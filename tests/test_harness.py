@@ -8,13 +8,14 @@ import warnings
 from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackseg
 from conftest import JSON_VALUES, doc_paths, set_at
-from test_events import write_trackml
+from test_events import HITS_CSV, write_trackml
 from trackseg import tracknet
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
@@ -50,6 +51,21 @@ class TestAuc:
 
     def test_single_class(self):
         assert auc_score([1, 1], [0.2, 0.9]) == 1.0
+
+    def test_matches_pairwise_count_on_ties(self):
+        # AUC is the share of (positive, negative) pairs ranked right,
+        # a tie counting one half; few distinct scores force many ties
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            labels = rng.random(n) < 0.5
+            labels[:2] = (True, False)
+            scores = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=n)
+            pos, neg = scores[labels], scores[~labels]
+            wins = (pos[:, None] > neg[None, :]).sum() + \
+                0.5 * (pos[:, None] == neg[None, :]).sum()
+            assert auc_score(labels, scores) == pytest.approx(
+                wins / (len(pos) * len(neg)), abs=1e-12)
 
 
 def truth_identity_prediction(event):
@@ -502,9 +518,9 @@ def _append_out_of_range_edge(text):
     return json.dumps(doc)
 
 
-def _drop_last_particle_id(text):
+def _drop_last_vertex_particle_id(text):
     doc = json.loads(text)
-    doc["truth"]["vertex_particle_id"].pop()
+    del doc["vertices"][-1]["particle_id"]
     return json.dumps(doc)
 
 
@@ -585,14 +601,14 @@ class TestCli:
         ("graphs/graph_00000.json", lambda text: "[" * 100_000, "train"),
         ("graphs/graph_00000.json", _append_out_of_range_edge,
          "train"),
-        ("graphs/graph_00000.json", _drop_last_particle_id, "train"),
+        ("graphs/graph_00000.json", _drop_last_vertex_particle_id, "train"),
         ("events/event_00000.json",
          _edited(lambda doc: doc["hits"][0].update(z=math.nan)),
          "build-graphs"),
         ("predictions/pred_*.json", _set_first("assignments", 999),
          "evaluate"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["vertices"][0].update(eta=None)), "train"),
+         _edited(lambda doc: doc["vertices"][0].update(x=None)), "train"),
         ("predictions/pred_*.json", _set_first("class_prob", math.nan),
          "evaluate"),
         ("graphs/graph_00000.json",
@@ -600,7 +616,7 @@ class TestCli:
         ("graphs/graph_00000.json",
          _edited(lambda doc: doc["edges"].append([0, 1, True])), "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["truth"]["particles"].pop()), "train"),
+         _edited(lambda doc: doc["particles"].pop()), "train"),
         ("checkpoint.json", _edited(lambda doc: doc["params"].pop()),
          "infer"),
         ("checkpoint.json",
@@ -630,22 +646,35 @@ class TestCli:
          "build-graphs"),
         ("events/event_00000.json",
          _edited(lambda doc: doc["tracks"].append(doc["tracks"][0])),
-         "build-graphs")],
+         "build-graphs"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc.update(format="graph-v2")), "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc["vertices"][0].update(x=0.0, y=0.0)),
+         "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc["vertices"][0].update(x=math.inf)),
+         "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc["vertices"][0].update(particle_id=999)),
+         "train")],
         ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
              "pred-no-candidates", "checkpoint-v1", "checkpoint-no-params",
              "event-hit-not-object", "checkpoint-param-not-number",
              "pred-param-not-number", "graph-not-utf8",
              "graph-nested-too-deep", "graph-edge-out-of-range",
-             "graph-particle-ids-short", "event-hit-nan-eta",
+             "graph-vertex-particle-id-missing", "event-hit-nan-eta",
              "pred-assignment-out-of-range",
-             "graph-vertex-eta-null", "pred-class-prob-nan",
+             "graph-vertex-x-null", "pred-class-prob-nan",
              "graph-v1-format", "graph-edge-not-a-pair",
              "graph-particle-missing", "checkpoint-param-count",
              "checkpoint-hidden-zero", "event-layer-not-int",
              "graph-edge-not-int", "pred-hit-id-not-int",
              "checkpoint-iterations-not-int", "event-v1-format",
              "event-hit-on-beamline", "event-track-without-hits",
-             "event-hit-without-track", "event-track-id-repeated"])
+             "event-hit-without-track", "event-track-id-repeated",
+             "graph-v2-format", "graph-vertex-on-beamline",
+             "graph-vertex-x-inf", "graph-vertex-particle-unlisted"])
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
                                         damage, command):
         cfg_path = tiny_cli_config(tmp_path)
@@ -709,6 +738,15 @@ class TestCli:
         code = main(["--config", str(cfg_path), "ingest"])
         assert code == 2
         assert "hits_csv" in capsys.readouterr().err
+
+    def test_trackml_hit_on_beamline_exits_3(self, tmp_path, capsys):
+        hits, truth, particles = write_trackml(
+            tmp_path, hits=HITS_CSV.replace("-64.4,-7.2", "0.0,0.0"))
+        code = main(["--config", str(tiny_cli_config(tmp_path)), "ingest",
+                     "--hits", str(hits), "--truth", str(truth),
+                     "--particles", str(particles)])
+        assert code == 3
+        assert "line 2: " in capsys.readouterr().err
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg_path = tiny_cli_config(tmp_path)

@@ -14,6 +14,10 @@ A public attribute that a class assigns as `self.X = ...` must be read
 (`obj.X` in a load) outside that class somewhere in `src/` or
 `perfbench/`, so no state is kept that nothing reads.  Exception classes
 are exempt: their attributes are diagnostics for whoever catches them.
+
+A defaulted parameter of a public top-level function must be passed by
+some call in `src/` or `perfbench/`; one that no call passes is a
+constant in disguise.
 """
 
 import ast
@@ -27,6 +31,15 @@ WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # their fate is an open ROADMAP decision: wire into the pipeline or delete
 ALLOWED_UNUSED = {"choose_threshold", "fit_track_conformal"}
+
+# defaulted parameters that only tests pass
+ALLOWED_UNPASSED = {
+    # the tests drive the CLI through argv
+    ("main", "argv"),
+    # criterion 5 and the composite gradient sweep pass unit scales to
+    # keep their finite differences well conditioned
+    ("total_loss", "tracking_scales"),
+}
 
 
 def _defined_names(node):
@@ -159,3 +172,60 @@ def test_attribute_check_sees_the_package_classes():
 def test_allowlist_names_exist():
     names = {name for _, name, _, _ in public_definitions()}
     assert ALLOWED_UNUSED <= names
+
+
+def defaulted_parameters():
+    """(module path, function, parameter, position) for every parameter
+    with a default of a public top-level function; keyword-only
+    parameters have position None."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or \
+                    node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield path, node.name, arg.arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield path, node.name, arg.arg, None
+
+
+def passed_parameters():
+    """{function name: (most positional arguments, keyword names)} over
+    every call in `src/` and `perfbench/`; a call that unpacks
+    *args or **kwargs counts as passing everything."""
+    passed = {}
+    for path in _code_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            n_pos, keywords = passed.setdefault(name, (0, set()))
+            if any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(k.arg is None for k in node.keywords):
+                n_pos = float("inf")
+            passed[name] = (max(n_pos, len(node.args)),
+                            keywords | {k.arg for k in node.keywords})
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    passed = passed_parameters()
+    unpassed = []
+    for path, func, param, position in defaulted_parameters():
+        n_pos, keywords = passed.get(func, (0, set()))
+        if param in keywords or (position is not None and position < n_pos):
+            continue
+        if (func, param) not in ALLOWED_UNPASSED:
+            unpassed.append(f"{path.relative_to(ROOT)}: {func}({param})")
+    assert unpassed == []
+
+
+def test_unpassed_allowlist_names_exist():
+    found = {(func, param) for _, func, param, _ in defaulted_parameters()}
+    assert ALLOWED_UNPASSED <= found
