@@ -25,6 +25,7 @@ import numpy as np
 from .angles import wrap_phi
 from .errors import ConfigError, ConsistencyError, DomainError, \
     ParseError
+from .jsonio import number
 from .kinematics import PT_COEFF, CircleTrack, TrackParams, pseudorapidity
 
 MM_TO_M = 1e-3
@@ -172,6 +173,15 @@ def hit_from_xyz(hit_id: int, x: float, y: float, z: float, layer: int,
                layer, particle_id, volume)
 
 
+def hit_from_dict(d: dict, volume: int = 0) -> Hit:
+    """The hit of a stored record {hit_id, x, y, z, layer, particle_id},
+    its ids and layer JSON ints and its coordinates JSON numbers."""
+    return hit_from_xyz(number(d["hit_id"], int), number(d["x"]),
+                        number(d["y"]), number(d["z"]),
+                        number(d["layer"], int),
+                        number(d["particle_id"], int), volume)
+
+
 def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
                    event_id: int = 0) -> Event:
     """Generate one synthetic event, deterministic in seed.
@@ -286,14 +296,16 @@ def read_trackml_event(hits_path, truth_path, particles_path,
     production vertex, momentum direction and charge assuming an ideal
     solenoid field.  Particles with zero p_T or a non-unit charge cannot
     form a circle and their hits are kept as noise.  A hit on the
-    beamline raises ParseError naming its line.
+    beamline, a particle whose momentum gives no finite track and a
+    repeated row raise ParseError naming the line.
     """
     raw_hits: dict[int, tuple] = {}
     for lineno, row in _read_csv_rows(hits_path, TRACKML_HITS_HEADER):
         vals = _parse_fields(hits_path, lineno, row, {0, 4, 5, 6})
         hit_id = vals[0]
         if hit_id in raw_hits:
-            raise ConsistencyError(f"duplicate hit_id {hit_id} in {hits_path}")
+            raise ParseError(f"{hits_path}: repeated hit_id {hit_id}",
+                             line=lineno)
         raw_hits[hit_id] = (vals[1] * MM_TO_M, vals[2] * MM_TO_M,
                             vals[3] * MM_TO_M, vals[4], vals[5], lineno)
 
@@ -303,21 +315,27 @@ def read_trackml_event(hits_path, truth_path, particles_path,
         if vals[0] not in raw_hits:
             raise ConsistencyError(
                 f"truth hit_id {vals[0]} has no matching hits row")
+        if vals[0] in hit_particle:
+            raise ParseError(f"{truth_path}: repeated hit_id {vals[0]}",
+                             line=lineno)
         hit_particle[vals[0]] = vals[1]
 
     particles: dict[int, tuple] = {}
     for lineno, row in _read_csv_rows(particles_path,
                                       TRACKML_PARTICLES_HEADER):
         vals = _parse_fields(particles_path, lineno, row, {0, 7, 8})
+        if vals[0] in particles:
+            raise ParseError(f"{particles_path}: repeated particle_id "
+                             f"{vals[0]}", line=lineno)
         particles[vals[0]] = (vals[1] * MM_TO_M, vals[2] * MM_TO_M,
-                              vals[4], vals[5], vals[7])
+                              vals[4], vals[5], vals[7], lineno)
 
     params = {}
     for pid in sorted(set(hit_particle.values()) - {0}):
         if pid not in particles:
             raise ConsistencyError(
                 f"particle {pid} in truth but not in particles file")
-        vx, vy, px, py, q = particles[pid]
+        vx, vy, px, py, q, lineno = particles[pid]
         pt = math.hypot(px, py)
         if pt <= 0.0 or q not in (-1, 1):
             continue
@@ -325,7 +343,12 @@ def read_trackml_event(hits_path, truth_path, particles_path,
         phi_c = math.atan2(py, px) - q * 0.5 * math.pi
         a = vx + radius * math.cos(phi_c)
         b = vy + radius * math.sin(phi_c)
-        params[pid] = TrackParams(pt, abs(math.hypot(a, b) - radius), a, b)
+        try:
+            params[pid] = TrackParams(pt, abs(math.hypot(a, b) - radius),
+                                      a, b)
+        except DomainError as err:
+            raise ParseError(f"{particles_path}: particle {pid}: {err}",
+                             line=lineno) from err
 
     hits = []
     for hit_id, (x, y, z, volume, layer, lineno) in raw_hits.items():

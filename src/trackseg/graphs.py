@@ -6,13 +6,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ellipses import Ellipse5, ellipse_from_dict, ellipse_to_dict, mvee
 from .errors import ConfigError, ConsistencyError
-from .events import Event, hit_from_xyz
+from .events import Event, hit_from_dict
 from .jsonio import number, numbers, parsing
 
 # target ellipses are the tracks' enclosing ellipses grown by this factor
@@ -33,15 +33,15 @@ class DbscanParams:
             raise ConfigError(f"dbscan min_pts must be >= 1, got {self.min_pts}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Graph:
-    """Hit graph of one event.
+    """Hit graph of one event, as build_graph or graph_from_dict builds it.
 
     Vertices are hits with coordinates (eta, phi) and initial state
     (z, layer); edges are undirected, stored once with i < j.  Each
-    vertex's particle id and transverse coordinates, with the
-    per-particle parameters and target ellipses, make a stored graph a
-    self-contained training sample.
+    vertex's particle id, transverse coordinates and target ellipse (its
+    particle's, None for noise), with the per-particle parameters, make
+    a stored graph a self-contained training sample.
     """
     event_id: int
     eta: np.ndarray
@@ -51,8 +51,8 @@ class Graph:
     vertex_hit_ids: np.ndarray
     vertex_particle_id: np.ndarray  # 0 for noise vertices
     vertex_xy: np.ndarray
-    truth_params: dict[int, tuple[float, float]] = field(default_factory=dict)
-    vertex_target_ellipse: list = field(default_factory=list)
+    truth_params: dict[int, tuple[float, float]]
+    vertex_target_ellipse: list
 
     @property
     def vertex_class(self) -> np.ndarray:
@@ -112,8 +112,8 @@ def dbscan(points, params: DbscanParams) -> np.ndarray:
     return labels
 
 
-def build_graph(e: Event, params: DbscanParams) -> Graph:
-    """Build the hit graph of an event.
+def build_graph(e: Event, params: DbscanParams, targets: list) -> Graph:
+    """Build the hit graph of an event, with each hit's target.
 
     Hits are clustered in eta-phi; every cluster contributes all its pairs
     as edges (a complete subgraph), unclustered hits stay isolated.
@@ -128,13 +128,24 @@ def build_graph(e: Event, params: DbscanParams) -> Graph:
         edges.extend(itertools.combinations(members, 2))
     return _graph(e.event_id, e.hits, edges,
                   {t.particle_id: (t.params.p_t, t.params.eps_t)
-                   for t in e.tracks}, {})
+                   for t in e.tracks}, targets)
 
 
 def _graph(event_id: int, hits, edges, truth_params: dict,
-           targets: dict) -> Graph:
-    """The Graph of `hits` joined by `edges`; each track vertex gets its
-    particle's entry in `targets`, None when it has none."""
+           targets: list) -> Graph:
+    """The Graph of `hits` joined by `edges`, with `targets[i]` the target
+    of hit i.  Raises ConsistencyError unless the hits' nonzero particle
+    ids are the keys of `truth_params` and exactly the track hits have a
+    target."""
+    found = {h.particle_id for h in hits} - {0}
+    if found != truth_params.keys():
+        odd = sorted(found ^ truth_params.keys())
+        raise ConsistencyError(f"graph particles {odd} lack a vertex or "
+                               f"an entry")
+    if len(targets) != len(hits) or any((t is None) != (h.particle_id == 0)
+                                        for h, t in zip(hits, targets)):
+        raise ConsistencyError("a graph needs one target per track vertex "
+                               "and none per noise vertex")
     return Graph(
         event_id=event_id,
         eta=np.array([h.eta for h in hits]),
@@ -146,8 +157,7 @@ def _graph(event_id: int, hits, edges, truth_params: dict,
                                     dtype=int),
         vertex_xy=np.array([(h.x, h.y) for h in hits]).reshape(-1, 2),
         truth_params=truth_params,
-        vertex_target_ellipse=[targets.get(h.particle_id)
-                               if h.particle_id else None for h in hits],
+        vertex_target_ellipse=targets,
     )
 
 
@@ -166,35 +176,21 @@ def truth_ellipses(e: Event) -> list[tuple[int, Ellipse5]]:
     return out
 
 
-def assign_vertex_targets(g: Graph, ellipses) -> Graph:
-    """Attach each track vertex's own particle ellipse as its target.
-
-    `ellipses` is a dict or (particle_id, Ellipse5) sequence.  Noise
-    vertices get no target.  A track vertex without a matching ellipse is
-    a consistency error.
-    """
+def assign_vertex_targets(hits, ellipses) -> list:
+    """The target of each hit: its particle's ellipse, None for noise
+    and for a particle `ellipses` lacks (which the Graph then rejects).
+    `ellipses` is a dict or (particle_id, Ellipse5) sequence."""
     table = dict(ellipses)
-    targets = []
-    for pid in g.vertex_particle_id.tolist():
-        if pid == 0:
-            targets.append(None)
-            continue
-        if pid not in table:
-            raise ConsistencyError(f"no truth ellipse for particle {pid}")
-        targets.append(table[pid])
-    g.vertex_target_ellipse = targets
-    return g
+    return [table.get(h.particle_id) if h.particle_id else None
+            for h in hits]
 
 
 def graph_to_dict(g: Graph) -> dict:
     """Serialize a graph to the graph-v3 JSON document layout: each
     vertex is the hit it came from, and each particle's target ellipse
     is stored once, in its particle entry."""
-    targets = {}
-    for pid, target in zip(g.vertex_particle_id.tolist(),
-                           g.vertex_target_ellipse):
-        if target is not None:
-            targets.setdefault(pid, target)
+    targets = dict(zip(g.vertex_particle_id.tolist(),
+                       g.vertex_target_ellipse))
     return {
         "format": GRAPH_FORMAT,
         "event_id": g.event_id,
@@ -207,8 +203,7 @@ def graph_to_dict(g: Graph) -> dict:
         "edges": g.edges.tolist(),
         "particles": [
             {"particle_id": pid, "pt": pt, "eps_t": eps,
-             "target": ellipse_to_dict(targets[pid])
-             if pid in targets else None}
+             "target": ellipse_to_dict(targets[pid])}
             for pid, (pt, eps) in sorted(g.truth_params.items())],
     }
 
@@ -216,18 +211,15 @@ def graph_to_dict(g: Graph) -> dict:
 def graph_from_dict(d: dict) -> Graph:
     """Decode a graph-v3 document.  Edges must be [i, j] pairs of
     distinct vertices, ids and edge ends JSON ints, every other number
-    a finite JSON number, no vertex on the beamline and every nonzero
-    vertex particle id listed under particles; otherwise, and for a
-    graph-v1 or graph-v2 document, raises ConsistencyError."""
+    a finite JSON number, no vertex on the beamline, and the particle
+    entries, each with a target ellipse, exactly those of the vertices;
+    otherwise, and for a graph-v1 or graph-v2 document, raises
+    ConsistencyError."""
     if isinstance(d, dict) and d.get("format") in ("graph-v1", "graph-v2"):
         raise ConsistencyError(f"{d['format']} document: rebuild the graphs "
                                f"with build-graphs")
     with parsing(d, GRAPH_FORMAT):
-        hits = [hit_from_xyz(number(v["hit_id"], int), number(v["x"]),
-                             number(v["y"]), number(v["z"]),
-                             number(v["layer"], int),
-                             number(v["particle_id"], int))
-                for v in d["vertices"]]
+        hits = [hit_from_dict(v) for v in d["vertices"]]
         n = len(hits)
         edges = np.array(d["edges"], dtype=int)
         if edges.shape == (0,):
@@ -246,11 +238,6 @@ def graph_from_dict(d: dict) -> Graph:
             if not all(map(math.isfinite, params[k])):
                 raise ConsistencyError(f"graph particle {k} has non-finite "
                                        f"values")
-            targets[k] = ellipse_from_dict(p["target"]) \
-                if p["target"] is not None else None
-        missing = {h.particle_id for h in hits} - {0} - params.keys()
-        if missing:
-            raise ConsistencyError(f"graph vertices belong to particles "
-                                   f"{sorted(missing)}, which have no entry")
+            targets[k] = ellipse_from_dict(p["target"])
         return _graph(number(d["event_id"], int), hits, edges, params,
-                      targets)
+                      assign_vertex_targets(hits, targets))

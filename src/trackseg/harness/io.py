@@ -7,7 +7,7 @@ import math
 
 from ..ellipses import ellipse_from_dict, ellipse_to_dict
 from ..errors import ConsistencyError
-from ..events import Event, TruthTrack, hit_from_xyz, validate_event
+from ..events import Event, TruthTrack, hit_from_dict, validate_event
 # perfbench/workloads.py imports read_json from this module
 from ..jsonio import number, parsing, read_json
 from ..kinematics import TrackParams
@@ -46,13 +46,8 @@ def event_from_dict(d: dict) -> Event:
         raise ConsistencyError("event-v1 document: regenerate the events "
                                "with generate or ingest")
     with parsing(d, EVENT_FORMAT):
-        hits = tuple(
-            hit_from_xyz(number(h["hit_id"], int), number(h["x"]),
-                         number(h["y"]), number(h["z"]),
-                         number(h["layer"], int),
-                         number(h["particle_id"], int),
-                         number(h["volume"], int))
-            for h in d["hits"])
+        hits = tuple(hit_from_dict(h, number(h["volume"], int))
+                     for h in d["hits"])
         tracks = tuple(
             TruthTrack(number(t["particle_id"], int),
                        TrackParams(number(t["pt"]), number(t["eps_t"]),

@@ -18,7 +18,8 @@ Artifacts live under the configured output directory:
     plots/event_00000.svg       eta-phi event display
     run.log                     stage log
 
-Every JSON artifact is written atomically (temp file, then rename).
+Every artifact but run.log is written atomically (temp file, then
+rename).
 Training uses all but the last `eval.n_holdout` graphs; inference and
 evaluation run on the held-out tail (or everything when n_holdout is 0).
 """
@@ -111,12 +112,13 @@ def stage_ingest(cfg: RunConfig) -> list[Path]:
 
 
 def stage_build_graphs(cfg: RunConfig) -> list[Path]:
+    """Store the graph of each event, built with one target per hit."""
     echo = cfg.to_dict()
     paths = []
     for event_path in _sorted_files(_events_dir(cfg), "event_*.json"):
         event = event_from_dict(read_json(event_path))
-        graph = build_graph(event, cfg.dbscan)
-        assign_vertex_targets(graph, truth_ellipses(event))
+        graph = build_graph(event, cfg.dbscan, assign_vertex_targets(
+            event.hits, truth_ellipses(event)))
         doc = graph_to_dict(graph)
         doc["config"] = echo
         path = _graphs_dir(cfg) / f"graph_{event.event_id:05d}.json"

@@ -4,10 +4,10 @@ as a standalone SVG.  Output bytes are deterministic for fixed input."""
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from ..ellipses import Ellipse5
 from ..events import Event
+from ..jsonio import write_atomic
 
 WIDTH, HEIGHT = 900, 640
 MARGIN = 60.0
@@ -90,6 +90,4 @@ def render_event_svg(event: Event, shapes: list[Ellipse5], path) -> None:
             f'stroke-width="1.5" vector-effect="non-scaling-stroke"/></g>')
 
     lines.append("</svg>")
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -1,5 +1,5 @@
-"""JSON artifacts on disk: read, write atomically, check the format tag
-and the type of each number.
+"""Artifacts on disk: write text atomically; read JSON, check the
+format tag and the type of each number.
 
 A write goes to a sibling temp file that is then renamed over the
 target, so a failed write leaves any earlier artifact intact.
@@ -15,9 +15,9 @@ from pathlib import Path
 from .errors import ConsistencyError, ParseError
 
 
-def write_json(path, doc: dict) -> None:
+def write_atomic(path, text: str) -> None:
+    """Write `text` to `path` through a temp sibling renamed over it."""
     path = Path(path)
-    text = json.dumps(doc)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
@@ -25,6 +25,10 @@ def write_json(path, doc: dict) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(path, doc: dict) -> None:
+    write_atomic(path, json.dumps(doc))
 
 
 def read_json(path) -> dict:

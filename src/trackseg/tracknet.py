@@ -200,13 +200,8 @@ def build_targets(graph: Graph):
     is_track = graph.vertex_class
     target_enc = np.zeros((graph.n_vertices, 5))
     for i in np.flatnonzero(is_track):
-        ell = graph.vertex_target_ellipse[i] if graph.vertex_target_ellipse \
-            else None
-        if ell is None:
-            raise ConsistencyError(
-                f"track vertex {i} has no target ellipse; run "
-                f"assign_vertex_targets first")
-        target_enc[i] = encode_box(ell, (graph.eta[i], graph.phi[i]))
+        target_enc[i] = encode_box(graph.vertex_target_ellipse[i],
+                                   (graph.eta[i], graph.phi[i]))
     return is_track.astype(float), target_enc
 
 
@@ -225,16 +220,6 @@ def total_loss(outputs: VertexOutputs, targets, cluster_preds,
     components = {"l_c": float(l_c.data), "l_loc": float(l_loc.data),
                   "l_t": float(l_t.data), "l_total": float(total.data)}
     return total, components
-
-
-def _truth_clusters(graph: Graph):
-    """Vertex groups by truth particle, ascending particle id."""
-    clusters = []
-    for pid in sorted(graph.truth_params):
-        vids = np.flatnonzero(graph.vertex_particle_id == pid)
-        if len(vids):
-            clusters.append((pid, vids))
-    return clusters
 
 
 @dataclass(frozen=True)
@@ -259,11 +244,12 @@ def train_step(model: Model, graph: Graph, state: AdamState):
     learns independently of segmentation quality.
     """
     outputs = gnn_forward(model, graph)
-    clusters = _truth_clusters(graph)
+    pids = sorted(graph.truth_params)
     cluster_preds = predict_cluster_params(
         model, outputs.final_state, outputs.leaves,
-        [vids for _, vids in clusters], graph.vertex_xy)
-    truths = [graph.truth_params[pid] for pid, _ in clusters]
+        [np.flatnonzero(graph.vertex_particle_id == pid) for pid in pids],
+        graph.vertex_xy)
+    truths = [graph.truth_params[pid] for pid in pids]
     targets = build_targets(graph)
     total, components = total_loss(outputs, targets, cluster_preds, truths,
                                    model.config.loss_weights)

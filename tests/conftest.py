@@ -12,15 +12,19 @@ def detector():
     return DetectorConfig()
 
 
+def graph_of(event, params=DbscanParams()):
+    """The graph of `event` as build-graphs builds it, targets included."""
+    return build_graph(event, params, assign_vertex_targets(
+        event.hits, truth_ellipses(event)))
+
+
 def make_training_graph(seed=0, n_tracks=5, noise_fraction=0.1,
                         smearing=2e-4, event_id=0):
     det = DetectorConfig()
     gen = GenConfig(n_tracks=n_tracks, noise_fraction=noise_fraction,
                     hit_smearing_sigma=smearing)
     event = generate_event(det, gen, seed=seed, event_id=event_id)
-    graph = build_graph(event, DbscanParams())
-    assign_vertex_targets(graph, truth_ellipses(event))
-    return event, graph
+    return event, graph_of(event)
 
 
 @pytest.fixture

@@ -318,9 +318,9 @@ def build_benchmark_graphs():
         gen = GenConfig(n_tracks=10, noise_fraction=0.1,
                         hit_smearing_sigma=2e-4)
         event = generate_event(det, gen, seed=5000 + i, event_id=i)
-        g = build_graph(event, DbscanParams())
-        assign_vertex_targets(g, truth_ellipses(event))
-        graphs.append(g)
+        graphs.append(build_graph(event, DbscanParams(),
+                                  assign_vertex_targets(
+                                      event.hits, truth_ellipses(event))))
     return graphs[:50], graphs[50:]
 
 

@@ -164,6 +164,29 @@ PARTICLES_CSV = """particle_id,vx,vy,vz,px,py,pz,q,nhits
 """
 
 
+# TrackML inputs that ingest rejects: (files replaced, line, message)
+BAD_TRACKML = [
+    ({"hits": HITS_CSV.replace("-64.4,-7.2", "0.0,0.0")}, 2,
+     "hits.csv: hit 1: polar angle"),
+    ({"hits": HITS_CSV.replace("-64.4", "nan")}, 2,
+     "hits.csv: bad value 'nan' in column 1"),
+    ({"particles": PARTICLES_CSV.replace("3.0,4.0", "nan,4.0")}, 2,
+     "particles.csv: bad value 'nan' in column 4"),
+    # finite momenta whose track circle overflows
+    ({"particles": PARTICLES_CSV.replace("3.0,4.0", "1e308,1e308")}, 2,
+     "particles.csv: particle 101: eps_T must be finite"),
+    ({"particles": PARTICLES_CSV + PARTICLES_CSV.splitlines()[1]
+      .replace("3.0,4.0", "30.0,40.0") + "\n"}, 3,
+     "particles.csv: repeated particle_id 101"),
+    ({"truth": TRUTH_CSV + "1,0,0,0,0,0,0,0,0\n"}, 5,
+     "truth.csv: repeated hit_id 1"),
+    ({"hits": HITS_CSV + HITS_CSV.splitlines()[2] + "\n"}, 5,
+     "hits.csv: repeated hit_id 2")]
+BAD_TRACKML_IDS = ["hit-on-beamline", "hit-x-nan", "particle-px-nan",
+                   "particle-momentum-overflow", "particle-repeated",
+                   "truth-hit-repeated", "hit-repeated"]
+
+
 def write_trackml(tmp_path, hits=HITS_CSV, truth=TRUTH_CSV,
                   particles=PARTICLES_CSV):
     paths = []
@@ -255,19 +278,14 @@ class TestReadTrackml:
     def test_validates(self, tmp_path):
         validate_event(read_trackml_event(*write_trackml(tmp_path)))
 
-    @pytest.mark.parametrize("files, message", [
-        ({"hits": HITS_CSV.replace("-64.4,-7.2", "0.0,0.0")},
-         "hits.csv: hit 1: polar angle"),
-        ({"hits": HITS_CSV.replace("-64.4", "nan")},
-         "hits.csv: bad value 'nan' in column 1"),
-        ({"particles": PARTICLES_CSV.replace("3.0,4.0", "nan,4.0")},
-         "particles.csv: bad value 'nan' in column 4")],
-        ids=["hit-on-beamline", "hit-x-nan", "particle-px-nan"])
-    def test_bad_number_names_file_and_line(self, tmp_path, files, message):
+    @pytest.mark.parametrize("files, line, message", BAD_TRACKML,
+                             ids=BAD_TRACKML_IDS)
+    def test_bad_number_names_file_and_line(self, tmp_path, files, line,
+                                            message):
         with pytest.raises(ParseError) as err:
             read_trackml_event(*write_trackml(tmp_path, **files))
-        assert err.value.line == 2
-        assert str(err.value).startswith("line 2: ")
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: ")
         assert message in str(err.value)
 
 

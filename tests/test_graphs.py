@@ -1,21 +1,22 @@
 import json
 import math
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, doc_paths, make_training_graph, set_at
+from conftest import (JSON_VALUES, doc_paths, graph_of, make_training_graph,
+                      set_at)
 from oracles import brute_force_dbscan, partition_of
 from test_events import write_trackml
 from trackseg.ellipses import ellipse_from_dict, point_in_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
 from trackseg.events import GenConfig, generate_event, read_trackml_event
-from trackseg.graphs import (DbscanParams, Graph, assign_vertex_targets,
-                             build_graph, dbscan, graph_from_dict,
-                             graph_to_dict, truth_ellipses)
+from trackseg.graphs import (DbscanParams, Graph, _graph,
+                             assign_vertex_targets, build_graph, dbscan,
+                             graph_from_dict, graph_to_dict, truth_ellipses)
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,7 +87,7 @@ class TestBuildGraph:
         gen = GenConfig(n_tracks=1, noise_fraction=0.0,
                         hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=21)
-        g = build_graph(e, DbscanParams())
+        g = graph_of(e)
         assert g.n_vertices == 4
         assert g.n_edges == 6  # K4
         assert len(set(g.vertex_particle_id.tolist())) == 1
@@ -105,7 +106,7 @@ class TestBuildGraph:
         params = TrackParams(1.0, 0.0, 0.0, 1.0)
         tracks = (TruthTrack(1, params), TruthTrack(2, params))
         e = Event(0, hits, tracks)
-        g = build_graph(e, DbscanParams(eps=0.05, min_pts=2))
+        g = graph_of(e, DbscanParams(eps=0.05, min_pts=2))
         assert g.n_edges == 6
         assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3],
                                     [2, 3]]
@@ -121,14 +122,14 @@ class TestBuildGraph:
                 0, 0)
             for i in range(5))
         e = Event(0, hits, ())
-        g = build_graph(e, DbscanParams(eps=0.05, min_pts=2))
+        g = graph_of(e, DbscanParams(eps=0.05, min_pts=2))
         assert g.n_edges == 0
         assert not g.vertex_class.any()
 
     def test_state_initialization(self, detector):
         gen = GenConfig(n_tracks=2, noise_fraction=0.0, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=22)
-        g = build_graph(e, DbscanParams())
+        g = graph_of(e)
         for i, h in enumerate(e.hits):
             assert g.state[i, 0] == h.z
             assert g.state[i, 1] == float(h.layer)
@@ -136,7 +137,7 @@ class TestBuildGraph:
     def test_empty_event_rejected(self):
         from trackseg.events import Event
         with pytest.raises(ConsistencyError):
-            build_graph(Event(0, (), ()), DbscanParams())
+            build_graph(Event(0, (), ()), DbscanParams(), [])
 
 
 class TestTruthEllipses:
@@ -190,8 +191,7 @@ class TestAssignTargets:
     def test_counts(self, detector):
         gen = GenConfig(n_tracks=5, noise_fraction=0.2, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=25)
-        g = build_graph(e, DbscanParams())
-        assign_vertex_targets(g, truth_ellipses(e))
+        g = graph_of(e)
         n_targets = sum(t is not None for t in g.vertex_target_ellipse)
         assert n_targets == int(g.vertex_class.sum())
         for i in np.flatnonzero(~g.vertex_class):
@@ -200,17 +200,31 @@ class TestAssignTargets:
     def test_same_ellipse_per_track(self, detector):
         gen = GenConfig(n_tracks=1, noise_fraction=0.0, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=26)
-        g = build_graph(e, DbscanParams())
-        assign_vertex_targets(g, truth_ellipses(e))
+        g = graph_of(e)
         targets = [t for t in g.vertex_target_ellipse if t is not None]
         assert all(t == targets[0] for t in targets)
 
     def test_missing_ellipse_error(self, detector):
         gen = GenConfig(n_tracks=2, noise_fraction=0.0, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=27)
-        g = build_graph(e, DbscanParams())
-        with pytest.raises(ConsistencyError):
-            assign_vertex_targets(g, [])
+        ellipses = truth_ellipses(e)[1:]
+        with pytest.raises(ConsistencyError, match="one target per"):
+            build_graph(e, DbscanParams(),
+                        assign_vertex_targets(e.hits, ellipses))
+
+    def test_targets_are_one_per_hit(self, detector):
+        gen = GenConfig(n_tracks=2, noise_fraction=0.2, hit_smearing_sigma=0.0)
+        e = generate_event(detector, gen, seed=27)
+        targets = assign_vertex_targets(e.hits, truth_ellipses(e))
+        tracks = {h.particle_id: (h.particle_id, 0.0) for h in e.hits
+                  if h.particle_id}
+        for wrong in (targets[:-1], targets + [None]):
+            with pytest.raises(ConsistencyError, match="one target per"):
+                _graph(0, e.hits, [], tracks, wrong)
+
+    def test_graph_is_frozen(self, toy_graph):
+        with pytest.raises(FrozenInstanceError):
+            toy_graph.vertex_target_ellipse = []
 
 
 GRAPH_DOC = json.dumps(graph_to_dict(
@@ -240,16 +254,14 @@ class TestGraphSerialization:
         gen = GenConfig(n_tracks=4, noise_fraction=0.2,
                         hit_smearing_sigma=1e-4)
         e = generate_event(detector, gen, seed=28)
-        g = build_graph(e, DbscanParams())
-        assign_vertex_targets(g, truth_ellipses(e))
+        g = graph_of(e)
         d = graph_to_dict(g)
         assert d["format"] == "graph-v3"
         _assert_same_graph(graph_from_dict(json.loads(json.dumps(d))), g)
 
     def test_trackml_round_trip(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))
-        g = build_graph(e, DbscanParams())
-        assign_vertex_targets(g, truth_ellipses(e))
+        g = graph_of(e)
         _assert_same_graph(
             graph_from_dict(json.loads(json.dumps(graph_to_dict(g)))), g)
 
@@ -278,14 +290,6 @@ class TestGraphSerialization:
             assert target == (None if pid == 0 else
                               ellipse_from_dict(targets[pid]))
 
-    def test_unassigned_targets_round_trip_as_null(self):
-        g = build_graph(make_training_graph(seed=30, n_tracks=2)[0],
-                        DbscanParams())
-        d = graph_to_dict(g)
-        assert all(p["target"] is None for p in d["particles"])
-        assert graph_from_dict(d).vertex_target_ellipse == [None] * \
-            g.n_vertices
-
     @pytest.mark.parametrize("path, value", [
         (("edges", 0), [-1, 0]),
         (("edges", 0), [2, 2]),
@@ -312,7 +316,11 @@ class TestGraphSerialization:
         (("vertices", 0, "particle_id"), 999),
         (("vertices", 0, "hit_id"), 2**63),
         (("vertices", 0, "layer"), 1.7),
-        (("vertices", 0, "z"), True)])
+        (("vertices", 0, "z"), True),
+        (("particles", 0, "target"), None),
+        (("particles",), [*json.loads(GRAPH_DOC)["particles"],
+                          {**json.loads(GRAPH_DOC)["particles"][0],
+                           "particle_id": 999}])])
     def test_inconsistent_document_rejected(self, path, value):
         doc = json.loads(GRAPH_DOC)
         set_at(doc, path, value)

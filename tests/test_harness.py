@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import trackseg
 from conftest import JSON_VALUES, doc_paths, set_at
-from test_events import HITS_CSV, write_trackml
+from test_events import BAD_TRACKML, BAD_TRACKML_IDS, HITS_CSV, \
+    write_trackml
 from trackseg import tracknet
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
@@ -200,6 +201,21 @@ class TestRender:
         render_event_svg(e, shapes, p1)
         render_event_svg(e, shapes, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_old_plot(self, tmp_path, monkeypatch):
+        e = generate_event(DetectorConfig(), GenConfig(n_tracks=2), seed=42)
+        path = tmp_path / "event.svg"
+        render_event_svg(e, [], path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            render_event_svg(e, [ell for _, ell in truth_ellipses(e)], path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 # every settable run-config value, the top-level seed as section None
@@ -446,8 +462,8 @@ class TestIo:
         except DataError:
             return
         # what build-graphs does with the event
-        graph = build_graph(event, DbscanParams())
-        assign_vertex_targets(graph, truth_ellipses(event))
+        build_graph(event, DbscanParams(),
+                    assign_vertex_targets(event.hits, truth_ellipses(event)))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -657,7 +673,13 @@ class TestCli:
          "train"),
         ("graphs/graph_00000.json",
          _edited(lambda doc: doc["vertices"][0].update(particle_id=999)),
-         "train")],
+         "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc["particles"][0].update(target=None)),
+         "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc["particles"].append(
+             dict(doc["particles"][0], particle_id=999))), "train")],
         ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
              "pred-no-candidates", "checkpoint-v1", "checkpoint-no-params",
              "event-hit-not-object", "checkpoint-param-not-number",
@@ -674,7 +696,8 @@ class TestCli:
              "event-hit-on-beamline", "event-track-without-hits",
              "event-hit-without-track", "event-track-id-repeated",
              "graph-v2-format", "graph-vertex-on-beamline",
-             "graph-vertex-x-inf", "graph-vertex-particle-unlisted"])
+             "graph-vertex-x-inf", "graph-vertex-particle-unlisted",
+             "graph-particle-target-null", "graph-particle-without-vertex"])
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
                                         damage, command):
         cfg_path = tiny_cli_config(tmp_path)
@@ -747,6 +770,18 @@ class TestCli:
                      "--particles", str(particles)])
         assert code == 3
         assert "line 2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("files, line, message", BAD_TRACKML[3:],
+                             ids=BAD_TRACKML_IDS[3:])
+    def test_bad_trackml_row_exits_3(self, tmp_path, capsys, files, line,
+                                     message):
+        hits, truth, particles = write_trackml(tmp_path, **files)
+        code = main(["--config", str(tiny_cli_config(tmp_path)), "ingest",
+                     "--hits", str(hits), "--truth", str(truth),
+                     "--particles", str(particles)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"line {line}: " in err and message in err
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg_path = tiny_cli_config(tmp_path)

@@ -18,6 +18,11 @@ are exempt: their attributes are diagnostics for whoever catches them.
 A defaulted parameter of a public top-level function must be passed by
 some call in `src/` or `perfbench/`; one that no call passes is a
 constant in disguise.
+
+Only `jsonio.write_atomic` writes a file of `src/trackseg` in place (its
+temp sibling, renamed over the target): no other code calls
+`.write_text`, `.write_bytes` or `open` in a mode that writes, so a
+failed or killed run never leaves a truncated artifact.
 """
 
 import ast
@@ -229,3 +234,50 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
 def test_unpassed_allowlist_names_exist():
     found = {(func, param) for _, func, param, _ in defaulted_parameters()}
     assert ALLOWED_UNPASSED <= found
+
+
+# the one function that writes a file in place: its own temp sibling
+ATOMIC_WRITER = ("jsonio.py", "write_atomic")
+
+
+def _calls(node, scope=None):
+    """(innermost enclosing function name, call) for every call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield scope, child
+        yield from _calls(child, child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+
+def _writes_a_file(call):
+    """Path.write_text/.write_bytes, or open / Path.open in a mode that
+    writes, appends or creates; a mode that is not a literal counts."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else \
+        func.attr if isinstance(func, ast.Attribute) else None
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    index = 1 if isinstance(func, ast.Name) else 0  # open(f, mode)
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[index] if len(call.args) > index else None)
+    return mode is not None and not (
+        isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+        and set(mode.value).isdisjoint("wax+"))
+
+
+def file_writes():
+    """(module file name, enclosing function, line) per file write."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for scope, call in _calls(ast.parse(path.read_text())):
+            if _writes_a_file(call):
+                yield path.name, scope, call.lineno
+
+
+def test_every_file_write_is_atomic():
+    assert [w for w in file_writes() if w[:2] != ATOMIC_WRITER] == []
+
+
+def test_write_check_sees_the_atomic_writer():
+    assert any(w[:2] == ATOMIC_WRITER for w in file_writes())

@@ -3,6 +3,7 @@ import json
 import math
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, doc_paths, make_training_graph, set_at
+from conftest import (JSON_VALUES, doc_paths, graph_of, make_training_graph,
+                      set_at)
 from oracles import plain_message_passing
 from trackseg import tracknet as tn
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
@@ -156,9 +158,9 @@ class TestTotalLoss:
         assert float(t1.data) == pytest.approx(float(t2.data), abs=1e-15)
 
     def test_weighted_sum(self):
-        g = tiny_graph()
         from trackseg.ellipses import make_ellipse
-        g.vertex_target_ellipse = [make_ellipse(0, 0, 0.05, 0.01, 0.0)] * 4
+        g = replace(tiny_graph(), vertex_target_ellipse=[
+            make_ellipse(0, 0, 0.05, 0.01, 0.0)] * 4)
         m = tn.Model(small_config(), seed=11)
         out = tn.gnn_forward(m, g)
         targets = tn.build_targets(g)
@@ -340,12 +342,12 @@ class TestEndToEndGradient:
 class TestTrain:
     def test_all_noise_empty_edges(self):
         from trackseg.events import Event, Hit
-        from trackseg.graphs import DbscanParams, build_graph
+        from trackseg.graphs import DbscanParams
         hits = tuple(
             Hit(i + 1, 0.1, 0.0, 0.0, float(i), (2.0 * i) % 6.28, 0, 0)
             for i in range(6))
         e = Event(0, hits, ())
-        g = build_graph(e, DbscanParams(eps=0.01, min_pts=2))
+        g = graph_of(e, DbscanParams(eps=0.01, min_pts=2))
         assert g.n_edges == 0
         m = tn.Model(small_config(), seed=20)
         history = tn.train(m, [g], tn.TrainConfig(epochs=1, lr=1e-3))
@@ -385,9 +387,8 @@ class TestTrain:
         assert str(err.value).count("component=") == 1
 
     def test_train_step_without_truth_tracks(self):
-        g = tiny_graph()
-        g.vertex_particle_id = np.zeros(g.n_vertices, dtype=int)
-        g.truth_params = {}
+        g = replace(tiny_graph(), vertex_particle_id=np.zeros(4, dtype=int),
+                    truth_params={})
         assert g.n_edges > 0
         m = tn.Model(small_config(), seed=28)
         comps = tn.train_step(m, g, AdamState(lr=1e-3))
