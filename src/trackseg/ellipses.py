@@ -26,8 +26,11 @@ _MEMBERSHIP_SLACK = 1e-9
 # smallest admissible semi-axis, in eta-phi units
 AXIS_FLOOR = 1e-4
 
-# vertices of the inscribed polygons ellipse_iou clips
+# vertices of the inscribed polygons ellipse_ious intersects; the first
+# unit angle again closes the ring
 IOU_RESOLUTION = 64
+_RING = np.append(np.linspace(0.0, 2.0 * math.pi, IOU_RESOLUTION,
+                              endpoint=False), 0.0)
 
 # mvee stops once no step can gain more than this relative amount
 MVEE_TOLERANCE = 1e-6
@@ -121,82 +124,80 @@ def _quad_form(e: Ellipse5, eta, phi):
     return (major / e.a) ** 2 + (minor / e.b) ** 2
 
 
-def point_in_ellipse(e: Ellipse5, p: tuple[float, float]) -> bool:
+def point_in_ellipse(e: Ellipse5, p):
     """Boundary-inclusive membership test with phi wrapped to the
-    shortest arc."""
-    return bool(_quad_form(e, p[0], p[1]) <= 1.0 + _MEMBERSHIP_SLACK)
+    shortest arc, of one (eta, phi) point or elementwise of two arrays."""
+    return _quad_form(e, p[0], p[1]) <= 1.0 + _MEMBERSHIP_SLACK
 
 
-def _polygon(e: Ellipse5, phi_center: float) -> np.ndarray:
-    """Inscribed polygon of the ellipse in a flat chart whose phi
-    coordinate is continuous around phi_center."""
-    t = np.linspace(0.0, 2.0 * math.pi, IOU_RESOLUTION, endpoint=False)
-    ct, st = math.cos(e.theta), math.sin(e.theta)
-    x = e.a * np.cos(t)
-    y = e.b * np.sin(t)
-    eta = e.eta_c + ct * x - st * y
-    phi = (phi_center + float(signed_dphi(e.phi_c, phi_center))
-           + st * x + ct * y)
-    return np.stack([eta, phi], axis=1)
+def _polygons(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inscribed IOU_RESOLUTION-gons of ellipses with parameter rows
+    (n, 5), counterclockwise around their own centres, as closed rings
+    of vertex eta and phi offsets, (n, IOU_RESOLUTION + 1) each."""
+    a, b, theta = rows[:, 2:3], rows[:, 3:4], rows[:, 4:5]
+    x, y = a * np.cos(_RING), b * np.sin(_RING)
+    ct, st = np.cos(theta), np.sin(theta)
+    return ct * x - st * y, st * x + ct * y
 
 
-def _shoelace(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+def _inside_fractions(sx, sy, cx, cy, open_from: int) -> np.ndarray:
+    """Fraction of each edge of the rings (sx, sy) inside the convex
+    counterclockwise rings (cx, cy), all (m, k + 1), by Cyrus-Beck
+    clipping against every half-plane: (m, k).  Rows from open_from on
+    take the half-planes open, the others closed."""
+    ex, ey = np.diff(cx, axis=1)[:, :, None], np.diff(cy, axis=1)[:, :, None]
+    # out[., j, i] > 0 when vertex i lies outside clip edge j; exactly 0
+    # on either end of the edge, and made positive if the half-plane is open
+    out = (ey * (sx[:, None, :] - cx[:, :-1, None])
+           - ex * (sy[:, None, :] - cy[:, :-1, None]))
+    out[open_from:] += np.finfo(float).smallest_subnormal
+    o0, o1 = out[:, :, :-1], out[:, :, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = o0 / (o0 - o1)
+    # entering a half-plane raises the start, leaving lowers the end; an
+    # edge parallel to it has t = +inf outside, -inf inside, NaN on it
+    entering = o0 >= o1
+    lo = np.fmax.reduce(np.where(entering, t, 0.0), axis=1)  # skips NaN
+    hi = np.where(entering, 1.0, t).min(axis=1)
+    return np.maximum(hi - lo, 0.0)
 
 
-def _clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman intersection of two convex polygons (both
-    counterclockwise)."""
-    output = [tuple(p) for p in subject]
-    n = len(clip)
-    for i in range(n):
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % n]
-        if not output:
-            break
-        points = output
-        output = []
-        m = len(points)
-        # signed distance to the clip edge; inside = left of a->b
-        side = [
-            (bx - ax) * (py - ay) - (by - ay) * (px - ax) for px, py in points
-        ]
-        for j in range(m):
-            cur, nxt = points[j], points[(j + 1) % m]
-            s_cur, s_nxt = side[j], side[(j + 1) % m]
-            if s_cur >= 0.0:
-                output.append(cur)
-            if (s_cur > 0.0) != (s_nxt > 0.0) and s_cur != s_nxt:
-                t = s_cur / (s_cur - s_nxt)
-                output.append((cur[0] + t * (nxt[0] - cur[0]),
-                               cur[1] + t * (nxt[1] - cur[1])))
-    return np.asarray(output, dtype=float).reshape(-1, 2)
+def ellipse_ious(e, others) -> np.ndarray:
+    """Intersection-over-union of ellipse e against each of others, all
+    parameter rows (eta_c, phi_c, a, b, theta).
 
-
-def ellipse_iou(e1: Ellipse5, e2: Ellipse5) -> float:
-    """Intersection-over-union of two ellipses.
-
-    Each ellipse is approximated by an inscribed polygon with
-    IOU_RESOLUTION vertices and the intersection computed by
-    convex-polygon clipping, so the approximation error is
-    O(1/IOU_RESOLUTION^2).  Symmetric in its arguments and exactly 0 for
-    disjoint ellipses.
+    Each ellipse is approximated by its inscribed polygon with
+    IOU_RESOLUTION vertices (error O(1/IOU_RESOLUTION^2)); the polygons'
+    intersection area is exact.  Symmetric, and exactly 0 for disjoint
+    ellipses.  Centres farther apart than the summed major axes are
+    rejected first; the others are placed in e's chart at their offset
+    (d_eta, shortest-arc d_phi).  By Green's theorem, area(P & Q) =
+    1/2 [sum_i f_i cross(p_i, p_i+1) + sum_j g_j cross(q_j, q_j+1)] with
+    f_i the fraction of P's edge i inside Q and g_j that of Q's edge j
+    inside P.
     """
-    # quick reject: centers farther than the summed major axes
-    center_gap = math.hypot(e1.eta_c - e2.eta_c,
-                            float(signed_dphi(e2.phi_c, e1.phi_c)))
-    if center_gap > e1.a + e2.a:
-        return 0.0
-    p1 = _polygon(e1, e1.phi_c)
-    p2 = _polygon(e2, e1.phi_c)
-    inter = _shoelace(_clip_convex(p1, p2))
-    union = _shoelace(p1) + _shoelace(p2) - inter
-    if union <= 0.0:
-        return 0.0
-    return float(min(max(inter / union, 0.0), 1.0))
+    seed = np.asarray(e, dtype=float)
+    rows = np.asarray(others, dtype=float).reshape(-1, 5)
+    d_eta = rows[:, 0] - seed[0]
+    d_phi = signed_dphi(rows[:, 1], seed[1])
+    near = np.hypot(d_eta, d_phi) <= seed[2] + rows[:, 2]
+    out = np.zeros(len(rows))
+    m = int(np.count_nonzero(near))
+    if m == 0:
+        return out
+    # rows of P (m copies of e) then Q, in e's chart; P's edges are
+    # clipped by Q's closed half-planes and Q's edges by P's open ones
+    sx, sy = _polygons(np.concatenate([np.repeat(seed[None], m, 0),
+                                       rows[near]]))
+    sx[m:] += d_eta[near, None]
+    sy[m:] += d_phi[near, None]
+    cross = 0.5 * (sx[:, :-1] * sy[:, 1:] - sy[:, :-1] * sx[:, 1:])
+    parts = np.sum(cross * _inside_fractions(
+        sx, sy, np.roll(sx, m, axis=0), np.roll(sy, m, axis=0), m), axis=1)
+    inter = parts[:m] + parts[m:]
+    areas = np.sum(cross, axis=1)
+    out[near] = np.clip(inter / (areas[:m] + areas[m:] - inter), 0.0, 1.0)
+    return out
 
 
 def ellipse_to_dict(e: Ellipse5) -> dict:

@@ -238,6 +238,9 @@ def graph_from_dict(d: dict) -> Graph:
             if not all(map(math.isfinite, params[k])):
                 raise ConsistencyError(f"graph particle {k} has non-finite "
                                        f"values")
+            if not isinstance(p["target"], dict):
+                raise ConsistencyError(f"graph particle {k} needs a target "
+                                       f"ellipse object")
             targets[k] = ellipse_from_dict(p["target"])
         return _graph(number(d["event_id"], int), hits, edges, params,
                       assign_vertex_targets(hits, targets))

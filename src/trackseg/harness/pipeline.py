@@ -164,6 +164,9 @@ def _infer_one(cfg: RunConfig, model: tracknet.Model, graph) -> dict:
     raw = merge_ellipses([result.ellipses[i] for i in kept],
                          [result.class_prob[i] for i in kept],
                          cfg.nms.t_h)
+    log.info("event %d nms: %d ellipses kept, %d candidates, mean group "
+             "size %.2f", graph.event_id, len(kept), len(raw),
+             len(kept) / max(len(raw), 1))
     members = [tuple(kept[k] for k in cand.member_vertex_ids)
                for cand in raw]
     params = tracknet.cluster_params_from_states(

@@ -9,12 +9,13 @@ periodic components) with the mean member score as its confidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .angles import circular_mean
-from .ellipses import Ellipse5, ellipse_iou, make_ellipse, point_in_ellipse
+from .ellipses import (Ellipse5, ellipse_ious, make_ellipse,
+                       point_in_ellipse)
 from .errors import DomainError
 
 
@@ -26,13 +27,16 @@ class TrackCandidate:
     params: tuple[float, float] | None = None
 
 
-def _mean_ellipse(members: list[Ellipse5]) -> Ellipse5:
-    eta_c = float(np.mean([e.eta_c for e in members]))
-    phi_c = circular_mean([e.phi_c for e in members])
-    a = float(np.mean([e.a for e in members]))
-    b = float(np.mean([e.b for e in members]))
-    theta = circular_mean([e.theta for e in members], period=math.pi)
-    return make_ellipse(eta_c, phi_c, a, b, theta)
+def _mean_ellipse(rows: np.ndarray) -> Ellipse5:
+    return make_ellipse(rows[:, 0].mean(), circular_mean(rows[:, 1]),
+                        rows[:, 2].mean(), rows[:, 3].mean(),
+                        circular_mean(rows[:, 4], period=math.pi))
+
+
+def ellipse_iou(e1: Ellipse5, e2: Ellipse5) -> float:
+    """IoU of one pair of ellipses.  Merging batches through ellipse_ious;
+    this name stays while perfbench/tracing.py wraps IoU under it."""
+    return float(ellipse_ious(astuple(e1), [astuple(e2)])[0])
 
 
 def merge_ellipses(ellipses, scores,
@@ -52,25 +56,24 @@ def merge_ellipses(ellipses, scores,
     scores = np.asarray(scores, dtype=float)
     if len(ellipses) != len(scores):
         raise DomainError(f"{len(ellipses)} ellipses vs {len(scores)} scores")
+    rows = np.array([astuple(e) for e in ellipses], dtype=float).reshape(-1, 5)
     # descending score; ties by ascending index for determinism
-    order = sorted(range(len(ellipses)), key=lambda i: (-scores[i], i))
+    order = np.array(sorted(range(len(ellipses)),
+                            key=lambda i: (-scores[i], i)), dtype=int)
     assigned = np.zeros(len(ellipses), dtype=bool)
     candidates = []
     for seed in order:
         if assigned[seed]:
             continue
-        group = [seed]
         assigned[seed] = True
-        for j in order:
-            if assigned[j]:
-                continue
-            if ellipse_iou(ellipses[seed], ellipses[j]) > t_h:
-                group.append(j)
-                assigned[j] = True
+        rest = order[~assigned[order]]
+        absorbed = rest[ellipse_ious(rows[seed], rows[rest]) > t_h]
+        assigned[absorbed] = True
+        group = np.concatenate([[seed], absorbed])
         candidates.append(TrackCandidate(
-            ellipse=_mean_ellipse([ellipses[k] for k in group]),
-            confidence=float(np.mean([scores[k] for k in group])),
-            member_vertex_ids=tuple(sorted(group)),
+            ellipse=_mean_ellipse(rows[group]),
+            confidence=float(np.mean(scores[group])),
+            member_vertex_ids=tuple(sorted(group.tolist())),
         ))
     candidates.sort(key=lambda c: (-c.confidence, c.member_vertex_ids))
     return candidates
@@ -86,18 +89,14 @@ def assign_hits(candidates: list[TrackCandidate], vertices,
     """
     order = sorted(range(len(candidates)),
                    key=lambda i: (-candidates[i].confidence, i))
-    out: list[int | None] = []
-    for eta, phi, prob in vertices:
-        if prob < class_threshold:
-            out.append(None)
-            continue
-        chosen = None
-        for idx in order:
-            if point_in_ellipse(candidates[idx].ellipse, (eta, phi)):
-                chosen = idx
-                break
-        out.append(chosen)
-    return out
+    rows = np.asarray(vertices, dtype=float).reshape(-1, 3)
+    # per vertex the first containing candidate in confidence order; the
+    # all-true last row stands for none
+    inside = [point_in_ellipse(candidates[i].ellipse, (rows[:, 0], rows[:, 1]))
+              for i in order] + [np.ones(len(rows), dtype=bool)]
+    choice = [*order, None]
+    return [None if prob < class_threshold else choice[k]
+            for k, prob in zip(np.argmax(inside, axis=0), rows[:, 2])]
 
 
 @dataclass(frozen=True)
@@ -138,20 +137,14 @@ def choose_threshold(truth_pairs) -> ThresholdResult:
 
     # merge consecutive optimal intervals into maximal runs
     runs: list[tuple[float, float]] = []
-    current = None
+    extend = False
     for (lo, hi), acc in zip(intervals, accs):
-        if abs(acc - best_acc) <= 1e-12:
-            if current is not None and current[1] == lo:
-                current = (current[0], hi)
-            else:
-                if current is not None:
-                    runs.append(current)
-                current = (lo, hi)
-        elif current is not None:
-            runs.append(current)
-            current = None
-    if current is not None:
-        runs.append(current)
+        optimal = abs(acc - best_acc) <= 1e-12
+        if optimal and extend and runs[-1][1] == lo:
+            runs[-1] = (runs[-1][0], hi)
+        elif optimal:
+            runs.append((lo, hi))
+        extend = optimal
     runs.sort(key=lambda r: (-(r[1] - r[0]), r[0]))
     threshold = 0.5 * (runs[0][0] + runs[0][1])
     return ThresholdResult(threshold, best_acc, separable=best_acc > 0.5)

@@ -158,6 +158,66 @@ def monte_carlo_iou(e1, e2, n_samples, seed=0):
     return np.count_nonzero(in1 & in2) / union
 
 
+def _inscribed_polygon(e, phi_center, resolution):
+    """Inscribed polygon of the ellipse in a flat chart whose phi
+    coordinate is continuous around phi_center."""
+    t = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+    ct, st = math.cos(e.theta), math.sin(e.theta)
+    x = e.a * np.cos(t)
+    y = e.b * np.sin(t)
+    dphi = (e.phi_c - phi_center + math.pi) % (2.0 * math.pi) - math.pi
+    eta = e.eta_c + ct * x - st * y
+    phi = phi_center + dphi + st * x + ct * y
+    return np.stack([eta, phi], axis=1)
+
+
+def _shoelace(poly):
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1))
+                           - np.dot(y, np.roll(x, -1))))
+
+
+def _clip_convex(subject, clip):
+    """Sutherland-Hodgman intersection of two convex polygons (both
+    counterclockwise)."""
+    output = [tuple(p) for p in subject]
+    n = len(clip)
+    for i in range(n):
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % n]
+        if not output:
+            break
+        points = output
+        output = []
+        m = len(points)
+        # signed distance to the clip edge; inside = left of a->b
+        side = [(bx - ax) * (py - ay) - (by - ay) * (px - ax)
+                for px, py in points]
+        for j in range(m):
+            cur, nxt = points[j], points[(j + 1) % m]
+            s_cur, s_nxt = side[j], side[(j + 1) % m]
+            if s_cur >= 0.0:
+                output.append(cur)
+            if (s_cur > 0.0) != (s_nxt > 0.0) and s_cur != s_nxt:
+                t = s_cur / (s_cur - s_nxt)
+                output.append((cur[0] + t * (nxt[0] - cur[0]),
+                               cur[1] + t * (nxt[1] - cur[1])))
+    return np.asarray(output, dtype=float).reshape(-1, 2)
+
+
+def polygon_iou(e1, e2, resolution):
+    """IoU of the inscribed resolution-gons of two ellipses, clipped
+    vertex by vertex in e1's chart (absolute eta, phi continuous around
+    e1's centre)."""
+    p1 = _inscribed_polygon(e1, e1.phi_c, resolution)
+    p2 = _inscribed_polygon(e2, e1.phi_c, resolution)
+    inter = _shoelace(_clip_convex(p1, p2))
+    union = _shoelace(p1) + _shoelace(p2) - inter
+    return min(max(inter / union, 0.0), 1.0)
+
+
 def sample_circle(a, b, radius, arc_lengths):
     """Exact points on the circle (x-a)^2 + (y-b)^2 = radius^2 along the
     outgoing branch from the point of closest approach."""

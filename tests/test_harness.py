@@ -578,6 +578,21 @@ class TestCli:
         history = json.loads((out / "history.json").read_text())
         assert len(history["history"]) == 2
 
+    def test_run_log_has_nms_diagnostics_per_event(self, tmp_path):
+        cfg_path = tiny_cli_config(tmp_path)
+        assert main(["--config", str(cfg_path), "run"]) == 0
+        lines = [line for line in
+                 (tmp_path / "out" / "run.log").read_text().splitlines()
+                 if " nms: " in line]
+        preds = sorted((tmp_path / "out" / "predictions").glob("pred_*.json"))
+        assert len(lines) == len(preds) == 1
+        pred = json.loads(preds[0].read_text())
+        kept = sum(e is not None for e in pred["ellipses"])
+        n_cand = len(pred["candidates"])
+        assert lines[0].endswith(
+            f"event {pred['event_id']} nms: {kept} ellipses kept, {n_cand} "
+            f"candidates, mean group size {kept / max(n_cand, 1):.2f}")
+
     def test_rerun_identical_metrics(self, tmp_path):
         cfg_path = tiny_cli_config(tmp_path)
         assert main(["--config", str(cfg_path), "run"]) == 0

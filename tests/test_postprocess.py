@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from trackseg.ellipses import ellipse_iou, make_ellipse
+from test_ellipses import iou
+from trackseg.ellipses import make_ellipse, point_in_ellipse
 from trackseg.errors import DomainError
 from trackseg.postprocess import (ThresholdResult, TrackCandidate,
                                   assign_hits, choose_threshold,
@@ -39,7 +40,7 @@ class TestMergeEllipses:
         a = ellipse_at(0.0)
         b = ellipse_at(0.05)
         c = ellipse_at(4.0)
-        iou_ab = ellipse_iou(a, b)
+        iou_ab = iou(a, b)
         assert iou_ab > 0.5
         cands = merge_ellipses([a, b, c], [0.9, 0.8, 0.7], t_h=0.5)
         assert len(cands) == 2
@@ -83,7 +84,7 @@ class TestMergeEllipses:
                     ellipse_at(-3.0)]
         scores = [0.9, 0.7, 0.8, 0.6]
         first = merge_ellipses(ellipses, scores, t_h=0.5)
-        assert all(ellipse_iou(a.ellipse, b.ellipse) <= 0.5
+        assert all(iou(a.ellipse, b.ellipse) <= 0.5
                    for a, b in itertools.combinations(first, 2))
         second = merge_ellipses([c.ellipse for c in first],
                                 [c.confidence for c in first], t_h=0.5)
@@ -159,6 +160,63 @@ class TestAssignHits:
         cands = self.make_candidates()
         out = assign_hits(cands, [(5.0, 3.0, 0.9)])
         assert out == [None]
+
+
+def assign_one_by_one(candidates, vertices, class_threshold):
+    """Scalar reference: each vertex at or above the threshold takes the
+    first candidate containing it in descending confidence, ties by
+    index."""
+    order = sorted(range(len(candidates)),
+                   key=lambda i: (-candidates[i].confidence, i))
+    out = []
+    for eta, phi, prob in vertices:
+        chosen = None
+        if not prob < class_threshold:
+            chosen = next((i for i in order if point_in_ellipse(
+                candidates[i].ellipse, (eta, phi))), None)
+        out.append(chosen)
+    return out
+
+
+class TestAssignHitsBatch:
+    def test_matches_scalar_loop_on_random_inputs(self):
+        rng = np.random.default_rng(33)
+        for _ in range(60):
+            n_cand = int(rng.integers(0, 8))
+            cands = [TrackCandidate(
+                make_ellipse(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3),
+                             rng.uniform(0.1, 0.4), rng.uniform(0.05, 0.1),
+                             rng.uniform(0, math.pi)),
+                float(rng.choice([0.3, 0.6, 0.9])), (k,))
+                for k in range(n_cand)]
+            # phi straddles the seam
+            vertices = [(rng.uniform(-0.8, 0.8),
+                         rng.uniform(-0.5, 0.5) % (2 * math.pi),
+                         float(rng.choice([0.2, 0.5, 0.8])))
+                        for _ in range(int(rng.integers(0, 60)))]
+            assert assign_hits(cands, vertices, 0.5) == \
+                assign_one_by_one(cands, vertices, 0.5)
+
+    def test_boundary_seam_and_threshold_cases(self):
+        e = make_ellipse(0.0, 0.01, 0.2, 0.1, 0.3)
+        tip = (0.2 * math.cos(0.3), 0.01 + 0.2 * math.sin(0.3), 0.9)
+        cands = [TrackCandidate(make_ellipse(3.0, 3.0, 0.2, 0.1, 0.0), 0.9,
+                                (0,)),
+                 TrackCandidate(e, 0.7, (1,)),
+                 TrackCandidate(e, 0.7, (2,))]
+        vertices = [tip,                       # on the boundary
+                    (0.0, 2 * math.pi - 0.02, 0.9),  # across the seam
+                    (0.0, 0.01, 0.5),          # at the class threshold
+                    (0.0, 0.01, 0.4999),       # just below it
+                    (1.0, 1.0, 0.9)]           # in no candidate
+        expected = [1, 1, 1, None, None]
+        assert assign_one_by_one(cands, vertices, 0.5) == expected
+        assert assign_hits(cands, vertices, 0.5) == expected
+
+    def test_no_candidates(self):
+        vertices = [(0.0, 1.0, 0.9), (0.5, 2.0, 0.1)]
+        assert assign_hits([], vertices, 0.5) == [None, None]
+        assert assign_hits([], [], 0.5) == []
 
 
 class TestChooseThreshold:
