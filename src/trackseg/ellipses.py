@@ -47,7 +47,8 @@ DELTA_THETA = 0.5
 
 @dataclass(frozen=True)
 class Ellipse5:
-    """5-dof rotated ellipse; invariant a >= b > 0, theta in [0, pi)."""
+    """5-dof rotated ellipse; invariant: all parameters finite,
+    a >= b > 0, theta in [0, pi)."""
     eta_c: float
     phi_c: float
     a: float
@@ -55,6 +56,8 @@ class Ellipse5:
     theta: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise DomainError(f"ellipse parameters must be finite: {self}")
         if not (self.a >= self.b > 0.0):
             raise DomainError(f"semi-axes must satisfy a >= b > 0, "
                               f"got a={self.a}, b={self.b}")
@@ -206,10 +209,8 @@ def ellipse_to_dict(e: Ellipse5) -> dict:
 
 
 def ellipse_from_dict(d: dict) -> Ellipse5:
-    values = [number(d[k]) for k in ("eta_c", "phi_c", "a", "b", "theta")]
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"ellipse parameters must be finite, got {values}")
-    return Ellipse5(*values)
+    return Ellipse5(*[number(d[k])
+                      for k in ("eta_c", "phi_c", "a", "b", "theta")])
 
 
 def mvee(points) -> Ellipse5:

@@ -40,9 +40,10 @@ TRACKML_PARTICLES_HEADER = ["particle_id", "vx", "vy", "vz", "px", "py",
 
 @dataclass(frozen=True, slots=True)
 class Hit:
-    """One detector measurement.  particle_id 0 marks noise; eta and phi
-    are derived from (x, y, z) by hit_from_xyz.  Slots keep the many
-    short-lived hits a graph document decodes into small."""
+    """One detector measurement.  particle_id 0 marks noise.  Built by
+    hit_from_xyz, which derives eta and phi and holds the hit invariants.
+    Slots keep the many short-lived hits a graph document decodes into
+    small."""
     hit_id: int
     x: float
     y: float
@@ -63,9 +64,20 @@ class TruthTrack:
 
 @dataclass(frozen=True)
 class Event:
+    """One event's hits and truth tracks.  Hit ids are unique, and the
+    track ids are exactly the nonzero hit particle ids, each once."""
     event_id: int
     hits: tuple[Hit, ...]
     tracks: tuple[TruthTrack, ...]
+
+    def __post_init__(self):
+        ids = [h.hit_id for h in self.hits]
+        if len(set(ids)) != len(ids):
+            raise ConsistencyError(f"event {self.event_id} repeats a hit_id")
+        if sorted(t.particle_id for t in self.tracks) != \
+                sorted({h.particle_id for h in self.hits} - {0}):
+            raise ConsistencyError("each particle with hits needs exactly "
+                                   "one track, and each track a hit")
 
     def track_hits(self) -> dict[int, list[Hit]]:
         """The hits grouped by particle id (0: noise), in event order."""
@@ -127,8 +139,6 @@ def intersect_helix_layer(circle: CircleTrack, phi0: float, eta: float,
     from the straight-line z-s relation, or None when the circle never
     reaches the layer.
     """
-    if layer_radius <= 0:
-        raise ConfigError(f"layer radius must be positive, got {layer_radius}")
     a, b, radius = circle.a, circle.b, circle.R
     d = math.hypot(a, b)
     if d < 1e-15:
@@ -163,12 +173,19 @@ def intersect_helix_layer(circle: CircleTrack, phi0: float, eta: float,
 
 def hit_from_xyz(hit_id: int, x: float, y: float, z: float, layer: int,
                  particle_id: int, volume: int = 0) -> Hit:
-    """A hit at (x, y, z) with its derived eta and phi; a non-finite
-    coordinate, or a hit on the beamline, which has no polar angle in
-    (0, pi), raises DomainError."""
-    if not all(map(math.isfinite, (x, y, z))):
-        raise DomainError(f"hit {hit_id}: non-finite coordinate")
-    eta = pseudorapidity(math.atan2(math.hypot(x, y), z))
+    """A hit at (x, y, z) with its derived eta and phi.  A non-finite
+    coordinate, a hit on the beamline, which has no polar angle in
+    (0, pi), a negative layer or an id beyond int64 raises DomainError."""
+    try:
+        if not all(map(math.isfinite, (x, y, z))):
+            raise DomainError("non-finite coordinate")
+        if layer < 0:
+            raise DomainError(f"negative layer {layer}")
+        if max(abs(hit_id), abs(particle_id)) >= 2**63:
+            raise DomainError("id beyond int64")
+        eta = pseudorapidity(math.atan2(math.hypot(x, y), z))
+    except DomainError as err:
+        raise DomainError(f"hit {hit_id}: {err}") from err
     return Hit(hit_id, x, y, z, eta, float(wrap_phi(math.atan2(y, x))),
                layer, particle_id, volume)
 
@@ -295,9 +312,9 @@ def read_trackml_event(hits_path, truth_path, particles_path,
     particles file momenta; the truth circle is reconstructed from the
     production vertex, momentum direction and charge assuming an ideal
     solenoid field.  Particles with zero p_T or a non-unit charge cannot
-    form a circle and their hits are kept as noise.  A hit on the
-    beamline, a particle whose momentum gives no finite track and a
-    repeated row raise ParseError naming the line.
+    form a circle and their hits are kept as noise.  A hit that
+    hit_from_xyz rejects, a particle whose momentum gives no finite track
+    and a repeated row raise ParseError naming the line.
     """
     raw_hits: dict[int, tuple] = {}
     for lineno, row in _read_csv_rows(hits_path, TRACKML_HITS_HEADER):
@@ -358,8 +375,7 @@ def read_trackml_event(hits_path, truth_path, particles_path,
         try:
             hits.append(hit_from_xyz(hit_id, x, y, z, layer, pid, volume))
         except DomainError as err:
-            raise ParseError(f"{hits_path}: hit {hit_id}: {err}",
-                             line=lineno) from err
+            raise ParseError(f"{hits_path}: {err}", line=lineno) from err
 
     tracks = tuple(TruthTrack(pid, p) for pid, p in params.items())
     return Event(0, tuple(hits), tracks)
@@ -387,25 +403,3 @@ def apply_selection(e: Event, pt_min: float = 0.0,
     kept_pids = {h.particle_id for h in kept}
     return Event(e.event_id, kept,
                  tuple(t for t in e.tracks if t.particle_id in kept_pids))
-
-
-def validate_event(e: Event) -> None:
-    """Check the Event type invariants; raises ConsistencyError."""
-    seen: set[int] = set()
-    for h in e.hits:
-        if h.hit_id in seen:
-            raise ConsistencyError(f"duplicate hit_id {h.hit_id}")
-        seen.add(h.hit_id)
-        if not all(map(math.isfinite, (h.x, h.y, h.z))):
-            raise ConsistencyError(f"hit {h.hit_id}: non-finite coordinate")
-        if max(abs(h.hit_id), abs(h.particle_id)) >= 2**63:
-            raise ConsistencyError(f"hit {h.hit_id}: id beyond int64")
-        if h.layer < 0:
-            raise ConsistencyError(f"hit {h.hit_id}: negative layer")
-        if not 0.0 <= h.phi < 2.0 * math.pi:
-            raise ConsistencyError(f"hit {h.hit_id}: phi out of [0, 2pi)")
-    # track ids are distinct, nonzero and the nonzero hit particle ids
-    track_pids = sorted(t.particle_id for t in e.tracks)
-    if track_pids != sorted({h.particle_id for h in e.hits} - {0}):
-        raise ConsistencyError("each particle with hits needs exactly one "
-                               "track, and each track a hit")

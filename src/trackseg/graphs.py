@@ -41,7 +41,11 @@ class Graph:
     (z, layer); edges are undirected, stored once with i < j.  Each
     vertex's particle id, transverse coordinates and target ellipse (its
     particle's, None for noise), with the per-particle parameters, make
-    a stored graph a self-contained training sample.
+    a stored graph a self-contained training sample.  Construction
+    raises ConsistencyError unless vertex hit ids are unique, the
+    nonzero vertex particle ids are the keys of truth_params, each
+    (p_T, eps_T) is finite with p_T > 0, exactly the track vertices
+    have a target, and each edge joins two distinct vertices in range.
     """
     event_id: int
     eta: np.ndarray
@@ -53,6 +57,29 @@ class Graph:
     vertex_xy: np.ndarray
     truth_params: dict[int, tuple[float, float]]
     vertex_target_ellipse: list
+
+    def __post_init__(self):
+        ids = self.vertex_hit_ids
+        if len(set(ids.tolist())) != len(ids):
+            raise ConsistencyError(f"graph {self.event_id} repeats a hit_id")
+        found = set(self.vertex_particle_id.tolist()) - {0}
+        if found != self.truth_params.keys():
+            odd = sorted(found ^ self.truth_params.keys())
+            raise ConsistencyError(f"graph particles {odd} lack a vertex or "
+                                   f"an entry")
+        for k, (pt, eps) in self.truth_params.items():
+            if not (pt > 0.0 and math.isfinite(pt) and math.isfinite(eps)):
+                raise ConsistencyError(f"graph particle {k}: non-finite "
+                                       f"value or p_T <= 0")
+        if [t is None for t in self.vertex_target_ellipse] != \
+                (self.vertex_particle_id == 0).tolist():
+            raise ConsistencyError("a graph needs one target per track vertex "
+                                   "and none per noise vertex")
+        edges, n = self.edges, self.n_vertices
+        if edges.shape[1:] != (2,) or np.any((edges < 0) | (edges >= n)) or \
+                np.any(edges[:, 0] == edges[:, 1]):
+            raise ConsistencyError(f"graph edges must be [i, j] pairs of "
+                                   f"distinct vertices in [0, {n})")
 
     @property
     def vertex_class(self) -> np.ndarray:
@@ -134,24 +161,13 @@ def build_graph(e: Event, params: DbscanParams, targets: list) -> Graph:
 def _graph(event_id: int, hits, edges, truth_params: dict,
            targets: list) -> Graph:
     """The Graph of `hits` joined by `edges`, with `targets[i]` the target
-    of hit i.  Raises ConsistencyError unless the hits' nonzero particle
-    ids are the keys of `truth_params` and exactly the track hits have a
-    target."""
-    found = {h.particle_id for h in hits} - {0}
-    if found != truth_params.keys():
-        odd = sorted(found ^ truth_params.keys())
-        raise ConsistencyError(f"graph particles {odd} lack a vertex or "
-                               f"an entry")
-    if len(targets) != len(hits) or any((t is None) != (h.particle_id == 0)
-                                        for h, t in zip(hits, targets)):
-        raise ConsistencyError("a graph needs one target per track vertex "
-                               "and none per noise vertex")
+    of hit i and `truth_params` the (p_T, eps_T) of each particle."""
     return Graph(
         event_id=event_id,
         eta=np.array([h.eta for h in hits]),
         phi=np.array([h.phi for h in hits]),
         state=np.array([(h.z, float(h.layer)) for h in hits]).reshape(-1, 2),
-        edges=np.array(edges, dtype=int).reshape(-1, 2),
+        edges=np.array(edges, dtype=int).reshape(len(edges), 2),
         vertex_hit_ids=np.array([h.hit_id for h in hits], dtype=int),
         vertex_particle_id=np.array([h.particle_id for h in hits],
                                     dtype=int),
@@ -209,10 +225,9 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(d: dict) -> Graph:
-    """Decode a graph-v3 document.  Edges must be [i, j] pairs of
-    distinct vertices, ids and edge ends JSON ints, every other number
-    a finite JSON number, no vertex on the beamline, and the particle
-    entries, each with a target ellipse, exactly those of the vertices;
+    """Decode a graph-v3 document: ids and edge ends JSON ints, other
+    numbers JSON numbers, each particle entry with a target ellipse
+    object, each vertex a hit hit_from_xyz accepts and the Graph valid;
     otherwise, and for a graph-v1 or graph-v2 document, raises
     ConsistencyError."""
     if isinstance(d, dict) and d.get("format") in ("graph-v1", "graph-v2"):
@@ -220,27 +235,14 @@ def graph_from_dict(d: dict) -> Graph:
                                f"with build-graphs")
     with parsing(d, GRAPH_FORMAT):
         hits = [hit_from_dict(v) for v in d["vertices"]]
-        n = len(hits)
-        edges = np.array(d["edges"], dtype=int)
-        if edges.shape == (0,):
-            edges = edges.reshape(0, 2)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ConsistencyError("graph edges must be [i, j] pairs")
         numbers(itertools.chain.from_iterable(d["edges"]), int)
-        if np.any((edges < 0) | (edges >= n)) or \
-                np.any(edges[:, 0] == edges[:, 1]):
-            raise ConsistencyError(f"graph edges must join two distinct "
-                                   f"vertices in [0, {n})")
         params, targets = {}, {}
         for p in d["particles"]:
             k = number(p["particle_id"], int)
             params[k] = (number(p["pt"]), number(p["eps_t"]))
-            if not all(map(math.isfinite, params[k])):
-                raise ConsistencyError(f"graph particle {k} has non-finite "
-                                       f"values")
             if not isinstance(p["target"], dict):
                 raise ConsistencyError(f"graph particle {k} needs a target "
                                        f"ellipse object")
             targets[k] = ellipse_from_dict(p["target"])
-        return _graph(number(d["event_id"], int), hits, edges, params,
+        return _graph(number(d["event_id"], int), hits, d["edges"], params,
                       assign_vertex_targets(hits, targets))

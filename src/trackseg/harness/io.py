@@ -7,7 +7,7 @@ import math
 
 from ..ellipses import ellipse_from_dict, ellipse_to_dict
 from ..errors import ConsistencyError
-from ..events import Event, TruthTrack, hit_from_dict, validate_event
+from ..events import Event, TruthTrack, hit_from_dict
 # perfbench/workloads.py imports read_json from this module
 from ..jsonio import number, parsing, read_json
 from ..kinematics import TrackParams
@@ -40,8 +40,9 @@ def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
 
 
 def event_from_dict(d: dict) -> Event:
-    """Decode an event-v2 document and check it with validate_event; an
-    event-v1 document or a hit on the beamline raises ConsistencyError."""
+    """Decode an event-v2 document; a hit hit_from_xyz rejects, an Event
+    that breaks its invariants and an event-v1 document raise
+    ConsistencyError."""
     if isinstance(d, dict) and d.get("format") == "event-v1":
         raise ConsistencyError("event-v1 document: regenerate the events "
                                "with generate or ingest")
@@ -53,9 +54,7 @@ def event_from_dict(d: dict) -> Event:
                        TrackParams(number(t["pt"]), number(t["eps_t"]),
                                    number(t["a"]), number(t["b"])))
             for t in d["tracks"])
-        event = Event(number(d["event_id"], int), hits, tracks)
-    validate_event(event)
-    return event
+        return Event(number(d["event_id"], int), hits, tracks)
 
 
 def prediction_to_dict(event_id: int, vertex_hit_ids, class_prob, ellipses,
@@ -83,10 +82,10 @@ def prediction_to_dict(event_id: int, vertex_hit_ids, class_prob, ellipses,
 
 
 def prediction_from_dict(d: dict) -> dict:
-    """Decode a prediction document and check that its per-vertex lists
-    match vertex_hit_ids, that its indices and params are in range, that
-    every class probability lies in [0, 1] and that candidate confidences
-    and params are finite."""
+    """Decode a prediction document and check that its vertex hit ids are
+    unique, that its per-vertex lists match them, that its indices and
+    params are in range, that every class probability lies in [0, 1] and
+    that candidate confidences and params are finite."""
     with parsing(d, PRED_FORMAT):
         pred = {
             "event_id": number(d["event_id"], int),
@@ -107,6 +106,8 @@ def prediction_from_dict(d: dict) -> dict:
                             for a in d["assignments"]],
         }
     n = len(pred["vertex_hit_ids"])
+    if len(set(pred["vertex_hit_ids"])) != n:
+        raise ConsistencyError("prediction repeats a vertex hit id")
     for key in ("class_prob", "ellipses", "assignments"):
         if len(pred[key]) != n:
             raise ConsistencyError(f"prediction has {len(pred[key])} {key} "
@@ -121,6 +122,9 @@ def prediction_from_dict(d: dict) -> dict:
                                    (c.confidence, *(c.params or ()))])):
         raise ConsistencyError("prediction candidates must have finite "
                                "confidence and params")
+    if any(not 0 <= i < n for c in pred["candidates"]
+           for i in c.member_vertex_ids):
+        raise ConsistencyError(f"prediction candidate member outside [0, {n})")
     n_cand = len(pred["candidates"])
     if any(a is not None and not 0 <= a < n_cand
            for a in pred["assignments"]):

@@ -33,8 +33,7 @@ import numpy as np
 
 from .. import tracknet
 from ..errors import ConfigError, NumericError
-from ..events import apply_selection, generate_event, read_trackml_event, \
-    validate_event
+from ..events import apply_selection, generate_event, read_trackml_event
 from ..graphs import assign_vertex_targets, build_graph, graph_from_dict, \
     graph_to_dict, truth_ellipses
 from ..jsonio import read_json, write_json
@@ -103,7 +102,6 @@ def stage_ingest(cfg: RunConfig) -> list[Path]:
                                field_b=cfg.detector.field_b)
     event = apply_selection(event, cfg.selection.pt_min,
                             cfg.selection.volumes)
-    validate_event(event)
     path = _events_dir(cfg) / f"event_{event.event_id:05d}.json"
     write_json(path, event_to_dict(event, cfg.to_dict()))
     log.info("ingested %d hits / %d tracks -> %s", len(event.hits),

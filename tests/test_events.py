@@ -6,9 +6,9 @@ import pytest
 
 from trackseg.errors import (ConfigError, ConsistencyError, DomainError,
                              ParseError)
-from trackseg.events import (GenConfig, apply_selection, generate_event,
-                             hit_from_xyz, intersect_helix_layer,
-                             read_trackml_event, validate_event)
+from trackseg.events import (Event, GenConfig, apply_selection,
+                             generate_event, hit_from_xyz,
+                             intersect_helix_layer, read_trackml_event)
 from trackseg.kinematics import CircleTrack, fit_track_conformal
 
 
@@ -98,9 +98,10 @@ class TestGenerateEvent:
                                                    rel=1e-9, abs=1e-15)
 
     def test_validates(self, detector):
+        # the Event checks its invariants as generate_event builds it
         gen = GenConfig(n_tracks=8, noise_fraction=0.15,
                         hit_smearing_sigma=2e-4)
-        validate_event(generate_event(detector, gen, seed=5))
+        assert generate_event(detector, gen, seed=5).hits
 
     def test_bad_config(self, detector):
         with pytest.raises(ConfigError):
@@ -131,20 +132,22 @@ class TestGenerateEvent:
 
 
 class TestValidateEvent:
+    """An Event checks its invariants when it is built."""
+
     @pytest.mark.parametrize("damage", [
         lambda e: replace(e, tracks=e.tracks[1:]),
         lambda e: replace(e, tracks=e.tracks + (
             replace(e.tracks[0], particle_id=99),)),
         lambda e: replace(e, tracks=e.tracks + e.tracks[:1]),
         lambda e: replace(e, tracks=e.tracks + (
-            replace(e.tracks[0], particle_id=0),))],
+            replace(e.tracks[0], particle_id=0),)),
+        lambda e: replace(e, hits=e.hits + e.hits[:1])],
         ids=["hits-without-track", "track-without-hits", "track-repeated",
-             "track-id-zero"])
+             "track-id-zero", "hit-id-repeated"])
     def test_track_ids_are_the_hit_particle_ids(self, detector, damage):
         e = generate_event(detector, GenConfig(n_tracks=3), seed=7)
-        validate_event(e)
         with pytest.raises(ConsistencyError):
-            validate_event(damage(e))
+            damage(e)
 
 
 HITS_CSV = """hit_id,x,y,z,volume_id,layer_id,module_id
@@ -181,10 +184,12 @@ BAD_TRACKML = [
     ({"truth": TRUTH_CSV + "1,0,0,0,0,0,0,0,0\n"}, 5,
      "truth.csv: repeated hit_id 1"),
     ({"hits": HITS_CSV + HITS_CSV.splitlines()[2] + "\n"}, 5,
-     "hits.csv: repeated hit_id 2")]
+     "hits.csv: repeated hit_id 2"),
+    ({"hits": HITS_CSV.replace("13,2,3", "13,-1,3")}, 4,
+     "hits.csv: hit 3: negative layer -1")]
 BAD_TRACKML_IDS = ["hit-on-beamline", "hit-x-nan", "particle-px-nan",
                    "particle-momentum-overflow", "particle-repeated",
-                   "truth-hit-repeated", "hit-repeated"]
+                   "truth-hit-repeated", "hit-repeated", "hit-layer-negative"]
 
 
 def write_trackml(tmp_path, hits=HITS_CSV, truth=TRUTH_CSV,
@@ -205,6 +210,17 @@ def test_hit_without_a_polar_angle_rejected(x, y, z):
     # an infinite x alone would still give eta 0 and phi 0
     with pytest.raises(DomainError):
         hit_from_xyz(1, x, y, z, 0, 0)
+
+
+@pytest.mark.parametrize("hit_id, layer, particle_id, message", [
+    (1, -1, 0, "negative layer"), (2**63, 0, 0, "beyond int64"),
+    (-2**63, 0, 0, "beyond int64"), (1, 0, 2**63, "beyond int64")],
+    ids=["layer-negative", "hit-id-too-large", "hit-id-too-small",
+         "particle-id-too-large"])
+def test_hit_outside_the_stored_ranges_rejected(hit_id, layer, particle_id,
+                                                message):
+    with pytest.raises(DomainError, match=message):
+        hit_from_xyz(hit_id, 0.1, 0.0, 0.1, layer, particle_id)
 
 
 class TestReadTrackml:
@@ -276,7 +292,8 @@ class TestReadTrackml:
                 particles=PARTICLES_CSV.splitlines()[0] + "\n"))
 
     def test_validates(self, tmp_path):
-        validate_event(read_trackml_event(*write_trackml(tmp_path)))
+        # the Event checks its invariants as read_trackml_event builds it
+        assert read_trackml_event(*write_trackml(tmp_path)).hits
 
     @pytest.mark.parametrize("files, line, message", BAD_TRACKML,
                              ids=BAD_TRACKML_IDS)
@@ -297,7 +314,6 @@ class TestApplySelection:
 
     def test_pt_threshold(self, detector):
         # one event holding a 1 GeV and a 3 GeV track
-        from trackseg.events import Event
         low = generate_event(detector, GenConfig(
             n_tracks=1, pt_range=(1.0, 1.0), noise_fraction=0.0,
             hit_smearing_sigma=0.0), seed=2)
@@ -309,7 +325,6 @@ class TestApplySelection:
                         for h in hi.hits)
         hi_track = replace(hi.tracks[0], particle_id=2)
         merged = Event(0, low.hits + hi_hits, (low.tracks[0], hi_track))
-        validate_event(merged)
         kept = apply_selection(merged, pt_min=2.0)
         assert {h.particle_id for h in kept.hits} == {2}
         assert len(kept.tracks) == 1
@@ -334,4 +349,3 @@ class TestApplySelection:
         twice = apply_selection(once, pt_min=3.0, volumes={0})
         assert once == twice
         assert len(once.hits) <= len(e.hits)
-        validate_event(once)

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import FrozenInstanceError, astuple
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
@@ -222,6 +222,31 @@ class TestAssignTargets:
             with pytest.raises(ConsistencyError, match="one target per"):
                 _graph(0, e.hits, [], tracks, wrong)
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda g: {"vertex_hit_ids": np.r_[g.vertex_hit_ids[1:2],
+                                            g.vertex_hit_ids[1:]]},
+         "repeats a hit_id"),
+        (lambda g: {"truth_params": {**g.truth_params, 999: (2.0, 0.0)}},
+         "lack a vertex"),
+        (lambda g: {"truth_params": {k: (0.0, eps) for k, (_, eps)
+                                     in g.truth_params.items()}},
+         "p_T <= 0"),
+        (lambda g: {"truth_params": {k: (pt, math.nan) for k, (pt, _)
+                                     in g.truth_params.items()}},
+         "non-finite"),
+        (lambda g: {"vertex_target_ellipse": [None] * g.n_vertices},
+         "one target per"),
+        (lambda g: {"edges": np.array([[0, g.n_vertices]])}, "edges"),
+        (lambda g: {"edges": np.array([[1, 1]])}, "edges"),
+        (lambda g: {"edges": np.array([0, 1])}, "edges")],
+        ids=["hit-id-repeated", "particle-without-vertex", "pt-zero",
+             "eps-nan", "track-vertices-without-targets",
+             "edge-out-of-range", "edge-self-loop", "edge-not-a-pair"])
+    def test_graph_checks_its_invariants_when_built(self, toy_graph, change,
+                                                    message):
+        with pytest.raises(ConsistencyError, match=message):
+            replace(toy_graph, **change(toy_graph))
+
     def test_graph_is_frozen(self, toy_graph):
         with pytest.raises(FrozenInstanceError):
             toy_graph.vertex_target_ellipse = []
@@ -320,7 +345,12 @@ class TestGraphSerialization:
         (("particles", 0, "target"), None),
         (("particles",), [*json.loads(GRAPH_DOC)["particles"],
                           {**json.loads(GRAPH_DOC)["particles"][0],
-                           "particle_id": 999}])])
+                           "particle_id": 999}]),
+        (("vertices", 1, "hit_id"), json.loads(GRAPH_DOC)["vertices"][0]
+         ["hit_id"]),
+        (("vertices", 0, "layer"), -1),
+        (("particles", 0, "pt"), 0.0),
+        (("particles", 0, "pt"), -2.5)])
     def test_inconsistent_document_rejected(self, path, value):
         doc = json.loads(GRAPH_DOC)
         set_at(doc, path, value)

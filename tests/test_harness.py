@@ -431,7 +431,11 @@ class TestIo:
         (("assignments", 1), 0.7),
         (("candidates", 0, "member_vertex_ids"), [True, 1]),
         (("candidates", 0, "ellipse", "a"), "0.1"),
-        (("event_id",), False)])
+        (("event_id",), False),
+        (("vertex_hit_ids", 1), json.loads(PRED_DOC)["vertex_hit_ids"][0]),
+        (("candidates", 0, "member_vertex_ids", 0), -1),
+        (("candidates", 0, "member_vertex_ids", 0),
+         len(json.loads(PRED_DOC)["vertex_hit_ids"]))])
     def test_prediction_with_bad_number_rejected(self, path, value):
         doc = json.loads(PRED_DOC)
         set_at(doc, path, value)
@@ -481,6 +485,9 @@ class TestIo:
                                     len(pred["candidates"]))
         assert all(len(pred[key]) == n_vertices
                    for key in ("class_prob", "ellipses", "assignments"))
+        assert len(set(pred["vertex_hit_ids"])) == n_vertices
+        assert all(0 <= i < n_vertices for c in pred["candidates"]
+                   for i in c.member_vertex_ids)
         assert all(a is None or 0 <= a < n_candidates
                    for a in pred["assignments"])
         assert all(0.0 <= p <= 1.0 for p in pred["class_prob"])
@@ -546,6 +553,45 @@ def _non_numeric_params(text):
         cand["params"] = ["x", 1.0]
     return json.dumps(doc)
 
+
+def _on_hits(damage):
+    """Damage that applies damage(hits) to the stored hits of an event or
+    graph document."""
+    return _edited(lambda doc: damage(
+        doc["hits"] if "hits" in doc else doc["vertices"]))
+
+
+def _repeat_hit_id(hits):
+    hits[1]["hit_id"] = hits[0]["hit_id"]
+
+
+def _negative_layer(hits):
+    hits[0]["layer"] = -1
+
+
+# the same damage to what each reader reads: (artifact, damage, command,
+# what the error names); "hits.csv" is TrackML input to ingest
+SAME_DAMAGE = [
+    ("events/event_00000.json", _on_hits(_repeat_hit_id), "build-graphs",
+     "repeats a hit_id"),
+    ("graphs/graph_00000.json", _on_hits(_repeat_hit_id), "train",
+     "repeats a hit_id"),
+    ("events/event_00000.json", _on_hits(_negative_layer), "build-graphs",
+     "negative layer -1"),
+    ("graphs/graph_00000.json", _on_hits(_negative_layer), "train",
+     "negative layer -1"),
+    ("hits.csv", lambda text: text.replace("13,2,3", "13,-1,3"), "ingest",
+     "line 4: "),
+    ("graphs/graph_00000.json",
+     _edited(lambda doc: doc["particles"][0].update(pt=0.0)), "train",
+     "p_T <= 0"),
+    ("graphs/graph_00000.json",
+     _edited(lambda doc: doc["particles"][0].update(pt=-2.5)), "train",
+     "p_T <= 0")]
+SAME_DAMAGE_IDS = ["event-hit-id-repeated", "graph-hit-id-repeated",
+                   "event-layer-negative", "graph-layer-negative",
+                   "trackml-layer-negative", "graph-pt-zero",
+                   "graph-pt-negative"]
 
 STAGES = ("generate", "build-graphs", "train", "infer", "evaluate")
 
@@ -724,6 +770,27 @@ class TestCli:
                          else damaged.encode())
         assert main(["--config", str(cfg_path), command]) == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact, damage, command, message",
+                             SAME_DAMAGE, ids=SAME_DAMAGE_IDS)
+    def test_same_damage_exits_3_from_each_reader(self, tmp_path, capsys,
+                                                  artifact, damage, command,
+                                                  message):
+        cfg_path = tiny_cli_config(tmp_path)
+        if artifact == "hits.csv":
+            hits, truth, particles = write_trackml(tmp_path,
+                                                   hits=damage(HITS_CSV))
+            args = ["--hits", str(hits), "--truth", str(truth),
+                    "--particles", str(particles)]
+        else:
+            for cmd in STAGES[:STAGES.index(command)]:
+                assert main(["--config", str(cfg_path), cmd]) == 0
+            path = tmp_path / "out" / artifact
+            path.write_text(damage(path.read_text()))
+            args = []
+        assert main(["--config", str(cfg_path), command, *args]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
 
     @pytest.mark.parametrize("prefix, output", [
         ("", "component=class_prob"), ("trk.", "component=candidate")],

@@ -15,6 +15,7 @@ from conftest import (JSON_VALUES, doc_paths, graph_of, make_training_graph,
                       set_at)
 from oracles import plain_message_passing
 from trackseg import tracknet as tn
+from trackseg.ellipses import make_ellipse
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
                              DomainError, NumericError, ParseError)
 from trackseg.graphs import Graph
@@ -33,6 +34,8 @@ def zero_model(config):
 
 
 def tiny_graph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 2))):
+    """A valid Graph of one n-vertex track, every vertex with the same
+    target ellipse."""
     rng = np.random.default_rng(77)
     edges = np.array(edges, dtype=int).reshape(-1, 2)
     return Graph(
@@ -45,7 +48,7 @@ def tiny_graph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 2))):
         vertex_particle_id=np.ones(n, dtype=int),
         vertex_xy=rng.uniform(0.02, 0.2, (n, 2)),
         truth_params={1: (2.5, 3e-4)},
-        vertex_target_ellipse=[None] * n,
+        vertex_target_ellipse=[make_ellipse(0, 0, 0.05, 0.01, 0.0)] * n,
     )
 
 
@@ -158,9 +161,7 @@ class TestTotalLoss:
         assert float(t1.data) == pytest.approx(float(t2.data), abs=1e-15)
 
     def test_weighted_sum(self):
-        from trackseg.ellipses import make_ellipse
-        g = replace(tiny_graph(), vertex_target_ellipse=[
-            make_ellipse(0, 0, 0.05, 0.01, 0.0)] * 4)
+        g = tiny_graph()
         m = tn.Model(small_config(), seed=11)
         out = tn.gnn_forward(m, g)
         targets = tn.build_targets(g)
@@ -388,7 +389,7 @@ class TestTrain:
 
     def test_train_step_without_truth_tracks(self):
         g = replace(tiny_graph(), vertex_particle_id=np.zeros(4, dtype=int),
-                    truth_params={})
+                    truth_params={}, vertex_target_ellipse=[None] * 4)
         assert g.n_edges > 0
         m = tn.Model(small_config(), seed=28)
         comps = tn.train_step(m, g, AdamState(lr=1e-3))
