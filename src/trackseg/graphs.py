@@ -239,6 +239,8 @@ def graph_from_dict(d: dict) -> Graph:
         params, targets = {}, {}
         for p in d["particles"]:
             k = number(p["particle_id"], int)
+            if k in params:
+                raise ConsistencyError(f"graph lists particle {k} twice")
             params[k] = (number(p["pt"]), number(p["eps_t"]))
             if not isinstance(p["target"], dict):
                 raise ConsistencyError(f"graph particle {k} needs a target "

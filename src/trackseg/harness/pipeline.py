@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import tracknet
-from ..errors import ConfigError, NumericError
+from ..errors import ConfigError, ConsistencyError, NumericError
 from ..events import apply_selection, generate_event, read_trackml_event
 from ..graphs import assign_vertex_targets, build_graph, graph_from_dict, \
     graph_to_dict, truth_ellipses
@@ -126,16 +126,30 @@ def stage_build_graphs(cfg: RunConfig) -> list[Path]:
     return paths
 
 
+def _by_event(paths: list[Path], load, event_id) -> dict:
+    """{event id: load(document)} in file order; an event id that two
+    files share raises ConsistencyError naming both."""
+    items, sources = {}, {}
+    for path in paths:
+        item = load(read_json(path))
+        key = event_id(item)
+        if key in sources:
+            raise ConsistencyError(f"{sources[key]} and {path} both hold "
+                                   f"event {key}")
+        items[key], sources[key] = item, path
+    return items
+
+
 def _load_graphs(cfg: RunConfig):
-    return [graph_from_dict(read_json(p))
-            for p in _sorted_files(_graphs_dir(cfg), "graph_*.json")]
+    return list(_by_event(_sorted_files(_graphs_dir(cfg), "graph_*.json"),
+                          graph_from_dict, lambda g: g.event_id).values())
 
 
 def _split(items, n_holdout: int):
     if n_holdout <= 0:
         return items, items
     if n_holdout >= len(items):
-        raise ConfigError(f"n_holdout={n_holdout} leaves no training data "
+        raise ConfigError(f"n_holdout={n_holdout} keeps no training data "
                           f"for {len(items)} graphs")
     return items[:-n_holdout], items[-n_holdout:]
 
@@ -198,14 +212,10 @@ def stage_infer(cfg: RunConfig) -> list[Path]:
 
 
 def stage_evaluate(cfg: RunConfig) -> Path:
-    predictions = {}
-    for path in _sorted_files(_preds_dir(cfg), "pred_*.json"):
-        pred = prediction_from_dict(read_json(path))
-        predictions[pred["event_id"]] = pred
-    truth = {}
-    for path in _sorted_files(_events_dir(cfg), "event_*.json"):
-        event = event_from_dict(read_json(path))
-        truth[event.event_id] = event
+    predictions = _by_event(_sorted_files(_preds_dir(cfg), "pred_*.json"),
+                            prediction_from_dict, lambda p: p["event_id"])
+    truth = _by_event(_sorted_files(_events_dir(cfg), "event_*.json"),
+                      event_from_dict, lambda e: e.event_id)
     metrics = evaluate(predictions, truth, cfg.nms.class_threshold)
     doc = {"format": METRICS_FORMAT, **metrics,
            "seed": cfg.seed, "config": cfg.to_dict()}

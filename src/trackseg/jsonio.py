@@ -2,7 +2,7 @@
 format tag and the type of each number.
 
 A write goes to a sibling temp file that is then renamed over the
-target, so a failed write leaves any earlier artifact intact.
+target, so a failed write keeps any earlier artifact intact.
 """
 
 from __future__ import annotations

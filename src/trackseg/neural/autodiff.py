@@ -46,9 +46,6 @@ class Tape:
         """Wrap a value that needs no gradient routing."""
         return self.node(data)
 
-    # parameters are consts whose .grad is read after backward
-    leaf = const
-
     def backward(self, loss: Var) -> None:
         """Reverse sweep from a scalar loss; may run once per tape."""
         if self._done:
@@ -97,19 +94,19 @@ def add(a: Var, b: Var) -> Var:
     return tape.node(a.data + b.data, backward)
 
 
-def mlp(x: Var, layers: list[tuple[Var, Var]], sigmoid_out: bool) -> Var:
+def mlp(x: Var, layers: list[tuple], sigmoid_out: bool) -> Var:
     """Dense stack over the rows of x: affine then ReLU per hidden layer,
     affine last, then a sigmoid if `sigmoid_out`.  `layers` holds one
-    (W, b) pair per layer.  Records one node."""
-    tape = _same_tape(x, *(v for layer in layers for v in layer))
+    (W, b, dW, db) array tuple per layer; backward adds the weight
+    gradients into dW and db.  Records one node."""
     inputs, pre = [], []  # each layer's input; each hidden pre-activation
     h = x.data
-    for k, (w, b) in enumerate(layers):
-        if w.data.shape[0] != h.shape[1] or b.data.shape != w.data.shape[1:]:
+    for k, (w, b, _, _) in enumerate(layers):
+        if w.shape[0] != h.shape[1] or b.shape != w.shape[1:]:
             raise ShapeError(f"layer {k}: {h.shape[1]} input columns, W "
-                             f"{w.data.shape}, b {b.data.shape}")
+                             f"{w.shape}, b {b.shape}")
         inputs.append(h)
-        h = h @ w.data + b.data
+        h = h @ w + b
         if k < len(layers) - 1:
             pre.append(h)
             # np.maximum (not where) so NaN inputs propagate
@@ -123,15 +120,15 @@ def mlp(x: Var, layers: list[tuple[Var, Var]], sigmoid_out: bool) -> Var:
         if sigmoid_out:
             g = g * out * (1.0 - out)
         for k in reversed(range(len(layers))):
-            w, b = layers[k]
+            w, _, dw, db = layers[k]
             if k < len(pre):
                 g = g * (pre[k] > 0.0)
-            w.grad += inputs[k].T @ g
-            b.grad += g.sum(axis=0)
-            g = g @ w.data.T
+            dw += inputs[k].T @ g
+            db += g.sum(axis=0)
+            g = g @ w.T
         x.grad += g
 
-    return tape.node(out, backward)
+    return x.tape.node(out, backward)
 
 
 def scale(a: Var, s: float) -> Var:

@@ -53,13 +53,14 @@ def init_mlp_params(spec: MlpSpec, rng: np.random.Generator,
     return params
 
 
-def mlp_forward(spec: MlpSpec, params: dict[str, Var], x: Var,
-                prefix: str = "") -> Var:
+def mlp_forward(spec: MlpSpec, model, x: Var, prefix: str = "") -> Var:
     """Affine-then-activation per layer, rows preserved; one tape node,
-    which checks the layer shapes."""
-    layers = [(params[f"{prefix}W{i}"], params[f"{prefix}b{i}"])
-              for i in range(spec.n_layers)]
-    return ad.mlp(x, layers, spec.sigmoid_out)
+    which checks the layer shapes.  Layer i reads its weights from
+    `model.params` and adds their gradients into `model.grads`, both
+    keyed "<prefix>W<i>" and "<prefix>b<i>"."""
+    names = [(f"{prefix}W{i}", f"{prefix}b{i}") for i in range(spec.n_layers)]
+    return ad.mlp(x, [(model.params[w], model.params[b], model.grads[w],
+                       model.grads[b]) for w, b in names], spec.sigmoid_out)
 
 
 def _column(x, name: str) -> np.ndarray:
@@ -150,8 +151,8 @@ def mse_tracking_loss(pred: Var, truth, scales=(1.0, 1e-3)) -> Var:
 class AdamState:
     """Optimizer state; the moment accumulators are flat arrays laid out
     like the parameter vector, None before the first step."""
-    lr: float = 1e-6
-    weight_decay: float = 1e-5
+    lr: float
+    weight_decay: float
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -179,11 +180,3 @@ def adam_step(state: AdamState, flat: np.ndarray, grad: np.ndarray):
     m_hat = m / (1.0 - ADAM_BETA1**t)
     v_hat = v / (1.0 - ADAM_BETA2**t)
     flat -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
-def gradients(loss: Var, leaves: dict[str, Var]) -> np.ndarray:
-    """Run the reverse sweep and return the leaves' gradients as one flat
-    vector, in leaf order."""
-    loss.tape.backward(loss)
-    return np.concatenate([np.zeros(0),
-                           *(leaf.grad.ravel() for leaf in leaves.values())])

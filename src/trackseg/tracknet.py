@@ -25,9 +25,8 @@ from .jsonio import number, numbers, parsing, read_json, write_json
 from .kinematics import canonical_parabola_coeffs
 from .neural import autodiff as ad
 from .neural.autodiff import Tape, Var
-from .neural.nn import (AdamState, MlpSpec, adam_step, bce_loss, gradients,
-                        huber_loss, init_mlp_params, mlp_forward,
-                        mse_tracking_loss)
+from .neural.nn import (AdamState, MlpSpec, adam_step, bce_loss, huber_loss,
+                        init_mlp_params, mlp_forward, mse_tracking_loss)
 
 STATE_DIM = 2
 COORD_DIM = 2
@@ -83,7 +82,8 @@ class Model:
     Parameter names follow "<block><iteration>.<W|b><layer>", e.g.
     "f2.W0"; heads use "cls.", "loc." and "trk.".  Each iteration owns a
     distinct parameter set.  All parameters live in one float64 vector,
-    `flat`; every `params[name]` is a reshaped view into it, in name
+    `flat`, and their gradients in `grad`, laid out alike: every
+    `params[name]` and `grads[name]` is a reshaped view into it, in name
     order.  The parameters are drawn from a stream seeded by `seed`.
     """
 
@@ -101,21 +101,23 @@ class Model:
                               ("tracking", "trk.")):
             params.update(init_mlp_params(specs[block], rng, prefix))
         self.flat = np.concatenate([p.ravel() for p in params.values()])
+        self.grad = np.zeros_like(self.flat)
         self.params: dict[str, np.ndarray] = {}
+        self.grads: dict[str, np.ndarray] = {}
         offset = 0
         for name, p in params.items():
-            self.params[name] = self.flat[offset:offset + p.size] \
-                .reshape(p.shape)
+            span = slice(offset, offset + p.size)
+            self.params[name] = self.flat[span].reshape(p.shape)
+            self.grads[name] = self.grad[span].reshape(p.shape)
             offset += p.size
 
 
 @dataclass
 class VertexOutputs:
-    """Per-vertex head outputs and the parameter leaves they came from."""
+    """Per-vertex head outputs."""
     class_prob: Var
     encoded_box: Var
     final_state: Var
-    leaves: dict[str, Var]
 
 
 def gnn_forward(model: Model, graph: Graph,
@@ -127,7 +129,6 @@ def gnn_forward(model: Model, graph: Graph,
     """
     specs = model.config.specs
     tape = tape if tape is not None else Tape()
-    leaves = {name: tape.leaf(p) for name, p in model.params.items()}
 
     n = graph.n_vertices
     # each undirected edge carries a message in both directions
@@ -140,22 +141,21 @@ def gnn_forward(model: Model, graph: Graph,
 
     s = tape.const(graph.state)
     for t in range(1, model.config.iterations + 1):
-        dx = mlp_forward(specs["h"], leaves, s, f"h{t}.")
+        dx = mlp_forward(specs["h"], model, s, f"h{t}.")
         shifted = ad.add(tape.const(coord_diff), ad.gather_rows(dx, dst))
         edge_in = ad.concat_cols([shifted, ad.gather_rows(s, src)])
-        msg = mlp_forward(specs["f"], leaves, edge_in, f"f{t}.")
+        msg = mlp_forward(specs["f"], model, edge_in, f"f{t}.")
         agg = ad.segment_max(msg, dst, n)
-        update = mlp_forward(specs["g"], leaves, ad.concat_cols([agg, s]),
+        update = mlp_forward(specs["g"], model, ad.concat_cols([agg, s]),
                              f"g{t}.")
         s = ad.add(update, s)
 
-    prob = mlp_forward(specs["classifier"], leaves, s, "cls.")
-    box = mlp_forward(specs["localization"], leaves, s, "loc.")
-    return VertexOutputs(prob, box, s, leaves)
+    prob = mlp_forward(specs["classifier"], model, s, "cls.")
+    box = mlp_forward(specs["localization"], model, s, "loc.")
+    return VertexOutputs(prob, box, s)
 
 
-def predict_cluster_params(model: Model, final_state: Var,
-                           leaves: dict[str, Var], clusters,
+def predict_cluster_params(model: Model, final_state: Var, clusters,
                            hits_xy) -> Var:
     """Track-parameter head over a set of vertex clusters.
 
@@ -180,18 +180,15 @@ def predict_cluster_params(model: Model, final_state: Var,
     state_max = ad.segment_max(ad.gather_rows(final_state, members), segment,
                                len(clusters))
     feats = ad.concat_cols([final_state.tape.const(coeffs), state_max])
-    return mlp_forward(model.config.specs["tracking"], leaves, feats,
-                       "trk.")
+    return mlp_forward(model.config.specs["tracking"], model, feats, "trk.")
 
 
 def cluster_params_from_states(model: Model, final_state: np.ndarray,
                                clusters, hits_xy) -> np.ndarray:
     """Gradient-free entry to the head for an inference pass's states."""
     with Tape() as tape:
-        leaves = {name: tape.leaf(p) for name, p in model.params.items()
-                  if name.startswith("trk.")}
         return predict_cluster_params(model, tape.const(final_state),
-                                      leaves, clusters, hits_xy).data
+                                      clusters, hits_xy).data
 
 
 def build_targets(graph: Graph):
@@ -206,8 +203,7 @@ def build_targets(graph: Graph):
 
 
 def total_loss(outputs: VertexOutputs, targets, cluster_preds,
-               cluster_truth, weights=(1.0, 1.0, 1.0),
-               tracking_scales=(1.0, 1e-3)):
+               cluster_truth, weights, tracking_scales=(1.0, 1e-3)):
     """Weighted sum of the classification, localization and tracking
     losses; returns (total Var, per-component float breakdown)."""
     y, target_enc = targets
@@ -243,10 +239,11 @@ def train_step(model: Model, graph: Graph, state: AdamState):
     The tracking loss runs over truth clusters, so the parameter head
     learns independently of segmentation quality.
     """
+    model.grad.fill(0.0)
     outputs = gnn_forward(model, graph)
     pids = sorted(graph.truth_params)
     cluster_preds = predict_cluster_params(
-        model, outputs.final_state, outputs.leaves,
+        model, outputs.final_state,
         [np.flatnonzero(graph.vertex_particle_id == pid) for pid in pids],
         graph.vertex_xy)
     truths = [graph.truth_params[pid] for pid in pids]
@@ -257,8 +254,8 @@ def train_step(model: Model, graph: Graph, state: AdamState):
         if not math.isfinite(value):
             raise NumericError("non-finite loss", graph_id=graph.event_id,
                                component=name)
-    grads = gradients(total, outputs.leaves)
-    adam_step(state, model.flat, grads)
+    total.tape.backward(total)
+    adam_step(state, model.flat, model.grad)
     return components
 
 

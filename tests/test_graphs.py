@@ -350,7 +350,10 @@ class TestGraphSerialization:
          ["hit_id"]),
         (("vertices", 0, "layer"), -1),
         (("particles", 0, "pt"), 0.0),
-        (("particles", 0, "pt"), -2.5)])
+        (("particles", 0, "pt"), -2.5),
+        (("particles",), [*json.loads(GRAPH_DOC)["particles"],
+                          {**json.loads(GRAPH_DOC)["particles"][0],
+                           "pt": 99.0}])])
     def test_inconsistent_document_rejected(self, path, value):
         doc = json.loads(GRAPH_DOC)
         set_at(doc, path, value)

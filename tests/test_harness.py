@@ -587,11 +587,16 @@ SAME_DAMAGE = [
      "p_T <= 0"),
     ("graphs/graph_00000.json",
      _edited(lambda doc: doc["particles"][0].update(pt=-2.5)), "train",
-     "p_T <= 0")]
+     "p_T <= 0"),
+    ("graphs/graph_00001.json", _edited(lambda doc: doc.update(event_id=0)),
+     "train", "graph_00000.json and "),
+    ("events/event_00001.json", _edited(lambda doc: doc.update(event_id=0)),
+     "evaluate", "event_00001.json both hold event 0")]
 SAME_DAMAGE_IDS = ["event-hit-id-repeated", "graph-hit-id-repeated",
                    "event-layer-negative", "graph-layer-negative",
                    "trackml-layer-negative", "graph-pt-zero",
-                   "graph-pt-negative"]
+                   "graph-pt-negative", "graph-event-id-repeated",
+                   "event-event-id-repeated"]
 
 STAGES = ("generate", "build-graphs", "train", "infer", "evaluate")
 
@@ -740,7 +745,10 @@ class TestCli:
          "train"),
         ("graphs/graph_00000.json",
          _edited(lambda doc: doc["particles"].append(
-             dict(doc["particles"][0], particle_id=999))), "train")],
+             dict(doc["particles"][0], particle_id=999))), "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc["particles"].append(
+             dict(doc["particles"][0], pt=99.0))), "train")],
         ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
              "pred-no-candidates", "checkpoint-v1", "checkpoint-no-params",
              "event-hit-not-object", "checkpoint-param-not-number",
@@ -758,7 +766,8 @@ class TestCli:
              "event-hit-without-track", "event-track-id-repeated",
              "graph-v2-format", "graph-vertex-on-beamline",
              "graph-vertex-x-inf", "graph-vertex-particle-unlisted",
-             "graph-particle-target-null", "graph-particle-without-vertex"])
+             "graph-particle-target-null", "graph-particle-without-vertex",
+             "graph-particle-repeated"])
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
                                         damage, command):
         cfg_path = tiny_cli_config(tmp_path)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from trackseg.errors import ConfigError, ShapeError, StateError
 from trackseg.neural import autodiff as ad
 from trackseg.neural.autodiff import Tape
 from trackseg.neural.nn import (HUBER_DELTA, AdamState, MlpSpec, adam_step,
-                                bce_loss, gradients, huber_loss,
-                                init_mlp_params, mlp_forward,
-                                mse_tracking_loss)
+                                bce_loss, huber_loss, init_mlp_params,
+                                mlp_forward, mse_tracking_loss)
 
 
 def finite_difference(f, x0, h=1e-6):
@@ -31,11 +31,11 @@ def check_op_gradient(build, x0, h=1e-6, tol=1e-6):
     central differences."""
     def value(x):
         t = Tape()
-        v = t.leaf(x)
+        v = t.const(x)
         return float(build(t, v).data)
 
     t = Tape()
-    v = t.leaf(x0)
+    v = t.const(x0)
     loss = build(t, v)
     t.backward(loss)
     fd = finite_difference(value, x0, h)
@@ -45,15 +45,26 @@ def check_op_gradient(build, x0, h=1e-6, tol=1e-6):
 
 def mlp_gradient_builds(arrays, sigmoid_out, mix):
     """check_op_gradient builds of sum(mix * mlp(x)) for arrays = [x, W0,
-    b0, W1, b1, ...]: one per array, each varying that array."""
+    b0, W1, b1, ...]: one per array, each varying that array.  A varied
+    weight enters mlp as its Var's value, with the Var's gradient slot as
+    the dW or db that mlp adds into."""
     def build_for(which):
         def build(t, v):
-            x, *wb = [v if k == which else t.const(a)
-                      for k, a in enumerate(arrays)]
-            out = ad.mlp(x, list(zip(wb[::2], wb[1::2])), sigmoid_out)
-            return weighted_sum(out, mix)
+            x = v if which == 0 else t.const(arrays[0])
+            slots = [(v.data, v.grad) if k == which else (a, np.zeros_like(a))
+                     for k, a in enumerate(arrays) if k > 0]
+            layers = [(w, b, dw, db) for (w, dw), (b, db)
+                      in zip(slots[::2], slots[1::2])]
+            return weighted_sum(ad.mlp(x, layers, sigmoid_out), mix)
         return build
     return [build_for(k) for k in range(len(arrays))]
+
+
+def weights(**arrays):
+    """Stand-in model for mlp_forward: the arrays as its parameters,
+    each with a zero gradient slot."""
+    return SimpleNamespace(params=arrays, grads={
+        name: np.zeros_like(a) for name, a in arrays.items()})
 
 
 class TestPrimitiveGradients:
@@ -108,7 +119,7 @@ class TestPrimitiveGradients:
     def test_clip_blocks_gradient_outside(self):
         # 1.0 lies beyond the clamp at 1 - BCE_CLAMP
         t = Tape()
-        v = t.leaf(np.array([[1.0], [0.5]]))
+        v = t.const(np.array([[1.0], [0.5]]))
         t.backward(bce_loss(np.ones((2, 1)), v))
         assert v.grad[0, 0] == 0.0 and v.grad[1, 0] == -1.0
 
@@ -144,7 +155,7 @@ class TestPrimitiveGradients:
         x0 = np.array([[1.0, 2.0], [3.0, 0.5], [0.2, 0.9]])
         seg = np.array([0, 0, 1])
         t = Tape()
-        v = t.leaf(x0)
+        v = t.const(x0)
         out = ad.segment_max(v, seg, 2)
         t.backward(weighted_sum(out, np.ones((2, 2))))
         expected = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -189,7 +200,7 @@ class TestMaxAggregate:
 
     def test_tie_routes_to_lowest_index(self):
         t = Tape()
-        v = t.leaf(np.array([[5.0], [5.0]]))
+        v = t.const(np.array([[5.0], [5.0]]))
         out = ad.segment_max(v, np.array([0, 0]), 1)
         t.backward(weighted_sum(out, np.ones((1, 1))))
         assert np.array_equal(v.grad, np.array([[1.0], [0.0]]))
@@ -210,8 +221,7 @@ class TestMlp:
     def test_zero_weights_bias_only(self):
         spec = MlpSpec((3, 2))
         t = Tape()
-        params = {"W0": t.const(np.zeros((3, 2))),
-                  "b0": t.const(np.array([0.5, -1.0]))}
+        params = weights(W0=np.zeros((3, 2)), b0=np.array([0.5, -1.0]))
         out = mlp_forward(spec, params, t.const(np.random.default_rng(0)
                                                 .normal(0, 1, (4, 3))))
         assert np.allclose(out.data, np.tile([0.5, -1.0], (4, 1)))
@@ -219,7 +229,7 @@ class TestMlp:
     def test_identity_layer(self):
         spec = MlpSpec((3, 3))
         t = Tape()
-        params = {"W0": t.const(np.eye(3)), "b0": t.const(np.zeros(3))}
+        params = weights(W0=np.eye(3), b0=np.zeros(3))
         x = np.random.default_rng(1).normal(0, 1, (5, 3))
         out = mlp_forward(spec, params, t.const(x))
         assert np.array_equal(out.data, x)
@@ -235,16 +245,14 @@ class TestMlp:
         hidden = np.maximum(x @ w0 + b0, 0.0)
         expected = hidden @ w1 + b1
         t = Tape()
-        params = {"W0": t.const(w0), "b0": t.const(b0),
-                  "W1": t.const(w1), "b1": t.const(b1)}
+        params = weights(W0=w0, b0=b0, W1=w1, b1=b1)
         out = mlp_forward(spec, params, t.const(x))
         assert np.allclose(out.data, expected)
 
     def test_shape_error_names_both(self):
         spec = MlpSpec((3, 2))
         t = Tape()
-        params = {"W0": t.const(np.zeros((3, 2))),
-                  "b0": t.const(np.zeros(2))}
+        params = weights(W0=np.zeros((3, 2)), b0=np.zeros(2))
         with pytest.raises(ShapeError, match="4.*3|3.*4"):
             mlp_forward(spec, params, t.const(np.zeros((1, 4))))
 
@@ -255,8 +263,7 @@ class TestMlp:
     def test_one_tape_node_per_call(self):
         spec = MlpSpec((3, 4, 4, 1), sigmoid_out=True)
         t = Tape()
-        params = {k: t.leaf(v) for k, v in
-                  init_mlp_params(spec, np.random.default_rng(3)).items()}
+        params = weights(**init_mlp_params(spec, np.random.default_rng(3)))
         x = t.const(np.ones((5, 3)))
         for _ in range(2):
             before = len(t._nodes)
@@ -386,9 +393,9 @@ class TestMseTracking:
 
 def test_each_loss_call_is_one_tape_node():
     t = Tape()
-    prob = t.leaf(np.full((3, 1), 0.4))
-    box = t.leaf(np.zeros((3, 5)))
-    params = t.leaf(np.ones((2, 2)))
+    prob = t.const(np.full((3, 1), 0.4))
+    box = t.const(np.zeros((3, 5)))
+    params = t.const(np.ones((2, 2)))
     for call in (lambda: bce_loss([1.0, 0.0, 1.0], prob),
                  lambda: huber_loss(box, np.ones((3, 5)), [1.0, 0.0, 1.0]),
                  lambda: mse_tracking_loss(params, [[2.0, 1e-4], [1.0, 0.0]])):
@@ -439,7 +446,7 @@ class TestAdam:
         def run():
             rng = np.random.default_rng(8)
             w = rng.normal(0, 1, 9)
-            state = AdamState(lr=1e-3)
+            state = AdamState(lr=1e-3, weight_decay=1e-5)
             trace = []
             for _ in range(5):
                 adam_step(state, w, rng.normal(0, 1, 9))
@@ -450,40 +457,23 @@ class TestAdam:
             assert np.array_equal(a, b)
 
     def test_shape_mismatch(self):
-        state = AdamState()
+        state = AdamState(lr=1e-3, weight_decay=0.0)
         with pytest.raises(ShapeError):
             adam_step(state, np.zeros(2), np.zeros(3))
         assert state.step == 0 and state.m is None
 
 
 class TestGradients:
-    def test_sum_of_params(self):
-        t = Tape()
-        leaves = {"w": t.leaf(np.array([1.0, 2.0, 3.0]))}
-        g = gradients(weighted_sum(leaves["w"], np.ones(3)), leaves)
-        assert np.array_equal(g, np.ones(3))
-
-    def test_quadratic(self):
-        t = Tape()
-        w0 = np.random.default_rng(9).normal(0, 1, (3, 2))
-        leaves = {"w": t.leaf(w0), "c": t.leaf(np.ones(2))}
-        # 1.5 * sum(w^2) / 3 rows
-        loss = ad.scale(mse_tracking_loss(leaves["w"], np.zeros((3, 2)),
-                                          scales=(1.0, 1.0)), 1.5)
-        g = gradients(loss, leaves)
-        # one flat vector in leaf order
-        assert np.allclose(g, np.concatenate([w0.ravel(), np.zeros(2)]))
-
     def test_tape_reuse_rejected(self):
         t = Tape()
-        v = t.leaf(np.array([1.0]))
+        v = t.const(np.array([1.0]))
         loss = weighted_sum(v, np.ones(1))
         t.backward(loss)
         with pytest.raises(StateError):
             t.backward(loss)
         # a tape ended by its context manager is used up as well
         with Tape() as t:
-            loss = weighted_sum(t.leaf(np.array([1.0, 2.0])), np.ones(2))
+            loss = weighted_sum(t.const(np.array([1.0, 2.0])), np.ones(2))
         assert float(loss.data) == 3.0
         with pytest.raises(StateError):
             t.backward(loss)
@@ -491,4 +481,4 @@ class TestGradients:
     def test_cross_tape_rejected(self):
         t1, t2 = Tape(), Tape()
         with pytest.raises(StateError):
-            ad.add(t1.leaf(np.zeros(2)), t2.leaf(np.zeros(2)))
+            ad.add(t1.const(np.zeros(2)), t2.const(np.zeros(2)))

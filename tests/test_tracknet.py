@@ -19,8 +19,7 @@ from trackseg.ellipses import make_ellipse
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
                              DomainError, NumericError, ParseError)
 from trackseg.graphs import Graph
-from trackseg.neural.autodiff import Tape
-from trackseg.neural.nn import AdamState, gradients, mlp_forward
+from trackseg.neural.nn import AdamState, mlp_forward
 
 
 def small_config(iterations=2, hidden=8, **kwargs):
@@ -141,10 +140,10 @@ class TestTotalLoss:
         perfect = tn.VertexOutputs(
             class_prob=tape.const(y[:, None]),
             encoded_box=tape.const(enc),
-            final_state=out.final_state, leaves=out.leaves)
+            final_state=out.final_state)
         preds = tape.const(np.array([[2.0, 1e-4]]))
         total, comps = tn.total_loss(perfect, (y, enc), preds,
-                                     [(2.0, 1e-4)])
+                                     [(2.0, 1e-4)], m.config.loss_weights)
         assert comps["l_total"] == pytest.approx(0.0, abs=1e-9)
 
     def test_gamma_zero_ignores_tracking(self, toy_graph):
@@ -199,7 +198,7 @@ class TestPredictClusterParams:
                 m.params[k][...] = 0.0
         m.params["trk.b1"][:] = [3.5, 2e-4]
         out = tn.gnn_forward(m, g)
-        pred = tn.predict_cluster_params(m, out.final_state, out.leaves,
+        pred = tn.predict_cluster_params(m, out.final_state,
                                          [[0, 1, 2, 3]], g.vertex_xy)
         assert np.allclose(pred.data, [[3.5, 2e-4]])
 
@@ -214,14 +213,13 @@ class TestPredictClusterParams:
         g = tiny_graph()
         m = tn.Model(small_config(), seed=14)
         out = tn.gnn_forward(m, g)
-        pred = tn.predict_cluster_params(m, out.final_state, out.leaves,
+        pred = tn.predict_cluster_params(m, out.final_state,
                                          [[0, 1]], g.vertex_xy)
         # the parabola features are zeroed: only the state max is read
         state_max = out.final_state.data[:2].max(axis=0)
         feats = out.final_state.tape.const(
             np.concatenate([np.zeros(3), state_max])[None])
-        zero_fit = mlp_forward(m.config.specs["tracking"], out.leaves, feats,
-                               "trk.")
+        zero_fit = mlp_forward(m.config.specs["tracking"], m, feats, "trk.")
         assert np.array_equal(pred.data, zero_fit.data)
         assert pred.data.shape == (1, 2)
 
@@ -229,10 +227,10 @@ class TestPredictClusterParams:
         g = tiny_graph()
         m = tn.Model(small_config(), seed=15)
         out = tn.gnn_forward(m, g)
-        pred = tn.predict_cluster_params(m, out.final_state, out.leaves,
+        pred = tn.predict_cluster_params(m, out.final_state,
                                          [[0, 1, 2]], g.vertex_xy)
         assert pred.data.shape == (1, 2)
-        none = tn.predict_cluster_params(m, out.final_state, out.leaves, [],
+        none = tn.predict_cluster_params(m, out.final_state, [],
                                          g.vertex_xy)
         assert none.data.shape == (0, 2)
 
@@ -242,12 +240,11 @@ class TestPredictClusterParams:
         out = tn.gnn_forward(m, g)
         clusters = [np.flatnonzero(g.vertex_particle_id == pid)
                     for pid in sorted(g.truth_params)] + [[0, 1], [2]]
-        batched = tn.predict_cluster_params(m, out.final_state, out.leaves,
+        batched = tn.predict_cluster_params(m, out.final_state,
                                             clusters, g.vertex_xy)
         assert batched.data.shape == (len(clusters), 2)
         for k, vids in enumerate(clusters):
-            single = tn.predict_cluster_params(m, out.final_state,
-                                               out.leaves, [vids],
+            single = tn.predict_cluster_params(m, out.final_state, [vids],
                                                g.vertex_xy)
             assert np.allclose(batched.data[k], single.data[0], rtol=1e-12,
                                atol=0.0)
@@ -257,7 +254,7 @@ class TestPredictClusterParams:
         m = tn.Model(small_config(), seed=16)
         out = tn.gnn_forward(m, g)
         vids = [0, 1, 2, 3]
-        pred = tn.predict_cluster_params(m, out.final_state, out.leaves,
+        pred = tn.predict_cluster_params(m, out.final_state,
                                          [vids], g.vertex_xy)
         (pt, eps), = tn.cluster_params_from_states(
             m, out.final_state.data, [vids], g.vertex_xy)
@@ -268,21 +265,21 @@ class TestPredictClusterParams:
 def composite_loss(cfg, graph, flat):
     """Full gnn_forward + total_loss composite at the flat parameter
     vector `flat`, unit tracking scales so the finite-difference
-    comparison stays well conditioned."""
+    comparison stays well conditioned.  Returns the loss Var and the
+    model, whose `grad` the reverse sweep fills."""
     m = tn.Model(cfg)
     m.flat[:] = flat
-    tape = Tape()
-    out = tn.gnn_forward(m, graph, tape)
+    out = tn.gnn_forward(m, graph)
     pids = sorted(graph.truth_params)
     clusters = [np.flatnonzero(graph.vertex_particle_id == pid)
                 for pid in pids]
-    preds = tn.predict_cluster_params(m, out.final_state, out.leaves,
+    preds = tn.predict_cluster_params(m, out.final_state,
                                       clusters, graph.vertex_xy)
     truths = [graph.truth_params[pid] for pid in pids]
     targets = tn.build_targets(graph)
     total, _ = tn.total_loss(out, targets, preds, truths,
-                             tracking_scales=(1.0, 1.0))
-    return total, out, tape
+                             cfg.loss_weights, tracking_scales=(1.0, 1.0))
+    return total, m
 
 
 def sweep_composite_gradients(graph, cfg, model_seed, element_cap=None,
@@ -303,8 +300,9 @@ def sweep_composite_gradients(graph, cfg, model_seed, element_cap=None,
             model.params[k][...] = rng.uniform(0.01, 0.2,
                                                model.params[k].shape)
 
-    total, out, _ = composite_loss(cfg, graph, model.flat)
-    grads = gradients(total, out.leaves)
+    total, swept = composite_loss(cfg, graph, model.flat)
+    total.tape.backward(total)
+    grads = swept.grad
 
     rng2 = np.random.default_rng(seed)
     worst = 0.0
@@ -316,9 +314,9 @@ def sweep_composite_gradients(graph, cfg, model_seed, element_cap=None,
         for fi in idx:
             flat = model.flat.copy()
             flat[offset + fi] += h
-            lp, _, _ = composite_loss(cfg, graph, flat)
+            lp, _ = composite_loss(cfg, graph, flat)
             flat[offset + fi] -= 2 * h
-            lm, _, _ = composite_loss(cfg, graph, flat)
+            lm, _ = composite_loss(cfg, graph, flat)
             fd = (float(lp.data) - float(lm.data)) / (2 * h)
             an = grads[offset + fi]
             worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-4))
@@ -392,7 +390,7 @@ class TestTrain:
                     truth_params={}, vertex_target_ellipse=[None] * 4)
         assert g.n_edges > 0
         m = tn.Model(small_config(), seed=28)
-        comps = tn.train_step(m, g, AdamState(lr=1e-3))
+        comps = tn.train_step(m, g, AdamState(lr=1e-3, weight_decay=1e-5))
         assert math.isfinite(comps["l_total"])
         assert comps["l_t"] == 0.0
 
@@ -444,6 +442,44 @@ class TestInfer:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def byte_offset(view, whole):
+    return (view.__array_interface__["data"][0]
+            - whole.__array_interface__["data"][0])
+
+
+class TestGradientVector:
+    """The model owns one gradient vector laid out like its parameters."""
+
+    def test_grads_line_up_with_params(self):
+        m = tn.Model(small_config(), seed=2)
+        assert m.grad.shape == m.flat.shape
+        assert np.array_equal(m.grad, np.zeros_like(m.flat))
+        assert list(m.grads) == list(m.params)
+        for name, p in m.params.items():
+            g = m.grads[name]
+            assert g.shape == p.shape and np.shares_memory(g, m.grad)
+            assert byte_offset(g, m.grad) == byte_offset(p, m.flat)
+
+    def test_inference_keeps_the_gradient_zero(self, toy_graph):
+        m = tn.Model(small_config(), seed=3)
+        r = tn.infer(m, toy_graph, threshold=0.0)
+        tn.cluster_params_from_states(m, r.final_state,
+                                      [list(range(toy_graph.n_vertices))],
+                                      toy_graph.vertex_xy)
+        assert np.array_equal(m.grad, np.zeros_like(m.grad))
+
+    def test_train_step_starts_from_a_zero_gradient(self):
+        g = make_training_graph(seed=54, n_tracks=2)[1]
+        fresh = tn.Model(small_config(), seed=29)
+        stale = tn.Model(small_config(), seed=29)
+        stale.grad.fill(np.nan)
+        comps = [tn.train_step(m, g, AdamState(lr=1e-3, weight_decay=1e-5))
+                 for m in (fresh, stale)]
+        assert comps[1] == comps[0]
+        assert stale.flat.tobytes() == fresh.flat.tobytes()
+        assert stale.grad.tobytes() == fresh.grad.tobytes()
 
 
 FUZZ_GRAPH = make_training_graph(seed=82, n_tracks=2, noise_fraction=0.2)[1]
