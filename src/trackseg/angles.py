@@ -38,14 +38,16 @@ def wrap_half_pi(x):
     return _mod(x + 0.5 * np.pi, np.pi) - 0.5 * np.pi
 
 
-def circular_mean(angles, period=TWO_PI):
-    """Mean of angles with the given period, via the unit-vector average.
+def circular_mean(angles, period=TWO_PI, where=True):
+    """Mean of angles with the given period, via the unit-vector average
+    along the last axis over the entries `where` selects.
 
-    Returns a value in [0, period). Undefined (returns 0.0) when the
-    vector average cancels exactly.
+    Returns values in [0, period), a float for a 1-d input.  Undefined
+    (0.0) where the vector average cancels exactly.
     """
     a = np.asarray(angles, dtype=float) * (TWO_PI / period)
-    s, c = np.sin(a).mean(), np.cos(a).mean()
-    if abs(s) < 1e-300 and abs(c) < 1e-300:
-        return 0.0
-    return float(_mod(np.arctan2(s, c) * (period / TWO_PI), period))
+    s = np.sin(a).mean(axis=-1, where=where)
+    c = np.cos(a).mean(axis=-1, where=where)
+    mean = np.where((np.abs(s) < 1e-300) & (np.abs(c) < 1e-300), 0.0,
+                    _mod(np.arctan2(s, c) * (period / TWO_PI), period))
+    return mean if mean.ndim else float(mean)

@@ -119,12 +119,19 @@ def decode_box(d, vertex: tuple[float, float]) -> Ellipse5:
 
 def _quad_form(e: Ellipse5, eta, phi):
     """Quadratic form of the ellipse; <= 1 on and inside the boundary."""
-    d_eta = np.asarray(eta, dtype=float) - e.eta_c
-    d_phi = signed_dphi(np.asarray(phi, dtype=float), e.phi_c)
-    ct, st = math.cos(e.theta), math.sin(e.theta)
+    return _quad(e.eta_c, e.phi_c, e.a, e.b, math.cos(e.theta),
+                 math.sin(e.theta), eta, phi)
+
+
+def _quad(eta_c, phi_c, a, b, ct, st, eta, phi):
+    """Quadratic form of the ellipse with centre (eta_c, phi_c), semi-axes
+    a and b and rotation cosine and sine ct and st, broadcast over its
+    arguments."""
+    d_eta = np.asarray(eta, dtype=float) - eta_c
+    d_phi = signed_dphi(np.asarray(phi, dtype=float), phi_c)
     major = ct * d_eta + st * d_phi
     minor = -st * d_eta + ct * d_phi
-    return (major / e.a) ** 2 + (minor / e.b) ** 2
+    return (major / a) ** 2 + (minor / b) ** 2
 
 
 def point_in_ellipse(e: Ellipse5, p):
@@ -213,95 +220,141 @@ def ellipse_from_dict(d: dict) -> Ellipse5:
                       for k in ("eta_c", "phi_c", "a", "b", "theta")])
 
 
-def mvee(points) -> Ellipse5:
-    """Minimum-area enclosing ellipse of eta-phi points.
+def mvee(point_sets) -> list[Ellipse5]:
+    """Minimum-area enclosing ellipse of each set of eta-phi points.
 
-    Runs the Khachiyan barycentric-coordinate-descent scheme to
-    MVEE_TOLERANCE, then rescales the result so the farthest input point
-    lies exactly on the boundary (guaranteeing containment).  Degenerate
-    inputs are handled directly: a single or coincident point set yields
-    a floor-radius circle, collinear points a segment-spanning ellipse
-    with the minor axis at the floor.  phi is unwrapped around its
-    circular mean first, so point sets straddling the 2*pi seam are fine.
+    Runs the Khachiyan barycentric-coordinate-descent scheme with away
+    steps (Todd & Yildirim 2007) to MVEE_TOLERANCE, then rescales the
+    result so the farthest input point lies exactly on the boundary
+    (guaranteeing containment).  Degenerate inputs are handled directly:
+    a single or coincident point set yields a floor-radius circle,
+    collinear points a segment-spanning ellipse with the minor axis at
+    the floor.  phi is unwrapped around its circular mean first, so
+    point sets straddling the 2*pi seam are fine.
+
+    All sets are solved at once: they are padded with zero-weight slots
+    to one (sets, points) batch, and each iteration updates the sets that
+    have not converged yet, so every set takes the steps it would take
+    alone.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts) == 0:
-        raise DomainError("mvee needs at least one point")
+    sets = [np.asarray(p, dtype=float).reshape(-1, 2) for p in point_sets]
+    if not sets:
+        return []
+    sizes = np.array([len(p) for p in sets])
+    if np.any(sizes == 0):
+        raise DomainError("mvee needs at least one point per set")
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    pts = np.zeros(valid.shape + (2,))
+    pts[valid] = np.concatenate(sets)
 
-    phi_ref = circular_mean(pts[:, 1])
-    flat = np.stack(
-        [pts[:, 0], phi_ref + np.asarray(signed_dphi(pts[:, 1], phi_ref))],
-        axis=1)
+    phi_ref = circular_mean(pts[..., 1], where=valid)[:, None]
+    flat = np.stack([pts[..., 0],
+                     phi_ref + signed_dphi(pts[..., 1], phi_ref)], axis=2)
+    center = flat.mean(axis=1, where=valid[..., None])
+    spread = np.where(valid[..., None], flat - center[:, None], 0.0)
 
-    center = flat.mean(axis=0)
-    spread = flat - center
-    scale = float(np.abs(spread).max())
+    # rows (eta_c, phi_c, a, b, theta); coincident sets keep the floor
+    # circle, the others are filled in below
+    rows = np.column_stack([center, np.full((len(sets), 2), AXIS_FLOOR),
+                            np.zeros(len(sets))])
+    solve = np.flatnonzero(np.abs(spread).max(axis=(1, 2)) >= 1e-12)
+    if len(solve):
+        _, svals, vecs = np.linalg.svd(spread[solve], full_matrices=False)
+        line = svals[:, 1] <= 1e-7 * svals[:, 0]
+        rows[solve[line]] = _segment_ellipses(
+            center[solve[line]], spread[solve[line]], valid[solve[line]],
+            vecs[line, 0])
+        rest = solve[~line]
+        rows[rest] = _khachiyan_ellipses(center[rest], flat[rest],
+                                         spread[rest], valid[rest],
+                                         sizes[rest])
+    rows[:, 1] = wrap_phi(rows[:, 1])
+    rows[:, 4] = wrap_theta(rows[:, 4])
+    rows[solve] = _rescale_to_contain(rows[solve], flat[solve], valid[solve])
+    return [Ellipse5(*row) for row in rows.tolist()]
 
-    if scale < 1e-12:  # all points coincident
-        return make_ellipse(center[0], center[1], AXIS_FLOOR, AXIS_FLOOR, 0.0)
 
-    # principal direction; collinear sets get the segment treatment
-    _, svals, vecs = np.linalg.svd(spread, full_matrices=False)
-    if len(svals) < 2 or svals[1] <= 1e-7 * svals[0]:
-        axis = vecs[0]
-        proj = spread @ axis
-        mid = center + 0.5 * (proj.min() + proj.max()) * axis
-        half = 0.5 * float(proj.max() - proj.min())
-        theta = math.atan2(axis[1], axis[0])
-        a, b = max(half, AXIS_FLOOR), AXIS_FLOOR
-        e = make_ellipse(mid[0], mid[1], a, b, theta)
-        return _rescale_to_contain(e, flat)
+def _segment_ellipses(center, spread, valid, axis) -> np.ndarray:
+    """Rows of the ellipses spanning collinear sets along their unit
+    principal axes, the minor axis at the floor."""
+    proj = np.einsum("tkd,td->tk", spread, axis)
+    lo = np.where(valid, proj, np.inf).min(axis=1)
+    hi = np.where(valid, proj, -np.inf).max(axis=1)
+    mid = center + (0.5 * (lo + hi))[:, None] * axis
+    return np.column_stack([mid, np.maximum(0.5 * (hi - lo), AXIS_FLOOR),
+                            np.full(len(mid), AXIS_FLOOR),
+                            np.arctan2(axis[:, 1], axis[:, 0])])
 
+
+def _khachiyan_ellipses(center, flat, spread, valid, sizes) -> np.ndarray:
+    """Rows of the minimum-volume enclosing ellipses of non-degenerate
+    sets, to MVEE_TOLERANCE; a >= b because eigh sorts ascending."""
     # the problem is affine-equivariant: normalize each axis to unit
     # extent so elongated sets converge as fast as round ones
-    axis_scale = np.maximum(flat.max(axis=0) - flat.min(axis=0), 1e-30)
-    norm = spread / axis_scale
-
-    n, d = norm.shape
-    q = np.column_stack([norm, np.ones(n)]).T  # (3, n)
-    u = np.full(n, 1.0 / n)
+    lo = np.where(valid[..., None], flat, np.inf).min(axis=1)
+    hi = np.where(valid[..., None], flat, -np.inf).max(axis=1)
+    axis_scale = np.maximum(hi - lo, 1e-30)
+    norm = spread / axis_scale[:, None]
+    d = norm.shape[2]
     lift = d + 1.0
+    q = np.concatenate([norm, valid[..., None].astype(float)], axis=2)
+    u = valid / sizes[:, None]
+
+    # the sets still iterating, their points, weights and real slots
+    live = sets = np.arange(len(u))
+    q_live, u_live, valid_live = q, u.copy(), valid
     for _ in range(100_000):
-        x = q @ (u[:, None] * q.T)
-        m = np.einsum("ij,ji->i", q.T @ np.linalg.inv(x), q)
-        j_add = int(np.argmax(m))
+        if not len(live):
+            break
+        x = np.matmul(q_live.transpose(0, 2, 1), u_live[..., None] * q_live)
+        m = np.einsum("tkj,tkj->tk", q_live @ np.linalg.inv(x), q_live)
+        m_add = np.where(valid_live, m, -np.inf)
+        j_add = m_add.argmax(axis=1)
         # away step over the current support gives linear convergence
         # (plain ascent needs O(1/MVEE_TOLERANCE) iterations)
-        support = u > 1e-12
-        m_support = np.where(support, m, np.inf)
-        j_away = int(np.argmin(m_support))
-        gain_add = m[j_add] - lift
-        gain_away = lift - m_support[j_away]
-        if max(gain_add, gain_away) <= lift * MVEE_TOLERANCE:
-            break
-        j = j_add if gain_add >= gain_away else j_away
-        beta = (m[j] - lift) / (lift * (m[j] - 1.0))
-        beta = max(beta, -u[j] / (1.0 - u[j]))  # drop step floor
-        u *= 1.0 - beta
-        u[j] += beta
+        m_away = np.where(u_live > 1e-12, m, np.inf)
+        j_away = m_away.argmin(axis=1)
+        gain_add = m_add[sets, j_add] - lift
+        gain_away = lift - m_away[sets, j_away]
+        j = np.where(gain_add >= gain_away, j_add, j_away)
+        done = np.maximum(gain_add, gain_away) <= lift * MVEE_TOLERANCE
+        if done.any():
+            u[live[done]] = u_live[done]  # a converged set's weights freeze
+            go = ~done
+            live, q_live, u_live, valid_live, m, j = (
+                live[go], q_live[go], u_live[go], valid_live[go], m[go],
+                j[go])
+            sets = sets[:len(live)]
+        m_j, u_j = m[sets, j], u_live[sets, j]
+        beta = (m_j - lift) / (lift * (m_j - 1.0))
+        beta = np.maximum(beta, -u_j / (1.0 - u_j))  # drop step floor
+        u_live *= (1.0 - beta)[:, None]
+        u_live[sets, j] += beta
+    u[live] = u_live
 
-    c_norm = u @ norm
+    c_norm = np.einsum("tk,tkd->td", u, norm)
     shape_norm = np.linalg.inv(
-        norm.T @ (u[:, None] * norm) - np.outer(c_norm, c_norm)) / d
+        np.matmul(norm.transpose(0, 2, 1), u[..., None] * norm)
+        - c_norm[:, :, None] * c_norm[:, None, :]) / d
     # undo the axis scaling: x = D z + center with D = diag(axis_scale)
-    d_inv = np.diag(1.0 / axis_scale)
-    shape = d_inv @ shape_norm @ d_inv
-    c = center + c_norm * axis_scale
+    d_inv = 1.0 / axis_scale
+    shape = d_inv[:, :, None] * shape_norm * d_inv[:, None, :]
     evals, evecs = np.linalg.eigh(shape)  # ascending; semi-axis = 1/sqrt
-    a = 1.0 / math.sqrt(max(evals[0], 1e-30))
-    b = 1.0 / math.sqrt(max(evals[1], 1e-30))
-    theta = math.atan2(evecs[1, 0], evecs[0, 0])
-    e = make_ellipse(c[0], c[1], max(a, AXIS_FLOOR), max(b, AXIS_FLOOR),
-                     theta)
-    return _rescale_to_contain(e, flat)
+    return np.column_stack([
+        center + c_norm * axis_scale,
+        np.maximum(1.0 / np.sqrt(np.maximum(evals, 1e-30)), AXIS_FLOOR),
+        np.arctan2(evecs[:, 1, 0], evecs[:, 0, 0])])
 
 
-def _rescale_to_contain(e: Ellipse5, flat_points: np.ndarray) -> Ellipse5:
-    """Scale semi-axes so the farthest point sits on the boundary, never
-    dropping below the axis floor."""
-    q = float(np.max(_quad_form(e, flat_points[:, 0], flat_points[:, 1])))
-    if q <= 0.0:
-        return e
-    s = math.sqrt(q)
-    return make_ellipse(e.eta_c, e.phi_c, max(e.a * s, AXIS_FLOOR),
-                        max(e.b * s, AXIS_FLOOR), e.theta)
+def _rescale_to_contain(rows: np.ndarray, flat: np.ndarray,
+                        valid: np.ndarray) -> np.ndarray:
+    """Rows with the semi-axes scaled so each set's farthest point sits
+    on the boundary, never dropping below the axis floor."""
+    eta_c, phi_c, a, b, theta = (rows[:, [k]] for k in range(5))
+    q = _quad(eta_c, phi_c, a, b, np.cos(theta), np.sin(theta),
+              flat[..., 0], flat[..., 1])
+    s = np.sqrt(np.where(valid, q, 0.0).max(axis=1))
+    grow = s > 0.0
+    out = rows.copy()
+    out[grow, 2:4] = np.maximum(rows[grow, 2:4] * s[grow, None], AXIS_FLOOR)
+    return out

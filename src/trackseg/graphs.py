@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .angles import TWO_PI, wrap_phi
 from .ellipses import Ellipse5, ellipse_from_dict, ellipse_to_dict, mvee
 from .errors import ConfigError, ConsistencyError
 from .events import Event, hit_from_dict
@@ -95,14 +96,44 @@ class Graph:
         return len(self.edges)
 
 
-def _adjacency(points: np.ndarray, eps: float) -> np.ndarray:
-    """Boolean n x n matrix of pairs within eps (inclusive, self included)."""
-    eta = points[:, 0]
-    phi = points[:, 1]
-    deta = eta[:, None] - eta[None, :]
-    dphi = np.abs(phi[:, None] - phi[None, :]) % (2.0 * math.pi)
-    dphi = np.minimum(dphi, 2.0 * math.pi - dphi)
-    return deta * deta + dphi * dphi <= eps * eps
+def _neighbors(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices) of the pairs within eps (inclusive,
+    self included), under the same test the brute-force definition uses.
+
+    Candidates come from an (eta, phi) cell grid: cells are at least
+    eps (padded against rounding) wide, the phi columns wrap at the seam
+    and each point looks at its own and the 8 surrounding cells.  A grid
+    never has more rows or columns than points, so its cell keys stay
+    small however small eps is.  Memory is O(n + candidate pairs).
+    """
+    n = len(pts)
+    eta, phi = pts[:, 0], pts[:, 1]
+    width = eps * (1.0 + 2.0 ** -20)
+    n_cols = int(max(1, min(n, TWO_PI // width)))
+    col = (wrap_phi(phi) * (n_cols / TWO_PI)).astype(np.int64) % n_cols
+    eta0 = eta.min()
+    height = max(width, (eta.max() - eta0) / n)
+    row = ((eta - eta0) / height).astype(np.int64)
+    key = row * n_cols + col
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    # the 3 x 3 block, its columns deduplicated when fewer than 3 wrap
+    d_col = np.array(sorted({-1 % n_cols, 0, 1 % n_cols}))
+    block = ((row[:, None, None] + np.array([-1, 0, 1])[:, None]) * n_cols
+             + (col[:, None, None] + d_col) % n_cols).reshape(n, -1)
+    lo = np.searchsorted(keys, block, side="left").ravel()
+    counts = np.searchsorted(keys, block, side="right").ravel() - lo
+    total = int(counts.sum())
+    first = np.cumsum(counts) - counts
+    i = np.repeat(np.arange(n), counts.reshape(n, -1).sum(axis=1))
+    j = order[np.repeat(lo - first, counts) + np.arange(total)]
+    deta = eta[i] - eta[j]
+    dphi = np.abs(phi[i] - phi[j]) % TWO_PI
+    dphi = np.minimum(dphi, TWO_PI - dphi)
+    keep = deta * deta + dphi * dphi <= eps * eps
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i[keep], minlength=n), out=indptr[1:])
+    return indptr, j[keep]
 
 
 def dbscan(points, params: DbscanParams) -> np.ndarray:
@@ -112,31 +143,33 @@ def dbscan(points, params: DbscanParams) -> np.ndarray:
     A core point has >= min_pts neighbors within eps, counting itself.
     Points are scanned in ascending index order, so cluster ids follow
     founding order and border-point ties always go to the
-    earliest-founded cluster.
+    earliest-founded cluster.  Which points a cluster's scan reaches
+    does not depend on the order of a neighbor list.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(pts)
-    labels = np.full(n, -1, dtype=int)
     if n == 0:
-        return labels
-    within = _adjacency(pts, params.eps)
-    core = within.sum(axis=1) >= params.min_pts
+        return np.empty(0, dtype=int)
+    indptr, indices = _neighbors(pts, params.eps)
+    core = (np.diff(indptr) >= params.min_pts).tolist()
+    indptr, indices = indptr.tolist(), indices.tolist()
 
+    labels = [-1] * n
     cluster = 0
     for i in range(n):
         if labels[i] != -1 or not core[i]:
             continue
         labels[i] = cluster
-        queue = deque(np.flatnonzero(within[i]).tolist())
+        queue = deque(indices[indptr[i]:indptr[i + 1]])
         while queue:
             j = queue.popleft()
             if labels[j] != -1:
                 continue
             labels[j] = cluster
             if core[j]:
-                queue.extend(np.flatnonzero(within[j]).tolist())
+                queue.extend(indices[indptr[j]:indptr[j + 1]])
         cluster += 1
-    return labels
+    return np.array(labels, dtype=int)
 
 
 def build_graph(e: Event, params: DbscanParams, targets: list) -> Graph:
@@ -182,14 +215,12 @@ def truth_ellipses(e: Event) -> list[tuple[int, Ellipse5]]:
     hits, inflated by TARGET_PADDING on both semi-axes.  Degenerate
     tracks (one hit, collinear hits) fall back to the semi-axis floor."""
     track_hits = e.track_hits()
-    out = []
-    for t in e.tracks:
-        pts = [(h.eta, h.phi) for h in track_hits[t.particle_id]]
-        base = mvee(np.asarray(pts))
-        padded = Ellipse5(base.eta_c, base.phi_c, base.a * TARGET_PADDING,
-                          base.b * TARGET_PADDING, base.theta)
-        out.append((t.particle_id, padded))
-    return out
+    bases = mvee([[(h.eta, h.phi) for h in track_hits[t.particle_id]]
+                  for t in e.tracks])
+    return [(t.particle_id,
+             Ellipse5(base.eta_c, base.phi_c, base.a * TARGET_PADDING,
+                      base.b * TARGET_PADDING, base.theta))
+            for t, base in zip(e.tracks, bases)]
 
 
 def assign_vertex_targets(hits, ellipses) -> list:

@@ -27,6 +27,7 @@ evaluation run on the held-out tail (or everything when n_holdout is 0).
 from __future__ import annotations
 
 import logging
+import time
 from pathlib import Path
 
 import numpy as np
@@ -110,39 +111,66 @@ def stage_ingest(cfg: RunConfig) -> list[Path]:
 
 
 def stage_build_graphs(cfg: RunConfig) -> list[Path]:
-    """Store the graph of each event, built with one target per hit."""
+    """Store the graph of each event, built with one target per hit; an
+    event id that two event files share raises ConsistencyError."""
+    start = time.perf_counter()
     echo = cfg.to_dict()
     paths = []
-    for event_path in _sorted_files(_events_dir(cfg), "event_*.json"):
-        event = event_from_dict(read_json(event_path))
+    for event in _unique_events(_sorted_files(_events_dir(cfg),
+                                              "event_*.json"),
+                                event_from_dict, lambda e: e.event_id):
         graph = build_graph(event, cfg.dbscan, assign_vertex_targets(
             event.hits, truth_ellipses(event)))
+        _log_graph(graph)
         doc = graph_to_dict(graph)
         doc["config"] = echo
         path = _graphs_dir(cfg) / f"graph_{event.event_id:05d}.json"
         write_json(path, doc)
         paths.append(path)
-    log.info("built %d graphs -> %s", len(paths), _graphs_dir(cfg))
+    log.info("built %d graphs -> %s in %.2f s", len(paths),
+             _graphs_dir(cfg), time.perf_counter() - start)
     return paths
 
 
-def _by_event(paths: list[Path], load, event_id) -> dict:
-    """{event id: load(document)} in file order; an event id that two
+def _log_graph(graph) -> None:
+    """Log a built graph's hits, clusters, edges and unclustered hits.
+    Each cluster is a complete subgraph whose smallest vertex starts
+    edges and ends none; a single-hit cluster (min_pts 1) has no edge
+    and counts as unclustered."""
+    starts = np.zeros(graph.n_vertices, dtype=bool)
+    ends = np.zeros(graph.n_vertices, dtype=bool)
+    starts[graph.edges[:, 0]] = ends[graph.edges[:, 1]] = True
+    log.info("event %d graph: %d hits, %d clusters, %d edges, %d "
+             "unclustered hits", graph.event_id, graph.n_vertices,
+             np.count_nonzero(starts & ~ends), graph.n_edges,
+             np.count_nonzero(~(starts | ends)))
+
+
+def _unique_events(paths: list[Path], load, event_id):
+    """load(document) of each file in file order; an event id that two
     files share raises ConsistencyError naming both."""
-    items, sources = {}, {}
+    sources = {}
     for path in paths:
         item = load(read_json(path))
         key = event_id(item)
         if key in sources:
             raise ConsistencyError(f"{sources[key]} and {path} both hold "
                                    f"event {key}")
-        items[key], sources[key] = item, path
-    return items
+        sources[key] = path
+        yield item
+
+
+def _by_event(paths: list[Path], load, event_id) -> dict:
+    """{event id: load(document)} in file order; an event id that two
+    files share raises ConsistencyError naming both."""
+    return {event_id(item): item
+            for item in _unique_events(paths, load, event_id)}
 
 
 def _load_graphs(cfg: RunConfig):
-    return list(_by_event(_sorted_files(_graphs_dir(cfg), "graph_*.json"),
-                          graph_from_dict, lambda g: g.event_id).values())
+    return list(_unique_events(_sorted_files(_graphs_dir(cfg),
+                                             "graph_*.json"),
+                               graph_from_dict, lambda g: g.event_id))
 
 
 def _split(items, n_holdout: int):

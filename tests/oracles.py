@@ -218,6 +218,103 @@ def polygon_iou(e1, e2, resolution):
     return min(max(inter / union, 0.0), 1.0)
 
 
+def _signed_dphi(a, b):
+    d = (np.asarray(a) - b + math.pi) % (2.0 * math.pi) - math.pi
+    return np.where(d <= -math.pi, d + 2.0 * math.pi, d)
+
+
+def _mod(x, period):
+    r = float(x) % period
+    return 0.0 if r == period else r
+
+
+def _canonical(eta_c, phi_c, a, b, theta):
+    """(eta_c, phi_c, a, b, theta) with a >= b, phi_c in [0, 2 pi) and
+    theta in [0, pi)."""
+    if a < b:
+        a, b, theta = b, a, theta + 0.5 * math.pi
+    return (float(eta_c), _mod(phi_c, 2.0 * math.pi), float(a), float(b),
+            _mod(theta, math.pi))
+
+
+def _rescale_to_contain(e, flat, floor):
+    eta_c, phi_c, a, b, theta = e
+    d_eta = flat[:, 0] - eta_c
+    d_phi = _signed_dphi(flat[:, 1], phi_c)
+    ct, st = math.cos(theta), math.sin(theta)
+    q = float(np.max(((ct * d_eta + st * d_phi) / a) ** 2
+                     + ((-st * d_eta + ct * d_phi) / b) ** 2))
+    if q <= 0.0:
+        return e
+    s = math.sqrt(q)
+    return _canonical(eta_c, phi_c, max(a * s, floor), max(b * s, floor),
+                      theta)
+
+
+def mvee_oracle(points, tolerance, floor):
+    """Minimum-area enclosing ellipse of one set of eta-phi points, as
+    (eta_c, phi_c, a, b, theta): Khachiyan's iteration with away steps to
+    `tolerance` on the set alone, then grown until the farthest point is
+    on the boundary; semi-axes never below `floor`.  A coincident set
+    gives a floor circle, a collinear one a segment-spanning ellipse;
+    phi is unwrapped around its circular mean first."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    s, c = np.sin(pts[:, 1]).mean(), np.cos(pts[:, 1]).mean()
+    phi_ref = 0.0 if abs(s) < 1e-300 and abs(c) < 1e-300 else \
+        _mod(math.atan2(s, c), 2.0 * math.pi)
+    flat = np.stack([pts[:, 0], phi_ref + _signed_dphi(pts[:, 1], phi_ref)],
+                    axis=1)
+    center = flat.mean(axis=0)
+    spread = flat - center
+    if float(np.abs(spread).max()) < 1e-12:
+        return _canonical(center[0], center[1], floor, floor, 0.0)
+
+    _, svals, vecs = np.linalg.svd(spread, full_matrices=False)
+    if len(svals) < 2 or svals[1] <= 1e-7 * svals[0]:
+        axis = vecs[0]
+        proj = spread @ axis
+        mid = center + 0.5 * (proj.min() + proj.max()) * axis
+        half = 0.5 * float(proj.max() - proj.min())
+        e = _canonical(mid[0], mid[1], max(half, floor), floor,
+                       math.atan2(axis[1], axis[0]))
+        return _rescale_to_contain(e, flat, floor)
+
+    axis_scale = np.maximum(flat.max(axis=0) - flat.min(axis=0), 1e-30)
+    norm = spread / axis_scale
+    n, d = norm.shape
+    q = np.column_stack([norm, np.ones(n)]).T  # (3, n)
+    u = np.full(n, 1.0 / n)
+    lift = d + 1.0
+    for _ in range(100_000):
+        x = q @ (u[:, None] * q.T)
+        m = np.einsum("ij,ji->i", q.T @ np.linalg.inv(x), q)
+        j_add = int(np.argmax(m))
+        support = u > 1e-12
+        m_support = np.where(support, m, np.inf)
+        j_away = int(np.argmin(m_support))
+        gain_add = m[j_add] - lift
+        gain_away = lift - m_support[j_away]
+        if max(gain_add, gain_away) <= lift * tolerance:
+            break
+        j = j_add if gain_add >= gain_away else j_away
+        beta = (m[j] - lift) / (lift * (m[j] - 1.0))
+        beta = max(beta, -u[j] / (1.0 - u[j]))
+        u *= 1.0 - beta
+        u[j] += beta
+
+    c_norm = u @ norm
+    shape_norm = np.linalg.inv(
+        norm.T @ (u[:, None] * norm) - np.outer(c_norm, c_norm)) / d
+    d_inv = np.diag(1.0 / axis_scale)
+    evals, evecs = np.linalg.eigh(d_inv @ shape_norm @ d_inv)
+    c = center + c_norm * axis_scale
+    a = 1.0 / math.sqrt(max(evals[0], 1e-30))
+    b = 1.0 / math.sqrt(max(evals[1], 1e-30))
+    e = _canonical(c[0], c[1], max(a, floor), max(b, floor),
+                   math.atan2(evecs[1, 0], evecs[0, 0]))
+    return _rescale_to_contain(e, flat, floor)
+
+
 def sample_circle(a, b, radius, arc_lengths):
     """Exact points on the circle (x-a)^2 + (y-b)^2 = radius^2 along the
     outgoing branch from the point of closest approach."""

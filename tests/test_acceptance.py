@@ -183,7 +183,7 @@ def test_criterion_4_ellipse_suite():
     assert iou(c1, c2) == pytest.approx(expected, abs=0.005)
 
     # MVEE of the unit square corners
-    sq = mvee(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    sq, = mvee([np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])])
     r = math.sqrt(2.0) / 2.0
     assert abs(sq.a - r) < 1e-3 and abs(sq.b - r) < 1e-3
     assert abs(sq.eta_c - 0.5) < 1e-3 and abs(sq.phi_c - 0.5) < 1e-3

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import monte_carlo_iou, point_in_ellipse_quadform, polygon_iou
+from oracles import (monte_carlo_iou, mvee_oracle, point_in_ellipse_quadform,
+                     polygon_iou)
 from trackseg.ellipses import (A_M, AXIS_FLOOR, B_M, DELTA_THETA,
-                               IOU_RESOLUTION, PHI_M, Ellipse5, decode_box,
+                               IOU_RESOLUTION, MVEE_TOLERANCE, PHI_M,
+                               Ellipse5, decode_box,
                                ellipse_from_dict, ellipse_ious,
                                ellipse_to_dict, encode_box, make_ellipse,
                                mvee, point_in_ellipse)
@@ -290,7 +292,8 @@ class TestIouOracle:
 
 class TestMvee:
     def test_unit_square(self):
-        e = mvee(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+        e = mvee([np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                            [0.0, 1.0]])])[0]
         r = math.sqrt(2.0) / 2.0
         assert e.eta_c == pytest.approx(0.5, abs=1e-3)
         assert e.phi_c == pytest.approx(0.5, abs=1e-3)
@@ -298,7 +301,7 @@ class TestMvee:
         assert e.b == pytest.approx(r, abs=1e-3)
 
     def test_single_point(self):
-        e = mvee(np.array([[0.3, 1.5]]))
+        e = mvee([np.array([[0.3, 1.5]])])[0]
         assert (e.eta_c, e.phi_c) == (0.3, 1.5)
         assert e.a == AXIS_FLOOR and e.b == AXIS_FLOOR
 
@@ -310,7 +313,7 @@ class TestMvee:
             * math.sin(th),
             2.0 + a0 * np.cos(t) * math.sin(th) + b0 * np.sin(t)
             * math.cos(th)], axis=1)
-        e = mvee(pts)
+        e = mvee([pts])[0]
         assert e.a == pytest.approx(a0, abs=1e-3)
         assert e.b == pytest.approx(b0, abs=1e-3)
         assert e.theta == pytest.approx(th, abs=1e-3)
@@ -318,7 +321,7 @@ class TestMvee:
     def test_collinear(self):
         pts = np.array([[0.0, 0.0], [0.05, 0.0], [0.1, 0.0], [0.15, 0.0],
                         [0.2, 0.0]])
-        e = mvee(pts)
+        e = mvee([pts])[0]
         assert e.a == pytest.approx(0.1, abs=1e-12)  # half the span
         assert e.b == AXIS_FLOOR
         assert e.theta in (pytest.approx(0.0, abs=1e-12),
@@ -329,7 +332,7 @@ class TestMvee:
         for _ in range(100):
             k = int(rng.integers(1, 25))
             pts = rng.normal(0, 1, (k, 2)) * rng.uniform(1e-3, 0.5, 2)
-            e = mvee(pts)
+            e = mvee([pts])[0]
             inflated = Ellipse5(e.eta_c, e.phi_c, e.a * (1 + 1e-6),
                                 e.b * (1 + 1e-6), e.theta)
             assert np.all(point_in_ellipse_quadform(
@@ -337,11 +340,72 @@ class TestMvee:
 
     def test_phi_seam(self):
         pts = np.array([[0.0, 0.05], [0.0, TWO_PI - 0.05], [0.1, 0.01]])
-        e = mvee(pts)
+        e = mvee([pts])[0]
         for p in pts:
             assert point_in_ellipse(e, tuple(p))
         assert e.a < 0.5  # did not span the whole circle
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            mvee(np.zeros((0, 2)))
+            mvee([np.zeros((0, 2))])
+
+
+def mixed_point_sets(rng, n):
+    """n point sets cycling through every kind mvee treats apart: one
+    point, coincident, collinear, straddling the phi seam, and general
+    sets of 3 to 25 points."""
+    sets = []
+    for i in range(n):
+        k = int(rng.integers(3, 26))
+        kind = i % 5
+        if kind == 0:
+            pts = rng.uniform(0.0, 3.0, (1, 2))
+        elif kind == 1:
+            pts = np.repeat(rng.uniform(0.0, 3.0, (1, 2)), k, axis=0)
+        elif kind == 2:
+            s = rng.uniform(-0.1, 0.1, k)
+            pts = np.stack([1.0 + s, 2.0 + rng.uniform(-2, 2) * s], axis=1)
+        elif kind == 3:
+            pts = np.stack([rng.normal(0.5, 0.02, k),
+                            rng.normal(0.0, 0.02, k) % TWO_PI], axis=1)
+        else:
+            pts = np.stack([rng.uniform(-2, 2) + rng.normal(0, 0.01, k),
+                            rng.uniform(0, TWO_PI) + rng.normal(0, 0.003, k)],
+                           axis=1)
+            pts[:, 1] %= TWO_PI
+        sets.append(pts)
+    return sets
+
+
+class TestBatchedMvee:
+    def test_matches_per_set_oracle(self):
+        sets = mixed_point_sets(np.random.default_rng(31), 200)
+        for e, pts in zip(mvee(sets), sets):
+            want = mvee_oracle(pts, MVEE_TOLERANCE, AXIS_FLOOR)
+            got = astuple(e)
+            for k in (0, 2, 3):
+                assert got[k] == pytest.approx(want[k], rel=1e-9, abs=1e-15)
+            d_phi = abs(got[1] - want[1]) % TWO_PI
+            assert min(d_phi, TWO_PI - d_phi) <= 1e-9 * max(want[1], 1e-6)
+            d_theta = abs(got[4] - want[4]) % math.pi
+            assert min(d_theta, math.pi - d_theta) <= 1e-9 * math.pi
+
+    def test_every_point_inside_its_ellipse(self):
+        sets = mixed_point_sets(np.random.default_rng(32), 200)
+        for e, pts in zip(mvee(sets), sets):
+            assert np.all(point_in_ellipse(e, (pts[:, 0], pts[:, 1])))
+
+    def test_seeded_rerun_bit_identical(self):
+        first = mvee(mixed_point_sets(np.random.default_rng(33), 100))
+        again = mvee(mixed_point_sets(np.random.default_rng(33), 100))
+        assert [astuple(e) for e in first] == [astuple(e) for e in again]
+
+    def test_set_alone_equals_set_in_batch(self):
+        sets = mixed_point_sets(np.random.default_rng(34), 50)
+        batch = mvee(sets)
+        for e, pts in zip(batch, sets):
+            assert astuple(mvee([pts])[0]) == \
+                pytest.approx(astuple(e), rel=1e-12, abs=1e-15)
+
+    def test_no_sets(self):
+        assert mvee([]) == []

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
@@ -74,6 +75,82 @@ class TestDbscan:
         pts = [(0.0, 0.02), (0.0, TWO_PI - 0.02), (0.0, 0.05)]
         labels = dbscan(pts, DbscanParams(eps=0.08, min_pts=2))
         assert len(set(labels)) == 1 and labels[0] != -1
+
+    @staticmethod
+    def assert_oracle(pts, eps, min_pts):
+        labels = dbscan(pts, DbscanParams(eps=eps, min_pts=min_pts))
+        assert np.array_equal(labels, brute_force_dbscan(pts, eps, min_pts))
+        return labels
+
+    @staticmethod
+    def with_isolated(pts, eps, count):
+        """pts, then `count` points on rings of larger eta, each more than
+        eps from every other point: the grid never has more columns than
+        points, so these give it all floor(2 pi / eps) of them."""
+        step = 1.5 * eps
+        per_ring = int(TWO_PI // step)
+        eta = max(p[0] for p in pts) + 2.0 * eps
+        return pts + [(eta + step * (k // per_ring), step * (k % per_ring))
+                      for k in range(count)]
+
+    def test_exactly_eps_apart_across_cell_boundaries(self):
+        # cells are a hair wider than eps = 0.25, so 0.25 shares row 0
+        # with 0 and each later step of exactly eps crosses into a new
+        # row; of the 25 phi columns, 1.0 | 1.25 straddles an edge
+        chain = [(0.25 * k, 3.0) for k in range(5)]
+        ring = [(1.0, 0.25 * k) for k in range(2, 9)]
+        beyond = [(5.0, 3.0), (math.nextafter(5.25, 6.0), 3.0)]
+        labels = self.assert_oracle(
+            self.with_isolated(chain + ring + beyond, 0.25, 30), 0.25, 2)
+        assert len(set(labels[:5])) == 1 and labels[0] != -1
+        assert len(set(labels[5:12])) == 1 and labels[5] != -1
+        assert np.all(labels[12:] == -1)
+
+    def test_cluster_across_the_phi_seam(self):
+        # of 125 columns, A is in the last and row 1, and core only
+        # through B and C in the first column and row 0; D is A's border
+        # point and E pins row 0 to eta 0
+        seam = [(0.06, TWO_PI - 0.01), (0.04, 0.02), (0.04, 0.03),
+                (0.1, TWO_PI - 0.03), (0.0, 3.0)]
+        labels = self.assert_oracle(self.with_isolated(seam, 0.05, 130),
+                                    0.05, 3)
+        assert list(labels[:4]) == [0] * 4 and np.all(labels[4:] == -1)
+
+    @pytest.mark.parametrize("eps", [2.5, math.pi, 3.5, 10.0])
+    def test_fewer_than_three_phi_columns(self, eps):
+        rng = np.random.default_rng(int(eps * 10))
+        for n in (2, 7, 40):
+            pts = np.stack([rng.uniform(-8, 8, n),
+                            rng.uniform(0, TWO_PI, n)], axis=1)
+            for min_pts in (1, 3):
+                self.assert_oracle(pts, eps, min_pts)
+
+    def test_eps_wider_than_the_eta_range(self):
+        rng = np.random.default_rng(15)
+        pts = np.stack([rng.uniform(0.0, 0.1, 30),
+                        rng.uniform(0, TWO_PI, 30)], axis=1)
+        for min_pts in (1, 2, 4):
+            self.assert_oracle(pts, 0.5, min_pts)
+
+    def test_one_point_and_coincident_points(self):
+        assert list(self.assert_oracle([(0.3, 1.0)], 0.05, 1)) == [0]
+        assert list(self.assert_oracle([(0.3, 1.0)], 0.05, 2)) == [-1]
+        same = [(0.3, 6.0)] * 6
+        assert list(self.assert_oracle(same, 0.05, 6)) == [0] * 6
+        assert list(self.assert_oracle(same, 0.05, 7)) == [-1] * 6
+
+    def test_memory_grows_with_pairs_not_points_squared(self):
+        # a dense n x n float matrix alone would take 3.2 GB here
+        rng = np.random.default_rng(16)
+        pts = np.stack([rng.uniform(-2.5, 2.5, 20_000),
+                        rng.uniform(0, TWO_PI, 20_000)], axis=1)
+        tracemalloc.start()
+        try:
+            dbscan(pts, DbscanParams())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_bad_params(self):
         with pytest.raises(ConfigError):

@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import trackseg
 from conftest import JSON_VALUES, doc_paths, set_at
+from oracles import brute_force_dbscan
 from test_events import BAD_TRACKML, BAD_TRACKML_IDS, HITS_CSV, \
     write_trackml
 from trackseg import tracknet
@@ -23,7 +26,7 @@ from trackseg.errors import ConfigError, ConsistencyError, DataError
 from trackseg.events import (DetectorConfig, GenConfig, generate_event,
                              read_trackml_event)
 from trackseg.graphs import (DbscanParams, assign_vertex_targets, build_graph,
-                             truth_ellipses)
+                             graph_from_dict, truth_ellipses)
 from trackseg.harness import pipeline
 from trackseg.harness.cli import main
 from trackseg.harness.config import (RunConfig, apply_overrides,
@@ -643,6 +646,38 @@ class TestCli:
         assert lines[0].endswith(
             f"event {pred['event_id']} nms: {kept} ellipses kept, {n_cand} "
             f"candidates, mean group size {kept / max(n_cand, 1):.2f}")
+
+    def test_run_log_has_graph_line_per_event(self, tmp_path):
+        cfg_path = tiny_cli_config(tmp_path)
+        assert main(["--config", str(cfg_path), "run"]) == 0
+        out = tmp_path / "out"
+        log_lines = (out / "run.log").read_text().splitlines()
+        lines = [line for line in log_lines if " graph: " in line]
+        docs = sorted((out / "graphs").glob("graph_*.json"))
+        assert len(lines) == len(docs) == 4
+        dbscan = RunConfig().dbscan
+        for line, path in zip(lines, docs):
+            graph = graph_from_dict(read_json(path))
+            labels = brute_force_dbscan(
+                np.stack([graph.eta, graph.phi], axis=1), dbscan.eps,
+                dbscan.min_pts)
+            assert line.endswith(
+                f"event {graph.event_id} graph: {graph.n_vertices} hits, "
+                f"{labels.max() + 1} clusters, {graph.n_edges} edges, "
+                f"{np.count_nonzero(labels == -1)} unclustered hits")
+        stage, = [line for line in log_lines if " built " in line]
+        assert re.search(r" built 4 graphs -> .* in \d+\.\d\d s$", stage)
+
+    def test_build_graphs_rejects_repeated_event_id(self, tmp_path, capsys):
+        cfg_path = tiny_cli_config(tmp_path)
+        assert main(["--config", str(cfg_path), "generate"]) == 0
+        events = tmp_path / "out" / "events"
+        shutil.copyfile(events / "event_00000.json",
+                        events / "event_00001.json")
+        assert main(["--config", str(cfg_path), "build-graphs"]) == 3
+        err = capsys.readouterr().err
+        assert "event_00000.json and " in err
+        assert "event_00001.json both hold event 0" in err
 
     def test_rerun_identical_metrics(self, tmp_path):
         cfg_path = tiny_cli_config(tmp_path)
