@@ -182,13 +182,25 @@ def build_graph(e: Event, params: DbscanParams, targets: list) -> Graph:
     if not e.hits:
         raise ConsistencyError("cannot build a graph from an empty event")
     labels = dbscan([(h.eta, h.phi) for h in e.hits], params)
-    edges: list[tuple[int, int]] = []
-    for cluster in range(labels.max() + 1 if labels.size else 0):
-        members = np.flatnonzero(labels == cluster).tolist()
-        edges.extend(itertools.combinations(members, 2))
-    return _graph(e.event_id, e.hits, edges,
+    return _graph(e.event_id, e.hits, _cluster_edges(labels),
                   {t.particle_id: (t.params.p_t, t.params.eps_t)
                    for t in e.tracks}, targets)
+
+
+def _cluster_edges(labels: np.ndarray) -> np.ndarray:
+    """Every pair (i, j), i < j, of points that share a cluster label:
+    clusters in label order, then pairs in lexicographic order, as
+    itertools.combinations lists each cluster's ascending members."""
+    order = np.argsort(labels, kind="stable")
+    members = order[labels[order] >= 0]
+    clustered = labels[members]
+    # position just past the end of each member's cluster
+    ends = np.searchsorted(clustered, clustered, side="right")
+    partners = ends - np.arange(len(members)) - 1
+    first = np.repeat(np.arange(len(members)), partners)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(partners)
+                                               - partners, partners)
+    return np.stack([members[first], members[first + 1 + offset]], axis=1)
 
 
 def _graph(event_id: int, hits, edges, truth_params: dict,

@@ -183,6 +183,7 @@ def _split(items, n_holdout: int):
 
 
 def stage_train(cfg: RunConfig) -> Path:
+    start = time.perf_counter()
     graphs = _load_graphs(cfg)
     train_graphs, _ = _split(graphs, cfg.eval.n_holdout)
     model = tracknet.Model(cfg.model, seed=cfg.seed + _MODEL_SEED_OFFSET)
@@ -193,8 +194,11 @@ def stage_train(cfg: RunConfig) -> Path:
     write_json(_history_path(cfg),
                {"format": "history-v1", "history": history,
                 "seed": cfg.seed, "config": cfg.to_dict()})
-    log.info("trained %d epochs on %d graphs; final l_total=%.6f",
-             len(history), len(train_graphs), history[-1]["l_total"])
+    seconds = time.perf_counter() - start
+    steps = len(history) * len(train_graphs)
+    log.info("trained %d epochs on %d graphs in %.2f s (%.1f steps/s); "
+             "final l_total=%.6f", len(history), len(train_graphs), seconds,
+             steps / seconds, history[-1]["l_total"])
     return save_path
 
 

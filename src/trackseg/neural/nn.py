@@ -7,7 +7,7 @@ scalar Var on the prediction's tape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -150,12 +150,16 @@ def mse_tracking_loss(pred: Var, truth, scales=(1.0, 1e-3)) -> Var:
 @dataclass
 class AdamState:
     """Optimizer state; the moment accumulators are flat arrays laid out
-    like the parameter vector, None before the first step."""
+    like the parameter vector, None before the first step.  `scratch`
+    holds two more such vectors for the update's intermediates, so a step
+    allocates no temporaries."""
     lr: float
     weight_decay: float
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None,
+                                                          repr=False)
 
 
 def adam_step(state: AdamState, flat: np.ndarray, grad: np.ndarray):
@@ -168,15 +172,28 @@ def adam_step(state: AdamState, flat: np.ndarray, grad: np.ndarray):
     if state.m is None:
         state.m = np.zeros_like(flat)
         state.v = np.zeros_like(flat)
+    if state.scratch is None:
+        state.scratch = (np.empty_like(flat), np.empty_like(flat))
     state.step += 1
     t = state.step
     if state.weight_decay:
         flat *= 1.0 - state.lr * state.weight_decay
     m, v = state.m, state.v
+    a, b = state.scratch
+    # in place, the float operations of
+    #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+    #   flat -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
+    m += a
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    flat -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=a)
+    a *= grad
+    v += a
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=a)
+    a *= state.lr
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    flat -= a

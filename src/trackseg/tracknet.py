@@ -8,10 +8,21 @@ into the state with a residual connection (g).  The final states feed a
 track/noise classifier, an encoded-bounding-ellipse regressor and, per
 cluster, a track-parameter head whose inputs combine conformal-fit
 coefficients with the componentwise max of member states.
+
+Training reads each graph through a `TrainingView`, which `train` builds
+once per graph before its epoch loop and drops when it returns: the
+message index arrays and coordinate differences, the truth clusters'
+member arrays and parabola coefficients, the classification labels and
+encoded target boxes, and the truth (p_T, eps_T) rows in particle-id
+order.  None of these depends on the weights, so a train step computes
+only the forward pass, the losses, the backward sweep and the update.
+Inference builds the same message arrays, through the same helper, on
+each call.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import asdict, dataclass
 
@@ -33,6 +44,8 @@ COORD_DIM = 2
 EDGE_FEATURE_DIM = 4
 TRACKING_FEATURE_DIM = 5  # 3 parabola coefficients + 2 state-max components
 CHECKPOINT_FORMAT = "tracknet-v3"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -120,29 +133,46 @@ class VertexOutputs:
     final_state: Var
 
 
-def gnn_forward(model: Model, graph: Graph,
-                tape: Tape | None = None) -> VertexOutputs:
-    """Run the T message-passing iterations and the per-vertex heads.
+@dataclass(frozen=True)
+class Messages:
+    """The directed messages of a graph: each undirected edge carries one
+    in both directions, from vertex `src` to vertex `dst`, with the
+    (delta eta, delta phi) coordinate difference of `src` from `dst`."""
+    src: np.ndarray
+    dst: np.ndarray
+    coord_diff: np.ndarray
 
-    Coordinate differences use the wrapped shortest arc in phi; isolated
-    vertices receive a zero aggregate.
-    """
-    specs = model.config.specs
-    tape = tape if tape is not None else Tape()
 
-    n = graph.n_vertices
-    # each undirected edge carries a message in both directions
+def graph_messages(graph: Graph) -> Messages:
+    """Message arrays of a graph; delta phi is the wrapped shortest arc."""
     i, j = graph.edges[:, 0], graph.edges[:, 1]
     src, dst = np.concatenate([j, i]), np.concatenate([i, j])
     deta = graph.eta[src] - graph.eta[dst]
     dphi = np.asarray(signed_dphi(graph.phi[src], graph.phi[dst]),
                       dtype=float).reshape(-1)
-    coord_diff = np.stack([deta, dphi], axis=1)
+    return Messages(src, dst, np.stack([deta, dphi], axis=1))
 
+
+def gnn_forward(model: Model, graph: Graph, tape: Tape | None = None,
+                messages: Messages | None = None) -> VertexOutputs:
+    """Run the T message-passing iterations and the per-vertex heads.
+
+    `messages` are the graph's message arrays when already built, and
+    are built from `graph` otherwise.  Isolated vertices receive a zero
+    aggregate.
+    """
+    specs = model.config.specs
+    tape = tape if tape is not None else Tape()
+    if messages is None:
+        messages = graph_messages(graph)
+    src, dst = messages.src, messages.dst
+
+    n = graph.n_vertices
     s = tape.const(graph.state)
     for t in range(1, model.config.iterations + 1):
         dx = mlp_forward(specs["h"], model, s, f"h{t}.")
-        shifted = ad.add(tape.const(coord_diff), ad.gather_rows(dx, dst))
+        shifted = ad.add(tape.const(messages.coord_diff),
+                         ad.gather_rows(dx, dst))
         edge_in = ad.concat_cols([shifted, ad.gather_rows(s, src)])
         msg = mlp_forward(specs["f"], model, edge_in, f"f{t}.")
         agg = ad.segment_max(msg, dst, n)
@@ -155,15 +185,21 @@ def gnn_forward(model: Model, graph: Graph,
     return VertexOutputs(prob, box, s)
 
 
-def predict_cluster_params(model: Model, final_state: Var, clusters,
-                           hits_xy) -> Var:
-    """Track-parameter head over a set of vertex clusters.
+@dataclass(frozen=True)
+class ClusterFeatures:
+    """A set of vertex clusters as the track-parameter head reads them:
+    the member vertex ids cluster after cluster, the cluster index of
+    each member, and one row of conformal parabola coefficients per
+    cluster."""
+    members: np.ndarray
+    segment: np.ndarray
+    coeffs: np.ndarray
 
-    Features per cluster: the conformal parabola coefficients of its hits
-    (zero when the cluster has fewer than 3 hits or the fit degenerates)
-    and the componentwise max of its member final states.  `hits_xy` is
-    indexed by vertex id.  Returns a (n_clusters, 2) Var of (p_T, eps_T).
-    """
+
+def cluster_features(clusters, hits_xy) -> ClusterFeatures:
+    """The head's weight-independent inputs for vertex clusters.  The
+    coefficients are zero when a cluster has fewer than 3 hits or the
+    fit degenerates.  `hits_xy` is indexed by vertex id."""
     clusters = [np.asarray(vids, dtype=int) for vids in clusters]
     hits_xy = np.asarray(hits_xy, dtype=float)
     coeffs = np.zeros((len(clusters), 3))
@@ -177,9 +213,22 @@ def predict_cluster_params(model: Model, final_state: Var, clusters,
     members = np.concatenate([np.zeros(0, dtype=int), *clusters])
     segment = np.repeat(np.arange(len(clusters)),
                         [len(vids) for vids in clusters])
-    state_max = ad.segment_max(ad.gather_rows(final_state, members), segment,
-                               len(clusters))
-    feats = ad.concat_cols([final_state.tape.const(coeffs), state_max])
+    return ClusterFeatures(members, segment, coeffs)
+
+
+def predict_cluster_params(model: Model, final_state: Var,
+                           clusters: ClusterFeatures) -> Var:
+    """Track-parameter head over a set of vertex clusters.
+
+    Features per cluster: its parabola coefficients and the componentwise
+    max of its member final states.  Returns a (n_clusters, 2) Var of
+    (p_T, eps_T).
+    """
+    n_clusters = len(clusters.coeffs)
+    state_max = ad.segment_max(ad.gather_rows(final_state, clusters.members),
+                               clusters.segment, n_clusters)
+    feats = ad.concat_cols([final_state.tape.const(clusters.coeffs),
+                            state_max])
     return mlp_forward(model.config.specs["tracking"], model, feats, "trk.")
 
 
@@ -188,7 +237,8 @@ def cluster_params_from_states(model: Model, final_state: np.ndarray,
     """Gradient-free entry to the head for an inference pass's states."""
     with Tape() as tape:
         return predict_cluster_params(model, tape.const(final_state),
-                                      clusters, hits_xy).data
+                                      cluster_features(clusters,
+                                                       hits_xy)).data
 
 
 def build_targets(graph: Graph):
@@ -233,27 +283,51 @@ class TrainConfig:
             raise ConfigError("weight_decay must be >= 0")
 
 
-def train_step(model: Model, graph: Graph, state: AdamState):
-    """One forward/backward/update cycle on a single graph.
+@dataclass(frozen=True)
+class TrainingView:
+    """What a train step reads of one graph besides the weights.  The
+    truth clusters and their (p_T, eps_T) rows follow particle-id order;
+    `targets` is what build_targets returns.  Every array is read-only."""
+    graph: Graph
+    messages: Messages
+    clusters: ClusterFeatures
+    targets: tuple[np.ndarray, np.ndarray]
+    truths: np.ndarray
+
+
+def training_view(graph: Graph) -> TrainingView:
+    """Build the training view of a graph."""
+    pids = sorted(graph.truth_params)
+    view = TrainingView(
+        graph, graph_messages(graph),
+        cluster_features([np.flatnonzero(graph.vertex_particle_id == pid)
+                          for pid in pids], graph.vertex_xy),
+        build_targets(graph),
+        np.array([graph.truth_params[pid] for pid in pids],
+                 dtype=float).reshape(-1, 2))
+    for array in (*vars(view.messages).values(),
+                  *vars(view.clusters).values(), *view.targets,
+                  view.truths):
+        array.flags.writeable = False
+    return view
+
+
+def train_step(model: Model, view: TrainingView, state: AdamState):
+    """One forward/backward/update cycle on a single graph's view.
 
     The tracking loss runs over truth clusters, so the parameter head
     learns independently of segmentation quality.
     """
     model.grad.fill(0.0)
-    outputs = gnn_forward(model, graph)
-    pids = sorted(graph.truth_params)
-    cluster_preds = predict_cluster_params(
-        model, outputs.final_state,
-        [np.flatnonzero(graph.vertex_particle_id == pid) for pid in pids],
-        graph.vertex_xy)
-    truths = [graph.truth_params[pid] for pid in pids]
-    targets = build_targets(graph)
-    total, components = total_loss(outputs, targets, cluster_preds, truths,
-                                   model.config.loss_weights)
+    outputs = gnn_forward(model, view.graph, messages=view.messages)
+    cluster_preds = predict_cluster_params(model, outputs.final_state,
+                                           view.clusters)
+    total, components = total_loss(outputs, view.targets, cluster_preds,
+                                   view.truths, model.config.loss_weights)
     for name, value in components.items():
         if not math.isfinite(value):
-            raise NumericError("non-finite loss", graph_id=graph.event_id,
-                               component=name)
+            raise NumericError("non-finite loss",
+                               graph_id=view.graph.event_id, component=name)
     total.tape.backward(total)
     adam_step(state, model.flat, model.grad)
     return components
@@ -264,11 +338,14 @@ def train(model: Model, dataset: list[Graph], cfg: TrainConfig,
     """Train over the dataset, one optimizer step per graph.
 
     Shuffling is a fixed stream seeded by `seed`, so reruns
-    from the same initial model produce bit-identical histories.  Returns
-    the per-epoch history; the model is updated in place.
+    from the same initial model produce bit-identical histories.  Each
+    graph's training view is built once, before the first epoch, and
+    lives only as long as this call.  Returns the per-epoch history,
+    which is also logged epoch by epoch; the model is updated in place.
     """
     if not dataset:
         raise ConfigError("training needs a non-empty dataset")
+    views = [training_view(graph) for graph in dataset]
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(seed)
     history = []
@@ -277,7 +354,7 @@ def train(model: Model, dataset: list[Graph], cfg: TrainConfig,
         sums = {"l_c": 0.0, "l_loc": 0.0, "l_t": 0.0, "l_total": 0.0}
         for gi in order:
             try:
-                components = train_step(model, dataset[gi], state)
+                components = train_step(model, views[gi], state)
             except NumericError as err:
                 raise NumericError(err.detail, epoch=epoch,
                                    graph_id=err.graph_id,
@@ -287,6 +364,9 @@ def train(model: Model, dataset: list[Graph], cfg: TrainConfig,
         record = {key: value / len(dataset) for key, value in sums.items()}
         record["epoch"] = epoch
         history.append(record)
+        log.info("epoch %d/%d: l_c=%.6g l_loc=%.6g l_t=%.6g l_total=%.6g",
+                 epoch, cfg.epochs, record["l_c"], record["l_loc"],
+                 record["l_t"], record["l_total"])
     return history
 
 

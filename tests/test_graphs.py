@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -188,6 +189,21 @@ class TestBuildGraph:
         assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3],
                                     [2, 3]]
         assert g.vertex_class.all()
+
+    @pytest.mark.parametrize("seed", [23, 24, 25])
+    def test_edges_match_per_cluster_pairs(self, detector, seed):
+        # reference: each cluster's ascending members, in label order,
+        # joined pairwise in itertools.combinations order
+        gen = GenConfig(n_tracks=40, noise_fraction=0.3,
+                        hit_smearing_sigma=2e-4)
+        e = generate_event(detector, gen, seed=seed)
+        g = graph_of(e)
+        labels = dbscan([(h.eta, h.phi) for h in e.hits], DbscanParams())
+        assert labels.max() > 10 and (labels == -1).any()
+        expected = [pair for cluster in range(labels.max() + 1)
+                    for pair in itertools.combinations(
+                        np.flatnonzero(labels == cluster).tolist(), 2)]
+        assert g.edges.tolist() == [list(pair) for pair in expected]
 
     def test_all_noise_isolated(self, detector):
         gen = GenConfig(n_tracks=0, noise_fraction=0.0, hit_smearing_sigma=0.0)

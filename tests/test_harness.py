@@ -668,6 +668,22 @@ class TestCli:
         stage, = [line for line in log_lines if " built " in line]
         assert re.search(r" built 4 graphs -> .* in \d+\.\d\d s$", stage)
 
+    def test_run_log_has_loss_line_per_epoch(self, tmp_path):
+        cfg_path = tiny_cli_config(tmp_path)
+        assert main(["--config", str(cfg_path), "run"]) == 0
+        out = tmp_path / "out"
+        log_lines = (out / "run.log").read_text().splitlines()
+        lines = [line for line in log_lines if " l_total=" in line]
+        history = json.loads((out / "history.json").read_text())["history"]
+        assert len(lines) == len(history) + 1 == 3
+        for line, r in zip(lines, history):
+            assert line.endswith(
+                f"epoch {r['epoch']}/2: l_c={r['l_c']:.6g} "
+                f"l_loc={r['l_loc']:.6g} l_t={r['l_t']:.6g} "
+                f"l_total={r['l_total']:.6g}")
+        assert re.search(r" trained 2 epochs on 3 graphs in \d+\.\d\d s "
+                         r"\(\d+\.\d steps/s\); final l_total=", lines[-1])
+
     def test_build_graphs_rejects_repeated_event_id(self, tmp_path, capsys):
         cfg_path = tiny_cli_config(tmp_path)
         assert main(["--config", str(cfg_path), "generate"]) == 0

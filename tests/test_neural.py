@@ -9,6 +9,7 @@ from oracles import weighted_sum
 from trackseg.errors import ConfigError, ShapeError, StateError
 from trackseg.neural import autodiff as ad
 from trackseg.neural.autodiff import Tape
+from trackseg.tracknet import ModelConfig
 from trackseg.neural.nn import (HUBER_DELTA, AdamState, MlpSpec, adam_step,
                                 bce_loss, huber_loss, init_mlp_params,
                                 mlp_forward, mse_tracking_loss)
@@ -404,6 +405,21 @@ def test_each_loss_call_is_one_tape_node():
         assert len(t._nodes) == before + 1
 
 
+def scripted_adam(w, grads, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """Oracle: straight-line transcription of the Adam update rules;
+    returns the parameters and both moments after the last gradient."""
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
+    for t, g in enumerate(grads, start=1):
+        w = w * (1.0 - lr * wd)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mhat = m / (1 - b1**t)
+        vhat = v / (1 - b2**t)
+        w = w - lr * mhat / (np.sqrt(vhat) + eps)
+    return w, m, v
+
+
 class TestAdam:
     def test_zero_gradient_no_decay(self):
         w = np.array([1.0, -2.0])
@@ -418,26 +434,36 @@ class TestAdam:
         assert np.allclose(w, -1e-3, rtol=1e-6)
 
     def test_against_scripted_recurrence(self):
-        # oracle: straight-line transcription of the Adam update rules
-        lr, b1, b2, eps, wd = 1e-2, 0.9, 0.999, 1e-8, 1e-2
+        lr, wd = 1e-2, 1e-2
         w = np.array([0.5, -1.5])
-        m = np.zeros(2)
-        v = np.zeros(2)
         grads = [np.array([1.0, -2.0]), np.array([0.3, 0.7]),
                  np.array([-1.1, 0.0])]
-        expected = w.copy()
-        me, ve = m.copy(), v.copy()
-        for t, g in enumerate(grads, start=1):
-            expected = expected * (1.0 - lr * wd)
-            me = b1 * me + (1 - b1) * g
-            ve = b2 * ve + (1 - b2) * g * g
-            mhat = me / (1 - b1**t)
-            vhat = ve / (1 - b2**t)
-            expected = expected - lr * mhat / (np.sqrt(vhat) + eps)
+        expected, me, ve = scripted_adam(w.copy(), grads, lr, wd)
 
         state = AdamState(lr=lr, weight_decay=wd)
         for g in grads:
             adam_step(state, w, g)
+        assert np.array_equal(w, expected)
+        assert np.array_equal(state.m, me)
+        assert np.array_equal(state.v, ve)
+
+    def test_full_size_matches_recurrence_in_place(self):
+        # a model-sized vector over many steps: bit for bit the scripted
+        # recurrence, with the moments and scratch updated in place
+        n = ModelConfig().n_params
+        rng = np.random.default_rng(9)
+        w = rng.normal(0.0, 0.1, n)
+        grads = [rng.normal(0.0, 1.0, n) * rng.uniform(0.0, 3.0)
+                 for _ in range(60)]
+        expected, me, ve = scripted_adam(w.copy(), grads, 1e-3, 1e-5)
+
+        state = AdamState(lr=1e-3, weight_decay=1e-5)
+        adam_step(state, w, grads[0])
+        buffers = (state.m, state.v, *state.scratch)
+        for g in grads[1:]:
+            adam_step(state, w, g)
+        assert all(a is b for a, b in
+                   zip((state.m, state.v, *state.scratch), buffers))
         assert np.array_equal(w, expected)
         assert np.array_equal(state.m, me)
         assert np.array_equal(state.v, ve)

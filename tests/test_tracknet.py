@@ -18,7 +18,7 @@ from trackseg import tracknet as tn
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
                              DomainError, NumericError, ParseError)
-from trackseg.graphs import Graph
+from trackseg.graphs import Graph, graph_from_dict, graph_to_dict
 from trackseg.neural.nn import AdamState, mlp_forward
 
 
@@ -198,8 +198,9 @@ class TestPredictClusterParams:
                 m.params[k][...] = 0.0
         m.params["trk.b1"][:] = [3.5, 2e-4]
         out = tn.gnn_forward(m, g)
-        pred = tn.predict_cluster_params(m, out.final_state,
-                                         [[0, 1, 2, 3]], g.vertex_xy)
+        pred = tn.predict_cluster_params(
+            m, out.final_state, tn.cluster_features([[0, 1, 2, 3]],
+                                                    g.vertex_xy))
         assert np.allclose(pred.data, [[3.5, 2e-4]])
 
     def test_prompt_track_has_small_c2_feature(self):
@@ -213,8 +214,8 @@ class TestPredictClusterParams:
         g = tiny_graph()
         m = tn.Model(small_config(), seed=14)
         out = tn.gnn_forward(m, g)
-        pred = tn.predict_cluster_params(m, out.final_state,
-                                         [[0, 1]], g.vertex_xy)
+        pred = tn.predict_cluster_params(
+            m, out.final_state, tn.cluster_features([[0, 1]], g.vertex_xy))
         # the parabola features are zeroed: only the state max is read
         state_max = out.final_state.data[:2].max(axis=0)
         feats = out.final_state.tape.const(
@@ -227,11 +228,11 @@ class TestPredictClusterParams:
         g = tiny_graph()
         m = tn.Model(small_config(), seed=15)
         out = tn.gnn_forward(m, g)
-        pred = tn.predict_cluster_params(m, out.final_state,
-                                         [[0, 1, 2]], g.vertex_xy)
+        pred = tn.predict_cluster_params(
+            m, out.final_state, tn.cluster_features([[0, 1, 2]], g.vertex_xy))
         assert pred.data.shape == (1, 2)
-        none = tn.predict_cluster_params(m, out.final_state, [],
-                                         g.vertex_xy)
+        none = tn.predict_cluster_params(
+            m, out.final_state, tn.cluster_features([], g.vertex_xy))
         assert none.data.shape == (0, 2)
 
     def test_batched_matches_one_call_per_cluster(self):
@@ -240,12 +241,12 @@ class TestPredictClusterParams:
         out = tn.gnn_forward(m, g)
         clusters = [np.flatnonzero(g.vertex_particle_id == pid)
                     for pid in sorted(g.truth_params)] + [[0, 1], [2]]
-        batched = tn.predict_cluster_params(m, out.final_state,
-                                            clusters, g.vertex_xy)
+        batched = tn.predict_cluster_params(
+            m, out.final_state, tn.cluster_features(clusters, g.vertex_xy))
         assert batched.data.shape == (len(clusters), 2)
         for k, vids in enumerate(clusters):
-            single = tn.predict_cluster_params(m, out.final_state, [vids],
-                                               g.vertex_xy)
+            single = tn.predict_cluster_params(
+                m, out.final_state, tn.cluster_features([vids], g.vertex_xy))
             assert np.allclose(batched.data[k], single.data[0], rtol=1e-12,
                                atol=0.0)
 
@@ -254,8 +255,8 @@ class TestPredictClusterParams:
         m = tn.Model(small_config(), seed=16)
         out = tn.gnn_forward(m, g)
         vids = [0, 1, 2, 3]
-        pred = tn.predict_cluster_params(m, out.final_state,
-                                         [vids], g.vertex_xy)
+        pred = tn.predict_cluster_params(
+            m, out.final_state, tn.cluster_features([vids], g.vertex_xy))
         (pt, eps), = tn.cluster_params_from_states(
             m, out.final_state.data, [vids], g.vertex_xy)
         assert pt == pytest.approx(pred.data[0, 0], rel=1e-12)
@@ -269,15 +270,10 @@ def composite_loss(cfg, graph, flat):
     model, whose `grad` the reverse sweep fills."""
     m = tn.Model(cfg)
     m.flat[:] = flat
-    out = tn.gnn_forward(m, graph)
-    pids = sorted(graph.truth_params)
-    clusters = [np.flatnonzero(graph.vertex_particle_id == pid)
-                for pid in pids]
-    preds = tn.predict_cluster_params(m, out.final_state,
-                                      clusters, graph.vertex_xy)
-    truths = [graph.truth_params[pid] for pid in pids]
-    targets = tn.build_targets(graph)
-    total, _ = tn.total_loss(out, targets, preds, truths,
+    view = tn.training_view(graph)
+    out = tn.gnn_forward(m, graph, messages=view.messages)
+    preds = tn.predict_cluster_params(m, out.final_state, view.clusters)
+    total, _ = tn.total_loss(out, view.targets, preds, view.truths,
                              cfg.loss_weights, tracking_scales=(1.0, 1.0))
     return total, m
 
@@ -385,12 +381,71 @@ class TestTrain:
         assert str(err.value).count("graph=") == 1
         assert str(err.value).count("component=") == 1
 
+    def test_constants_are_built_once_per_graph(self, monkeypatch):
+        graphs = [make_training_graph(seed=s, n_tracks=3)[1]
+                  for s in (55, 56)]
+        calls = {"canonical_parabola_coeffs": 0, "encode_box": 0}
+
+        def counted(name):
+            original = getattr(tn, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(tn, name, wrapper)
+
+        for name in calls:
+            counted(name)
+
+        def count(epochs):
+            for name in calls:
+                calls[name] = 0
+            tn.train(tn.Model(small_config(), seed=30), graphs,
+                     tn.TrainConfig(epochs=epochs, lr=1e-3))
+            return dict(calls)
+
+        once = count(1)
+        assert once["canonical_parabola_coeffs"] > 0
+        assert once["encode_box"] == sum(np.count_nonzero(g.vertex_class)
+                                         for g in graphs)
+        assert count(3) == once
+
+    def test_fresh_copies_of_the_same_graphs_train_alike(self):
+        # views live only inside one train() call: graphs loaded after
+        # others were freed (and may reuse their ids) see their own
+        # constants
+        docs = {key: [graph_to_dict(make_training_graph(seed=s, n_tracks=3,
+                                                        event_id=i)[1])
+                      for i, s in enumerate(seeds)]
+                for key, seeds in (("a", (57, 58)), ("b", (59, 60)))}
+
+        def history(key):
+            m = tn.Model(small_config(), seed=31)
+            return tn.train(m, [graph_from_dict(d) for d in docs[key]],
+                            tn.TrainConfig(epochs=2, lr=1e-3))
+
+        first = {key: history(key) for key in "ba"}
+        assert first["a"] != first["b"]
+        for key in "babab":
+            assert history(key) == first[key]
+
+    def test_training_view_is_read_only(self):
+        view = tn.training_view(make_training_graph(seed=54, n_tracks=2)[1])
+        arrays = [view.messages.src, view.messages.dst,
+                  view.messages.coord_diff, view.clusters.members,
+                  view.clusters.segment, view.clusters.coeffs,
+                  *view.targets, view.truths]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0
+
     def test_train_step_without_truth_tracks(self):
         g = replace(tiny_graph(), vertex_particle_id=np.zeros(4, dtype=int),
                     truth_params={}, vertex_target_ellipse=[None] * 4)
         assert g.n_edges > 0
         m = tn.Model(small_config(), seed=28)
-        comps = tn.train_step(m, g, AdamState(lr=1e-3, weight_decay=1e-5))
+        comps = tn.train_step(m, tn.training_view(g),
+                              AdamState(lr=1e-3, weight_decay=1e-5))
         assert math.isfinite(comps["l_total"])
         assert comps["l_t"] == 0.0
 
@@ -475,7 +530,8 @@ class TestGradientVector:
         fresh = tn.Model(small_config(), seed=29)
         stale = tn.Model(small_config(), seed=29)
         stale.grad.fill(np.nan)
-        comps = [tn.train_step(m, g, AdamState(lr=1e-3, weight_decay=1e-5))
+        view = tn.training_view(g)
+        comps = [tn.train_step(m, view, AdamState(lr=1e-3, weight_decay=1e-5))
                  for m in (fresh, stale)]
         assert comps[1] == comps[0]
         assert stale.flat.tobytes() == fresh.flat.tobytes()
