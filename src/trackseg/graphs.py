@@ -1,12 +1,12 @@
-"""Graph construction: DBSCAN clustering in eta-phi, edge building,
-state initialization and per-track target ellipses."""
+"""Graph construction: DBSCAN clustering in eta-phi, edge building and
+per-track target ellipses."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,49 +38,50 @@ class DbscanParams:
 class Graph:
     """Hit graph of one event, as build_graph or graph_from_dict builds it.
 
-    Vertices are hits with coordinates (eta, phi) and initial state
-    (z, layer); edges are undirected, stored once with i < j.  Each
-    vertex's particle id, transverse coordinates and target ellipse (its
-    particle's, None for noise), with the per-particle parameters, make
-    a stored graph a self-contained training sample.  Construction
-    raises ConsistencyError unless vertex hit ids are unique, the
-    nonzero vertex particle ids are the keys of truth_params, each
-    (p_T, eps_T) is finite with p_T > 0, exactly the track vertices
-    have a target, and each edge joins two distinct vertices in range.
+    Vertices are hits with coordinates (eta, phi), z and layer; edges
+    are undirected, stored once with i < j.  Each vertex's particle id
+    and transverse coordinates, with each particle's (p_T, eps_T) and
+    target ellipse, make a stored graph a self-contained training
+    sample.  Construction derives each vertex's target (its particle's
+    ellipse, None for noise) and raises ConsistencyError unless vertex
+    hit ids are unique, the nonzero vertex particle ids are the keys of
+    both truth_params and targets, each (p_T, eps_T) is finite with
+    p_T > 0, and each edge joins two distinct vertices in range.
     """
     event_id: int
     eta: np.ndarray
     phi: np.ndarray
-    state: np.ndarray
+    z: np.ndarray
+    layer: np.ndarray
     edges: np.ndarray
     vertex_hit_ids: np.ndarray
     vertex_particle_id: np.ndarray  # 0 for noise vertices
     vertex_xy: np.ndarray
     truth_params: dict[int, tuple[float, float]]
-    vertex_target_ellipse: list
+    targets: dict[int, Ellipse5]
+    vertex_target_ellipse: list = field(init=False)
 
     def __post_init__(self):
         ids = self.vertex_hit_ids
         if len(set(ids.tolist())) != len(ids):
             raise ConsistencyError(f"graph {self.event_id} repeats a hit_id")
-        found = set(self.vertex_particle_id.tolist()) - {0}
-        if found != self.truth_params.keys():
-            odd = sorted(found ^ self.truth_params.keys())
-            raise ConsistencyError(f"graph particles {odd} lack a vertex or "
-                                   f"an entry")
+        pids = self.vertex_particle_id.tolist()
+        found = set(pids) - {0}
+        odd = found ^ self.truth_params.keys() | found ^ self.targets.keys()
+        if odd:
+            raise ConsistencyError(f"graph particles {sorted(odd)} lack a "
+                                   f"vertex, an entry or a target")
         for k, (pt, eps) in self.truth_params.items():
             if not (pt > 0.0 and math.isfinite(pt) and math.isfinite(eps)):
                 raise ConsistencyError(f"graph particle {k}: non-finite "
                                        f"value or p_T <= 0")
-        if [t is None for t in self.vertex_target_ellipse] != \
-                (self.vertex_particle_id == 0).tolist():
-            raise ConsistencyError("a graph needs one target per track vertex "
-                                   "and none per noise vertex")
         edges, n = self.edges, self.n_vertices
         if edges.shape[1:] != (2,) or np.any((edges < 0) | (edges >= n)) or \
                 np.any(edges[:, 0] == edges[:, 1]):
             raise ConsistencyError(f"graph edges must be [i, j] pairs of "
                                    f"distinct vertices in [0, {n})")
+        object.__setattr__(self, "vertex_target_ellipse",
+                           assign_vertex_targets(pids, self.targets))
 
     @property
     def vertex_class(self) -> np.ndarray:
@@ -172,19 +173,18 @@ def dbscan(points, params: DbscanParams) -> np.ndarray:
     return np.array(labels, dtype=int)
 
 
-def build_graph(e: Event, params: DbscanParams, targets: list) -> Graph:
-    """Build the hit graph of an event, with each hit's target.
+def build_graph(e: Event, params: DbscanParams) -> Graph:
+    """Build the hit graph of an event, with its tracks' target ellipses.
 
     Hits are clustered in eta-phi; every cluster contributes all its pairs
     as edges (a complete subgraph), unclustered hits stay isolated.
-    Vertex states initialize to (z, layer).
     """
     if not e.hits:
         raise ConsistencyError("cannot build a graph from an empty event")
     labels = dbscan([(h.eta, h.phi) for h in e.hits], params)
     return _graph(e.event_id, e.hits, _cluster_edges(labels),
                   {t.particle_id: (t.params.p_t, t.params.eps_t)
-                   for t in e.tracks}, targets)
+                   for t in e.tracks}, dict(truth_ellipses(e)))
 
 
 def _cluster_edges(labels: np.ndarray) -> np.ndarray:
@@ -204,21 +204,22 @@ def _cluster_edges(labels: np.ndarray) -> np.ndarray:
 
 
 def _graph(event_id: int, hits, edges, truth_params: dict,
-           targets: list) -> Graph:
-    """The Graph of `hits` joined by `edges`, with `targets[i]` the target
-    of hit i and `truth_params` the (p_T, eps_T) of each particle."""
+           targets: dict) -> Graph:
+    """The Graph of `hits` joined by `edges`, with `truth_params` the
+    (p_T, eps_T) and `targets` the target ellipse of each particle."""
     return Graph(
         event_id=event_id,
         eta=np.array([h.eta for h in hits]),
         phi=np.array([h.phi for h in hits]),
-        state=np.array([(h.z, float(h.layer)) for h in hits]).reshape(-1, 2),
+        z=np.array([h.z for h in hits], dtype=float),
+        layer=np.array([h.layer for h in hits], dtype=int),
         edges=np.array(edges, dtype=int).reshape(len(edges), 2),
         vertex_hit_ids=np.array([h.hit_id for h in hits], dtype=int),
         vertex_particle_id=np.array([h.particle_id for h in hits],
                                     dtype=int),
         vertex_xy=np.array([(h.x, h.y) for h in hits]).reshape(-1, 2),
         truth_params=truth_params,
-        vertex_target_ellipse=targets,
+        targets=targets,
     )
 
 
@@ -235,34 +236,30 @@ def truth_ellipses(e: Event) -> list[tuple[int, Ellipse5]]:
             for t, base in zip(e.tracks, bases)]
 
 
-def assign_vertex_targets(hits, ellipses) -> list:
-    """The target of each hit: its particle's ellipse, None for noise
-    and for a particle `ellipses` lacks (which the Graph then rejects).
-    `ellipses` is a dict or (particle_id, Ellipse5) sequence."""
-    table = dict(ellipses)
-    return [table.get(h.particle_id) if h.particle_id else None
-            for h in hits]
+def assign_vertex_targets(particle_ids, targets: dict) -> list:
+    """The target of each vertex: its particle's ellipse, None for
+    noise (particle id 0)."""
+    return [targets[pid] if pid else None for pid in particle_ids]
 
 
 def graph_to_dict(g: Graph) -> dict:
     """Serialize a graph to the graph-v3 JSON document layout: each
     vertex is the hit it came from, and each particle's target ellipse
     is stored once, in its particle entry."""
-    targets = dict(zip(g.vertex_particle_id.tolist(),
-                       g.vertex_target_ellipse))
     return {
         "format": GRAPH_FORMAT,
         "event_id": g.event_id,
         "vertices": [
-            {"hit_id": hit_id, "x": x, "y": y, "z": z, "layer": int(layer),
+            {"hit_id": hit_id, "x": x, "y": y, "z": z, "layer": layer,
              "particle_id": pid}
-            for hit_id, (x, y), (z, layer), pid in zip(
+            for hit_id, (x, y), z, layer, pid in zip(
                 g.vertex_hit_ids.tolist(), g.vertex_xy.tolist(),
-                g.state.tolist(), g.vertex_particle_id.tolist())],
+                g.z.tolist(), g.layer.tolist(),
+                g.vertex_particle_id.tolist())],
         "edges": g.edges.tolist(),
         "particles": [
             {"particle_id": pid, "pt": pt, "eps_t": eps,
-             "target": ellipse_to_dict(targets[pid])}
+             "target": ellipse_to_dict(g.targets[pid])}
             for pid, (pt, eps) in sorted(g.truth_params.items())],
     }
 
@@ -290,4 +287,4 @@ def graph_from_dict(d: dict) -> Graph:
                                        f"ellipse object")
             targets[k] = ellipse_from_dict(p["target"])
         return _graph(number(d["event_id"], int), hits, d["edges"], params,
-                      assign_vertex_targets(hits, targets))
+                      targets)

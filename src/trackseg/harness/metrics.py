@@ -126,7 +126,11 @@ def evaluate(predictions: dict[int, dict], truth: dict[int, Event],
         flags["no_candidates"] = True
     else:
         purity = matched_candidates / n_candidates
-    efficiency = n_matched_tracks / n_tracks if n_tracks else 0.0
+    if n_tracks == 0:
+        efficiency = 0.0
+        flags["no_tracks"] = True
+    else:
+        efficiency = n_matched_tracks / n_tracks
     if not pt_residuals:
         flags["no_matched_params"] = True
 

@@ -35,6 +35,7 @@ import numpy as np
 from .. import tracknet
 from ..errors import ConfigError, ConsistencyError, NumericError
 from ..events import apply_selection, generate_event, read_trackml_event
+# perfbench/tracing.py looks assign_vertex_targets up in this module
 from ..graphs import assign_vertex_targets, build_graph, graph_from_dict, \
     graph_to_dict, truth_ellipses
 from ..jsonio import read_json, write_json
@@ -111,16 +112,15 @@ def stage_ingest(cfg: RunConfig) -> list[Path]:
 
 
 def stage_build_graphs(cfg: RunConfig) -> list[Path]:
-    """Store the graph of each event, built with one target per hit; an
-    event id that two event files share raises ConsistencyError."""
+    """Store the graph of each event, with its tracks' target ellipses;
+    an event id that two event files share raises ConsistencyError."""
     start = time.perf_counter()
     echo = cfg.to_dict()
     paths = []
     for event in _unique_events(_sorted_files(_events_dir(cfg),
                                               "event_*.json"),
                                 event_from_dict, lambda e: e.event_id):
-        graph = build_graph(event, cfg.dbscan, assign_vertex_targets(
-            event.hits, truth_ellipses(event)))
+        graph = build_graph(event, cfg.dbscan)
         _log_graph(graph)
         doc = graph_to_dict(graph)
         doc["config"] = echo

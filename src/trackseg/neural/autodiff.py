@@ -170,7 +170,9 @@ def segment_max(a: Var, segment_ids: np.ndarray, num_segments: int) -> Var:
     element to exactly one argmax row (the lowest row index on ties).
     """
     seg = np.asarray(segment_ids, dtype=int)
-    m, k = a.data.shape if a.data.ndim == 2 else (len(a.data), 1)
+    if a.data.ndim != 2:
+        raise ShapeError(f"segment_max needs rows, got shape {a.data.shape}")
+    m, k = a.data.shape
     if seg.shape != (m,):
         raise ShapeError(f"segment ids shape {seg.shape} does not match "
                          f"{m} rows")

@@ -9,15 +9,16 @@ track/noise classifier, an encoded-bounding-ellipse regressor and, per
 cluster, a track-parameter head whose inputs combine conformal-fit
 coefficients with the componentwise max of member states.
 
-Training reads each graph through a `TrainingView`, which `train` builds
-once per graph before its epoch loop and drops when it returns: the
-message index arrays and coordinate differences, the truth clusters'
-member arrays and parabola coefficients, the classification labels and
-encoded target boxes, and the truth (p_T, eps_T) rows in particle-id
-order.  None of these depends on the weights, so a train step computes
-only the forward pass, the losses, the backward sweep and the update.
-Inference builds the same message arrays, through the same helper, on
-each call.
+The network reads a graph only through the `GraphInputs` that
+`graph_inputs` alone builds: the initial vertex states (z, layer), the
+message index arrays and the coordinate differences.  Training reads
+each graph through a `TrainingView`, which `train` builds once per graph
+before its epoch loop and drops when it returns: the inputs, the truth
+clusters' member arrays and parabola coefficients, the classification
+labels and encoded target boxes, and the truth (p_T, eps_T) rows in
+particle-id order.  None of these depends on the weights, so a train
+step computes only the forward pass, the losses, the backward sweep and
+the update.  Inference builds the inputs on each call.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ class ModelConfig:
             raise ConfigError(f"need >= 1 iteration, got {self.iterations}")
         if self.hidden < 1:
             raise ConfigError(f"need hidden width >= 1, got {self.hidden}")
-        if any(w < 0 for w in self.loss_weights):
-            raise ConfigError(f"loss_weights must be >= 0, got "
-                              f"{self.loss_weights}")
+        if len(self.loss_weights) != 3 or min(self.loss_weights) < 0:
+            raise ConfigError(f"loss_weights must be three weights >= 0, "
+                              f"got {self.loss_weights}")
 
     @property
     def specs(self) -> dict[str, MlpSpec]:
@@ -134,44 +135,42 @@ class VertexOutputs:
 
 
 @dataclass(frozen=True)
-class Messages:
-    """The directed messages of a graph: each undirected edge carries one
-    in both directions, from vertex `src` to vertex `dst`, with the
-    (delta eta, delta phi) coordinate difference of `src` from `dst`."""
+class GraphInputs:
+    """What the network reads of a graph: each vertex's initial state,
+    and each undirected edge as a message in both directions, from
+    vertex `src` to vertex `dst`, with the (delta eta, delta phi)
+    coordinate difference of `src` from `dst`."""
+    state: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     coord_diff: np.ndarray
 
 
-def graph_messages(graph: Graph) -> Messages:
-    """Message arrays of a graph; delta phi is the wrapped shortest arc."""
+def graph_inputs(graph: Graph) -> GraphInputs:
+    """The network inputs of a graph: the state of a vertex is its
+    (z, layer), and delta phi is the wrapped shortest arc."""
+    state = np.stack([graph.z, graph.layer.astype(float)], axis=1)
     i, j = graph.edges[:, 0], graph.edges[:, 1]
     src, dst = np.concatenate([j, i]), np.concatenate([i, j])
     deta = graph.eta[src] - graph.eta[dst]
     dphi = np.asarray(signed_dphi(graph.phi[src], graph.phi[dst]),
                       dtype=float).reshape(-1)
-    return Messages(src, dst, np.stack([deta, dphi], axis=1))
+    return GraphInputs(state, src, dst, np.stack([deta, dphi], axis=1))
 
 
-def gnn_forward(model: Model, graph: Graph, tape: Tape | None = None,
-                messages: Messages | None = None) -> VertexOutputs:
+def gnn_forward(model: Model, inputs: GraphInputs,
+                tape: Tape | None = None) -> VertexOutputs:
     """Run the T message-passing iterations and the per-vertex heads.
-
-    `messages` are the graph's message arrays when already built, and
-    are built from `graph` otherwise.  Isolated vertices receive a zero
-    aggregate.
-    """
+    Isolated vertices receive a zero aggregate."""
     specs = model.config.specs
     tape = tape if tape is not None else Tape()
-    if messages is None:
-        messages = graph_messages(graph)
-    src, dst = messages.src, messages.dst
+    src, dst = inputs.src, inputs.dst
 
-    n = graph.n_vertices
-    s = tape.const(graph.state)
+    n = len(inputs.state)
+    s = tape.const(inputs.state)
     for t in range(1, model.config.iterations + 1):
         dx = mlp_forward(specs["h"], model, s, f"h{t}.")
-        shifted = ad.add(tape.const(messages.coord_diff),
+        shifted = ad.add(tape.const(inputs.coord_diff),
                          ad.gather_rows(dx, dst))
         edge_in = ad.concat_cols([shifted, ad.gather_rows(s, src)])
         msg = mlp_forward(specs["f"], model, edge_in, f"f{t}.")
@@ -285,11 +284,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainingView:
-    """What a train step reads of one graph besides the weights.  The
-    truth clusters and their (p_T, eps_T) rows follow particle-id order;
-    `targets` is what build_targets returns.  Every array is read-only."""
+    """What a train step reads of one graph besides the weights: the
+    graph, its network inputs, the truth clusters and their (p_T, eps_T)
+    rows in particle-id order, and what build_targets returns as
+    `targets`.  Every array is read-only."""
     graph: Graph
-    messages: Messages
+    inputs: GraphInputs
     clusters: ClusterFeatures
     targets: tuple[np.ndarray, np.ndarray]
     truths: np.ndarray
@@ -299,13 +299,13 @@ def training_view(graph: Graph) -> TrainingView:
     """Build the training view of a graph."""
     pids = sorted(graph.truth_params)
     view = TrainingView(
-        graph, graph_messages(graph),
+        graph, graph_inputs(graph),
         cluster_features([np.flatnonzero(graph.vertex_particle_id == pid)
                           for pid in pids], graph.vertex_xy),
         build_targets(graph),
         np.array([graph.truth_params[pid] for pid in pids],
                  dtype=float).reshape(-1, 2))
-    for array in (*vars(view.messages).values(),
+    for array in (*vars(view.inputs).values(),
                   *vars(view.clusters).values(), *view.targets,
                   view.truths):
         array.flags.writeable = False
@@ -319,7 +319,7 @@ def train_step(model: Model, view: TrainingView, state: AdamState):
     learns independently of segmentation quality.
     """
     model.grad.fill(0.0)
-    outputs = gnn_forward(model, view.graph, messages=view.messages)
+    outputs = gnn_forward(model, view.inputs)
     cluster_preds = predict_cluster_params(model, outputs.final_state,
                                            view.clusters)
     total, components = total_loss(outputs, view.targets, cluster_preds,
@@ -383,7 +383,7 @@ def infer(model: Model, graph: Graph,
     probability reaches the threshold.  A non-finite class probability or
     encoded box raises NumericError naming the graph and the output."""
     with Tape() as tape:
-        outputs = gnn_forward(model, graph, tape)
+        outputs = gnn_forward(model, graph_inputs(graph), tape)
         prob = outputs.class_prob.data[:, 0].copy()
         boxes = outputs.encoded_box.data.copy()
         final_state = outputs.final_state.data.copy()

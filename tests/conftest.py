@@ -3,19 +3,12 @@ import pytest
 from hypothesis import strategies as st
 
 from trackseg.events import DetectorConfig, GenConfig, generate_event
-from trackseg.graphs import DbscanParams, assign_vertex_targets, \
-    build_graph, truth_ellipses
+from trackseg.graphs import DbscanParams, build_graph
 
 
 @pytest.fixture
 def detector():
     return DetectorConfig()
-
-
-def graph_of(event, params=DbscanParams()):
-    """The graph of `event` as build-graphs builds it, targets included."""
-    return build_graph(event, params, assign_vertex_targets(
-        event.hits, truth_ellipses(event)))
 
 
 def make_training_graph(seed=0, n_tracks=5, noise_fraction=0.1,
@@ -24,7 +17,7 @@ def make_training_graph(seed=0, n_tracks=5, noise_fraction=0.1,
     gen = GenConfig(n_tracks=n_tracks, noise_fraction=noise_fraction,
                     hit_smearing_sigma=smearing)
     event = generate_event(det, gen, seed=seed, event_id=event_id)
-    return event, graph_of(event)
+    return event, build_graph(event, DbscanParams())
 
 
 @pytest.fixture

@@ -43,15 +43,16 @@ def plain_message_passing(params, iterations, graph):
     """Message passing without auto-registration, vertex by vertex, in
     the form of Point-GNN (Shi & Rajkumar, CVPR 2020):
     s_i <- g([max_j f([x_j - x_i, s_j]), s_i]) + s_i over the neighbors
-    j of i, with x = (eta, phi) and phi differences wrapped; a vertex
-    without neighbors aggregates zeros.  Returns the final states, the
-    classifier's probabilities and the encoded boxes."""
-    n = len(graph.state)
+    j of i, with x = (eta, phi), phi differences wrapped and initial
+    states s = (z, layer); a vertex without neighbors aggregates zeros.
+    Returns the final states, the classifier's probabilities and the
+    encoded boxes."""
+    n = graph.n_vertices
     neighbors = [[] for _ in range(n)]
     for i, j in graph.edges:
         neighbors[i].append(j)
         neighbors[j].append(i)
-    s = np.array(graph.state, dtype=float)
+    s = np.column_stack([graph.z, graph.layer]).astype(float)
     for t in range(1, iterations + 1):
         new = np.empty_like(s)
         for i in range(n):

@@ -27,8 +27,7 @@ from trackseg.ellipses import decode_box, encode_box, make_ellipse, mvee
 from trackseg.errors import ParseError
 from trackseg.events import (DetectorConfig, GenConfig, generate_event,
                              read_trackml_event)
-from trackseg.graphs import (DbscanParams, assign_vertex_targets,
-                             build_graph, dbscan, truth_ellipses)
+from trackseg.graphs import DbscanParams, build_graph, dbscan
 from trackseg.harness.cli import main
 from trackseg.harness.metrics import auc_score, evaluate
 from trackseg.kinematics import extract_track_params, fit_parabola
@@ -297,7 +296,8 @@ def test_criterion_6_architecture_fidelity(toy_graph):
     for k, v in m.params.items():
         if k.startswith("h"):
             v[...] = 0.0
-    eq2 = tn.gnn_forward(m, toy_graph)
+    inputs = tn.graph_inputs(toy_graph)
+    eq2 = tn.gnn_forward(m, inputs)
     eq1 = plain_message_passing(m.params, cfg.iterations, toy_graph)
     for a, b in zip((eq2.final_state, eq2.class_prob, eq2.encoded_box),
                     eq1):
@@ -305,8 +305,8 @@ def test_criterion_6_architecture_fidelity(toy_graph):
 
     # residual connection: the zero network is a fixed point of the state
     m.flat[:] = 0.0
-    out = tn.gnn_forward(m, toy_graph)
-    assert np.array_equal(out.final_state.data, toy_graph.state)
+    out = tn.gnn_forward(m, inputs)
+    assert np.array_equal(out.final_state.data, inputs.state)
     assert np.all(out.class_prob.data == 0.5)
     report("6 architecture fidelity")
 
@@ -318,9 +318,7 @@ def build_benchmark_graphs():
         gen = GenConfig(n_tracks=10, noise_fraction=0.1,
                         hit_smearing_sigma=2e-4)
         event = generate_event(det, gen, seed=5000 + i, event_id=i)
-        graphs.append(build_graph(event, DbscanParams(),
-                                  assign_vertex_targets(
-                                      event.hits, truth_ellipses(event))))
+        graphs.append(build_graph(event, DbscanParams()))
     return graphs[:50], graphs[50:]
 
 

@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (JSON_VALUES, doc_paths, graph_of, make_training_graph,
-                      set_at)
+from conftest import JSON_VALUES, doc_paths, make_training_graph, set_at
 from oracles import brute_force_dbscan, partition_of
 from test_events import write_trackml
 from trackseg.ellipses import ellipse_from_dict, point_in_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
 from trackseg.events import GenConfig, generate_event, read_trackml_event
-from trackseg.graphs import (DbscanParams, Graph, _graph,
-                             assign_vertex_targets, build_graph, dbscan,
-                             graph_from_dict, graph_to_dict, truth_ellipses)
+from trackseg.graphs import (DbscanParams, Graph, _graph, build_graph,
+                             dbscan, graph_from_dict, graph_to_dict,
+                             truth_ellipses)
+from trackseg.tracknet import graph_inputs
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,7 +165,7 @@ class TestBuildGraph:
         gen = GenConfig(n_tracks=1, noise_fraction=0.0,
                         hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=21)
-        g = graph_of(e)
+        g = build_graph(e, DbscanParams())
         assert g.n_vertices == 4
         assert g.n_edges == 6  # K4
         assert len(set(g.vertex_particle_id.tolist())) == 1
@@ -184,7 +184,7 @@ class TestBuildGraph:
         params = TrackParams(1.0, 0.0, 0.0, 1.0)
         tracks = (TruthTrack(1, params), TruthTrack(2, params))
         e = Event(0, hits, tracks)
-        g = graph_of(e, DbscanParams(eps=0.05, min_pts=2))
+        g = build_graph(e, DbscanParams(eps=0.05, min_pts=2))
         assert g.n_edges == 6
         assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3],
                                     [2, 3]]
@@ -197,7 +197,7 @@ class TestBuildGraph:
         gen = GenConfig(n_tracks=40, noise_fraction=0.3,
                         hit_smearing_sigma=2e-4)
         e = generate_event(detector, gen, seed=seed)
-        g = graph_of(e)
+        g = build_graph(e, DbscanParams())
         labels = dbscan([(h.eta, h.phi) for h in e.hits], DbscanParams())
         assert labels.max() > 10 and (labels == -1).any()
         expected = [pair for cluster in range(labels.max() + 1)
@@ -215,22 +215,24 @@ class TestBuildGraph:
                 0, 0)
             for i in range(5))
         e = Event(0, hits, ())
-        g = graph_of(e, DbscanParams(eps=0.05, min_pts=2))
+        g = build_graph(e, DbscanParams(eps=0.05, min_pts=2))
         assert g.n_edges == 0
         assert not g.vertex_class.any()
 
     def test_state_initialization(self, detector):
         gen = GenConfig(n_tracks=2, noise_fraction=0.0, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=22)
-        g = graph_of(e)
+        g = build_graph(e, DbscanParams())
         for i, h in enumerate(e.hits):
-            assert g.state[i, 0] == h.z
-            assert g.state[i, 1] == float(h.layer)
+            assert (g.z[i], g.layer[i]) == (h.z, h.layer)
+        assert g.layer.dtype == int
+        state = graph_inputs(g).state
+        assert state.tolist() == [[h.z, float(h.layer)] for h in e.hits]
 
     def test_empty_event_rejected(self):
         from trackseg.events import Event
         with pytest.raises(ConsistencyError):
-            build_graph(Event(0, (), ()), DbscanParams(), [])
+            build_graph(Event(0, (), ()), DbscanParams())
 
 
 class TestTruthEllipses:
@@ -284,7 +286,7 @@ class TestAssignTargets:
     def test_counts(self, detector):
         gen = GenConfig(n_tracks=5, noise_fraction=0.2, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=25)
-        g = graph_of(e)
+        g = build_graph(e, DbscanParams())
         n_targets = sum(t is not None for t in g.vertex_target_ellipse)
         assert n_targets == int(g.vertex_class.sum())
         for i in np.flatnonzero(~g.vertex_class):
@@ -293,27 +295,19 @@ class TestAssignTargets:
     def test_same_ellipse_per_track(self, detector):
         gen = GenConfig(n_tracks=1, noise_fraction=0.0, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=26)
-        g = graph_of(e)
+        g = build_graph(e, DbscanParams())
         targets = [t for t in g.vertex_target_ellipse if t is not None]
         assert all(t == targets[0] for t in targets)
 
     def test_missing_ellipse_error(self, detector):
         gen = GenConfig(n_tracks=2, noise_fraction=0.0, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=27)
-        ellipses = truth_ellipses(e)[1:]
-        with pytest.raises(ConsistencyError, match="one target per"):
-            build_graph(e, DbscanParams(),
-                        assign_vertex_targets(e.hits, ellipses))
-
-    def test_targets_are_one_per_hit(self, detector):
-        gen = GenConfig(n_tracks=2, noise_fraction=0.2, hit_smearing_sigma=0.0)
-        e = generate_event(detector, gen, seed=27)
-        targets = assign_vertex_targets(e.hits, truth_ellipses(e))
-        tracks = {h.particle_id: (h.particle_id, 0.0) for h in e.hits
-                  if h.particle_id}
-        for wrong in (targets[:-1], targets + [None]):
-            with pytest.raises(ConsistencyError, match="one target per"):
-                _graph(0, e.hits, [], tracks, wrong)
+        (missing, _), *ellipses = truth_ellipses(e)
+        tracks = {t.particle_id: (t.params.p_t, t.params.eps_t)
+                  for t in e.tracks}
+        with pytest.raises(ConsistencyError,
+                           match=rf"particles \[{missing}\] lack"):
+            _graph(0, e.hits, [], tracks, dict(ellipses))
 
     @pytest.mark.parametrize("change, message", [
         (lambda g: {"vertex_hit_ids": np.r_[g.vertex_hit_ids[1:2],
@@ -327,14 +321,18 @@ class TestAssignTargets:
         (lambda g: {"truth_params": {k: (pt, math.nan) for k, (pt, _)
                                      in g.truth_params.items()}},
          "non-finite"),
-        (lambda g: {"vertex_target_ellipse": [None] * g.n_vertices},
-         "one target per"),
+        (lambda g: {"targets": dict(list(g.targets.items())[1:])},
+         "lack a vertex, an entry or a target"),
+        (lambda g: {"targets": {**g.targets,
+                                999: next(iter(g.targets.values()))}},
+         "lack a vertex"),
         (lambda g: {"edges": np.array([[0, g.n_vertices]])}, "edges"),
         (lambda g: {"edges": np.array([[1, 1]])}, "edges"),
         (lambda g: {"edges": np.array([0, 1])}, "edges")],
         ids=["hit-id-repeated", "particle-without-vertex", "pt-zero",
              "eps-nan", "track-vertices-without-targets",
-             "edge-out-of-range", "edge-self-loop", "edge-not-a-pair"])
+             "target-without-vertex", "edge-out-of-range", "edge-self-loop",
+             "edge-not-a-pair"])
     def test_graph_checks_its_invariants_when_built(self, toy_graph, change,
                                                     message):
         with pytest.raises(ConsistencyError, match=message):
@@ -356,14 +354,16 @@ def _vertex(**fields):
 
 
 def _assert_same_graph(g2, g):
-    for name in ("eta", "phi", "state", "edges", "vertex_hit_ids",
+    for name in ("eta", "phi", "z", "layer", "edges", "vertex_hit_ids",
                  "vertex_particle_id", "vertex_class", "vertex_xy"):
         assert np.array_equal(getattr(g2, name), getattr(g, name)), name
     assert [(e.hex(), p.hex()) for e, p in zip(g2.eta.tolist(),
                                                g2.phi.tolist())] == \
         [(e.hex(), p.hex()) for e, p in zip(g.eta.tolist(), g.phi.tolist())]
-    assert g2.state.dtype == g.state.dtype == float
+    assert g2.z.dtype == g.z.dtype == float
+    assert g2.layer.dtype == g.layer.dtype == int
     assert g2.truth_params == g.truth_params
+    assert g2.targets == g.targets
     assert g2.vertex_target_ellipse == g.vertex_target_ellipse
 
 
@@ -372,14 +372,14 @@ class TestGraphSerialization:
         gen = GenConfig(n_tracks=4, noise_fraction=0.2,
                         hit_smearing_sigma=1e-4)
         e = generate_event(detector, gen, seed=28)
-        g = graph_of(e)
+        g = build_graph(e, DbscanParams())
         d = graph_to_dict(g)
         assert d["format"] == "graph-v3"
         _assert_same_graph(graph_from_dict(json.loads(json.dumps(d))), g)
 
     def test_trackml_round_trip(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))
-        g = graph_of(e)
+        g = build_graph(e, DbscanParams())
         _assert_same_graph(
             graph_from_dict(json.loads(json.dumps(graph_to_dict(g)))), g)
 
@@ -474,7 +474,7 @@ class TestGraphSerialization:
         except DataError:
             return
         assert isinstance(graph, Graph)
-        loaded = [graph.eta, graph.phi, graph.state, graph.vertex_xy,
+        loaded = [graph.eta, graph.phi, graph.z, graph.vertex_xy,
                   list(graph.truth_params.values()),
                   [astuple(e) for e in graph.vertex_target_ellipse
                    if e is not None]]

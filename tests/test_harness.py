@@ -23,10 +23,10 @@ from test_events import BAD_TRACKML, BAD_TRACKML_IDS, HITS_CSV, \
 from trackseg import tracknet
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
-from trackseg.events import (DetectorConfig, GenConfig, generate_event,
-                             read_trackml_event)
-from trackseg.graphs import (DbscanParams, assign_vertex_targets, build_graph,
-                             graph_from_dict, truth_ellipses)
+from trackseg.events import (DetectorConfig, Event, GenConfig,
+                             generate_event, read_trackml_event)
+from trackseg.graphs import (DbscanParams, build_graph, graph_from_dict,
+                             truth_ellipses)
 from trackseg.harness import pipeline
 from trackseg.harness.cli import main
 from trackseg.harness.config import (RunConfig, apply_overrides,
@@ -123,6 +123,19 @@ class TestEvaluate:
         m = evaluate({e.event_id: pred}, {e.event_id: e})
         assert m["segmentation"] == {"efficiency": 0.0, "purity": 0.0}
         assert m["flags"].get("no_candidates")
+
+    def test_no_tracks(self):
+        e = self.event(seed=91)
+        noise = Event(e.event_id, tuple(h for h in e.hits
+                                        if h.particle_id == 0), ())
+        m = evaluate({e.event_id: truth_identity_prediction(noise)},
+                     {e.event_id: noise})
+        assert m["counts"]["n_tracks"] == 0
+        assert m["segmentation"]["efficiency"] == 0.0
+        assert m["flags"].get("no_tracks")
+        tracked = evaluate({e.event_id: truth_identity_prediction(e)},
+                           {e.event_id: e})
+        assert "no_tracks" not in tracked["flags"]
 
     def test_half_matched(self):
         e = self.event(seed=92, n_tracks=2)
@@ -469,8 +482,7 @@ class TestIo:
         except DataError:
             return
         # what build-graphs does with the event
-        build_graph(event, DbscanParams(),
-                    assign_vertex_targets(event.hits, truth_ellipses(event)))
+        build_graph(event, DbscanParams())
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

@@ -23,6 +23,11 @@ Only `jsonio.write_atomic` writes a file of `src/trackseg` in place (its
 temp sibling, renamed over the target): no other code calls
 `.write_text`, `.write_bytes` or `open` in a mode that writes, so a
 failed or killed run never leaves a truncated artifact.
+
+The modules of `src/trackseg` form layers in one declared order, and a
+module imports only from layers below its own (and from its own
+package), so that, say, graph building never comes to depend on the
+model.
 """
 
 import ast
@@ -281,3 +286,67 @@ def test_every_file_write_is_atomic():
 
 def test_write_check_sees_the_atomic_writer():
     assert any(w[:2] == ATOMIC_WRITER for w in file_writes())
+
+
+# lowest first; `neural` and `harness` are packages, `__main__` is the
+# entry point above them all
+LAYERS = ("errors", "angles", "jsonio", "kinematics", "ellipses", "events",
+          "graphs", "neural", "tracknet", "postprocess", "harness",
+          "__main__")
+
+
+def _layer(path):
+    """The layer of a package file: its top-level module or package."""
+    return path.relative_to(PACKAGE).parts[0].removesuffix(".py")
+
+
+def imported_layers(path):
+    """(layer, line) for every import of a package module in one file."""
+    package = path.relative_to(PACKAGE).parent.parts
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".") for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            base = (*package[:len(package) + 1 - node.level],
+                    *(node.module.split(".") if node.module else ()))
+            # `from .. import tracknet` names the modules themselves
+            names = [["trackseg", *base]] if base else \
+                [["trackseg", a.name] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module.split(".")]
+        else:
+            continue
+        for parts in names:
+            if parts[0] == "trackseg" and len(parts) > 1:
+                yield parts[1], node.lineno
+
+
+def _package_files():
+    return [path for path in sorted(PACKAGE.rglob("*.py"))
+            if path.name != "__init__.py"]
+
+
+def test_every_module_has_a_layer():
+    assert {_layer(path) for path in _package_files()} == set(LAYERS)
+
+
+def test_modules_import_only_lower_layers():
+    upward = []
+    for path in _package_files():
+        layer = _layer(path)
+        for imported, line in imported_layers(path):
+            own_package = imported == layer and path.parent != PACKAGE
+            if not own_package and \
+                    LAYERS.index(imported) >= LAYERS.index(layer):
+                upward.append(f"{path.relative_to(ROOT)}:{line}: "
+                              f"{layer} imports {imported}")
+    assert upward == []
+
+
+def test_import_check_sees_the_package_imports():
+    def layers(name):
+        return {layer for layer, _ in imported_layers(PACKAGE / name)}
+    assert {"graphs", "neural", "errors"} <= layers("tracknet.py")
+    assert {"tracknet", "harness", "graphs"} <= layers("harness/pipeline.py")
+    assert {"neural", "errors"} <= layers("neural/nn.py")
+    assert layers("__main__.py") == {"harness"}

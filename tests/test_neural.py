@@ -210,6 +210,10 @@ class TestMaxAggregate:
         with pytest.raises(IndexError):
             max_aggregate(np.ones((2, 2)), np.array([0, 5]), 2)
 
+    def test_rows_must_be_a_matrix(self):
+        with pytest.raises(ShapeError):
+            max_aggregate(np.array([1.0, 2.0]), np.array([0, 0]), 1)
+
     def test_infinite_maximum_is_kept(self):
         # only a segment without rows reads 0; an overflowed message
         # must reach the non-finite checks downstream

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (JSON_VALUES, doc_paths, graph_of, make_training_graph,
-                      set_at)
+from conftest import JSON_VALUES, doc_paths, make_training_graph, set_at
 from oracles import plain_message_passing
 from trackseg import tracknet as tn
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
                              DomainError, NumericError, ParseError)
-from trackseg.graphs import Graph, graph_from_dict, graph_to_dict
+from trackseg.graphs import (DbscanParams, Graph, build_graph,
+                             graph_from_dict, graph_to_dict)
 from trackseg.neural.nn import AdamState, mlp_forward
 
 
@@ -33,59 +33,65 @@ def zero_model(config):
 
 
 def tiny_graph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 2))):
-    """A valid Graph of one n-vertex track, every vertex with the same
-    target ellipse."""
+    """A valid Graph of one n-vertex track and its target ellipse."""
     rng = np.random.default_rng(77)
     edges = np.array(edges, dtype=int).reshape(-1, 2)
     return Graph(
         event_id=0,
         eta=rng.uniform(-1, 1, n),
         phi=rng.uniform(0, 2 * math.pi, n),
-        state=rng.normal(0, 0.3, (n, 2)),
+        z=rng.normal(0, 0.3, n),
+        layer=rng.integers(0, 4, n),
         edges=edges,
         vertex_hit_ids=np.arange(1, n + 1),
         vertex_particle_id=np.ones(n, dtype=int),
         vertex_xy=rng.uniform(0.02, 0.2, (n, 2)),
         truth_params={1: (2.5, 3e-4)},
-        vertex_target_ellipse=[make_ellipse(0, 0, 0.05, 0.01, 0.0)] * n,
+        targets={1: make_ellipse(0, 0, 0.05, 0.01, 0.0)},
     )
+
+
+def forward(model, graph):
+    """The forward pass over a graph's inputs, as infer runs it."""
+    return tn.gnn_forward(model, tn.graph_inputs(graph))
 
 
 class TestForward:
     def test_zero_model_fixed_point(self, toy_graph):
         m = zero_model(small_config())
-        out = tn.gnn_forward(m, toy_graph)
+        out = forward(m, toy_graph)
         assert np.all(out.class_prob.data == 0.5)
-        assert np.array_equal(out.final_state.data, toy_graph.state)
+        assert np.array_equal(out.final_state.data,
+                              tn.graph_inputs(toy_graph).state)
         assert np.all(out.encoded_box.data == 0.0)
 
     def test_single_vertex_graph(self):
         g = tiny_graph(n=1, edges=())
         m = tn.Model(small_config(), seed=3)
-        out = tn.gnn_forward(m, g)
+        out = forward(m, g)
         assert out.class_prob.data.shape == (1, 1)
         assert 0.0 < out.class_prob.data[0, 0] < 1.0
 
     def test_permutation_equivariance(self):
         g = make_training_graph(seed=31, n_tracks=4)[1]
         m = tn.Model(small_config(), seed=4)
-        out = tn.gnn_forward(m, g)
+        out = forward(m, g)
 
         rng = np.random.default_rng(5)
         perm = rng.permutation(g.n_vertices)
         inv = np.argsort(perm)
         pg = Graph(
             event_id=g.event_id,
-            eta=g.eta[perm], phi=g.phi[perm], state=g.state[perm],
+            eta=g.eta[perm], phi=g.phi[perm], z=g.z[perm],
+            layer=g.layer[perm],
             edges=np.sort(inv[g.edges], axis=1) if g.n_edges else g.edges,
             vertex_hit_ids=g.vertex_hit_ids[perm],
             vertex_particle_id=g.vertex_particle_id[perm],
             vertex_xy=g.vertex_xy[perm],
             truth_params=g.truth_params,
-            vertex_target_ellipse=[g.vertex_target_ellipse[i]
-                                   for i in perm],
+            targets=g.targets,
         )
-        pout = tn.gnn_forward(m, pg)
+        pout = forward(m, pg)
         assert np.allclose(pout.final_state.data, out.final_state.data[perm],
                            atol=1e-12)
         assert np.allclose(pout.class_prob.data, out.class_prob.data[perm],
@@ -96,7 +102,7 @@ class TestForward:
         for k, v in m.params.items():
             if k.startswith("h"):
                 v[...] = 0.0
-        out = tn.gnn_forward(m, toy_graph)
+        out = forward(m, toy_graph)
         plain = plain_message_passing(m.params, m.config.iterations,
                                       toy_graph)
         for a, b in zip((out.final_state, out.class_prob, out.encoded_box),
@@ -134,7 +140,7 @@ class TestForward:
 class TestTotalLoss:
     def test_perfect_predictions(self, toy_graph):
         m = tn.Model(small_config(), seed=9)
-        out = tn.gnn_forward(m, toy_graph)
+        out = forward(m, toy_graph)
         y, enc = tn.build_targets(toy_graph)
         tape = out.final_state.tape
         perfect = tn.VertexOutputs(
@@ -148,7 +154,7 @@ class TestTotalLoss:
 
     def test_gamma_zero_ignores_tracking(self, toy_graph):
         m = tn.Model(small_config(), seed=10)
-        out = tn.gnn_forward(m, toy_graph)
+        out = forward(m, toy_graph)
         targets = tn.build_targets(toy_graph)
         tape = out.final_state.tape
         p1 = tape.const(np.array([[5.0, 1.0]]))
@@ -162,7 +168,7 @@ class TestTotalLoss:
     def test_weighted_sum(self):
         g = tiny_graph()
         m = tn.Model(small_config(), seed=11)
-        out = tn.gnn_forward(m, g)
+        out = forward(m, g)
         targets = tn.build_targets(g)
         preds = out.final_state.tape.const(np.array([[2.0, 1e-4]]))
         _, comps = tn.total_loss(out, targets, preds, [(2.5, 3e-4)],
@@ -174,7 +180,7 @@ class TestTotalLoss:
         m = tn.Model(small_config(), seed=12)
 
         def total(weights):
-            out = tn.gnn_forward(m, toy_graph)
+            out = forward(m, toy_graph)
             targets = tn.build_targets(toy_graph)
             preds = out.final_state.tape.const(np.array([[2.0, 1e-4]]))
             _, comps = tn.total_loss(out, targets, preds, [(2.5, 3e-4)],
@@ -197,7 +203,7 @@ class TestPredictClusterParams:
             if k.startswith("trk."):
                 m.params[k][...] = 0.0
         m.params["trk.b1"][:] = [3.5, 2e-4]
-        out = tn.gnn_forward(m, g)
+        out = forward(m, g)
         pred = tn.predict_cluster_params(
             m, out.final_state, tn.cluster_features([[0, 1, 2, 3]],
                                                     g.vertex_xy))
@@ -213,7 +219,7 @@ class TestPredictClusterParams:
     def test_small_cluster_zeroes_fit(self):
         g = tiny_graph()
         m = tn.Model(small_config(), seed=14)
-        out = tn.gnn_forward(m, g)
+        out = forward(m, g)
         pred = tn.predict_cluster_params(
             m, out.final_state, tn.cluster_features([[0, 1]], g.vertex_xy))
         # the parabola features are zeroed: only the state max is read
@@ -227,7 +233,7 @@ class TestPredictClusterParams:
     def test_output_shape(self):
         g = tiny_graph()
         m = tn.Model(small_config(), seed=15)
-        out = tn.gnn_forward(m, g)
+        out = forward(m, g)
         pred = tn.predict_cluster_params(
             m, out.final_state, tn.cluster_features([[0, 1, 2]], g.vertex_xy))
         assert pred.data.shape == (1, 2)
@@ -238,7 +244,7 @@ class TestPredictClusterParams:
     def test_batched_matches_one_call_per_cluster(self):
         g = make_training_graph(seed=32, n_tracks=4)[1]
         m = tn.Model(small_config(), seed=15)
-        out = tn.gnn_forward(m, g)
+        out = forward(m, g)
         clusters = [np.flatnonzero(g.vertex_particle_id == pid)
                     for pid in sorted(g.truth_params)] + [[0, 1], [2]]
         batched = tn.predict_cluster_params(
@@ -253,7 +259,7 @@ class TestPredictClusterParams:
     def test_numpy_path_matches_tape_path(self):
         g = tiny_graph()
         m = tn.Model(small_config(), seed=16)
-        out = tn.gnn_forward(m, g)
+        out = forward(m, g)
         vids = [0, 1, 2, 3]
         pred = tn.predict_cluster_params(
             m, out.final_state, tn.cluster_features([vids], g.vertex_xy))
@@ -271,7 +277,7 @@ def composite_loss(cfg, graph, flat):
     m = tn.Model(cfg)
     m.flat[:] = flat
     view = tn.training_view(graph)
-    out = tn.gnn_forward(m, graph, messages=view.messages)
+    out = tn.gnn_forward(m, view.inputs)
     preds = tn.predict_cluster_params(m, out.final_state, view.clusters)
     total, _ = tn.total_loss(out, view.targets, preds, view.truths,
                              cfg.loss_weights, tracking_scales=(1.0, 1.0))
@@ -337,12 +343,11 @@ class TestEndToEndGradient:
 class TestTrain:
     def test_all_noise_empty_edges(self):
         from trackseg.events import Event, Hit
-        from trackseg.graphs import DbscanParams
         hits = tuple(
             Hit(i + 1, 0.1, 0.0, 0.0, float(i), (2.0 * i) % 6.28, 0, 0)
             for i in range(6))
         e = Event(0, hits, ())
-        g = graph_of(e, DbscanParams(eps=0.01, min_pts=2))
+        g = build_graph(e, DbscanParams(eps=0.01, min_pts=2))
         assert g.n_edges == 0
         m = tn.Model(small_config(), seed=20)
         history = tn.train(m, [g], tn.TrainConfig(epochs=1, lr=1e-3))
@@ -431,8 +436,8 @@ class TestTrain:
 
     def test_training_view_is_read_only(self):
         view = tn.training_view(make_training_graph(seed=54, n_tracks=2)[1])
-        arrays = [view.messages.src, view.messages.dst,
-                  view.messages.coord_diff, view.clusters.members,
+        arrays = [view.inputs.state, view.inputs.src, view.inputs.dst,
+                  view.inputs.coord_diff, view.clusters.members,
                   view.clusters.segment, view.clusters.coeffs,
                   *view.targets, view.truths]
         for array in arrays:
@@ -441,7 +446,7 @@ class TestTrain:
 
     def test_train_step_without_truth_tracks(self):
         g = replace(tiny_graph(), vertex_particle_id=np.zeros(4, dtype=int),
-                    truth_params={}, vertex_target_ellipse=[None] * 4)
+                    truth_params={}, targets={})
         assert g.n_edges > 0
         m = tn.Model(small_config(), seed=28)
         comps = tn.train_step(m, tn.training_view(g),
@@ -585,8 +590,8 @@ class TestCheckpoint:
         assert m2.config == m.config
         assert np.array_equal(m2.flat, m.flat)
         # the restored model produces identical outputs
-        o1 = tn.gnn_forward(m, g)
-        o2 = tn.gnn_forward(m2, g)
+        o1 = forward(m, g)
+        o2 = forward(m2, g)
         assert np.array_equal(o1.class_prob.data, o2.class_prob.data)
 
     def test_rejects_mismatched_shapes(self, tmp_path):
@@ -610,7 +615,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key, value", [
         ("iterations", -1), ("loss_weights", [1, -1, 1]),
-        ("iterations", 2.9), ("loss_weights", [1.0, True, 1.0])])
+        ("iterations", 2.9), ("loss_weights", [1.0, True, 1.0]),
+        ("loss_weights", [1, 1])])
     def test_rejects_invalid_config_as_data(self, tmp_path, key, value):
         path = tmp_path / "ckpt.json"
         tn.save_checkpoint(tn.Model(small_config()), path)
