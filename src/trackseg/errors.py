@@ -36,6 +36,10 @@ class ConsistencyError(DataError):
 class DomainError(TracksegError, ValueError):
     """Input outside an operation's mathematical domain."""
 
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row  # the row of a hit table's failing hit
+
 
 class FitError(TracksegError):
     """Least-squares fit failure; carries the condition number seen."""

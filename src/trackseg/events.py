@@ -1,5 +1,5 @@
 """Event production: a synthetic generator with exact ground truth and a
-TrackML CSV ingester.
+TrackML CSV ingester, both giving an event's hits as one HitTable.
 
 The synthetic detector is a set of idealized concentric cylinders.  Each
 generated particle follows an exact transverse circle; its hits are the
@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .angles import wrap_phi
 from .errors import ConfigError, ConsistencyError, DomainError, \
-    ParseError
-from .jsonio import number
+    ParseError, ShapeError
+from .jsonio import numbers
 from .kinematics import PT_COEFF, CircleTrack, TrackParams, pseudorapidity
 
 MM_TO_M = 1e-3
@@ -38,21 +37,126 @@ TRACKML_PARTICLES_HEADER = ["particle_id", "vx", "vy", "vz", "px", "py",
                             "pz", "q", "nhits"]
 
 
-@dataclass(frozen=True, slots=True)
-class Hit:
-    """One detector measurement.  particle_id 0 marks noise.  Built by
-    hit_from_xyz, which derives eta and phi and holds the hit invariants.
-    Slots keep the many short-lived hits a graph document decodes into
-    small."""
-    hit_id: int
-    x: float
-    y: float
-    z: float
-    eta: float
-    phi: float
-    layer: int
-    particle_id: int
-    volume: int = 0
+# a hit record's fields in event and graph documents, where an event's
+# records add "volume"; x, y and z are JSON numbers, the rest JSON ints
+HIT_FIELDS = ("hit_id", "x", "y", "z", "layer", "particle_id")
+_COLUMNS = (*HIT_FIELDS, "volume")
+
+
+def _int64(values) -> tuple[np.ndarray, np.ndarray]:
+    """`values` as int64, 0 where |v| >= 2**63, and the mask of those."""
+    values = np.array(values, dtype=object)  # Python ints of any size
+    beyond = (abs(values) >= 2**63).astype(bool)
+    return np.where(beyond, 0, values).astype(np.int64), beyond
+
+
+@dataclass(frozen=True, eq=False)
+class HitTable:
+    """Hits as read-only numpy columns, one row per hit; particle_id 0
+    marks noise and volume is None where the source stores none (a
+    graph).  eta and phi are derived from (x, y, z) one hit at a time
+    with math.atan2, math.hypot and kinematics.pseudorapidity.  Tables
+    are equal when their stored columns are.
+
+    Construction checks whole columns: a non-finite coordinate, a
+    negative layer, an id, layer or volume beyond int64 or a polar angle
+    outside (0, pi) raises DomainError naming the first hit that fails
+    and carrying its row, then a repeated hit_id ConsistencyError.
+    """
+    hit_id: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    layer: np.ndarray
+    particle_id: np.ndarray
+    volume: np.ndarray | None = None
+    eta: np.ndarray = field(init=False)
+    phi: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        columns = {name: np.array(getattr(self, name), dtype=float)
+                   for name in "xyz"}
+        beyond = {"volume": False}
+        for name in ("hit_id", "layer", "particle_id", "volume"):
+            if getattr(self, name) is not None:
+                columns[name], beyond[name] = _int64(getattr(self, name))
+        if len({c.shape for c in columns.values()}) != 1 or \
+                columns["x"].ndim != 1:
+            raise ShapeError("hit columns must be 1-d and of one length")
+        x, y, z, layer = (columns[name] for name in ("x", "y", "z", "layer"))
+        xs, ys = x.tolist(), y.tolist()
+        theta = list(map(math.atan2, map(math.hypot, xs, ys), z.tolist()))
+        half = 0.5 * np.array(theta, dtype=float)
+        problems = {  # in the order a hit is checked
+            "non-finite coordinate": ~np.isfinite([x, y, z]).all(axis=0),
+            "negative layer {layer}": layer < 0,
+            "id beyond int64": beyond["hit_id"] | beyond["particle_id"],
+            "layer or volume beyond int64": beyond["layer"] | beyond["volume"],
+            "polar angle must lie in (0, pi), got {theta}":
+                ~((0.0 < half) & (half < 0.5 * math.pi))}
+        failed = np.any(list(problems.values()), axis=0)
+        if failed.any():
+            row = int(np.argmax(failed))
+            problem = next(p for p, mask in problems.items() if mask[row])
+            raise DomainError(f"hit {self.hit_id[row]}: " + problem.format(
+                layer=layer[row], theta=theta[row]), row=row)
+        ids = columns["hit_id"]
+        first = np.unique(ids, return_index=True)[1]
+        if len(first) < len(ids):
+            row = np.setdiff1d(np.arange(len(ids)), first)[0]
+            raise ConsistencyError(f"hit {ids[row]}: repeats a hit_id")
+        columns["eta"] = np.array(list(map(pseudorapidity, theta)), float)
+        columns["phi"] = wrap_phi(np.array(list(map(math.atan2, ys, xs)),
+                                           float))
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.hit_id)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, HitTable) and all(
+            np.array_equal(getattr(self, n), getattr(other, n))
+            for n in _COLUMNS)
+
+    def take(self, rows, volume: bool = True) -> HitTable:
+        """The hits `rows` (a mask, slice or distinct indices) selects,
+        with their volumes if `volume`; no check runs again."""
+        table = object.__new__(HitTable)
+        object.__setattr__(table, "volume", None)
+        for name in (*_COLUMNS, "eta", "phi"):
+            column = getattr(self, name)
+            if column is not None and (volume or name != "volume"):
+                column = column[rows]
+                column.flags.writeable = False
+                object.__setattr__(table, name, column)
+        return table
+
+    def particle_rows(self, particle_ids) -> list[np.ndarray]:
+        """The rows of each listed particle's hits, ascending; each
+        particle must have a hit."""
+        order = np.argsort(self.particle_id, kind="stable")
+        ids, starts = np.unique(self.particle_id[order], return_index=True)
+        groups = dict(zip(ids.tolist(), np.split(order, starts[1:])))
+        return [groups[pid] for pid in particle_ids]
+
+
+def hit_records(hits: HitTable) -> list[dict]:
+    """One stored record per hit: HIT_FIELDS, then volume if it has one."""
+    names = [*HIT_FIELDS, *(["volume"] if hits.volume is not None else [])]
+    return [dict(zip(names, row)) for row in
+            zip(*(getattr(hits, name).tolist() for name in names))]
+
+
+def hits_from_records(records, volume: bool) -> HitTable:
+    """The table of stored hit records with HIT_FIELDS, and volume if
+    `volume`, of their JSON number kinds; otherwise ConsistencyError."""
+    columns = {name: [record[name] for record in records]
+               for name in (_COLUMNS if volume else HIT_FIELDS)}
+    for name, column in columns.items():
+        numbers(column, float if name in "xyz" else int)
+    return HitTable(**columns)
 
 
 @dataclass(frozen=True)
@@ -64,27 +168,18 @@ class TruthTrack:
 
 @dataclass(frozen=True)
 class Event:
-    """One event's hits and truth tracks.  Hit ids are unique, and the
-    track ids are exactly the nonzero hit particle ids, each once."""
+    """One event's hits and truth tracks.  The track ids are exactly the
+    nonzero hit particle ids, each once."""
     event_id: int
-    hits: tuple[Hit, ...]
+    hits: HitTable
     tracks: tuple[TruthTrack, ...]
 
     def __post_init__(self):
-        ids = [h.hit_id for h in self.hits]
-        if len(set(ids)) != len(ids):
-            raise ConsistencyError(f"event {self.event_id} repeats a hit_id")
+        pids = self.hits.particle_id
         if sorted(t.particle_id for t in self.tracks) != \
-                sorted({h.particle_id for h in self.hits} - {0}):
+                np.unique(pids[pids != 0]).tolist():
             raise ConsistencyError("each particle with hits needs exactly "
                                    "one track, and each track a hit")
-
-    def track_hits(self) -> dict[int, list[Hit]]:
-        """The hits grouped by particle id (0: noise), in event order."""
-        groups: dict[int, list[Hit]] = {}
-        for h in self.hits:
-            groups.setdefault(h.particle_id, []).append(h)
-        return groups
 
 
 @dataclass(frozen=True)
@@ -104,8 +199,13 @@ class DetectorConfig:
             raise ConfigError("z_halflength and field_b must be positive")
 
 
+ETA_LIMIT = 20.0  # from |eta| about 37 on, a polar angle rounds to pi
+PT_LIMIT = 1e4  # GeV; a huge p_T gives a radius whose square overflows
+
+
 @dataclass(frozen=True)
 class GenConfig:
+    """Generator settings: |eta| <= ETA_LIMIT, 0 < p_T <= PT_LIMIT."""
     n_tracks: int = 10
     pt_range: tuple[float, float] = (2.0, 5.0)
     eps_range: tuple[float, float] = (0.0, 5e-4)
@@ -120,8 +220,10 @@ class GenConfig:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ConfigError(f"{name} must be ordered, got ({lo}, {hi})")
-        if self.pt_range[0] <= 0:
-            raise ConfigError("pt_range must be positive")
+        if not 0 < self.pt_range[0] <= self.pt_range[1] <= PT_LIMIT:
+            raise ConfigError(f"pt_range must lie in (0, {PT_LIMIT:g}] GeV")
+        if max(map(abs, self.eta_range)) > ETA_LIMIT:
+            raise ConfigError(f"eta_range must lie in +-{ETA_LIMIT:g}")
         if self.eps_range[0] < 0:
             raise ConfigError("eps_range must be non-negative")
         if not 0.0 <= self.noise_fraction < 1.0:
@@ -171,34 +273,6 @@ def intersect_helix_layer(circle: CircleTrack, phi0: float, eta: float,
     return px, py, z
 
 
-def hit_from_xyz(hit_id: int, x: float, y: float, z: float, layer: int,
-                 particle_id: int, volume: int = 0) -> Hit:
-    """A hit at (x, y, z) with its derived eta and phi.  A non-finite
-    coordinate, a hit on the beamline, which has no polar angle in
-    (0, pi), a negative layer or an id beyond int64 raises DomainError."""
-    try:
-        if not all(map(math.isfinite, (x, y, z))):
-            raise DomainError("non-finite coordinate")
-        if layer < 0:
-            raise DomainError(f"negative layer {layer}")
-        if max(abs(hit_id), abs(particle_id)) >= 2**63:
-            raise DomainError("id beyond int64")
-        eta = pseudorapidity(math.atan2(math.hypot(x, y), z))
-    except DomainError as err:
-        raise DomainError(f"hit {hit_id}: {err}") from err
-    return Hit(hit_id, x, y, z, eta, float(wrap_phi(math.atan2(y, x))),
-               layer, particle_id, volume)
-
-
-def hit_from_dict(d: dict, volume: int = 0) -> Hit:
-    """The hit of a stored record {hit_id, x, y, z, layer, particle_id},
-    its ids and layer JSON ints and its coordinates JSON numbers."""
-    return hit_from_xyz(number(d["hit_id"], int), number(d["x"]),
-                        number(d["y"]), number(d["z"]),
-                        number(d["layer"], int),
-                        number(d["particle_id"], int), volume)
-
-
 def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
                    event_id: int = 0) -> Event:
     """Generate one synthetic event, deterministic in seed.
@@ -211,15 +285,14 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
     """
     r_min = gen.pt_range[0] / (PT_COEFF * det.field_b)
     eps_max = gen.eps_range[1]
-    if (2.0 * eps_max * r_min + eps_max**2) / r_min**2 > 0.01:
+    if eps_max * (2.0 * r_min + eps_max) > 0.01 * r_min * r_min:
         raise ConfigError(
             "pt_range/eps_range violate the parabola validity bound "
             "|delta|/R^2 <= 0.01")
 
     rng = np.random.default_rng(seed)
-    hits: list[Hit] = []
+    rows: list[tuple] = []  # (x, y, z, layer, particle_id) per hit
     tracks: list[TruthTrack] = []
-    next_id = 1
 
     for i in range(gen.n_tracks):
         pid = i + 1
@@ -235,7 +308,7 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
         # charge +1 circulates counterclockwise under this convention
         phi0 = alpha - charge * 0.5 * math.pi
 
-        track_hits = []
+        track_rows = []
         for layer, layer_radius in enumerate(det.layer_radii):
             pos = intersect_helix_layer(circle, phi0, eta, layer_radius)
             if pos is None:
@@ -246,15 +319,14 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
                 x, y, z = x + dx, y + dy, z + dz
             if abs(z) > det.z_halflength:
                 continue
-            track_hits.append(hit_from_xyz(next_id, x, y, z, layer, pid))
-            next_id += 1
-        if not track_hits:
+            track_rows.append((x, y, z, layer, pid))
+        if not track_rows:
             continue
-        hits.extend(track_hits)
+        rows.extend(track_rows)
         tracks.append(TruthTrack(
             pid, TrackParams(pt, abs(d - radius), circle.a, circle.b)))
 
-    n_signal = len(hits)
+    n_signal = len(rows)
     nf = gen.noise_fraction
     n_noise = int(round(n_signal * nf / (1.0 - nf))) if nf > 0 else 0
     for _ in range(n_noise):
@@ -263,31 +335,12 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
         eta = rng.uniform(*gen.eta_range)
         r = det.layer_radii[layer]
         z = r * math.sinh(eta)
-        hits.append(hit_from_xyz(next_id, r * math.cos(phi),
-                                 r * math.sin(phi), z, layer, 0))
-        next_id += 1
+        rows.append((r * math.cos(phi), r * math.sin(phi), z, layer, 0))
 
-    return Event(event_id, tuple(hits), tuple(tracks))
-
-
-def _read_csv_rows(path, expected_header: list[str]):
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected header "
-                             f"{','.join(expected_header)}", line=1)
-        if [h.strip() for h in header] != expected_header:
-            raise ParseError(f"{path}: unexpected header {header!r}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(f"{path}: expected {len(expected_header)} "
-                                 f"fields, got {len(row)}", line=lineno)
-            yield lineno, row
+    n = len(rows)
+    x, y, z, layer, pid = list(zip(*rows)) or [()] * 5
+    return Event(event_id, HitTable(np.arange(1, n + 1), x, y, z, layer, pid,
+                                    np.zeros(n, dtype=int)), tuple(tracks))
 
 
 def _parse_fields(path, lineno, row, int_cols: set[int]):
@@ -303,6 +356,33 @@ def _parse_fields(path, lineno, row, int_cols: set[int]):
     return out
 
 
+def _keyed_rows(path, header: list[str], int_cols: set[int]) -> dict:
+    """{first field: (fields, line)} of each row of a TrackML CSV file; a
+    bad header, field count or value and a repeated first field raise
+    ParseError naming the line."""
+    rows = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None:
+            raise ParseError(f"{path}: empty file, expected header "
+                             f"{','.join(header)}", line=1)
+        if [h.strip() for h in found] != header:
+            raise ParseError(f"{path}: unexpected header {found!r}", line=1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}: expected {len(header)} fields, "
+                                 f"got {len(row)}", line=lineno)
+            vals = _parse_fields(path, lineno, row, int_cols)
+            if vals[0] in rows:
+                raise ParseError(f"{path}: repeated {header[0]} {vals[0]}",
+                                 line=lineno)
+            rows[vals[0]] = vals, lineno
+    return rows
+
+
 def read_trackml_event(hits_path, truth_path, particles_path,
                        field_b: float = 2.0) -> Event:
     """Ingest one TrackML event, as event 0, from its hits/truth/particles
@@ -312,54 +392,33 @@ def read_trackml_event(hits_path, truth_path, particles_path,
     particles file momenta; the truth circle is reconstructed from the
     production vertex, momentum direction and charge assuming an ideal
     solenoid field.  Particles with zero p_T or a non-unit charge cannot
-    form a circle and their hits are kept as noise.  A hit that
-    hit_from_xyz rejects, a particle whose momentum gives no finite track
+    form a circle and their hits are kept as noise.  A hit that the
+    HitTable rejects, a particle whose momentum gives no finite track
     and a repeated row raise ParseError naming the line.
     """
-    raw_hits: dict[int, tuple] = {}
-    for lineno, row in _read_csv_rows(hits_path, TRACKML_HITS_HEADER):
-        vals = _parse_fields(hits_path, lineno, row, {0, 4, 5, 6})
-        hit_id = vals[0]
-        if hit_id in raw_hits:
-            raise ParseError(f"{hits_path}: repeated hit_id {hit_id}",
-                             line=lineno)
-        raw_hits[hit_id] = (vals[1] * MM_TO_M, vals[2] * MM_TO_M,
-                            vals[3] * MM_TO_M, vals[4], vals[5], lineno)
-
-    hit_particle: dict[int, int] = {}
-    for lineno, row in _read_csv_rows(truth_path, TRACKML_TRUTH_HEADER):
-        vals = _parse_fields(truth_path, lineno, row, {0, 1})
-        if vals[0] not in raw_hits:
+    hits = _keyed_rows(hits_path, TRACKML_HITS_HEADER, {0, 4, 5, 6})
+    truth = _keyed_rows(truth_path, TRACKML_TRUTH_HEADER, {0, 1})
+    for hit_id in truth:
+        if hit_id not in hits:
             raise ConsistencyError(
-                f"truth hit_id {vals[0]} has no matching hits row")
-        if vals[0] in hit_particle:
-            raise ParseError(f"{truth_path}: repeated hit_id {vals[0]}",
-                             line=lineno)
-        hit_particle[vals[0]] = vals[1]
+                f"truth hit_id {hit_id} has no matching hits row")
+    particles = _keyed_rows(particles_path, TRACKML_PARTICLES_HEADER,
+                            {0, 7, 8})
 
-    particles: dict[int, tuple] = {}
-    for lineno, row in _read_csv_rows(particles_path,
-                                      TRACKML_PARTICLES_HEADER):
-        vals = _parse_fields(particles_path, lineno, row, {0, 7, 8})
-        if vals[0] in particles:
-            raise ParseError(f"{particles_path}: repeated particle_id "
-                             f"{vals[0]}", line=lineno)
-        particles[vals[0]] = (vals[1] * MM_TO_M, vals[2] * MM_TO_M,
-                              vals[4], vals[5], vals[7], lineno)
-
+    hit_particle = {hit_id: vals[1] for hit_id, (vals, _) in truth.items()}
     params = {}
     for pid in sorted(set(hit_particle.values()) - {0}):
         if pid not in particles:
             raise ConsistencyError(
                 f"particle {pid} in truth but not in particles file")
-        vx, vy, px, py, q, lineno = particles[pid]
+        (_, vx, vy, _, px, py, _, q, _), lineno = particles[pid]
         pt = math.hypot(px, py)
         if pt <= 0.0 or q not in (-1, 1):
             continue
         radius = pt / (PT_COEFF * field_b)
         phi_c = math.atan2(py, px) - q * 0.5 * math.pi
-        a = vx + radius * math.cos(phi_c)
-        b = vy + radius * math.sin(phi_c)
+        a = vx * MM_TO_M + radius * math.cos(phi_c)
+        b = vy * MM_TO_M + radius * math.sin(phi_c)
         try:
             params[pid] = TrackParams(pt, abs(math.hypot(a, b) - radius),
                                       a, b)
@@ -367,39 +426,32 @@ def read_trackml_event(hits_path, truth_path, particles_path,
             raise ParseError(f"{particles_path}: particle {pid}: {err}",
                              line=lineno) from err
 
-    hits = []
-    for hit_id, (x, y, z, volume, layer, lineno) in raw_hits.items():
-        pid = hit_particle.get(hit_id, 0)
-        if pid not in params:
-            pid = 0  # unparametrizable particle: keep the hit as noise
-        try:
-            hits.append(hit_from_xyz(hit_id, x, y, z, layer, pid, volume))
-        except DomainError as err:
-            raise ParseError(f"{hits_path}: {err}", line=lineno) from err
+    pids = [hit_particle.get(hit_id, 0) for hit_id in hits]
+    rows = list(hits.values())
+    hit_id, x, y, z, volume, layer, _ = \
+        list(zip(*(vals for vals, _ in rows))) or [()] * 7
+    try:
+        table = HitTable(hit_id, *(np.multiply(c, MM_TO_M) for c in (x, y, z)),
+                         layer, [pid if pid in params else 0 for pid in pids],
+                         volume)
+    except DomainError as err:
+        raise ParseError(f"{hits_path}: {err}", line=rows[err.row][1]) \
+            from err
+    return Event(0, table, tuple(TruthTrack(pid, p)
+                                 for pid, p in params.items()))
 
-    tracks = tuple(TruthTrack(pid, p) for pid, p in params.items())
-    return Event(0, tuple(hits), tracks)
 
-
-def apply_selection(e: Event, pt_min: float = 0.0,
-                    volumes=None) -> Event:
-    """Keep hits in the listed volumes whose truth p_T >= pt_min.
+def apply_selection(e: Event, pt_min: float, volumes) -> Event:
+    """Keep the hits in the listed volumes whose truth p_T >= pt_min.
 
     Noise hits pass the p_T cut unconditionally but are still filtered by
     volume; tracks left without hits are dropped.  Idempotent, and the
     hit count never increases.
     """
-    volume_set = None if volumes is None else set(volumes)
-    track_pt = {t.particle_id: t.params.p_t for t in e.tracks}
-
-    def keep(h: Hit) -> bool:
-        if volume_set is not None and h.volume not in volume_set:
-            return False
-        if h.particle_id == 0:
-            return True
-        return track_pt.get(h.particle_id, 0.0) >= pt_min
-
-    kept = tuple(h for h in e.hits if keep(h))
-    kept_pids = {h.particle_id for h in kept}
-    return Event(e.event_id, kept,
-                 tuple(t for t in e.tracks if t.particle_id in kept_pids))
+    passing = [t.particle_id for t in e.tracks if t.params.p_t >= pt_min]
+    pids = e.hits.particle_id
+    hits = e.hits.take(np.isin(e.hits.volume, list(volumes))
+                       & ((pids == 0) | np.isin(pids, passing)))
+    kept = set(hits.particle_id.tolist())
+    return Event(e.event_id, hits,
+                 tuple(t for t in e.tracks if t.particle_id in kept))

@@ -13,7 +13,7 @@ import numpy as np
 from .angles import TWO_PI, wrap_phi
 from .ellipses import Ellipse5, ellipse_from_dict, ellipse_to_dict, mvee
 from .errors import ConfigError, ConsistencyError
-from .events import Event, hit_from_dict
+from .events import Event, HitTable, hit_records, hits_from_records
 from .jsonio import number, numbers, parsing
 
 # target ellipses are the tracks' enclosing ellipses grown by this factor
@@ -38,34 +38,25 @@ class DbscanParams:
 class Graph:
     """Hit graph of one event, as build_graph or graph_from_dict builds it.
 
-    Vertices are hits with coordinates (eta, phi), z and layer; edges
-    are undirected, stored once with i < j.  Each vertex's particle id
-    and transverse coordinates, with each particle's (p_T, eps_T) and
-    target ellipse, make a stored graph a self-contained training
-    sample.  Construction derives each vertex's target (its particle's
-    ellipse, None for noise) and raises ConsistencyError unless vertex
-    hit ids are unique, the nonzero vertex particle ids are the keys of
-    both truth_params and targets, each (p_T, eps_T) is finite with
+    Its vertices are the event's hits, a HitTable without volumes (a
+    graph document stores none), at their (eta, phi); edges are
+    undirected, stored once with i < j.  The hits, with each particle's
+    (p_T, eps_T) and target ellipse, make a stored graph a
+    self-contained training sample.  Construction derives each vertex's
+    target (its particle's ellipse, None for noise) and raises
+    ConsistencyError unless the nonzero vertex particle ids are the keys
+    of both truth_params and targets, each (p_T, eps_T) is finite with
     p_T > 0, and each edge joins two distinct vertices in range.
     """
     event_id: int
-    eta: np.ndarray
-    phi: np.ndarray
-    z: np.ndarray
-    layer: np.ndarray
+    hits: HitTable
     edges: np.ndarray
-    vertex_hit_ids: np.ndarray
-    vertex_particle_id: np.ndarray  # 0 for noise vertices
-    vertex_xy: np.ndarray
     truth_params: dict[int, tuple[float, float]]
     targets: dict[int, Ellipse5]
     vertex_target_ellipse: list = field(init=False)
 
     def __post_init__(self):
-        ids = self.vertex_hit_ids
-        if len(set(ids.tolist())) != len(ids):
-            raise ConsistencyError(f"graph {self.event_id} repeats a hit_id")
-        pids = self.vertex_particle_id.tolist()
+        pids = self.hits.particle_id.tolist()
         found = set(pids) - {0}
         odd = found ^ self.truth_params.keys() | found ^ self.targets.keys()
         if odd:
@@ -83,14 +74,17 @@ class Graph:
         object.__setattr__(self, "vertex_target_ellipse",
                            assign_vertex_targets(pids, self.targets))
 
+    eta = property(lambda self: self.hits.eta)
+    phi = property(lambda self: self.hits.phi)
+
     @property
     def vertex_class(self) -> np.ndarray:
         """True for track vertices."""
-        return self.vertex_particle_id != 0
+        return self.hits.particle_id != 0
 
     @property
     def n_vertices(self) -> int:
-        return len(self.eta)
+        return len(self.hits)
 
     @property
     def n_edges(self) -> int:
@@ -179,12 +173,13 @@ def build_graph(e: Event, params: DbscanParams) -> Graph:
     Hits are clustered in eta-phi; every cluster contributes all its pairs
     as edges (a complete subgraph), unclustered hits stay isolated.
     """
-    if not e.hits:
+    if not len(e.hits):
         raise ConsistencyError("cannot build a graph from an empty event")
-    labels = dbscan([(h.eta, h.phi) for h in e.hits], params)
-    return _graph(e.event_id, e.hits, _cluster_edges(labels),
-                  {t.particle_id: (t.params.p_t, t.params.eps_t)
-                   for t in e.tracks}, dict(truth_ellipses(e)))
+    labels = dbscan(np.stack([e.hits.eta, e.hits.phi], axis=1), params)
+    return Graph(e.event_id, e.hits.take(slice(None), volume=False),
+                 _cluster_edges(labels),
+                 {t.particle_id: (t.params.p_t, t.params.eps_t)
+                  for t in e.tracks}, dict(truth_ellipses(e)))
 
 
 def _cluster_edges(labels: np.ndarray) -> np.ndarray:
@@ -203,33 +198,13 @@ def _cluster_edges(labels: np.ndarray) -> np.ndarray:
     return np.stack([members[first], members[first + 1 + offset]], axis=1)
 
 
-def _graph(event_id: int, hits, edges, truth_params: dict,
-           targets: dict) -> Graph:
-    """The Graph of `hits` joined by `edges`, with `truth_params` the
-    (p_T, eps_T) and `targets` the target ellipse of each particle."""
-    return Graph(
-        event_id=event_id,
-        eta=np.array([h.eta for h in hits]),
-        phi=np.array([h.phi for h in hits]),
-        z=np.array([h.z for h in hits], dtype=float),
-        layer=np.array([h.layer for h in hits], dtype=int),
-        edges=np.array(edges, dtype=int).reshape(len(edges), 2),
-        vertex_hit_ids=np.array([h.hit_id for h in hits], dtype=int),
-        vertex_particle_id=np.array([h.particle_id for h in hits],
-                                    dtype=int),
-        vertex_xy=np.array([(h.x, h.y) for h in hits]).reshape(-1, 2),
-        truth_params=truth_params,
-        targets=targets,
-    )
-
-
 def truth_ellipses(e: Event) -> list[tuple[int, Ellipse5]]:
     """Minimum-area enclosing ellipse of each truth track's (eta, phi)
     hits, inflated by TARGET_PADDING on both semi-axes.  Degenerate
     tracks (one hit, collinear hits) fall back to the semi-axis floor."""
-    track_hits = e.track_hits()
-    bases = mvee([[(h.eta, h.phi) for h in track_hits[t.particle_id]]
-                  for t in e.tracks])
+    points = np.stack([e.hits.eta, e.hits.phi], axis=1)
+    bases = mvee([points[rows] for rows in
+                  e.hits.particle_rows([t.particle_id for t in e.tracks])])
     return [(t.particle_id,
              Ellipse5(base.eta_c, base.phi_c, base.a * TARGET_PADDING,
                       base.b * TARGET_PADDING, base.theta))
@@ -249,13 +224,7 @@ def graph_to_dict(g: Graph) -> dict:
     return {
         "format": GRAPH_FORMAT,
         "event_id": g.event_id,
-        "vertices": [
-            {"hit_id": hit_id, "x": x, "y": y, "z": z, "layer": layer,
-             "particle_id": pid}
-            for hit_id, (x, y), z, layer, pid in zip(
-                g.vertex_hit_ids.tolist(), g.vertex_xy.tolist(),
-                g.z.tolist(), g.layer.tolist(),
-                g.vertex_particle_id.tolist())],
+        "vertices": hit_records(g.hits),
         "edges": g.edges.tolist(),
         "particles": [
             {"particle_id": pid, "pt": pt, "eps_t": eps,
@@ -267,14 +236,14 @@ def graph_to_dict(g: Graph) -> dict:
 def graph_from_dict(d: dict) -> Graph:
     """Decode a graph-v3 document: ids and edge ends JSON ints, other
     numbers JSON numbers, each particle entry with a target ellipse
-    object, each vertex a hit hit_from_xyz accepts and the Graph valid;
+    object, the vertices a HitTable accepts and the Graph valid;
     otherwise, and for a graph-v1 or graph-v2 document, raises
     ConsistencyError."""
     if isinstance(d, dict) and d.get("format") in ("graph-v1", "graph-v2"):
         raise ConsistencyError(f"{d['format']} document: rebuild the graphs "
                                f"with build-graphs")
     with parsing(d, GRAPH_FORMAT):
-        hits = [hit_from_dict(v) for v in d["vertices"]]
+        hits = hits_from_records(d["vertices"], volume=False)
         numbers(itertools.chain.from_iterable(d["edges"]), int)
         params, targets = {}, {}
         for p in d["particles"]:
@@ -286,5 +255,6 @@ def graph_from_dict(d: dict) -> Graph:
                 raise ConsistencyError(f"graph particle {k} needs a target "
                                        f"ellipse object")
             targets[k] = ellipse_from_dict(p["target"])
-        return _graph(number(d["event_id"], int), hits, d["edges"], params,
-                      targets)
+        edges = np.array(d["edges"], dtype=int).reshape(len(d["edges"]), 2)
+        return Graph(number(d["event_id"], int), hits, edges, params,
+                     targets)

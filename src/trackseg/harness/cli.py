@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ..errors import (ConfigError, DataError, DomainError, FitError,
@@ -84,33 +85,18 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         cfg = apply_overrides(cfg, seed=args.seed, out_dir=args.out)
         if args.command == "ingest":
-            from dataclasses import replace
-            paths = cfg.paths
-            if args.hits:
-                paths = replace(paths, hits_csv=args.hits)
-            if args.truth:
-                paths = replace(paths, truth_csv=args.truth)
-            if args.particles:
-                paths = replace(paths, particles_csv=args.particles)
-            cfg = replace(cfg, paths=paths)
+            given = {f"{name}_csv": getattr(args, name)
+                     for name in ("hits", "truth", "particles")
+                     if getattr(args, name)}
+            cfg = replace(cfg, paths=replace(cfg.paths, **given))
         _setup_logging(cfg, args.verbose)
 
-        if args.command == "generate":
-            pipeline.stage_generate(cfg)
-        elif args.command == "ingest":
-            pipeline.stage_ingest(cfg)
-        elif args.command == "build-graphs":
-            pipeline.stage_build_graphs(cfg)
-        elif args.command == "train":
-            pipeline.stage_train(cfg)
-        elif args.command == "infer":
-            pipeline.stage_infer(cfg)
-        elif args.command == "evaluate":
-            pipeline.stage_evaluate(cfg)
-        elif args.command == "plot":
+        if args.command == "plot":
             pipeline.stage_plot(cfg, args.event, args.truth)
         elif args.command == "run":
             pipeline.run_pipeline(cfg)
+        else:  # generate, ingest, build-graphs, train, infer, evaluate
+            getattr(pipeline, "stage_" + args.command.replace("-", "_"))(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

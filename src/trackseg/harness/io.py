@@ -7,7 +7,7 @@ import math
 
 from ..ellipses import ellipse_from_dict, ellipse_to_dict
 from ..errors import ConsistencyError
-from ..events import Event, TruthTrack, hit_from_dict
+from ..events import Event, TruthTrack, hit_records, hits_from_records
 # perfbench/workloads.py imports read_json from this module
 from ..jsonio import number, parsing, read_json
 from ..kinematics import TrackParams
@@ -24,11 +24,7 @@ def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
     doc = {
         "format": EVENT_FORMAT,
         "event_id": e.event_id,
-        "hits": [
-            {"hit_id": h.hit_id, "x": h.x, "y": h.y, "z": h.z,
-             "layer": h.layer, "particle_id": h.particle_id,
-             "volume": h.volume}
-            for h in e.hits],
+        "hits": hit_records(e.hits),
         "tracks": [
             {"particle_id": t.particle_id, "pt": t.params.p_t,
              "eps_t": t.params.eps_t, "a": t.params.a, "b": t.params.b}
@@ -40,15 +36,14 @@ def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
 
 
 def event_from_dict(d: dict) -> Event:
-    """Decode an event-v2 document; a hit hit_from_xyz rejects, an Event
+    """Decode an event-v2 document; hits a HitTable rejects, an Event
     that breaks its invariants and an event-v1 document raise
     ConsistencyError."""
     if isinstance(d, dict) and d.get("format") == "event-v1":
         raise ConsistencyError("event-v1 document: regenerate the events "
                                "with generate or ingest")
     with parsing(d, EVENT_FORMAT):
-        hits = tuple(hit_from_dict(h, number(h["volume"], int))
-                     for h in d["hits"])
+        hits = hits_from_records(d["hits"], volume=True)
         tracks = tuple(
             TruthTrack(number(t["particle_id"], int),
                        TrackParams(number(t["pt"]), number(t["eps_t"]),

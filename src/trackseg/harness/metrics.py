@@ -70,49 +70,40 @@ def evaluate(predictions: dict[int, dict], truth: dict[int, Event],
     flags: dict = {}
 
     for event_id in sorted(predictions):
-        pred = predictions[event_id]
-        event = truth[event_id]
-        hit_pid = {h.hit_id: h.particle_id for h in event.hits}
-        unknown = [i for i in pred["vertex_hit_ids"] if i not in hit_pid]
+        pred, event = predictions[event_id], truth[event_id]
+        row_of = dict(zip(event.hits.hit_id.tolist(), range(len(event.hits))))
+        unknown = [i for i in pred["vertex_hit_ids"] if i not in row_of]
         if unknown:
             raise ConsistencyError(f"event {event_id}: predicted hit ids "
                                    f"{unknown[:3]} not in truth event")
-
-        for hid, prob in zip(pred["vertex_hit_ids"], pred["class_prob"]):
-            labels_all.append(hit_pid[hid] != 0)
-            scores_all.append(prob)
-
+        rows = np.array([row_of[i] for i in pred["vertex_hit_ids"]], int)
+        labels_all.append(event.hits.particle_id[rows] != 0)
+        scores_all.append(np.asarray(pred["class_prob"], dtype=float))
         candidates = pred["candidates"]
         n_candidates += len(candidates)
-        assignment_by_hit = {
-            hid: cand for hid, cand in zip(pred["vertex_hit_ids"],
-                                           pred["assignments"])
-            if cand is not None}
+        # the candidate each hit is assigned to, -1 for none
+        assigned = np.full(len(event.hits), -1)
+        assigned[rows] = [-1 if a is None else a for a in pred["assignments"]]
 
         matched_this_event = set()
-        track_hits = event.track_hits()
-        for track in event.tracks:
-            n_tracks += 1
-            hits = track_hits[track.particle_id]
-            counts: dict[int, int] = {}
-            for h in hits:
-                cand = assignment_by_hit.get(h.hit_id)
-                if cand is not None:
-                    counts[cand] = counts.get(cand, 0) + 1
-            for cand, count in sorted(counts.items()):
-                if 2 * count > len(hits):
-                    n_matched_tracks += 1
-                    matched_this_event.add(cand)
-                    params = candidates[cand].params
-                    if params is not None:
-                        pt_residuals.append(
-                            (params[0] - track.params.p_t) / track.params.p_t)
-                        eps_residuals.append(params[1] - track.params.eps_t)
-                    break
+        n_tracks += len(event.tracks)
+        for track, track_rows in zip(event.tracks, event.hits.particle_rows(
+                [t.particle_id for t in event.tracks])):
+            found, counts = np.unique(assigned[track_rows],
+                                      return_counts=True)
+            majority = found[(found >= 0) & (2 * counts > len(track_rows))]
+            if len(majority):
+                n_matched_tracks += 1
+                matched_this_event.add(int(majority[0]))
+                params = candidates[majority[0]].params
+                if params is not None:
+                    pt_residuals.append(
+                        (params[0] - track.params.p_t) / track.params.p_t)
+                    eps_residuals.append(params[1] - track.params.eps_t)
         matched_candidates += len(matched_this_event)
 
-    labels_arr = np.asarray(labels_all, dtype=bool)
-    scores_arr = np.asarray(scores_all, dtype=float)
+    labels_arr = np.concatenate(labels_all)
+    scores_arr = np.concatenate(scores_all)
     if len(labels_arr):
         predicted = scores_arr >= class_threshold
         accuracy = float(np.mean(predicted == labels_arr))

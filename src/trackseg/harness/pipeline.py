@@ -214,7 +214,7 @@ def _infer_one(cfg: RunConfig, model: tracknet.Model, graph) -> dict:
     members = [tuple(kept[k] for k in cand.member_vertex_ids)
                for cand in raw]
     params = tracknet.cluster_params_from_states(
-        model, result.final_state, members, graph.vertex_xy)
+        model, result.final_state, members, graph)
     if not np.all(np.isfinite(params)):
         raise NumericError("non-finite inference output",
                            graph_id=graph.event_id,
@@ -222,9 +222,9 @@ def _infer_one(cfg: RunConfig, model: tracknet.Model, graph) -> dict:
     candidates = [TrackCandidate(cand.ellipse, cand.confidence, vids,
                                  (float(pt), float(eps)))
                   for cand, vids, (pt, eps) in zip(raw, members, params)]
-    vertices = list(zip(graph.eta, graph.phi, result.class_prob))
+    vertices = np.stack([graph.eta, graph.phi, result.class_prob], axis=1)
     assignments = assign_hits(candidates, vertices, cfg.nms.class_threshold)
-    return prediction_to_dict(graph.event_id, graph.vertex_hit_ids,
+    return prediction_to_dict(graph.event_id, graph.hits.hit_id,
                               result.class_prob, result.ellipses, candidates,
                               assignments, cfg.to_dict())
 

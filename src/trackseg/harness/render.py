@@ -26,7 +26,9 @@ def _particle_color(rank: int) -> str:
 def render_event_svg(event: Event, shapes: list[Ellipse5], path) -> None:
     """Write the eta-phi view of an event: one marker per hit (colored by
     truth particle, noise gray) and one outline per ellipse."""
-    etas = [h.eta for h in event.hits] + [e.eta_c for e in shapes]
+    eta, phi, pids = (column.tolist() for column in (
+        event.hits.eta, event.hits.phi, event.hits.particle_id))
+    etas = eta + [e.eta_c for e in shapes]
     if etas:
         lo, hi = min(etas), max(etas)
         pad = 0.1 * max(hi - lo, 0.5)
@@ -44,8 +46,7 @@ def render_event_svg(event: Event, shapes: list[Ellipse5], path) -> None:
     def py(phi: float) -> float:
         return HEIGHT - MARGIN - (phi - phi_min) * sy
 
-    pid_order = sorted({h.particle_id for h in event.hits
-                        if h.particle_id != 0})
+    pid_order = sorted(set(pids) - {0})
     color = {pid: _particle_color(i) for i, pid in enumerate(pid_order)}
 
     lines = [
@@ -73,10 +74,10 @@ def render_event_svg(event: Event, shapes: list[Ellipse5], path) -> None:
         f'text-anchor="middle" font-size="12">{_fmt(phi_max)}</text>',
     ]
 
-    for h in event.hits:
-        fill = color.get(h.particle_id, NOISE_COLOR)
-        lines.append(f'<circle cx="{_fmt(px(h.eta))}" cy="{_fmt(py(h.phi))}" '
-                     f'r="3" fill="{fill}"/>')
+    for hit_eta, hit_phi, pid in zip(eta, phi, pids):
+        fill = color.get(pid, NOISE_COLOR)
+        lines.append(f'<circle cx="{_fmt(px(hit_eta))}" '
+                     f'cy="{_fmt(py(hit_phi))}" r="3" fill="{fill}"/>')
 
     for e in shapes:
         # the scale() flip makes screen y increase downward, so the data

@@ -149,7 +149,7 @@ class GraphInputs:
 def graph_inputs(graph: Graph) -> GraphInputs:
     """The network inputs of a graph: the state of a vertex is its
     (z, layer), and delta phi is the wrapped shortest arc."""
-    state = np.stack([graph.z, graph.layer.astype(float)], axis=1)
+    state = np.stack([graph.hits.z, graph.hits.layer.astype(float)], axis=1)
     i, j = graph.edges[:, 0], graph.edges[:, 1]
     src, dst = np.concatenate([j, i]), np.concatenate([i, j])
     deta = graph.eta[src] - graph.eta[dst]
@@ -195,12 +195,12 @@ class ClusterFeatures:
     coeffs: np.ndarray
 
 
-def cluster_features(clusters, hits_xy) -> ClusterFeatures:
-    """The head's weight-independent inputs for vertex clusters.  The
-    coefficients are zero when a cluster has fewer than 3 hits or the
-    fit degenerates.  `hits_xy` is indexed by vertex id."""
+def cluster_features(clusters, graph: Graph) -> ClusterFeatures:
+    """The head's weight-independent inputs for clusters of a graph's
+    vertices.  The coefficients are zero when a cluster has fewer than 3
+    hits or the fit degenerates."""
     clusters = [np.asarray(vids, dtype=int) for vids in clusters]
-    hits_xy = np.asarray(hits_xy, dtype=float)
+    hits_xy = np.stack([graph.hits.x, graph.hits.y], axis=1)
     coeffs = np.zeros((len(clusters), 3))
     for k, vids in enumerate(clusters):
         if len(vids) >= 3:
@@ -232,12 +232,12 @@ def predict_cluster_params(model: Model, final_state: Var,
 
 
 def cluster_params_from_states(model: Model, final_state: np.ndarray,
-                               clusters, hits_xy) -> np.ndarray:
+                               clusters, graph: Graph) -> np.ndarray:
     """Gradient-free entry to the head for an inference pass's states."""
     with Tape() as tape:
         return predict_cluster_params(model, tape.const(final_state),
                                       cluster_features(clusters,
-                                                       hits_xy)).data
+                                                       graph)).data
 
 
 def build_targets(graph: Graph):
@@ -300,8 +300,7 @@ def training_view(graph: Graph) -> TrainingView:
     pids = sorted(graph.truth_params)
     view = TrainingView(
         graph, graph_inputs(graph),
-        cluster_features([np.flatnonzero(graph.vertex_particle_id == pid)
-                          for pid in pids], graph.vertex_xy),
+        cluster_features(graph.hits.particle_rows(pids), graph),
         build_targets(graph),
         np.array([graph.truth_params[pid] for pid in pids],
                  dtype=float).reshape(-1, 2))

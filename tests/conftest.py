@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from trackseg.events import DetectorConfig, GenConfig, generate_event
+from trackseg.events import (DetectorConfig, GenConfig, HitTable,
+                             generate_event)
 from trackseg.graphs import DbscanParams, build_graph
 
 
@@ -18,6 +21,18 @@ def make_training_graph(seed=0, n_tracks=5, noise_fraction=0.1,
                     hit_smearing_sigma=smearing)
     event = generate_event(det, gen, seed=seed, event_id=event_id)
     return event, build_graph(event, DbscanParams())
+
+
+def hit_table(rows, volume=None):
+    """The HitTable of hit rows (hit_id, x, y, z, layer, particle_id)."""
+    return HitTable(*(list(zip(*rows)) or [()] * 6), volume=volume)
+
+
+def hit_at(hit_id, eta, phi, layer=0, particle_id=0, rho=0.1):
+    """The row of a hit at transverse radius rho whose derived eta and
+    phi are the given ones, up to rounding."""
+    return (hit_id, rho * math.cos(phi), rho * math.sin(phi),
+            rho * math.sinh(eta), layer, particle_id)
 
 
 @pytest.fixture

@@ -52,7 +52,7 @@ def plain_message_passing(params, iterations, graph):
     for i, j in graph.edges:
         neighbors[i].append(j)
         neighbors[j].append(i)
-    s = np.column_stack([graph.z, graph.layer]).astype(float)
+    s = np.column_stack([graph.hits.z, graph.hits.layer]).astype(float)
     for t in range(1, iterations + 1):
         new = np.empty_like(s)
         for i in range(n):

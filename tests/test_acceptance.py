@@ -445,11 +445,11 @@ def test_criterion_10_rendering(tmp_path):
 
 def test_criterion_11_trackml_ingestion(tmp_path):
     e = read_trackml_event(*write_trackml(tmp_path))
-    h = e.hits[0]
-    assert (h.x, h.y, h.z) == (pytest.approx(-0.0644),
-                               pytest.approx(-0.0072),
-                               pytest.approx(-0.514))
-    assert h.volume == 8 and h.layer == 2
+    h = e.hits
+    assert (h.x[0], h.y[0], h.z[0]) == (pytest.approx(-0.0644),
+                                        pytest.approx(-0.0072),
+                                        pytest.approx(-0.514))
+    assert h.volume[0] == 8 and h.layer[0] == 2
     assert e.tracks[0].params.p_t == pytest.approx(5.0)  # 3-4-5 momenta
 
     bad_dir = tmp_path / "bad"

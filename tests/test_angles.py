@@ -5,7 +5,7 @@ import pytest
 
 from trackseg.angles import circular_mean, wrap_half_pi, wrap_phi, wrap_theta
 from trackseg.ellipses import DELTA_THETA, THETA_M, decode_box
-from trackseg.events import hit_from_xyz
+from trackseg.events import HitTable
 
 
 # a plain modulo rounds each of these inputs up to the excluded bound
@@ -33,4 +33,4 @@ def test_decode_box_at_the_theta_fold():
 
 
 def test_hit_just_below_the_x_axis_has_phi_zero():
-    assert hit_from_xyz(1, 1.0, -1e-20, 0.5, 0, 0).phi == 0.0
+    assert HitTable([1], [1.0], [-1e-20], [0.5], [0], [0]).phi[0] == 0.0

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import hit_table
 from trackseg.errors import (ConfigError, ConsistencyError, DomainError,
                              ParseError)
-from trackseg.events import (Event, GenConfig, apply_selection,
-                             generate_event, hit_from_xyz,
-                             intersect_helix_layer, read_trackml_event)
+from trackseg.events import (Event, GenConfig, HitTable, apply_selection,
+                             generate_event, intersect_helix_layer,
+                             read_trackml_event)
 from trackseg.kinematics import CircleTrack, fit_track_conformal
 
 
@@ -66,11 +67,11 @@ class TestGenerateEvent:
         gen = GenConfig(n_tracks=4, noise_fraction=0.0,
                         hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=3)
-        track_hits = e.track_hits()
         for t in e.tracks:
             radius = t.params.p_t / (0.3 * detector.field_b)
-            for h in track_hits[t.particle_id]:
-                r = math.hypot(h.x - t.params.a, h.y - t.params.b)
+            mine = e.hits.particle_id == t.particle_id
+            for x, y in zip(e.hits.x[mine], e.hits.y[mine]):
+                r = math.hypot(x - t.params.a, y - t.params.b)
                 assert abs(r - radius) < 1e-10
 
     def test_deterministic(self, detector):
@@ -83,8 +84,8 @@ class TestGenerateEvent:
         gen = GenConfig(n_tracks=10, eta_range=(-0.5, 0.5),
                         noise_fraction=0.1, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=1)
-        n_signal = sum(1 for h in e.hits if h.particle_id != 0)
-        n_noise = sum(1 for h in e.hits if h.particle_id == 0)
+        n_signal = np.count_nonzero(e.hits.particle_id != 0)
+        n_noise = np.count_nonzero(e.hits.particle_id == 0)
         assert n_signal == 10 * len(detector.layer_radii)
         assert n_noise == round(n_signal * 0.1 / 0.9)
 
@@ -101,7 +102,7 @@ class TestGenerateEvent:
         # the Event checks its invariants as generate_event builds it
         gen = GenConfig(n_tracks=8, noise_fraction=0.15,
                         hit_smearing_sigma=2e-4)
-        assert generate_event(detector, gen, seed=5).hits
+        assert len(generate_event(detector, gen, seed=5).hits)
 
     def test_bad_config(self, detector):
         with pytest.raises(ConfigError):
@@ -119,12 +120,11 @@ class TestGenerateEvent:
         gen = GenConfig(n_tracks=20, noise_fraction=0.0,
                         hit_smearing_sigma=0.0, eps_range=(1e-4, 5e-4))
         e = generate_event(detector, gen, seed=6)
-        track_hits = e.track_hits()
         for t in e.tracks:
-            hits = track_hits[t.particle_id]
-            if len(hits) < 4:
+            mine = e.hits.particle_id == t.particle_id
+            if np.count_nonzero(mine) < 4:
                 continue
-            xy = np.array([[h.x, h.y] for h in hits])
+            xy = np.stack([e.hits.x[mine], e.hits.y[mine]], axis=1)
             fit = fit_track_conformal(xy, detector.field_b)
             assert fit.a == pytest.approx(t.params.a, rel=1e-3, abs=1e-4)
             assert fit.b == pytest.approx(t.params.b, rel=1e-3, abs=1e-4)
@@ -141,7 +141,8 @@ class TestValidateEvent:
         lambda e: replace(e, tracks=e.tracks + e.tracks[:1]),
         lambda e: replace(e, tracks=e.tracks + (
             replace(e.tracks[0], particle_id=0),)),
-        lambda e: replace(e, hits=e.hits + e.hits[:1])],
+        lambda e: replace(e, hits=replace(e.hits, hit_id=np.r_[
+            e.hits.hit_id[:-1], e.hits.hit_id[:1]]))],
         ids=["hits-without-track", "track-without-hits", "track-repeated",
              "track-id-zero", "hit-id-repeated"])
     def test_track_ids_are_the_hit_particle_ids(self, detector, damage):
@@ -205,11 +206,20 @@ def write_trackml(tmp_path, hits=HITS_CSV, truth=TRUTH_CSV,
 
 @pytest.mark.parametrize("x, y, z", [
     (math.inf, 0.0, 0.1), (0.1, math.nan, 0.1), (0.1, 0.0, -math.inf),
-    (0.0, 0.0, 0.3)], ids=["x-inf", "y-nan", "z-inf", "on-beamline"])
+    (0.0, 0.0, 0.3), (1e-300, 0.0, -1.0)],
+    ids=["x-inf", "y-nan", "z-inf", "on-beamline", "polar-angle-rounds-to-pi"])
 def test_hit_without_a_polar_angle_rejected(x, y, z):
-    # an infinite x alone would still give eta 0 and phi 0
+    # an infinite x alone would still give eta 0 and phi 0; at
+    # (1e-300, 0, -1) the transverse distance is positive, but the polar
+    # angle rounds to pi
     with pytest.raises(DomainError):
-        hit_from_xyz(1, x, y, z, 0, 0)
+        hit_table([(1, x, y, z, 0, 0)])
+
+
+def test_hit_whose_polar_angle_is_tiny_accepted():
+    hits = hit_table([(1, 1e-300, 0.0, 1.0, 0, 0)])
+    assert hits.eta[0] == pytest.approx(691.4686750787736)
+    assert hits.phi[0] == 0.0
 
 
 @pytest.mark.parametrize("hit_id, layer, particle_id, message", [
@@ -220,41 +230,73 @@ def test_hit_without_a_polar_angle_rejected(x, y, z):
 def test_hit_outside_the_stored_ranges_rejected(hit_id, layer, particle_id,
                                                 message):
     with pytest.raises(DomainError, match=message):
-        hit_from_xyz(hit_id, 0.1, 0.0, 0.1, layer, particle_id)
+        hit_table([(hit_id, 0.1, 0.0, 0.1, layer, particle_id)])
+
+
+def test_table_names_the_first_hit_that_fails():
+    # hit 3 fails two checks and hit 4 an earlier one; the error names
+    # hit 3, its first failing check and its row
+    rows = [(1, 0.1, 0.0, 0.1, 0, 0), (2, 0.1, 0.0, 0.1, 0, 0),
+            (3, 0.0, 0.0, 0.1, -2, 0), (4, math.nan, 0.0, 0.1, 0, 0),
+            (3, 0.1, 0.0, 0.1, 0, 0)]
+    with pytest.raises(DomainError, match=r"^hit 3: negative layer -2$") \
+            as err:
+        hit_table(rows)
+    assert err.value.row == 2
+    with pytest.raises(ConsistencyError, match=r"^hit 3: repeats a hit_id"):
+        hit_table([rows[0], rows[1], (3, 0.1, 0.0, 0.1, 0, 0), rows[4]])
+
+
+def test_table_columns_are_read_only_and_compare_whole():
+    hits = hit_table([(1, 0.1, 0.0, 0.1, 0, 0), (2, 0.0, 0.1, 0.2, 1, 7)])
+    for name in ("hit_id", "x", "y", "z", "layer", "particle_id", "eta",
+                 "phi"):
+        with pytest.raises(ValueError):
+            getattr(hits, name)[0] = 0
+    assert hits == hit_table([(1, 0.1, 0.0, 0.1, 0, 0),
+                              (2, 0.0, 0.1, 0.2, 1, 7)])
+    assert hits != hit_table([(1, 0.1, 0.0, 0.1, 0, 0),
+                              (2, 0.0, 0.1, 0.2, 1, 8)])
+    assert hits != hit_table([(1, 0.1, 0.0, 0.1, 0, 0),
+                              (2, 0.0, 0.1, 0.2, 1, 7)], volume=[0, 0])
+    assert hits.take(np.array([False, True])) == \
+        hit_table([(2, 0.0, 0.1, 0.2, 1, 7)])
+    with pytest.raises(ValueError):
+        HitTable([1, 2], [0.1], [0.0], [0.1], [0], [0])
 
 
 class TestReadTrackml:
     def test_golden_rows(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))
         assert len(e.hits) == 3
-        h = e.hits[0]
-        assert h.hit_id == 1
-        assert h.x == pytest.approx(-0.0644)
-        assert h.y == pytest.approx(-0.0072)
-        assert h.z == pytest.approx(-0.514)
-        assert h.volume == 8 and h.layer == 2
-        assert h.particle_id == 101
-        assert e.hits[2].particle_id == 0  # noise row
+        h = e.hits
+        assert h.hit_id[0] == 1
+        assert h.x[0] == pytest.approx(-0.0644)
+        assert h.y[0] == pytest.approx(-0.0072)
+        assert h.z[0] == pytest.approx(-0.514)
+        assert h.volume[0] == 8 and h.layer[0] == 2
+        assert h.particle_id[0] == 101
+        assert h.particle_id[2] == 0  # noise row
 
     def test_pt_three_four_five(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))
         assert len(e.tracks) == 1
         assert e.tracks[0].params.p_t == pytest.approx(5.0)
-        assert [h.hit_id for h in e.track_hits()[101]] == [1, 2]
+        assert e.hits.hit_id[e.hits.particle_id == 101].tolist() == [1, 2]
 
     def test_derived_coordinates(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))
-        h = e.hits[1]
-        theta = math.atan2(math.hypot(0.032, 0.0015), h.z)
-        assert h.eta == pytest.approx(-math.log(math.tan(theta / 2.0)))
-        assert h.phi == pytest.approx(math.atan2(0.0015, 0.032))
+        theta = math.atan2(math.hypot(0.032, 0.0015), e.hits.z[1])
+        assert e.hits.eta[1] == pytest.approx(
+            -math.log(math.tan(theta / 2.0)))
+        assert e.hits.phi[1] == pytest.approx(math.atan2(0.0015, 0.032))
 
     def test_empty_hits(self, tmp_path):
         header = HITS_CSV.splitlines()[0] + "\n"
         truth_header = TRUTH_CSV.splitlines()[0] + "\n"
         e = read_trackml_event(*write_trackml(
             tmp_path, hits=header, truth=truth_header))
-        assert e.hits == () and e.tracks == ()
+        assert len(e.hits) == 0 and e.tracks == ()
 
     def test_malformed_row_names_line(self, tmp_path):
         bad = HITS_CSV + "4,not_a_number,0,0,8,2,1\n"
@@ -293,7 +335,7 @@ class TestReadTrackml:
 
     def test_validates(self, tmp_path):
         # the Event checks its invariants as read_trackml_event builds it
-        assert read_trackml_event(*write_trackml(tmp_path)).hits
+        assert len(read_trackml_event(*write_trackml(tmp_path)).hits)
 
     @pytest.mark.parametrize("files, line, message", BAD_TRACKML,
                              ids=BAD_TRACKML_IDS)
@@ -309,7 +351,7 @@ class TestReadTrackml:
 class TestApplySelection:
     def test_identity(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))
-        out = apply_selection(e, pt_min=0.0, volumes=None)
+        out = apply_selection(e, pt_min=0.0, volumes=(8, 13))
         assert out == e
 
     def test_pt_threshold(self, detector):
@@ -320,26 +362,29 @@ class TestApplySelection:
         hi = generate_event(detector, GenConfig(
             n_tracks=1, pt_range=(3.0, 3.0), noise_fraction=0.0,
             hit_smearing_sigma=0.0), seed=3)
-        shift = max(h.hit_id for h in low.hits)
-        hi_hits = tuple(replace(h, hit_id=h.hit_id + shift, particle_id=2)
-                        for h in hi.hits)
+        shift = low.hits.hit_id.max()
+        columns = {name: np.r_[getattr(low.hits, name),
+                               getattr(hi.hits, name)]
+                   for name in ("hit_id", "x", "y", "z", "layer",
+                                "particle_id", "volume")}
+        columns["hit_id"][len(low.hits):] += shift
+        columns["particle_id"][len(low.hits):] = 2
         hi_track = replace(hi.tracks[0], particle_id=2)
-        merged = Event(0, low.hits + hi_hits, (low.tracks[0], hi_track))
-        kept = apply_selection(merged, pt_min=2.0)
-        assert {h.particle_id for h in kept.hits} == {2}
+        merged = Event(0, HitTable(**columns), (low.tracks[0], hi_track))
+        kept = apply_selection(merged, pt_min=2.0, volumes=(0,))
+        assert set(kept.hits.particle_id.tolist()) == {2}
         assert len(kept.tracks) == 1
         assert kept.tracks[0].params.p_t == pytest.approx(3.0)
 
     def test_volume_filter(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))
         out = apply_selection(e, pt_min=0.0, volumes={8})
-        assert all(h.volume == 8 for h in out.hits)
-        assert len(out.hits) == 2
+        assert out.hits.volume.tolist() == [8, 8]
 
     def test_noise_kept_regardless_of_pt(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))
-        out = apply_selection(e, pt_min=100.0, volumes=None)
-        assert [h.particle_id for h in out.hits] == [0]
+        out = apply_selection(e, pt_min=100.0, volumes=(8, 13))
+        assert out.hits.particle_id.tolist() == [0]
         assert out.tracks == ()
 
     def test_idempotent_and_monotone(self, detector):

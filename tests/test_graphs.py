@@ -9,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, doc_paths, make_training_graph, set_at
+from conftest import (JSON_VALUES, doc_paths, hit_at, hit_table,
+                      make_training_graph, set_at)
 from oracles import brute_force_dbscan, partition_of
 from test_events import write_trackml
 from trackseg.ellipses import ellipse_from_dict, point_in_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
-from trackseg.events import GenConfig, generate_event, read_trackml_event
-from trackseg.graphs import (DbscanParams, Graph, _graph, build_graph,
-                             dbscan, graph_from_dict, graph_to_dict,
-                             truth_ellipses)
+from trackseg.events import (Event, GenConfig, TruthTrack, generate_event,
+                             read_trackml_event)
+from trackseg.graphs import (DbscanParams, Graph, build_graph, dbscan,
+                             graph_from_dict, graph_to_dict, truth_ellipses)
+from trackseg.kinematics import TrackParams
 from trackseg.tracknet import graph_inputs
 
 TWO_PI = 2.0 * math.pi
@@ -168,19 +170,15 @@ class TestBuildGraph:
         g = build_graph(e, DbscanParams())
         assert g.n_vertices == 4
         assert g.n_edges == 6  # K4
-        assert len(set(g.vertex_particle_id.tolist())) == 1
+        assert len(set(g.hits.particle_id.tolist())) == 1
 
     def test_mixed_cluster_edge_labels(self):
         # two particles share one cluster, which still becomes one
         # complete subgraph
-        from trackseg.events import Event, Hit, TruthTrack
-        from trackseg.kinematics import TrackParams
-
-        def hit(hid, eta, phi, pid):
-            return Hit(hid, 0.1, 0.0, 0.0, eta, phi, 0, pid)
-
-        hits = (hit(1, 0.0, 1.0, 1), hit(2, 0.01, 1.0, 1),
-                hit(3, 0.02, 1.0, 2), hit(4, 0.03, 1.0, 2))
+        hits = hit_table([hit_at(1, 0.0, 1.0, particle_id=1),
+                          hit_at(2, 0.01, 1.0, particle_id=1),
+                          hit_at(3, 0.02, 1.0, particle_id=2),
+                          hit_at(4, 0.03, 1.0, particle_id=2)])
         params = TrackParams(1.0, 0.0, 0.0, 1.0)
         tracks = (TruthTrack(1, params), TruthTrack(2, params))
         e = Event(0, hits, tracks)
@@ -198,7 +196,8 @@ class TestBuildGraph:
                         hit_smearing_sigma=2e-4)
         e = generate_event(detector, gen, seed=seed)
         g = build_graph(e, DbscanParams())
-        labels = dbscan([(h.eta, h.phi) for h in e.hits], DbscanParams())
+        labels = dbscan(np.stack([e.hits.eta, e.hits.phi], axis=1),
+                        DbscanParams())
         assert labels.max() > 10 and (labels == -1).any()
         expected = [pair for cluster in range(labels.max() + 1)
                     for pair in itertools.combinations(
@@ -209,11 +208,8 @@ class TestBuildGraph:
         gen = GenConfig(n_tracks=0, noise_fraction=0.0, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=1)
         # no tracks means no hits at all; construct noise-only manually
-        from trackseg.events import Event, Hit
-        hits = tuple(
-            Hit(i + 1, 0.1, 0.0, 0.0, float(i), (i * 2.0) % TWO_PI,
-                0, 0)
-            for i in range(5))
+        hits = hit_table([hit_at(i + 1, float(i), (i * 2.0) % TWO_PI)
+                          for i in range(5)])
         e = Event(0, hits, ())
         g = build_graph(e, DbscanParams(eps=0.05, min_pts=2))
         assert g.n_edges == 0
@@ -223,16 +219,16 @@ class TestBuildGraph:
         gen = GenConfig(n_tracks=2, noise_fraction=0.0, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=22)
         g = build_graph(e, DbscanParams())
-        for i, h in enumerate(e.hits):
-            assert (g.z[i], g.layer[i]) == (h.z, h.layer)
-        assert g.layer.dtype == int
+        assert g.hits.z.tolist() == e.hits.z.tolist()
+        assert g.hits.layer.tolist() == e.hits.layer.tolist()
+        assert g.hits.layer.dtype == int
         state = graph_inputs(g).state
-        assert state.tolist() == [[h.z, float(h.layer)] for h in e.hits]
+        assert state.tolist() == [[z, float(layer)] for z, layer in
+                                  zip(e.hits.z, e.hits.layer)]
 
     def test_empty_event_rejected(self):
-        from trackseg.events import Event
         with pytest.raises(ConsistencyError):
-            build_graph(Event(0, (), ()), DbscanParams())
+            build_graph(Event(0, hit_table([]), ()), DbscanParams())
 
 
 class TestTruthEllipses:
@@ -240,16 +236,14 @@ class TestTruthEllipses:
         gen = GenConfig(n_tracks=8, noise_fraction=0.1,
                         hit_smearing_sigma=2e-4)
         e = generate_event(detector, gen, seed=24)
-        track_hits = e.track_hits()
         for pid, ell in truth_ellipses(e):
-            for h in track_hits[pid]:
-                assert point_in_ellipse(ell, (h.eta, h.phi))
+            mine = e.hits.particle_id == pid
+            for eta, phi in zip(e.hits.eta[mine], e.hits.phi[mine]):
+                assert point_in_ellipse(ell, (eta, phi))
 
     def test_two_hit_track_floor_minor_axis(self):
-        from trackseg.events import Event, Hit, TruthTrack
-        from trackseg.kinematics import TrackParams
-        hits = (Hit(1, 0.1, 0.0, 0.0, 0.0, 1.0, 0, 1),
-                Hit(2, 0.1, 0.0, 0.0, 0.02, 1.0, 1, 1))
+        hits = hit_table([hit_at(1, 0.0, 1.0, particle_id=1),
+                          hit_at(2, 0.02, 1.0, layer=1, particle_id=1)])
         t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0))
         e = Event(0, hits, (t,))
         (pid, ell), = truth_ellipses(e)
@@ -257,9 +251,7 @@ class TestTruthEllipses:
         assert ell.b == pytest.approx(1.1 * 1e-4, rel=1e-9)
 
     def test_single_hit_track(self):
-        from trackseg.events import Event, Hit, TruthTrack
-        from trackseg.kinematics import TrackParams
-        hits = (Hit(1, 0.1, 0.0, 0.0, 0.3, 2.0, 0, 1),)
+        hits = hit_table([hit_at(1, 0.3, 2.0, particle_id=1)])
         t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0))
         e = Event(0, hits, (t,))
         (pid, ell), = truth_ellipses(e)
@@ -268,12 +260,9 @@ class TestTruthEllipses:
         assert ell.b == pytest.approx(1.1e-4)
 
     def test_collinear_in_eta(self):
-        from trackseg.events import Event, Hit, TruthTrack
-        from trackseg.kinematics import TrackParams
         length = 0.4
-        hits = tuple(
-            Hit(i + 1, 0.1, 0.0, 0.0, i * length / 4.0, 1.5, 0, 1)
-            for i in range(5))
+        hits = hit_table([hit_at(i + 1, i * length / 4.0, 1.5,
+                                 particle_id=1) for i in range(5)])
         t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0))
         e = Event(0, hits, (t,))
         (pid, ell), = truth_ellipses(e)
@@ -307,11 +296,12 @@ class TestAssignTargets:
                   for t in e.tracks}
         with pytest.raises(ConsistencyError,
                            match=rf"particles \[{missing}\] lack"):
-            _graph(0, e.hits, [], tracks, dict(ellipses))
+            Graph(0, e.hits, np.zeros((0, 2), dtype=int), tracks,
+                  dict(ellipses))
 
     @pytest.mark.parametrize("change, message", [
-        (lambda g: {"vertex_hit_ids": np.r_[g.vertex_hit_ids[1:2],
-                                            g.vertex_hit_ids[1:]]},
+        (lambda g: {"hits": replace(g.hits, hit_id=np.r_[
+            g.hits.hit_id[1:2], g.hits.hit_id[1:]])},
          "repeats a hit_id"),
         (lambda g: {"truth_params": {**g.truth_params, 999: (2.0, 0.0)}},
          "lack a vertex"),
@@ -354,14 +344,15 @@ def _vertex(**fields):
 
 
 def _assert_same_graph(g2, g):
-    for name in ("eta", "phi", "z", "layer", "edges", "vertex_hit_ids",
-                 "vertex_particle_id", "vertex_class", "vertex_xy"):
+    assert g2.hits == g.hits
+    assert g2.hits.volume is g.hits.volume is None
+    for name in ("eta", "phi", "edges", "vertex_class"):
         assert np.array_equal(getattr(g2, name), getattr(g, name)), name
     assert [(e.hex(), p.hex()) for e, p in zip(g2.eta.tolist(),
                                                g2.phi.tolist())] == \
         [(e.hex(), p.hex()) for e, p in zip(g.eta.tolist(), g.phi.tolist())]
-    assert g2.z.dtype == g.z.dtype == float
-    assert g2.layer.dtype == g.layer.dtype == int
+    assert g2.hits.z.dtype == g.hits.z.dtype == float
+    assert g2.hits.layer.dtype == g.hits.layer.dtype == int
     assert g2.truth_params == g.truth_params
     assert g2.targets == g.targets
     assert g2.vertex_target_ellipse == g.vertex_target_ellipse
@@ -404,7 +395,8 @@ class TestGraphSerialization:
         assert all(len(e) == 2 for e in doc["edges"])
         g = graph_from_dict(doc)
         targets = {p["particle_id"]: p["target"] for p in doc["particles"]}
-        for pid, target in zip(g.vertex_particle_id, g.vertex_target_ellipse):
+        for pid, target in zip(g.hits.particle_id,
+                               g.vertex_target_ellipse):
             assert target == (None if pid == 0 else
                               ellipse_from_dict(targets[pid]))
 
@@ -474,7 +466,8 @@ class TestGraphSerialization:
         except DataError:
             return
         assert isinstance(graph, Graph)
-        loaded = [graph.eta, graph.phi, graph.z, graph.vertex_xy,
+        loaded = [graph.eta, graph.phi, graph.hits.x, graph.hits.y,
+                  graph.hits.z,
                   list(graph.truth_params.values()),
                   [astuple(e) for e in graph.vertex_target_ellipse
                    if e is not None]]
@@ -490,11 +483,10 @@ def test_default_params_cocluster_same_track_pairs(detector):
         gen = GenConfig(n_tracks=10, pt_range=(2.0, 5.0),
                         noise_fraction=0.1, hit_smearing_sigma=2e-4)
         e = generate_event(detector, gen, seed=seed)
-        pts = [(h.eta, h.phi) for h in e.hits]
+        pts = np.stack([e.hits.eta, e.hits.phi], axis=1)
         labels = dbscan(pts, DbscanParams())
         for t in e.tracks:
-            ids = [k for k, h in enumerate(e.hits)
-                   if h.particle_id == t.particle_id]
+            ids = np.flatnonzero(e.hits.particle_id == t.particle_id)
             for x in range(len(ids)):
                 for y in range(x + 1, len(ids)):
                     total += 1

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackseg
-from conftest import JSON_VALUES, doc_paths, set_at
+from conftest import JSON_VALUES, doc_paths, hit_at, hit_table, set_at
 from oracles import brute_force_dbscan
 from test_events import BAD_TRACKML, BAD_TRACKML_IDS, HITS_CSV, \
     write_trackml
@@ -75,19 +75,20 @@ class TestAuc:
 def truth_identity_prediction(event):
     """Prediction payload built from truth: one candidate per track."""
     ellipses = dict(truth_ellipses(event))
-    hit_ids = [h.hit_id for h in event.hits]
-    class_prob = [1.0 if h.particle_id != 0 else 0.0 for h in event.hits]
+    hit_ids = event.hits.hit_id.tolist()
+    pids = event.hits.particle_id.tolist()
+    class_prob = [1.0 if pid != 0 else 0.0 for pid in pids]
     candidates = []
     track_index = {}
     for k, t in enumerate(event.tracks):
-        vertex_ids = [i for i, h in enumerate(event.hits)
-                      if h.particle_id == t.particle_id]
+        vertex_ids = [i for i, pid in enumerate(pids)
+                      if pid == t.particle_id]
         candidates.append(TrackCandidate(
             ellipses[t.particle_id], 1.0, tuple(vertex_ids),
             params=(t.params.p_t, t.params.eps_t)))
         track_index[t.particle_id] = k
-    assignments = [track_index.get(h.particle_id) for h in event.hits]
-    per_vertex = [ellipses.get(h.particle_id) for h in event.hits]
+    assignments = [track_index.get(pid) for pid in pids]
+    per_vertex = [ellipses.get(pid) for pid in pids]
     return {
         "event_id": event.event_id,
         "vertex_hit_ids": hit_ids,
@@ -126,8 +127,7 @@ class TestEvaluate:
 
     def test_no_tracks(self):
         e = self.event(seed=91)
-        noise = Event(e.event_id, tuple(h for h in e.hits
-                                        if h.particle_id == 0), ())
+        noise = Event(e.event_id, e.hits.take(e.hits.particle_id == 0), ())
         m = evaluate({e.event_id: truth_identity_prediction(noise)},
                      {e.event_id: noise})
         assert m["counts"]["n_tracks"] == 0
@@ -143,7 +143,7 @@ class TestEvaluate:
         # drop the second track's assignments
         second_pid = e.tracks[1].particle_id
         pred["assignments"] = [
-            a if e.hits[i].particle_id != second_pid else None
+            a if e.hits.particle_id[i] != second_pid else None
             for i, a in enumerate(pred["assignments"])]
         m = evaluate({e.event_id: pred}, {e.event_id: e})
         assert m["segmentation"] == {"efficiency": 0.5, "purity": 0.5}
@@ -179,9 +179,8 @@ class TestEvaluate:
 
 class TestRender:
     def test_empty_event_valid_svg(self, tmp_path):
-        from trackseg.events import Event
         path = tmp_path / "empty.svg"
-        render_event_svg(Event(0, (), ()), [], path)
+        render_event_svg(Event(0, hit_table([]), ()), [], path)
         text = path.read_text()
         assert text.startswith("<svg")
         assert "</svg>" in text
@@ -199,9 +198,7 @@ class TestRender:
         assert text.count("<ellipse") == len(shapes)
 
     def test_single_hit_single_ellipse(self, tmp_path):
-        from trackseg.events import Event, Hit
-        hit = Hit(1, 0.1, 0.0, 0.0, 0.5, 1.0, 0, 0)
-        e = Event(0, (hit,), ())
+        e = Event(0, hit_table([hit_at(1, 0.5, 1.0)]), ())
         path = tmp_path / "one.svg"
         render_event_svg(e, [make_ellipse(0.5, 1.0, 0.1, 0.05, 0.3)], path)
         text = path.read_text()
@@ -308,6 +305,24 @@ class TestConfig:
         assert main(["--config", str(path), "generate"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
+        assert not (tmp_path / "events").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"generator": {"eta_range": [-800, 800]}},
+        {"generator": {"pt_range": [1e300, 1e308]}},
+        {"detector": {"z_halflength": 1e308},
+         "generator": {"eta_range": [-700, 700]}},
+        {"generator": {"eps_range": [0, 1e200]}}],
+        ids=["eta-range-800", "pt-range-1e308", "z-halflength-1e308",
+             "eps-range-1e200"])
+    def test_generator_range_that_overflows_exits_2(self, tmp_path, capsys,
+                                                    doc):
+        doc = {**doc, "generator": {**doc["generator"], "n_events": 1},
+               "paths": {"out_dir": str(tmp_path)}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "generate"]) == 2
+        assert capsys.readouterr().err.startswith("config error")
         assert not (tmp_path / "events").exists()
 
     @given(st.lists(st.tuples(st.sampled_from(SETTINGS), JSON_VALUES),
@@ -417,8 +432,10 @@ class TestIo:
             e = read_trackml_event(*write_trackml(tmp_path))
         restored = event_from_dict(json.loads(json.dumps(event_to_dict(e))))
         assert restored == e
-        assert [(h.eta.hex(), h.phi.hex()) for h in restored.hits] == \
-            [(h.eta.hex(), h.phi.hex()) for h in e.hits]
+        assert [(eta.hex(), phi.hex()) for eta, phi in zip(
+            restored.hits.eta.tolist(), restored.hits.phi.tolist())] == \
+            [(eta.hex(), phi.hex()) for eta, phi in zip(
+                e.hits.eta.tolist(), e.hits.phi.tolist())]
 
     def test_event_format_check(self):
         with pytest.raises(ConsistencyError):
@@ -584,6 +601,10 @@ def _negative_layer(hits):
     hits[0]["layer"] = -1
 
 
+def _last_hit_on_beamline(hits):
+    hits[-1].update(hit_id=10**6, x=0.0, y=0.0)
+
+
 # the same damage to what each reader reads: (artifact, damage, command,
 # what the error names); "hits.csv" is TrackML input to ingest
 SAME_DAMAGE = [
@@ -595,6 +616,10 @@ SAME_DAMAGE = [
      "negative layer -1"),
     ("graphs/graph_00000.json", _on_hits(_negative_layer), "train",
      "negative layer -1"),
+    ("events/event_00000.json", _on_hits(_last_hit_on_beamline),
+     "build-graphs", "hit 1000000: polar angle must lie in (0, pi)"),
+    ("graphs/graph_00000.json", _on_hits(_last_hit_on_beamline), "train",
+     "hit 1000000: polar angle must lie in (0, pi)"),
     ("hits.csv", lambda text: text.replace("13,2,3", "13,-1,3"), "ingest",
      "line 4: "),
     ("graphs/graph_00000.json",
@@ -609,6 +634,8 @@ SAME_DAMAGE = [
      "evaluate", "event_00001.json both hold event 0")]
 SAME_DAMAGE_IDS = ["event-hit-id-repeated", "graph-hit-id-repeated",
                    "event-layer-negative", "graph-layer-negative",
+                   "event-last-hit-on-beamline",
+                   "graph-last-hit-on-beamline",
                    "trackml-layer-negative", "graph-pt-zero",
                    "graph-pt-negative", "graph-event-id-repeated",
                    "event-event-id-repeated"]

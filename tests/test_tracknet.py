@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, doc_paths, make_training_graph, set_at
+from conftest import (JSON_VALUES, doc_paths, hit_at, hit_table,
+                      make_training_graph, set_at)
 from oracles import plain_message_passing
 from trackseg import tracknet as tn
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
                              DomainError, NumericError, ParseError)
+from trackseg.events import Event, HitTable
 from trackseg.graphs import (DbscanParams, Graph, build_graph,
                              graph_from_dict, graph_to_dict)
 from trackseg.neural.nn import AdamState, mlp_forward
@@ -36,16 +38,13 @@ def tiny_graph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 2))):
     """A valid Graph of one n-vertex track and its target ellipse."""
     rng = np.random.default_rng(77)
     edges = np.array(edges, dtype=int).reshape(-1, 2)
+    xy = rng.uniform(0.02, 0.2, (n, 2))
     return Graph(
         event_id=0,
-        eta=rng.uniform(-1, 1, n),
-        phi=rng.uniform(0, 2 * math.pi, n),
-        z=rng.normal(0, 0.3, n),
-        layer=rng.integers(0, 4, n),
+        hits=HitTable(np.arange(1, n + 1), xy[:, 0], xy[:, 1],
+                      rng.normal(0, 0.3, n), rng.integers(0, 4, n),
+                      np.ones(n, dtype=int)),
         edges=edges,
-        vertex_hit_ids=np.arange(1, n + 1),
-        vertex_particle_id=np.ones(n, dtype=int),
-        vertex_xy=rng.uniform(0.02, 0.2, (n, 2)),
         truth_params={1: (2.5, 3e-4)},
         targets={1: make_ellipse(0, 0, 0.05, 0.01, 0.0)},
     )
@@ -82,12 +81,8 @@ class TestForward:
         inv = np.argsort(perm)
         pg = Graph(
             event_id=g.event_id,
-            eta=g.eta[perm], phi=g.phi[perm], z=g.z[perm],
-            layer=g.layer[perm],
+            hits=g.hits.take(perm),
             edges=np.sort(inv[g.edges], axis=1) if g.n_edges else g.edges,
-            vertex_hit_ids=g.vertex_hit_ids[perm],
-            vertex_particle_id=g.vertex_particle_id[perm],
-            vertex_xy=g.vertex_xy[perm],
             truth_params=g.truth_params,
             targets=g.targets,
         )
@@ -206,7 +201,7 @@ class TestPredictClusterParams:
         out = forward(m, g)
         pred = tn.predict_cluster_params(
             m, out.final_state, tn.cluster_features([[0, 1, 2, 3]],
-                                                    g.vertex_xy))
+                                                    g))
         assert np.allclose(pred.data, [[3.5, 2e-4]])
 
     def test_prompt_track_has_small_c2_feature(self):
@@ -221,7 +216,7 @@ class TestPredictClusterParams:
         m = tn.Model(small_config(), seed=14)
         out = forward(m, g)
         pred = tn.predict_cluster_params(
-            m, out.final_state, tn.cluster_features([[0, 1]], g.vertex_xy))
+            m, out.final_state, tn.cluster_features([[0, 1]], g))
         # the parabola features are zeroed: only the state max is read
         state_max = out.final_state.data[:2].max(axis=0)
         feats = out.final_state.tape.const(
@@ -235,24 +230,24 @@ class TestPredictClusterParams:
         m = tn.Model(small_config(), seed=15)
         out = forward(m, g)
         pred = tn.predict_cluster_params(
-            m, out.final_state, tn.cluster_features([[0, 1, 2]], g.vertex_xy))
+            m, out.final_state, tn.cluster_features([[0, 1, 2]], g))
         assert pred.data.shape == (1, 2)
         none = tn.predict_cluster_params(
-            m, out.final_state, tn.cluster_features([], g.vertex_xy))
+            m, out.final_state, tn.cluster_features([], g))
         assert none.data.shape == (0, 2)
 
     def test_batched_matches_one_call_per_cluster(self):
         g = make_training_graph(seed=32, n_tracks=4)[1]
         m = tn.Model(small_config(), seed=15)
         out = forward(m, g)
-        clusters = [np.flatnonzero(g.vertex_particle_id == pid)
+        clusters = [np.flatnonzero(g.hits.particle_id == pid)
                     for pid in sorted(g.truth_params)] + [[0, 1], [2]]
         batched = tn.predict_cluster_params(
-            m, out.final_state, tn.cluster_features(clusters, g.vertex_xy))
+            m, out.final_state, tn.cluster_features(clusters, g))
         assert batched.data.shape == (len(clusters), 2)
         for k, vids in enumerate(clusters):
             single = tn.predict_cluster_params(
-                m, out.final_state, tn.cluster_features([vids], g.vertex_xy))
+                m, out.final_state, tn.cluster_features([vids], g))
             assert np.allclose(batched.data[k], single.data[0], rtol=1e-12,
                                atol=0.0)
 
@@ -262,9 +257,9 @@ class TestPredictClusterParams:
         out = forward(m, g)
         vids = [0, 1, 2, 3]
         pred = tn.predict_cluster_params(
-            m, out.final_state, tn.cluster_features([vids], g.vertex_xy))
+            m, out.final_state, tn.cluster_features([vids], g))
         (pt, eps), = tn.cluster_params_from_states(
-            m, out.final_state.data, [vids], g.vertex_xy)
+            m, out.final_state.data, [vids], g)
         assert pt == pytest.approx(pred.data[0, 0], rel=1e-12)
         assert eps == pytest.approx(pred.data[0, 1], rel=1e-12)
 
@@ -342,10 +337,8 @@ class TestEndToEndGradient:
 
 class TestTrain:
     def test_all_noise_empty_edges(self):
-        from trackseg.events import Event, Hit
-        hits = tuple(
-            Hit(i + 1, 0.1, 0.0, 0.0, float(i), (2.0 * i) % 6.28, 0, 0)
-            for i in range(6))
+        hits = hit_table([hit_at(i + 1, float(i), (2.0 * i) % 6.28)
+                          for i in range(6)])
         e = Event(0, hits, ())
         g = build_graph(e, DbscanParams(eps=0.01, min_pts=2))
         assert g.n_edges == 0
@@ -445,7 +438,9 @@ class TestTrain:
                 array[...] = 0
 
     def test_train_step_without_truth_tracks(self):
-        g = replace(tiny_graph(), vertex_particle_id=np.zeros(4, dtype=int),
+        g = tiny_graph()
+        g = replace(g, hits=replace(g.hits,
+                                    particle_id=np.zeros(4, dtype=int)),
                     truth_params={}, targets={})
         assert g.n_edges > 0
         m = tn.Model(small_config(), seed=28)
@@ -498,7 +493,7 @@ class TestInfer:
         try:
             r = tn.infer(m, toy_graph, threshold=0.0)
             tn.cluster_params_from_states(m, r.final_state, [vids],
-                                          toy_graph.vertex_xy)
+                                          toy_graph)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -527,7 +522,7 @@ class TestGradientVector:
         r = tn.infer(m, toy_graph, threshold=0.0)
         tn.cluster_params_from_states(m, r.final_state,
                                       [list(range(toy_graph.n_vertices))],
-                                      toy_graph.vertex_xy)
+                                      toy_graph)
         assert np.array_equal(m.grad, np.zeros_like(m.grad))
 
     def test_train_step_starts_from_a_zero_gradient(self):
