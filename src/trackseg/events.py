@@ -24,7 +24,7 @@ import numpy as np
 from .angles import wrap_phi
 from .errors import ConfigError, ConsistencyError, DomainError, \
     ParseError, ShapeError
-from .jsonio import numbers
+from .jsonio import columns
 from .kinematics import PT_COEFF, CircleTrack, TrackParams, pseudorapidity
 
 MM_TO_M = 1e-3
@@ -37,8 +37,7 @@ TRACKML_PARTICLES_HEADER = ["particle_id", "vx", "vy", "vz", "px", "py",
                             "pz", "q", "nhits"]
 
 
-# a hit record's fields in event and graph documents, where an event's
-# records add "volume"; x, y and z are JSON numbers, the rest JSON ints
+# stored hit columns, an event's with "volume"; x, y, z numbers, rest ints
 HIT_FIELDS = ("hit_id", "x", "y", "z", "layer", "particle_id")
 _COLUMNS = (*HIT_FIELDS, "volume")
 
@@ -142,21 +141,17 @@ class HitTable:
         return [groups[pid] for pid in particle_ids]
 
 
-def hit_records(hits: HitTable) -> list[dict]:
-    """One stored record per hit: HIT_FIELDS, then volume if it has one."""
-    names = [*HIT_FIELDS, *(["volume"] if hits.volume is not None else [])]
-    return [dict(zip(names, row)) for row in
-            zip(*(getattr(hits, name).tolist() for name in names))]
+def hit_columns(hits: HitTable) -> dict[str, list]:
+    """The stored columns of a table: HIT_FIELDS, then volume if any."""
+    return {name: getattr(hits, name).tolist() for name in _COLUMNS
+            if getattr(hits, name) is not None}
 
 
-def hits_from_records(records, volume: bool) -> HitTable:
-    """The table of stored hit records with HIT_FIELDS, and volume if
-    `volume`, of their JSON number kinds; otherwise ConsistencyError."""
-    columns = {name: [record[name] for record in records]
-               for name in (_COLUMNS if volume else HIT_FIELDS)}
-    for name, column in columns.items():
-        numbers(column, float if name in "xyz" else int)
-    return HitTable(**columns)
+def hits_from_columns(stored, volume: bool) -> HitTable:
+    """The table of stored hit columns, with volumes if `volume`."""
+    return HitTable(*columns(stored, {
+        name: float if name in "xyz" else int
+        for name in (_COLUMNS if volume else HIT_FIELDS)}))
 
 
 @dataclass(frozen=True)
@@ -197,10 +192,15 @@ class DetectorConfig:
             raise ConfigError("layer radii must be strictly increasing")
         if self.z_halflength <= 0 or self.field_b <= 0:
             raise ConfigError("z_halflength and field_b must be positive")
+        if PT_COEFF * self.field_b * RADIUS_LIMIT < PT_LIMIT:
+            raise ConfigError(f"detector.field_b must be at least "
+                              f"{PT_LIMIT / (PT_COEFF * RADIUS_LIMIT):.3g} "
+                              f"T, or track radii pass {RADIUS_LIMIT:g} m")
 
 
 ETA_LIMIT = 20.0  # from |eta| about 37 on, a polar angle rounds to pi
 PT_LIMIT = 1e4  # GeV; a huge p_T gives a radius whose square overflows
+RADIUS_LIMIT = 1e100  # m; the largest radius p_T / (PT_COEFF * field_b)
 
 
 @dataclass(frozen=True)

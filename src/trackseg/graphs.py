@@ -1,9 +1,8 @@
-"""Graph construction: DBSCAN clustering in eta-phi, edge building and
-per-track target ellipses."""
+"""Graph construction: DBSCAN clustering in eta-phi, edge building,
+per-track target ellipses and the columnar graph-v4 document."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -11,15 +10,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import TWO_PI, wrap_phi
-from .ellipses import Ellipse5, ellipse_from_dict, ellipse_to_dict, mvee
+from .ellipses import Ellipse5, mvee
 from .errors import ConfigError, ConsistencyError
-from .events import Event, HitTable, hit_records, hits_from_records
-from .jsonio import number, numbers, parsing
+from .events import Event, HitTable, hit_columns, hits_from_columns
+from .jsonio import columns, number, parsing, to_columns
 
 # target ellipses are the tracks' enclosing ellipses grown by this factor
 TARGET_PADDING = 1.1
 
-GRAPH_FORMAT = "graph-v3"
+GRAPH_FORMAT = "graph-v4"
+# a particle's columns: (p_T, eps_T), then its target in Ellipse5 order
+PARTICLE_COLUMNS = dict(particle_id=int, **dict.fromkeys(
+    ("pt", "eps_t", "eta_c", "phi_c", "a", "b", "theta"), float))
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class Graph:
     target (its particle's ellipse, None for noise) and raises
     ConsistencyError unless the nonzero vertex particle ids are the keys
     of both truth_params and targets, each (p_T, eps_T) is finite with
-    p_T > 0, and each edge joins two distinct vertices in range.
+    p_T > 0, and each edge (i, j) has 0 <= i < j < n_vertices.
     """
     event_id: int
     hits: HitTable
@@ -68,9 +70,9 @@ class Graph:
                                        f"value or p_T <= 0")
         edges, n = self.edges, self.n_vertices
         if edges.shape[1:] != (2,) or np.any((edges < 0) | (edges >= n)) or \
-                np.any(edges[:, 0] == edges[:, 1]):
-            raise ConsistencyError(f"graph edges must be [i, j] pairs of "
-                                   f"distinct vertices in [0, {n})")
+                np.any(edges[:, 0] >= edges[:, 1]):
+            raise ConsistencyError(f"graph edges must be pairs i < j of "
+                                   f"vertices in [0, {n})")
         object.__setattr__(self, "vertex_target_ellipse",
                            assign_vertex_targets(pids, self.targets))
 
@@ -218,43 +220,35 @@ def assign_vertex_targets(particle_ids, targets: dict) -> list:
 
 
 def graph_to_dict(g: Graph) -> dict:
-    """Serialize a graph to the graph-v3 JSON document layout: each
-    vertex is the hit it came from, and each particle's target ellipse
-    is stored once, in its particle entry."""
+    """The graph-v4 document: the vertices are the hit columns they came
+    from, the edges the columns i and j, and each particle is one row of
+    its (p_T, eps_T) and target ellipse."""
     return {
         "format": GRAPH_FORMAT,
         "event_id": g.event_id,
-        "vertices": hit_records(g.hits),
-        "edges": g.edges.tolist(),
-        "particles": [
-            {"particle_id": pid, "pt": pt, "eps_t": eps,
-             "target": ellipse_to_dict(g.targets[pid])}
-            for pid, (pt, eps) in sorted(g.truth_params.items())],
+        "vertices": hit_columns(g.hits),
+        "edges": dict(zip("ij", g.edges.T.tolist())),
+        "particles": to_columns(PARTICLE_COLUMNS, [
+            (pid, *params, *vars(g.targets[pid]).values())
+            for pid, params in sorted(g.truth_params.items())]),
     }
 
 
 def graph_from_dict(d: dict) -> Graph:
-    """Decode a graph-v3 document: ids and edge ends JSON ints, other
-    numbers JSON numbers, each particle entry with a target ellipse
-    object, the vertices a HitTable accepts and the Graph valid;
-    otherwise, and for a graph-v1 or graph-v2 document, raises
-    ConsistencyError."""
-    if isinstance(d, dict) and d.get("format") in ("graph-v1", "graph-v2"):
+    """Decode a graph-v4 document: tables of the columns jsonio.columns
+    accepts, vertices a HitTable accepts and a valid Graph; otherwise,
+    and for a graph-v1, -v2 or -v3 document, raises ConsistencyError."""
+    if isinstance(d, dict) and d.get("format") in ("graph-v1", "graph-v2",
+                                                   "graph-v3"):
         raise ConsistencyError(f"{d['format']} document: rebuild the graphs "
                                f"with build-graphs")
     with parsing(d, GRAPH_FORMAT):
-        hits = hits_from_records(d["vertices"], volume=False)
-        numbers(itertools.chain.from_iterable(d["edges"]), int)
-        params, targets = {}, {}
-        for p in d["particles"]:
-            k = number(p["particle_id"], int)
-            if k in params:
-                raise ConsistencyError(f"graph lists particle {k} twice")
-            params[k] = (number(p["pt"]), number(p["eps_t"]))
-            if not isinstance(p["target"], dict):
-                raise ConsistencyError(f"graph particle {k} needs a target "
-                                       f"ellipse object")
-            targets[k] = ellipse_from_dict(p["target"])
-        edges = np.array(d["edges"], dtype=int).reshape(len(d["edges"]), 2)
-        return Graph(number(d["event_id"], int), hits, edges, params,
-                     targets)
+        hits = hits_from_columns(d["vertices"], volume=False)
+        edges = np.array(columns(d["edges"], dict(i=int, j=int)), int).T.copy()
+        pids, pt, eps, *target = columns(d["particles"], PARTICLE_COLUMNS)
+        if len(set(pids)) < len(pids):
+            raise ConsistencyError(f"graph lists particle "
+                                   f"{max(pids, key=pids.count)} twice")
+        return Graph(number(d["event_id"], int), hits, edges,
+                     dict(zip(pids, zip(pt, eps))),
+                     dict(zip(pids, map(Ellipse5, *target))))

@@ -7,28 +7,28 @@ import math
 
 from ..ellipses import ellipse_from_dict, ellipse_to_dict
 from ..errors import ConsistencyError
-from ..events import Event, TruthTrack, hit_records, hits_from_records
+from ..events import Event, TruthTrack, hit_columns, hits_from_columns
 # perfbench/workloads.py imports read_json from this module
-from ..jsonio import number, parsing, read_json
+from ..jsonio import columns, number, parsing, read_json, to_columns
 from ..kinematics import TrackParams
 from ..postprocess import TrackCandidate
 
-EVENT_FORMAT = "event-v2"
+EVENT_FORMAT = "event-v3"
+# a track's columns: its id, then TrackParams in field order
+TRACK_COLUMNS = dict(particle_id=int, pt=float, eps_t=float, a=float, b=float)
 PRED_FORMAT = "pred-v1"
 METRICS_FORMAT = "metrics-v1"
 
 
 def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
-    """The event-v2 document: measured hits and truth track parameters;
-    hit eta and phi and each track's hits are derived again on read."""
+    """The event-v3 document: hit and truth track columns; hit eta and
+    phi and each track's hits are derived again on read."""
     doc = {
         "format": EVENT_FORMAT,
         "event_id": e.event_id,
-        "hits": hit_records(e.hits),
-        "tracks": [
-            {"particle_id": t.particle_id, "pt": t.params.p_t,
-             "eps_t": t.params.eps_t, "a": t.params.a, "b": t.params.b}
-            for t in e.tracks],
+        "hits": hit_columns(e.hits),
+        "tracks": to_columns(TRACK_COLUMNS, [
+            (t.particle_id, *vars(t.params).values()) for t in e.tracks]),
     }
     if config_echo is not None:
         doc["config"] = config_echo
@@ -36,19 +36,16 @@ def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
 
 
 def event_from_dict(d: dict) -> Event:
-    """Decode an event-v2 document; hits a HitTable rejects, an Event
-    that breaks its invariants and an event-v1 document raise
-    ConsistencyError."""
-    if isinstance(d, dict) and d.get("format") == "event-v1":
-        raise ConsistencyError("event-v1 document: regenerate the events "
-                               "with generate or ingest")
+    """Decode an event-v3 document; tables jsonio.columns rejects, hits a
+    HitTable rejects, an Event that breaks its invariants and an event-v1
+    or event-v2 document raise ConsistencyError."""
+    if isinstance(d, dict) and d.get("format") in ("event-v1", "event-v2"):
+        raise ConsistencyError(f"{d['format']} document: regenerate the "
+                               f"events with generate or ingest")
     with parsing(d, EVENT_FORMAT):
-        hits = hits_from_records(d["hits"], volume=True)
-        tracks = tuple(
-            TruthTrack(number(t["particle_id"], int),
-                       TrackParams(number(t["pt"]), number(t["eps_t"]),
-                                   number(t["a"]), number(t["b"])))
-            for t in d["tracks"])
+        hits = hits_from_columns(d["hits"], volume=True)
+        tracks = tuple(TruthTrack(k, TrackParams(*p)) for k, *p in
+                       zip(*columns(d["tracks"], TRACK_COLUMNS)))
         return Event(number(d["event_id"], int), hits, tracks)
 
 

@@ -2,16 +2,12 @@
 
 Artifacts live under the configured output directory:
 
-    events/event_00000.json     one event-v2 document per event
-                                (v1 events are rejected with exit 3 and
-                                must be regenerated)
-    graphs/graph_00000.json     one graph-v3 document per event
-                                (v1 and v2 graphs are rejected with
-                                exit 3 and must be rebuilt)
+    events/event_00000.json     one event-v3 document per event: hit
+                                and track columns
+    graphs/graph_00000.json     one graph-v4 document per event: vertex,
+                                edge and particle columns
     checkpoint.json             tracknet-v3: model config and flat
                                 parameter vector in parameter-name order
-                                (v1 and v2 checkpoints are rejected with
-                                exit 3 and must be retrained)
     history.json                per-epoch loss components
     predictions/pred_00000.json per-event inference output
     metrics.json                evaluation summary
@@ -19,7 +15,8 @@ Artifacts live under the configured output directory:
     run.log                     stage log
 
 Every artifact but run.log is written atomically (temp file, then
-rename).
+rename).  A document of an older format version exits 3: regenerate the
+events, rebuild the graphs or retrain the checkpoint.
 Training uses all but the last `eval.n_holdout` graphs; inference and
 evaluation run on the held-out tail (or everything when n_holdout is 0).
 """

@@ -1,5 +1,5 @@
 """Artifacts on disk: write text atomically; read JSON, check the
-format tag and the type of each number.
+format tag, the type of each number and the shape of each stored table.
 
 A write goes to a sibling temp file that is then renamed over the
 target, so a failed write keeps any earlier artifact intact.
@@ -71,14 +71,31 @@ def parsing(doc, doc_format: str):
 _NUMBER_TYPES = {int: int, float: (int, float)}
 
 
-def numbers(values, kind: type = float) -> None:
+def numbers(values, kind: type = float, what: str = "values") -> None:
     """ConsistencyError unless every one of the iterable `values` is a
     JSON number of `kind`.  One pass collects their types, so the check
     costs little per value."""
     for t in set(map(type, values)):
         if t is bool or not issubclass(t, _NUMBER_TYPES[kind]):
-            raise ConsistencyError(f"expected {kind.__name__} values, "
+            raise ConsistencyError(f"expected {kind.__name__} {what}, "
                                    f"found {t.__name__}")
+
+
+def to_columns(names, rows) -> dict[str, list]:
+    """The object of columns `names` that stores the table `rows`."""
+    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
+
+
+def columns(doc, kinds: dict) -> list[list]:
+    """The columns `kinds` names of the stored table `doc`, in order; a
+    missing one raises KeyError, a bad one ConsistencyError naming it."""
+    out = [doc[name] for name in kinds]
+    for (name, kind), column in zip(kinds.items(), out):
+        if not (isinstance(column, list) and len(column) == len(out[0])):
+            raise ConsistencyError(f"column {name!r} is not an array as "
+                                   f"long as column {next(iter(kinds))!r}")
+        numbers(column, kind, f"values in column {name!r}")
+    return out
 
 
 def number(value, kind: type = float):

@@ -430,7 +430,7 @@ def test_criterion_10_rendering(tmp_path):
 
     event_doc = json.loads(
         (out / "events" / f"event_{event_id:05d}.json").read_text())
-    n_hits = len(event_doc["hits"])
+    n_hits = len(event_doc["hits"]["hit_id"])
     n_ellipses = sum(1 for e in pred["ellipses"] if e is not None)
     assert text.count("<circle") == n_hits
     assert text.count("<ellipse") == n_ellipses

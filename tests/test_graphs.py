@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, astuple, replace
 
@@ -13,12 +14,13 @@ from conftest import (JSON_VALUES, doc_paths, hit_at, hit_table,
                       make_training_graph, set_at)
 from oracles import brute_force_dbscan, partition_of
 from test_events import write_trackml
-from trackseg.ellipses import ellipse_from_dict, point_in_ellipse
+from trackseg.ellipses import Ellipse5, point_in_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
 from trackseg.events import (Event, GenConfig, TruthTrack, generate_event,
                              read_trackml_event)
 from trackseg.graphs import (DbscanParams, Graph, build_graph, dbscan,
                              graph_from_dict, graph_to_dict, truth_ellipses)
+from trackseg.jsonio import read_json, write_json
 from trackseg.kinematics import TrackParams
 from trackseg.tracknet import graph_inputs
 
@@ -318,11 +320,12 @@ class TestAssignTargets:
          "lack a vertex"),
         (lambda g: {"edges": np.array([[0, g.n_vertices]])}, "edges"),
         (lambda g: {"edges": np.array([[1, 1]])}, "edges"),
-        (lambda g: {"edges": np.array([0, 1])}, "edges")],
+        (lambda g: {"edges": np.array([0, 1])}, "edges"),
+        (lambda g: {"edges": np.array([[1, 0]])}, "pairs i < j")],
         ids=["hit-id-repeated", "particle-without-vertex", "pt-zero",
              "eps-nan", "track-vertices-without-targets",
              "target-without-vertex", "edge-out-of-range", "edge-self-loop",
-             "edge-not-a-pair"])
+             "edge-not-a-pair", "edge-i-above-j"])
     def test_graph_checks_its_invariants_when_built(self, toy_graph, change,
                                                     message):
         with pytest.raises(ConsistencyError, match=message):
@@ -338,9 +341,27 @@ GRAPH_DOC = json.dumps(graph_to_dict(
 GRAPH_DOC_PATHS = list(doc_paths(json.loads(GRAPH_DOC)))
 
 
-def _vertex(**fields):
-    """A graph-v3 vertex: the first vertex of GRAPH_DOC with `fields`."""
-    return {**json.loads(GRAPH_DOC)["vertices"][0], **fields}
+def _table(key, row=0, **values):
+    """The columns of GRAPH_DOC's table `key`, with `values` at `row`."""
+    table = json.loads(GRAPH_DOC)[key]
+    for name, value in values.items():
+        table[name][row] = value
+    return table
+
+
+def _with_row(key, row=0, **values):
+    """The columns of GRAPH_DOC's table `key` with a copy of row `row`,
+    changed by `values`, appended."""
+    table = json.loads(GRAPH_DOC)[key]
+    for name, column in table.items():
+        column.append(values.get(name, column[row]))
+    return table
+
+
+def _without(key, *names):
+    """The columns of GRAPH_DOC's table `key` but `names`."""
+    return {name: column for name, column in
+            json.loads(GRAPH_DOC)[key].items() if name not in names}
 
 
 def _assert_same_graph(g2, g):
@@ -365,7 +386,7 @@ class TestGraphSerialization:
         e = generate_event(detector, gen, seed=28)
         g = build_graph(e, DbscanParams())
         d = graph_to_dict(g)
-        assert d["format"] == "graph-v3"
+        assert d["format"] == "graph-v4"
         _assert_same_graph(graph_from_dict(json.loads(json.dumps(d))), g)
 
     def test_trackml_round_trip(self, tmp_path):
@@ -374,85 +395,128 @@ class TestGraphSerialization:
         _assert_same_graph(
             graph_from_dict(json.loads(json.dumps(graph_to_dict(g)))), g)
 
+    @pytest.mark.parametrize("source", ["generated", "trackml"])
+    def test_graph_text_round_trip_is_bit_identical(self, detector, source,
+                                                    tmp_path):
+        if source == "generated":
+            e = generate_event(detector, GenConfig(
+                n_tracks=5, noise_fraction=0.2, hit_smearing_sigma=2e-4),
+                seed=46)
+        else:
+            e = read_trackml_event(*write_trackml(tmp_path))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        write_json(first, graph_to_dict(build_graph(e, DbscanParams())))
+        write_json(second, graph_to_dict(graph_from_dict(read_json(first))))
+        assert second.read_text() == first.read_text()
+
     def test_format_check(self):
         with pytest.raises(ConsistencyError):
             graph_from_dict({"format": "bogus"})
 
-    @pytest.mark.parametrize("old", ["graph-v1", "graph-v2"])
+    @pytest.mark.parametrize("old", ["graph-v1", "graph-v2", "graph-v3"])
     def test_old_format_asks_for_a_rebuild(self, old):
         doc = json.loads(GRAPH_DOC)
         doc["format"] = old
-        with pytest.raises(ConsistencyError, match="build-graphs"):
+        with pytest.raises(ConsistencyError,
+                           match=f"{old} document: rebuild the graphs with "
+                                 f"build-graphs"):
             graph_from_dict(doc)
 
     def test_targets_stored_once_per_particle(self):
         doc = json.loads(GRAPH_DOC)
         assert set(doc) == {"format", "event_id", "vertices", "edges",
                             "particles"}
-        assert all(list(v) == ["hit_id", "x", "y", "z", "layer",
-                               "particle_id"] for v in doc["vertices"])
-        assert all(type(v["layer"]) is int for v in doc["vertices"])
-        assert all(len(e) == 2 for e in doc["edges"])
+        assert list(doc["vertices"]) == ["hit_id", "x", "y", "z", "layer",
+                                         "particle_id"]
+        assert all(type(v) is int for v in doc["vertices"]["layer"])
+        assert list(doc["edges"]) == ["i", "j"]
+        assert all(i < j for i, j in zip(*doc["edges"].values()))
+        assert list(doc["particles"]) == ["particle_id", "pt", "eps_t",
+                                          "eta_c", "phi_c", "a", "b",
+                                          "theta"]
         g = graph_from_dict(doc)
-        targets = {p["particle_id"]: p["target"] for p in doc["particles"]}
+        targets = {pid: Ellipse5(*ellipse) for pid, _, _, *ellipse in
+                   zip(*doc["particles"].values())}
         for pid, target in zip(g.hits.particle_id,
                                g.vertex_target_ellipse):
-            assert target == (None if pid == 0 else
-                              ellipse_from_dict(targets[pid]))
+            assert target == (None if pid == 0 else targets[pid])
 
     @pytest.mark.parametrize("path, value", [
-        (("edges", 0), [-1, 0]),
-        (("edges", 0), [2, 2]),
-        (("vertices", 0), [0.1, 0.0, 0.0]),
+        (("edges",), {"i": [-1], "j": [0]}),
+        (("edges",), {"i": [2], "j": [2]}),
+        (("vertices",), [dict(zip(_table("vertices"), row)) for row in
+                         zip(*_table("vertices").values())]),
         (("format",), "graph-v1"),
-        (("edges", 0), [0, 1, True]),
+        (("edges",), {"i": [0], "j": [True]}),
         (("edges",), [[0]]),
-        (("vertices", 0, "x"), None),
-        (("vertices", 0, "x"), float("inf")),
-        (("vertices", 0), _vertex(z=float("nan"))),
-        (("vertices", 0), _vertex(y=float("-inf"))),
-        (("particles", 0, "pt"), float("nan")),
-        (("particles", 0, "eps_t"), None),
-        (("particles", 0, "target", "eta_c"), float("inf")),
-        (("particles",), []),
-        (("vertices", 0), {"x": 0.1, "y": 0.0, "z": 0.0}),
-        (("edges", 0), [0.9, 1]),
-        (("vertices", 0, "particle_id"), 1.5),
-        (("vertices", 0, "layer"), [0]),
-        (("vertices", 0, "hit_id"), "1"),
-        (("particles", 0, "particle_id"), 1.0),
+        (("vertices", "x", 0), None),
+        (("vertices", "x", 0), float("inf")),
+        (("vertices",), _table("vertices", z=float("nan"))),
+        (("vertices",), _table("vertices", y=float("-inf"))),
+        (("particles", "pt", 0), float("nan")),
+        (("particles", "eps_t", 0), None),
+        (("particles", "eta_c", 0), float("inf")),
+        (("particles",), {name: [] for name in _table("particles")}),
+        (("vertices",), _without("vertices", "hit_id", "layer",
+                                 "particle_id")),
+        (("edges",), {"i": [0.9], "j": [1]}),
+        (("vertices", "particle_id", 0), 1.5),
+        (("vertices", "layer", 0), [0]),
+        (("vertices", "hit_id", 0), "1"),
+        (("particles", "particle_id", 0), 1.0),
         (("format",), "graph-v2"),
-        (("vertices", 0), _vertex(x=0.0, y=0.0)),
-        (("vertices", 0, "particle_id"), 999),
-        (("vertices", 0, "hit_id"), 2**63),
-        (("vertices", 0, "layer"), 1.7),
-        (("vertices", 0, "z"), True),
-        (("particles", 0, "target"), None),
-        (("particles",), [*json.loads(GRAPH_DOC)["particles"],
-                          {**json.loads(GRAPH_DOC)["particles"][0],
-                           "particle_id": 999}]),
-        (("vertices", 1, "hit_id"), json.loads(GRAPH_DOC)["vertices"][0]
-         ["hit_id"]),
-        (("vertices", 0, "layer"), -1),
-        (("particles", 0, "pt"), 0.0),
-        (("particles", 0, "pt"), -2.5),
-        (("particles",), [*json.loads(GRAPH_DOC)["particles"],
-                          {**json.loads(GRAPH_DOC)["particles"][0],
-                           "pt": 99.0}])])
+        (("vertices",), _table("vertices", x=0.0, y=0.0)),
+        (("vertices", "particle_id", 0), 999),
+        (("vertices", "hit_id", 0), 2**63),
+        (("vertices", "layer", 0), 1.7),
+        (("vertices", "z", 0), True),
+        (("particles", "theta", 0), None),
+        (("particles",), _with_row("particles", particle_id=999)),
+        (("vertices", "hit_id", 1), _table("vertices")["hit_id"][0]),
+        (("vertices", "layer", 0), -1),
+        (("particles", "pt", 0), 0.0),
+        (("particles", "pt", 0), -2.5),
+        (("particles",), _with_row("particles", pt=99.0)),
+        (("format",), "graph-v3"),
+        (("edges", "i", 0), _table("edges")["j"][0]),
+        (("edges",), {"i": [1], "j": [0]}),
+        (("edges",), _with_row("edges", i=0, j=len(_table("vertices")
+                                                   ["hit_id"]))),
+        (("particles",), _table("particles", a=None, b=None))])
     def test_inconsistent_document_rejected(self, path, value):
         doc = json.loads(GRAPH_DOC)
         set_at(doc, path, value)
         with pytest.raises(ConsistencyError):
             graph_from_dict(doc)
 
-    @pytest.mark.parametrize("target", [None, 1.5, "x", [0.1, 0.2]])
-    def test_target_not_an_object_names_the_particle(self, target):
+    @pytest.mark.parametrize("path, value, message", [
+        (("vertices", "x"), 0.1, "column 'x' is not an array"),
+        (("vertices",), _without("vertices", "layer"),
+         "graph-v4 document lacks key 'layer'"),
+        (("edges", "j"), [1], "column 'j' is not an array as long as "
+                              "column 'i'"),
+        (("particles", "eps_t"), [0.0], "column 'eps_t' is not an array as "
+                                        "long as column 'particle_id'"),
+        (("particles", "b", 1), None,
+         "expected float values in column 'b', found NoneType"),
+        (("edges", "i", 0), 2.0,
+         "expected int values in column 'i', found float"),
+        (("vertices",), [], "graph-v4 document has a bad value"),
+        (("edges", "i", 0), 1, "graph edges must be pairs i < j")],
+        ids=["not-an-array", "missing", "edges-of-unequal-length",
+             "particles-of-unequal-length", "null-in-a-target-column",
+             "edge-end-not-int", "not-an-object", "edge-i-equals-j"])
+    def test_bad_table_names_the_field(self, path, value, message):
         doc = json.loads(GRAPH_DOC)
-        particle = doc["particles"][-1]
-        particle["target"] = target
-        with pytest.raises(ConsistencyError,
-                           match=f"graph particle {particle['particle_id']} "
-                                 f"needs a target ellipse object"):
+        set_at(doc, path, value)
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            graph_from_dict(doc)
+
+    @pytest.mark.parametrize("target", [None, 1.5, "x", [0.1]])
+    def test_bad_target_column_names_the_column(self, target):
+        doc = json.loads(GRAPH_DOC)
+        doc["particles"]["theta"] = target
+        with pytest.raises(ConsistencyError, match="column 'theta'"):
             graph_from_dict(doc)
 
     @given(st.data())

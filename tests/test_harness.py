@@ -312,9 +312,10 @@ class TestConfig:
         {"generator": {"pt_range": [1e300, 1e308]}},
         {"detector": {"z_halflength": 1e308},
          "generator": {"eta_range": [-700, 700]}},
-        {"generator": {"eps_range": [0, 1e200]}}],
+        {"generator": {"eps_range": [0, 1e200]}},
+        {"detector": {"field_b": 1e-300}, "generator": {}}],
         ids=["eta-range-800", "pt-range-1e308", "z-halflength-1e308",
-             "eps-range-1e200"])
+             "eps-range-1e200", "field-b-1e-300"])
     def test_generator_range_that_overflows_exits_2(self, tmp_path, capsys,
                                                     doc):
         doc = {**doc, "generator": {**doc["generator"], "n_events": 1},
@@ -324,6 +325,14 @@ class TestConfig:
         assert main(["--config", str(path), "generate"]) == 2
         assert capsys.readouterr().err.startswith("config error")
         assert not (tmp_path / "events").exists()
+
+    @pytest.mark.parametrize("field_b", [1e-300, 3e-96])
+    def test_field_too_weak_for_the_largest_radius_named(self, field_b):
+        # the largest generator radius is PT_LIMIT / (0.3 field_b)
+        with pytest.raises(ConfigError, match="detector.field_b must be at "
+                                              "least 3.33e-96 T"):
+            config_from_dict({"detector": {"field_b": field_b}})
+        config_from_dict({"detector": {"field_b": 3.4e-96}})
 
     @given(st.lists(st.tuples(st.sampled_from(SETTINGS), JSON_VALUES),
                     max_size=6))
@@ -417,7 +426,7 @@ class TestIo:
         e = generate_event(det, GenConfig(n_tracks=3, noise_fraction=0.2,
                                           hit_smearing_sigma=1e-4), seed=43)
         doc = event_to_dict(e, config_echo={"seed": 1})
-        assert doc["format"] == "event-v2"
+        assert doc["format"] == "event-v3"
         assert doc["config"] == {"seed": 1}
         restored = event_from_dict(doc)
         assert restored == e
@@ -478,14 +487,30 @@ class TestIo:
     # a bool is no number, an int field takes only an int, and ids must
     # fit the int64 arrays of a graph
     @pytest.mark.parametrize("path, value", [
-        (("hits", 0, "layer"), 1.7),
-        (("hits", 0, "hit_id"), "1"),
-        (("tracks", 0, "particle_id"), 1.0),
-        (("hits", -1, "hit_id"), 2**63)])
+        (("hits", "layer", 0), 1.7),
+        (("hits", "hit_id", 0), "1"),
+        (("tracks", "particle_id", 0), 1.0),
+        (("hits", "hit_id", -1), 2**63)])
     def test_event_with_wrong_typed_number_rejected(self, path, value):
         doc = json.loads(EVENT_DOC)
         set_at(doc, path, value)
         with pytest.raises(ConsistencyError):
+            event_from_dict(doc)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("hits", "volume"), 0, "column 'volume' is not an array"),
+        (("tracks", "pt"), [2.0], "column 'pt' is not an array as long as "
+                                  "column 'particle_id'"),
+        (("hits",), {"hit_id": [1]}, "event-v3 document lacks key 'x'"),
+        (("tracks", "b", 0), None,
+         "expected float values in column 'b', found NoneType"),
+        (("format",), "event-v2",
+         "event-v2 document: regenerate the events with generate or ingest")],
+        ids=["not-an-array", "unequal-lengths", "missing", "null", "v2"])
+    def test_bad_event_table_names_the_field(self, path, value, message):
+        doc = json.loads(EVENT_DOC)
+        set_at(doc, path, value)
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
             event_from_dict(doc)
 
     @given(st.data())
@@ -567,15 +592,28 @@ def _edited(change):
     return damage
 
 
+def _set_row(table, row, **values):
+    """Set `values` at `row` of the columns `table`."""
+    for name, value in values.items():
+        table[name][row] = value
+
+
+def _append_row(table, row=0, **values):
+    """Append a copy of row `row` of the columns `table`, changed by
+    `values`."""
+    for name, column in table.items():
+        column.append(values.get(name, column[row]))
+
+
 def _append_out_of_range_edge(text):
     doc = json.loads(text)
-    doc["edges"].append([0, 999])
+    _append_row(doc["edges"], i=0, j=999)
     return json.dumps(doc)
 
 
-def _drop_last_vertex_particle_id(text):
+def _drop_vertex_particle_ids(text):
     doc = json.loads(text)
-    del doc["vertices"][-1]["particle_id"]
+    del doc["vertices"]["particle_id"]
     return json.dumps(doc)
 
 
@@ -594,15 +632,15 @@ def _on_hits(damage):
 
 
 def _repeat_hit_id(hits):
-    hits[1]["hit_id"] = hits[0]["hit_id"]
+    _set_row(hits, 1, hit_id=hits["hit_id"][0])
 
 
 def _negative_layer(hits):
-    hits[0]["layer"] = -1
+    _set_row(hits, 0, layer=-1)
 
 
 def _last_hit_on_beamline(hits):
-    hits[-1].update(hit_id=10**6, x=0.0, y=0.0)
+    _set_row(hits, -1, hit_id=10**6, x=0.0, y=0.0)
 
 
 # the same damage to what each reader reads: (artifact, damage, command,
@@ -623,10 +661,10 @@ SAME_DAMAGE = [
     ("hits.csv", lambda text: text.replace("13,2,3", "13,-1,3"), "ingest",
      "line 4: "),
     ("graphs/graph_00000.json",
-     _edited(lambda doc: doc["particles"][0].update(pt=0.0)), "train",
+     _edited(lambda doc: _set_row(doc["particles"], 0, pt=0.0)), "train",
      "p_T <= 0"),
     ("graphs/graph_00000.json",
-     _edited(lambda doc: doc["particles"][0].update(pt=-2.5)), "train",
+     _edited(lambda doc: _set_row(doc["particles"], 0, pt=-2.5)), "train",
      "p_T <= 0"),
     ("graphs/graph_00001.json", _edited(lambda doc: doc.update(event_id=0)),
      "train", "graph_00000.json and "),
@@ -766,38 +804,41 @@ class TestCli:
          lambda text: text.replace('"tracknet-v3"', '"tracknet-v1"'),
          "infer"),
         ("checkpoint.json", _drop_key("params"), "infer"),
-        ("events/event_00000.json", _set_first("hits", 5), "build-graphs"),
+        ("events/event_00000.json", _edited(lambda doc: doc.update(hits=[5])),
+         "build-graphs"),
         ("checkpoint.json", _set_first("params", "x"), "infer"),
         ("predictions/pred_*.json", _non_numeric_params, "evaluate"),
         ("graphs/graph_00000.json", lambda text: b"\xff\xfe{}", "train"),
         ("graphs/graph_00000.json", lambda text: "[" * 100_000, "train"),
         ("graphs/graph_00000.json", _append_out_of_range_edge,
          "train"),
-        ("graphs/graph_00000.json", _drop_last_vertex_particle_id, "train"),
+        ("graphs/graph_00000.json", _drop_vertex_particle_ids, "train"),
         ("events/event_00000.json",
-         _edited(lambda doc: doc["hits"][0].update(z=math.nan)),
+         _edited(lambda doc: _set_row(doc["hits"], 0, z=math.nan)),
          "build-graphs"),
         ("predictions/pred_*.json", _set_first("assignments", 999),
          "evaluate"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["vertices"][0].update(x=None)), "train"),
+         _edited(lambda doc: _set_row(doc["vertices"], 0, x=None)), "train"),
         ("predictions/pred_*.json", _set_first("class_prob", math.nan),
          "evaluate"),
         ("graphs/graph_00000.json",
          _edited(lambda doc: doc.update(format="graph-v1")), "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["edges"].append([0, 1, True])), "train"),
+         _edited(lambda doc: doc["edges"]["i"].append(0)), "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["particles"].pop()), "train"),
+         _edited(lambda doc: [c.pop() for c in doc["particles"].values()]),
+         "train"),
         ("checkpoint.json", _edited(lambda doc: doc["params"].pop()),
          "infer"),
         ("checkpoint.json",
          _edited(lambda doc: doc["config"].update(hidden=0)), "infer"),
         ("events/event_00000.json",
-         _edited(lambda doc: doc["hits"][0].update(layer=1.7)),
+         _edited(lambda doc: _set_row(doc["hits"], 0, layer=1.7)),
          "build-graphs"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["edges"].append([0.9, 1])), "train"),
+         _edited(lambda doc: _append_row(doc["edges"], i=0.9, j=1)),
+         "train"),
         ("predictions/pred_*.json",
          _edited(lambda doc: doc["vertex_hit_ids"].__setitem__(
              0, doc["vertex_hit_ids"][0] + 0.5)), "evaluate"),
@@ -808,37 +849,59 @@ class TestCli:
         ("events/event_00000.json",
          _edited(lambda doc: doc.update(format="event-v1")), "build-graphs"),
         ("events/event_00000.json",
-         _edited(lambda doc: doc["hits"][0].update(x=0.0, y=0.0)),
+         _edited(lambda doc: _set_row(doc["hits"], 0, x=0.0, y=0.0)),
          "build-graphs"),
         ("events/event_00000.json",
-         _edited(lambda doc: doc["tracks"].append(
-             dict(doc["tracks"][0], particle_id=999))), "build-graphs"),
-        ("events/event_00000.json",
-         _edited(lambda doc: doc["hits"][0].update(particle_id=999)),
+         _edited(lambda doc: _append_row(doc["tracks"], particle_id=999)),
          "build-graphs"),
         ("events/event_00000.json",
-         _edited(lambda doc: doc["tracks"].append(doc["tracks"][0])),
+         _edited(lambda doc: _set_row(doc["hits"], 0, particle_id=999)),
          "build-graphs"),
+        ("events/event_00000.json",
+         _edited(lambda doc: _append_row(doc["tracks"])), "build-graphs"),
         ("graphs/graph_00000.json",
          _edited(lambda doc: doc.update(format="graph-v2")), "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["vertices"][0].update(x=0.0, y=0.0)),
+         _edited(lambda doc: _set_row(doc["vertices"], 0, x=0.0, y=0.0)),
          "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["vertices"][0].update(x=math.inf)),
+         _edited(lambda doc: _set_row(doc["vertices"], 0, x=math.inf)),
          "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["vertices"][0].update(particle_id=999)),
+         _edited(lambda doc: _set_row(doc["vertices"], 0, particle_id=999)),
          "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["particles"][0].update(target=None)),
+         _edited(lambda doc: _set_row(doc["particles"], 0, eta_c=None)),
          "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["particles"].append(
-             dict(doc["particles"][0], particle_id=999))), "train"),
+         _edited(lambda doc: _append_row(doc["particles"], particle_id=999)),
+         "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["particles"].append(
-             dict(doc["particles"][0], pt=99.0))), "train")],
+         _edited(lambda doc: _append_row(doc["particles"], pt=99.0)),
+         "train"),
+        ("events/event_00000.json",
+         _edited(lambda doc: doc.update(format="event-v2")), "build-graphs"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc.update(format="graph-v3")), "train"),
+        ("events/event_00000.json",
+         _edited(lambda doc: doc["hits"].update(volume=0)), "build-graphs"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc["particles"].update(theta={})), "train"),
+        ("events/event_00000.json",
+         _edited(lambda doc: doc["tracks"]["pt"].pop()), "build-graphs"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc["vertices"]["z"].append(0.1)), "train"),
+        ("events/event_00000.json",
+         _edited(lambda doc: doc["hits"].pop("volume")), "build-graphs"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: doc["particles"].pop("theta")), "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: _set_row(doc["edges"], 0,
+                                      i=doc["edges"]["j"][0])), "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: _set_row(doc["edges"], 0,
+                                      i=doc["edges"]["j"][0],
+                                      j=doc["edges"]["i"][0])), "train")],
         ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
              "pred-no-candidates", "checkpoint-v1", "checkpoint-no-params",
              "event-hit-not-object", "checkpoint-param-not-number",
@@ -857,7 +920,12 @@ class TestCli:
              "graph-v2-format", "graph-vertex-on-beamline",
              "graph-vertex-x-inf", "graph-vertex-particle-unlisted",
              "graph-particle-target-null", "graph-particle-without-vertex",
-             "graph-particle-repeated"])
+             "graph-particle-repeated", "event-v2-format", "graph-v3-format",
+             "event-column-not-an-array", "graph-column-not-an-array",
+             "event-columns-of-unequal-length",
+             "graph-columns-of-unequal-length", "event-column-missing",
+             "graph-column-missing",
+             "graph-edge-i-equals-j", "graph-edge-i-above-j"])
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
                                         damage, command):
         cfg_path = tiny_cli_config(tmp_path)
