@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .. import tracknet
-from ..errors import ConfigError, ConsistencyError, NumericError
+from ..errors import ConfigError, ConsistencyError, DataError, \
+    NumericError
 from ..events import apply_selection, generate_event, read_trackml_event
 # perfbench/tracing.py looks assign_vertex_targets up in this module
 from ..graphs import assign_vertex_targets, build_graph, graph_from_dict, \
@@ -144,11 +146,16 @@ def _log_graph(graph) -> None:
 
 
 def _unique_events(paths: list[Path], load, event_id):
-    """load(document) of each file in file order; an event id that two
-    files share raises ConsistencyError naming both."""
+    """load(document) of each file in file order; a document load
+    rejects is re-raised as the same DataError naming its file, and an
+    event id that two files share raises ConsistencyError naming both."""
     sources = {}
     for path in paths:
-        item = load(read_json(path))
+        doc = read_json(path)  # its errors name the file already
+        try:
+            item = load(doc)
+        except DataError as err:
+            raise type(err)(f"{path}: {err}") from err
         key = event_id(item)
         if key in sources:
             raise ConsistencyError(f"{sources[key]} and {path} both hold "
@@ -202,12 +209,16 @@ def stage_train(cfg: RunConfig) -> Path:
 def _infer_one(cfg: RunConfig, model: tracknet.Model, graph) -> dict:
     result = tracknet.infer(model, graph, cfg.nms.class_threshold)
     kept = [i for i, e in enumerate(result.ellipses) if e is not None]
+    stats = Counter()
     raw = merge_ellipses([result.ellipses[i] for i in kept],
                          [result.class_prob[i] for i in kept],
-                         cfg.nms.t_h)
+                         cfg.nms.t_h, stats=stats)
     log.info("event %d nms: %d ellipses kept, %d candidates, mean group "
-             "size %.2f", graph.event_id, len(kept), len(raw),
-             len(kept) / max(len(raw), 1))
+             "size %.2f; %d pairs, %d past the centre-gap reject, %d over "
+             "t_h, %d edges clipped", graph.event_id, len(kept), len(raw),
+             len(kept) / max(len(raw), 1), stats["pairs"],
+             stats["near_pairs"], stats["pairs_over_t_h"],
+             stats["edges_clipped"])
     members = [tuple(kept[k] for k in cand.member_vertex_ids)
                for cand in raw]
     params = tracknet.cluster_params_from_states(

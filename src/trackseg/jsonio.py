@@ -88,7 +88,12 @@ def to_columns(names, rows) -> dict[str, list]:
 
 def columns(doc, kinds: dict) -> list[list]:
     """The columns `kinds` names of the stored table `doc`, in order; a
-    missing one raises KeyError, a bad one ConsistencyError naming it."""
+    missing one raises KeyError, a bad one ConsistencyError naming it,
+    and a `doc` that is no object ConsistencyError naming them all."""
+    if not isinstance(doc, dict):
+        raise ConsistencyError(f"expected a table of columns "
+                               f"{', '.join(map(repr, kinds))}, found "
+                               f"{type(doc).__name__}")
     out = [doc[name] for name in kinds]
     for (name, kind), column in zip(kinds.items(), out):
         if not (isinstance(column, list) and len(column) == len(out[0])):

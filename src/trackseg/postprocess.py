@@ -9,11 +9,11 @@ periodic components) with the mean member score as its confidence.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import circular_mean
+from .angles import circular_mean, signed_dphi
 from .ellipses import (Ellipse5, ellipse_ious, make_ellipse,
                        point_in_ellipse)
 from .errors import DomainError
@@ -27,20 +27,45 @@ class TrackCandidate:
     params: tuple[float, float] | None = None
 
 
-def _mean_ellipse(rows: np.ndarray) -> Ellipse5:
-    return make_ellipse(rows[:, 0].mean(), circular_mean(rows[:, 1]),
-                        rows[:, 2].mean(), rows[:, 3].mean(),
-                        circular_mean(rows[:, 4], period=math.pi))
+# the pair search takes blocks of seeds of at most this many seed-row
+# pairs, and one IoU call measures at most _IOU_CHUNK of the pairs found;
+# both keep memory linear in the ellipses and the pairs near enough to test
+_SEARCH_BLOCK = 1 << 14
+_IOU_CHUNK = 256
+
+
+def _rows(ellipses) -> np.ndarray:
+    """Parameter rows (eta_c, phi_c, a, b, theta) of ellipses, (n, 5)."""
+    return np.array([(e.eta_c, e.phi_c, e.a, e.b, e.theta)
+                     for e in ellipses], dtype=float).reshape(-1, 5)
 
 
 def ellipse_iou(e1: Ellipse5, e2: Ellipse5) -> float:
     """IoU of one pair of ellipses.  Merging batches through ellipse_ious;
     this name stays while perfbench/tracing.py wraps IoU under it."""
-    return float(ellipse_ious(astuple(e1), [astuple(e2)])[0])
+    return float(ellipse_ious(_rows([e1])[0], _rows([e2]))[0])
 
 
-def merge_ellipses(ellipses, scores,
-                   t_h: float = 0.5) -> list[TrackCandidate]:
+def _near_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (p, q), p < q, of the pairs of rows that pass the
+    centre-gap reject of ellipse_ious, ordered by p, then q."""
+    n = len(rows)
+    block = max(1, _SEARCH_BLOCK // max(n, 1))
+    found = [np.zeros((2, 0), dtype=int)]
+    for start in range(0, n, block):
+        seeds = rows[start:start + block, None]
+        later = rows[None, start + 1:]
+        # triu keeps the pairs whose second row comes after the seed
+        near = np.triu(np.hypot(later[..., 0] - seeds[..., 0],
+                                signed_dphi(later[..., 1], seeds[..., 1]))
+                       <= seeds[..., 2] + later[..., 2])
+        p, q = np.nonzero(near)
+        found.append(np.stack([p + start, q + start + 1]))
+    return tuple(np.concatenate(found, axis=1))
+
+
+def merge_ellipses(ellipses, scores, t_h: float = 0.5,
+                   stats: dict | None = None) -> list[TrackCandidate]:
     """Greedy seed-anchored grouping of ellipses by IoU.
 
     Repeatedly seeds a group with the highest-scoring unassigned ellipse
@@ -49,6 +74,15 @@ def merge_ellipses(ellipses, scores,
     members (wrapped mean for phi_c, circular mean over period pi for
     theta) and its confidence the mean member score.  Candidates come
     back in descending confidence order.
+
+    Every pair that can matter, a higher-scoring ellipse and a lower one
+    whose centres pass the centre-gap reject of ellipse_ious, is measured
+    before the grouping, by batched ellipse_ious calls of up to
+    _IOU_CHUNK pairs (one call for an event of a few hundred ellipses),
+    and all group means are taken in one padded pass.  `stats`, when
+    given, gains the counts of the pass: "pairs" (all pairs),
+    "near_pairs" (past the centre-gap reject), "pairs_over_t_h" and,
+    from ellipse_ious, "edges_clipped".
     """
     if not 0.0 < t_h < 1.0:
         raise DomainError(f"IoU threshold must lie in (0, 1), got {t_h}")
@@ -56,25 +90,55 @@ def merge_ellipses(ellipses, scores,
     scores = np.asarray(scores, dtype=float)
     if len(ellipses) != len(scores):
         raise DomainError(f"{len(ellipses)} ellipses vs {len(scores)} scores")
-    rows = np.array([astuple(e) for e in ellipses], dtype=float).reshape(-1, 5)
+    n = len(ellipses)
     # descending score; ties by ascending index for determinism
-    order = np.array(sorted(range(len(ellipses)),
-                            key=lambda i: (-scores[i], i)), dtype=int)
-    assigned = np.zeros(len(ellipses), dtype=bool)
-    candidates = []
-    for seed in order:
+    order = np.argsort(-scores, kind="stable")
+    rows, scores = _rows(ellipses)[order], scores[order]
+    p, q = _near_pairs(rows)
+    ious = np.zeros(len(p))
+    for k in range(0, len(p), _IOU_CHUNK):
+        chunk = slice(k, k + _IOU_CHUNK)
+        ious[chunk] = ellipse_ious(rows[p[chunk]], rows[q[chunk]], stats)
+    over = ious > t_h
+    if stats is not None:
+        for key, value in (("pairs", n * (n - 1) // 2),
+                           ("near_pairs", len(p)),
+                           ("pairs_over_t_h", int(np.count_nonzero(over)))):
+            stats[key] = stats.get(key, 0) + value
+    if n == 0:
+        return []
+    # each ellipse's partners over t_h, later in score order, in order
+    partners = [[] for _ in range(n)]
+    for i, j in zip(p[over].tolist(), q[over].tolist()):
+        partners[i].append(j)
+    assigned = [False] * n
+    groups = []
+    for seed in range(n):
         if assigned[seed]:
             continue
-        assigned[seed] = True
-        rest = order[~assigned[order]]
-        absorbed = rest[ellipse_ious(rows[seed], rows[rest]) > t_h]
-        assigned[absorbed] = True
-        group = np.concatenate([[seed], absorbed])
-        candidates.append(TrackCandidate(
-            ellipse=_mean_ellipse(rows[group]),
-            confidence=float(np.mean(scores[group])),
-            member_vertex_ids=tuple(sorted(group.tolist())),
-        ))
+        group = [seed] + [j for j in partners[seed] if not assigned[j]]
+        for j in group:
+            assigned[j] = True
+        groups.append(group)
+
+    # members in score order, seed first, padded to one (groups, size) table
+    sizes = np.array([len(g) for g in groups])
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    slots = np.zeros(valid.shape, dtype=int)
+    slots[valid] = np.concatenate(groups)
+    members = rows[slots]
+    means = zip(members[..., 0].mean(axis=1, where=valid).tolist(),
+                circular_mean(members[..., 1], where=valid).tolist(),
+                members[..., 2].mean(axis=1, where=valid).tolist(),
+                members[..., 3].mean(axis=1, where=valid).tolist(),
+                circular_mean(members[..., 4], period=math.pi,
+                              where=valid).tolist())
+    confidence = scores[slots].mean(axis=1, where=valid).tolist()
+    candidates = [TrackCandidate(ellipse=make_ellipse(*mean),
+                                 confidence=conf,
+                                 member_vertex_ids=tuple(sorted(
+                                     order[group].tolist())))
+                  for mean, conf, group in zip(means, confidence, groups)]
     candidates.sort(key=lambda c: (-c.confidence, c.member_vertex_ids))
     return candidates
 

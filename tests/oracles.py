@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here may call the code paths it checks: DBSCAN is re-derived
-from the density-connectivity definition, IoU from Monte Carlo sampling,
-ellipse membership from the raw quadratic form, plain message passing
+from the density-connectivity definition, IoU from Monte Carlo sampling
+or by clipping every polygon edge against every half-plane, ellipse
+membership from the raw quadratic form, plain message passing
 vertex by vertex, and the gradient checks reduce to a scalar through a
 test-local node.
 """
@@ -217,6 +218,56 @@ def polygon_iou(e1, e2, resolution):
     inter = _shoelace(_clip_convex(p1, p2))
     union = _shoelace(p1) + _shoelace(p2) - inter
     return min(max(inter / union, 0.0), 1.0)
+
+
+def _full_clip_fractions(sx, sy, cx, cy, open_from):
+    """Fraction of each edge of the rings (sx, sy) inside the convex
+    counterclockwise rings (cx, cy), all (m, k + 1), by Cyrus-Beck
+    clipping of every edge against every half-plane: (m, k).  Rows from
+    open_from on take the half-planes open, the others closed."""
+    ex, ey = np.diff(cx, axis=1)[:, :, None], np.diff(cy, axis=1)[:, :, None]
+    out = (ey * (sx[:, None, :] - cx[:, :-1, None])
+           - ex * (sy[:, None, :] - cy[:, :-1, None]))
+    out[open_from:] += np.finfo(float).smallest_subnormal
+    o0, o1 = out[:, :, :-1], out[:, :, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = o0 / (o0 - o1)
+    entering = o0 >= o1
+    lo = np.fmax.reduce(np.where(entering, t, 0.0), axis=1)
+    hi = np.where(entering, 1.0, t).min(axis=1)
+    return np.maximum(hi - lo, 0.0)
+
+
+def full_clip_ious(seed, others, resolution):
+    """IoU of the ellipse row seed against each of the rows others
+    (eta_c, phi_c, a, b, theta), every edge of both inscribed
+    resolution-gons clipped against all of the other's half-planes.
+    The same arithmetic in the same order as the package's kernel, so
+    its results must agree bit for bit."""
+    seed = np.asarray(seed, dtype=float)
+    rows = np.asarray(others, dtype=float).reshape(-1, 5)
+    d_eta = rows[:, 0] - seed[0]
+    d_phi = _signed_dphi(rows[:, 1], seed[1])
+    near = np.hypot(d_eta, d_phi) <= seed[2] + rows[:, 2]
+    out = np.zeros(len(rows))
+    m = int(np.count_nonzero(near))
+    if m == 0:
+        return out
+    pq = np.concatenate([np.repeat(seed[None], m, 0), rows[near]])
+    ring = np.append(np.linspace(0.0, 2.0 * math.pi, resolution,
+                                 endpoint=False), 0.0)
+    x, y = pq[:, 2:3] * np.cos(ring), pq[:, 3:4] * np.sin(ring)
+    ct, st = np.cos(pq[:, 4:5]), np.sin(pq[:, 4:5])
+    sx, sy = ct * x - st * y, st * x + ct * y
+    sx[m:] += d_eta[near, None]
+    sy[m:] += d_phi[near, None]
+    cross = 0.5 * (sx[:, :-1] * sy[:, 1:] - sy[:, :-1] * sx[:, 1:])
+    parts = np.sum(cross * _full_clip_fractions(
+        sx, sy, np.roll(sx, m, axis=0), np.roll(sy, m, axis=0), m), axis=1)
+    inter = parts[:m] + parts[m:]
+    areas = np.sum(cross, axis=1)
+    out[near] = np.clip(inter / (areas[:m] + areas[m:] - inter), 0.0, 1.0)
+    return out
 
 
 def _signed_dphi(a, b):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (monte_carlo_iou, mvee_oracle, point_in_ellipse_quadform,
-                     polygon_iou)
+from oracles import (full_clip_ious, monte_carlo_iou, mvee_oracle,
+                     point_in_ellipse_quadform, polygon_iou)
 from trackseg.ellipses import (A_M, AXIS_FLOOR, B_M, DELTA_THETA,
                                IOU_RESOLUTION, MVEE_TOLERANCE, PHI_M,
                                Ellipse5, decode_box,
@@ -288,6 +288,97 @@ class TestIouOracle:
     def test_no_others(self):
         e = astuple(make_ellipse(0.0, 1.0, 0.2, 0.1, 0.3))
         assert ellipse_ious(e, []).shape == (0,)
+
+
+def _classified_pair(rng, kind):
+    """One seeded random pair whose polygon edges sit where the edge
+    classification of ellipse_ious is tight."""
+    e1 = random_ellipse(rng)
+    if kind == "tangent":
+        # a same-axis partner touching e1 at an end of its axis, from
+        # outside or (scaled, so no more curved) from inside, moved by a
+        # tiny fraction of the axis either way or not at all
+        k = rng.uniform(0.2, 1.0)
+        axis = e1.theta + (0.0 if rng.uniform() < 0.5 else 0.5 * math.pi)
+        reach = e1.a if axis == e1.theta else e1.b
+        gap = 1.0 + rng.choice([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6,
+                                -1e-6, 1e-3, -1e-3])
+        shift = reach * (1.0 + k if rng.uniform() < 0.5 else 1.0 - k) * gap
+        return e1, make_ellipse(e1.eta_c + shift * math.cos(axis),
+                                e1.phi_c + shift * math.sin(axis),
+                                k * e1.a, k * e1.b, e1.theta)
+    if kind == "thin":
+        e1 = make_ellipse(e1.eta_c, e1.phi_c, e1.a, AXIS_FLOOR, e1.theta)
+        a2 = rng.uniform(0.01, 0.4)
+        b2 = AXIS_FLOOR if rng.uniform() < 0.5 else \
+            rng.uniform(AXIS_FLOOR, a2)
+        return e1, make_ellipse(e1.eta_c + rng.uniform(-a2, a2),
+                                e1.phi_c + rng.uniform(-a2, a2), a2, b2,
+                                rng.uniform(0, math.pi))
+    return _pair(rng, kind)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestIouEdgeClassification:
+    """ellipse_ious clips only the edges near the other boundary; the
+    full clip of every edge against every half-plane is the reference,
+    and the two must agree bit for bit."""
+    KINDS = ("overlapping", "nested", "tangent", "seam", "thin", "pixel",
+             "identical")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_full_clip_bit_for_bit(self, kind):
+        rng = np.random.default_rng(40 + self.KINDS.index(kind))
+        pairs = [_classified_pair(rng, kind) for _ in range(600)]
+        seeds = [astuple(e1) for e1, _ in pairs]
+        others = [astuple(e2) for _, e2 in pairs]
+        expected = [full_clip_ious(s, [o], IOU_RESOLUTION)[0]
+                    for s, o in zip(seeds, others)]
+        assert np.count_nonzero(expected) >= 100
+        assert np.array_equal(_bits(ellipse_ious(seeds, others)),
+                              _bits(expected))
+
+    def test_per_pair_seeds_equal_per_seed_calls(self):
+        rng = np.random.default_rng(47)
+        pairs = [_classified_pair(rng, kind) for kind in self.KINDS
+                 for _ in range(40)]
+        seeds = np.array([astuple(e1) for e1, _ in pairs])
+        others = np.array([astuple(e2) for _, e2 in pairs])
+        batch = ellipse_ious(seeds, others)
+        assert np.array_equal(_bits(batch), _bits(
+            [ellipse_ious(s, o[None])[0] for s, o in zip(seeds, others)]))
+        # one seed row broadcasts over all others, as a per-pair copy does
+        assert np.array_equal(
+            _bits(ellipse_ious(seeds[0], others)),
+            _bits(ellipse_ious(np.repeat(seeds[:1], len(others), 0),
+                               others)))
+
+    def test_clips_only_the_edges_near_the_other_boundary(self):
+        rng = np.random.default_rng(48)
+        pairs = [_pair(rng, "overlapping") for _ in range(200)]
+        stats = {}
+        ellipse_ious([astuple(e1) for e1, _ in pairs],
+                     [astuple(e2) for _, e2 in pairs], stats)
+        # two crossing boundaries cut a few edges of each polygon; the
+        # full clip would take 2 * IOU_RESOLUTION per pair
+        assert 0 < stats["edges_clipped"] <= 8 * len(pairs)
+        identical = {}
+        e = astuple(random_ellipse(rng))
+        ellipse_ious(e, [e], identical)
+        assert identical["edges_clipped"] == 2 * IOU_RESOLUTION
+
+    def test_edge_of_zero_length_in_the_other_frame(self):
+        # next to a circle of radius 1e12, a floor circle's edges round
+        # to zero length in the big circle's unit frame; the closest-point
+        # search must not divide by that length (RuntimeWarnings are
+        # errors under the test settings)
+        big = (0.0, 3.0, 1e12, 1e12, 0.3)
+        tiny = (5e11, 3.0, AXIS_FLOOR, AXIS_FLOOR, 0.0)
+        result = ellipse_ious(big, [tiny])[0]
+        assert result == pytest.approx((AXIS_FLOOR / 1e12) ** 2, rel=0.05)
 
 
 class TestMvee:

@@ -501,11 +501,14 @@ class TestGraphSerialization:
          "expected float values in column 'b', found NoneType"),
         (("edges", "i", 0), 2.0,
          "expected int values in column 'i', found float"),
-        (("vertices",), [], "graph-v4 document has a bad value"),
+        (("vertices",), [], "expected a table of columns 'hit_id', "),
+        (("edges",), [1], "expected a table of columns 'i', 'j', found "
+                          "list"),
         (("edges", "i", 0), 1, "graph edges must be pairs i < j")],
         ids=["not-an-array", "missing", "edges-of-unequal-length",
              "particles-of-unequal-length", "null-in-a-target-column",
-             "edge-end-not-int", "not-an-object", "edge-i-equals-j"])
+             "edge-end-not-int", "not-an-object", "edges-a-list",
+             "edge-i-equals-j"])
     def test_bad_table_names_the_field(self, path, value, message):
         doc = json.loads(GRAPH_DOC)
         set_at(doc, path, value)

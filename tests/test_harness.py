@@ -21,7 +21,7 @@ from oracles import brute_force_dbscan
 from test_events import BAD_TRACKML, BAD_TRACKML_IDS, HITS_CSV, \
     write_trackml
 from trackseg import tracknet
-from trackseg.ellipses import make_ellipse
+from trackseg.ellipses import IOU_RESOLUTION, make_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
 from trackseg.events import (DetectorConfig, Event, GenConfig,
                              generate_event, read_trackml_event)
@@ -502,11 +502,13 @@ class TestIo:
         (("tracks", "pt"), [2.0], "column 'pt' is not an array as long as "
                                   "column 'particle_id'"),
         (("hits",), {"hit_id": [1]}, "event-v3 document lacks key 'x'"),
+        (("hits",), [1], "expected a table of columns 'hit_id', 'x', "),
         (("tracks", "b", 0), None,
          "expected float values in column 'b', found NoneType"),
         (("format",), "event-v2",
          "event-v2 document: regenerate the events with generate or ingest")],
-        ids=["not-an-array", "unequal-lengths", "missing", "null", "v2"])
+        ids=["not-an-array", "unequal-lengths", "missing", "hits-a-list",
+             "null", "v2"])
     def test_bad_event_table_names_the_field(self, path, value, message):
         doc = json.loads(EVENT_DOC)
         set_at(doc, path, value)
@@ -720,9 +722,32 @@ class TestCli:
         pred = json.loads(preds[0].read_text())
         kept = sum(e is not None for e in pred["ellipses"])
         n_cand = len(pred["candidates"])
-        assert lines[0].endswith(
+        head, counts = lines[0].split("; ")
+        assert head.endswith(
             f"event {pred['event_id']} nms: {kept} ellipses kept, {n_cand} "
             f"candidates, mean group size {kept / max(n_cand, 1):.2f}")
+        pairs, near, over, clipped = map(int, re.fullmatch(
+            r"(\d+) pairs, (\d+) past the centre-gap reject, (\d+) over "
+            r"t_h, (\d+) edges clipped", counts).groups())
+        assert pairs == kept * (kept - 1) // 2
+        # every absorbed ellipse took one pair over t_h
+        assert kept - n_cand <= over <= near <= pairs
+        assert clipped <= 2 * IOU_RESOLUTION * near
+
+    def test_bad_graph_document_names_its_file(self, tmp_path, capsys):
+        cfg_path = tiny_cli_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["generator"]["n_events"] = 3
+        cfg_path.write_text(json.dumps(cfg))
+        for cmd in STAGES[:STAGES.index("train")]:
+            assert main(["--config", str(cfg_path), cmd]) == 0
+        path = tmp_path / "out" / "graphs" / "graph_00001.json"
+        path.write_text(_edited(lambda doc: _set_row(
+            doc["vertices"], 0, x=None))(path.read_text()))
+        assert main(["--config", str(cfg_path), "train"]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "graph_00001.json" in err
+        assert "expected float values in column 'x'" in err
 
     def test_run_log_has_graph_line_per_event(self, tmp_path):
         cfg_path = tiny_cli_config(tmp_path)

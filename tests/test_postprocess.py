@@ -1,11 +1,15 @@
 import itertools
 import math
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from oracles import full_clip_ious
 from test_ellipses import iou
-from trackseg.ellipses import make_ellipse, point_in_ellipse
+from trackseg.angles import circular_mean
+from trackseg.ellipses import IOU_RESOLUTION, make_ellipse, point_in_ellipse
 from trackseg.errors import DomainError
 from trackseg.postprocess import (ThresholdResult, TrackCandidate,
                                   assign_hits, choose_threshold,
@@ -132,6 +136,99 @@ class TestMergeEllipses:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             merge_ellipses([ellipse_at(0.0)], [0.5, 0.6])
+
+
+def merge_seed_by_seed(ellipses, scores, t_h):
+    """The greedy grouping one seed at a time: IoU of each seed against
+    every unassigned ellipse by the full clip, means of each group on its
+    own."""
+    rows = np.array([astuple(e) for e in ellipses]).reshape(-1, 5)
+    order = np.array(sorted(range(len(ellipses)),
+                            key=lambda i: (-scores[i], i)), dtype=int)
+    assigned = np.zeros(len(ellipses), dtype=bool)
+    candidates = []
+    for seed in order:
+        if assigned[seed]:
+            continue
+        assigned[seed] = True
+        rest = order[~assigned[order]]
+        absorbed = rest[full_clip_ious(rows[seed], rows[rest],
+                                       IOU_RESOLUTION) > t_h]
+        assigned[absorbed] = True
+        group = np.concatenate([[seed], absorbed])
+        members = rows[group]
+        candidates.append(TrackCandidate(
+            ellipse=make_ellipse(
+                members[:, 0].mean(), circular_mean(members[:, 1]),
+                members[:, 2].mean(), members[:, 3].mean(),
+                circular_mean(members[:, 4], period=math.pi)),
+            confidence=float(np.mean(scores[group])),
+            member_vertex_ids=tuple(sorted(group.tolist()))))
+    candidates.sort(key=lambda c: (-c.confidence, c.member_vertex_ids))
+    return candidates
+
+
+def clustered_ellipses(rng, n, n_clusters):
+    """n ellipses scattered around n_clusters centres, some across the
+    phi seam."""
+    centres = rng.uniform([-2.0, -0.3], [2.0, 2.0 * math.pi - 0.3],
+                          (n_clusters, 2))
+    out = []
+    for k in rng.integers(n_clusters, size=n):
+        a = rng.uniform(0.02, 0.2)
+        out.append(make_ellipse(centres[k, 0] + rng.normal(0.0, 0.03),
+                                centres[k, 1] + rng.normal(0.0, 0.03), a,
+                                rng.uniform(0.2, 1.0) * a,
+                                rng.uniform(0.0, math.pi)))
+    return out
+
+
+class TestMergeEqualsSeedBySeed:
+    def test_bit_for_bit_with_score_ties(self):
+        rng = np.random.default_rng(32)
+        merged = 0
+        for _ in range(60):
+            n = int(rng.integers(0, 60))
+            ellipses = clustered_ellipses(rng, n, int(rng.integers(1, 10)))
+            # one decimal: many scores tie
+            scores = np.round(rng.uniform(0.0, 1.0, n), 1)
+            t_h = float(rng.uniform(0.1, 0.8))
+            got = merge_ellipses(ellipses, scores, t_h)
+            assert repr(got) == repr(merge_seed_by_seed(ellipses, scores,
+                                                        t_h))
+            merged += n - len(got)
+        assert merged >= 100
+
+    def test_stats_count_the_pass(self):
+        rng = np.random.default_rng(33)
+        ellipses = clustered_ellipses(rng, 40, 5)
+        stats = {"pairs": 1}
+        cands = merge_ellipses(ellipses, rng.uniform(0.0, 1.0, 40), 0.3,
+                               stats=stats)
+        assert stats["pairs"] == 1 + 40 * 39 // 2
+        assert 40 - len(cands) <= stats["pairs_over_t_h"] \
+            <= stats["near_pairs"] < stats["pairs"]
+        assert 0 < stats["edges_clipped"] \
+            <= 2 * IOU_RESOLUTION * stats["near_pairs"]
+
+    def test_memory_stays_far_below_a_pair_matrix(self):
+        # 2000 ellipses on a grid, each near about 20 others: an n x n
+        # array of doubles alone would take 32 MB
+        n = 2000
+        rng = np.random.default_rng(34)
+        ellipses = [make_ellipse(0.03 * (i % 50), 0.03 * (i // 50) + 1.0,
+                                 0.04, 0.02, rng.uniform(0.0, math.pi))
+                    for i in range(n)]
+        scores = rng.uniform(0.0, 1.0, n)
+        stats = {}
+        tracemalloc.start()
+        try:
+            cands = merge_ellipses(ellipses, scores, 0.2, stats=stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats["near_pairs"] > 9 * n and len(cands) < n / 2
+        assert peak < n * n * 8 / 4
 
 
 class TestAssignHits:
