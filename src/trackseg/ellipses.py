@@ -17,11 +17,11 @@ import numpy as np
 from .angles import (circular_mean, signed_dphi, wrap_half_pi, wrap_phi,
                      wrap_theta)
 from .errors import DomainError
-from .jsonio import number
+from .jsonio import numbers
 
 # membership is boundary-inclusive; the slack absorbs rounding on points
 # constructed to lie exactly on the boundary
-_MEMBERSHIP_SLACK = 1e-9
+MEMBERSHIP_SLACK = 1e-9
 
 # smallest admissible semi-axis, in eta-phi units
 AXIS_FLOOR = 1e-4
@@ -107,34 +107,43 @@ def encode_box(e: Ellipse5, vertex: tuple[float, float]) -> np.ndarray:
     ])
 
 
-def decode_box(d, vertex: tuple[float, float]) -> Ellipse5:
-    """Exact inverse of encode_box (theta modulo pi) for any length-5
-    row; re-canonicalizes the axis ordering for free-form regressed
-    residuals."""
-    eta_v, phi_v = vertex
-    d_eta, d_phi, d_a, d_b, d_theta = d
+def _exp(x: float) -> float:
+    """math.exp, inf where it overflows."""
     try:
-        a, b = math.exp(d_a) * A_M, math.exp(d_b) * B_M
-    except OverflowError as err:
-        raise DomainError(f"log-axes ({d_a}, {d_b}) overflow") from err
-    return make_ellipse(
-        eta_v + d_eta * ETA_M,
-        phi_v + d_phi * PHI_M,
-        a, b,
-        d_theta * THETA_M - DELTA_THETA,
-    )
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
-def _quad_form(e: Ellipse5, eta, phi):
-    """Quadratic form of the ellipse; <= 1 on and inside the boundary."""
-    return _quad(e.eta_c, e.phi_c, e.a, e.b, math.cos(e.theta),
-                 math.sin(e.theta), eta, phi)
+def decode_box(d, eta, phi) -> np.ndarray:
+    """Exact inverse of encode_box (theta modulo pi) for each encoded row
+    of d, (n, 5), at its vertex (eta, phi): the parameter rows (eta_c,
+    phi_c, a, b, theta), (n, 5), canonical as make_ellipse makes them.
+    The first row whose log-axes overflow, or that gives no valid
+    ellipse, raises DomainError naming it."""
+    d = np.asarray(d, dtype=float).reshape(-1, 5)
+    # math.exp of each value: np.exp differs from it in the last bit for
+    # some inputs
+    axes = np.array(list(map(_exp, d[:, 2:4].ravel().tolist())))
+    a, b = (axes.reshape(-1, 2) * (A_M, B_M)).T
+    theta = d[:, 4] * THETA_M - DELTA_THETA
+    swap = a < b
+    rows = np.stack([eta + d[:, 0] * ETA_M, wrap_phi(phi + d[:, 1] * PHI_M),
+                     np.where(swap, b, a), np.where(swap, a, b),
+                     wrap_theta(np.where(swap, theta + 0.5 * math.pi,
+                                         theta))], axis=1)
+    bad = ~(np.isfinite(rows).all(axis=1) & (rows[:, 3] > 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DomainError(f"row {k}, {d[k].tolist()}, decodes to no valid "
+                          f"ellipse: {rows[k].tolist()}", row=k)
+    return rows
 
 
-def _quad(eta_c, phi_c, a, b, ct, st, eta, phi):
+def quad_form(eta_c, phi_c, a, b, ct, st, eta, phi):
     """Quadratic form of the ellipse with centre (eta_c, phi_c), semi-axes
     a and b and rotation cosine and sine ct and st, broadcast over its
-    arguments."""
+    arguments; <= 1 on and inside the boundary."""
     d_eta = np.asarray(eta, dtype=float) - eta_c
     d_phi = signed_dphi(np.asarray(phi, dtype=float), phi_c)
     major = ct * d_eta + st * d_phi
@@ -145,7 +154,8 @@ def _quad(eta_c, phi_c, a, b, ct, st, eta, phi):
 def point_in_ellipse(e: Ellipse5, p):
     """Boundary-inclusive membership test with phi wrapped to the
     shortest arc, of one (eta, phi) point or elementwise of two arrays."""
-    return _quad_form(e, p[0], p[1]) <= 1.0 + _MEMBERSHIP_SLACK
+    return quad_form(e.eta_c, e.phi_c, e.a, e.b, math.cos(e.theta),
+                     math.sin(e.theta), p[0], p[1]) <= 1.0 + MEMBERSHIP_SLACK
 
 
 def _polygons(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,14 +279,21 @@ def ellipse_ious(seeds, others, stats: dict | None = None) -> np.ndarray:
     return out
 
 
+_FIELDS = ("eta_c", "phi_c", "a", "b", "theta")
+
+
 def ellipse_to_dict(e: Ellipse5) -> dict:
     return {"eta_c": e.eta_c, "phi_c": e.phi_c, "a": e.a, "b": e.b,
             "theta": e.theta}
 
 
-def ellipse_from_dict(d: dict) -> Ellipse5:
-    return Ellipse5(*[number(d[k])
-                      for k in ("eta_c", "phi_c", "a", "b", "theta")])
+def ellipses_from_dicts(docs) -> list[Ellipse5]:
+    """The Ellipse5 of each ellipse object of `docs`; the kind of the
+    values of each field is checked once for all objects."""
+    fields = [[d[k] for d in docs] for k in _FIELDS]
+    for k, values in zip(_FIELDS, fields):
+        numbers(values, float, f"values of ellipse {k!r}")
+    return [Ellipse5(*map(float, row)) for row in zip(*fields)]
 
 
 def mvee(point_sets) -> list[Ellipse5]:
@@ -410,7 +427,7 @@ def _rescale_to_contain(rows: np.ndarray, flat: np.ndarray,
     """Rows with the semi-axes scaled so each set's farthest point sits
     on the boundary, never dropping below the axis floor."""
     eta_c, phi_c, a, b, theta = (rows[:, [k]] for k in range(5))
-    q = _quad(eta_c, phi_c, a, b, np.cos(theta), np.sin(theta),
+    q = quad_form(eta_c, phi_c, a, b, np.cos(theta), np.sin(theta),
               flat[..., 0], flat[..., 1])
     s = np.sqrt(np.where(valid, q, 0.0).max(axis=1))
     grow = s > 0.0

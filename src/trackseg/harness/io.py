@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 
-from ..ellipses import ellipse_from_dict, ellipse_to_dict
+from ..ellipses import ellipse_to_dict, ellipses_from_dicts
 from ..errors import ConsistencyError
 from ..events import Event, TruthTrack, hit_columns, hits_from_columns
 # perfbench/workloads.py imports read_json from this module
-from ..jsonio import columns, number, parsing, read_json, to_columns
+from ..jsonio import (columns, number, numbers, parsing, read_json,
+                      to_columns)
 from ..kinematics import TrackParams
 from ..postprocess import TrackCandidate
 
@@ -79,23 +80,37 @@ def prediction_from_dict(d: dict) -> dict:
     params are in range, that every class probability lies in [0, 1] and
     that candidate confidences and params are finite."""
     with parsing(d, PRED_FORMAT):
+        ids, probs, ellipses, cands, assignments = (
+            list(d[key]) for key in ("vertex_hit_ids", "class_prob",
+                                     "ellipses", "candidates", "assignments"))
+        members = [tuple(c["member_vertex_ids"]) for c in cands]
+        params = [None if c["params"] is None else tuple(c["params"])
+                  for c in cands]
+        confidence = [c["confidence"] for c in cands]
+        for values, kind, what in (
+                (ids, int, "vertex_hit_ids"), (probs, float, "class_prob"),
+                (confidence, float, "candidate confidences"),
+                ([i for m in members for i in m], int, "candidate members"),
+                ([v for p in params if p is not None for v in p], float,
+                 "candidate params"),
+                ([a for a in assignments if a is not None], int,
+                 "assignments")):
+            numbers(values, kind, what)
+        vertex_ellipses = iter(ellipses_from_dicts(
+            [e for e in ellipses if e is not None]))
         pred = {
             "event_id": number(d["event_id"], int),
-            "vertex_hit_ids": [number(i, int) for i in d["vertex_hit_ids"]],
-            "class_prob": [number(p) for p in d["class_prob"]],
-            "ellipses": [ellipse_from_dict(e) if e is not None else None
-                         for e in d["ellipses"]],
+            "vertex_hit_ids": ids,
+            "class_prob": list(map(float, probs)),
+            "ellipses": [None if e is None else next(vertex_ellipses)
+                         for e in ellipses],
             "candidates": [
-                TrackCandidate(
-                    ellipse=ellipse_from_dict(c["ellipse"]),
-                    confidence=number(c["confidence"]),
-                    member_vertex_ids=tuple(
-                        number(i, int) for i in c["member_vertex_ids"]),
-                    params=tuple(number(p) for p in c["params"])
-                    if c["params"] is not None else None)
-                for c in d["candidates"]],
-            "assignments": [number(a, int) if a is not None else None
-                            for a in d["assignments"]],
+                TrackCandidate(ellipse, float(conf), vids,
+                               None if p is None else tuple(map(float, p)))
+                for ellipse, conf, vids, p in zip(
+                    ellipses_from_dicts([c["ellipse"] for c in cands]),
+                    confidence, members, params)],
+            "assignments": assignments,
         }
     n = len(pred["vertex_hit_ids"])
     if len(set(pred["vertex_hit_ids"])) != n:

@@ -11,6 +11,8 @@ order so the numbers are independent of how events were supplied.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConsistencyError
@@ -41,7 +43,12 @@ def _rms(values) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return 0.0
-    return float(np.sqrt(np.mean(arr * arr)))
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(arr * arr)))
+    top = float(np.abs(arr).max())
+    if math.isinf(rms) and math.isfinite(top):  # squares past float range
+        rms = top * float(np.sqrt(np.mean((arr / top) ** 2)))
+    return rms
 
 
 def evaluate(predictions: dict[int, dict], truth: dict[int, Event],

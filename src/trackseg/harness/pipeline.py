@@ -6,8 +6,9 @@ Artifacts live under the configured output directory:
                                 and track columns
     graphs/graph_00000.json     one graph-v4 document per event: vertex,
                                 edge and particle columns
-    checkpoint.json             tracknet-v3: model config and flat
-                                parameter vector in parameter-name order
+    checkpoint.json             tracknet-v4: model config and flat
+                                parameter vector in parameter-name order,
+                                base64 of its little-endian float64 bytes
     history.json                per-epoch loss components
     predictions/pred_00000.json per-event inference output
     metrics.json                evaluation summary

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import circular_mean, signed_dphi
-from .ellipses import (Ellipse5, ellipse_ious, make_ellipse,
-                       point_in_ellipse)
+# perfbench/tracing.py looks point_in_ellipse up in this module
+from .ellipses import (MEMBERSHIP_SLACK, Ellipse5, ellipse_ious,
+                       make_ellipse, point_in_ellipse, quad_form)
 from .errors import DomainError
 
 
@@ -28,8 +29,10 @@ class TrackCandidate:
 
 
 # the pair search takes blocks of seeds of at most this many seed-row
-# pairs, and one IoU call measures at most _IOU_CHUNK of the pairs found;
-# both keep memory linear in the ellipses and the pairs near enough to test
+# pairs, hit assignment blocks of candidates of at most this many
+# candidate-vertex pairs, and one IoU call measures at most _IOU_CHUNK of
+# the pairs found; all keep memory linear in the ellipses, the vertices
+# and the pairs near enough to test
 _SEARCH_BLOCK = 1 << 14
 _IOU_CHUNK = 256
 
@@ -149,18 +152,29 @@ def assign_hits(candidates: list[TrackCandidate], vertices,
     candidate whose ellipse contains it.
 
     `vertices` rows are (eta, phi, class_prob).  Vertices below the class
-    threshold, or contained by no candidate, get None.
+    threshold, or contained by no candidate, get None.  Membership is
+    point_in_ellipse's test, taken for a block of candidates against all
+    vertices at once.
     """
     order = sorted(range(len(candidates)),
                    key=lambda i: (-candidates[i].confidence, i))
     rows = np.asarray(vertices, dtype=float).reshape(-1, 3)
-    # per vertex the first containing candidate in confidence order; the
-    # all-true last row stands for none
-    inside = [point_in_ellipse(candidates[i].ellipse, (rows[:, 0], rows[:, 1]))
-              for i in order] + [np.ones(len(rows), dtype=bool)]
+    shapes = np.array([(e.eta_c, e.phi_c, e.a, e.b, math.cos(e.theta),
+                        math.sin(e.theta))
+                       for e in (candidates[i].ellipse for i in order)],
+                      dtype=float).reshape(-1, 6)
+    # per vertex the first containing candidate in confidence order, or
+    # len(order), which stands for none
+    first = np.full(len(rows), len(order))
+    block = max(1, _SEARCH_BLOCK // max(len(rows), 1))
+    for start in range(0, len(order), block):
+        inside = quad_form(*shapes[start:start + block].T[..., None],
+                           rows[:, 0], rows[:, 1]) <= 1.0 + MEMBERSHIP_SLACK
+        found = inside.any(axis=0) & (first == len(order))
+        first[found] = start + inside.argmax(axis=0)[found]
     choice = [*order, None]
     return [None if prob < class_threshold else choice[k]
-            for k, prob in zip(np.argmax(inside, axis=0), rows[:, 2])]
+            for k, prob in zip(first.tolist(), rows[:, 2].tolist())]
 
 
 @dataclass(frozen=True)

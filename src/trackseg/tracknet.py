@@ -23,6 +23,7 @@ the update.  Inference builds the inputs on each call.
 
 from __future__ import annotations
 
+import base64
 import logging
 import math
 from dataclasses import asdict, dataclass
@@ -30,10 +31,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .angles import signed_dphi
-from .ellipses import decode_box, encode_box
-from .errors import ConfigError, ConsistencyError, FitError, NumericError
+from .ellipses import Ellipse5, decode_box, encode_box
+from .errors import (ConfigError, ConsistencyError, DomainError, FitError,
+                     NumericError)
 from .graphs import Graph
-from .jsonio import number, numbers, parsing, read_json, write_json
+from .jsonio import number, parsing, read_json, write_json
 from .kinematics import canonical_parabola_coeffs
 from .neural import autodiff as ad
 from .neural.autodiff import Tape, Var
@@ -44,7 +46,7 @@ STATE_DIM = 2
 COORD_DIM = 2
 EDGE_FEATURE_DIM = 4
 TRACKING_FEATURE_DIM = 5  # 3 parabola coefficients + 2 state-max components
-CHECKPOINT_FORMAT = "tracknet-v3"
+CHECKPOINT_FORMAT = "tracknet-v4"
 
 log = logging.getLogger(__name__)
 
@@ -379,8 +381,10 @@ class InferResult:
 def infer(model: Model, graph: Graph,
           threshold: float = 0.5) -> InferResult:
     """Forward pass plus a decoded ellipse for every vertex whose track
-    probability reaches the threshold.  A non-finite class probability or
-    encoded box raises NumericError naming the graph and the output."""
+    probability reaches the threshold, all decoded in one decode_box
+    call.  A non-finite class probability or encoded box, or a box that
+    decodes to no valid ellipse, raises NumericError naming the graph and
+    the output."""
     with Tape() as tape:
         outputs = gnn_forward(model, graph_inputs(graph), tape)
         prob = outputs.class_prob.data[:, 0].copy()
@@ -390,27 +394,37 @@ def infer(model: Model, graph: Graph,
         if not np.all(np.isfinite(values)):
             raise NumericError("non-finite inference output",
                                graph_id=graph.event_id, component=name)
-    ellipses = [decode_box(boxes[i], (graph.eta[i], graph.phi[i]))
-                if prob[i] >= threshold else None
-                for i in range(graph.n_vertices)]
+    kept = np.flatnonzero(prob >= threshold)
+    try:
+        rows = decode_box(boxes[kept], graph.eta[kept], graph.phi[kept])
+    except DomainError as err:
+        raise NumericError(f"undecodable inference output at vertex "
+                           f"{kept[err.row]}", graph_id=graph.event_id,
+                           component="encoded_box") from err
+    ellipses = [None] * graph.n_vertices
+    for i, row in zip(kept.tolist(), rows.tolist()):
+        ellipses[i] = Ellipse5(*row)
     return InferResult(prob, final_state, ellipses)
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Write the tracknet-v3 checkpoint document: the model config and
-    the flat parameter vector."""
+    """Write the tracknet-v4 checkpoint document: the model config and
+    the flat parameter vector as base64 of its little-endian float64
+    bytes."""
     write_json(path, {"format": CHECKPOINT_FORMAT,
                       "config": asdict(model.config),
-                      "params": model.flat.tolist()})
+                      "params": base64.b64encode(
+                          model.flat.astype("<f8").tobytes()).decode()})
 
 
 def load_checkpoint(path) -> Model:
-    """Read a checkpoint into a Model.  An invalid config, or a parameter
+    """Read a checkpoint into a Model.  An invalid config, a parameter
+    string that is not base64 of whole float64 values, or a parameter
     vector that is not finite or whose length does not match the config,
     raises ConsistencyError before any model of that config is built."""
     doc = read_json(path)
-    if isinstance(doc, dict) and doc.get("format") in ("tracknet-v1",
-                                                       "tracknet-v2"):
+    if isinstance(doc, dict) and doc.get("format") in (
+            "tracknet-v1", "tracknet-v2", "tracknet-v3"):
         raise ConsistencyError(f"{path} is a {doc['format']} checkpoint; "
                                f"retrain to write {CHECKPOINT_FORMAT}")
     with parsing(doc, CHECKPOINT_FORMAT):
@@ -421,8 +435,8 @@ def load_checkpoint(path) -> Model:
                                  tuple(number(w) for w in c["loss_weights"]))
         except ConfigError as err:
             raise ConsistencyError(f"checkpoint config: {err}") from err
-        numbers(doc["params"])
-        params = np.asarray(doc["params"], dtype=float)
+        params = np.frombuffer(base64.b64decode(doc["params"], validate=True),
+                               dtype="<f8")
         if params.shape != (config.n_params,):
             raise ConsistencyError(f"checkpoint has {params.size} "
                                    f"parameters, config needs "

@@ -3,7 +3,8 @@
 Nothing here may call the code paths it checks: DBSCAN is re-derived
 from the density-connectivity definition, IoU from Monte Carlo sampling
 or by clipping every polygon edge against every half-plane, ellipse
-membership from the raw quadratic form, plain message passing
+membership from the raw quadratic form, box decoding one value at a
+time, plain message passing
 vertex by vertex, and the gradient checks reduce to a scalar through a
 test-local node.
 """
@@ -287,6 +288,24 @@ def _canonical(eta_c, phi_c, a, b, theta):
         a, b, theta = b, a, theta + 0.5 * math.pi
     return (float(eta_c), _mod(phi_c, 2.0 * math.pi), float(a), float(b),
             _mod(theta, math.pi))
+
+
+def decode_box_row(d, vertex, scales):
+    """One encoded box row d = (d_eta, d_phi, d_a, d_b, d_theta) at the
+    vertex (eta, phi), decoded value by value in Python floats as
+    (eta_c, phi_c, a, b, theta), with scales (ETA_M, PHI_M, A_M, B_M,
+    THETA_M, DELTA_THETA): each axis from math.exp, then the axis swap
+    and the wraps.  A log-axis that overflows raises OverflowError, and a
+    semi-axis that comes out 0 raises ValueError."""
+    eta_m, phi_m, a_m, b_m, theta_m, delta_theta = scales
+    d_eta, d_phi, d_a, d_b, d_theta = map(float, d)
+    eta_v, phi_v = map(float, vertex)
+    row = _canonical(eta_v + d_eta * eta_m, phi_v + d_phi * phi_m,
+                     math.exp(d_a) * a_m, math.exp(d_b) * b_m,
+                     d_theta * theta_m - delta_theta)
+    if not row[3] > 0.0:
+        raise ValueError(f"semi-axis 0 in {row}")
+    return row
 
 
 def _rescale_to_contain(e, flat, floor):

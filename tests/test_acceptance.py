@@ -23,7 +23,8 @@ from test_harness import tiny_cli_config, truth_identity_prediction
 from test_neural import check_op_gradient, mlp_gradient_builds
 from test_tracknet import small_config, sweep_composite_gradients
 from trackseg import tracknet as tn
-from trackseg.ellipses import decode_box, encode_box, make_ellipse, mvee
+from trackseg.ellipses import (Ellipse5, decode_box, encode_box,
+                               make_ellipse, mvee)
 from trackseg.errors import ParseError
 from trackseg.events import (DetectorConfig, GenConfig, generate_event,
                              read_trackml_event)
@@ -143,14 +144,19 @@ def test_criterion_4_ellipse_suite():
     rng = np.random.default_rng(103)
 
     # encode/decode identity over 10^4 random cases
-    worst = 0.0
+    cases = []
     for _ in range(10_000):
         a = rng.uniform(0.02, 0.4)
         e = make_ellipse(rng.uniform(-2, 2), rng.uniform(0, TWO_PI), a,
                          rng.uniform(0.2 * a, a), rng.uniform(0, math.pi))
         vtx = (e.eta_c + rng.uniform(-0.02, 0.02),
                (e.phi_c + rng.uniform(-0.01, 0.01)) % TWO_PI)
-        back = decode_box(encode_box(e, vtx), vtx)
+        cases.append((e, vtx))
+    eta, phi = np.array([vtx for _, vtx in cases]).T
+    rows = decode_box([encode_box(e, vtx) for e, vtx in cases], eta, phi)
+    worst = 0.0
+    for (e, _), row in zip(cases, rows.tolist()):
+        back = Ellipse5(*row)
         dphi = abs(back.phi_c - e.phi_c + math.pi) % TWO_PI - math.pi
         dtheta = abs(back.theta - e.theta) % math.pi
         worst = max(worst, abs(back.eta_c - e.eta_c), abs(dphi),

@@ -27,9 +27,9 @@ def test_wrap_keeps_array_shape():
 
 
 def test_decode_box_at_the_theta_fold():
-    e = decode_box([0, 0, 0, 0, np.nextafter(DELTA_THETA / THETA_M, 0)],
-                   (0.0, 1.0))
-    assert e.theta == 0.0
+    rows = decode_box([0, 0, 0, 0, np.nextafter(DELTA_THETA / THETA_M, 0)],
+                      0.0, 1.0)
+    assert rows[0, 4] == 0.0
 
 
 def test_hit_just_below_the_x_axis_has_phi_zero():

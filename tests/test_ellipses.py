@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (full_clip_ious, monte_carlo_iou, mvee_oracle,
-                     point_in_ellipse_quadform, polygon_iou)
-from trackseg.ellipses import (A_M, AXIS_FLOOR, B_M, DELTA_THETA,
+from oracles import (decode_box_row, full_clip_ious, monte_carlo_iou,
+                     mvee_oracle, point_in_ellipse_quadform, polygon_iou)
+from trackseg.ellipses import (A_M, AXIS_FLOOR, B_M, DELTA_THETA, ETA_M,
                                IOU_RESOLUTION, MVEE_TOLERANCE, PHI_M,
-                               Ellipse5, decode_box,
-                               ellipse_from_dict, ellipse_ious,
-                               ellipse_to_dict, encode_box, make_ellipse,
+                               THETA_M, Ellipse5, decode_box,
+                               ellipse_ious, ellipse_to_dict,
+                               ellipses_from_dicts, encode_box, make_ellipse,
                                mvee, point_in_ellipse)
 from trackseg.errors import DomainError
 
@@ -22,6 +22,11 @@ TWO_PI = 2.0 * math.pi
 def iou(e1, e2):
     """IoU of two Ellipse5 through the batched kernel."""
     return float(ellipse_ious(astuple(e1), [astuple(e2)])[0])
+
+
+def decoded(d, vertex) -> Ellipse5:
+    """The ellipse of one encoded row at one vertex."""
+    return Ellipse5(*decode_box(d, *vertex)[0])
 
 
 def random_ellipse(rng, a_range=(0.02, 0.4)):
@@ -45,14 +50,14 @@ class TestEllipse5:
 
     def test_dict_round_trip(self):
         e = make_ellipse(0.5, 1.2, 0.3, 0.1, 2.0)
-        assert ellipse_from_dict(ellipse_to_dict(e)) == e
+        assert ellipses_from_dicts([ellipse_to_dict(e)]) == [e]
 
     @pytest.mark.parametrize("key", ["eta_c", "phi_c", "a", "b", "theta"])
     def test_dict_non_finite_rejected(self, key):
         d = ellipse_to_dict(make_ellipse(0.5, 1.2, 0.3, 0.1, 2.0))
         for value in (math.nan, math.inf):
             with pytest.raises(DomainError):
-                ellipse_from_dict({**d, key: value})
+                ellipses_from_dicts([{**d, key: value}])
 
 
 class TestEncodeDecode:
@@ -74,13 +79,13 @@ class TestEncodeDecode:
             pytest.approx(1.0 + 2.0 / math.pi)
 
     def test_decode_zero(self):
-        e = decode_box(np.zeros(5), (0.0, 0.0))
+        e = decoded(np.zeros(5), (0.0, 0.0))
         assert e.a == pytest.approx(A_M)
         assert e.b == pytest.approx(B_M)
         assert e.theta == pytest.approx(math.pi - DELTA_THETA)
 
     def test_log_axis_decoding(self):
-        e = decode_box([0, 0, math.log(2.0), 0, 0], (0, 0))
+        e = decoded([0, 0, math.log(2.0), 0, 0], (0, 0))
         assert e.a == pytest.approx(0.076)
 
     def test_phi_wrap_in_encoding(self):
@@ -90,11 +95,17 @@ class TestEncodeDecode:
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(5)
+        cases = []
         for _ in range(10_000):
             e = random_ellipse(rng)
             vertex = (e.eta_c + rng.uniform(-0.02, 0.02),
                       (e.phi_c + rng.uniform(-0.01, 0.01)) % TWO_PI)
-            back = decode_box(encode_box(e, vertex), vertex)
+            cases.append((e, vertex))
+        eta, phi = np.array([vertex for _, vertex in cases]).T
+        rows = decode_box([encode_box(e, vertex) for e, vertex in cases],
+                          eta, phi)
+        for (e, _), row in zip(cases, rows.tolist()):
+            back = Ellipse5(*row)
             assert abs(back.eta_c - e.eta_c) < 1e-12
             assert abs((back.phi_c - e.phi_c + math.pi) % TWO_PI
                        - math.pi) < 1e-12
@@ -111,11 +122,73 @@ class TestEncodeDecode:
     @settings(max_examples=200, deadline=None)
     def test_round_trip_hypothesis(self, eta, phi, a, ratio, theta):
         e = make_ellipse(eta, phi, a, a * ratio, theta)
-        back = decode_box(encode_box(e, (eta, phi)), (eta, phi))
+        back = decoded(encode_box(e, (eta, phi)), (eta, phi))
         assert back.a == pytest.approx(e.a, rel=1e-12)
         assert back.b == pytest.approx(e.b, rel=1e-12)
         dt = abs(back.theta - e.theta) % math.pi
         assert min(dt, math.pi - dt) < 1e-9
+
+
+# the box scales in the order decode_box_row takes them
+SCALES = (ETA_M, PHI_M, A_M, B_M, THETA_M, DELTA_THETA)
+
+
+def _encoded_rows(rng, n):
+    """n encoded rows, spread like free-form regressed residuals, and
+    their vertices.  The first eighth puts vertices at and next to phi =
+    0 and 2 pi with offsets across the seam, the second puts d_theta at
+    the fold DELTA_THETA / THETA_M and the float below it; the spread of
+    d_a and d_b makes a < b in about a sixth of the rows."""
+    d = rng.normal(0.0, [3.0, 3.0, 1.5, 1.5, 3.0], size=(n, 5))
+    vertices = np.column_stack([rng.uniform(-3.0, 3.0, n),
+                                rng.uniform(0.0, TWO_PI, n)])
+    k = n // 8
+    vertices[:k, 1] = rng.choice([0.0, 1e-12, 1e-3, TWO_PI - 1e-3,
+                                  np.nextafter(TWO_PI, 0.0)], k)
+    d[:k, 1] = rng.uniform(-1.0, 1.0, k)
+    fold = DELTA_THETA / THETA_M
+    d[k:2 * k, 4] = rng.choice([fold, np.nextafter(fold, 0.0),
+                                np.nextafter(fold, 1.0), -fold], k)
+    return d, vertices
+
+
+class TestDecodeOracle:
+    """decode_box decodes all rows at once; decoding one value at a time
+    in Python floats is the reference, and the two agree bit for bit."""
+
+    def test_equals_row_by_row_decoding_bit_for_bit(self):
+        d, vertices = _encoded_rows(np.random.default_rng(91), 2400)
+        expected = [decode_box_row(row, vertex, SCALES)
+                    for row, vertex in zip(d, vertices)]
+        assert np.array_equal(_bits(decode_box(d, *vertices.T)),
+                              _bits(expected))
+        swapped = np.exp(d[:, 2]) * A_M < np.exp(d[:, 3]) * B_M
+        assert 300 <= np.count_nonzero(swapped) <= 2100
+        # centres on both sides of the seam, and theta folded to 0
+        phi_c = np.array(expected)[:, 1]
+        assert np.any(phi_c < 1e-3) and np.any(phi_c > TWO_PI - 1e-3)
+        assert np.any(np.array(expected)[:, 4] == 0.0)
+
+    def test_no_rows(self):
+        assert decode_box(np.zeros((0, 5)), [], []).shape == (0, 5)
+
+    @pytest.mark.parametrize("column, value", [
+        (2, 720.0), (3, 720.0), (3, -800.0), (2, -800.0)],
+        ids=["a-overflows", "b-overflows", "b-zero", "a-zero"])
+    def test_first_undecodable_row_is_named(self, column, value):
+        d, vertices = _encoded_rows(np.random.default_rng(92), 40)
+        d[[17, 30], column] = value
+        with pytest.raises(DomainError) as err:
+            decode_box(d, *vertices.T)
+        assert err.value.row == 17
+        for row, vertex in zip(d[:17], vertices[:17]):
+            decode_box_row(row, vertex, SCALES)
+        with pytest.raises((OverflowError, ValueError)):
+            decode_box_row(d[17], vertices[17], SCALES)
+
+    def test_zero_axis_of_one_row(self):
+        with pytest.raises(DomainError, match="no valid ellipse"):
+            decode_box([0, 0, 0, -800, 0], 0.0, 1.0)
 
 
 class TestMembership:

@@ -1,3 +1,4 @@
+import base64
 import itertools
 import json
 import math
@@ -166,6 +167,18 @@ class TestEvaluate:
                        {e.event_id: e})["parameter_resolution"]
         assert res["pt_rel_rms"] == pytest.approx(0.1)
         assert res["eps_t_abs_rms"] == pytest.approx(2e-4)
+
+    def test_resolution_rms_of_residuals_whose_squares_overflow(self):
+        e = self.event(seed=94, n_tracks=1)
+        pred = truth_identity_prediction(e)
+        t = e.tracks[0]
+        pred["candidates"] = [TrackCandidate(
+            pred["candidates"][0].ellipse, 1.0,
+            pred["candidates"][0].member_vertex_ids,
+            params=(t.params.p_t, t.params.eps_t + 1.3407807929942597e154))]
+        res = evaluate({e.event_id: pred},
+                       {e.event_id: e})["parameter_resolution"]
+        assert res["eps_t_abs_rms"] == pytest.approx(1.3407807929942597e154)
 
     def test_event_order_invariance(self):
         events = {i: self.event(seed=95 + i) for i in range(3)}
@@ -585,6 +598,12 @@ def _set_first(key, value):
     return damage
 
 
+def _drop_last_param(doc):
+    """Re-encode a checkpoint's parameters without the last value."""
+    raw = base64.b64decode(doc["params"])
+    doc["params"] = base64.b64encode(raw[:-8]).decode()
+
+
 def _edited(change):
     """Damage that applies change(doc) to the decoded document."""
     def damage(text):
@@ -826,12 +845,14 @@ class TestCli:
         ("events/event_00000.json", _drop_key("hits"), "build-graphs"),
         ("predictions/pred_*.json", _drop_key("candidates"), "evaluate"),
         ("checkpoint.json",
-         lambda text: text.replace('"tracknet-v3"', '"tracknet-v1"'),
+         lambda text: text.replace('"tracknet-v4"', '"tracknet-v1"'),
          "infer"),
         ("checkpoint.json", _drop_key("params"), "infer"),
         ("events/event_00000.json", _edited(lambda doc: doc.update(hits=[5])),
          "build-graphs"),
-        ("checkpoint.json", _set_first("params", "x"), "infer"),
+        ("checkpoint.json",
+         _edited(lambda doc: doc.update(params="!" + doc["params"][1:])),
+         "infer"),
         ("predictions/pred_*.json", _non_numeric_params, "evaluate"),
         ("graphs/graph_00000.json", lambda text: b"\xff\xfe{}", "train"),
         ("graphs/graph_00000.json", lambda text: "[" * 100_000, "train"),
@@ -854,7 +875,7 @@ class TestCli:
         ("graphs/graph_00000.json",
          _edited(lambda doc: [c.pop() for c in doc["particles"].values()]),
          "train"),
-        ("checkpoint.json", _edited(lambda doc: doc["params"].pop()),
+        ("checkpoint.json", _edited(_drop_last_param),
          "infer"),
         ("checkpoint.json",
          _edited(lambda doc: doc["config"].update(hidden=0)), "infer"),
@@ -983,6 +1004,31 @@ class TestCli:
         assert main(["--config", str(cfg_path), command, *args]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and message in err
+
+    @pytest.mark.parametrize("column, value", [(3, -800.0), (2, 720.0)],
+                             ids=["zero-axis", "overflow"])
+    def test_undecodable_inference_output_exits_4(self, tmp_path, capsys,
+                                                  column, value):
+        # finite parameters that make every vertex a track vertex whose
+        # encoded box has a log-axis of -800 (an axis of 0) or 720 (past
+        # the float range)
+        cfg_path = tiny_cli_config(tmp_path)
+        for cmd in STAGES[:STAGES.index("infer")]:
+            assert main(["--config", str(cfg_path), cmd]) == 0
+        path = tmp_path / "out" / "checkpoint.json"
+        model = tracknet.load_checkpoint(path)
+        box = [0.0] * 5
+        box[column] = value
+        for prefix, bias in (("cls.", [50.0]), ("loc.", box)):
+            last = max(k for k in model.params if k.startswith(prefix + "b"))
+            model.params[last.replace(".b", ".W")][:] = 0.0
+            model.params[last][:] = bias
+        tracknet.save_checkpoint(model, path)
+        assert main(["--config", str(cfg_path), "infer"]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: undecodable inference output at vertex 0 " \
+            "graph=3 component=encoded_box" in err
+        assert not list((tmp_path / "out").glob("predictions/pred_*.json"))
 
     @pytest.mark.parametrize("prefix, output", [
         ("", "component=class_prob"), ("trk.", "component=candidate")],

@@ -10,6 +10,7 @@ from oracles import full_clip_ious
 from test_ellipses import iou
 from trackseg.angles import circular_mean
 from trackseg.ellipses import IOU_RESOLUTION, make_ellipse, point_in_ellipse
+from trackseg import postprocess
 from trackseg.errors import DomainError
 from trackseg.postprocess import (ThresholdResult, TrackCandidate,
                                   assign_hits, choose_threshold,
@@ -309,6 +310,30 @@ class TestAssignHitsBatch:
         expected = [1, 1, 1, None, None]
         assert assign_one_by_one(cands, vertices, 0.5) == expected
         assert assign_hits(cands, vertices, 0.5) == expected
+
+    @pytest.mark.parametrize("block", [1, 120, 1 << 14],
+                             ids=["one-candidate", "three", "all"])
+    def test_blocks_of_candidates_match_scalar_loop(self, monkeypatch,
+                                                    block):
+        # 40 vertices: each block of `block` candidate-vertex pairs holds
+        # one candidate, three, or all 20
+        monkeypatch.setattr(postprocess, "_SEARCH_BLOCK", block)
+        rng = np.random.default_rng(34)
+        cands = [TrackCandidate(
+            make_ellipse(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2),
+                         rng.uniform(0.1, 0.3), rng.uniform(0.05, 0.1),
+                         rng.uniform(0, math.pi)),
+            float(rng.choice([0.4, 0.7])), (k,)) for k in range(20)]
+        # half the vertices on a candidate's boundary, at its major tip
+        tips = [(c.ellipse.eta_c + c.ellipse.a * math.cos(c.ellipse.theta),
+                 (c.ellipse.phi_c + c.ellipse.a * math.sin(c.ellipse.theta))
+                 % (2 * math.pi), 0.9) for c in cands]
+        vertices = tips + [(rng.uniform(-0.6, 0.6),
+                            rng.uniform(-0.4, 0.4) % (2 * math.pi), 0.9)
+                           for _ in range(20)]
+        expected = assign_one_by_one(cands, vertices, 0.5)
+        assert assign_hits(cands, vertices, 0.5) == expected
+        assert None not in expected[:20]
 
     def test_no_candidates(self):
         vertices = [(0.0, 1.0, 0.9), (0.5, 2.0, 0.1)]

@@ -1,9 +1,10 @@
+import base64
 import gc
 import json
 import math
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import (JSON_VALUES, doc_paths, hit_at, hit_table,
                       make_training_graph, set_at)
-from oracles import plain_message_passing
+from oracles import decode_box_row, plain_message_passing
 from trackseg import tracknet as tn
+from test_ellipses import SCALES
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
                              DomainError, NumericError, ParseError)
@@ -483,6 +485,37 @@ class TestInfer:
                 assert e.a >= e.b > 0.0
                 assert 0.0 <= e.theta < math.pi
 
+    def test_ellipses_equal_vertex_by_vertex_decoding(self):
+        g = make_training_graph(seed=75, n_tracks=3)[1]
+        m = tn.Model(small_config(), seed=8)
+        r = tn.infer(m, g, threshold=0.5)
+        boxes = forward(m, g).encoded_box.data
+        expected = [decode_box_row(boxes[i], (g.eta[i], g.phi[i]), SCALES)
+                    if r.class_prob[i] >= 0.5 else None
+                    for i in range(g.n_vertices)]
+        assert 0 < sum(e is not None for e in expected) < g.n_vertices
+        assert [e and np.array(e).view(np.int64).tolist()
+                for e in expected] == \
+            [e and np.array(astuple(e)).view(np.int64).tolist()
+             for e in r.ellipses]
+
+    @pytest.mark.parametrize("column, value", [(3, -800.0), (2, 720.0)],
+                             ids=["zero-axis", "overflow"])
+    def test_undecodable_box_names_the_vertex(self, toy_graph, column,
+                                              value):
+        # every vertex is a track vertex with the same encoded box
+        m = tn.Model(small_config(), seed=9)
+        box = [0.0] * 5
+        box[column] = value
+        for prefix, bias in (("cls.", [50.0]), ("loc.", box)):
+            last = max(k for k in m.params if k.startswith(prefix + "b"))
+            m.params[last.replace(".b", ".W")][:] = 0.0
+            m.params[last][:] = bias
+        with pytest.raises(NumericError, match="undecodable inference "
+                           "output at vertex 0 graph=0 "
+                           "component=encoded_box"):
+            tn.infer(m, toy_graph)
+
     def test_leaves_no_reference_cycles(self, toy_graph):
         # forward-only tapes are released, so refcounting frees them and
         # peak memory does not wait on the cyclic GC
@@ -594,9 +627,11 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         tn.save_checkpoint(m, path)
         doc = json.loads(path.read_text())
-        doc["params"] = doc["params"][:-1]
+        # one whole float64 value fewer, not a cut base64 string
+        raw = base64.b64decode(doc["params"])
+        doc["params"] = base64.b64encode(raw[:-8]).decode()
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="parameters, config needs"):
             tn.load_checkpoint(path)
 
     def test_rejects_oversized_config_before_building(self, tmp_path):
@@ -628,6 +663,63 @@ class TestCheckpoint:
         doc["format"] = "tracknet-v2"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="retrain"):
+            tn.load_checkpoint(path)
+
+    def test_rejects_v3_checkpoint(self, tmp_path):
+        m = tn.Model(small_config())
+        path = tmp_path / "ckpt.json"
+        tn.save_checkpoint(m, path)
+        doc = json.loads(path.read_text())
+        doc.update(format="tracknet-v3", params=m.flat.tolist())
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="retrain"):
+            tn.load_checkpoint(path)
+
+    def test_params_are_base64_of_little_endian_float64(self, tmp_path):
+        m = tn.Model(small_config(), seed=27)
+        path = tmp_path / "ckpt.json"
+        tn.save_checkpoint(m, path)
+        doc = json.loads(path.read_text())
+        assert doc["format"] == "tracknet-v4"
+        assert np.frombuffer(base64.b64decode(doc["params"]),
+                             "<f8").tobytes() == m.flat.tobytes()
+
+    def test_extreme_values_round_trip_bit_exact(self, tmp_path):
+        m = tn.Model(small_config(), seed=27)
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308,
+                    -1.7976931348623157e308]
+        m.flat[:4] = extremes
+        path = tmp_path / "ckpt.json"
+        tn.save_checkpoint(m, path)
+        m2 = tn.load_checkpoint(path)
+        assert m2.flat.view(np.int64).tolist() == \
+            m.flat.view(np.int64).tolist()
+        assert m2.flat[:4].view(np.int64).tolist() == \
+            np.array(extremes).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text, raw: text[:40] + "*" + text[41:], "base64"),
+        (lambda text, raw: text[:40] + "\n" + text[40:], "base64"),
+        (lambda text, raw: base64.b64encode(raw[:-4]).decode(),
+         "multiple of element size"),
+        (lambda text, raw: base64.b64encode(
+            np.float64(np.nan).tobytes() + raw[8:]).decode(), "non-finite"),
+        (lambda text, raw: base64.b64encode(
+            raw[:-8] + np.float64(-np.inf).tobytes()).decode(), "non-finite"),
+        (lambda text, raw: base64.b64encode(raw + raw[:8]).decode(),
+         "parameters, config needs"),
+        (lambda text, raw: np.frombuffer(raw).tolist(), "bad value"),
+        (lambda text, raw: None, "bad value")],
+        ids=["not-in-alphabet", "newline", "partial-value", "nan", "inf",
+             "one-value-too-many", "a-list", "null"])
+    def test_rejects_bad_params(self, tmp_path, damage, message):
+        path = tmp_path / "ckpt.json"
+        tn.save_checkpoint(tn.Model(small_config(), seed=27), path)
+        doc = json.loads(path.read_text())
+        doc["params"] = damage(doc["params"],
+                               base64.b64decode(doc["params"]))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=message):
             tn.load_checkpoint(path)
 
     def test_loads_config_with_seed_key(self, tmp_path):
