@@ -46,9 +46,10 @@ class Graph:
     (p_T, eps_T) and target ellipse, make a stored graph a
     self-contained training sample.  Construction derives each vertex's
     target (its particle's ellipse, None for noise) and raises
-    ConsistencyError unless the nonzero vertex particle ids are the keys
-    of both truth_params and targets, each (p_T, eps_T) is finite with
-    p_T > 0, and each edge (i, j) has 0 <= i < j < n_vertices.
+    ConsistencyError unless there is a vertex, the nonzero vertex
+    particle ids are the keys of both truth_params and targets, each
+    (p_T, eps_T) is finite with p_T > 0, and each edge (i, j) has
+    0 <= i < j < n_vertices.
     """
     event_id: int
     hits: HitTable
@@ -58,6 +59,8 @@ class Graph:
     vertex_target_ellipse: list = field(init=False)
 
     def __post_init__(self):
+        if not self.n_vertices:
+            raise ConsistencyError(f"graph {self.event_id} has no vertices")
         pids = self.hits.particle_id.tolist()
         found = set(pids) - {0}
         odd = found ^ self.truth_params.keys() | found ^ self.targets.keys()
@@ -175,8 +178,6 @@ def build_graph(e: Event, params: DbscanParams) -> Graph:
     Hits are clustered in eta-phi; every cluster contributes all its pairs
     as edges (a complete subgraph), unclustered hits stay isolated.
     """
-    if not len(e.hits):
-        raise ConsistencyError("cannot build a graph from an empty event")
     labels = dbscan(np.stack([e.hits.eta, e.hits.phi], axis=1), params)
     return Graph(e.event_id, e.hits.take(slice(None), volume=False),
                  _cluster_edges(labels),
@@ -237,12 +238,9 @@ def graph_to_dict(g: Graph) -> dict:
 def graph_from_dict(d: dict) -> Graph:
     """Decode a graph-v4 document: tables of the columns jsonio.columns
     accepts, vertices a HitTable accepts and a valid Graph; otherwise,
-    and for a graph-v1, -v2 or -v3 document, raises ConsistencyError."""
-    if isinstance(d, dict) and d.get("format") in ("graph-v1", "graph-v2",
-                                                   "graph-v3"):
-        raise ConsistencyError(f"{d['format']} document: rebuild the graphs "
-                               f"with build-graphs")
-    with parsing(d, GRAPH_FORMAT):
+    and for a graph document of another version, raises
+    ConsistencyError."""
+    with parsing(d, GRAPH_FORMAT, "rebuild the graphs with build-graphs"):
         hits = hits_from_columns(d["vertices"], volume=False)
         edges = np.array(columns(d["edges"], dict(i=int, j=int)), int).T.copy()
         pids, pt, eps, *target = columns(d["particles"], PARTICLE_COLUMNS)

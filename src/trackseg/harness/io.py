@@ -38,12 +38,10 @@ def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
 
 def event_from_dict(d: dict) -> Event:
     """Decode an event-v3 document; tables jsonio.columns rejects, hits a
-    HitTable rejects, an Event that breaks its invariants and an event-v1
-    or event-v2 document raise ConsistencyError."""
-    if isinstance(d, dict) and d.get("format") in ("event-v1", "event-v2"):
-        raise ConsistencyError(f"{d['format']} document: regenerate the "
-                               f"events with generate or ingest")
-    with parsing(d, EVENT_FORMAT):
+    HitTable rejects, an Event that breaks its invariants and an event
+    document of another version raise ConsistencyError."""
+    with parsing(d, EVENT_FORMAT,
+                 "regenerate the events with generate or ingest"):
         hits = hits_from_columns(d["hits"], volume=True)
         tracks = tuple(TruthTrack(k, TrackParams(*p)) for k, *p in
                        zip(*columns(d["tracks"], TRACK_COLUMNS)))
@@ -79,7 +77,7 @@ def prediction_from_dict(d: dict) -> dict:
     unique, that its per-vertex lists match them, that its indices and
     params are in range, that every class probability lies in [0, 1] and
     that candidate confidences and params are finite."""
-    with parsing(d, PRED_FORMAT):
+    with parsing(d, PRED_FORMAT, "rerun infer"):
         ids, probs, ellipses, cands, assignments = (
             list(d[key]) for key in ("vertex_hit_ids", "class_prob",
                                      "ellipses", "candidates", "assignments"))

@@ -44,8 +44,10 @@ def read_json(path) -> dict:
 
 
 @contextmanager
-def parsing(doc, doc_format: str):
-    """Reject a document without the expected format tag.  Inside the
+def parsing(doc, doc_format: str, hint: str):
+    """Reject a document without the expected format tag; one of the
+    same kind (the text before "-v") in another version is named with
+    the reader's `hint`, say how to get a current one.  Inside the
     block, a KeyError becomes a ConsistencyError naming the key, and the
     errors a value of the wrong type, length or range raises become a
     ConsistencyError too; among the package's errors these are the
@@ -53,6 +55,9 @@ def parsing(doc, doc_format: str):
     ShapeError), while ConfigError and DataError pass through."""
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != doc_format:
+        if isinstance(found, str) and found.startswith(
+                doc_format.partition("-v")[0] + "-v"):
+            raise ConsistencyError(f"{found} document: {hint}")
         raise ConsistencyError(f"not a {doc_format} document: "
                                f"format={found!r}")
     try:

@@ -36,31 +36,22 @@ class MlpSpec:
         if len(self.layer_widths) < 2 or any(w <= 0 for w in self.layer_widths):
             raise ConfigError(f"bad layer widths {self.layer_widths}")
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_widths) - 1
-
-
-def init_mlp_params(spec: MlpSpec, rng: np.random.Generator,
-                    prefix: str = "") -> dict[str, np.ndarray]:
-    """Centered-uniform weights scaled by 1/sqrt(fan_in), zero biases."""
-    params: dict[str, np.ndarray] = {}
-    for i in range(spec.n_layers):
-        fan_in, fan_out = spec.layer_widths[i], spec.layer_widths[i + 1]
-        bound = 1.0 / np.sqrt(fan_in)
-        params[f"{prefix}W{i}"] = rng.uniform(-bound, bound, (fan_in, fan_out))
-        params[f"{prefix}b{i}"] = np.zeros(fan_out)
-    return params
+    def layers(self, prefix: str = "") -> list[tuple[str, str, int, int]]:
+        """Per layer, in order: the names of its weight and bias,
+        "<prefix>W<i>" and "<prefix>b<i>", and its fan-in and fan-out."""
+        w = self.layer_widths
+        return [(f"{prefix}W{i}", f"{prefix}b{i}", fan_in, fan_out)
+                for i, (fan_in, fan_out) in enumerate(zip(w, w[1:]))]
 
 
 def mlp_forward(spec: MlpSpec, model, x: Var, prefix: str = "") -> Var:
     """Affine-then-activation per layer, rows preserved; one tape node,
     which checks the layer shapes.  Layer i reads its weights from
     `model.params` and adds their gradients into `model.grads`, both
-    keyed "<prefix>W<i>" and "<prefix>b<i>"."""
-    names = [(f"{prefix}W{i}", f"{prefix}b{i}") for i in range(spec.n_layers)]
+    keyed by the names `spec.layers(prefix)` gives."""
     return ad.mlp(x, [(model.params[w], model.params[b], model.grads[w],
-                       model.grads[b]) for w, b in names], spec.sigmoid_out)
+                       model.grads[b]) for w, b, _, _ in spec.layers(prefix)],
+                  spec.sigmoid_out)
 
 
 def _column(x, name: str) -> np.ndarray:

@@ -9,6 +9,11 @@ track/noise classifier, an encoded-bounding-ellipse regressor and, per
 cluster, a track-parameter head whose inputs combine conformal-fit
 coefficients with the componentwise max of member states.
 
+`ModelConfig.blocks` is the one table of the network's blocks: every
+MLP shape, the parameter count, the layout of the flat parameter vector,
+the order of the initial draw and each block a forward pass runs come
+from it.  A loaded checkpoint becomes a model without any draw.
+
 The network reads a graph only through the `GraphInputs` that
 `graph_inputs` alone builds: the initial vertex states (z, layer), the
 message index arrays and the coordinate differences.  Training reads
@@ -27,6 +32,7 @@ import base64
 import logging
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +46,7 @@ from .kinematics import canonical_parabola_coeffs
 from .neural import autodiff as ad
 from .neural.autodiff import Tape, Var
 from .neural.nn import (AdamState, MlpSpec, adam_step, bce_loss, huber_loss,
-                        init_mlp_params, mlp_forward, mse_tracking_loss)
+                        mlp_forward, mse_tracking_loss)
 
 STATE_DIM = 2
 COORD_DIM = 2
@@ -54,8 +60,8 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class ModelConfig:
     """T message-passing iterations and the MLP width fix the network:
-    every layer shape follows from them and the state, coordinate and
-    edge-feature sizes."""
+    `blocks` derives every layer shape from them and the state,
+    coordinate and edge-feature sizes."""
     iterations: int = 4
     hidden: int = 64
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
@@ -69,63 +75,65 @@ class ModelConfig:
             raise ConfigError(f"loss_weights must be three weights >= 0, "
                               f"got {self.loss_weights}")
 
-    @property
-    def specs(self) -> dict[str, MlpSpec]:
-        """MLP shapes per block: h, f, g and the three heads."""
+    @cached_property
+    def blocks(self) -> dict[str, MlpSpec]:
+        """The network's one block table: each block's MLP by its
+        parameter-name prefix, in parameter order.  Iteration t owns the
+        blocks "h<t>.", "f<t>." and "g<t>."; the classifier "cls.", the
+        box regressor "loc." and the track-parameter head "trk." follow."""
         w = self.hidden
-        return {
+        iteration = {
             "h": MlpSpec((STATE_DIM, w, COORD_DIM)),
             "f": MlpSpec((COORD_DIM + STATE_DIM, w, w, EDGE_FEATURE_DIM)),
             "g": MlpSpec((EDGE_FEATURE_DIM + STATE_DIM, w, STATE_DIM)),
-            "classifier": MlpSpec((STATE_DIM, w, w, w, 1), sigmoid_out=True),
-            "localization": MlpSpec((STATE_DIM, w, w, w, 5)),
-            "tracking": MlpSpec((TRACKING_FEATURE_DIM, w, 2)),
         }
+        return {**{f"{block}{t}.": spec
+                   for t in range(1, self.iterations + 1)
+                   for block, spec in iteration.items()},
+                "cls.": MlpSpec((STATE_DIM, w, w, w, 1), sigmoid_out=True),
+                "loc.": MlpSpec((STATE_DIM, w, w, w, 5)),
+                "trk.": MlpSpec((TRACKING_FEATURE_DIM, w, 2))}
 
     @property
     def n_params(self) -> int:
         """Length of the flat parameter vector, known without building it."""
-        sizes = {block: sum((a + 1) * b for a, b in zip(spec.layer_widths,
-                                                       spec.layer_widths[1:]))
-                 for block, spec in self.specs.items()}
-        return sum(sizes.values()) + (self.iterations - 1) * (
-            sizes["h"] + sizes["f"] + sizes["g"])
+        return sum((fan_in + 1) * fan_out for spec in self.blocks.values()
+                   for _, _, fan_in, fan_out in spec.layers())
 
 
 class Model:
-    """Per-iteration MLP parameter sets plus the three heads.
+    """The parameters of every block of `config.blocks`.
 
-    Parameter names follow "<block><iteration>.<W|b><layer>", e.g.
-    "f2.W0"; heads use "cls.", "loc." and "trk.".  Each iteration owns a
-    distinct parameter set.  All parameters live in one float64 vector,
-    `flat`, and their gradients in `grad`, laid out alike: every
-    `params[name]` and `grads[name]` is a reshaped view into it, in name
-    order.  The parameters are drawn from a stream seeded by `seed`.
+    Parameter names are the block prefix and the layer's weight or bias
+    name, e.g. "f2.W0" or "cls.b3".  All parameters live in one float64
+    vector, `flat`, and their gradients in `grad`, laid out alike: every
+    `params[name]` and `grads[name]` is a reshaped view into it, in
+    table order.  A model built from the decoded vector `flat` holds a
+    copy of it; otherwise each weight is drawn, U(+-1/sqrt(fan_in)), from
+    a stream seeded by `seed`, and every bias is zero.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0,
+                 flat: np.ndarray | None = None):
         self.config = config
-        specs = config.specs
-        rng = np.random.default_rng(seed)
-        params: dict[str, np.ndarray] = {}
-        for t in range(1, config.iterations + 1):
-            for block in "hfg":
-                params.update(init_mlp_params(specs[block], rng,
-                                              f"{block}{t}."))
-        for block, prefix in (("classifier", "cls."),
-                              ("localization", "loc."),
-                              ("tracking", "trk.")):
-            params.update(init_mlp_params(specs[block], rng, prefix))
-        self.flat = np.concatenate([p.ravel() for p in params.values()])
+        self.flat = np.zeros(config.n_params) if flat is None else \
+            np.array(flat, dtype=float)
         self.grad = np.zeros_like(self.flat)
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        rng = np.random.default_rng(seed) if flat is None else None
         offset = 0
-        for name, p in params.items():
-            span = slice(offset, offset + p.size)
-            self.params[name] = self.flat[span].reshape(p.shape)
-            self.grads[name] = self.grad[span].reshape(p.shape)
-            offset += p.size
+        for prefix, spec in config.blocks.items():
+            for w, b, fan_in, fan_out in spec.layers(prefix):
+                for name, shape in ((w, (fan_in, fan_out)), (b, (fan_out,))):
+                    span = slice(offset, offset + math.prod(shape))
+                    self.params[name] = self.flat[span].reshape(shape)
+                    self.grads[name] = self.grad[span].reshape(shape)
+                    offset = span.stop
+                if rng is not None:
+                    bound = 1.0 / np.sqrt(fan_in)
+                    self.params[w][...] = rng.uniform(-bound, bound,
+                                                      (fan_in, fan_out))
 
 
 @dataclass
@@ -164,26 +172,28 @@ def gnn_forward(model: Model, inputs: GraphInputs,
                 tape: Tape | None = None) -> VertexOutputs:
     """Run the T message-passing iterations and the per-vertex heads.
     Isolated vertices receive a zero aggregate."""
-    specs = model.config.specs
     tape = tape if tape is not None else Tape()
     src, dst = inputs.src, inputs.dst
 
     n = len(inputs.state)
     s = tape.const(inputs.state)
     for t in range(1, model.config.iterations + 1):
-        dx = mlp_forward(specs["h"], model, s, f"h{t}.")
+        dx = _block(model, f"h{t}.", s)
         shifted = ad.add(tape.const(inputs.coord_diff),
                          ad.gather_rows(dx, dst))
         edge_in = ad.concat_cols([shifted, ad.gather_rows(s, src)])
-        msg = mlp_forward(specs["f"], model, edge_in, f"f{t}.")
+        msg = _block(model, f"f{t}.", edge_in)
         agg = ad.segment_max(msg, dst, n)
-        update = mlp_forward(specs["g"], model, ad.concat_cols([agg, s]),
-                             f"g{t}.")
+        update = _block(model, f"g{t}.", ad.concat_cols([agg, s]))
         s = ad.add(update, s)
 
-    prob = mlp_forward(specs["classifier"], model, s, "cls.")
-    box = mlp_forward(specs["localization"], model, s, "loc.")
-    return VertexOutputs(prob, box, s)
+    return VertexOutputs(_block(model, "cls.", s), _block(model, "loc.", s),
+                         s)
+
+
+def _block(model: Model, prefix: str, x: Var) -> Var:
+    """The block `prefix` of the model's table applied to x."""
+    return mlp_forward(model.config.blocks[prefix], model, x, prefix)
 
 
 @dataclass(frozen=True)
@@ -230,7 +240,7 @@ def predict_cluster_params(model: Model, final_state: Var,
                                clusters.segment, n_clusters)
     feats = ad.concat_cols([final_state.tape.const(clusters.coeffs),
                             state_max])
-    return mlp_forward(model.config.specs["tracking"], model, feats, "trk.")
+    return _block(model, "trk.", feats)
 
 
 def cluster_params_from_states(model: Model, final_state: np.ndarray,
@@ -418,16 +428,15 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    """Read a checkpoint into a Model.  An invalid config, a parameter
-    string that is not base64 of whole float64 values, or a parameter
-    vector that is not finite or whose length does not match the config,
-    raises ConsistencyError before any model of that config is built."""
+    """Read a checkpoint into a Model built on its decoded parameter
+    vector, with no draw.  A checkpoint of another tracknet version, an
+    invalid config, a parameter string that is not base64 of whole
+    float64 values, or a parameter vector that is not finite or whose
+    length does not match the config, raises ConsistencyError before any
+    model of that config is built."""
     doc = read_json(path)
-    if isinstance(doc, dict) and doc.get("format") in (
-            "tracknet-v1", "tracknet-v2", "tracknet-v3"):
-        raise ConsistencyError(f"{path} is a {doc['format']} checkpoint; "
-                               f"retrain to write {CHECKPOINT_FORMAT}")
-    with parsing(doc, CHECKPOINT_FORMAT):
+    with parsing(doc, CHECKPOINT_FORMAT,
+                 f"retrain to write {path} as {CHECKPOINT_FORMAT}"):
         c = doc["config"]
         try:
             config = ModelConfig(number(c["iterations"], int),
@@ -443,6 +452,4 @@ def load_checkpoint(path) -> Model:
                                    f"{config.n_params}")
         if not np.all(np.isfinite(params)):
             raise ConsistencyError("checkpoint has non-finite parameters")
-        model = Model(config)
-        model.flat[:] = params
-        return model
+        return Model(config, flat=params)

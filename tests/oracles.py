@@ -4,9 +4,9 @@ Nothing here may call the code paths it checks: DBSCAN is re-derived
 from the density-connectivity definition, IoU from Monte Carlo sampling
 or by clipping every polygon edge against every half-plane, ellipse
 membership from the raw quadratic form, box decoding one value at a
-time, plain message passing
-vertex by vertex, and the gradient checks reduce to a scalar through a
-test-local node.
+time, plain message passing vertex by vertex, the initial parameters
+from the layer widths written out, and the gradient checks reduce to a
+scalar through a test-local node.
 """
 
 import math
@@ -39,6 +39,27 @@ def _dense(params, prefix, x):
         x = x @ params[f"{prefix}W{k}"] + params[f"{prefix}b{k}"]
         k += 1
     return x
+
+
+def initial_flat(iterations, hidden, seed):
+    """The network's initial parameter vector, drawn block by block from
+    one stream seeded by `seed`: per iteration h, f and g, then the
+    classifier, the box regressor and the track-parameter head.  Each
+    layer is a U(-1/sqrt(fan_in), 1/sqrt(fan_in)) weight matrix followed
+    by a zero bias.  The widths are the paper's: states and coordinate
+    offsets of 2, edge features of 4, 5 head features (3 parabola
+    coefficients and a state max), 5 box values, 2 track parameters."""
+    w = hidden
+    h, f, g = (2, w, 2), (4, w, w, 4), (6, w, 2)
+    heads = [(2, w, w, w, 1), (2, w, w, w, 5), (5, w, 2)]
+    rng = np.random.default_rng(seed)
+    parts = []
+    for widths in [h, f, g] * iterations + heads:
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            bound = 1.0 / np.sqrt(fan_in)
+            parts.append(rng.uniform(-bound, bound, (fan_in, fan_out)).ravel())
+            parts.append(np.zeros(fan_out))
+    return np.concatenate(parts)
 
 
 def plain_message_passing(params, iterations, graph):

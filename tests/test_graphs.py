@@ -413,13 +413,28 @@ class TestGraphSerialization:
         with pytest.raises(ConsistencyError):
             graph_from_dict({"format": "bogus"})
 
-    @pytest.mark.parametrize("old", ["graph-v1", "graph-v2", "graph-v3"])
+    @pytest.mark.parametrize("found", ["event-v3", "graphs-v4", "graph"])
+    def test_format_of_another_kind_gets_no_hint(self, found):
+        with pytest.raises(ConsistencyError,
+                           match=f"not a graph-v4 document: "
+                                 f"format='{found}'"):
+            graph_from_dict({"format": found})
+
+    @pytest.mark.parametrize("old", ["graph-v1", "graph-v2", "graph-v3",
+                                     "graph-v5"])
     def test_old_format_asks_for_a_rebuild(self, old):
         doc = json.loads(GRAPH_DOC)
         doc["format"] = old
         with pytest.raises(ConsistencyError,
                            match=f"{old} document: rebuild the graphs with "
                                  f"build-graphs"):
+            graph_from_dict(doc)
+
+    def test_graph_without_vertices_rejected(self):
+        doc = json.loads(GRAPH_DOC)
+        for table in ("vertices", "edges", "particles"):
+            doc[table] = {name: [] for name in doc[table]}
+        with pytest.raises(ConsistencyError, match="has no vertices"):
             graph_from_dict(doc)
 
     def test_targets_stored_once_per_particle(self):

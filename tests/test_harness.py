@@ -626,6 +626,13 @@ def _append_row(table, row=0, **values):
         column.append(values.get(name, column[row]))
 
 
+def _empty_tables(doc):
+    """Clear every column of a graph's vertex, edge and particle tables."""
+    for table in ("vertices", "edges", "particles"):
+        for column in doc[table].values():
+            column.clear()
+
+
 def _append_out_of_range_edge(text):
     doc = json.loads(text)
     _append_row(doc["edges"], i=0, j=999)
@@ -947,7 +954,8 @@ class TestCli:
         ("graphs/graph_00000.json",
          _edited(lambda doc: _set_row(doc["edges"], 0,
                                       i=doc["edges"]["j"][0],
-                                      j=doc["edges"]["i"][0])), "train")],
+                                      j=doc["edges"]["i"][0])), "train"),
+        ("graphs/graph_00000.json", _edited(_empty_tables), "train")],
         ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
              "pred-no-candidates", "checkpoint-v1", "checkpoint-no-params",
              "event-hit-not-object", "checkpoint-param-not-number",
@@ -971,7 +979,8 @@ class TestCli:
              "event-columns-of-unequal-length",
              "graph-columns-of-unequal-length", "event-column-missing",
              "graph-column-missing",
-             "graph-edge-i-equals-j", "graph-edge-i-above-j"])
+             "graph-edge-i-equals-j", "graph-edge-i-above-j",
+             "graph-without-vertices"])
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
                                         damage, command):
         cfg_path = tiny_cli_config(tmp_path)

@@ -11,8 +11,8 @@ from trackseg.neural import autodiff as ad
 from trackseg.neural.autodiff import Tape
 from trackseg.tracknet import ModelConfig
 from trackseg.neural.nn import (HUBER_DELTA, AdamState, MlpSpec, adam_step,
-                                bce_loss, huber_loss, init_mlp_params,
-                                mlp_forward, mse_tracking_loss)
+                                bce_loss, huber_loss, mlp_forward,
+                                mse_tracking_loss)
 
 
 def finite_difference(f, x0, h=1e-6):
@@ -268,7 +268,11 @@ class TestMlp:
     def test_one_tape_node_per_call(self):
         spec = MlpSpec((3, 4, 4, 1), sigmoid_out=True)
         t = Tape()
-        params = weights(**init_mlp_params(spec, np.random.default_rng(3)))
+        rng = np.random.default_rng(3)
+        params = weights(**{
+            name: rng.uniform(-0.5, 0.5, shape)
+            for w, b, fan_in, fan_out in spec.layers()
+            for name, shape in ((w, (fan_in, fan_out)), (b, fan_out))})
         x = t.const(np.ones((5, 3)))
         for _ in range(2):
             before = len(t._nodes)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (JSON_VALUES, doc_paths, hit_at, hit_table,
                       make_training_graph, set_at)
-from oracles import decode_box_row, plain_message_passing
+from oracles import decode_box_row, initial_flat, plain_message_passing
 from trackseg import tracknet as tn
 from test_ellipses import SCALES
 from trackseg.ellipses import make_ellipse
@@ -223,7 +223,7 @@ class TestPredictClusterParams:
         state_max = out.final_state.data[:2].max(axis=0)
         feats = out.final_state.tape.const(
             np.concatenate([np.zeros(3), state_max])[None])
-        zero_fit = mlp_forward(m.config.specs["tracking"], m, feats, "trk.")
+        zero_fit = mlp_forward(m.config.blocks["trk."], m, feats, "trk.")
         assert np.array_equal(pred.data, zero_fit.data)
         assert pred.data.shape == (1, 2)
 
@@ -537,6 +537,31 @@ def byte_offset(view, whole):
             - whole.__array_interface__["data"][0])
 
 
+class TestLayout:
+    """One block table lays out and draws the parameters."""
+
+    @pytest.mark.parametrize("iterations, hidden, seed", [
+        (4, 64, 0), (4, 64, 101), (2, 8, 3), (1, 1, 7)],
+        ids=["default-0", "default-101", "small-3", "width-1"])
+    def test_initial_parameters_match_the_reference(self, iterations,
+                                                    hidden, seed):
+        cfg = tn.ModelConfig(iterations=iterations, hidden=hidden)
+        flat = tn.Model(cfg, seed=seed).flat
+        assert flat.tobytes() == initial_flat(iterations, hidden,
+                                              seed).tobytes()
+        assert flat.size == cfg.n_params
+
+    def test_parameter_names_in_table_order(self):
+        m = tn.Model(small_config(iterations=2))
+        # (block, layer count) in parameter order
+        blocks = [(f"{b}{t}", n) for t in (1, 2)
+                  for b, n in zip("hfg", (2, 3, 2))] + \
+            [("cls", 4), ("loc", 4), ("trk", 2)]
+        assert list(m.params) == [f"{block}.{kind}{i}" for block, n in blocks
+                                  for i in range(n) for kind in "Wb"]
+        assert list(m.config.blocks) == [f"{block}." for block, _ in blocks]
+
+
 class TestGradientVector:
     """The model owns one gradient vector laid out like its parameters."""
 
@@ -621,6 +646,27 @@ class TestCheckpoint:
         o1 = forward(m, g)
         o2 = forward(m2, g)
         assert np.array_equal(o1.class_prob.data, o2.class_prob.data)
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.json"
+        tn.save_checkpoint(tn.Model(small_config(), seed=27), path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew initial weights")
+
+        monkeypatch.setattr(tn.np.random, "default_rng", no_draw)
+        tn.load_checkpoint(path)
+
+    def test_loaded_parameters_are_writable_and_owned(self, tmp_path):
+        m = tn.Model(small_config(), seed=27)
+        path = tmp_path / "ckpt.json"
+        tn.save_checkpoint(m, path)
+        m2 = tn.load_checkpoint(path)
+        assert m2.flat.flags.writeable and m2.flat.flags.owndata
+        assert m2.flat.dtype == np.float64
+        m2.flat[0] = 1.5
+        assert m2.params["h1.W0"][0, 0] == 1.5
+        assert np.array_equal(m2.flat[1:], m.flat[1:])
 
     def test_rejects_mismatched_shapes(self, tmp_path):
         m = tn.Model(small_config(), seed=27)
