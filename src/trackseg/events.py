@@ -24,7 +24,7 @@ import numpy as np
 from .angles import wrap_phi
 from .errors import ConfigError, ConsistencyError, DomainError, \
     ParseError, ShapeError
-from .jsonio import columns
+from .jsonio import decode_table, encode_table
 from .kinematics import PT_COEFF, CircleTrack, TrackParams, pseudorapidity
 
 MM_TO_M = 1e-3
@@ -43,7 +43,10 @@ _COLUMNS = (*HIT_FIELDS, "volume")
 
 
 def _int64(values) -> tuple[np.ndarray, np.ndarray]:
-    """`values` as int64, 0 where |v| >= 2**63, and the mask of those."""
+    """`values` as int64, 0 where |v| >= 2**63, and the mask of those;
+    an int64 array is copied as it is."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values.copy(), np.zeros(values.shape, dtype=bool)
     values = np.array(values, dtype=object)  # Python ints of any size
     beyond = (abs(values) >= 2**63).astype(bool)
     return np.where(beyond, 0, values).astype(np.int64), beyond
@@ -54,7 +57,8 @@ class HitTable:
     """Hits as read-only numpy columns, one row per hit; particle_id 0
     marks noise and volume is None where the source stores none (a
     graph).  eta and phi are derived from (x, y, z) one hit at a time
-    with math.atan2, math.hypot and kinematics.pseudorapidity.  Tables
+    with math.atan2 and math.hypot, eta from the polar angles by
+    kinematics.pseudorapidity.  Tables
     are equal when their stored columns are.
 
     Construction checks whole columns: a non-finite coordinate, a
@@ -84,8 +88,9 @@ class HitTable:
             raise ShapeError("hit columns must be 1-d and of one length")
         x, y, z, layer = (columns[name] for name in ("x", "y", "z", "layer"))
         xs, ys = x.tolist(), y.tolist()
-        theta = list(map(math.atan2, map(math.hypot, xs, ys), z.tolist()))
-        half = 0.5 * np.array(theta, dtype=float)
+        theta = np.array(list(map(math.atan2, map(math.hypot, xs, ys),
+                                  z.tolist())), dtype=float)
+        half = 0.5 * theta
         problems = {  # in the order a hit is checked
             "non-finite coordinate": ~np.isfinite([x, y, z]).all(axis=0),
             "negative layer {layer}": layer < 0,
@@ -104,7 +109,7 @@ class HitTable:
         if len(first) < len(ids):
             row = np.setdiff1d(np.arange(len(ids)), first)[0]
             raise ConsistencyError(f"hit {ids[row]}: repeats a hit_id")
-        columns["eta"] = np.array(list(map(pseudorapidity, theta)), float)
+        columns["eta"] = pseudorapidity(theta)
         columns["phi"] = wrap_phi(np.array(list(map(math.atan2, ys, xs)),
                                            float))
         for name, column in columns.items():
@@ -141,17 +146,22 @@ class HitTable:
         return [groups[pid] for pid in particle_ids]
 
 
-def hit_columns(hits: HitTable) -> dict[str, list]:
-    """The stored columns of a table: HIT_FIELDS, then volume if any."""
-    return {name: getattr(hits, name).tolist() for name in _COLUMNS
-            if getattr(hits, name) is not None}
+def _kinds(volume: bool) -> dict:
+    """The kind of each stored hit column, volume's if `volume`."""
+    return {name: float if name in "xyz" else int
+            for name in (_COLUMNS if volume else HIT_FIELDS)}
+
+
+def hit_columns(hits: HitTable) -> dict:
+    """The stored table of hits: HIT_FIELDS, then volume if any."""
+    kinds = _kinds(hits.volume is not None)
+    return encode_table(kinds, [getattr(hits, name) for name in kinds])
 
 
 def hits_from_columns(stored, volume: bool) -> HitTable:
-    """The table of stored hit columns, with volumes if `volume`."""
-    return HitTable(*columns(stored, {
-        name: float if name in "xyz" else int
-        for name in (_COLUMNS if volume else HIT_FIELDS)}))
+    """The hits of a stored table (jsonio.decode_table), with volumes if
+    `volume`."""
+    return HitTable(*decode_table(stored, _kinds(volume)))
 
 
 @dataclass(frozen=True)

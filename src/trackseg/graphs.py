@@ -1,5 +1,6 @@
 """Graph construction: DBSCAN clustering in eta-phi, edge building,
-per-track target ellipses and the columnar graph-v4 document."""
+per-track target ellipses and the graph-v5 document of binary
+columns."""
 
 from __future__ import annotations
 
@@ -13,12 +14,13 @@ from .angles import TWO_PI, wrap_phi
 from .ellipses import Ellipse5, mvee
 from .errors import ConfigError, ConsistencyError
 from .events import Event, HitTable, hit_columns, hits_from_columns
-from .jsonio import columns, number, parsing, to_columns
+from .jsonio import decode_table, encode_table, number, parsing
 
 # target ellipses are the tracks' enclosing ellipses grown by this factor
 TARGET_PADDING = 1.1
 
-GRAPH_FORMAT = "graph-v4"
+GRAPH_FORMAT = "graph-v5"
+EDGE_COLUMNS = dict(i=int, j=int)
 # a particle's columns: (p_T, eps_T), then its target in Ellipse5 order
 PARTICLE_COLUMNS = dict(particle_id=int, **dict.fromkeys(
     ("pt", "eps_t", "eta_c", "phi_c", "a", "b", "theta"), float))
@@ -221,29 +223,30 @@ def assign_vertex_targets(particle_ids, targets: dict) -> list:
 
 
 def graph_to_dict(g: Graph) -> dict:
-    """The graph-v4 document: the vertices are the hit columns they came
+    """The graph-v5 document, three tables of binary columns
+    (jsonio.encode_table): the vertices are the hit columns they came
     from, the edges the columns i and j, and each particle is one row of
     its (p_T, eps_T) and target ellipse."""
     return {
         "format": GRAPH_FORMAT,
         "event_id": g.event_id,
         "vertices": hit_columns(g.hits),
-        "edges": dict(zip("ij", g.edges.T.tolist())),
-        "particles": to_columns(PARTICLE_COLUMNS, [
+        "edges": encode_table(EDGE_COLUMNS, g.edges.T),
+        "particles": encode_table(PARTICLE_COLUMNS, zip(*[
             (pid, *params, *vars(g.targets[pid]).values())
-            for pid, params in sorted(g.truth_params.items())]),
+            for pid, params in sorted(g.truth_params.items())])),
     }
 
 
 def graph_from_dict(d: dict) -> Graph:
-    """Decode a graph-v4 document: tables of the columns jsonio.columns
-    accepts, vertices a HitTable accepts and a valid Graph; otherwise,
-    and for a graph document of another version, raises
-    ConsistencyError."""
+    """Decode a graph-v5 document: tables jsonio.decode_table accepts,
+    vertices a HitTable accepts and a valid Graph; otherwise, and for a
+    graph document of another version, raises ConsistencyError."""
     with parsing(d, GRAPH_FORMAT, "rebuild the graphs with build-graphs"):
         hits = hits_from_columns(d["vertices"], volume=False)
-        edges = np.array(columns(d["edges"], dict(i=int, j=int)), int).T.copy()
-        pids, pt, eps, *target = columns(d["particles"], PARTICLE_COLUMNS)
+        edges = np.stack(decode_table(d["edges"], EDGE_COLUMNS), axis=1)
+        pids, pt, eps, *target = (column.tolist() for column in decode_table(
+            d["particles"], PARTICLE_COLUMNS))
         if len(set(pids)) < len(pids):
             raise ConsistencyError(f"graph lists particle "
                                    f"{max(pids, key=pids.count)} twice")

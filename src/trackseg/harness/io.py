@@ -1,5 +1,7 @@
-"""JSON document schemas owned by the harness: events, predictions,
-metrics.  Graph and checkpoint formats live with their own modules."""
+"""JSON document schemas owned by the harness: events (event-v4, tables
+of binary columns), predictions (pred-v1, plain JSON lists and objects)
+and metrics.  Graph and checkpoint formats live with their own modules;
+jsonio holds the one codec of binary columns."""
 
 from __future__ import annotations
 
@@ -9,12 +11,12 @@ from ..ellipses import ellipse_to_dict, ellipses_from_dicts
 from ..errors import ConsistencyError
 from ..events import Event, TruthTrack, hit_columns, hits_from_columns
 # perfbench/workloads.py imports read_json from this module
-from ..jsonio import (columns, number, numbers, parsing, read_json,
-                      to_columns)
+from ..jsonio import (decode_table, encode_table, number, numbers, parsing,
+                      read_json)
 from ..kinematics import TrackParams
 from ..postprocess import TrackCandidate
 
-EVENT_FORMAT = "event-v3"
+EVENT_FORMAT = "event-v4"
 # a track's columns: its id, then TrackParams in field order
 TRACK_COLUMNS = dict(particle_id=int, pt=float, eps_t=float, a=float, b=float)
 PRED_FORMAT = "pred-v1"
@@ -22,14 +24,15 @@ METRICS_FORMAT = "metrics-v1"
 
 
 def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
-    """The event-v3 document: hit and truth track columns; hit eta and
-    phi and each track's hits are derived again on read."""
+    """The event-v4 document: tables of binary hit and truth track
+    columns (jsonio.encode_table); hit eta and phi and each track's hits
+    are derived again on read."""
     doc = {
         "format": EVENT_FORMAT,
         "event_id": e.event_id,
         "hits": hit_columns(e.hits),
-        "tracks": to_columns(TRACK_COLUMNS, [
-            (t.particle_id, *vars(t.params).values()) for t in e.tracks]),
+        "tracks": encode_table(TRACK_COLUMNS, zip(*[
+            (t.particle_id, *vars(t.params).values()) for t in e.tracks])),
     }
     if config_echo is not None:
         doc["config"] = config_echo
@@ -37,14 +40,15 @@ def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
 
 
 def event_from_dict(d: dict) -> Event:
-    """Decode an event-v3 document; tables jsonio.columns rejects, hits a
-    HitTable rejects, an Event that breaks its invariants and an event
-    document of another version raise ConsistencyError."""
+    """Decode an event-v4 document; tables jsonio.decode_table rejects,
+    hits a HitTable rejects, an Event that breaks its invariants and an
+    event document of another version raise ConsistencyError."""
     with parsing(d, EVENT_FORMAT,
                  "regenerate the events with generate or ingest"):
         hits = hits_from_columns(d["hits"], volume=True)
-        tracks = tuple(TruthTrack(k, TrackParams(*p)) for k, *p in
-                       zip(*columns(d["tracks"], TRACK_COLUMNS)))
+        tracks = tuple(TruthTrack(k, TrackParams(*p)) for k, *p in zip(*(
+            column.tolist() for column in decode_table(d["tracks"],
+                                                       TRACK_COLUMNS))))
         return Event(number(d["event_id"], int), hits, tracks)
 
 

@@ -2,10 +2,10 @@
 
 Artifacts live under the configured output directory:
 
-    events/event_00000.json     one event-v3 document per event: hit
-                                and track columns
-    graphs/graph_00000.json     one graph-v4 document per event: vertex,
-                                edge and particle columns
+    events/event_00000.json     one event-v4 document per event: hit
+                                and track tables
+    graphs/graph_00000.json     one graph-v5 document per event: vertex,
+                                edge and particle tables
     checkpoint.json             tracknet-v4: model config and flat
                                 parameter vector in parameter-name order,
                                 base64 of its little-endian float64 bytes
@@ -15,9 +15,12 @@ Artifacts live under the configured output directory:
     plots/event_00000.svg       eta-phi event display
     run.log                     stage log
 
-Every artifact but run.log is written atomically (temp file, then
-rename).  A document of an older format version exits 3: regenerate the
-events, rebuild the graphs or retrain the checkpoint.
+A table's columns are binary: each is a pair [dtype, base64 of its
+little-endian bytes], "<i8" or "<f8" by the field's kind
+(jsonio.encode_table); predictions (pred-v1) are plain JSON.  Every
+artifact but run.log is written atomically (temp file, then rename).  A
+document of an older format version exits 3: regenerate the events,
+rebuild the graphs or retrain the checkpoint.
 Training uses all but the last `eval.n_holdout` graphs; inference and
 evaluation run on the held-out tail (or everything when n_holdout is 0).
 """

@@ -1,16 +1,25 @@
 """Artifacts on disk: write text atomically; read JSON, check the
-format tag, the type of each number and the shape of each stored table.
+format tag and the type of each number; store numeric tables as binary
+columns and check each one on read.
 
 A write goes to a sibling temp file that is then renamed over the
 target, so a failed write keeps any earlier artifact intact.
+
+A stored table is a JSON object of columns, each a pair [dtype, base64
+of the column's little-endian bytes].  A column's kind fixes its dtype:
+"<i8" for int, "<f8" for float.  By hand, np.frombuffer(
+base64.b64decode(data), dtype) reads one.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConsistencyError, ParseError
 
@@ -86,25 +95,71 @@ def numbers(values, kind: type = float, what: str = "values") -> None:
                                    f"found {t.__name__}")
 
 
-def to_columns(names, rows) -> dict[str, list]:
-    """The object of columns `names` that stores the table `rows`."""
-    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
+# the dtype of a stored column of each kind
+DTYPES = {int: "<i8", float: "<f8"}
 
 
-def columns(doc, kinds: dict) -> list[list]:
-    """The columns `kinds` names of the stored table `doc`, in order; a
-    missing one raises KeyError, a bad one ConsistencyError naming it,
-    and a `doc` that is no object ConsistencyError naming them all."""
+def to_base64(values, dtype: str) -> str:
+    """Base64 of the little-endian bytes of `values` as `dtype`."""
+    return base64.b64encode(np.asarray(values, dtype).tobytes()).decode()
+
+
+def from_base64(text, dtype: str, what: str) -> np.ndarray:
+    """The read-only values the base64 string `text` stores as `dtype`.
+    ConsistencyError names `what` unless `text` is a string of the
+    base64 alphabet alone (no whitespace) that decodes to whole 8-byte
+    values, all finite for a float dtype."""
+    if not isinstance(text, str):
+        raise ConsistencyError(f"{what} is not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as err:  # binascii.Error, or a non-ASCII character
+        raise ConsistencyError(f"{what} is not base64: {err}") from err
+    if len(raw) % 8:
+        raise ConsistencyError(f"{what} has {len(raw)} bytes, not a "
+                               f"multiple of element size 8")
+    values = np.frombuffer(raw, dtype)
+    if values.dtype.kind == "f":
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ConsistencyError(f"{what} has a non-finite value at row "
+                                   f"{int(np.argmax(bad))}")
+    return values
+
+
+def encode_table(kinds: dict, columns) -> dict:
+    """The stored table of `columns`, a sequence of numbers for each name
+    of `kinds` in order; no columns at all (zip(*rows) of no rows) store
+    a table without rows."""
+    columns = list(columns) or [()] * len(kinds)
+    return {name: [DTYPES[kind], to_base64(column, DTYPES[kind])]
+            for (name, kind), column in zip(kinds.items(), columns)}
+
+
+def decode_table(doc, kinds: dict) -> list[np.ndarray]:
+    """The read-only columns `kinds` names of the stored table `doc`, in
+    order.  A missing column raises KeyError; one that is not a pair of
+    strings [dtype, base64], has another kind's dtype, fails from_base64
+    or is not as long as the first raises ConsistencyError naming it, and
+    a `doc` that is no object ConsistencyError naming them all."""
     if not isinstance(doc, dict):
         raise ConsistencyError(f"expected a table of columns "
                                f"{', '.join(map(repr, kinds))}, found "
                                f"{type(doc).__name__}")
-    out = [doc[name] for name in kinds]
-    for (name, kind), column in zip(kinds.items(), out):
-        if not (isinstance(column, list) and len(column) == len(out[0])):
-            raise ConsistencyError(f"column {name!r} is not an array as "
-                                   f"long as column {next(iter(kinds))!r}")
-        numbers(column, kind, f"values in column {name!r}")
+    out = []
+    for name, kind in kinds.items():
+        column, what = doc[name], f"column {name!r}"
+        if not (isinstance(column, list) and len(column) == 2 and
+                all(isinstance(part, str) for part in column)):
+            raise ConsistencyError(f"{what} is not a [dtype, base64] pair")
+        if column[0] != DTYPES[kind]:
+            raise ConsistencyError(f"{what} has dtype {column[0]!r}, "
+                                   f"expected {DTYPES[kind]!r}")
+        out.append(from_base64(column[1], DTYPES[kind], what))
+        if len(out[-1]) != len(out[0]):
+            raise ConsistencyError(f"{what} has {len(out[-1])} values, "
+                                   f"column {next(iter(kinds))!r} "
+                                   f"{len(out[0])}")
     return out
 
 

@@ -75,11 +75,19 @@ def conformal_xy(x, y):
     return x / rho2, y / rho2
 
 
-def pseudorapidity(theta: float) -> float:
-    """eta = -ln(tan(theta/2)) for a polar angle with theta/2 in (0, pi/2)."""
-    if not (0.0 < 0.5 * theta < 0.5 * math.pi):
-        raise DomainError(f"polar angle must lie in (0, pi), got {theta}")
-    return -math.log(math.tan(0.5 * theta))
+def pseudorapidity(theta):
+    """eta = -ln(tan(theta/2)) of a polar angle, or of each of an array of
+    them, with theta/2 in (0, pi/2); math.tan and math.log map over the
+    half angles, so an array's values are the scalar's bit for bit."""
+    theta = np.asarray(theta, dtype=float)
+    half = 0.5 * theta
+    bad = ~((0.0 < half) & (half < 0.5 * math.pi))
+    if bad.any():
+        raise DomainError(f"polar angle must lie in (0, pi), got "
+                          f"{theta.flat[np.argmax(bad)]}")
+    eta = -np.array(list(map(math.log, map(math.tan, half.ravel().tolist()))),
+                    dtype=float).reshape(half.shape)
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def pt_from_radius(field_b: float, radius: float) -> float:

@@ -28,7 +28,6 @@ the update.  Inference builds the inputs on each call.
 
 from __future__ import annotations
 
-import base64
 import logging
 import math
 from dataclasses import asdict, dataclass
@@ -41,7 +40,8 @@ from .ellipses import Ellipse5, decode_box, encode_box
 from .errors import (ConfigError, ConsistencyError, DomainError, FitError,
                      NumericError)
 from .graphs import Graph
-from .jsonio import number, parsing, read_json, write_json
+from .jsonio import (from_base64, number, parsing, read_json, to_base64,
+                     write_json)
 from .kinematics import canonical_parabola_coeffs
 from .neural import autodiff as ad
 from .neural.autodiff import Tape, Var
@@ -423,33 +423,32 @@ def save_checkpoint(model: Model, path) -> None:
     bytes."""
     write_json(path, {"format": CHECKPOINT_FORMAT,
                       "config": asdict(model.config),
-                      "params": base64.b64encode(
-                          model.flat.astype("<f8").tobytes()).decode()})
+                      "params": to_base64(model.flat, "<f8")})
 
 
 def load_checkpoint(path) -> Model:
     """Read a checkpoint into a Model built on its decoded parameter
     vector, with no draw.  A checkpoint of another tracknet version, an
-    invalid config, a parameter string that is not base64 of whole
-    float64 values, or a parameter vector that is not finite or whose
-    length does not match the config, raises ConsistencyError before any
-    model of that config is built."""
-    doc = read_json(path)
-    with parsing(doc, CHECKPOINT_FORMAT,
-                 f"retrain to write {path} as {CHECKPOINT_FORMAT}"):
-        c = doc["config"]
-        try:
-            config = ModelConfig(number(c["iterations"], int),
-                                 number(c["hidden"], int),
-                                 tuple(number(w) for w in c["loss_weights"]))
-        except ConfigError as err:
-            raise ConsistencyError(f"checkpoint config: {err}") from err
-        params = np.frombuffer(base64.b64decode(doc["params"], validate=True),
-                               dtype="<f8")
-        if params.shape != (config.n_params,):
-            raise ConsistencyError(f"checkpoint has {params.size} "
-                                   f"parameters, config needs "
-                                   f"{config.n_params}")
-        if not np.all(np.isfinite(params)):
-            raise ConsistencyError("checkpoint has non-finite parameters")
-        return Model(config, flat=params)
+    invalid config, a parameter string jsonio.from_base64 rejects, or a
+    parameter vector whose length does not match the config, raises
+    ConsistencyError naming the file before any model of that config is
+    built."""
+    doc = read_json(path)  # its errors name the file already
+    try:
+        with parsing(doc, CHECKPOINT_FORMAT,
+                     f"retrain to write it as {CHECKPOINT_FORMAT}"):
+            c = doc["config"]
+            try:
+                config = ModelConfig(
+                    number(c["iterations"], int), number(c["hidden"], int),
+                    tuple(number(w) for w in c["loss_weights"]))
+            except ConfigError as err:
+                raise ConsistencyError(f"checkpoint config: {err}") from err
+            params = from_base64(doc["params"], "<f8", "checkpoint params")
+            if params.shape != (config.n_params,):
+                raise ConsistencyError(f"checkpoint has {params.size} "
+                                       f"parameters, config needs "
+                                       f"{config.n_params}")
+    except ConsistencyError as err:
+        raise ConsistencyError(f"{path}: {err}") from err
+    return Model(config, flat=params)

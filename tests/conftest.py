@@ -1,3 +1,4 @@
+import base64
 import math
 
 import numpy as np
@@ -6,7 +7,10 @@ from hypothesis import strategies as st
 
 from trackseg.events import (DetectorConfig, GenConfig, HitTable,
                              generate_event)
-from trackseg.graphs import DbscanParams, build_graph
+from trackseg.graphs import (EDGE_COLUMNS, PARTICLE_COLUMNS, DbscanParams,
+                             build_graph)
+from trackseg.harness.io import TRACK_COLUMNS
+from trackseg.jsonio import DTYPES
 
 
 @pytest.fixture
@@ -66,3 +70,44 @@ def set_at(doc, path, value):
     for step in parents:
         doc = doc[step]
     doc[key] = value
+
+
+# the kind of every column of an event or graph document, by name
+COLUMN_KINDS = {**dict.fromkeys(("hit_id", "layer", "particle_id", "volume"),
+                                int), **dict.fromkeys("xyz", float),
+                **TRACK_COLUMNS, **PARTICLE_COLUMNS, **EDGE_COLUMNS}
+TABLES = ("hits", "tracks", "vertices", "edges", "particles")
+
+
+def decoded(doc):
+    """A copy of an event or graph document whose binary columns are
+    lists of their values, for `encoded` to store again after an edit."""
+    return {key: {name: np.frombuffer(base64.b64decode(data), tag).tolist()
+                  for name, (tag, data) in value.items()}
+            if key in TABLES else value for key, value in doc.items()}
+
+
+def _stored(name, column):
+    """A list column as a writer with that list would store it: numbers
+    of the column's kind under its dtype, an int column with a float in
+    it under "<f8" (a wrong tag); anything else (null, bool, text, an int
+    beyond int64) cannot be stored and stays a list, a column that is not
+    a [dtype, base64] pair."""
+    if not isinstance(column, list) or not all(
+            type(v) in (int, float) for v in column):
+        return column
+    kind = float if any(type(v) is float for v in column) else \
+        COLUMN_KINDS[name]
+    try:
+        data = np.asarray(column, DTYPES[kind])
+    except OverflowError:
+        return column
+    return [DTYPES[kind], base64.b64encode(data.tobytes()).decode()]
+
+
+def encoded(view):
+    """The document `view` (from `decoded`, maybe edited) stores."""
+    return {key: {name: _stored(name, column)
+                  for name, column in value.items()}
+            if key in TABLES and isinstance(value, dict) else value
+            for key, value in view.items()}

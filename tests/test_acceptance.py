@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_training_graph
+from conftest import decoded, make_training_graph
 from oracles import (brute_force_dbscan, monte_carlo_iou, partition_of,
                      plain_message_passing, sample_circle, weighted_sum)
 from test_ellipses import iou
@@ -436,7 +436,7 @@ def test_criterion_10_rendering(tmp_path):
 
     event_doc = json.loads(
         (out / "events" / f"event_{event_id:05d}.json").read_text())
-    n_hits = len(event_doc["hits"]["hit_id"])
+    n_hits = len(decoded(event_doc)["hits"]["hit_id"])
     n_ellipses = sum(1 for e in pred["ellipses"] if e is not None)
     assert text.count("<circle") == n_hits
     assert text.count("<ellipse") == n_ellipses

@@ -265,6 +265,17 @@ def test_table_columns_are_read_only_and_compare_whole():
         HitTable([1, 2], [0.1], [0.0], [0.1], [0], [0])
 
 
+def test_table_of_arrays_equals_table_of_lists_and_copies_them():
+    ids, layer, pid = (np.array(c, dtype=np.int64) for c in
+                       ([1, 2], [0, 3], [0, 7]))
+    hits = HitTable(ids, [0.1, 0.0], [0.0, 0.1], [0.1, -0.2], layer, pid)
+    assert hits == hit_table([(1, 0.1, 0.0, 0.1, 0, 0),
+                              (2, 0.0, 0.1, -0.2, 3, 7)])
+    assert ids.flags.writeable and not np.shares_memory(ids, hits.hit_id)
+    ids[0] = 5
+    assert hits.hit_id.tolist() == [1, 2]
+
+
 class TestReadTrackml:
     def test_golden_rows(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))

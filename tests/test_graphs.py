@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (JSON_VALUES, doc_paths, hit_at, hit_table,
-                      make_training_graph, set_at)
+from conftest import (JSON_VALUES, decoded, doc_paths, encoded, hit_at,
+                      hit_table, make_training_graph, set_at)
 from oracles import brute_force_dbscan, partition_of
 from test_events import write_trackml
 from trackseg.ellipses import Ellipse5, point_in_ellipse
@@ -342,26 +342,27 @@ GRAPH_DOC_PATHS = list(doc_paths(json.loads(GRAPH_DOC)))
 
 
 def _table(key, row=0, **values):
-    """The columns of GRAPH_DOC's table `key`, with `values` at `row`."""
-    table = json.loads(GRAPH_DOC)[key]
+    """The columns of GRAPH_DOC's table `key` as lists (conftest.decoded),
+    with `values` at `row`."""
+    table = decoded(json.loads(GRAPH_DOC))[key]
     for name, value in values.items():
         table[name][row] = value
     return table
 
 
 def _with_row(key, row=0, **values):
-    """The columns of GRAPH_DOC's table `key` with a copy of row `row`,
-    changed by `values`, appended."""
-    table = json.loads(GRAPH_DOC)[key]
+    """The columns of GRAPH_DOC's table `key` as lists with a copy of row
+    `row`, changed by `values`, appended."""
+    table = decoded(json.loads(GRAPH_DOC))[key]
     for name, column in table.items():
         column.append(values.get(name, column[row]))
     return table
 
 
 def _without(key, *names):
-    """The columns of GRAPH_DOC's table `key` but `names`."""
+    """The columns of GRAPH_DOC's table `key` as lists but `names`."""
     return {name: column for name, column in
-            json.loads(GRAPH_DOC)[key].items() if name not in names}
+            decoded(json.loads(GRAPH_DOC))[key].items() if name not in names}
 
 
 def _assert_same_graph(g2, g):
@@ -386,7 +387,7 @@ class TestGraphSerialization:
         e = generate_event(detector, gen, seed=28)
         g = build_graph(e, DbscanParams())
         d = graph_to_dict(g)
-        assert d["format"] == "graph-v4"
+        assert d["format"] == "graph-v5"
         _assert_same_graph(graph_from_dict(json.loads(json.dumps(d))), g)
 
     def test_trackml_round_trip(self, tmp_path):
@@ -416,12 +417,12 @@ class TestGraphSerialization:
     @pytest.mark.parametrize("found", ["event-v3", "graphs-v4", "graph"])
     def test_format_of_another_kind_gets_no_hint(self, found):
         with pytest.raises(ConsistencyError,
-                           match=f"not a graph-v4 document: "
+                           match=f"not a graph-v5 document: "
                                  f"format='{found}'"):
             graph_from_dict({"format": found})
 
     @pytest.mark.parametrize("old", ["graph-v1", "graph-v2", "graph-v3",
-                                     "graph-v5"])
+                                     "graph-v4", "graph-v6"])
     def test_old_format_asks_for_a_rebuild(self, old):
         doc = json.loads(GRAPH_DOC)
         doc["format"] = old
@@ -431,25 +432,37 @@ class TestGraphSerialization:
             graph_from_dict(doc)
 
     def test_graph_without_vertices_rejected(self):
-        doc = json.loads(GRAPH_DOC)
+        doc = decoded(json.loads(GRAPH_DOC))
         for table in ("vertices", "edges", "particles"):
             doc[table] = {name: [] for name in doc[table]}
         with pytest.raises(ConsistencyError, match="has no vertices"):
-            graph_from_dict(doc)
+            graph_from_dict(encoded(doc))
+
+    def test_graph_without_edges_or_particles_round_trips(self):
+        hits = hit_table([hit_at(1, 0.0, 1.0), hit_at(2, 0.5, 3.0)])
+        g = build_graph(Event(3, hits, ()), DbscanParams())
+        assert g.n_edges == 0
+        doc = json.loads(json.dumps(graph_to_dict(g)))
+        assert doc["edges"] == {"i": ["<i8", ""], "j": ["<i8", ""]}
+        assert doc["particles"]["theta"] == ["<f8", ""]
+        _assert_same_graph(graph_from_dict(doc), g)
 
     def test_targets_stored_once_per_particle(self):
-        doc = json.loads(GRAPH_DOC)
+        stored = json.loads(GRAPH_DOC)
+        assert {tag for table in ("vertices", "edges", "particles")
+                for tag, _ in stored[table].values()} == {"<i8", "<f8"}
+        assert stored["vertices"]["layer"][0] == "<i8"
+        doc = decoded(stored)
         assert set(doc) == {"format", "event_id", "vertices", "edges",
                             "particles"}
         assert list(doc["vertices"]) == ["hit_id", "x", "y", "z", "layer",
                                          "particle_id"]
-        assert all(type(v) is int for v in doc["vertices"]["layer"])
         assert list(doc["edges"]) == ["i", "j"]
         assert all(i < j for i, j in zip(*doc["edges"].values()))
         assert list(doc["particles"]) == ["particle_id", "pt", "eps_t",
                                           "eta_c", "phi_c", "a", "b",
                                           "theta"]
-        g = graph_from_dict(doc)
+        g = graph_from_dict(stored)
         targets = {pid: Ellipse5(*ellipse) for pid, _, _, *ellipse in
                    zip(*doc["particles"].values())}
         for pid, target in zip(g.hits.particle_id,
@@ -499,23 +512,23 @@ class TestGraphSerialization:
                                                    ["hit_id"]))),
         (("particles",), _table("particles", a=None, b=None))])
     def test_inconsistent_document_rejected(self, path, value):
-        doc = json.loads(GRAPH_DOC)
+        doc = decoded(json.loads(GRAPH_DOC))
         set_at(doc, path, value)
         with pytest.raises(ConsistencyError):
-            graph_from_dict(doc)
+            graph_from_dict(encoded(doc))
 
     @pytest.mark.parametrize("path, value, message", [
-        (("vertices", "x"), 0.1, "column 'x' is not an array"),
+        (("vertices", "x"), 0.1,
+         "column 'x' is not a [dtype, base64] pair"),
         (("vertices",), _without("vertices", "layer"),
-         "graph-v4 document lacks key 'layer'"),
-        (("edges", "j"), [1], "column 'j' is not an array as long as "
-                              "column 'i'"),
-        (("particles", "eps_t"), [0.0], "column 'eps_t' is not an array as "
-                                        "long as column 'particle_id'"),
+         "graph-v5 document lacks key 'layer'"),
+        (("edges", "j"), [1], "column 'j' has 1 values, column 'i' "),
+        (("particles", "eps_t"), [0.0], "column 'eps_t' has 1 values, "
+                                        "column 'particle_id' 2"),
         (("particles", "b", 1), None,
-         "expected float values in column 'b', found NoneType"),
+         "column 'b' is not a [dtype, base64] pair"),
         (("edges", "i", 0), 2.0,
-         "expected int values in column 'i', found float"),
+         "column 'i' has dtype '<f8', expected '<i8'"),
         (("vertices",), [], "expected a table of columns 'hit_id', "),
         (("edges",), [1], "expected a table of columns 'i', 'j', found "
                           "list"),
@@ -525,10 +538,10 @@ class TestGraphSerialization:
              "edge-end-not-int", "not-an-object", "edges-a-list",
              "edge-i-equals-j"])
     def test_bad_table_names_the_field(self, path, value, message):
-        doc = json.loads(GRAPH_DOC)
+        doc = decoded(json.loads(GRAPH_DOC))
         set_at(doc, path, value)
         with pytest.raises(ConsistencyError, match=re.escape(message)):
-            graph_from_dict(doc)
+            graph_from_dict(encoded(doc))
 
     @pytest.mark.parametrize("target", [None, 1.5, "x", [0.1]])
     def test_bad_target_column_names_the_column(self, target):

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackseg
-from conftest import JSON_VALUES, doc_paths, hit_at, hit_table, set_at
+from conftest import (JSON_VALUES, decoded, doc_paths, encoded, hit_at,
+                      hit_table, set_at)
 from oracles import brute_force_dbscan
 from test_events import BAD_TRACKML, BAD_TRACKML_IDS, HITS_CSV, \
     write_trackml
@@ -439,7 +440,7 @@ class TestIo:
         e = generate_event(det, GenConfig(n_tracks=3, noise_fraction=0.2,
                                           hit_smearing_sigma=1e-4), seed=43)
         doc = event_to_dict(e, config_echo={"seed": 1})
-        assert doc["format"] == "event-v3"
+        assert doc["format"] == "event-v4"
         assert doc["config"] == {"seed": 1}
         restored = event_from_dict(doc)
         assert restored == e
@@ -497,36 +498,51 @@ class TestIo:
         with pytest.raises(ConsistencyError):
             prediction_from_dict(doc)
 
-    # a bool is no number, an int field takes only an int, and ids must
-    # fit the int64 arrays of a graph
+    # what a writer of such a value stores: a float in an int column
+    # under the dtype "<f8", and text or an id beyond int64 as no
+    # [dtype, base64] pair at all
     @pytest.mark.parametrize("path, value", [
         (("hits", "layer", 0), 1.7),
         (("hits", "hit_id", 0), "1"),
         (("tracks", "particle_id", 0), 1.0),
         (("hits", "hit_id", -1), 2**63)])
     def test_event_with_wrong_typed_number_rejected(self, path, value):
-        doc = json.loads(EVENT_DOC)
+        doc = decoded(json.loads(EVENT_DOC))
         set_at(doc, path, value)
-        with pytest.raises(ConsistencyError):
-            event_from_dict(doc)
+        with pytest.raises(ConsistencyError, match="column '"):
+            event_from_dict(encoded(doc))
 
     @pytest.mark.parametrize("path, value, message", [
-        (("hits", "volume"), 0, "column 'volume' is not an array"),
-        (("tracks", "pt"), [2.0], "column 'pt' is not an array as long as "
-                                  "column 'particle_id'"),
-        (("hits",), {"hit_id": [1]}, "event-v3 document lacks key 'x'"),
+        (("hits", "volume"), 0,
+         "column 'volume' is not a [dtype, base64] pair"),
+        (("tracks", "pt"), [2.0], "column 'pt' has 1 values, column "
+                                  "'particle_id' 2"),
+        (("hits",), {"hit_id": [1]}, "event-v4 document lacks key 'x'"),
         (("hits",), [1], "expected a table of columns 'hit_id', 'x', "),
         (("tracks", "b", 0), None,
-         "expected float values in column 'b', found NoneType"),
+         "column 'b' is not a [dtype, base64] pair"),
         (("format",), "event-v2",
-         "event-v2 document: regenerate the events with generate or ingest")],
+         "event-v2 document: regenerate the events with generate or ingest"),
+        (("format",), "event-v3",
+         "event-v3 document: regenerate the events with generate or ingest"),
+        (("tracks", "a", 1), math.inf, "column 'a' has a non-finite value "
+                                       "at row 1")],
         ids=["not-an-array", "unequal-lengths", "missing", "hits-a-list",
-             "null", "v2"])
+             "null", "v2", "v3", "track-a-inf"])
     def test_bad_event_table_names_the_field(self, path, value, message):
-        doc = json.loads(EVENT_DOC)
+        doc = decoded(json.loads(EVENT_DOC))
         set_at(doc, path, value)
         with pytest.raises(ConsistencyError, match=re.escape(message)):
-            event_from_dict(doc)
+            event_from_dict(encoded(doc))
+
+    def test_event_without_tracks_round_trips(self):
+        e = generate_event(DetectorConfig(), GenConfig(n_tracks=0,
+                                                       noise_fraction=0.5),
+                           seed=47)
+        assert len(e.hits) == 0 and e.tracks == ()
+        doc = json.loads(json.dumps(event_to_dict(e)))
+        assert doc["tracks"]["pt"] == ["<f8", ""]
+        assert event_from_dict(doc) == e
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -605,7 +621,17 @@ def _drop_last_param(doc):
 
 
 def _edited(change):
-    """Damage that applies change(doc) to the decoded document."""
+    """Damage that applies change(doc) to the document, its binary
+    columns decoded to lists, and stores it again (conftest.encoded)."""
+    def damage(text):
+        doc = decoded(json.loads(text))
+        change(doc)
+        return json.dumps(encoded(doc))
+    return damage
+
+
+def _raw(change):
+    """Damage that applies change(doc) to the document as stored."""
     def damage(text):
         doc = json.loads(text)
         change(doc)
@@ -631,12 +657,6 @@ def _empty_tables(doc):
     for table in ("vertices", "edges", "particles"):
         for column in doc[table].values():
             column.clear()
-
-
-def _append_out_of_range_edge(text):
-    doc = json.loads(text)
-    _append_row(doc["edges"], i=0, j=999)
-    return json.dumps(doc)
 
 
 def _drop_vertex_particle_ids(text):
@@ -706,6 +726,88 @@ SAME_DAMAGE_IDS = ["event-hit-id-repeated", "graph-hit-id-repeated",
                    "graph-pt-negative", "graph-event-id-repeated",
                    "event-event-id-repeated"]
 
+
+def _on_column(table, name, change):
+    """Damage that applies change(tag, data) to the stored [dtype,
+    base64] pair of column `name` of `table`, and stores what it
+    returns."""
+    return _raw(lambda doc: doc[table].__setitem__(
+        name, change(*doc[table][name])))
+
+
+def _values(change):
+    """change(values) applied to a column's decoded values, stored again
+    under the same dtype."""
+    return lambda tag, data: [tag, base64.b64encode(change(
+        np.frombuffer(base64.b64decode(data), tag)).tobytes()).decode()]
+
+
+def _first(value):
+    return _values(lambda values: np.concatenate([[value], values[1:]]))
+
+
+# damage to one binary column of an event (read by build-graphs) or a
+# graph (read by train), and what the error names
+BINARY_DAMAGE = [
+    ("events/event_00000.json",
+     _on_column("hits", "x", lambda tag, data: [tag, "*" + data[1:]]),
+     "column 'x' is not base64"),
+    ("events/event_00000.json",
+     _on_column("hits", "y", lambda tag, data: [tag, data[:8] + "\n"
+                                                + data[8:]]),
+     "column 'y' is not base64"),
+    ("events/event_00000.json",
+     _on_column("hits", "hit_id", lambda tag, data: [tag, data[:-3]]),
+     "column 'hit_id' is not base64"),
+    ("events/event_00000.json",
+     _on_column("hits", "layer", lambda tag, data: ["<f8", data]),
+     "column 'layer' has dtype '<f8', expected '<i8'"),
+    ("events/event_00000.json",
+     _on_column("tracks", "pt", _values(lambda values: values[:-1])),
+     "column 'pt' has "),
+    ("events/event_00000.json", _on_column("hits", "z", _first(math.nan)),
+     "column 'z' has a non-finite value at row 0"),
+    ("events/event_00000.json", _on_column("tracks", "b", _first(math.inf)),
+     "column 'b' has a non-finite value at row 0"),
+    ("events/event_00000.json",
+     _on_column("hits", "volume", lambda tag, data: [tag]),
+     "column 'volume' is not a [dtype, base64] pair"),
+    ("events/event_00000.json", _raw(lambda doc: doc.update(
+        format="event-v3")), "event-v3 document: regenerate the events"),
+    ("graphs/graph_00000.json",
+     _on_column("edges", "i", lambda tag, data: [tag, data[:-1] + "$"]),
+     "column 'i' is not base64"),
+    ("graphs/graph_00000.json",
+     _on_column("vertices", "x", lambda tag, data: [tag, " " + data]),
+     "column 'x' is not base64"),
+    ("graphs/graph_00000.json",
+     _on_column("edges", "j", lambda tag, data: [tag, data[:-3]]),
+     "column 'j' is not base64"),
+    ("graphs/graph_00000.json",
+     _on_column("particles", "theta", lambda tag, data: ["<i8", data]),
+     "column 'theta' has dtype '<i8', expected '<f8'"),
+    ("graphs/graph_00000.json",
+     _on_column("edges", "j", _values(lambda values: values[:-1])),
+     "column 'j' has "),
+    ("graphs/graph_00000.json",
+     _on_column("particles", "eta_c", _first(math.nan)),
+     "column 'eta_c' has a non-finite value at row 0"),
+    ("graphs/graph_00000.json",
+     _on_column("vertices", "y", _first(-math.inf)),
+     "column 'y' has a non-finite value at row 0"),
+    ("graphs/graph_00000.json",
+     _on_column("particles", "pt", lambda tag, data: data),
+     "column 'pt' is not a [dtype, base64] pair"),
+    ("graphs/graph_00000.json", _raw(lambda doc: doc.update(
+        format="graph-v4")), "graph-v4 document: rebuild the graphs")]
+BINARY_DAMAGE_IDS = [
+    "event-bad-character", "event-whitespace", "event-truncated",
+    "event-wrong-dtype", "event-unequal-lengths", "event-nan",
+    "event-inf", "event-not-a-pair", "event-v3",
+    "graph-bad-character", "graph-whitespace", "graph-truncated",
+    "graph-wrong-dtype", "graph-unequal-lengths", "graph-nan", "graph-inf",
+    "graph-not-a-pair", "graph-v4"]
+
 STAGES = ("generate", "build-graphs", "train", "infer", "evaluate")
 
 
@@ -773,7 +875,7 @@ class TestCli:
         assert main(["--config", str(cfg_path), "train"]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "graph_00001.json" in err
-        assert "expected float values in column 'x'" in err
+        assert "column 'x' is not a [dtype, base64] pair" in err
 
     def test_run_log_has_graph_line_per_event(self, tmp_path):
         cfg_path = tiny_cli_config(tmp_path)
@@ -863,7 +965,8 @@ class TestCli:
         ("predictions/pred_*.json", _non_numeric_params, "evaluate"),
         ("graphs/graph_00000.json", lambda text: b"\xff\xfe{}", "train"),
         ("graphs/graph_00000.json", lambda text: "[" * 100_000, "train"),
-        ("graphs/graph_00000.json", _append_out_of_range_edge,
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: _append_row(doc["edges"], i=0, j=999)),
          "train"),
         ("graphs/graph_00000.json", _drop_vertex_particle_ids, "train"),
         ("events/event_00000.json",
@@ -1013,6 +1116,42 @@ class TestCli:
         assert main(["--config", str(cfg_path), command, *args]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and message in err
+
+    @pytest.mark.parametrize("artifact, damage, message",
+                             BINARY_DAMAGE, ids=BINARY_DAMAGE_IDS)
+    def test_damaged_binary_column_exits_3_naming_it(self, tmp_path, capsys,
+                                                     artifact, damage,
+                                                     message):
+        cfg_path = tiny_cli_config(tmp_path)
+        command = "build-graphs" if artifact.startswith("events") \
+            else "train"
+        for cmd in STAGES[:STAGES.index(command)]:
+            assert main(["--config", str(cfg_path), cmd]) == 0
+        path = tmp_path / "out" / artifact
+        path.write_text(damage(path.read_text()))
+        assert main(["--config", str(cfg_path), command]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {path}: " in err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage, message", [
+        (_edited(lambda doc: doc["config"].update(hidden=0)),
+         "checkpoint config: need hidden width >= 1, got 0"),
+        (_edited(lambda doc: doc.update(params="!" + doc["params"][1:])),
+         "checkpoint params is not base64"),
+        (_edited(_drop_last_param), "parameters, config needs")],
+        ids=["bad-config", "bad-params-string", "length-mismatch"])
+    def test_bad_checkpoint_names_its_file(self, tmp_path, capsys, damage,
+                                           message):
+        cfg_path = tiny_cli_config(tmp_path)
+        for cmd in STAGES[:STAGES.index("infer")]:
+            assert main(["--config", str(cfg_path), cmd]) == 0
+        path = tmp_path / "out" / "checkpoint.json"
+        path.write_text(damage(path.read_text()))
+        assert main(["--config", str(cfg_path), "infer"]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {path}: " in err
+        assert message in err
 
     @pytest.mark.parametrize("column, value", [(3, -800.0), (2, 720.0)],
                              ids=["zero-axis", "overflow"])

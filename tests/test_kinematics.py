@@ -73,6 +73,18 @@ class TestPseudorapidity:
     def test_domain(self, theta):
         with pytest.raises(DomainError):
             pseudorapidity(theta)
+        with pytest.raises(DomainError, match=f"got {theta}"):
+            pseudorapidity(np.array([1.0, theta]))
+
+    def test_array_is_the_scalar_formula_bit_for_bit(self):
+        thetas = np.random.default_rng(3).uniform(1e-6, math.pi - 1e-6,
+                                                  4444)
+        etas = pseudorapidity(thetas)
+        assert etas.dtype == np.float64 and etas.shape == thetas.shape
+        assert [e.hex() for e in etas.tolist()] == \
+            [(-math.log(math.tan(0.5 * t))).hex() for t in thetas.tolist()]
+        assert pseudorapidity(float(thetas[0])) == etas[0]
+        assert pseudorapidity(np.empty(0)).shape == (0,)
 
 
 class TestPtFromRadius:

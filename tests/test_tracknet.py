@@ -754,8 +754,9 @@ class TestCheckpoint:
             raw[:-8] + np.float64(-np.inf).tobytes()).decode(), "non-finite"),
         (lambda text, raw: base64.b64encode(raw + raw[:8]).decode(),
          "parameters, config needs"),
-        (lambda text, raw: np.frombuffer(raw).tolist(), "bad value"),
-        (lambda text, raw: None, "bad value")],
+        (lambda text, raw: np.frombuffer(raw).tolist(),
+         "checkpoint params is not a base64 string"),
+        (lambda text, raw: None, "checkpoint params is not a base64 string")],
         ids=["not-in-alphabet", "newline", "partial-value", "nan", "inf",
              "one-value-too-many", "a-list", "null"])
     def test_rejects_bad_params(self, tmp_path, damage, message):
