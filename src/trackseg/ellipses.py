@@ -40,8 +40,9 @@ _RING = np.append(np.linspace(0.0, 2.0 * math.pi, IOU_RESOLUTION,
 _INSIDE = math.cos(math.pi / IOU_RESOLUTION) ** 2 * (1.0 - 1e-6)
 _OUTSIDE = 1.0 + 1e-6
 
-# mvee stops once no step can gain more than this relative amount
-MVEE_TOLERANCE = 1e-6
+# mvee stops once no step can gain more than this relative amount: at
+# the optimum to rounding
+MVEE_TOLERANCE = 1e-12
 
 # scales of the box encoding; they bring each encoded component to a
 # comparable magnitude for pixel-scale tracks
@@ -296,26 +297,29 @@ def ellipses_from_dicts(docs) -> list[Ellipse5]:
     return [Ellipse5(*map(float, row)) for row in zip(*fields)]
 
 
-def mvee(point_sets) -> list[Ellipse5]:
-    """Minimum-area enclosing ellipse of each set of eta-phi points.
+def mvee(point_sets, stats: dict | None = None) -> np.ndarray:
+    """Minimum-area enclosing ellipse of each set of eta-phi points, as
+    parameter rows (eta_c, phi_c, a, b, theta), (n, 5), canonical as
+    make_ellipse makes them.
 
-    Runs the Khachiyan barycentric-coordinate-descent scheme with away
-    steps (Todd & Yildirim 2007) to MVEE_TOLERANCE, then rescales the
-    result so the farthest input point lies exactly on the boundary
-    (guaranteeing containment).  Degenerate inputs are handled directly:
-    a single or coincident point set yields a floor-radius circle,
-    collinear points a segment-spanning ellipse with the minor axis at
-    the floor.  phi is unwrapped around its circular mean first, so
-    point sets straddling the 2*pi seam are fine.
+    Solves Khachiyan's dual (see _khachiyan_ellipses) to MVEE_TOLERANCE,
+    that is to rounding, then rescales the result so the farthest input
+    point lies exactly on the boundary (guaranteeing containment).
+    Degenerate inputs are handled directly: a single or coincident point
+    set yields a floor-radius circle, collinear points a segment-spanning
+    ellipse with the minor axis at the floor.  phi is unwrapped around
+    its circular mean first, so point sets straddling the 2*pi seam are
+    fine.
 
     All sets are solved at once: they are padded with zero-weight slots
     to one (sets, points) batch, and each iteration updates the sets that
     have not converged yet, so every set takes the steps it would take
-    alone.
+    alone.  `stats`, when given, gains the number of batched iterations
+    under "iterations".
     """
     sets = [np.asarray(p, dtype=float).reshape(-1, 2) for p in point_sets]
     if not sets:
-        return []
+        return np.zeros((0, 5))
     sizes = np.array([len(p) for p in sets])
     if np.any(sizes == 0):
         raise DomainError("mvee needs at least one point per set")
@@ -334,6 +338,7 @@ def mvee(point_sets) -> list[Ellipse5]:
     rows = np.column_stack([center, np.full((len(sets), 2), AXIS_FLOOR),
                             np.zeros(len(sets))])
     solve = np.flatnonzero(np.abs(spread).max(axis=(1, 2)) >= 1e-12)
+    iterations = 0
     if len(solve):
         _, svals, vecs = np.linalg.svd(spread[solve], full_matrices=False)
         line = svals[:, 1] <= 1e-7 * svals[:, 0]
@@ -341,13 +346,15 @@ def mvee(point_sets) -> list[Ellipse5]:
             center[solve[line]], spread[solve[line]], valid[solve[line]],
             vecs[line, 0])
         rest = solve[~line]
-        rows[rest] = _khachiyan_ellipses(center[rest], flat[rest],
-                                         spread[rest], valid[rest],
-                                         sizes[rest])
+        rows[rest], iterations = _khachiyan_ellipses(
+            center[rest], spread[rest], valid[rest], sizes[rest],
+            svals[~line], vecs[~line])
+    if stats is not None:
+        stats["iterations"] = stats.get("iterations", 0) + iterations
     rows[:, 1] = wrap_phi(rows[:, 1])
     rows[:, 4] = wrap_theta(rows[:, 4])
     rows[solve] = _rescale_to_contain(rows[solve], flat[solve], valid[solve])
-    return [Ellipse5(*row) for row in rows.tolist()]
+    return rows
 
 
 def _segment_ellipses(center, spread, valid, axis) -> np.ndarray:
@@ -362,15 +369,90 @@ def _segment_ellipses(center, spread, valid, axis) -> np.ndarray:
                             np.arctan2(axis[:, 1], axis[:, 0])])
 
 
-def _khachiyan_ellipses(center, flat, spread, valid, sizes) -> np.ndarray:
-    """Rows of the minimum-volume enclosing ellipses of non-degenerate
-    sets, to MVEE_TOLERANCE; a >= b because eigh sorts ascending."""
-    # the problem is affine-equivariant: normalize each axis to unit
-    # extent so elongated sets converge as fast as round ones
-    lo = np.where(valid[..., None], flat, np.inf).min(axis=1)
-    hi = np.where(valid[..., None], flat, -np.inf).max(axis=1)
-    axis_scale = np.maximum(hi - lo, 1e-30)
-    norm = spread / axis_scale[:, None]
+def _inv3(x: np.ndarray) -> np.ndarray:
+    """Inverses of symmetric 3 x 3 matrices, (n, 3, 3), by cofactors."""
+    a, b, c = x[:, 0, 0], x[:, 0, 1], x[:, 0, 2]
+    d, e, f = x[:, 1, 1], x[:, 1, 2], x[:, 2, 2]
+    co_a, co_b, co_c = d * f - e * e, c * e - b * f, b * e - c * d
+    co_d, co_e, co_f = a * f - c * c, b * c - a * e, a * d - b * b
+    adj = np.stack([co_a, co_b, co_c, co_b, co_d, co_e, co_c, co_e, co_f],
+                   axis=1).reshape(-1, 3, 3)
+    return adj / (a * co_a + b * co_b + c * co_c)[:, None, None]
+
+
+def _newton_steps(k, u, support):
+    """Damped Newton steps of log det X(u) over each set's weights u,
+    (n, k), on its support face: the new weights, and which sets have
+    converged with this step.
+
+    With K, (n, k, k), the Gram matrix of the lifted points under
+    X(u)^-1, the gradient on the support is diag K and the Hessian is -H,
+    H = K o K.  The step du solves H du = diag K - lam 1 with sum du = 0
+    and is damped to 1 / (1 + delta), delta^2 = du' H du the squared
+    Newton decrement, or shortened so no weight turns negative.  A full
+    damped step with delta^2 <= 1e-12 leaves the set within about that
+    of the optimum, as Newton converges quadratically, so it is the
+    set's last.
+    """
+    h = np.where(support[:, :, None] & support[:, None, :], k * k, 0.0)
+    slots = np.arange(u.shape[1])
+    h[:, slots, slots] += ~support  # slots off the support solve to 0
+    rhs = np.stack([np.einsum("tkk->tk", k), np.ones_like(u)], axis=2)
+    x = _support_solve(h, rhs * support[..., None], u, support)
+    lam = x[..., 0].sum(axis=1) / x[..., 1].sum(axis=1)
+    du = np.where(support, x[..., 0] - lam[:, None] * x[..., 1], 0.0)
+    decrement = np.maximum(np.einsum("tk,tkl,tl->t", du, h, du), 0.0)
+    damped = 1.0 / (1.0 + np.sqrt(decrement))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap = np.where(du < 0.0, u / -du, np.inf).min(axis=1)
+    t = np.minimum(damped, cap)
+    return (np.where(support, np.maximum(u + t[:, None] * du, 0.0), u),
+            (decrement <= 1e-12) & (cap >= damped))
+
+
+def _support_solve(h, rhs, u, support):
+    """Least-norm solutions of h x = rhs, (n, k, k) and (n, k, 2), for
+    the Newton steps at weights u with the given support.
+
+    Repeated or co-elliptic support points make h singular, but diag K
+    and the ones vector both lie in its range, so the pseudo-inverse
+    solves it.  Where the support has at most 6 points (the dimension of
+    the lifted outer products) LU is tried first; it is kept where the
+    first column, diag K, gives back the support weights (H u = diag K)
+    to 1e-9, which bounds the error a nearly singular h lets in.
+    """
+    x = np.empty_like(rhs)
+    lu = np.count_nonzero(support, axis=1) <= 6
+    try:
+        x[lu] = np.linalg.solve(h[lu], rhs[lu])
+        lu[lu] = np.abs(x[lu, :, 0] - np.where(support[lu], u[lu], 0.0)
+                        ).max(axis=1) <= 1e-9
+    except np.linalg.LinAlgError:  # an exactly singular h
+        lu[:] = False
+    if not lu.all():
+        x[~lu] = np.linalg.pinv(h[~lu], 1e-12, hermitian=True) @ rhs[~lu]
+    return x
+
+
+def _khachiyan_ellipses(center, spread, valid, sizes, svals, vecs
+                        ) -> tuple[np.ndarray, int]:
+    """Rows of the minimum-area enclosing ellipses of non-degenerate
+    sets, to MVEE_TOLERANCE, and the number of batched iterations.
+
+    Khachiyan's dual: maximise log det X(u), X(u) = sum_k u_k q_k q_k',
+    over weights u >= 0 summing to 1, where q_k = (z_k, 1) lifts point
+    z_k; the weights are optimal when no m_k = q_k' X^-1 q_k exceeds
+    d + 1 and those with weight equal it.  A set whose points off its
+    support all meet this certificate takes a damped Newton step on its
+    support face (Sun & Freund 2004); any other takes Todd & Yildirim's
+    (2007) one-coordinate step, to the point farthest out or away from
+    the support point farthest in, at most dropping it.  A set ends when
+    the certificate holds or a Newton step converges.
+    """
+    # the problem is affine-equivariant: whiten each set along its
+    # principal axes so thin sets converge as fast as round ones
+    scale = svals / np.sqrt(sizes)[:, None]
+    norm = np.einsum("tkd,ted->tke", spread, vecs) / scale[:, None]
     d = norm.shape[2]
     lift = d + 1.0
     q = np.concatenate([norm, valid[..., None].astype(float)], axis=2)
@@ -379,47 +461,57 @@ def _khachiyan_ellipses(center, flat, spread, valid, sizes) -> np.ndarray:
     # the sets still iterating, their points, weights and real slots
     live = sets = np.arange(len(u))
     q_live, u_live, valid_live = q, u.copy(), valid
-    for _ in range(100_000):
-        if not len(live):
-            break
+    iterations = 0
+    while len(live) and iterations < 100_000:
+        iterations += 1
         x = np.matmul(q_live.transpose(0, 2, 1), u_live[..., None] * q_live)
-        m = np.einsum("tkj,tkj->tk", q_live @ np.linalg.inv(x), q_live)
+        k = q_live @ _inv3(x) @ q_live.transpose(0, 2, 1)
+        m = np.einsum("tkk->tk", k)
+        support = u_live > 1e-12
         m_add = np.where(valid_live, m, -np.inf)
         j_add = m_add.argmax(axis=1)
-        # away step over the current support gives linear convergence
-        # (plain ascent needs O(1/MVEE_TOLERANCE) iterations)
-        m_away = np.where(u_live > 1e-12, m, np.inf)
+        m_away = np.where(support, m, np.inf)
         j_away = m_away.argmin(axis=1)
         gain_add = m_add[sets, j_add] - lift
         gain_away = lift - m_away[sets, j_away]
-        j = np.where(gain_add >= gain_away, j_add, j_away)
+        gain_off = np.where(support, -np.inf, m_add).max(axis=1) - lift
         done = np.maximum(gain_add, gain_away) <= lift * MVEE_TOLERANCE
+        newton = ~done & (gain_off <= lift * MVEE_TOLERANCE)
+        if newton.any():
+            u_live[newton], done[newton] = _newton_steps(
+                k[newton], u_live[newton], support[newton])
+        # one-coordinate steps; away steps give linear convergence
+        # (plain ascent needs O(1/MVEE_TOLERANCE) iterations)
+        step = np.flatnonzero(~(done | newton))
+        j = np.where(gain_add >= gain_away, j_add, j_away)[step]
+        m_j, u_j = m[step, j], u_live[step, j]
+        beta = (m_j - lift) / (lift * (m_j - 1.0))
+        beta = np.maximum(beta, -u_j / (1.0 - u_j))  # drop step floor
+        u_live[step] *= (1.0 - beta)[:, None]
+        u_live[step, j] += beta
         if done.any():
             u[live[done]] = u_live[done]  # a converged set's weights freeze
             go = ~done
-            live, q_live, u_live, valid_live, m, j = (
-                live[go], q_live[go], u_live[go], valid_live[go], m[go],
-                j[go])
+            live, q_live, u_live, valid_live = (
+                live[go], q_live[go], u_live[go], valid_live[go])
             sets = sets[:len(live)]
-        m_j, u_j = m[sets, j], u_live[sets, j]
-        beta = (m_j - lift) / (lift * (m_j - 1.0))
-        beta = np.maximum(beta, -u_j / (1.0 - u_j))  # drop step floor
-        u_live *= (1.0 - beta)[:, None]
-        u_live[sets, j] += beta
     u[live] = u_live
 
     c_norm = np.einsum("tk,tkd->td", u, norm)
-    shape_norm = np.linalg.inv(
-        np.matmul(norm.transpose(0, 2, 1), u[..., None] * norm)
-        - c_norm[:, :, None] * c_norm[:, None, :]) / d
-    # undo the axis scaling: x = D z + center with D = diag(axis_scale)
-    d_inv = 1.0 / axis_scale
-    shape = d_inv[:, :, None] * shape_norm * d_inv[:, None, :]
-    evals, evecs = np.linalg.eigh(shape)  # ascending; semi-axis = 1/sqrt
+    # the ellipse is {x: (x - c)' E^-1 (x - c) <= 1} with E = d times the
+    # weighted covariance; E's eigenvalues are the squared semi-axes, and
+    # its largest, the major axis, is exact to rounding however thin the
+    # ellipse.  Undo the whitening: x - center = V' S z, S = diag(scale)
+    # and V the principal axes as rows
+    cov_norm = (np.matmul(norm.transpose(0, 2, 1), u[..., None] * norm)
+                - c_norm[:, :, None] * c_norm[:, None, :])
+    from_norm = vecs * scale[:, :, None]
+    evals, evecs = np.linalg.eigh(
+        d * from_norm.transpose(0, 2, 1) @ cov_norm @ from_norm)
     return np.column_stack([
-        center + c_norm * axis_scale,
-        np.maximum(1.0 / np.sqrt(np.maximum(evals, 1e-30)), AXIS_FLOOR),
-        np.arctan2(evecs[:, 1, 0], evecs[:, 0, 0])])
+        center + np.einsum("td,tde->te", c_norm, from_norm),
+        np.maximum(np.sqrt(np.maximum(evals[:, ::-1], 0.0)), AXIS_FLOOR),
+        np.arctan2(evecs[:, 1, 1], evecs[:, 0, 1])]), iterations
 
 
 def _rescale_to_contain(rows: np.ndarray, flat: np.ndarray,

@@ -174,17 +174,19 @@ def dbscan(points, params: DbscanParams) -> np.ndarray:
     return np.array(labels, dtype=int)
 
 
-def build_graph(e: Event, params: DbscanParams) -> Graph:
+def build_graph(e: Event, params: DbscanParams,
+                stats: dict | None = None) -> Graph:
     """Build the hit graph of an event, with its tracks' target ellipses.
 
     Hits are clustered in eta-phi; every cluster contributes all its pairs
     as edges (a complete subgraph), unclustered hits stay isolated.
+    `stats`, when given, gains the targets' MVEE iterations (see mvee).
     """
     labels = dbscan(np.stack([e.hits.eta, e.hits.phi], axis=1), params)
     return Graph(e.event_id, e.hits.take(slice(None), volume=False),
                  _cluster_edges(labels),
                  {t.particle_id: (t.params.p_t, t.params.eps_t)
-                  for t in e.tracks}, dict(truth_ellipses(e)))
+                  for t in e.tracks}, dict(truth_ellipses(e, stats)))
 
 
 def _cluster_edges(labels: np.ndarray) -> np.ndarray:
@@ -203,17 +205,19 @@ def _cluster_edges(labels: np.ndarray) -> np.ndarray:
     return np.stack([members[first], members[first + 1 + offset]], axis=1)
 
 
-def truth_ellipses(e: Event) -> list[tuple[int, Ellipse5]]:
+def truth_ellipses(e: Event, stats: dict | None = None
+                   ) -> list[tuple[int, Ellipse5]]:
     """Minimum-area enclosing ellipse of each truth track's (eta, phi)
     hits, inflated by TARGET_PADDING on both semi-axes.  Degenerate
-    tracks (one hit, collinear hits) fall back to the semi-axis floor."""
+    tracks (one hit, collinear hits) fall back to the semi-axis floor.
+    `stats` is passed on to mvee."""
     points = np.stack([e.hits.eta, e.hits.phi], axis=1)
-    bases = mvee([points[rows] for rows in
-                  e.hits.particle_rows([t.particle_id for t in e.tracks])])
-    return [(t.particle_id,
-             Ellipse5(base.eta_c, base.phi_c, base.a * TARGET_PADDING,
-                      base.b * TARGET_PADDING, base.theta))
-            for t, base in zip(e.tracks, bases)]
+    rows = mvee([points[r] for r in
+                 e.hits.particle_rows([t.particle_id for t in e.tracks])],
+                stats)
+    rows[:, 2:4] *= TARGET_PADDING
+    return [(t.particle_id, Ellipse5(*row))
+            for t, row in zip(e.tracks, rows.tolist())]
 
 
 def assign_vertex_targets(particle_ids, targets: dict) -> list:

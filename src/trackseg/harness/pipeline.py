@@ -120,16 +120,19 @@ def stage_build_graphs(cfg: RunConfig) -> list[Path]:
     start = time.perf_counter()
     echo = cfg.to_dict()
     paths = []
+    stats = Counter()
     for event in _unique_events(_sorted_files(_events_dir(cfg),
                                               "event_*.json"),
                                 event_from_dict, lambda e: e.event_id):
-        graph = build_graph(event, cfg.dbscan)
+        graph = build_graph(event, cfg.dbscan, stats)
         _log_graph(graph)
         doc = graph_to_dict(graph)
         doc["config"] = echo
         path = _graphs_dir(cfg) / f"graph_{event.event_id:05d}.json"
         write_json(path, doc)
         paths.append(path)
+    log.info("target ellipses took %d batched MVEE iterations",
+             stats["iterations"])
     log.info("built %d graphs -> %s in %.2f s", len(paths),
              _graphs_dir(cfg), time.perf_counter() - start)
     return paths

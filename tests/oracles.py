@@ -346,8 +346,10 @@ def _rescale_to_contain(e, flat, floor):
 def mvee_oracle(points, tolerance, floor):
     """Minimum-area enclosing ellipse of one set of eta-phi points, as
     (eta_c, phi_c, a, b, theta): Khachiyan's iteration with away steps to
-    `tolerance` on the set alone, then grown until the farthest point is
-    on the boundary; semi-axes never below `floor`.  A coincident set
+    `tolerance` on the set alone, whitened along its principal axes
+    (MVEE is affine-equivariant), then grown until the farthest point is
+    on the boundary; semi-axes never below `floor`.  Gives up after
+    100 000 iterations.  A coincident set
     gives a floor circle, a collinear one a segment-spanning ellipse;
     phi is unwrapped around its circular mean first."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -371,8 +373,9 @@ def mvee_oracle(points, tolerance, floor):
                        math.atan2(axis[1], axis[0]))
         return _rescale_to_contain(e, flat, floor)
 
-    axis_scale = np.maximum(flat.max(axis=0) - flat.min(axis=0), 1e-30)
-    norm = spread / axis_scale
+    # whitened along the principal axes: z = S^-1 V (x - center)
+    to_norm = vecs / (svals / math.sqrt(len(flat)))[:, None]
+    norm = spread @ to_norm.T
     n, d = norm.shape
     q = np.column_stack([norm, np.ones(n)]).T  # (3, n)
     u = np.full(n, 1.0 / n)
@@ -397,9 +400,8 @@ def mvee_oracle(points, tolerance, floor):
     c_norm = u @ norm
     shape_norm = np.linalg.inv(
         norm.T @ (u[:, None] * norm) - np.outer(c_norm, c_norm)) / d
-    d_inv = np.diag(1.0 / axis_scale)
-    evals, evecs = np.linalg.eigh(d_inv @ shape_norm @ d_inv)
-    c = center + c_norm * axis_scale
+    evals, evecs = np.linalg.eigh(to_norm.T @ shape_norm @ to_norm)
+    c = center + np.linalg.solve(to_norm, c_norm)
     a = 1.0 / math.sqrt(max(evals[0], 1e-30))
     b = 1.0 / math.sqrt(max(evals[1], 1e-30))
     e = _canonical(c[0], c[1], max(a, floor), max(b, floor),

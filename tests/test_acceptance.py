@@ -188,10 +188,11 @@ def test_criterion_4_ellipse_suite():
     assert iou(c1, c2) == pytest.approx(expected, abs=0.005)
 
     # MVEE of the unit square corners
-    sq, = mvee([np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])])
+    (sq_eta, sq_phi, sq_a, sq_b, _), = mvee(
+        [np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])])
     r = math.sqrt(2.0) / 2.0
-    assert abs(sq.a - r) < 1e-3 and abs(sq.b - r) < 1e-3
-    assert abs(sq.eta_c - 0.5) < 1e-3 and abs(sq.phi_c - 0.5) < 1e-3
+    assert abs(sq_a - r) < 1e-3 and abs(sq_b - r) < 1e-3
+    assert abs(sq_eta - 0.5) < 1e-3 and abs(sq_phi - 0.5) < 1e-3
 
     report("4 ellipse suite",
            f"(encode/decode {worst:.1e}, IoU vs MC {worst_mc:.4f}, "

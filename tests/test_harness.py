@@ -897,6 +897,10 @@ class TestCli:
                 f"{np.count_nonzero(labels == -1)} unclustered hits")
         stage, = [line for line in log_lines if " built " in line]
         assert re.search(r" built 4 graphs -> .* in \d+\.\d\d s$", stage)
+        mvee_line, = [line for line in log_lines if " MVEE " in line]
+        iterations = re.search(r" target ellipses took (\d+) batched MVEE "
+                               r"iterations$", mvee_line)
+        assert iterations and int(iterations.group(1)) > 0
 
     def test_run_log_has_loss_line_per_epoch(self, tmp_path):
         cfg_path = tiny_cli_config(tmp_path)
