@@ -17,7 +17,6 @@ import numpy as np
 from .angles import (circular_mean, signed_dphi, wrap_half_pi, wrap_phi,
                      wrap_theta)
 from .errors import DomainError
-from .jsonio import numbers
 
 # membership is boundary-inclusive; the slack absorbs rounding on points
 # constructed to lie exactly on the boundary
@@ -278,23 +277,6 @@ def ellipse_ious(seeds, others, stats: dict | None = None) -> np.ndarray:
     areas = np.sum(cross, axis=1)
     out[near] = np.clip(inter / (areas[:m] + areas[m:] - inter), 0.0, 1.0)
     return out
-
-
-_FIELDS = ("eta_c", "phi_c", "a", "b", "theta")
-
-
-def ellipse_to_dict(e: Ellipse5) -> dict:
-    return {"eta_c": e.eta_c, "phi_c": e.phi_c, "a": e.a, "b": e.b,
-            "theta": e.theta}
-
-
-def ellipses_from_dicts(docs) -> list[Ellipse5]:
-    """The Ellipse5 of each ellipse object of `docs`; the kind of the
-    values of each field is checked once for all objects."""
-    fields = [[d[k] for d in docs] for k in _FIELDS]
-    for k, values in zip(_FIELDS, fields):
-        numbers(values, float, f"values of ellipse {k!r}")
-    return [Ellipse5(*map(float, row)) for row in zip(*fields)]
 
 
 def mvee(point_sets, stats: dict | None = None) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Event production: a synthetic generator with exact ground truth and a
-TrackML CSV ingester, both giving an event's hits as one HitTable.
+TrackML CSV ingester, both giving an event's hits as one HitTable, and
+the event-v4 document that stores an event.
 
 The synthetic detector is a set of idealized concentric cylinders.  Each
 generated particle follows an exact transverse circle; its hits are the
@@ -24,7 +25,7 @@ import numpy as np
 from .angles import wrap_phi
 from .errors import ConfigError, ConsistencyError, DomainError, \
     ParseError, ShapeError
-from .jsonio import decode_table, encode_table
+from .jsonio import decode_table, encode_table, number, parsing
 from .kinematics import PT_COEFF, CircleTrack, TrackParams, pseudorapidity
 
 MM_TO_M = 1e-3
@@ -40,6 +41,10 @@ TRACKML_PARTICLES_HEADER = ["particle_id", "vx", "vy", "vz", "px", "py",
 # stored hit columns, an event's with "volume"; x, y, z numbers, rest ints
 HIT_FIELDS = ("hit_id", "x", "y", "z", "layer", "particle_id")
 _COLUMNS = (*HIT_FIELDS, "volume")
+
+EVENT_FORMAT = "event-v4"
+# a track's columns: its id, then TrackParams in field order
+TRACK_COLUMNS = dict(particle_id=int, pt=float, eps_t=float, a=float, b=float)
 
 
 def _int64(values) -> tuple[np.ndarray, np.ndarray]:
@@ -185,6 +190,35 @@ class Event:
                 np.unique(pids[pids != 0]).tolist():
             raise ConsistencyError("each particle with hits needs exactly "
                                    "one track, and each track a hit")
+
+
+def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
+    """The event-v4 document: tables of binary hit and truth track
+    columns (jsonio.encode_table); hit eta and phi and each track's hits
+    are derived again on read."""
+    doc = {
+        "format": EVENT_FORMAT,
+        "event_id": e.event_id,
+        "hits": hit_columns(e.hits),
+        "tracks": encode_table(TRACK_COLUMNS, zip(*[
+            (t.particle_id, *vars(t.params).values()) for t in e.tracks])),
+    }
+    if config_echo is not None:
+        doc["config"] = config_echo
+    return doc
+
+
+def event_from_dict(d: dict) -> Event:
+    """Decode an event-v4 document; tables jsonio.decode_table rejects,
+    hits a HitTable rejects, an Event that breaks its invariants and an
+    event document of another version raise ConsistencyError."""
+    with parsing(d, EVENT_FORMAT,
+                 "regenerate the events with generate or ingest"):
+        hits = hits_from_columns(d["hits"], volume=True)
+        tracks = tuple(TruthTrack(k, TrackParams(*p)) for k, *p in zip(*(
+            column.tolist() for column in decode_table(d["tracks"],
+                                                       TRACK_COLUMNS))))
+        return Event(number(d["event_id"], int), hits, tracks)
 
 
 @dataclass(frozen=True)

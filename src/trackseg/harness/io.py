@@ -1,142 +1,122 @@
-"""JSON document schemas owned by the harness: events (event-v4, tables
-of binary columns), predictions (pred-v1, plain JSON lists and objects)
-and metrics.  Graph and checkpoint formats live with their own modules;
-jsonio holds the one codec of binary columns."""
+"""JSON document schemas owned by the harness: predictions (pred-v2) and
+metrics.  Event, graph and checkpoint formats live with their own
+modules; jsonio holds the one codec of binary columns.
+
+A pred-v2 document keeps format, event_id and config as plain JSON and
+stores four tables of binary columns (jsonio.encode_table):
+
+    vertices    hit_id, class_prob, assignment: one row per graph vertex;
+                assignment is the index of the vertex's candidate, -1
+                for none
+    ellipses    vertex, eta_c, phi_c, a, b, theta: one row per vertex
+                with a decoded ellipse, vertices ascending
+    candidates  eta_c, phi_c, a, b, theta, confidence, pt, eps_t: one row
+                per track candidate
+    members     candidate, vertex: one row per member vertex, grouped by
+                candidate in candidate order
+"""
 
 from __future__ import annotations
 
-import math
+from dataclasses import fields
 
-from ..ellipses import ellipse_to_dict, ellipses_from_dicts
+import numpy as np
+
+from ..ellipses import Ellipse5
 from ..errors import ConsistencyError
-from ..events import Event, TruthTrack, hit_columns, hits_from_columns
 # perfbench/workloads.py imports read_json from this module
-from ..jsonio import (decode_table, encode_table, number, numbers, parsing,
-                      read_json)
-from ..kinematics import TrackParams
+from ..jsonio import decode_table, encode_table, number, parsing, read_json
 from ..postprocess import TrackCandidate
 
-EVENT_FORMAT = "event-v4"
-# a track's columns: its id, then TrackParams in field order
-TRACK_COLUMNS = dict(particle_id=int, pt=float, eps_t=float, a=float, b=float)
-PRED_FORMAT = "pred-v1"
+PRED_FORMAT = "pred-v2"
 METRICS_FORMAT = "metrics-v1"
 
-
-def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
-    """The event-v4 document: tables of binary hit and truth track
-    columns (jsonio.encode_table); hit eta and phi and each track's hits
-    are derived again on read."""
-    doc = {
-        "format": EVENT_FORMAT,
-        "event_id": e.event_id,
-        "hits": hit_columns(e.hits),
-        "tracks": encode_table(TRACK_COLUMNS, zip(*[
-            (t.particle_id, *vars(t.params).values()) for t in e.tracks])),
-    }
-    if config_echo is not None:
-        doc["config"] = config_echo
-    return doc
-
-
-def event_from_dict(d: dict) -> Event:
-    """Decode an event-v4 document; tables jsonio.decode_table rejects,
-    hits a HitTable rejects, an Event that breaks its invariants and an
-    event document of another version raise ConsistencyError."""
-    with parsing(d, EVENT_FORMAT,
-                 "regenerate the events with generate or ingest"):
-        hits = hits_from_columns(d["hits"], volume=True)
-        tracks = tuple(TruthTrack(k, TrackParams(*p)) for k, *p in zip(*(
-            column.tolist() for column in decode_table(d["tracks"],
-                                                       TRACK_COLUMNS))))
-        return Event(number(d["event_id"], int), hits, tracks)
+_SHAPE = dict.fromkeys((f.name for f in fields(Ellipse5)), float)
+VERTEX_COLUMNS = dict(hit_id=int, class_prob=float, assignment=int)
+ELLIPSE_COLUMNS = dict(vertex=int, **_SHAPE)
+CANDIDATE_COLUMNS = dict(_SHAPE, confidence=float, pt=float, eps_t=float)
+MEMBER_COLUMNS = dict(candidate=int, vertex=int)
 
 
 def prediction_to_dict(event_id: int, vertex_hit_ids, class_prob, ellipses,
                        candidates: list[TrackCandidate], assignments,
                        config_echo: dict | None = None) -> dict:
+    """The pred-v2 document of one event's inference output: per vertex
+    its hit id, class probability, ellipse or None and candidate index
+    or None; each candidate with its (p_T, eps_T)."""
     doc = {
         "format": PRED_FORMAT,
         "event_id": event_id,
-        "vertex_hit_ids": [int(i) for i in vertex_hit_ids],
-        "class_prob": [float(p) for p in class_prob],
-        "ellipses": [ellipse_to_dict(e) if e is not None else None
-                     for e in ellipses],
-        "candidates": [
-            {"ellipse": ellipse_to_dict(c.ellipse),
-             "confidence": c.confidence,
-             "member_vertex_ids": list(c.member_vertex_ids),
-             "params": list(c.params) if c.params is not None else None}
-            for c in candidates],
-        "assignments": [int(a) if a is not None else None
-                        for a in assignments],
+        "vertices": encode_table(VERTEX_COLUMNS, (
+            vertex_hit_ids, class_prob,
+            [-1 if a is None else a for a in assignments])),
+        "ellipses": encode_table(ELLIPSE_COLUMNS, zip(*[
+            (v, *vars(e).values()) for v, e in enumerate(ellipses)
+            if e is not None])),
+        "candidates": encode_table(CANDIDATE_COLUMNS, zip(*[
+            (*vars(c.ellipse).values(), c.confidence, *c.params)
+            for c in candidates])),
+        "members": encode_table(MEMBER_COLUMNS, zip(*[
+            (k, v) for k, c in enumerate(candidates)
+            for v in c.member_vertex_ids])),
     }
     if config_echo is not None:
         doc["config"] = config_echo
     return doc
 
 
+def _indices(values: np.ndarray, low: int, high: int, what: str) -> None:
+    """ConsistencyError unless every one of `values` lies in [low, high)."""
+    if len(values) and not low <= values.min() <= values.max() < high:
+        raise ConsistencyError(f"prediction {what} outside [{low}, {high})")
+
+
 def prediction_from_dict(d: dict) -> dict:
-    """Decode a prediction document and check that its vertex hit ids are
-    unique, that its per-vertex lists match them, that its indices and
-    params are in range, that every class probability lies in [0, 1] and
-    that candidate confidences and params are finite."""
+    """Decode a pred-v2 document into event_id, vertex_hit_ids,
+    class_prob, ellipses and assignments per vertex (None where a vertex
+    has no ellipse or candidate) and candidates (TrackCandidate).  Tables
+    jsonio.decode_table rejects, a repeated vertex hit id, a class
+    probability outside [0, 1], an index out of range, ellipse vertices
+    that do not ascend, members not grouped by candidate, an invalid
+    ellipse row and a prediction document of another version raise
+    ConsistencyError."""
     with parsing(d, PRED_FORMAT, "rerun infer"):
-        ids, probs, ellipses, cands, assignments = (
-            list(d[key]) for key in ("vertex_hit_ids", "class_prob",
-                                     "ellipses", "candidates", "assignments"))
-        members = [tuple(c["member_vertex_ids"]) for c in cands]
-        params = [None if c["params"] is None else tuple(c["params"])
-                  for c in cands]
-        confidence = [c["confidence"] for c in cands]
-        for values, kind, what in (
-                (ids, int, "vertex_hit_ids"), (probs, float, "class_prob"),
-                (confidence, float, "candidate confidences"),
-                ([i for m in members for i in m], int, "candidate members"),
-                ([v for p in params if p is not None for v in p], float,
-                 "candidate params"),
-                ([a for a in assignments if a is not None], int,
-                 "assignments")):
-            numbers(values, kind, what)
-        vertex_ellipses = iter(ellipses_from_dicts(
-            [e for e in ellipses if e is not None]))
-        pred = {
+        ids, probs, assigned = decode_table(d["vertices"], VERTEX_COLUMNS)
+        ellipse_vertex, *shape = decode_table(d["ellipses"], ELLIPSE_COLUMNS)
+        rows = list(zip(*(column.tolist() for column in decode_table(
+            d["candidates"], CANDIDATE_COLUMNS))))
+        owner, member = decode_table(d["members"], MEMBER_COLUMNS)
+        n, n_cand = len(ids), len(rows)
+        if len(np.unique(ids)) < n:
+            raise ConsistencyError("prediction repeats a vertex hit id")
+        if not np.all((0.0 <= probs) & (probs <= 1.0)):
+            raise ConsistencyError("prediction class_prob must lie in "
+                                   "[0, 1]")
+        _indices(assigned, -1, n_cand, "assignment")
+        _indices(ellipse_vertex, 0, n, "ellipse vertex")
+        _indices(owner, 0, n_cand, "member candidate")
+        _indices(member, 0, n, "member vertex")
+        if np.any(np.diff(ellipse_vertex) <= 0):
+            raise ConsistencyError("prediction ellipse vertices do not "
+                                   "ascend")
+        if np.any(np.diff(owner) < 0):
+            raise ConsistencyError("prediction members are not grouped by "
+                                   "candidate")
+        ellipses = [None] * n
+        for v, e in zip(ellipse_vertex.tolist(),
+                        map(Ellipse5, *(c.tolist() for c in shape))):
+            ellipses[v] = e
+        bounds = np.searchsorted(owner, np.arange(n_cand + 1)).tolist()
+        members = member.tolist()
+        return {
             "event_id": number(d["event_id"], int),
-            "vertex_hit_ids": ids,
-            "class_prob": list(map(float, probs)),
-            "ellipses": [None if e is None else next(vertex_ellipses)
-                         for e in ellipses],
+            "vertex_hit_ids": ids.tolist(),
+            "class_prob": probs.tolist(),
+            "ellipses": ellipses,
             "candidates": [
-                TrackCandidate(ellipse, float(conf), vids,
-                               None if p is None else tuple(map(float, p)))
-                for ellipse, conf, vids, p in zip(
-                    ellipses_from_dicts([c["ellipse"] for c in cands]),
-                    confidence, members, params)],
-            "assignments": assignments,
+                TrackCandidate(Ellipse5(*row[:5]), row[5],
+                               tuple(members[lo:hi]), row[6:])
+                for row, lo, hi in zip(rows, bounds, bounds[1:])],
+            "assignments": [None if a < 0 else a
+                            for a in assigned.tolist()],
         }
-    n = len(pred["vertex_hit_ids"])
-    if len(set(pred["vertex_hit_ids"])) != n:
-        raise ConsistencyError("prediction repeats a vertex hit id")
-    for key in ("class_prob", "ellipses", "assignments"):
-        if len(pred[key]) != n:
-            raise ConsistencyError(f"prediction has {len(pred[key])} {key} "
-                                   f"for {n} vertices")
-    if not all(0.0 <= p <= 1.0 for p in pred["class_prob"]):
-        raise ConsistencyError("prediction class_prob must lie in [0, 1]")
-    if any(c.params is not None and len(c.params) != 2
-           for c in pred["candidates"]):
-        raise ConsistencyError("prediction candidate params are not "
-                               "(p_T, eps_T) pairs")
-    if not all(map(math.isfinite, [v for c in pred["candidates"] for v in
-                                   (c.confidence, *(c.params or ()))])):
-        raise ConsistencyError("prediction candidates must have finite "
-                               "confidence and params")
-    if any(not 0 <= i < n for c in pred["candidates"]
-           for i in c.member_vertex_ids):
-        raise ConsistencyError(f"prediction candidate member outside [0, {n})")
-    n_cand = len(pred["candidates"])
-    if any(a is not None and not 0 <= a < n_cand
-           for a in pred["assignments"]):
-        raise ConsistencyError(f"prediction assigns a vertex to none of "
-                               f"its {n_cand} candidates")
-    return pred

@@ -56,7 +56,8 @@ def evaluate(predictions: dict[int, dict], truth: dict[int, Event],
     """Score per-event predictions against truth events.
 
     `predictions` maps event_id to a dict with keys vertex_hit_ids,
-    class_prob, candidates, assignments (the pred-v1 payload).  Every
+    class_prob, candidates, assignments (as harness.io reads a pred-v2
+    document), each candidate with its (p_T, eps_T).  Every
     predicted event must have a truth event.  Returns the body of the
     metrics document: hit_classification, segmentation,
     parameter_resolution, counts and flags.
@@ -102,11 +103,9 @@ def evaluate(predictions: dict[int, dict], truth: dict[int, Event],
             if len(majority):
                 n_matched_tracks += 1
                 matched_this_event.add(int(majority[0]))
-                params = candidates[majority[0]].params
-                if params is not None:
-                    pt_residuals.append(
-                        (params[0] - track.params.p_t) / track.params.p_t)
-                    eps_residuals.append(params[1] - track.params.eps_t)
+                pt, eps_t = candidates[majority[0]].params
+                pt_residuals.append((pt - track.params.p_t) / track.params.p_t)
+                eps_residuals.append(eps_t - track.params.eps_t)
         matched_candidates += len(matched_this_event)
 
     labels_arr = np.concatenate(labels_all)

@@ -10,17 +10,21 @@ Artifacts live under the configured output directory:
                                 parameter vector in parameter-name order,
                                 base64 of its little-endian float64 bytes
     history.json                per-epoch loss components
-    predictions/pred_00000.json per-event inference output
+    predictions/pred_00000.json one pred-v2 document per held-out
+                                event: vertex, ellipse, candidate and
+                                member tables
     metrics.json                evaluation summary
     plots/event_00000.svg       eta-phi event display
     run.log                     stage log
 
-A table's columns are binary: each is a pair [dtype, base64 of its
-little-endian bytes], "<i8" or "<f8" by the field's kind
-(jsonio.encode_table); predictions (pred-v1) are plain JSON.  Every
-artifact but run.log is written atomically (temp file, then rename).  A
-document of an older format version exits 3: regenerate the events,
-rebuild the graphs or retrain the checkpoint.
+Every table of an event, graph or prediction has binary columns: each
+is a pair [dtype, base64 of its little-endian bytes], "<i8" or "<f8" by
+the field's kind (jsonio.encode_table).  Each document kind's schema lives
+in one module: events (event-v4), graphs (graph-v5), tracknet
+(tracknet-v4), harness.io (pred-v2, metrics-v1).  Every artifact but
+run.log is written atomically (temp file, then rename).  A document of
+an older format version exits 3: regenerate the events, rebuild the
+graphs, retrain the checkpoint or rerun infer.
 Training uses all but the last `eval.n_holdout` graphs; inference and
 evaluation run on the held-out tail (or everything when n_holdout is 0).
 """
@@ -37,15 +41,15 @@ import numpy as np
 from .. import tracknet
 from ..errors import ConfigError, ConsistencyError, DataError, \
     NumericError
-from ..events import apply_selection, generate_event, read_trackml_event
+from ..events import (apply_selection, event_from_dict, event_to_dict,
+                      generate_event, read_trackml_event)
 # perfbench/tracing.py looks assign_vertex_targets up in this module
 from ..graphs import assign_vertex_targets, build_graph, graph_from_dict, \
     graph_to_dict, truth_ellipses
 from ..jsonio import read_json, write_json
 from ..postprocess import TrackCandidate, assign_hits, merge_ellipses
 from .config import RunConfig
-from .io import (event_from_dict, event_to_dict, prediction_from_dict,
-                 prediction_to_dict, METRICS_FORMAT)
+from .io import METRICS_FORMAT, prediction_from_dict, prediction_to_dict
 from .metrics import evaluate
 from .render import render_event_svg
 

@@ -85,16 +85,6 @@ def parsing(doc, doc_format: str, hint: str):
 _NUMBER_TYPES = {int: int, float: (int, float)}
 
 
-def numbers(values, kind: type = float, what: str = "values") -> None:
-    """ConsistencyError unless every one of the iterable `values` is a
-    JSON number of `kind`.  One pass collects their types, so the check
-    costs little per value."""
-    for t in set(map(type, values)):
-        if t is bool or not issubclass(t, _NUMBER_TYPES[kind]):
-            raise ConsistencyError(f"expected {kind.__name__} {what}, "
-                                   f"found {t.__name__}")
-
-
 # the dtype of a stored column of each kind
 DTYPES = {int: "<i8", float: "<f8"}
 
@@ -166,6 +156,8 @@ def decode_table(doc, kinds: dict) -> list[np.ndarray]:
 def number(value, kind: type = float):
     """`value` as `kind` if it is a JSON number of that kind, else
     ConsistencyError."""
-    if type(value) is not kind:
-        numbers((value,), kind)
+    found = type(value)
+    if found is bool or not issubclass(found, _NUMBER_TYPES[kind]):
+        raise ConsistencyError(f"expected {kind.__name__}, found "
+                               f"{found.__name__}")
     return kind(value)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from trackseg.events import (DetectorConfig, GenConfig, HitTable,
-                             generate_event)
+from trackseg.events import (TRACK_COLUMNS, DetectorConfig, GenConfig,
+                             HitTable, generate_event)
 from trackseg.graphs import (EDGE_COLUMNS, PARTICLE_COLUMNS, DbscanParams,
                              build_graph)
-from trackseg.harness.io import TRACK_COLUMNS
+from trackseg.harness.io import (CANDIDATE_COLUMNS, ELLIPSE_COLUMNS,
+                                 MEMBER_COLUMNS, VERTEX_COLUMNS)
 from trackseg.jsonio import DTYPES
 
 
@@ -72,16 +73,21 @@ def set_at(doc, path, value):
     doc[key] = value
 
 
-# the kind of every column of an event or graph document, by name
+# the kind of every column of an event, graph or prediction document, by
+# name
 COLUMN_KINDS = {**dict.fromkeys(("hit_id", "layer", "particle_id", "volume"),
                                 int), **dict.fromkeys("xyz", float),
-                **TRACK_COLUMNS, **PARTICLE_COLUMNS, **EDGE_COLUMNS}
-TABLES = ("hits", "tracks", "vertices", "edges", "particles")
+                **TRACK_COLUMNS, **PARTICLE_COLUMNS, **EDGE_COLUMNS,
+                **VERTEX_COLUMNS, **ELLIPSE_COLUMNS, **CANDIDATE_COLUMNS,
+                **MEMBER_COLUMNS}
+TABLES = ("hits", "tracks", "vertices", "edges", "particles", "ellipses",
+          "candidates", "members")
 
 
 def decoded(doc):
-    """A copy of an event or graph document whose binary columns are
-    lists of their values, for `encoded` to store again after an edit."""
+    """A copy of an event, graph or prediction document whose binary
+    columns are lists of their values, for `encoded` to store again after
+    an edit."""
     return {key: {name: np.frombuffer(base64.b64decode(data), tag).tolist()
                   for name, (tag, data) in value.items()}
             if key in TABLES else value for key, value in doc.items()}

@@ -348,8 +348,8 @@ def mvee_oracle(points, tolerance, floor):
     (eta_c, phi_c, a, b, theta): Khachiyan's iteration with away steps to
     `tolerance` on the set alone, whitened along its principal axes
     (MVEE is affine-equivariant), then grown until the farthest point is
-    on the boundary; semi-axes never below `floor`.  Gives up after
-    100 000 iterations.  A coincident set
+    on the boundary; semi-axes never below `floor`.  AssertionError if
+    the iteration has not converged after 100 000 steps.  A coincident set
     gives a floor circle, a collinear one a segment-spanning ellipse;
     phi is unwrapped around its circular mean first."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -396,6 +396,9 @@ def mvee_oracle(points, tolerance, floor):
         beta = max(beta, -u[j] / (1.0 - u[j]))
         u *= 1.0 - beta
         u[j] += beta
+    else:
+        raise AssertionError(f"mvee_oracle has not converged to "
+                             f"{tolerance:g} after 100 000 iterations")
 
     c_norm = u @ norm
     shape_norm = np.linalg.inv(

@@ -426,7 +426,7 @@ def test_criterion_10_rendering(tmp_path):
     assert main(["--config", str(cfg_path), "run"]) == 0
     out = tmp_path / "out"
     pred_path = sorted((out / "predictions").glob("pred_*.json"))[0]
-    pred = json.loads(pred_path.read_text())
+    pred = decoded(json.loads(pred_path.read_text()))
     event_id = pred["event_id"]
 
     assert main(["--config", str(cfg_path), "plot", "--event",
@@ -438,7 +438,7 @@ def test_criterion_10_rendering(tmp_path):
     event_doc = json.loads(
         (out / "events" / f"event_{event_id:05d}.json").read_text())
     n_hits = len(decoded(event_doc)["hits"]["hit_id"])
-    n_ellipses = sum(1 for e in pred["ellipses"] if e is not None)
+    n_ellipses = len(pred["ellipses"]["vertex"])
     assert text.count("<circle") == n_hits
     assert text.count("<ellipse") == n_ellipses
 

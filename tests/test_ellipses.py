@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import astuple
 
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 from oracles import (decode_box_row, full_clip_ious, monte_carlo_iou,
                      mvee_oracle, point_in_ellipse_quadform, polygon_iou)
 from trackseg.ellipses import (A_M, AXIS_FLOOR, B_M, DELTA_THETA, ETA_M,
-                               IOU_RESOLUTION, PHI_M,
-                               THETA_M, Ellipse5, decode_box,
-                               ellipse_ious, ellipse_to_dict,
-                               ellipses_from_dicts, encode_box, make_ellipse,
-                               mvee, point_in_ellipse)
-from trackseg.errors import DomainError
+                               IOU_RESOLUTION, PHI_M, THETA_M, Ellipse5,
+                               decode_box, ellipse_ious, encode_box,
+                               make_ellipse, mvee, point_in_ellipse)
+from trackseg.errors import ConsistencyError, DomainError
+from trackseg.harness.io import prediction_from_dict, prediction_to_dict
+from trackseg.jsonio import to_base64
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,16 +54,25 @@ class TestEllipse5:
         with pytest.raises(DomainError):
             Ellipse5(0, 0, 0.1, 0.05, -0.1)  # theta out of range
 
+    # a stored ellipse is a row of a prediction document's ellipse table:
+    # that of the one vertex of this document
+    @staticmethod
+    def stored(e: Ellipse5) -> dict:
+        return json.loads(json.dumps(prediction_to_dict(0, [1], [0.5], [e],
+                                                        [], [None])))
+
     def test_dict_round_trip(self):
         e = make_ellipse(0.5, 1.2, 0.3, 0.1, 2.0)
-        assert ellipses_from_dicts([ellipse_to_dict(e)]) == [e]
+        assert prediction_from_dict(self.stored(e))["ellipses"] == [e]
 
     @pytest.mark.parametrize("key", ["eta_c", "phi_c", "a", "b", "theta"])
     def test_dict_non_finite_rejected(self, key):
-        d = ellipse_to_dict(make_ellipse(0.5, 1.2, 0.3, 0.1, 2.0))
+        doc = self.stored(make_ellipse(0.5, 1.2, 0.3, 0.1, 2.0))
         for value in (math.nan, math.inf):
-            with pytest.raises(DomainError):
-                ellipses_from_dicts([{**d, key: value}])
+            doc["ellipses"][key] = ["<f8", to_base64([value], "<f8")]
+            with pytest.raises(ConsistencyError, match=f"column '{key}' has "
+                               f"a non-finite value at row 0"):
+                prediction_from_dict(doc)
 
 
 class TestEncodeDecode:

@@ -26,15 +26,15 @@ from trackseg import tracknet
 from trackseg.ellipses import IOU_RESOLUTION, make_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
 from trackseg.events import (DetectorConfig, Event, GenConfig,
-                             generate_event, read_trackml_event)
+                             event_from_dict, event_to_dict, generate_event,
+                             read_trackml_event)
 from trackseg.graphs import (DbscanParams, build_graph, graph_from_dict,
                              truth_ellipses)
 from trackseg.harness import pipeline
 from trackseg.harness.cli import main
 from trackseg.harness.config import (RunConfig, apply_overrides,
                                      config_from_dict, load_config)
-from trackseg.harness.io import (event_from_dict, event_to_dict,
-                                 prediction_from_dict, prediction_to_dict)
+from trackseg.harness.io import prediction_from_dict, prediction_to_dict
 from trackseg.harness.metrics import auc_score, evaluate
 from trackseg.harness.render import render_event_svg
 from trackseg.jsonio import read_json, write_json
@@ -430,8 +430,43 @@ def _prediction_doc():
         pred["ellipses"], pred["candidates"], pred["assignments"]))
 
 
+ELLIPSES = st.builds(
+    make_ellipse, st.floats(-5.0, 5.0), st.floats(0.0, 2.0 * math.pi),
+    st.floats(1e-4, 1.0), st.floats(1e-4, 1.0), st.floats(0.0, math.pi))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def predictions(draw):
+    """prediction_to_dict's arguments: any prediction, or one with no
+    candidates, no ellipses, no vertex assigned or only single-member
+    candidates."""
+    shape = draw(st.sampled_from(["any", "no-candidates", "no-ellipses",
+                                  "unassigned", "single-member"]))
+    ids = draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=8,
+                        unique=True))
+    n = len(ids)
+    sizes = dict(min_size=1, max_size=1) if shape == "single-member" \
+        else dict(max_size=4)
+    members = st.lists(st.integers(0, n - 1), **sizes) if n else st.just([])
+    candidates = [] if shape == "no-candidates" else draw(st.lists(st.builds(
+        TrackCandidate, ELLIPSES, FINITE, members.map(tuple),
+        st.tuples(FINITE, FINITE)), max_size=5))
+    ellipses = st.none() if shape == "no-ellipses" else \
+        st.none() | ELLIPSES
+    assignments = st.none() if shape == "unassigned" or not candidates \
+        else st.none() | st.integers(0, len(candidates) - 1)
+    return (draw(st.integers(-2**63, 2**63 - 1)), ids,
+            draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
+            draw(st.lists(ellipses, min_size=n, max_size=n)), candidates,
+            draw(st.lists(assignments, min_size=n, max_size=n)))
+
+
 PRED_DOC = _prediction_doc()
+# every path into the document as stored, and into its columns' values
 PRED_DOC_PATHS = list(doc_paths(json.loads(PRED_DOC)))
+PRED_VALUE_PATHS = list(doc_paths(decoded(json.loads(PRED_DOC))))
+PRED_VERTICES = decoded(json.loads(PRED_DOC))["vertices"]
 
 
 class TestIo:
@@ -477,26 +512,42 @@ class TestIo:
         assert restored["assignments"] == pred["assignments"]
         assert restored["class_prob"] == pred["class_prob"]
 
+    @given(predictions())
+    @settings(max_examples=200, deadline=None)
+    def test_any_prediction_round_trips(self, prediction):
+        doc = prediction_to_dict(*prediction)
+        text = json.dumps(doc, sort_keys=True)
+        pred = prediction_from_dict(json.loads(text))
+        assert (pred["event_id"], pred["vertex_hit_ids"], pred["class_prob"],
+                pred["ellipses"], pred["candidates"],
+                pred["assignments"]) == prediction
+        # what the benchmark's output check compares
+        again = prediction_to_dict(pred["event_id"], pred["vertex_hit_ids"],
+                                   pred["class_prob"], pred["ellipses"],
+                                   pred["candidates"], pred["assignments"])
+        assert json.dumps(again, sort_keys=True) == text
+
+    # each value at its path of the document's decoded columns, stored
+    # again as a writer with that value would store it (conftest.encoded)
     @pytest.mark.parametrize("path, value", [
-        (("class_prob", 0), math.nan),
-        (("class_prob", 0), 1.5),
-        (("class_prob", 0), -0.1),
-        (("candidates", 0, "confidence"), math.inf),
-        (("candidates", 0, "params", 1), math.nan),
-        (("candidates", 0, "ellipse", "phi_c"), math.nan),
-        (("assignments", 1), 0.7),
-        (("candidates", 0, "member_vertex_ids"), [True, 1]),
-        (("candidates", 0, "ellipse", "a"), "0.1"),
+        (("vertices", "class_prob", 0), math.nan),
+        (("vertices", "class_prob", 0), 1.5),
+        (("vertices", "class_prob", 0), -0.1),
+        (("candidates", "confidence", 0), math.inf),
+        (("candidates", "eps_t", 0), math.nan),
+        (("candidates", "phi_c", 0), math.nan),
+        (("vertices", "assignment", 1), 0.7),
+        (("members", "vertex"), [True, 1]),
+        (("candidates", "a", 0), "0.1"),
         (("event_id",), False),
-        (("vertex_hit_ids", 1), json.loads(PRED_DOC)["vertex_hit_ids"][0]),
-        (("candidates", 0, "member_vertex_ids", 0), -1),
-        (("candidates", 0, "member_vertex_ids", 0),
-         len(json.loads(PRED_DOC)["vertex_hit_ids"]))])
+        (("vertices", "hit_id", 1), PRED_VERTICES["hit_id"][0]),
+        (("members", "vertex", 0), -1),
+        (("members", "vertex", 0), len(PRED_VERTICES["hit_id"]))])
     def test_prediction_with_bad_number_rejected(self, path, value):
-        doc = json.loads(PRED_DOC)
+        doc = decoded(json.loads(PRED_DOC))
         set_at(doc, path, value)
         with pytest.raises(ConsistencyError):
-            prediction_from_dict(doc)
+            prediction_from_dict(encoded(doc))
 
     # what a writer of such a value stores: a float in an int column
     # under the dtype "<f8", and text or an id beyond int64 as no
@@ -560,9 +611,17 @@ class TestIo:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_any_json_value_evaluates_or_is_a_data_error(self, data):
-        doc = json.loads(PRED_DOC)
-        set_at(doc, data.draw(st.sampled_from(PRED_DOC_PATHS)),
-               data.draw(JSON_VALUES))
+        # the value lands in the document as stored or, stored again as
+        # a writer would store it, among a column's values
+        if data.draw(st.booleans()):
+            doc = json.loads(PRED_DOC)
+            set_at(doc, data.draw(st.sampled_from(PRED_DOC_PATHS)),
+                   data.draw(JSON_VALUES))
+        else:
+            doc = decoded(json.loads(PRED_DOC))
+            set_at(doc, data.draw(st.sampled_from(PRED_VALUE_PATHS)),
+                   data.draw(JSON_VALUES))
+            doc = encoded(doc)
         try:
             pred = prediction_from_dict(doc)
             evaluate({pred["event_id"]: pred},
@@ -581,8 +640,7 @@ class TestIo:
         assert all(0.0 <= p <= 1.0 for p in pred["class_prob"])
         loaded = [*(astuple(e) for e in pred["ellipses"] if e is not None),
                   *(astuple(c.ellipse) for c in pred["candidates"]),
-                  *((c.confidence, *(c.params or ()))
-                    for c in pred["candidates"])]
+                  *((c.confidence, *c.params) for c in pred["candidates"])]
         assert all(map(math.isfinite, itertools.chain(*loaded)))
 
     def test_failed_write_keeps_old_artifact(self, tmp_path, monkeypatch):
@@ -604,14 +662,6 @@ class TestIo:
 def _drop_key(key):
     return lambda text: json.dumps(
         {k: v for k, v in json.loads(text).items() if k != key})
-
-
-def _set_first(key, value):
-    def damage(text):
-        doc = json.loads(text)
-        doc[key][0] = value
-        return json.dumps(doc)
-    return damage
 
 
 def _drop_last_param(doc):
@@ -662,13 +712,6 @@ def _empty_tables(doc):
 def _drop_vertex_particle_ids(text):
     doc = json.loads(text)
     del doc["vertices"]["particle_id"]
-    return json.dumps(doc)
-
-
-def _non_numeric_params(text):
-    doc = json.loads(text)
-    for cand in doc["candidates"]:
-        cand["params"] = ["x", 1.0]
     return json.dumps(doc)
 
 
@@ -808,6 +851,60 @@ BINARY_DAMAGE_IDS = [
     "graph-wrong-dtype", "graph-unequal-lengths", "graph-nan", "graph-inf",
     "graph-not-a-pair", "graph-v4"]
 
+
+
+def _n_candidates(doc):
+    return len(doc["candidates"]["pt"])
+
+
+def _swap_first_axes(doc):
+    ellipses = doc["ellipses"]
+    _set_row(ellipses, 0, a=ellipses["b"][0], b=ellipses["a"][0])
+
+
+# damage that each check of the prediction reader (run by evaluate)
+# rejects, and what the error names
+PRED_DAMAGE = [
+    (_edited(lambda doc: _set_row(doc["vertices"], 1,
+                                  hit_id=doc["vertices"]["hit_id"][0])),
+     "prediction repeats a vertex hit id"),
+    (_edited(lambda doc: _set_row(doc["vertices"], 0, class_prob=1.5)),
+     "prediction class_prob must lie in [0, 1]"),
+    (_edited(lambda doc: _set_row(doc["vertices"], 0, class_prob=-0.5)),
+     "prediction class_prob must lie in [0, 1]"),
+    (_edited(lambda doc: _set_row(doc["vertices"], 0, assignment=-2)),
+     "prediction assignment outside [-1, "),
+    (_edited(lambda doc: _set_row(doc["vertices"], 0,
+                                  assignment=_n_candidates(doc))),
+     "prediction assignment outside [-1, "),
+    (_edited(lambda doc: _set_row(doc["ellipses"], -1,
+                                  vertex=len(doc["vertices"]["hit_id"]))),
+     "prediction ellipse vertex outside [0, "),
+    (_edited(lambda doc: _set_row(doc["ellipses"], 1,
+                                  vertex=doc["ellipses"]["vertex"][0])),
+     "prediction ellipse vertices do not ascend"),
+    (_edited(lambda doc: _set_row(doc["members"], -1,
+                                  candidate=_n_candidates(doc))),
+     "prediction member candidate outside [0, "),
+    (_edited(lambda doc: _set_row(doc["members"], 0, vertex=-1)),
+     "prediction member vertex outside [0, "),
+    (_edited(lambda doc: doc["members"]["candidate"].reverse()),
+     "prediction members are not grouped by candidate"),
+    (_edited(_swap_first_axes), "semi-axes must satisfy a >= b > 0"),
+    (_edited(lambda doc: _set_row(doc["candidates"], 0, theta=4.0)),
+     "theta must lie in [0, pi)"),
+    (_edited(lambda doc: _set_row(doc["candidates"], 0, pt=math.inf)),
+     "column 'pt' has a non-finite value at row 0"),
+    (_raw(lambda doc: doc.update(format="pred-v1")),
+     "pred-v1 document: rerun infer")]
+PRED_DAMAGE_IDS = [
+    "hit-id-repeated", "class-prob-above-one", "class-prob-negative",
+    "assignment-below-none", "assignment-past-candidates",
+    "ellipse-vertex-out-of-range", "ellipse-vertex-repeated",
+    "member-candidate-out-of-range", "member-vertex-negative",
+    "members-not-grouped", "ellipse-axes-swapped",
+    "candidate-theta-out-of-range", "candidate-pt-inf", "pred-v1"]
+
 STAGES = ("generate", "build-graphs", "train", "infer", "evaluate")
 
 
@@ -847,7 +944,7 @@ class TestCli:
                  if " nms: " in line]
         preds = sorted((tmp_path / "out" / "predictions").glob("pred_*.json"))
         assert len(lines) == len(preds) == 1
-        pred = json.loads(preds[0].read_text())
+        pred = prediction_from_dict(read_json(preds[0]))
         kept = sum(e is not None for e in pred["ellipses"])
         n_cand = len(pred["candidates"])
         head, counts = lines[0].split("; ")
@@ -966,7 +1063,9 @@ class TestCli:
         ("checkpoint.json",
          _edited(lambda doc: doc.update(params="!" + doc["params"][1:])),
          "infer"),
-        ("predictions/pred_*.json", _non_numeric_params, "evaluate"),
+        ("predictions/pred_*.json",
+         _edited(lambda doc: _set_row(doc["candidates"], 0, pt="x")),
+         "evaluate"),
         ("graphs/graph_00000.json", lambda text: b"\xff\xfe{}", "train"),
         ("graphs/graph_00000.json", lambda text: "[" * 100_000, "train"),
         ("graphs/graph_00000.json",
@@ -976,12 +1075,14 @@ class TestCli:
         ("events/event_00000.json",
          _edited(lambda doc: _set_row(doc["hits"], 0, z=math.nan)),
          "build-graphs"),
-        ("predictions/pred_*.json", _set_first("assignments", 999),
+        ("predictions/pred_*.json",
+         _edited(lambda doc: _set_row(doc["vertices"], 0, assignment=999)),
          "evaluate"),
         ("graphs/graph_00000.json",
          _edited(lambda doc: _set_row(doc["vertices"], 0, x=None)), "train"),
-        ("predictions/pred_*.json", _set_first("class_prob", math.nan),
-         "evaluate"),
+        ("predictions/pred_*.json",
+         _edited(lambda doc: _set_row(doc["vertices"], 0,
+                                      class_prob=math.nan)), "evaluate"),
         ("graphs/graph_00000.json",
          _edited(lambda doc: doc.update(format="graph-v1")), "train"),
         ("graphs/graph_00000.json",
@@ -1000,8 +1101,8 @@ class TestCli:
          _edited(lambda doc: _append_row(doc["edges"], i=0.9, j=1)),
          "train"),
         ("predictions/pred_*.json",
-         _edited(lambda doc: doc["vertex_hit_ids"].__setitem__(
-             0, doc["vertex_hit_ids"][0] + 0.5)), "evaluate"),
+         _edited(lambda doc: _set_row(doc["vertices"], 0, hit_id=doc[
+             "vertices"]["hit_id"][0] + 0.5)), "evaluate"),
         ("checkpoint.json",
          _edited(lambda doc: doc["config"].update(
              iterations=doc["config"]["iterations"] + 0.9)),
@@ -1134,6 +1235,21 @@ class TestCli:
         path = tmp_path / "out" / artifact
         path.write_text(damage(path.read_text()))
         assert main(["--config", str(cfg_path), command]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {path}: " in err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage, message", PRED_DAMAGE,
+                             ids=PRED_DAMAGE_IDS)
+    def test_damaged_prediction_exits_3_naming_the_check(self, tmp_path,
+                                                         capsys, damage,
+                                                         message):
+        cfg_path = tiny_cli_config(tmp_path)
+        for cmd in STAGES[:STAGES.index("evaluate")]:
+            assert main(["--config", str(cfg_path), cmd]) == 0
+        path, = (tmp_path / "out").glob("predictions/pred_*.json")
+        path.write_text(damage(path.read_text()))
+        assert main(["--config", str(cfg_path), "evaluate"]) == 3
         err = capsys.readouterr().err
         assert f"data error: {path}: " in err
         assert message in err and "Traceback" not in err
