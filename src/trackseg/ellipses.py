@@ -426,10 +426,10 @@ def _khachiyan_ellipses(center, spread, valid, sizes, svals, vecs
     z_k; the weights are optimal when no m_k = q_k' X^-1 q_k exceeds
     d + 1 and those with weight equal it.  A set whose points off its
     support all meet this certificate takes a damped Newton step on its
-    support face (Sun & Freund 2004); any other takes Todd & Yildirim's
-    (2007) one-coordinate step, to the point farthest out or away from
-    the support point farthest in, at most dropping it.  A set ends when
-    the certificate holds or a Newton step converges.
+    support face (Sun & Freund 2004); any other takes Khachiyan's
+    one-coordinate step toward the point farthest out, which only adds
+    weight.  A set ends when the certificate holds or a Newton step
+    converges.
     """
     # the problem is affine-equivariant: whiten each set along its
     # principal axes so thin sets converge as fast as round ones
@@ -441,7 +441,7 @@ def _khachiyan_ellipses(center, spread, valid, sizes, svals, vecs
     u = valid / sizes[:, None]
 
     # the sets still iterating, their points, weights and real slots
-    live = sets = np.arange(len(u))
+    live = np.arange(len(u))
     q_live, u_live, valid_live = q, u.copy(), valid
     iterations = 0
     while len(live) and iterations < 100_000:
@@ -451,24 +451,18 @@ def _khachiyan_ellipses(center, spread, valid, sizes, svals, vecs
         m = np.einsum("tkk->tk", k)
         support = u_live > 1e-12
         m_add = np.where(valid_live, m, -np.inf)
-        j_add = m_add.argmax(axis=1)
-        m_away = np.where(support, m, np.inf)
-        j_away = m_away.argmin(axis=1)
-        gain_add = m_add[sets, j_add] - lift
-        gain_away = lift - m_away[sets, j_away]
+        gain_add = m_add.max(axis=1) - lift
+        gain_away = lift - np.where(support, m, np.inf).min(axis=1)
         gain_off = np.where(support, -np.inf, m_add).max(axis=1) - lift
         done = np.maximum(gain_add, gain_away) <= lift * MVEE_TOLERANCE
         newton = ~done & (gain_off <= lift * MVEE_TOLERANCE)
         if newton.any():
             u_live[newton], done[newton] = _newton_steps(
                 k[newton], u_live[newton], support[newton])
-        # one-coordinate steps; away steps give linear convergence
-        # (plain ascent needs O(1/MVEE_TOLERANCE) iterations)
         step = np.flatnonzero(~(done | newton))
-        j = np.where(gain_add >= gain_away, j_add, j_away)[step]
-        m_j, u_j = m[step, j], u_live[step, j]
+        j = m_add[step].argmax(axis=1)
+        m_j = m[step, j]
         beta = (m_j - lift) / (lift * (m_j - 1.0))
-        beta = np.maximum(beta, -u_j / (1.0 - u_j))  # drop step floor
         u_live[step] *= (1.0 - beta)[:, None]
         u_live[step, j] += beta
         if done.any():
@@ -476,7 +470,6 @@ def _khachiyan_ellipses(center, spread, valid, sizes, svals, vecs
             go = ~done
             live, q_live, u_live, valid_live = (
                 live[go], q_live[go], u_live[go], valid_live[go])
-            sets = sets[:len(live)]
     u[live] = u_live
 
     c_norm = np.einsum("tk,tkd->td", u, norm)

@@ -1,11 +1,11 @@
-"""Graph construction: DBSCAN clustering in eta-phi, edge building,
-per-track target ellipses and the graph-v5 document of binary
-columns."""
+"""Graph construction: DBSCAN clustering in eta-phi (core components
+over the neighbour pairs, each border point to its earliest cluster),
+edge building, per-track target ellipses and the graph-v5 document of
+binary columns."""
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,8 +99,9 @@ class Graph:
 
 
 def _neighbors(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, indices) of the pairs within eps (inclusive,
-    self included), under the same test the brute-force definition uses.
+    """The pairs (i, j) of points within eps (inclusive), as two index
+    arrays under the same test the brute-force definition uses: each
+    pair in both orders, and each point with itself.
 
     Candidates come from an (eta, phi) cell grid: cells are at least
     eps (padded against rounding) wide, the phi columns wrap at the seam
@@ -133,9 +134,7 @@ def _neighbors(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     dphi = np.abs(phi[i] - phi[j]) % TWO_PI
     dphi = np.minimum(dphi, TWO_PI - dphi)
     keep = deta * deta + dphi * dphi <= eps * eps
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(i[keep], minlength=n), out=indptr[1:])
-    return indptr, j[keep]
+    return i[keep], j[keep]
 
 
 def dbscan(points, params: DbscanParams) -> np.ndarray:
@@ -143,35 +142,35 @@ def dbscan(points, params: DbscanParams) -> np.ndarray:
     -1 for unclustered.
 
     A core point has >= min_pts neighbors within eps, counting itself.
-    Points are scanned in ascending index order, so cluster ids follow
-    founding order and border-point ties always go to the
-    earliest-founded cluster.  Which points a cluster's scan reaches
-    does not depend on the order of a neighbor list.
+    The clusters are the connected components of the core points,
+    numbered in the order of their smallest indices; a border point (not
+    core, but a core point's neighbor) joins the lowest-numbered cluster
+    among its core neighbors.  A component's root, its smallest index,
+    comes from hook-and-compress rounds (Shiloach & Vishkin 1982): each
+    round hooks every root under the smallest root it is linked to and
+    follows the hooks to their ends, until no link joins two roots.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(pts)
     if n == 0:
         return np.empty(0, dtype=int)
-    indptr, indices = _neighbors(pts, params.eps)
-    core = (np.diff(indptr) >= params.min_pts).tolist()
-    indptr, indices = indptr.tolist(), indices.tolist()
-
-    labels = [-1] * n
-    cluster = 0
-    for i in range(n):
-        if labels[i] != -1 or not core[i]:
-            continue
-        labels[i] = cluster
-        queue = deque(indices[indptr[i]:indptr[i + 1]])
-        while queue:
-            j = queue.popleft()
-            if labels[j] != -1:
-                continue
-            labels[j] = cluster
-            if core[j]:
-                queue.extend(indices[indptr[j]:indptr[j + 1]])
-        cluster += 1
-    return np.array(labels, dtype=int)
+    i, j = _neighbors(pts, params.eps)
+    core = np.bincount(i, minlength=n) >= params.min_pts
+    link = core[i] & core[j] & (i != j)
+    a, b = i[link], j[link]
+    root = np.arange(n)
+    while len(a):
+        np.minimum.at(root, root[a], root[b])
+        jump = root[root]
+        while not np.array_equal(jump, root):
+            root, jump = jump, jump[jump]
+        apart = root[a] != root[b]
+        a, b = a[apart], b[apart]
+    border = ~core[i] & core[j]
+    root = np.where(core, root, n)
+    np.minimum.at(root, i[border], root[j[border]])
+    _, labels = np.unique(root, return_inverse=True)
+    return np.where(root < n, labels, -1).astype(int)
 
 
 def build_graph(e: Event, params: DbscanParams,

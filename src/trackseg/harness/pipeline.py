@@ -156,17 +156,23 @@ def _log_graph(graph) -> None:
              np.count_nonzero(~(starts | ends)))
 
 
+def _load(path: Path, load):
+    """load(document) of one file; a document load rejects is re-raised
+    as the same DataError naming the file (read_json's errors name it
+    already)."""
+    doc = read_json(path)
+    try:
+        return load(doc)
+    except DataError as err:
+        raise type(err)(f"{path}: {err}") from err
+
+
 def _unique_events(paths: list[Path], load, event_id):
-    """load(document) of each file in file order; a document load
-    rejects is re-raised as the same DataError naming its file, and an
-    event id that two files share raises ConsistencyError naming both."""
+    """_load(path, load) of each file in file order; an event id that two
+    files share raises ConsistencyError naming both."""
     sources = {}
     for path in paths:
-        doc = read_json(path)  # its errors name the file already
-        try:
-            item = load(doc)
-        except DataError as err:
-            raise type(err)(f"{path}: {err}") from err
+        item = _load(path, load)
         key = event_id(item)
         if key in sources:
             raise ConsistencyError(f"{sources[key]} and {path} both hold "
@@ -283,14 +289,14 @@ def stage_plot(cfg: RunConfig, event_index: int = 0,
     event_path = _events_dir(cfg) / f"event_{event_index:05d}.json"
     if not event_path.exists():
         raise ConfigError(f"missing input path: {event_path}")
-    event = event_from_dict(read_json(event_path))
+    event = _load(event_path, event_from_dict)
     if use_truth:
         shapes = [e for _, e in truth_ellipses(event)]
     else:
         pred_path = _preds_dir(cfg) / f"pred_{event_index:05d}.json"
         if not pred_path.exists():
             raise ConfigError(f"missing input path: {pred_path}")
-        pred = prediction_from_dict(read_json(pred_path))
+        pred = _load(pred_path, prediction_from_dict)
         shapes = [e for e in pred["ellipses"] if e is not None]
     path = _plots_dir(cfg) / f"event_{event_index:05d}.svg"
     render_event_svg(event, shapes, path)
@@ -312,6 +318,6 @@ def run_pipeline(cfg: RunConfig) -> Path:
     stage_infer(cfg)
     metrics_path = stage_evaluate(cfg)
     first_pred = _sorted_files(_preds_dir(cfg), "pred_*.json")[0]
-    event_index = prediction_from_dict(read_json(first_pred))["event_id"]
+    event_index = _load(first_pred, prediction_from_dict)["event_id"]
     stage_plot(cfg, event_index)
     return metrics_path

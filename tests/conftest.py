@@ -97,9 +97,9 @@ def _stored(name, column):
     """A list column as a writer with that list would store it: numbers
     of the column's kind under its dtype, an int column with a float in
     it under "<f8" (a wrong tag); anything else (null, bool, text, an int
-    beyond int64) cannot be stored and stays a list, a column that is not
-    a [dtype, base64] pair."""
-    if not isinstance(column, list) or not all(
+    beyond int64, a column no schema names) cannot be stored and stays a
+    list, a column that is not a [dtype, base64] pair."""
+    if not isinstance(column, list) or name not in COLUMN_KINDS or not all(
             type(v) in (int, float) for v in column):
         return column
     kind = float if any(type(v) is float for v in column) else \

@@ -144,6 +144,40 @@ class TestDbscan:
         assert list(self.assert_oracle(same, 0.05, 6)) == [0] * 6
         assert list(self.assert_oracle(same, 0.05, 7)) == [-1] * 6
 
+    @staticmethod
+    def chain(rng, start_phi, eps):
+        """2000 points 0.8 eps apart along phi from start_phi, in random
+        index order: one component whose smallest index sits anywhere
+        along it, so its roots need many hook rounds to meet."""
+        phi = (start_phi + 0.8 * eps * np.arange(2000)) % TWO_PI
+        return rng.permutation(np.stack([np.full(2000, 0.3), phi], axis=1))
+
+    def test_chain_in_random_order(self):
+        pts = self.chain(np.random.default_rng(17), 0.5, 0.002)
+        assert np.all(self.assert_oracle(pts, 0.002, 2) == 0)
+
+    def test_chain_in_random_order_across_the_phi_seam(self):
+        # the chain spans 4.8 of the 2 pi in phi, 1.5 of it before the seam
+        pts = self.chain(np.random.default_rng(18), TWO_PI - 1.5, 0.003)
+        assert np.all(self.assert_oracle(pts, 0.003, 2) == 0)
+
+    def test_grid_in_random_order_with_border_ties(self):
+        # a square grid 0.01 apart with 40 % of its sites left out, in
+        # random order; eps reaches the 4 nearest sites.  With min_pts 3
+        # border points exist; a tie needs min_pts 4, as a border point
+        # with two core neighbors would itself be core under 3
+        rng = np.random.default_rng(19)
+        eta, phi = np.meshgrid(np.arange(40), np.arange(40))
+        sites = np.stack([eta.ravel(), 100.0 + phi.ravel()], axis=1) * 0.01
+        pts = rng.permutation(sites[rng.random(len(sites)) < 0.6])
+        near = np.abs(pts[:, None] - pts[None]).sum(axis=2) < 0.015
+        for min_pts in (3, 4):
+            labels = self.assert_oracle(pts, 0.0101, min_pts)
+            core = near.sum(axis=1) >= min_pts
+            touching = [len(set(labels[near[i] & core]))
+                        for i in np.flatnonzero(~core)]
+            assert max(touching) == min_pts - 2
+
     def test_memory_grows_with_pairs_not_points_squared(self):
         # a dense n x n float matrix alone would take 3.2 GB here
         rng = np.random.default_rng(16)

@@ -1249,10 +1249,12 @@ class TestCli:
             assert main(["--config", str(cfg_path), cmd]) == 0
         path, = (tmp_path / "out").glob("predictions/pred_*.json")
         path.write_text(damage(path.read_text()))
-        assert main(["--config", str(cfg_path), "evaluate"]) == 3
-        err = capsys.readouterr().err
-        assert f"data error: {path}: " in err
-        assert message in err and "Traceback" not in err
+        event_id = int(path.stem.split("_")[1])
+        for command in (["evaluate"], ["plot", "--event", str(event_id)]):
+            assert main(["--config", str(cfg_path), *command]) == 3
+            err = capsys.readouterr().err
+            assert f"data error: {path}: " in err
+            assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("damage, message", [
         (_edited(lambda doc: doc["config"].update(hidden=0)),
