@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +39,10 @@ TRACKML_PARTICLES_HEADER = ["particle_id", "vx", "vy", "vz", "px", "py",
                             "pz", "q", "nhits"]
 
 
-# stored hit columns, an event's with "volume"; x, y, z numbers, rest ints
-HIT_FIELDS = ("hit_id", "x", "y", "z", "layer", "particle_id")
-_COLUMNS = (*HIT_FIELDS, "volume")
-
 EVENT_FORMAT = "event-v4"
+# a hit's columns in HitTable field order: x, y, z numbers, the rest ints
+HIT_COLUMNS = dict(hit_id=int, x=float, y=float, z=float, layer=int,
+                   particle_id=int, volume=int)
 # a track's columns: its id, then TrackParams in field order
 TRACK_COLUMNS = dict(particle_id=int, pt=float, eps_t=float, a=float, b=float)
 
@@ -60,11 +60,10 @@ def _int64(values) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class HitTable:
     """Hits as read-only numpy columns, one row per hit; particle_id 0
-    marks noise and volume is None where the source stores none (a
-    graph).  eta and phi are derived from (x, y, z) one hit at a time
-    with math.atan2 and math.hypot, eta from the polar angles by
-    kinematics.pseudorapidity.  Tables
-    are equal when their stored columns are.
+    marks noise.  eta and phi are derived from (x, y, z) one hit at a
+    time with math.atan2 and math.hypot, eta from the polar angles by
+    kinematics.pseudorapidity.  Tables are equal when their HIT_COLUMNS
+    are.
 
     Construction checks whole columns: a non-finite coordinate, a
     negative layer, an id, layer or volume beyond int64 or a polar angle
@@ -77,17 +76,16 @@ class HitTable:
     z: np.ndarray
     layer: np.ndarray
     particle_id: np.ndarray
-    volume: np.ndarray | None = None
+    volume: np.ndarray
     eta: np.ndarray = field(init=False)
     phi: np.ndarray = field(init=False)
 
     def __post_init__(self):
         columns = {name: np.array(getattr(self, name), dtype=float)
                    for name in "xyz"}
-        beyond = {"volume": False}
+        beyond = {}
         for name in ("hit_id", "layer", "particle_id", "volume"):
-            if getattr(self, name) is not None:
-                columns[name], beyond[name] = _int64(getattr(self, name))
+            columns[name], beyond[name] = _int64(getattr(self, name))
         if len({c.shape for c in columns.values()}) != 1 or \
                 columns["x"].ndim != 1:
             raise ShapeError("hit columns must be 1-d and of one length")
@@ -127,19 +125,16 @@ class HitTable:
     def __eq__(self, other) -> bool:
         return isinstance(other, HitTable) and all(
             np.array_equal(getattr(self, n), getattr(other, n))
-            for n in _COLUMNS)
+            for n in HIT_COLUMNS)
 
-    def take(self, rows, volume: bool = True) -> HitTable:
-        """The hits `rows` (a mask, slice or distinct indices) selects,
-        with their volumes if `volume`; no check runs again."""
+    def take(self, rows) -> HitTable:
+        """The hits `rows` (a mask, slice or distinct indices) selects; no
+        check runs again."""
         table = object.__new__(HitTable)
-        object.__setattr__(table, "volume", None)
-        for name in (*_COLUMNS, "eta", "phi"):
-            column = getattr(self, name)
-            if column is not None and (volume or name != "volume"):
-                column = column[rows]
-                column.flags.writeable = False
-                object.__setattr__(table, name, column)
+        for name in (*HIT_COLUMNS, "eta", "phi"):
+            column = getattr(self, name)[rows]
+            column.flags.writeable = False
+            object.__setattr__(table, name, column)
         return table
 
     def particle_rows(self, particle_ids) -> list[np.ndarray]:
@@ -149,24 +144,6 @@ class HitTable:
         ids, starts = np.unique(self.particle_id[order], return_index=True)
         groups = dict(zip(ids.tolist(), np.split(order, starts[1:])))
         return [groups[pid] for pid in particle_ids]
-
-
-def _kinds(volume: bool) -> dict:
-    """The kind of each stored hit column, volume's if `volume`."""
-    return {name: float if name in "xyz" else int
-            for name in (_COLUMNS if volume else HIT_FIELDS)}
-
-
-def hit_columns(hits: HitTable) -> dict:
-    """The stored table of hits: HIT_FIELDS, then volume if any."""
-    kinds = _kinds(hits.volume is not None)
-    return encode_table(kinds, [getattr(hits, name) for name in kinds])
-
-
-def hits_from_columns(stored, volume: bool) -> HitTable:
-    """The hits of a stored table (jsonio.decode_table), with volumes if
-    `volume`."""
-    return HitTable(*decode_table(stored, _kinds(volume)))
 
 
 @dataclass(frozen=True)
@@ -179,46 +156,64 @@ class TruthTrack:
 @dataclass(frozen=True)
 class Event:
     """One event's hits and truth tracks.  The track ids are exactly the
-    nonzero hit particle ids, each once."""
+    nonzero hit particle ids, each once; ConsistencyError names the
+    particles that break this."""
     event_id: int
     hits: HitTable
     tracks: tuple[TruthTrack, ...]
 
     def __post_init__(self):
         pids = self.hits.particle_id
-        if sorted(t.particle_id for t in self.tracks) != \
-                np.unique(pids[pids != 0]).tolist():
-            raise ConsistencyError("each particle with hits needs exactly "
-                                   "one track, and each track a hit")
+        found = set(pids[pids != 0].tolist())
+        listed = Counter(t.particle_id for t in self.tracks)
+        odd = {"lack a hit": listed.keys() - found,
+               "lack a track": found - listed.keys(),
+               "are listed twice": {k for k, n in listed.items() if n > 1}}
+        if any(odd.values()):
+            raise ConsistencyError("; ".join(
+                f"particles {sorted(ids)} {what}"
+                for what, ids in odd.items() if ids))
 
 
-def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
-    """The event-v4 document: tables of binary hit and truth track
-    columns (jsonio.encode_table); hit eta and phi and each track's hits
-    are derived again on read."""
-    doc = {
-        "format": EVENT_FORMAT,
+def encode_event(e: Event, hits_key: str) -> dict:
+    """The event id and the tables (jsonio.encode_table) of an event's
+    hits, under `hits_key`, and truth tracks."""
+    return {
         "event_id": e.event_id,
-        "hits": hit_columns(e.hits),
+        hits_key: encode_table(HIT_COLUMNS, [getattr(e.hits, name)
+                                             for name in HIT_COLUMNS]),
         "tracks": encode_table(TRACK_COLUMNS, zip(*[
             (t.particle_id, *vars(t.params).values()) for t in e.tracks])),
     }
+
+
+def decode_event(d: dict, hits_key: str) -> tuple:
+    """The event id, HitTable and truth tracks of encode_event's tables;
+    raises what jsonio.decode_table, HitTable or TrackParams raises."""
+    hits = HitTable(*decode_table(d[hits_key], HIT_COLUMNS))
+    tracks = tuple(TruthTrack(k, TrackParams(*p)) for k, *p in zip(*(
+        column.tolist() for column in decode_table(d["tracks"],
+                                                   TRACK_COLUMNS))))
+    return number(d["event_id"], int), hits, tracks
+
+
+def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
+    """The event-v4 document: the tables of encode_event, hits under
+    "hits"; hit eta and phi and each track's hits are derived again on
+    read."""
+    doc = {"format": EVENT_FORMAT, **encode_event(e, "hits")}
     if config_echo is not None:
         doc["config"] = config_echo
     return doc
 
 
 def event_from_dict(d: dict) -> Event:
-    """Decode an event-v4 document; tables jsonio.decode_table rejects,
-    hits a HitTable rejects, an Event that breaks its invariants and an
-    event document of another version raise ConsistencyError."""
+    """Decode an event-v4 document; what decode_event rejects, an Event
+    that breaks its invariants and an event document of another version
+    raise ConsistencyError."""
     with parsing(d, EVENT_FORMAT,
                  "regenerate the events with generate or ingest"):
-        hits = hits_from_columns(d["hits"], volume=True)
-        tracks = tuple(TruthTrack(k, TrackParams(*p)) for k, *p in zip(*(
-            column.tolist() for column in decode_table(d["tracks"],
-                                                       TRACK_COLUMNS))))
-        return Event(number(d["event_id"], int), hits, tracks)
+        return Event(*decode_event(d, "hits"))
 
 
 @dataclass(frozen=True)

@@ -1,29 +1,28 @@
 """Graph construction: DBSCAN clustering in eta-phi (core components
 over the neighbour pairs, each border point to its earliest cluster),
-edge building, per-track target ellipses and the graph-v5 document of
-binary columns."""
+edge building, per-track target ellipses and the graph-v6 document: the
+event's own tables plus edges and targets, all binary columns."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .angles import TWO_PI, wrap_phi
 from .ellipses import Ellipse5, mvee
 from .errors import ConfigError, ConsistencyError
-from .events import Event, HitTable, hit_columns, hits_from_columns
-from .jsonio import decode_table, encode_table, number, parsing
+from .events import Event, decode_event, encode_event
+from .jsonio import decode_table, encode_table, parsing
 
 # target ellipses are the tracks' enclosing ellipses grown by this factor
 TARGET_PADDING = 1.1
 
-GRAPH_FORMAT = "graph-v5"
+GRAPH_FORMAT = "graph-v6"
 EDGE_COLUMNS = dict(i=int, j=int)
-# a particle's columns: (p_T, eps_T), then its target in Ellipse5 order
-PARTICLE_COLUMNS = dict(particle_id=int, **dict.fromkeys(
-    ("pt", "eps_t", "eta_c", "phi_c", "a", "b", "theta"), float))
+# a track's target in Ellipse5 field order, row k for track k
+TARGET_COLUMNS = dict.fromkeys(("eta_c", "phi_c", "a", "b", "theta"), float)
 
 
 @dataclass(frozen=True)
@@ -39,63 +38,46 @@ class DbscanParams:
 
 
 @dataclass(frozen=True)
-class Graph:
-    """Hit graph of one event, as build_graph or graph_from_dict builds it.
-
-    Its vertices are the event's hits, a HitTable without volumes (a
-    graph document stores none), at their (eta, phi); edges are
-    undirected, stored once with i < j.  The hits, with each particle's
-    (p_T, eps_T) and target ellipse, make a stored graph a
-    self-contained training sample.  Construction derives each vertex's
-    target (its particle's ellipse, None for noise) and raises
-    ConsistencyError unless there is a vertex, the nonzero vertex
-    particle ids are the keys of both truth_params and targets, each
-    (p_T, eps_T) is finite with p_T > 0, and each edge (i, j) has
-    0 <= i < j < n_vertices.
+class Graph(Event):
+    """Hit graph of one event, as build_graph or graph_from_dict builds it:
+    the event, its undirected edges (stored once, i < j) and one target
+    ellipse per track, in track order; a stored graph is a
+    self-contained training sample.  Its vertices are the event's hits
+    at their (eta, phi).  Construction checks the event (Event), then
+    raises ConsistencyError unless there is a vertex, one target per
+    track and each edge (i, j) has 0 <= i < j < n_vertices.
     """
-    event_id: int
-    hits: HitTable
     edges: np.ndarray
-    truth_params: dict[int, tuple[float, float]]
-    targets: dict[int, Ellipse5]
-    vertex_target_ellipse: list = field(init=False)
+    targets: tuple[Ellipse5, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.n_vertices:
             raise ConsistencyError(f"graph {self.event_id} has no vertices")
-        pids = self.hits.particle_id.tolist()
-        found = set(pids) - {0}
-        odd = found ^ self.truth_params.keys() | found ^ self.targets.keys()
-        if odd:
-            raise ConsistencyError(f"graph particles {sorted(odd)} lack a "
-                                   f"vertex, an entry or a target")
-        for k, (pt, eps) in self.truth_params.items():
-            if not (pt > 0.0 and math.isfinite(pt) and math.isfinite(eps)):
-                raise ConsistencyError(f"graph particle {k}: non-finite "
-                                       f"value or p_T <= 0")
+        if len(self.targets) != len(self.tracks):
+            raise ConsistencyError(f"graph {self.event_id} has "
+                                   f"{len(self.targets)} targets for "
+                                   f"{len(self.tracks)} tracks")
         edges, n = self.edges, self.n_vertices
         if edges.shape[1:] != (2,) or np.any((edges < 0) | (edges >= n)) or \
                 np.any(edges[:, 0] >= edges[:, 1]):
             raise ConsistencyError(f"graph edges must be pairs i < j of "
                                    f"vertices in [0, {n})")
-        object.__setattr__(self, "vertex_target_ellipse",
-                           assign_vertex_targets(pids, self.targets))
+
+    @cached_property
+    def vertex_target_ellipse(self) -> list:
+        """Each vertex's target (assign_vertex_targets), built once."""
+        return assign_vertex_targets(self)
 
     eta = property(lambda self: self.hits.eta)
     phi = property(lambda self: self.hits.phi)
+    n_vertices = property(lambda self: len(self.hits))
+    n_edges = property(lambda self: len(self.edges))
 
     @property
     def vertex_class(self) -> np.ndarray:
         """True for track vertices."""
         return self.hits.particle_id != 0
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.hits)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
 
 
 def _neighbors(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -182,10 +164,8 @@ def build_graph(e: Event, params: DbscanParams,
     `stats`, when given, gains the targets' MVEE iterations (see mvee).
     """
     labels = dbscan(np.stack([e.hits.eta, e.hits.phi], axis=1), params)
-    return Graph(e.event_id, e.hits.take(slice(None), volume=False),
-                 _cluster_edges(labels),
-                 {t.particle_id: (t.params.p_t, t.params.eps_t)
-                  for t in e.tracks}, dict(truth_ellipses(e, stats)))
+    return Graph(e.event_id, e.hits, e.tracks, _cluster_edges(labels),
+                 truth_ellipses(e, stats))
 
 
 def _cluster_edges(labels: np.ndarray) -> np.ndarray:
@@ -205,54 +185,48 @@ def _cluster_edges(labels: np.ndarray) -> np.ndarray:
 
 
 def truth_ellipses(e: Event, stats: dict | None = None
-                   ) -> list[tuple[int, Ellipse5]]:
+                   ) -> tuple[Ellipse5, ...]:
     """Minimum-area enclosing ellipse of each truth track's (eta, phi)
-    hits, inflated by TARGET_PADDING on both semi-axes.  Degenerate
-    tracks (one hit, collinear hits) fall back to the semi-axis floor.
-    `stats` is passed on to mvee."""
+    hits, in track order, inflated by TARGET_PADDING on both semi-axes.
+    Degenerate tracks (one hit, collinear hits) fall back to the
+    semi-axis floor.  `stats` is passed on to mvee."""
     points = np.stack([e.hits.eta, e.hits.phi], axis=1)
     rows = mvee([points[r] for r in
                  e.hits.particle_rows([t.particle_id for t in e.tracks])],
                 stats)
     rows[:, 2:4] *= TARGET_PADDING
-    return [(t.particle_id, Ellipse5(*row))
-            for t, row in zip(e.tracks, rows.tolist())]
+    return tuple(Ellipse5(*row) for row in rows.tolist())
 
 
-def assign_vertex_targets(particle_ids, targets: dict) -> list:
-    """The target of each vertex: its particle's ellipse, None for
+def assign_vertex_targets(g: Graph) -> list:
+    """The target of each vertex of `g`: its track's ellipse, None for
     noise (particle id 0)."""
-    return [targets[pid] if pid else None for pid in particle_ids]
+    targets = {t.particle_id: ell for t, ell in zip(g.tracks, g.targets)}
+    return [targets[pid] if pid else None
+            for pid in g.hits.particle_id.tolist()]
 
 
 def graph_to_dict(g: Graph) -> dict:
-    """The graph-v5 document, three tables of binary columns
-    (jsonio.encode_table): the vertices are the hit columns they came
-    from, the edges the columns i and j, and each particle is one row of
-    its (p_T, eps_T) and target ellipse."""
+    """The graph-v6 document: the event's tables (events.encode_event)
+    with the hits under "vertices", then the edges as columns i and j
+    and the targets as one row of Ellipse5 fields per track row."""
     return {
         "format": GRAPH_FORMAT,
-        "event_id": g.event_id,
-        "vertices": hit_columns(g.hits),
+        **encode_event(g, "vertices"),
         "edges": encode_table(EDGE_COLUMNS, g.edges.T),
-        "particles": encode_table(PARTICLE_COLUMNS, zip(*[
-            (pid, *params, *vars(g.targets[pid]).values())
-            for pid, params in sorted(g.truth_params.items())])),
+        "targets": encode_table(TARGET_COLUMNS, zip(*[
+            vars(target).values() for target in g.targets])),
     }
 
 
 def graph_from_dict(d: dict) -> Graph:
-    """Decode a graph-v5 document: tables jsonio.decode_table accepts,
-    vertices a HitTable accepts and a valid Graph; otherwise, and for a
-    graph document of another version, raises ConsistencyError."""
+    """Decode a graph-v6 document: what events.decode_event accepts,
+    tables jsonio.decode_table accepts, valid target ellipses and a
+    valid Graph; otherwise, and for a graph document of another version,
+    raises ConsistencyError."""
     with parsing(d, GRAPH_FORMAT, "rebuild the graphs with build-graphs"):
-        hits = hits_from_columns(d["vertices"], volume=False)
+        event = decode_event(d, "vertices")
         edges = np.stack(decode_table(d["edges"], EDGE_COLUMNS), axis=1)
-        pids, pt, eps, *target = (column.tolist() for column in decode_table(
-            d["particles"], PARTICLE_COLUMNS))
-        if len(set(pids)) < len(pids):
-            raise ConsistencyError(f"graph lists particle "
-                                   f"{max(pids, key=pids.count)} twice")
-        return Graph(number(d["event_id"], int), hits, edges,
-                     dict(zip(pids, zip(pt, eps))),
-                     dict(zip(pids, map(Ellipse5, *target))))
+        targets = decode_table(d["targets"], TARGET_COLUMNS)
+        return Graph(*event, edges, tuple(map(Ellipse5, *(
+            column.tolist() for column in targets))))

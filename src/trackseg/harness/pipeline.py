@@ -4,8 +4,8 @@ Artifacts live under the configured output directory:
 
     events/event_00000.json     one event-v4 document per event: hit
                                 and track tables
-    graphs/graph_00000.json     one graph-v5 document per event: vertex,
-                                edge and particle tables
+    graphs/graph_00000.json     one graph-v6 document per event: the
+                                event's tables, edge and target tables
     checkpoint.json             tracknet-v4: model config and flat
                                 parameter vector in parameter-name order,
                                 base64 of its little-endian float64 bytes
@@ -20,7 +20,7 @@ Artifacts live under the configured output directory:
 Every table of an event, graph or prediction has binary columns: each
 is a pair [dtype, base64 of its little-endian bytes], "<i8" or "<f8" by
 the field's kind (jsonio.encode_table).  Each document kind's schema lives
-in one module: events (event-v4), graphs (graph-v5), tracknet
+in one module: events (event-v4), graphs (graph-v6), tracknet
 (tracknet-v4), harness.io (pred-v2, metrics-v1).  Every artifact but
 run.log is written atomically (temp file, then rename).  A document of
 an older format version exits 3: regenerate the events, rebuild the
@@ -291,7 +291,7 @@ def stage_plot(cfg: RunConfig, event_index: int = 0,
         raise ConfigError(f"missing input path: {event_path}")
     event = _load(event_path, event_from_dict)
     if use_truth:
-        shapes = [e for _, e in truth_ellipses(event)]
+        shapes = truth_ellipses(event)
     else:
         pred_path = _preds_dir(cfg) / f"pred_{event_index:05d}.json"
         if not pred_path.exists():

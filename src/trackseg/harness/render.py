@@ -4,6 +4,7 @@ as a standalone SVG.  Output bytes are deterministic for fixed input."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from ..ellipses import Ellipse5
 from ..events import Event
@@ -23,7 +24,8 @@ def _particle_color(rank: int) -> str:
     return f"hsl({hue:.1f},70%,45%)"
 
 
-def render_event_svg(event: Event, shapes: list[Ellipse5], path) -> None:
+def render_event_svg(event: Event, shapes: Sequence[Ellipse5],
+                     path) -> None:
     """Write the eta-phi view of an event: one marker per hit (colored by
     truth particle, noise gray) and one outline per ellipse."""
     eta, phi, pids = (column.tolist() for column in (

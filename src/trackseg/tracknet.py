@@ -298,8 +298,8 @@ class TrainConfig:
 class TrainingView:
     """What a train step reads of one graph besides the weights: the
     graph, its network inputs, the truth clusters and their (p_T, eps_T)
-    rows in particle-id order, and what build_targets returns as
-    `targets`.  Every array is read-only."""
+    rows in track order, and what build_targets returns as `targets`.
+    Every array is read-only."""
     graph: Graph
     inputs: GraphInputs
     clusters: ClusterFeatures
@@ -309,12 +309,12 @@ class TrainingView:
 
 def training_view(graph: Graph) -> TrainingView:
     """Build the training view of a graph."""
-    pids = sorted(graph.truth_params)
+    pids = [t.particle_id for t in graph.tracks]
     view = TrainingView(
         graph, graph_inputs(graph),
         cluster_features(graph.hits.particle_rows(pids), graph),
         build_targets(graph),
-        np.array([graph.truth_params[pid] for pid in pids],
+        np.array([(t.params.p_t, t.params.eps_t) for t in graph.tracks],
                  dtype=float).reshape(-1, 2))
     for array in (*vars(view.inputs).values(),
                   *vars(view.clusters).values(), *view.targets,

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from trackseg.events import (TRACK_COLUMNS, DetectorConfig, GenConfig,
-                             HitTable, generate_event)
-from trackseg.graphs import (EDGE_COLUMNS, PARTICLE_COLUMNS, DbscanParams,
+from trackseg.events import (HIT_COLUMNS, TRACK_COLUMNS, DetectorConfig,
+                             GenConfig, HitTable, generate_event)
+from trackseg.graphs import (EDGE_COLUMNS, TARGET_COLUMNS, DbscanParams,
                              build_graph)
 from trackseg.harness.io import (CANDIDATE_COLUMNS, ELLIPSE_COLUMNS,
                                  MEMBER_COLUMNS, VERTEX_COLUMNS)
@@ -29,8 +29,10 @@ def make_training_graph(seed=0, n_tracks=5, noise_fraction=0.1,
 
 
 def hit_table(rows, volume=None):
-    """The HitTable of hit rows (hit_id, x, y, z, layer, particle_id)."""
-    return HitTable(*(list(zip(*rows)) or [()] * 6), volume=volume)
+    """The HitTable of hit rows (hit_id, x, y, z, layer, particle_id), in
+    volume 0 unless `volume` lists each hit's."""
+    return HitTable(*(list(zip(*rows)) or [()] * 6),
+                    volume=[0] * len(rows) if volume is None else volume)
 
 
 def hit_at(hit_id, eta, phi, layer=0, particle_id=0, rho=0.1):
@@ -75,12 +77,10 @@ def set_at(doc, path, value):
 
 # the kind of every column of an event, graph or prediction document, by
 # name
-COLUMN_KINDS = {**dict.fromkeys(("hit_id", "layer", "particle_id", "volume"),
-                                int), **dict.fromkeys("xyz", float),
-                **TRACK_COLUMNS, **PARTICLE_COLUMNS, **EDGE_COLUMNS,
-                **VERTEX_COLUMNS, **ELLIPSE_COLUMNS, **CANDIDATE_COLUMNS,
-                **MEMBER_COLUMNS}
-TABLES = ("hits", "tracks", "vertices", "edges", "particles", "ellipses",
+COLUMN_KINDS = {**HIT_COLUMNS, **TRACK_COLUMNS, **TARGET_COLUMNS,
+                **EDGE_COLUMNS, **VERTEX_COLUMNS, **ELLIPSE_COLUMNS,
+                **CANDIDATE_COLUMNS, **MEMBER_COLUMNS}
+TABLES = ("hits", "tracks", "vertices", "edges", "targets", "ellipses",
           "candidates", "members")
 
 

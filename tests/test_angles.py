@@ -33,4 +33,4 @@ def test_decode_box_at_the_theta_fold():
 
 
 def test_hit_just_below_the_x_axis_has_phi_zero():
-    assert HitTable([1], [1.0], [-1e-20], [0.5], [0], [0]).phi[0] == 0.0
+    assert HitTable([1], [1.0], [-1e-20], [0.5], [0], [0], [0]).phi[0] == 0.0

@@ -134,20 +134,30 @@ class TestGenerateEvent:
 class TestValidateEvent:
     """An Event checks its invariants when it is built."""
 
-    @pytest.mark.parametrize("damage", [
-        lambda e: replace(e, tracks=e.tracks[1:]),
-        lambda e: replace(e, tracks=e.tracks + (
+    @pytest.mark.parametrize("damage, message", [
+        (lambda e: replace(e, tracks=e.tracks[1:]),
+         r"^particles \[1\] lack a track$"),
+        (lambda e: replace(e, tracks=e.tracks + (
             replace(e.tracks[0], particle_id=99),)),
-        lambda e: replace(e, tracks=e.tracks + e.tracks[:1]),
-        lambda e: replace(e, tracks=e.tracks + (
+         r"^particles \[99\] lack a hit$"),
+        (lambda e: replace(e, tracks=e.tracks + e.tracks[:1]),
+         r"^particles \[1\] are listed twice$"),
+        (lambda e: replace(e, tracks=e.tracks + (
             replace(e.tracks[0], particle_id=0),)),
-        lambda e: replace(e, hits=replace(e.hits, hit_id=np.r_[
-            e.hits.hit_id[:-1], e.hits.hit_id[:1]]))],
+         r"^particles \[0\] lack a hit$"),
+        (lambda e: replace(e, hits=replace(e.hits, hit_id=np.r_[
+            e.hits.hit_id[:-1], e.hits.hit_id[:1]])), "repeats a hit_id"),
+        (lambda e: replace(e, tracks=(replace(e.tracks[0], particle_id=99),
+                                      *e.tracks[1:], e.tracks[1])),
+         r"^particles \[99\] lack a hit; particles \[1\] lack a track; "
+         r"particles \[2\] are listed twice$")],
         ids=["hits-without-track", "track-without-hits", "track-repeated",
-             "track-id-zero", "hit-id-repeated"])
-    def test_track_ids_are_the_hit_particle_ids(self, detector, damage):
+             "track-id-zero", "hit-id-repeated", "every-kind-at-once"])
+    def test_track_ids_are_the_hit_particle_ids(self, detector, damage,
+                                                message):
         e = generate_event(detector, GenConfig(n_tracks=3), seed=7)
-        with pytest.raises(ConsistencyError):
+        assert [t.particle_id for t in e.tracks] == [1, 2, 3]
+        with pytest.raises(ConsistencyError, match=message):
             damage(e)
 
 
@@ -249,8 +259,8 @@ def test_table_names_the_first_hit_that_fails():
 
 def test_table_columns_are_read_only_and_compare_whole():
     hits = hit_table([(1, 0.1, 0.0, 0.1, 0, 0), (2, 0.0, 0.1, 0.2, 1, 7)])
-    for name in ("hit_id", "x", "y", "z", "layer", "particle_id", "eta",
-                 "phi"):
+    for name in ("hit_id", "x", "y", "z", "layer", "particle_id", "volume",
+                 "eta", "phi"):
         with pytest.raises(ValueError):
             getattr(hits, name)[0] = 0
     assert hits == hit_table([(1, 0.1, 0.0, 0.1, 0, 0),
@@ -258,17 +268,18 @@ def test_table_columns_are_read_only_and_compare_whole():
     assert hits != hit_table([(1, 0.1, 0.0, 0.1, 0, 0),
                               (2, 0.0, 0.1, 0.2, 1, 8)])
     assert hits != hit_table([(1, 0.1, 0.0, 0.1, 0, 0),
-                              (2, 0.0, 0.1, 0.2, 1, 7)], volume=[0, 0])
+                              (2, 0.0, 0.1, 0.2, 1, 7)], volume=[0, 5])
     assert hits.take(np.array([False, True])) == \
         hit_table([(2, 0.0, 0.1, 0.2, 1, 7)])
     with pytest.raises(ValueError):
-        HitTable([1, 2], [0.1], [0.0], [0.1], [0], [0])
+        HitTable([1, 2], [0.1], [0.0], [0.1], [0], [0], [0])
 
 
 def test_table_of_arrays_equals_table_of_lists_and_copies_them():
     ids, layer, pid = (np.array(c, dtype=np.int64) for c in
                        ([1, 2], [0, 3], [0, 7]))
-    hits = HitTable(ids, [0.1, 0.0], [0.0, 0.1], [0.1, -0.2], layer, pid)
+    hits = HitTable(ids, [0.1, 0.0], [0.0, 0.1], [0.1, -0.2], layer, pid,
+                    [0, 0])
     assert hits == hit_table([(1, 0.1, 0.0, 0.1, 0, 0),
                               (2, 0.0, 0.1, -0.2, 3, 7)])
     assert ids.flags.writeable and not np.shares_memory(ids, hits.hit_id)

@@ -15,11 +15,14 @@ from conftest import (JSON_VALUES, decoded, doc_paths, encoded, hit_at,
 from oracles import brute_force_dbscan, partition_of
 from test_events import write_trackml
 from trackseg.ellipses import Ellipse5, point_in_ellipse
-from trackseg.errors import ConfigError, ConsistencyError, DataError
-from trackseg.events import (Event, GenConfig, TruthTrack, generate_event,
-                             read_trackml_event)
-from trackseg.graphs import (DbscanParams, Graph, build_graph, dbscan,
-                             graph_from_dict, graph_to_dict, truth_ellipses)
+from trackseg import graphs
+from trackseg.errors import (ConfigError, ConsistencyError, DataError,
+                             DomainError)
+from trackseg.events import (TRACK_COLUMNS, Event, GenConfig, TruthTrack,
+                             generate_event, read_trackml_event)
+from trackseg.graphs import (TARGET_COLUMNS, DbscanParams, Graph,
+                             build_graph, dbscan, graph_from_dict,
+                             graph_to_dict, truth_ellipses)
 from trackseg.jsonio import read_json, write_json
 from trackseg.kinematics import TrackParams
 from trackseg.tracknet import graph_inputs
@@ -272,8 +275,8 @@ class TestTruthEllipses:
         gen = GenConfig(n_tracks=8, noise_fraction=0.1,
                         hit_smearing_sigma=2e-4)
         e = generate_event(detector, gen, seed=24)
-        for pid, ell in truth_ellipses(e):
-            mine = e.hits.particle_id == pid
+        for t, ell in zip(e.tracks, truth_ellipses(e), strict=True):
+            mine = e.hits.particle_id == t.particle_id
             for eta, phi in zip(e.hits.eta[mine], e.hits.phi[mine]):
                 assert point_in_ellipse(ell, (eta, phi))
 
@@ -282,7 +285,7 @@ class TestTruthEllipses:
                           hit_at(2, 0.02, 1.0, layer=1, particle_id=1)])
         t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0))
         e = Event(0, hits, (t,))
-        (pid, ell), = truth_ellipses(e)
+        ell, = truth_ellipses(e)
         assert ell.a == pytest.approx(1.1 * 0.01, rel=1e-9)
         assert ell.b == pytest.approx(1.1 * 1e-4, rel=1e-9)
 
@@ -290,7 +293,7 @@ class TestTruthEllipses:
         hits = hit_table([hit_at(1, 0.3, 2.0, particle_id=1)])
         t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0))
         e = Event(0, hits, (t,))
-        (pid, ell), = truth_ellipses(e)
+        ell, = truth_ellipses(e)
         assert (ell.eta_c, ell.phi_c) == (0.3, 2.0)
         assert ell.a == pytest.approx(1.1e-4)
         assert ell.b == pytest.approx(1.1e-4)
@@ -301,7 +304,7 @@ class TestTruthEllipses:
                                  particle_id=1) for i in range(5)])
         t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0))
         e = Event(0, hits, (t,))
-        (pid, ell), = truth_ellipses(e)
+        ell, = truth_ellipses(e)
         assert ell.theta in (pytest.approx(0.0, abs=1e-9),
                              pytest.approx(math.pi, abs=1e-9))
         assert ell.a == pytest.approx(1.1 * length / 2.0, rel=1e-9)
@@ -324,34 +327,43 @@ class TestAssignTargets:
         targets = [t for t in g.vertex_target_ellipse if t is not None]
         assert all(t == targets[0] for t in targets)
 
+    def test_targets_built_once(self, toy_graph, monkeypatch):
+        calls = []
+        monkeypatch.setattr(graphs, "assign_vertex_targets",
+                            lambda g: calls.append(g) or [])
+        graph = replace(toy_graph)
+        assert calls == []
+        assert graph.vertex_target_ellipse is graph.vertex_target_ellipse
+        assert len(calls) == 1 and calls[0] is graph
+
     def test_missing_ellipse_error(self, detector):
         gen = GenConfig(n_tracks=2, noise_fraction=0.0, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=27)
-        (missing, _), *ellipses = truth_ellipses(e)
-        tracks = {t.particle_id: (t.params.p_t, t.params.eps_t)
-                  for t in e.tracks}
         with pytest.raises(ConsistencyError,
-                           match=rf"particles \[{missing}\] lack"):
-            Graph(0, e.hits, np.zeros((0, 2), dtype=int), tracks,
-                  dict(ellipses))
+                           match=r"^graph 0 has 1 targets for 2 tracks$"):
+            Graph(0, e.hits, e.tracks, np.zeros((0, 2), dtype=int),
+                  truth_ellipses(e)[1:])
+
+    @staticmethod
+    def with_params(g, **values):
+        """The tracks of `g`, each with its params changed by `values`."""
+        return tuple(replace(t, params=replace(t.params, **values))
+                     for t in g.tracks)
 
     @pytest.mark.parametrize("change, message", [
         (lambda g: {"hits": replace(g.hits, hit_id=np.r_[
             g.hits.hit_id[1:2], g.hits.hit_id[1:]])},
          "repeats a hit_id"),
-        (lambda g: {"truth_params": {**g.truth_params, 999: (2.0, 0.0)}},
-         "lack a vertex"),
-        (lambda g: {"truth_params": {k: (0.0, eps) for k, (_, eps)
-                                     in g.truth_params.items()}},
-         "p_T <= 0"),
-        (lambda g: {"truth_params": {k: (pt, math.nan) for k, (pt, _)
-                                     in g.truth_params.items()}},
-         "non-finite"),
-        (lambda g: {"targets": dict(list(g.targets.items())[1:])},
-         "lack a vertex, an entry or a target"),
-        (lambda g: {"targets": {**g.targets,
-                                999: next(iter(g.targets.values()))}},
-         "lack a vertex"),
+        (lambda g: {"tracks": g.tracks + (replace(g.tracks[0],
+                                                  particle_id=999),),
+                    "targets": g.targets + g.targets[:1]},
+         r"particles \[999\] lack a hit"),
+        (lambda g: {"tracks": TestAssignTargets.with_params(g, p_t=0.0)},
+         "p_T must be positive"),
+        (lambda g: {"tracks": TestAssignTargets.with_params(
+            g, eps_t=math.nan)}, "eps_T must be finite"),
+        (lambda g: {"targets": g.targets[1:]}, "targets for"),
+        (lambda g: {"targets": g.targets + g.targets[:1]}, "targets for"),
         (lambda g: {"edges": np.array([[0, g.n_vertices]])}, "edges"),
         (lambda g: {"edges": np.array([[1, 1]])}, "edges"),
         (lambda g: {"edges": np.array([0, 1])}, "edges"),
@@ -362,7 +374,8 @@ class TestAssignTargets:
              "edge-not-a-pair", "edge-i-above-j"])
     def test_graph_checks_its_invariants_when_built(self, toy_graph, change,
                                                     message):
-        with pytest.raises(ConsistencyError, match=message):
+        # a track's (p_T, eps_T) is checked as its TrackParams is built
+        with pytest.raises((ConsistencyError, DomainError), match=message):
             replace(toy_graph, **change(toy_graph))
 
     def test_graph_is_frozen(self, toy_graph):
@@ -401,7 +414,8 @@ def _without(key, *names):
 
 def _assert_same_graph(g2, g):
     assert g2.hits == g.hits
-    assert g2.hits.volume is g.hits.volume is None
+    assert g2.hits.volume.tolist() == g.hits.volume.tolist()
+    assert g2.tracks == g.tracks
     for name in ("eta", "phi", "edges", "vertex_class"):
         assert np.array_equal(getattr(g2, name), getattr(g, name)), name
     assert [(e.hex(), p.hex()) for e, p in zip(g2.eta.tolist(),
@@ -409,7 +423,6 @@ def _assert_same_graph(g2, g):
         [(e.hex(), p.hex()) for e, p in zip(g.eta.tolist(), g.phi.tolist())]
     assert g2.hits.z.dtype == g.hits.z.dtype == float
     assert g2.hits.layer.dtype == g.hits.layer.dtype == int
-    assert g2.truth_params == g.truth_params
     assert g2.targets == g.targets
     assert g2.vertex_target_ellipse == g.vertex_target_ellipse
 
@@ -421,7 +434,7 @@ class TestGraphSerialization:
         e = generate_event(detector, gen, seed=28)
         g = build_graph(e, DbscanParams())
         d = graph_to_dict(g)
-        assert d["format"] == "graph-v5"
+        assert d["format"] == "graph-v6"
         _assert_same_graph(graph_from_dict(json.loads(json.dumps(d))), g)
 
     def test_trackml_round_trip(self, tmp_path):
@@ -451,12 +464,12 @@ class TestGraphSerialization:
     @pytest.mark.parametrize("found", ["event-v3", "graphs-v4", "graph"])
     def test_format_of_another_kind_gets_no_hint(self, found):
         with pytest.raises(ConsistencyError,
-                           match=f"not a graph-v5 document: "
+                           match=f"not a graph-v6 document: "
                                  f"format='{found}'"):
             graph_from_dict({"format": found})
 
     @pytest.mark.parametrize("old", ["graph-v1", "graph-v2", "graph-v3",
-                                     "graph-v4", "graph-v6"])
+                                     "graph-v4", "graph-v5", "graph-v7"])
     def test_old_format_asks_for_a_rebuild(self, old):
         doc = json.loads(GRAPH_DOC)
         doc["format"] = old
@@ -467,7 +480,7 @@ class TestGraphSerialization:
 
     def test_graph_without_vertices_rejected(self):
         doc = decoded(json.loads(GRAPH_DOC))
-        for table in ("vertices", "edges", "particles"):
+        for table in ("vertices", "tracks", "edges", "targets"):
             doc[table] = {name: [] for name in doc[table]}
         with pytest.raises(ConsistencyError, match="has no vertices"):
             graph_from_dict(encoded(doc))
@@ -478,27 +491,30 @@ class TestGraphSerialization:
         assert g.n_edges == 0
         doc = json.loads(json.dumps(graph_to_dict(g)))
         assert doc["edges"] == {"i": ["<i8", ""], "j": ["<i8", ""]}
-        assert doc["particles"]["theta"] == ["<f8", ""]
+        assert doc["tracks"]["pt"] == doc["targets"]["theta"] == \
+            ["<f8", ""]
         _assert_same_graph(graph_from_dict(doc), g)
 
     def test_targets_stored_once_per_particle(self):
         stored = json.loads(GRAPH_DOC)
-        assert {tag for table in ("vertices", "edges", "particles")
+        tables = ("vertices", "tracks", "edges", "targets")
+        assert {tag for table in tables
                 for tag, _ in stored[table].values()} == {"<i8", "<f8"}
         assert stored["vertices"]["layer"][0] == "<i8"
         doc = decoded(stored)
-        assert set(doc) == {"format", "event_id", "vertices", "edges",
-                            "particles"}
+        assert list(doc) == ["format", "event_id", *tables]
         assert list(doc["vertices"]) == ["hit_id", "x", "y", "z", "layer",
-                                         "particle_id"]
+                                         "particle_id", "volume"]
+        assert list(doc["tracks"]) == list(TRACK_COLUMNS)
         assert list(doc["edges"]) == ["i", "j"]
         assert all(i < j for i, j in zip(*doc["edges"].values()))
-        assert list(doc["particles"]) == ["particle_id", "pt", "eps_t",
-                                          "eta_c", "phi_c", "a", "b",
-                                          "theta"]
+        assert list(doc["targets"]) == list(TARGET_COLUMNS) == \
+            ["eta_c", "phi_c", "a", "b", "theta"]
         g = graph_from_dict(stored)
-        targets = {pid: Ellipse5(*ellipse) for pid, _, _, *ellipse in
-                   zip(*doc["particles"].values())}
+        # target row k belongs to track row k
+        targets = dict(zip(doc["tracks"]["particle_id"],
+                           map(Ellipse5, *doc["targets"].values())))
+        assert len(targets) == len(g.tracks) == 2
         for pid, target in zip(g.hits.particle_id,
                                g.vertex_target_ellipse):
             assert target == (None if pid == 0 else targets[pid])
@@ -515,36 +531,36 @@ class TestGraphSerialization:
         (("vertices", "x", 0), float("inf")),
         (("vertices",), _table("vertices", z=float("nan"))),
         (("vertices",), _table("vertices", y=float("-inf"))),
-        (("particles", "pt", 0), float("nan")),
-        (("particles", "eps_t", 0), None),
-        (("particles", "eta_c", 0), float("inf")),
-        (("particles",), {name: [] for name in _table("particles")}),
+        (("tracks", "pt", 0), float("nan")),
+        (("tracks", "eps_t", 0), None),
+        (("targets", "eta_c", 0), float("inf")),
+        (("targets",), {name: [] for name in _table("targets")}),
         (("vertices",), _without("vertices", "hit_id", "layer",
                                  "particle_id")),
         (("edges",), {"i": [0.9], "j": [1]}),
         (("vertices", "particle_id", 0), 1.5),
         (("vertices", "layer", 0), [0]),
         (("vertices", "hit_id", 0), "1"),
-        (("particles", "particle_id", 0), 1.0),
+        (("tracks", "particle_id", 0), 1.0),
         (("format",), "graph-v2"),
         (("vertices",), _table("vertices", x=0.0, y=0.0)),
         (("vertices", "particle_id", 0), 999),
         (("vertices", "hit_id", 0), 2**63),
         (("vertices", "layer", 0), 1.7),
         (("vertices", "z", 0), True),
-        (("particles", "theta", 0), None),
-        (("particles",), _with_row("particles", particle_id=999)),
+        (("targets", "theta", 0), None),
+        (("tracks",), _with_row("tracks", particle_id=999)),
         (("vertices", "hit_id", 1), _table("vertices")["hit_id"][0]),
         (("vertices", "layer", 0), -1),
-        (("particles", "pt", 0), 0.0),
-        (("particles", "pt", 0), -2.5),
-        (("particles",), _with_row("particles", pt=99.0)),
+        (("tracks", "pt", 0), 0.0),
+        (("tracks", "pt", 0), -2.5),
+        (("tracks",), _with_row("tracks", pt=99.0)),
         (("format",), "graph-v3"),
         (("edges", "i", 0), _table("edges")["j"][0]),
         (("edges",), {"i": [1], "j": [0]}),
         (("edges",), _with_row("edges", i=0, j=len(_table("vertices")
                                                    ["hit_id"]))),
-        (("particles",), _table("particles", a=None, b=None))])
+        (("targets",), _table("targets", a=None, b=None))])
     def test_inconsistent_document_rejected(self, path, value):
         doc = decoded(json.loads(GRAPH_DOC))
         set_at(doc, path, value)
@@ -555,11 +571,11 @@ class TestGraphSerialization:
         (("vertices", "x"), 0.1,
          "column 'x' is not a [dtype, base64] pair"),
         (("vertices",), _without("vertices", "layer"),
-         "graph-v5 document lacks key 'layer'"),
+         "graph-v6 document lacks key 'layer'"),
         (("edges", "j"), [1], "column 'j' has 1 values, column 'i' "),
-        (("particles", "eps_t"), [0.0], "column 'eps_t' has 1 values, "
-                                        "column 'particle_id' 2"),
-        (("particles", "b", 1), None,
+        (("tracks", "eps_t"), [0.0], "column 'eps_t' has 1 values, "
+                                     "column 'particle_id' 2"),
+        (("targets", "b", 1), None,
          "column 'b' is not a [dtype, base64] pair"),
         (("edges", "i", 0), 2.0,
          "column 'i' has dtype '<f8', expected '<i8'"),
@@ -580,9 +596,31 @@ class TestGraphSerialization:
     @pytest.mark.parametrize("target", [None, 1.5, "x", [0.1]])
     def test_bad_target_column_names_the_column(self, target):
         doc = json.loads(GRAPH_DOC)
-        doc["particles"]["theta"] = target
+        doc["targets"]["theta"] = target
         with pytest.raises(ConsistencyError, match="column 'theta'"):
             graph_from_dict(doc)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: [c.pop() for c in doc["targets"].values()],
+         "graph 0 has 1 targets for 2 tracks"),
+        (lambda doc: doc.update(targets=_with_row("targets")),
+         "graph 0 has 3 targets for 2 tracks"),
+        (lambda doc: doc.update(targets=_table("targets", 1, a=1e-4, b=0.5)),
+         "semi-axes must satisfy a >= b > 0"),
+        (lambda doc: doc.pop("targets"),
+         "graph-v6 document lacks key 'targets'"),
+        (lambda doc: doc.update(tracks=_with_row("tracks"),
+                                targets=_with_row("targets")),
+         "particles [1] are listed twice")],
+        ids=["targets-row-short", "targets-row-long", "target-a-below-b",
+             "targets-missing", "track-listed-twice"])
+    def test_bad_tracks_or_targets_rejected_naming_the_check(self, change,
+                                                             message):
+        doc = decoded(json.loads(GRAPH_DOC))
+        assert doc["tracks"]["particle_id"] == [1, 2]
+        change(doc)
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            graph_from_dict(encoded(doc))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -597,7 +635,7 @@ class TestGraphSerialization:
         assert isinstance(graph, Graph)
         loaded = [graph.eta, graph.phi, graph.hits.x, graph.hits.y,
                   graph.hits.z,
-                  list(graph.truth_params.values()),
+                  [(t.params.p_t, t.params.eps_t) for t in graph.tracks],
                   [astuple(e) for e in graph.vertex_target_ellipse
                    if e is not None]]
         for values in loaded:

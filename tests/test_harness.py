@@ -76,7 +76,8 @@ class TestAuc:
 
 def truth_identity_prediction(event):
     """Prediction payload built from truth: one candidate per track."""
-    ellipses = dict(truth_ellipses(event))
+    ellipses = {t.particle_id: ellipse for t, ellipse in
+                zip(event.tracks, truth_ellipses(event))}
     hit_ids = event.hits.hit_id.tolist()
     pids = event.hits.particle_id.tolist()
     class_prob = [1.0 if pid != 0 else 0.0 for pid in pids]
@@ -204,7 +205,7 @@ class TestRender:
         det = DetectorConfig()
         e = generate_event(det, GenConfig(n_tracks=2, noise_fraction=0.2,
                                           hit_smearing_sigma=0.0), seed=40)
-        shapes = [ell for _, ell in truth_ellipses(e)]
+        shapes = truth_ellipses(e)
         path = tmp_path / "event.svg"
         render_event_svg(e, shapes, path)
         text = path.read_text()
@@ -223,7 +224,7 @@ class TestRender:
         det = DetectorConfig()
         e = generate_event(det, GenConfig(n_tracks=3, hit_smearing_sigma=0.0),
                            seed=41)
-        shapes = [ell for _, ell in truth_ellipses(e)]
+        shapes = truth_ellipses(e)
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
         render_event_svg(e, shapes, p1)
         render_event_svg(e, shapes, p2)
@@ -240,7 +241,7 @@ class TestRender:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError):
-            render_event_svg(e, [ell for _, ell in truth_ellipses(e)], path)
+            render_event_svg(e, truth_ellipses(e), path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
@@ -703,8 +704,9 @@ def _append_row(table, row=0, **values):
 
 
 def _empty_tables(doc):
-    """Clear every column of a graph's vertex, edge and particle tables."""
-    for table in ("vertices", "edges", "particles"):
+    """Clear every column of a graph's vertex, track, edge and target
+    tables."""
+    for table in ("vertices", "tracks", "edges", "targets"):
         for column in doc[table].values():
             column.clear()
 
@@ -752,11 +754,11 @@ SAME_DAMAGE = [
     ("hits.csv", lambda text: text.replace("13,2,3", "13,-1,3"), "ingest",
      "line 4: "),
     ("graphs/graph_00000.json",
-     _edited(lambda doc: _set_row(doc["particles"], 0, pt=0.0)), "train",
-     "p_T <= 0"),
+     _edited(lambda doc: _set_row(doc["tracks"], 0, pt=0.0)), "train",
+     "p_T must be positive, got 0.0"),
     ("graphs/graph_00000.json",
-     _edited(lambda doc: _set_row(doc["particles"], 0, pt=-2.5)), "train",
-     "p_T <= 0"),
+     _edited(lambda doc: _set_row(doc["tracks"], 0, pt=-2.5)), "train",
+     "p_T must be positive, got -2.5"),
     ("graphs/graph_00001.json", _edited(lambda doc: doc.update(event_id=0)),
      "train", "graph_00000.json and "),
     ("events/event_00001.json", _edited(lambda doc: doc.update(event_id=0)),
@@ -827,29 +829,32 @@ BINARY_DAMAGE = [
      _on_column("edges", "j", lambda tag, data: [tag, data[:-3]]),
      "column 'j' is not base64"),
     ("graphs/graph_00000.json",
-     _on_column("particles", "theta", lambda tag, data: ["<i8", data]),
+     _on_column("targets", "theta", lambda tag, data: ["<i8", data]),
      "column 'theta' has dtype '<i8', expected '<f8'"),
     ("graphs/graph_00000.json",
      _on_column("edges", "j", _values(lambda values: values[:-1])),
      "column 'j' has "),
     ("graphs/graph_00000.json",
-     _on_column("particles", "eta_c", _first(math.nan)),
+     _on_column("targets", "eta_c", _first(math.nan)),
      "column 'eta_c' has a non-finite value at row 0"),
     ("graphs/graph_00000.json",
      _on_column("vertices", "y", _first(-math.inf)),
      "column 'y' has a non-finite value at row 0"),
     ("graphs/graph_00000.json",
-     _on_column("particles", "pt", lambda tag, data: data),
+     _on_column("tracks", "pt", lambda tag, data: data),
      "column 'pt' is not a [dtype, base64] pair"),
     ("graphs/graph_00000.json", _raw(lambda doc: doc.update(
-        format="graph-v4")), "graph-v4 document: rebuild the graphs")]
+        format="graph-v4")), "graph-v4 document: rebuild the graphs"),
+    ("graphs/graph_00000.json", _raw(lambda doc: doc.update(
+        format="graph-v5")),
+     "graph-v5 document: rebuild the graphs with build-graphs")]
 BINARY_DAMAGE_IDS = [
     "event-bad-character", "event-whitespace", "event-truncated",
     "event-wrong-dtype", "event-unequal-lengths", "event-nan",
     "event-inf", "event-not-a-pair", "event-v3",
     "graph-bad-character", "graph-whitespace", "graph-truncated",
     "graph-wrong-dtype", "graph-unequal-lengths", "graph-nan", "graph-inf",
-    "graph-not-a-pair", "graph-v4"]
+    "graph-not-a-pair", "graph-v4", "graph-v5"]
 
 
 
@@ -1088,7 +1093,7 @@ class TestCli:
         ("graphs/graph_00000.json",
          _edited(lambda doc: doc["edges"]["i"].append(0)), "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: [c.pop() for c in doc["particles"].values()]),
+         _edited(lambda doc: [c.pop() for c in doc["tracks"].values()]),
          "train"),
         ("checkpoint.json", _edited(_drop_last_param),
          "infer"),
@@ -1132,14 +1137,14 @@ class TestCli:
          _edited(lambda doc: _set_row(doc["vertices"], 0, particle_id=999)),
          "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: _set_row(doc["particles"], 0, eta_c=None)),
+         _edited(lambda doc: _set_row(doc["targets"], 0, eta_c=None)),
          "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: _append_row(doc["particles"], particle_id=999)),
-         "train"),
+         _edited(lambda doc: [_append_row(doc["tracks"], particle_id=999),
+                              _append_row(doc["targets"])]), "train"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: _append_row(doc["particles"], pt=99.0)),
-         "train"),
+         _edited(lambda doc: [_append_row(doc["tracks"], pt=99.0),
+                              _append_row(doc["targets"])]), "train"),
         ("events/event_00000.json",
          _edited(lambda doc: doc.update(format="event-v2")), "build-graphs"),
         ("graphs/graph_00000.json",
@@ -1147,7 +1152,7 @@ class TestCli:
         ("events/event_00000.json",
          _edited(lambda doc: doc["hits"].update(volume=0)), "build-graphs"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["particles"].update(theta={})), "train"),
+         _edited(lambda doc: doc["targets"].update(theta={})), "train"),
         ("events/event_00000.json",
          _edited(lambda doc: doc["tracks"]["pt"].pop()), "build-graphs"),
         ("graphs/graph_00000.json",
@@ -1155,7 +1160,7 @@ class TestCli:
         ("events/event_00000.json",
          _edited(lambda doc: doc["hits"].pop("volume")), "build-graphs"),
         ("graphs/graph_00000.json",
-         _edited(lambda doc: doc["particles"].pop("theta")), "train"),
+         _edited(lambda doc: doc["targets"].pop("theta")), "train"),
         ("graphs/graph_00000.json",
          _edited(lambda doc: _set_row(doc["edges"], 0,
                                       i=doc["edges"]["j"][0])), "train"),
@@ -1163,7 +1168,22 @@ class TestCli:
          _edited(lambda doc: _set_row(doc["edges"], 0,
                                       i=doc["edges"]["j"][0],
                                       j=doc["edges"]["i"][0])), "train"),
-        ("graphs/graph_00000.json", _edited(_empty_tables), "train")],
+        ("graphs/graph_00000.json", _edited(_empty_tables), "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: [c.pop() for c in doc["targets"].values()]),
+         "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: _append_row(doc["targets"])), "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: _set_row(doc["targets"], 0, a=1e-4, b=0.5)),
+         "train"),
+        ("graphs/graph_00000.json", _drop_key("targets"), "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: _set_row(doc["tracks"], 0, pt=math.inf)),
+         "train"),
+        ("graphs/graph_00000.json",
+         _edited(lambda doc: _set_row(doc["tracks"], 0, eps_t=math.nan)),
+         "train")],
         ids=["graph-truncated", "graph-no-vertices", "event-no-hits",
              "pred-no-candidates", "checkpoint-v1", "checkpoint-no-params",
              "event-hit-not-object", "checkpoint-param-not-number",
@@ -1188,7 +1208,9 @@ class TestCli:
              "graph-columns-of-unequal-length", "event-column-missing",
              "graph-column-missing",
              "graph-edge-i-equals-j", "graph-edge-i-above-j",
-             "graph-without-vertices"])
+             "graph-without-vertices", "graph-targets-row-short",
+             "graph-targets-row-long", "graph-target-a-below-b",
+             "graph-targets-missing", "graph-pt-inf", "graph-eps-nan"])
     def test_malformed_artifact_exits_3(self, tmp_path, capsys, artifact,
                                         damage, command):
         cfg_path = tiny_cli_config(tmp_path)

@@ -20,9 +20,10 @@ from test_ellipses import SCALES
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
                              DomainError, NumericError, ParseError)
-from trackseg.events import Event, HitTable
+from trackseg.events import Event, HitTable, TruthTrack
 from trackseg.graphs import (DbscanParams, Graph, build_graph,
                              graph_from_dict, graph_to_dict)
+from trackseg.kinematics import TrackParams
 from trackseg.neural.nn import AdamState, mlp_forward
 
 
@@ -45,10 +46,10 @@ def tiny_graph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 2))):
         event_id=0,
         hits=HitTable(np.arange(1, n + 1), xy[:, 0], xy[:, 1],
                       rng.normal(0, 0.3, n), rng.integers(0, 4, n),
-                      np.ones(n, dtype=int)),
+                      np.ones(n, dtype=int), np.zeros(n, dtype=int)),
+        tracks=(TruthTrack(1, TrackParams(2.5, 3e-4, 0.0, 1.0)),),
         edges=edges,
-        truth_params={1: (2.5, 3e-4)},
-        targets={1: make_ellipse(0, 0, 0.05, 0.01, 0.0)},
+        targets=(make_ellipse(0, 0, 0.05, 0.01, 0.0),),
     )
 
 
@@ -81,13 +82,9 @@ class TestForward:
         rng = np.random.default_rng(5)
         perm = rng.permutation(g.n_vertices)
         inv = np.argsort(perm)
-        pg = Graph(
-            event_id=g.event_id,
-            hits=g.hits.take(perm),
-            edges=np.sort(inv[g.edges], axis=1) if g.n_edges else g.edges,
-            truth_params=g.truth_params,
-            targets=g.targets,
-        )
+        pg = replace(
+            g, hits=g.hits.take(perm),
+            edges=np.sort(inv[g.edges], axis=1) if g.n_edges else g.edges)
         pout = forward(m, pg)
         assert np.allclose(pout.final_state.data, out.final_state.data[perm],
                            atol=1e-12)
@@ -242,8 +239,8 @@ class TestPredictClusterParams:
         g = make_training_graph(seed=32, n_tracks=4)[1]
         m = tn.Model(small_config(), seed=15)
         out = forward(m, g)
-        clusters = [np.flatnonzero(g.hits.particle_id == pid)
-                    for pid in sorted(g.truth_params)] + [[0, 1], [2]]
+        clusters = [np.flatnonzero(g.hits.particle_id == t.particle_id)
+                    for t in g.tracks] + [[0, 1], [2]]
         batched = tn.predict_cluster_params(
             m, out.final_state, tn.cluster_features(clusters, g))
         assert batched.data.shape == (len(clusters), 2)
@@ -443,7 +440,7 @@ class TestTrain:
         g = tiny_graph()
         g = replace(g, hits=replace(g.hits,
                                     particle_id=np.zeros(4, dtype=int)),
-                    truth_params={}, targets={})
+                    tracks=(), targets=())
         assert g.n_edges > 0
         m = tn.Model(small_config(), seed=28)
         comps = tn.train_step(m, tn.training_view(g),
