@@ -16,7 +16,7 @@ import numpy as np
 
 from .angles import (circular_mean, signed_dphi, wrap_half_pi, wrap_phi,
                      wrap_theta)
-from .errors import DomainError
+from .errors import DomainError, check_rows
 
 # membership is boundary-inclusive; the slack absorbs rounding on points
 # constructed to lie exactly on the boundary
@@ -87,9 +87,25 @@ def make_ellipse(eta_c: float, phi_c: float, a: float, b: float,
                     float(wrap_theta(theta)))
 
 
-def encode_box(e: Ellipse5, vertex: tuple[float, float]) -> np.ndarray:
-    """Encode an ellipse as the dimensionless residual row (d_eta, d_phi,
-    d_a, d_b, d_theta) relative to a vertex position.
+def check_ellipses(rows, name) -> None:
+    """check_rows' DomainError for the first parameter row of `rows`,
+    (n, 5), that breaks Ellipse5's invariant, in Ellipse5's words."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, 5)
+    _, _, a, b, theta = rows.T
+    check_rows({  # in the order Ellipse5 checks
+        "ellipse parameters must be finite: {row}":
+            ~np.isfinite(rows).all(axis=1),
+        "semi-axes must satisfy a >= b > 0, got a={a}, b={b}":
+            ~((a >= b) & (b > 0.0)),
+        "theta must lie in [0, pi), got {theta}":
+            ~((0.0 <= theta) & (theta < math.pi))},
+        name, row=rows, a=a, b=b, theta=theta)
+
+
+def encode_box(rows, eta, phi) -> np.ndarray:
+    """Encode each ellipse parameter row of `rows`, (n, 5), as the
+    dimensionless residual row (d_eta, d_phi, d_a, d_b, d_theta)
+    relative to its vertex (eta, phi).
 
     d_eta and d_phi are scaled center offsets (phi along the shortest
     signed arc), d_a and d_b are log-ratios against the scale axes, and
@@ -97,14 +113,14 @@ def encode_box(e: Ellipse5, vertex: tuple[float, float]) -> np.ndarray:
     into [-pi/2, pi/2) so that theta = -DELTA_THETA (mod pi) encodes to
     exactly zero.
     """
-    eta_v, phi_v = vertex
-    return np.array([
-        (e.eta_c - eta_v) / ETA_M,
-        float(signed_dphi(e.phi_c, phi_v)) / PHI_M,
-        math.log(e.a / A_M),
-        math.log(e.b / B_M),
-        float(wrap_half_pi(e.theta + DELTA_THETA)) / THETA_M,
-    ])
+    rows = np.asarray(rows, dtype=float).reshape(-1, 5)
+    # math.log of each ratio, as decode_box maps math.exp
+    logs = np.array(list(map(math.log, (rows[:, 2:4] / (A_M, B_M))
+                             .ravel().tolist()))).reshape(-1, 2)
+    return np.stack([(rows[:, 0] - eta) / ETA_M,
+                     signed_dphi(rows[:, 1], phi) / PHI_M, *logs.T,
+                     wrap_half_pi(rows[:, 4] + DELTA_THETA) / THETA_M],
+                    axis=1)
 
 
 def _exp(x: float) -> float:
@@ -120,7 +136,7 @@ def decode_box(d, eta, phi) -> np.ndarray:
     of d, (n, 5), at its vertex (eta, phi): the parameter rows (eta_c,
     phi_c, a, b, theta), (n, 5), canonical as make_ellipse makes them.
     The first row whose log-axes overflow, or that gives no valid
-    ellipse, raises DomainError naming it."""
+    ellipse (check_ellipses), raises DomainError naming it."""
     d = np.asarray(d, dtype=float).reshape(-1, 5)
     # math.exp of each value: np.exp differs from it in the last bit for
     # some inputs
@@ -132,11 +148,8 @@ def decode_box(d, eta, phi) -> np.ndarray:
                      np.where(swap, b, a), np.where(swap, a, b),
                      wrap_theta(np.where(swap, theta + 0.5 * math.pi,
                                          theta))], axis=1)
-    bad = ~(np.isfinite(rows).all(axis=1) & (rows[:, 3] > 0.0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise DomainError(f"row {k}, {d[k].tolist()}, decodes to no valid "
-                          f"ellipse: {rows[k].tolist()}", row=k)
+    check_ellipses(rows, lambda k: f"row {k}, {d[k].tolist()}, decodes to "
+                   f"no valid ellipse: ")
     return rows
 
 

@@ -6,6 +6,8 @@ directly and never calls sys.exit.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class TracksegError(Exception):
     """Base class for all package-specific errors."""
@@ -38,7 +40,19 @@ class DomainError(TracksegError, ValueError):
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
-        self.row = row  # the row of a hit table's failing hit
+        self.row = row  # the row of a table's failing row
+
+
+def check_rows(problems: dict, name, **values) -> None:
+    """DomainError, carrying the row, for the first row a mask of
+    `problems` ({message: mask}, in checking order) flags: name(row) and
+    its first message, formatted with that row of each of `values`."""
+    failed = np.any(list(problems.values()), axis=0)
+    if failed.any():
+        row = int(np.argmax(failed))
+        problem = next(p for p, mask in problems.items() if mask[row])
+        raise DomainError(name(row) + problem.format(
+            **{key: value[row] for key, value in values.items()}), row=row)
 
 
 class FitError(TracksegError):

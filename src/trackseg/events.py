@@ -1,6 +1,6 @@
 """Event production: a synthetic generator with exact ground truth and a
-TrackML CSV ingester, both giving an event's hits as one HitTable, and
-the event-v4 document that stores an event.
+TrackML CSV ingester, both giving an event's hits and truth tracks as
+tables of columns, and the event-v4 document that stores an event.
 
 The synthetic detector is a set of idealized concentric cylinders.  Each
 generated particle follows an exact transverse circle; its hits are the
@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .angles import wrap_phi
 from .errors import ConfigError, ConsistencyError, DomainError, \
-    ParseError, ShapeError
+    ParseError, ShapeError, check_rows
 from .jsonio import decode_table, encode_table, number, parsing
 from .kinematics import PT_COEFF, CircleTrack, TrackParams, pseudorapidity
 
@@ -57,13 +56,52 @@ def _int64(values) -> tuple[np.ndarray, np.ndarray]:
     return np.where(beyond, 0, values).astype(np.int64), beyond
 
 
+class _Table:
+    """Read-only numpy columns, one row per item: the fields of a frozen
+    dataclass, those of its COLUMNS read as float or int64 (_int64) and
+    the rest what `_check` derives.  Read columns of more than one length
+    raise ShapeError; tables are equal when their columns are."""
+
+    def __post_init__(self):
+        columns, beyond = {}, {}
+        for name, kind in self.COLUMNS.items():
+            if kind is int:
+                columns[name], beyond[name] = _int64(getattr(self, name))
+            else:
+                columns[name] = np.array(getattr(self, name), dtype=float)
+        if len({c.shape for c in columns.values()}) != 1 or \
+                columns[name].ndim != 1:
+            raise ShapeError(f"{type(self).__name__} columns must be 1-d "
+                             f"and of one length")
+        self._set({**columns, **self._check(columns, beyond)})
+
+    def _set(self, columns: dict) -> None:
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self))
+
+    def take(self, rows):
+        """The rows `rows` (a mask, slice or distinct indices) selects; no
+        check runs again."""
+        table = object.__new__(type(self))
+        table._set({f.name: getattr(self, f.name)[rows] for f in fields(self)})
+        return table
+
+
 @dataclass(frozen=True, eq=False)
-class HitTable:
+class HitTable(_Table):
     """Hits as read-only numpy columns, one row per hit; particle_id 0
     marks noise.  eta and phi are derived from (x, y, z) one hit at a
     time with math.atan2 and math.hypot, eta from the polar angles by
-    kinematics.pseudorapidity.  Tables are equal when their HIT_COLUMNS
-    are.
+    kinematics.pseudorapidity.
 
     Construction checks whole columns: a non-finite coordinate, a
     negative layer, an id, layer or volume beyond int64 or a polar angle
@@ -79,78 +117,54 @@ class HitTable:
     volume: np.ndarray
     eta: np.ndarray = field(init=False)
     phi: np.ndarray = field(init=False)
+    COLUMNS = HIT_COLUMNS
 
-    def __post_init__(self):
-        columns = {name: np.array(getattr(self, name), dtype=float)
-                   for name in "xyz"}
-        beyond = {}
-        for name in ("hit_id", "layer", "particle_id", "volume"):
-            columns[name], beyond[name] = _int64(getattr(self, name))
-        if len({c.shape for c in columns.values()}) != 1 or \
-                columns["x"].ndim != 1:
-            raise ShapeError("hit columns must be 1-d and of one length")
+    def _check(self, columns: dict, beyond: dict) -> dict:
         x, y, z, layer = (columns[name] for name in ("x", "y", "z", "layer"))
         xs, ys = x.tolist(), y.tolist()
         theta = np.array(list(map(math.atan2, map(math.hypot, xs, ys),
                                   z.tolist())), dtype=float)
         half = 0.5 * theta
-        problems = {  # in the order a hit is checked
+        check_rows({  # in the order a hit is checked
             "non-finite coordinate": ~np.isfinite([x, y, z]).all(axis=0),
             "negative layer {layer}": layer < 0,
             "id beyond int64": beyond["hit_id"] | beyond["particle_id"],
             "layer or volume beyond int64": beyond["layer"] | beyond["volume"],
             "polar angle must lie in (0, pi), got {theta}":
-                ~((0.0 < half) & (half < 0.5 * math.pi))}
-        failed = np.any(list(problems.values()), axis=0)
-        if failed.any():
-            row = int(np.argmax(failed))
-            problem = next(p for p, mask in problems.items() if mask[row])
-            raise DomainError(f"hit {self.hit_id[row]}: " + problem.format(
-                layer=layer[row], theta=theta[row]), row=row)
+                ~((0.0 < half) & (half < 0.5 * math.pi))},
+            lambda row: f"hit {self.hit_id[row]}: ", layer=layer, theta=theta)
         ids = columns["hit_id"]
         first = np.unique(ids, return_index=True)[1]
         if len(first) < len(ids):
             row = np.setdiff1d(np.arange(len(ids)), first)[0]
             raise ConsistencyError(f"hit {ids[row]}: repeats a hit_id")
-        columns["eta"] = pseudorapidity(theta)
-        columns["phi"] = wrap_phi(np.array(list(map(math.atan2, ys, xs)),
-                                           float))
-        for name, column in columns.items():
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-
-    def __len__(self) -> int:
-        return len(self.hit_id)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HitTable) and all(
-            np.array_equal(getattr(self, n), getattr(other, n))
-            for n in HIT_COLUMNS)
-
-    def take(self, rows) -> HitTable:
-        """The hits `rows` (a mask, slice or distinct indices) selects; no
-        check runs again."""
-        table = object.__new__(HitTable)
-        for name in (*HIT_COLUMNS, "eta", "phi"):
-            column = getattr(self, name)[rows]
-            column.flags.writeable = False
-            object.__setattr__(table, name, column)
-        return table
-
-    def particle_rows(self, particle_ids) -> list[np.ndarray]:
-        """The rows of each listed particle's hits, ascending; each
-        particle must have a hit."""
-        order = np.argsort(self.particle_id, kind="stable")
-        ids, starts = np.unique(self.particle_id[order], return_index=True)
-        groups = dict(zip(ids.tolist(), np.split(order, starts[1:])))
-        return [groups[pid] for pid in particle_ids]
+        return {"eta": pseudorapidity(theta),
+                "phi": wrap_phi(np.array(list(map(math.atan2, ys, xs)),
+                                         float))}
 
 
-@dataclass(frozen=True)
-class TruthTrack:
-    """A particle's truth parameters; its hits carry its particle_id."""
-    particle_id: int
-    params: TrackParams
+@dataclass(frozen=True, eq=False)
+class TrackTable(_Table):
+    """Truth tracks as read-only numpy columns, one row per track: the
+    particle id and the TrackParams fields.  Construction checks whole
+    columns: unequal lengths raise ShapeError, an id beyond int64, a p_T
+    not positive and finite or a non-finite eps_T DomainError naming the
+    first track that fails and carrying its row."""
+    particle_id: np.ndarray
+    pt: np.ndarray
+    eps_t: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    COLUMNS = TRACK_COLUMNS
+
+    def _check(self, columns: dict, beyond: dict) -> dict:
+        pt = columns["pt"]
+        check_rows({  # in the order a track is checked
+            "id beyond int64": beyond["particle_id"],
+            "p_T must be positive, got {pt}": ~((pt > 0) & np.isfinite(pt)),
+            "eps_T must be finite": ~np.isfinite(columns["eps_t"])},
+            lambda row: f"particle {self.particle_id[row]}: ", pt=pt)
+        return {}
 
 
 @dataclass(frozen=True)
@@ -160,19 +174,33 @@ class Event:
     particles that break this."""
     event_id: int
     hits: HitTable
-    tracks: tuple[TruthTrack, ...]
+    tracks: TrackTable
 
     def __post_init__(self):
-        pids = self.hits.particle_id
-        found = set(pids[pids != 0].tolist())
-        listed = Counter(t.particle_id for t in self.tracks)
-        odd = {"lack a hit": listed.keys() - found,
-               "lack a track": found - listed.keys(),
-               "are listed twice": {k for k, n in listed.items() if n > 1}}
+        pids = self.hits.particle_id[self.hits.particle_id != 0]
+        listed, counts = np.unique(self.tracks.particle_id,
+                                   return_counts=True)
+        odd = {"lack a hit": listed[~np.isin(listed, pids)].tolist(),
+               "lack a track": sorted(set(pids[~np.isin(pids, listed)]
+                                          .tolist())),
+               "are listed twice": listed[counts > 1].tolist()}
         if any(odd.values()):
             raise ConsistencyError("; ".join(
-                f"particles {sorted(ids)} {what}"
-                for what, ids in odd.items() if ids))
+                f"particles {ids} {what}" for what, ids in odd.items() if ids))
+
+    @property
+    def track_row(self) -> np.ndarray:
+        """Each hit's row in `tracks`, -1 for noise."""
+        ids, pids = self.tracks.particle_id, self.hits.particle_id
+        order = np.argsort(ids)
+        at = np.searchsorted(ids, pids, sorter=order)
+        return np.where(pids == 0, -1, np.append(order, -1)[at])
+
+    def track_hits(self) -> list[np.ndarray]:
+        """The rows of each track's hits, ascending, in track order."""
+        rows = self.track_row + 1  # 0 for noise
+        return np.split(np.argsort(rows, kind="stable"), np.cumsum(
+            np.bincount(rows, minlength=len(self.tracks) + 1)))[1:-1]
 
 
 def encode_event(e: Event, hits_key: str) -> dict:
@@ -182,19 +210,17 @@ def encode_event(e: Event, hits_key: str) -> dict:
         "event_id": e.event_id,
         hits_key: encode_table(HIT_COLUMNS, [getattr(e.hits, name)
                                              for name in HIT_COLUMNS]),
-        "tracks": encode_table(TRACK_COLUMNS, zip(*[
-            (t.particle_id, *vars(t.params).values()) for t in e.tracks])),
+        "tracks": encode_table(TRACK_COLUMNS, [getattr(e.tracks, name)
+                                               for name in TRACK_COLUMNS]),
     }
 
 
 def decode_event(d: dict, hits_key: str) -> tuple:
-    """The event id, HitTable and truth tracks of encode_event's tables;
-    raises what jsonio.decode_table, HitTable or TrackParams raises."""
-    hits = HitTable(*decode_table(d[hits_key], HIT_COLUMNS))
-    tracks = tuple(TruthTrack(k, TrackParams(*p)) for k, *p in zip(*(
-        column.tolist() for column in decode_table(d["tracks"],
-                                                   TRACK_COLUMNS))))
-    return number(d["event_id"], int), hits, tracks
+    """The event id, HitTable and TrackTable of encode_event's tables;
+    raises what jsonio.decode_table, HitTable or TrackTable raises."""
+    return (number(d["event_id"], int),
+            HitTable(*decode_table(d[hits_key], HIT_COLUMNS)),
+            TrackTable(*decode_table(d["tracks"], TRACK_COLUMNS)))
 
 
 def event_to_dict(e: Event, config_echo: dict | None = None) -> dict:
@@ -331,7 +357,7 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
 
     rng = np.random.default_rng(seed)
     rows: list[tuple] = []  # (x, y, z, layer, particle_id) per hit
-    tracks: list[TruthTrack] = []
+    tracks: list[tuple] = []  # a TrackTable row per track
 
     for i in range(gen.n_tracks):
         pid = i + 1
@@ -362,8 +388,7 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
         if not track_rows:
             continue
         rows.extend(track_rows)
-        tracks.append(TruthTrack(
-            pid, TrackParams(pt, abs(d - radius), circle.a, circle.b)))
+        tracks.append((pid, pt, abs(d - radius), circle.a, circle.b))
 
     n_signal = len(rows)
     nf = gen.noise_fraction
@@ -379,7 +404,8 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
     n = len(rows)
     x, y, z, layer, pid = list(zip(*rows)) or [()] * 5
     return Event(event_id, HitTable(np.arange(1, n + 1), x, y, z, layer, pid,
-                                    np.zeros(n, dtype=int)), tuple(tracks))
+                                    np.zeros(n, dtype=int)),
+                 TrackTable(*(list(zip(*tracks)) or [()] * 5)))
 
 
 def _parse_fields(path, lineno, row, int_cols: set[int]):
@@ -476,8 +502,8 @@ def read_trackml_event(hits_path, truth_path, particles_path,
     except DomainError as err:
         raise ParseError(f"{hits_path}: {err}", line=rows[err.row][1]) \
             from err
-    return Event(0, table, tuple(TruthTrack(pid, p)
-                                 for pid, p in params.items()))
+    tracks = [(pid, *vars(p).values()) for pid, p in params.items()]
+    return Event(0, table, TrackTable(*(list(zip(*tracks)) or [()] * 5)))
 
 
 def apply_selection(e: Event, pt_min: float, volumes) -> Event:
@@ -487,10 +513,9 @@ def apply_selection(e: Event, pt_min: float, volumes) -> Event:
     volume; tracks left without hits are dropped.  Idempotent, and the
     hit count never increases.
     """
-    passing = [t.particle_id for t in e.tracks if t.params.p_t >= pt_min]
-    pids = e.hits.particle_id
+    tracks, pids = e.tracks, e.hits.particle_id
+    passing = tracks.particle_id[tracks.pt >= pt_min]
     hits = e.hits.take(np.isin(e.hits.volume, list(volumes))
                        & ((pids == 0) | np.isin(pids, passing)))
-    kept = set(hits.particle_id.tolist())
     return Event(e.event_id, hits,
-                 tuple(t for t in e.tracks if t.particle_id in kept))
+                 tracks.take(np.isin(tracks.particle_id, hits.particle_id)))

@@ -1,7 +1,7 @@
 """Graph construction: DBSCAN clustering in eta-phi (core components
 over the neighbour pairs, each border point to its earliest cluster),
-edge building, per-track target ellipses and the graph-v6 document: the
-event's own tables plus edges and targets, all binary columns."""
+edge building, per-track target ellipse rows and the graph-v6 document:
+the event's own tables plus edges and targets, all binary columns."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .angles import TWO_PI, wrap_phi
-from .ellipses import Ellipse5, mvee
+from .ellipses import Ellipse5, check_ellipses, mvee
 from .errors import ConfigError, ConsistencyError
 from .events import Event, decode_event, encode_event
 from .jsonio import decode_table, encode_table, parsing
@@ -40,29 +40,40 @@ class DbscanParams:
 @dataclass(frozen=True)
 class Graph(Event):
     """Hit graph of one event, as build_graph or graph_from_dict builds it:
-    the event, its undirected edges (stored once, i < j) and one target
-    ellipse per track, in track order; a stored graph is a
+    the event, its undirected edges (stored once, i < j) and its targets,
+    one read-only TARGET_COLUMNS row per track row; a stored graph is a
     self-contained training sample.  Its vertices are the event's hits
     at their (eta, phi).  Construction checks the event (Event), then
-    raises ConsistencyError unless there is a vertex, one target per
-    track and each edge (i, j) has 0 <= i < j < n_vertices.
+    raises ConsistencyError unless there is a vertex, one target row per
+    track and each edge (i, j) has 0 <= i < j < n_vertices, and
+    check_ellipses' DomainError.  Graphs are equal when their events,
+    edges and targets are.
     """
     edges: np.ndarray
-    targets: tuple[Ellipse5, ...]
+    targets: np.ndarray
 
     def __post_init__(self):
         super().__post_init__()
         if not self.n_vertices:
             raise ConsistencyError(f"graph {self.event_id} has no vertices")
-        if len(self.targets) != len(self.tracks):
-            raise ConsistencyError(f"graph {self.event_id} has "
-                                   f"{len(self.targets)} targets for "
+        targets = np.array(self.targets, dtype=float)
+        if targets.shape != (len(self.tracks), 5):
+            raise ConsistencyError(f"graph {self.event_id} has targets of "
+                                   f"shape {targets.shape} for "
                                    f"{len(self.tracks)} tracks")
+        check_ellipses(targets, lambda row: f"target row {row}: ")
+        targets.flags.writeable = False
+        object.__setattr__(self, "targets", targets)
         edges, n = self.edges, self.n_vertices
         if edges.shape[1:] != (2,) or np.any((edges < 0) | (edges >= n)) or \
                 np.any(edges[:, 0] >= edges[:, 1]):
             raise ConsistencyError(f"graph edges must be pairs i < j of "
                                    f"vertices in [0, {n})")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Graph) and super().__eq__(other) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("edges", "targets"))
 
     @cached_property
     def vertex_target_ellipse(self) -> list:
@@ -184,38 +195,34 @@ def _cluster_edges(labels: np.ndarray) -> np.ndarray:
     return np.stack([members[first], members[first + 1 + offset]], axis=1)
 
 
-def truth_ellipses(e: Event, stats: dict | None = None
-                   ) -> tuple[Ellipse5, ...]:
-    """Minimum-area enclosing ellipse of each truth track's (eta, phi)
-    hits, in track order, inflated by TARGET_PADDING on both semi-axes.
-    Degenerate tracks (one hit, collinear hits) fall back to the
-    semi-axis floor.  `stats` is passed on to mvee."""
+def truth_ellipses(e: Event, stats: dict | None = None) -> np.ndarray:
+    """Minimum-area enclosing ellipse rows (mvee) of each truth track's
+    (eta, phi) hits, in track order, inflated by TARGET_PADDING on both
+    semi-axes.  Degenerate tracks (one hit, collinear hits) fall back to
+    the semi-axis floor.  `stats` is passed on to mvee."""
     points = np.stack([e.hits.eta, e.hits.phi], axis=1)
-    rows = mvee([points[r] for r in
-                 e.hits.particle_rows([t.particle_id for t in e.tracks])],
-                stats)
+    rows = mvee([points[r] for r in e.track_hits()], stats)
     rows[:, 2:4] *= TARGET_PADDING
-    return tuple(Ellipse5(*row) for row in rows.tolist())
+    return rows
 
 
 def assign_vertex_targets(g: Graph) -> list:
-    """The target of each vertex of `g`: its track's ellipse, None for
+    """The target Ellipse5 of each vertex of `g`: its track's, None for
     noise (particle id 0)."""
-    targets = {t.particle_id: ell for t, ell in zip(g.tracks, g.targets)}
-    return [targets[pid] if pid else None
-            for pid in g.hits.particle_id.tolist()]
+    targets = [Ellipse5(*row) for row in g.targets.tolist()]
+    return [targets[row] if row >= 0 else None
+            for row in g.track_row.tolist()]
 
 
 def graph_to_dict(g: Graph) -> dict:
     """The graph-v6 document: the event's tables (events.encode_event)
     with the hits under "vertices", then the edges as columns i and j
-    and the targets as one row of Ellipse5 fields per track row."""
+    and the targets as TARGET_COLUMNS, one row per track row."""
     return {
         "format": GRAPH_FORMAT,
         **encode_event(g, "vertices"),
         "edges": encode_table(EDGE_COLUMNS, g.edges.T),
-        "targets": encode_table(TARGET_COLUMNS, zip(*[
-            vars(target).values() for target in g.targets])),
+        "targets": encode_table(TARGET_COLUMNS, g.targets.T),
     }
 
 
@@ -227,6 +234,5 @@ def graph_from_dict(d: dict) -> Graph:
     with parsing(d, GRAPH_FORMAT, "rebuild the graphs with build-graphs"):
         event = decode_event(d, "vertices")
         edges = np.stack(decode_table(d["edges"], EDGE_COLUMNS), axis=1)
-        targets = decode_table(d["targets"], TARGET_COLUMNS)
-        return Graph(*event, edges, tuple(map(Ellipse5, *(
-            column.tolist() for column in targets))))
+        return Graph(*event, edges, np.stack(
+            decode_table(d["targets"], TARGET_COLUMNS), axis=1))

@@ -22,7 +22,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from ..ellipses import Ellipse5
+from ..ellipses import Ellipse5, check_ellipses
 from ..errors import ConsistencyError
 # perfbench/workloads.py imports read_json from this module
 from ..jsonio import decode_table, encode_table, number, parsing, read_json
@@ -42,17 +42,19 @@ def prediction_to_dict(event_id: int, vertex_hit_ids, class_prob, ellipses,
                        candidates: list[TrackCandidate], assignments,
                        config_echo: dict | None = None) -> dict:
     """The pred-v2 document of one event's inference output: per vertex
-    its hit id, class probability, ellipse or None and candidate index
-    or None; each candidate with its (p_T, eps_T)."""
+    its hit id, class probability and candidate index or None; the
+    `ellipses` pair (vertices, rows), the vertices with a decoded
+    ellipse, ascending, and their parameter rows; each candidate with
+    its (p_T, eps_T)."""
+    vertices, rows = ellipses
     doc = {
         "format": PRED_FORMAT,
         "event_id": event_id,
         "vertices": encode_table(VERTEX_COLUMNS, (
             vertex_hit_ids, class_prob,
             [-1 if a is None else a for a in assignments])),
-        "ellipses": encode_table(ELLIPSE_COLUMNS, zip(*[
-            (v, *vars(e).values()) for v, e in enumerate(ellipses)
-            if e is not None])),
+        "ellipses": encode_table(ELLIPSE_COLUMNS,
+                                 [vertices, *np.reshape(rows, (-1, 5)).T]),
         "candidates": encode_table(CANDIDATE_COLUMNS, zip(*[
             (*vars(c.ellipse).values(), c.confidence, *c.params)
             for c in candidates])),
@@ -73,8 +75,9 @@ def _indices(values: np.ndarray, low: int, high: int, what: str) -> None:
 
 def prediction_from_dict(d: dict) -> dict:
     """Decode a pred-v2 document into event_id, vertex_hit_ids,
-    class_prob, ellipses and assignments per vertex (None where a vertex
-    has no ellipse or candidate) and candidates (TrackCandidate).  Tables
+    class_prob and assignments per vertex (None where a vertex has no
+    candidate), ellipses (the pair prediction_to_dict takes) and
+    candidates (TrackCandidate).  Tables
     jsonio.decode_table rejects, a repeated vertex hit id, a class
     probability outside [0, 1], an index out of range, ellipse vertices
     that do not ascend, members not grouped by candidate, an invalid
@@ -83,6 +86,7 @@ def prediction_from_dict(d: dict) -> dict:
     with parsing(d, PRED_FORMAT, "rerun infer"):
         ids, probs, assigned = decode_table(d["vertices"], VERTEX_COLUMNS)
         ellipse_vertex, *shape = decode_table(d["ellipses"], ELLIPSE_COLUMNS)
+        shape = np.stack(shape, axis=1)
         rows = list(zip(*(column.tolist() for column in decode_table(
             d["candidates"], CANDIDATE_COLUMNS))))
         owner, member = decode_table(d["members"], MEMBER_COLUMNS)
@@ -102,17 +106,14 @@ def prediction_from_dict(d: dict) -> dict:
         if np.any(np.diff(owner) < 0):
             raise ConsistencyError("prediction members are not grouped by "
                                    "candidate")
-        ellipses = [None] * n
-        for v, e in zip(ellipse_vertex.tolist(),
-                        map(Ellipse5, *(c.tolist() for c in shape))):
-            ellipses[v] = e
+        check_ellipses(shape, lambda k: f"ellipse row {k}: ")
         bounds = np.searchsorted(owner, np.arange(n_cand + 1)).tolist()
         members = member.tolist()
         return {
             "event_id": number(d["event_id"], int),
             "vertex_hit_ids": ids.tolist(),
             "class_prob": probs.tolist(),
-            "ellipses": ellipses,
+            "ellipses": (ellipse_vertex, shape),
             "candidates": [
                 TrackCandidate(Ellipse5(*row[:5]), row[5],
                                tuple(members[lo:hi]), row[6:])

@@ -93,20 +93,21 @@ def evaluate(predictions: dict[int, dict], truth: dict[int, Event],
         assigned = np.full(len(event.hits), -1)
         assigned[rows] = [-1 if a is None else a for a in pred["assignments"]]
 
-        matched_this_event = set()
-        n_tracks += len(event.tracks)
-        for track, track_rows in zip(event.tracks, event.hits.particle_rows(
-                [t.particle_id for t in event.tracks])):
-            found, counts = np.unique(assigned[track_rows],
-                                      return_counts=True)
-            majority = found[(found >= 0) & (2 * counts > len(track_rows))]
-            if len(majority):
-                n_matched_tracks += 1
-                matched_this_event.add(int(majority[0]))
-                pt, eps_t = candidates[majority[0]].params
-                pt_residuals.append((pt - track.params.p_t) / track.params.p_t)
-                eps_residuals.append(eps_t - track.params.eps_t)
-        matched_candidates += len(matched_this_event)
+        # (track row, candidate) pairs of assigned track hits, counted:
+        # a track matches a candidate that holds over half its hits
+        tracks, track_row = event.tracks, event.track_row
+        n_tracks += len(tracks)
+        hit = (track_row >= 0) & (assigned >= 0)
+        pairs, counts = np.unique(np.stack([track_row[hit], assigned[hit]],
+                                           axis=1), axis=0, return_counts=True)
+        sizes = np.bincount(track_row[track_row >= 0], minlength=len(tracks))
+        track, match = pairs[2 * counts > sizes[pairs[:, 0]]].T
+        n_matched_tracks += len(track)
+        matched_candidates += len(set(match.tolist()))
+        pt, eps_t = np.array([candidates[k].params
+                              for k in match.tolist()]).reshape(-1, 2).T
+        pt_residuals.append((pt - tracks.pt[track]) / tracks.pt[track])
+        eps_residuals.append(eps_t - tracks.eps_t[track])
 
     labels_arr = np.concatenate(labels_all)
     scores_arr = np.concatenate(scores_all)
@@ -128,7 +129,9 @@ def evaluate(predictions: dict[int, dict], truth: dict[int, Event],
         flags["no_tracks"] = True
     else:
         efficiency = n_matched_tracks / n_tracks
-    if not pt_residuals:
+    pt_residuals, eps_residuals = map(np.concatenate, (pt_residuals,
+                                                       eps_residuals))
+    if not len(pt_residuals):
         flags["no_matched_params"] = True
 
     return {

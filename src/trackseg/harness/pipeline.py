@@ -3,9 +3,11 @@
 Artifacts live under the configured output directory:
 
     events/event_00000.json     one event-v4 document per event: hit
-                                and track tables
+                                and track tables (events.HitTable and
+                                events.TrackTable columns)
     graphs/graph_00000.json     one graph-v6 document per event: the
-                                event's tables, edge and target tables
+                                event's tables, edge and target tables,
+                                target row k for track row k
     checkpoint.json             tracknet-v4: model config and flat
                                 parameter vector in parameter-name order,
                                 base64 of its little-endian float64 bytes
@@ -225,10 +227,9 @@ def stage_train(cfg: RunConfig) -> Path:
 
 def _infer_one(cfg: RunConfig, model: tracknet.Model, graph) -> dict:
     result = tracknet.infer(model, graph, cfg.nms.class_threshold)
-    kept = [i for i, e in enumerate(result.ellipses) if e is not None]
+    kept = result.kept.tolist()
     stats = Counter()
-    raw = merge_ellipses([result.ellipses[i] for i in kept],
-                         [result.class_prob[i] for i in kept],
+    raw = merge_ellipses(result.rows, result.class_prob[result.kept],
                          cfg.nms.t_h, stats=stats)
     log.info("event %d nms: %d ellipses kept, %d candidates, mean group "
              "size %.2f; %d pairs, %d past the centre-gap reject, %d over "
@@ -250,8 +251,8 @@ def _infer_one(cfg: RunConfig, model: tracknet.Model, graph) -> dict:
     vertices = np.stack([graph.eta, graph.phi, result.class_prob], axis=1)
     assignments = assign_hits(candidates, vertices, cfg.nms.class_threshold)
     return prediction_to_dict(graph.event_id, graph.hits.hit_id,
-                              result.class_prob, result.ellipses, candidates,
-                              assignments, cfg.to_dict())
+                              result.class_prob, (result.kept, result.rows),
+                              candidates, assignments, cfg.to_dict())
 
 
 def stage_infer(cfg: RunConfig) -> list[Path]:
@@ -297,7 +298,7 @@ def stage_plot(cfg: RunConfig, event_index: int = 0,
         if not pred_path.exists():
             raise ConfigError(f"missing input path: {pred_path}")
         pred = _load(pred_path, prediction_from_dict)
-        shapes = [e for e in pred["ellipses"] if e is not None]
+        shapes = pred["ellipses"][1]
     path = _plots_dir(cfg) / f"event_{event_index:05d}.svg"
     render_event_svg(event, shapes, path)
     log.info("wrote %s", path)

@@ -4,9 +4,7 @@ as a standalone SVG.  Output bytes are deterministic for fixed input."""
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
-from ..ellipses import Ellipse5
 from ..events import Event
 from ..jsonio import write_atomic
 
@@ -24,13 +22,13 @@ def _particle_color(rank: int) -> str:
     return f"hsl({hue:.1f},70%,45%)"
 
 
-def render_event_svg(event: Event, shapes: Sequence[Ellipse5],
-                     path) -> None:
+def render_event_svg(event: Event, shapes, path) -> None:
     """Write the eta-phi view of an event: one marker per hit (colored by
-    truth particle, noise gray) and one outline per ellipse."""
+    truth particle, noise gray) and one outline per ellipse of `shapes`,
+    parameter rows (eta_c, phi_c, a, b, theta), (n, 5)."""
     eta, phi, pids = (column.tolist() for column in (
         event.hits.eta, event.hits.phi, event.hits.particle_id))
-    etas = eta + [e.eta_c for e in shapes]
+    etas = eta + [eta_c for eta_c, *_ in shapes]
     if etas:
         lo, hi = min(etas), max(etas)
         pad = 0.1 * max(hi - lo, 0.5)
@@ -81,15 +79,15 @@ def render_event_svg(event: Event, shapes: Sequence[Ellipse5],
         lines.append(f'<circle cx="{_fmt(px(hit_eta))}" '
                      f'cy="{_fmt(py(hit_phi))}" r="3" fill="{fill}"/>')
 
-    for e in shapes:
+    for eta_c, phi_c, a, b, theta in shapes:
         # the scale() flip makes screen y increase downward, so the data
         # space rotation angle carries through unnegated
-        deg = math.degrees(e.theta)
-        transform = (f'translate({_fmt(px(e.eta_c))} {_fmt(py(e.phi_c))}) '
+        deg = math.degrees(theta)
+        transform = (f'translate({_fmt(px(eta_c))} {_fmt(py(phi_c))}) '
                      f'scale({_fmt(sx)} {_fmt(-sy)}) rotate({_fmt(deg)})')
         lines.append(
-            f'<g transform="{transform}"><ellipse rx="{_fmt(e.a)}" '
-            f'ry="{_fmt(e.b)}" fill="none" stroke="#1f5fbf" '
+            f'<g transform="{transform}"><ellipse rx="{_fmt(a)}" '
+            f'ry="{_fmt(b)}" fill="none" stroke="#1f5fbf" '
             f'stroke-width="1.5" vector-effect="non-scaling-stroke"/></g>')
 
     lines.append("</svg>")

@@ -1,4 +1,4 @@
-"""Merge per-vertex ellipses into track candidates.
+"""Merge per-vertex ellipses, as parameter rows, into track candidates.
 
 A modified non-maximum suppression: instead of discarding overlaps, all
 ellipses whose IoU with the current highest-scoring seed exceeds the
@@ -9,7 +9,7 @@ periodic components) with the mean member score as its confidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -37,16 +37,10 @@ _SEARCH_BLOCK = 1 << 14
 _IOU_CHUNK = 256
 
 
-def _rows(ellipses) -> np.ndarray:
-    """Parameter rows (eta_c, phi_c, a, b, theta) of ellipses, (n, 5)."""
-    return np.array([(e.eta_c, e.phi_c, e.a, e.b, e.theta)
-                     for e in ellipses], dtype=float).reshape(-1, 5)
-
-
 def ellipse_iou(e1: Ellipse5, e2: Ellipse5) -> float:
     """IoU of one pair of ellipses.  Merging batches through ellipse_ious;
     this name stays while perfbench/tracing.py wraps IoU under it."""
-    return float(ellipse_ious(_rows([e1])[0], _rows([e2]))[0])
+    return float(ellipse_ious(astuple(e1), [astuple(e2)])[0])
 
 
 def _near_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +63,8 @@ def _near_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def merge_ellipses(ellipses, scores, t_h: float = 0.5,
                    stats: dict | None = None) -> list[TrackCandidate]:
-    """Greedy seed-anchored grouping of ellipses by IoU.
+    """Greedy seed-anchored grouping of ellipses, parameter rows (eta_c,
+    phi_c, a, b, theta), (n, 5), by IoU.
 
     Repeatedly seeds a group with the highest-scoring unassigned ellipse
     and absorbs every unassigned ellipse whose IoU against the seed
@@ -89,14 +84,14 @@ def merge_ellipses(ellipses, scores, t_h: float = 0.5,
     """
     if not 0.0 < t_h < 1.0:
         raise DomainError(f"IoU threshold must lie in (0, 1), got {t_h}")
-    ellipses = list(ellipses)
+    rows = np.asarray(ellipses, dtype=float).reshape(-1, 5)
     scores = np.asarray(scores, dtype=float)
-    if len(ellipses) != len(scores):
-        raise DomainError(f"{len(ellipses)} ellipses vs {len(scores)} scores")
-    n = len(ellipses)
+    if len(rows) != len(scores):
+        raise DomainError(f"{len(rows)} ellipses vs {len(scores)} scores")
+    n = len(rows)
     # descending score; ties by ascending index for determinism
     order = np.argsort(-scores, kind="stable")
-    rows, scores = _rows(ellipses)[order], scores[order]
+    rows, scores = rows[order], scores[order]
     p, q = _near_pairs(rows)
     ious = np.zeros(len(p))
     for k in range(0, len(p), _IOU_CHUNK):

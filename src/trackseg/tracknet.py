@@ -21,7 +21,7 @@ each graph through a `TrainingView`, which `train` builds once per graph
 before its epoch loop and drops when it returns: the inputs, the truth
 clusters' member arrays and parabola coefficients, the classification
 labels and encoded target boxes, and the truth (p_T, eps_T) rows in
-particle-id order.  None of these depends on the weights, so a train
+track order.  None of these depends on the weights, so a train
 step computes only the forward pass, the losses, the backward sweep and
 the update.  Inference builds the inputs on each call.
 """
@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .angles import signed_dphi
-from .ellipses import Ellipse5, decode_box, encode_box
+from .ellipses import decode_box, encode_box
 from .errors import (ConfigError, ConsistencyError, DomainError, FitError,
                      NumericError)
 from .graphs import Graph
@@ -96,9 +96,13 @@ class ModelConfig:
 
     @property
     def n_params(self) -> int:
-        """Length of the flat parameter vector, known without building it."""
-        return sum((fan_in + 1) * fan_out for spec in self.blocks.values()
-                   for _, _, fan_in, fan_out in spec.layers())
+        """Length of the flat parameter vector, known without building it
+        or this config's block table: the sizes of a one-iteration
+        table's blocks, the iteration's three `iterations` times."""
+        sizes = [sum((fan_in + 1) * fan_out
+                     for _, _, fan_in, fan_out in spec.layers())
+                 for spec in replace(self, iterations=1).blocks.values()]
+        return self.iterations * sum(sizes[:3]) + sum(sizes[3:])
 
 
 class Model:
@@ -257,9 +261,9 @@ def build_targets(graph: Graph):
     loss, and encoded target boxes (zero rows for noise vertices)."""
     is_track = graph.vertex_class
     target_enc = np.zeros((graph.n_vertices, 5))
-    for i in np.flatnonzero(is_track):
-        target_enc[i] = encode_box(graph.vertex_target_ellipse[i],
-                                   (graph.eta[i], graph.phi[i]))
+    target_enc[is_track] = encode_box(
+        graph.targets[graph.track_row[is_track]], graph.eta[is_track],
+        graph.phi[is_track])
     return is_track.astype(float), target_enc
 
 
@@ -309,13 +313,10 @@ class TrainingView:
 
 def training_view(graph: Graph) -> TrainingView:
     """Build the training view of a graph."""
-    pids = [t.particle_id for t in graph.tracks]
     view = TrainingView(
         graph, graph_inputs(graph),
-        cluster_features(graph.hits.particle_rows(pids), graph),
-        build_targets(graph),
-        np.array([(t.params.p_t, t.params.eps_t) for t in graph.tracks],
-                 dtype=float).reshape(-1, 2))
+        cluster_features(graph.track_hits(), graph), build_targets(graph),
+        np.stack([graph.tracks.pt, graph.tracks.eps_t], axis=1))
     for array in (*vars(view.inputs).values(),
                   *vars(view.clusters).values(), *view.targets,
                   view.truths):
@@ -385,7 +386,8 @@ def train(model: Model, dataset: list[Graph], cfg: TrainConfig,
 class InferResult:
     class_prob: np.ndarray
     final_state: np.ndarray
-    ellipses: list  # Ellipse5 or None per vertex, thresholded
+    kept: np.ndarray  # the vertices at or above the threshold, ascending
+    rows: np.ndarray  # their decoded ellipse parameter rows, (n, 5)
 
 
 def infer(model: Model, graph: Graph,
@@ -411,10 +413,7 @@ def infer(model: Model, graph: Graph,
         raise NumericError(f"undecodable inference output at vertex "
                            f"{kept[err.row]}", graph_id=graph.event_id,
                            component="encoded_box") from err
-    ellipses = [None] * graph.n_vertices
-    for i, row in zip(kept.tolist(), rows.tolist()):
-        ellipses[i] = Ellipse5(*row)
-    return InferResult(prob, final_state, ellipses)
+    return InferResult(prob, final_state, kept, rows)
 
 
 def save_checkpoint(model: Model, path) -> None:

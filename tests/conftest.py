@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from trackseg.events import (HIT_COLUMNS, TRACK_COLUMNS, DetectorConfig,
-                             GenConfig, HitTable, generate_event)
+                             GenConfig, HitTable, TrackTable, generate_event)
 from trackseg.graphs import (EDGE_COLUMNS, TARGET_COLUMNS, DbscanParams,
                              build_graph)
 from trackseg.harness.io import (CANDIDATE_COLUMNS, ELLIPSE_COLUMNS,
@@ -33,6 +33,17 @@ def hit_table(rows, volume=None):
     volume 0 unless `volume` lists each hit's."""
     return HitTable(*(list(zip(*rows)) or [()] * 6),
                     volume=[0] * len(rows) if volume is None else volume)
+
+
+def track_table(rows):
+    """The TrackTable of track rows (particle_id, pt, eps_t, a, b)."""
+    return TrackTable(*(list(zip(*rows)) or [()] * 5))
+
+
+def track_rows(tracks):
+    """The rows (particle_id, pt, eps_t, a, b) of a TrackTable."""
+    return list(zip(*(getattr(tracks, name).tolist()
+                      for name in TRACK_COLUMNS)))
 
 
 def hit_at(hit_id, eta, phi, layer=0, particle_id=0, rho=0.1):

@@ -329,6 +329,24 @@ def decode_box_row(d, vertex, scales):
     return row
 
 
+def encode_box_row(e, vertex, scales):
+    """One ellipse e = (eta_c, phi_c, a, b, theta) encoded at the vertex
+    (eta, phi) value by value in Python floats, with scales as
+    decode_box_row takes them: the centre offsets (phi along the
+    shortest signed arc), math.log of the axis ratios, and theta +
+    DELTA_THETA folded into [-pi/2, pi/2)."""
+    eta_m, phi_m, a_m, b_m, theta_m, delta_theta = scales
+    eta_c, phi_c, a, b, theta = map(float, e)
+    eta_v, phi_v = map(float, vertex)
+    d_phi = (phi_c - phi_v + math.pi) % (2.0 * math.pi) - math.pi
+    if d_phi <= -math.pi:
+        d_phi += 2.0 * math.pi
+    folded = _mod(theta + delta_theta + 0.5 * math.pi, math.pi) \
+        - 0.5 * math.pi
+    return ((eta_c - eta_v) / eta_m, d_phi / phi_m, math.log(a / a_m),
+            math.log(b / b_m), folded / theta_m)
+
+
 def _rescale_to_contain(e, flat, floor):
     eta_c, phi_c, a, b, theta = e
     d_eta = flat[:, 0] - eta_c

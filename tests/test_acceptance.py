@@ -10,6 +10,7 @@ import inspect
 import json
 import math
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from oracles import (brute_force_dbscan, monte_carlo_iou, partition_of,
 from test_ellipses import iou
 from test_events import HITS_CSV, write_trackml
 from test_harness import tiny_cli_config, truth_identity_prediction
+from test_postprocess import rows_of
 from test_neural import check_op_gradient, mlp_gradient_builds
 from test_tracknet import small_config, sweep_composite_gradients
 from trackseg import tracknet as tn
@@ -153,7 +155,8 @@ def test_criterion_4_ellipse_suite():
                (e.phi_c + rng.uniform(-0.01, 0.01)) % TWO_PI)
         cases.append((e, vtx))
     eta, phi = np.array([vtx for _, vtx in cases]).T
-    rows = decode_box([encode_box(e, vtx) for e, vtx in cases], eta, phi)
+    rows = decode_box(encode_box([astuple(e) for e, _ in cases], eta, phi),
+                      eta, phi)
     worst = 0.0
     for (e, _), row in zip(cases, rows.tolist()):
         back = Ellipse5(*row)
@@ -374,24 +377,25 @@ def test_criterion_8_nms_merging():
                                  rng.uniform(0.05, 0.1),
                                  rng.uniform(0, math.pi))
                     for _ in range(n)]
-        cands = merge_ellipses(ellipses, rng.uniform(0, 1, n), t_h=0.4)
+        cands = merge_ellipses(rows_of(ellipses), rng.uniform(0, 1, n),
+                               t_h=0.4)
         members = sorted(m for c in cands for m in c.member_vertex_ids)
         assert members == list(range(n))
 
     # idempotence on separated candidates
     base = [make_ellipse(x, 3.0, 0.15, 0.08, 0.0)
             for x in (-2.0, -1.95, 0.0, 2.0)]
-    first = merge_ellipses(base, [0.9, 0.6, 0.8, 0.7], t_h=0.5)
+    first = merge_ellipses(rows_of(base), [0.9, 0.6, 0.8, 0.7], t_h=0.5)
     import itertools as it
     assert all(iou(a.ellipse, b.ellipse) <= 0.5
                for a, b in it.combinations(first, 2))
-    second = merge_ellipses([c.ellipse for c in first],
+    second = merge_ellipses(rows_of([c.ellipse for c in first]),
                             [c.confidence for c in first], t_h=0.5)
     assert [c.ellipse for c in second] == [c.ellipse for c in first]
 
     # three identical ellipses merge with mean confidence
     e = make_ellipse(0.0, 3.0, 0.2, 0.1, 0.4)
-    merged = merge_ellipses([e, e, e], [0.9, 0.8, 0.7], t_h=0.5)
+    merged = merge_ellipses(rows_of([e, e, e]), [0.9, 0.8, 0.7], t_h=0.5)
     assert len(merged) == 1
     assert merged[0].confidence == pytest.approx(0.8)
 
@@ -457,7 +461,7 @@ def test_criterion_11_trackml_ingestion(tmp_path):
                                         pytest.approx(-0.0072),
                                         pytest.approx(-0.514))
     assert h.volume[0] == 8 and h.layer[0] == 2
-    assert e.tracks[0].params.p_t == pytest.approx(5.0)  # 3-4-5 momenta
+    assert e.tracks.pt[0] == pytest.approx(5.0)  # 3-4-5 momenta
 
     bad_dir = tmp_path / "bad"
     bad_dir.mkdir()

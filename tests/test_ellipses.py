@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (decode_box_row, full_clip_ious, monte_carlo_iou,
-                     mvee_oracle, point_in_ellipse_quadform, polygon_iou)
+from oracles import (decode_box_row, encode_box_row, full_clip_ious,
+                     monte_carlo_iou, mvee_oracle, point_in_ellipse_quadform,
+                     polygon_iou)
 from trackseg.ellipses import (A_M, AXIS_FLOOR, B_M, DELTA_THETA, ETA_M,
                                IOU_RESOLUTION, PHI_M, THETA_M, Ellipse5,
                                decode_box, ellipse_ious, encode_box,
@@ -58,12 +59,13 @@ class TestEllipse5:
     # that of the one vertex of this document
     @staticmethod
     def stored(e: Ellipse5) -> dict:
-        return json.loads(json.dumps(prediction_to_dict(0, [1], [0.5], [e],
-                                                        [], [None])))
+        return json.loads(json.dumps(prediction_to_dict(
+            0, [1], [0.5], ([0], [astuple(e)]), [], [None])))
 
     def test_dict_round_trip(self):
         e = make_ellipse(0.5, 1.2, 0.3, 0.1, 2.0)
-        assert prediction_from_dict(self.stored(e))["ellipses"] == [e]
+        vertices, rows = prediction_from_dict(self.stored(e))["ellipses"]
+        assert vertices.tolist() == [0] and rows.tolist() == [list(astuple(e))]
 
     @pytest.mark.parametrize("key", ["eta_c", "phi_c", "a", "b", "theta"])
     def test_dict_non_finite_rejected(self, key):
@@ -75,22 +77,28 @@ class TestEllipse5:
                 prediction_from_dict(doc)
 
 
+def encoded(e: Ellipse5, vertex) -> np.ndarray:
+    """The encoded row of one ellipse at one vertex."""
+    rows = encode_box([astuple(e)], *vertex)
+    assert rows.shape == (1, 5)
+    return rows[0]
+
+
 class TestEncodeDecode:
     def test_zero_case_with_default_scales(self):
         e = make_ellipse(0.5, 2.0, A_M, B_M, -DELTA_THETA)
-        d = encode_box(e, (0.5, 2.0))
-        assert d.shape == (5,)
-        assert d == pytest.approx(np.zeros(5), abs=1e-12)
+        assert encoded(e, (0.5, 2.0)) == pytest.approx(np.zeros(5),
+                                                       abs=1e-12)
 
     def test_eta_offset_unit(self):
         e = make_ellipse(0.51, 2.0, A_M, B_M, -DELTA_THETA)
-        assert encode_box(e, (0.5, 2.0)) == \
+        assert encoded(e, (0.5, 2.0)) == \
             pytest.approx([1.0, 0.0, 0.0, 0.0, 0.0], abs=1e-12)
 
     def test_theta_encoding(self):
         # THETA_M = pi/4, DELTA_THETA = 0.5
         e = make_ellipse(0.0, 0.0, 0.1, 0.05, math.pi / 4)
-        assert encode_box(e, (0.0, 0.0))[4] == \
+        assert encoded(e, (0.0, 0.0))[4] == \
             pytest.approx(1.0 + 2.0 / math.pi)
 
     def test_decode_zero(self):
@@ -105,7 +113,7 @@ class TestEncodeDecode:
 
     def test_phi_wrap_in_encoding(self):
         e = make_ellipse(0.0, 0.002, 0.05, 0.01, 0.0)
-        d = encode_box(e, (0.0, TWO_PI - 0.002))
+        d = encoded(e, (0.0, TWO_PI - 0.002))
         assert d[1] == pytest.approx(0.004 / PHI_M)
 
     def test_round_trip_random(self):
@@ -117,8 +125,8 @@ class TestEncodeDecode:
                       (e.phi_c + rng.uniform(-0.01, 0.01)) % TWO_PI)
             cases.append((e, vertex))
         eta, phi = np.array([vertex for _, vertex in cases]).T
-        rows = decode_box([encode_box(e, vertex) for e, vertex in cases],
-                          eta, phi)
+        rows = decode_box(encode_box([astuple(e) for e, _ in cases], eta,
+                                     phi), eta, phi)
         for (e, _), row in zip(cases, rows.tolist()):
             back = Ellipse5(*row)
             assert abs(back.eta_c - e.eta_c) < 1e-12
@@ -137,7 +145,7 @@ class TestEncodeDecode:
     @settings(max_examples=200, deadline=None)
     def test_round_trip_hypothesis(self, eta, phi, a, ratio, theta):
         e = make_ellipse(eta, phi, a, a * ratio, theta)
-        back = decoded(encode_box(e, (eta, phi)), (eta, phi))
+        back = decoded(encoded(e, (eta, phi)), (eta, phi))
         assert back.a == pytest.approx(e.a, rel=1e-12)
         assert back.b == pytest.approx(e.b, rel=1e-12)
         dt = abs(back.theta - e.theta) % math.pi
@@ -204,6 +212,24 @@ class TestDecodeOracle:
     def test_zero_axis_of_one_row(self):
         with pytest.raises(DomainError, match="no valid ellipse"):
             decode_box([0, 0, 0, -800, 0], 0.0, 1.0)
+
+
+class TestEncodeOracle:
+    """encode_box encodes all rows at once; encoding one value at a time
+    in Python floats is the reference, and the two agree bit for bit."""
+
+    def test_equals_row_by_row_encoding_bit_for_bit(self):
+        # ellipses decoded from spread residuals: centres on both sides
+        # of the phi seam, theta at the fold, a < b swapped
+        d, vertices = _encoded_rows(np.random.default_rng(93), 2400)
+        rows = decode_box(d, *vertices.T)
+        expected = [encode_box_row(row, vertex, SCALES)
+                    for row, vertex in zip(rows, vertices)]
+        got = encode_box(rows, *vertices.T)
+        assert np.array_equal(_bits(got), _bits(expected))
+
+    def test_no_rows(self):
+        assert encode_box(np.zeros((0, 5)), [], []).shape == (0, 5)
 
 
 class TestMembership:

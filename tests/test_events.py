@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import hit_table
+from conftest import hit_table, track_rows, track_table
 from trackseg.errors import (ConfigError, ConsistencyError, DomainError,
                              ParseError)
-from trackseg.events import (Event, GenConfig, HitTable, apply_selection,
-                             generate_event, intersect_helix_layer,
-                             read_trackml_event)
+from trackseg.errors import ShapeError
+from trackseg.events import (Event, GenConfig, HitTable, TrackTable,
+                             apply_selection, generate_event,
+                             intersect_helix_layer, read_trackml_event)
 from trackseg.kinematics import CircleTrack, fit_track_conformal
 
 
@@ -67,11 +68,11 @@ class TestGenerateEvent:
         gen = GenConfig(n_tracks=4, noise_fraction=0.0,
                         hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=3)
-        for t in e.tracks:
-            radius = t.params.p_t / (0.3 * detector.field_b)
-            mine = e.hits.particle_id == t.particle_id
+        for pid, pt, _, a, b in track_rows(e.tracks):
+            radius = pt / (0.3 * detector.field_b)
+            mine = e.hits.particle_id == pid
             for x, y in zip(e.hits.x[mine], e.hits.y[mine]):
-                r = math.hypot(x - t.params.a, y - t.params.b)
+                r = math.hypot(x - a, y - b)
                 assert abs(r - radius) < 1e-10
 
     def test_deterministic(self, detector):
@@ -92,11 +93,11 @@ class TestGenerateEvent:
     def test_truth_params_exact(self, detector):
         gen = GenConfig(n_tracks=5, noise_fraction=0.0, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=4)
-        for t in e.tracks:
-            radius = t.params.p_t / (0.3 * detector.field_b)
-            d = math.hypot(t.params.a, t.params.b)
-            assert t.params.eps_t == pytest.approx(abs(d - radius),
-                                                   rel=1e-9, abs=1e-15)
+        for _, pt, eps_t, a, b in track_rows(e.tracks):
+            radius = pt / (0.3 * detector.field_b)
+            d = math.hypot(a, b)
+            assert eps_t == pytest.approx(abs(d - radius), rel=1e-9,
+                                          abs=1e-15)
 
     def test_validates(self, detector):
         # the Event checks its invariants as generate_event builds it
@@ -120,35 +121,36 @@ class TestGenerateEvent:
         gen = GenConfig(n_tracks=20, noise_fraction=0.0,
                         hit_smearing_sigma=0.0, eps_range=(1e-4, 5e-4))
         e = generate_event(detector, gen, seed=6)
-        for t in e.tracks:
-            mine = e.hits.particle_id == t.particle_id
+        for pid, _, eps_t, a, b in track_rows(e.tracks):
+            mine = e.hits.particle_id == pid
             if np.count_nonzero(mine) < 4:
                 continue
             xy = np.stack([e.hits.x[mine], e.hits.y[mine]], axis=1)
             fit = fit_track_conformal(xy, detector.field_b)
-            assert fit.a == pytest.approx(t.params.a, rel=1e-3, abs=1e-4)
-            assert fit.b == pytest.approx(t.params.b, rel=1e-3, abs=1e-4)
-            assert abs(fit.eps_t) == pytest.approx(t.params.eps_t, rel=5e-2)
+            assert fit.a == pytest.approx(a, rel=1e-3, abs=1e-4)
+            assert fit.b == pytest.approx(b, rel=1e-3, abs=1e-4)
+            assert abs(fit.eps_t) == pytest.approx(eps_t, rel=5e-2)
 
 
 class TestValidateEvent:
     """An Event checks its invariants when it is built."""
 
+    # each damage edits the event and its track rows
     @pytest.mark.parametrize("damage, message", [
-        (lambda e: replace(e, tracks=e.tracks[1:]),
+        (lambda e, rows: replace(e, tracks=track_table(rows[1:])),
          r"^particles \[1\] lack a track$"),
-        (lambda e: replace(e, tracks=e.tracks + (
-            replace(e.tracks[0], particle_id=99),)),
+        (lambda e, rows: replace(e, tracks=track_table(
+            rows + [(99, *rows[0][1:])])),
          r"^particles \[99\] lack a hit$"),
-        (lambda e: replace(e, tracks=e.tracks + e.tracks[:1]),
+        (lambda e, rows: replace(e, tracks=track_table(rows + rows[:1])),
          r"^particles \[1\] are listed twice$"),
-        (lambda e: replace(e, tracks=e.tracks + (
-            replace(e.tracks[0], particle_id=0),)),
+        (lambda e, rows: replace(e, tracks=track_table(
+            rows + [(0, *rows[0][1:])])),
          r"^particles \[0\] lack a hit$"),
-        (lambda e: replace(e, hits=replace(e.hits, hit_id=np.r_[
+        (lambda e, rows: replace(e, hits=replace(e.hits, hit_id=np.r_[
             e.hits.hit_id[:-1], e.hits.hit_id[:1]])), "repeats a hit_id"),
-        (lambda e: replace(e, tracks=(replace(e.tracks[0], particle_id=99),
-                                      *e.tracks[1:], e.tracks[1])),
+        (lambda e, rows: replace(e, tracks=track_table(
+            [(99, *rows[0][1:]), *rows[1:], rows[1]])),
          r"^particles \[99\] lack a hit; particles \[1\] lack a track; "
          r"particles \[2\] are listed twice$")],
         ids=["hits-without-track", "track-without-hits", "track-repeated",
@@ -156,9 +158,9 @@ class TestValidateEvent:
     def test_track_ids_are_the_hit_particle_ids(self, detector, damage,
                                                 message):
         e = generate_event(detector, GenConfig(n_tracks=3), seed=7)
-        assert [t.particle_id for t in e.tracks] == [1, 2, 3]
+        assert e.tracks.particle_id.tolist() == [1, 2, 3]
         with pytest.raises(ConsistencyError, match=message):
-            damage(e)
+            damage(e, track_rows(e.tracks))
 
 
 HITS_CSV = """hit_id,x,y,z,volume_id,layer_id,module_id
@@ -287,6 +289,54 @@ def test_table_of_arrays_equals_table_of_lists_and_copies_them():
     assert hits.hit_id.tolist() == [1, 2]
 
 
+# track rows that TrackTable rejects: (row, message); row 1 of each
+# table fails and row 2 fails an earlier check
+TRACK = (1, 2.0, 1e-4, 0.5, 0.5)
+BAD_TRACKS = [
+    ((2**63, 2.0, 1e-4, 0.5, 0.5), r"^particle 9223372036854775808: id "
+                                   r"beyond int64$"),
+    ((-2**63, 2.0, 1e-4, 0.5, 0.5), r"id beyond int64$"),
+    ((2, 0.0, 1e-4, 0.5, 0.5), r"^particle 2: p_T must be positive, got "
+                               r"0.0$"),
+    ((2, -2.5, 1e-4, 0.5, 0.5), r"^particle 2: p_T must be positive, got "
+                                r"-2.5$"),
+    ((2, math.inf, 1e-4, 0.5, 0.5), r"p_T must be positive, got inf$"),
+    ((2, math.nan, 1e-4, 0.5, 0.5), r"p_T must be positive, got nan$"),
+    ((2, 2.0, math.nan, 0.5, 0.5), r"^particle 2: eps_T must be finite$"),
+    ((2, 2.0, -math.inf, 0.5, 0.5), r"^particle 2: eps_T must be finite$")]
+
+
+@pytest.mark.parametrize("bad, message", BAD_TRACKS,
+                         ids=["id-too-large", "id-too-small", "pt-zero",
+                              "pt-negative", "pt-inf", "pt-nan", "eps-nan",
+                              "eps-inf"])
+def test_track_table_names_the_first_track_that_fails(bad, message):
+    later = (3, -1.0, math.nan, 0.5, 0.5)
+    with pytest.raises(DomainError, match=message) as err:
+        track_table([TRACK, bad, later])
+    assert err.value.row == 1
+
+
+def test_track_table_columns_of_unequal_length_rejected():
+    with pytest.raises(ShapeError):
+        TrackTable([1, 2], [2.0], [1e-4, 1e-4], [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(ShapeError):
+        TrackTable([[1]], [[2.0]], [[1e-4]], [[0.5]], [[0.5]])
+
+
+def test_track_table_columns_are_read_only_and_compare_whole():
+    rows = [TRACK, (7, 3.0, 0.0, -0.5, 0.25)]
+    tracks = track_table(rows)
+    assert len(tracks) == 2 and track_rows(tracks) == rows
+    assert tracks.particle_id.dtype == np.int64
+    for name in ("particle_id", "pt", "eps_t", "a", "b"):
+        with pytest.raises(ValueError):
+            getattr(tracks, name)[0] = 0
+    assert tracks == track_table(rows)
+    assert tracks != track_table([TRACK, (7, 3.0, 0.0, -0.5, 0.5)])
+    assert tracks.take(np.array([False, True])) == track_table(rows[1:])
+
+
 class TestReadTrackml:
     def test_golden_rows(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))
@@ -303,7 +353,7 @@ class TestReadTrackml:
     def test_pt_three_four_five(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))
         assert len(e.tracks) == 1
-        assert e.tracks[0].params.p_t == pytest.approx(5.0)
+        assert e.tracks.pt[0] == pytest.approx(5.0)
         assert e.hits.hit_id[e.hits.particle_id == 101].tolist() == [1, 2]
 
     def test_derived_coordinates(self, tmp_path):
@@ -318,7 +368,7 @@ class TestReadTrackml:
         truth_header = TRUTH_CSV.splitlines()[0] + "\n"
         e = read_trackml_event(*write_trackml(
             tmp_path, hits=header, truth=truth_header))
-        assert len(e.hits) == 0 and e.tracks == ()
+        assert len(e.hits) == 0 and len(e.tracks) == 0
 
     def test_malformed_row_names_line(self, tmp_path):
         bad = HITS_CSV + "4,not_a_number,0,0,8,2,1\n"
@@ -391,12 +441,14 @@ class TestApplySelection:
                                 "particle_id", "volume")}
         columns["hit_id"][len(low.hits):] += shift
         columns["particle_id"][len(low.hits):] = 2
-        hi_track = replace(hi.tracks[0], particle_id=2)
-        merged = Event(0, HitTable(**columns), (low.tracks[0], hi_track))
+        (low_track,), ((_, *hi_params),) = map(track_rows, (low.tracks,
+                                                          hi.tracks))
+        merged = Event(0, HitTable(**columns),
+                       track_table([low_track, (2, *hi_params)]))
         kept = apply_selection(merged, pt_min=2.0, volumes=(0,))
         assert set(kept.hits.particle_id.tolist()) == {2}
-        assert len(kept.tracks) == 1
-        assert kept.tracks[0].params.p_t == pytest.approx(3.0)
+        assert kept.tracks.particle_id.tolist() == [2]
+        assert kept.tracks.pt[0] == pytest.approx(3.0)
 
     def test_volume_filter(self, tmp_path):
         e = read_trackml_event(*write_trackml(tmp_path))
@@ -407,7 +459,7 @@ class TestApplySelection:
         e = read_trackml_event(*write_trackml(tmp_path))
         out = apply_selection(e, pt_min=100.0, volumes=(8, 13))
         assert out.hits.particle_id.tolist() == [0]
-        assert out.tracks == ()
+        assert len(out.tracks) == 0
 
     def test_idempotent_and_monotone(self, detector):
         gen = GenConfig(n_tracks=8, noise_fraction=0.2, hit_smearing_sigma=0.0)

@@ -11,23 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (JSON_VALUES, decoded, doc_paths, encoded, hit_at,
-                      hit_table, make_training_graph, set_at)
+                      hit_table, make_training_graph, set_at, track_rows,
+                      track_table)
 from oracles import brute_force_dbscan, partition_of
 from test_events import write_trackml
 from trackseg.ellipses import Ellipse5, point_in_ellipse
 from trackseg import graphs
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
                              DomainError)
-from trackseg.events import (TRACK_COLUMNS, Event, GenConfig, TruthTrack,
+from trackseg.events import (TRACK_COLUMNS, Event, GenConfig,
                              generate_event, read_trackml_event)
 from trackseg.graphs import (TARGET_COLUMNS, DbscanParams, Graph,
                              build_graph, dbscan, graph_from_dict,
                              graph_to_dict, truth_ellipses)
 from trackseg.jsonio import read_json, write_json
-from trackseg.kinematics import TrackParams
 from trackseg.tracknet import graph_inputs
 
 TWO_PI = 2.0 * math.pi
+# one track of particle 1: p_T 1 GeV, eps_T 0, circle centre (0, 1)
+TRACK = (1, 1.0, 0.0, 0.0, 1.0)
 
 
 class TestDbscan:
@@ -218,9 +220,7 @@ class TestBuildGraph:
                           hit_at(2, 0.01, 1.0, particle_id=1),
                           hit_at(3, 0.02, 1.0, particle_id=2),
                           hit_at(4, 0.03, 1.0, particle_id=2)])
-        params = TrackParams(1.0, 0.0, 0.0, 1.0)
-        tracks = (TruthTrack(1, params), TruthTrack(2, params))
-        e = Event(0, hits, tracks)
+        e = Event(0, hits, track_table([TRACK, (2, *TRACK[1:])]))
         g = build_graph(e, DbscanParams(eps=0.05, min_pts=2))
         assert g.n_edges == 6
         assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3],
@@ -249,7 +249,7 @@ class TestBuildGraph:
         # no tracks means no hits at all; construct noise-only manually
         hits = hit_table([hit_at(i + 1, float(i), (i * 2.0) % TWO_PI)
                           for i in range(5)])
-        e = Event(0, hits, ())
+        e = Event(0, hits, track_table([]))
         g = build_graph(e, DbscanParams(eps=0.05, min_pts=2))
         assert g.n_edges == 0
         assert not g.vertex_class.any()
@@ -267,7 +267,14 @@ class TestBuildGraph:
 
     def test_empty_event_rejected(self):
         with pytest.raises(ConsistencyError):
-            build_graph(Event(0, hit_table([]), ()), DbscanParams())
+            build_graph(Event(0, hit_table([]), track_table([])),
+                        DbscanParams())
+
+
+def only_target(e):
+    """The Ellipse5 of the one target row of a one-track event."""
+    (row,) = truth_ellipses(e).tolist()
+    return Ellipse5(*row)
 
 
 class TestTruthEllipses:
@@ -275,25 +282,23 @@ class TestTruthEllipses:
         gen = GenConfig(n_tracks=8, noise_fraction=0.1,
                         hit_smearing_sigma=2e-4)
         e = generate_event(detector, gen, seed=24)
-        for t, ell in zip(e.tracks, truth_ellipses(e), strict=True):
-            mine = e.hits.particle_id == t.particle_id
+        rows = truth_ellipses(e)
+        assert rows.shape == (len(e.tracks), 5)
+        for pid, row in zip(e.tracks.particle_id, rows.tolist()):
+            mine = e.hits.particle_id == pid
             for eta, phi in zip(e.hits.eta[mine], e.hits.phi[mine]):
-                assert point_in_ellipse(ell, (eta, phi))
+                assert point_in_ellipse(Ellipse5(*row), (eta, phi))
 
     def test_two_hit_track_floor_minor_axis(self):
         hits = hit_table([hit_at(1, 0.0, 1.0, particle_id=1),
                           hit_at(2, 0.02, 1.0, layer=1, particle_id=1)])
-        t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0))
-        e = Event(0, hits, (t,))
-        ell, = truth_ellipses(e)
+        ell = only_target(Event(0, hits, track_table([TRACK])))
         assert ell.a == pytest.approx(1.1 * 0.01, rel=1e-9)
         assert ell.b == pytest.approx(1.1 * 1e-4, rel=1e-9)
 
     def test_single_hit_track(self):
         hits = hit_table([hit_at(1, 0.3, 2.0, particle_id=1)])
-        t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0))
-        e = Event(0, hits, (t,))
-        ell, = truth_ellipses(e)
+        ell = only_target(Event(0, hits, track_table([TRACK])))
         assert (ell.eta_c, ell.phi_c) == (0.3, 2.0)
         assert ell.a == pytest.approx(1.1e-4)
         assert ell.b == pytest.approx(1.1e-4)
@@ -302,9 +307,7 @@ class TestTruthEllipses:
         length = 0.4
         hits = hit_table([hit_at(i + 1, i * length / 4.0, 1.5,
                                  particle_id=1) for i in range(5)])
-        t = TruthTrack(1, TrackParams(1.0, 0.0, 0.0, 1.0))
-        e = Event(0, hits, (t,))
-        ell, = truth_ellipses(e)
+        ell = only_target(Event(0, hits, track_table([TRACK])))
         assert ell.theta in (pytest.approx(0.0, abs=1e-9),
                              pytest.approx(math.pi, abs=1e-9))
         assert ell.a == pytest.approx(1.1 * length / 2.0, rel=1e-9)
@@ -319,6 +322,12 @@ class TestAssignTargets:
         assert n_targets == int(g.vertex_class.sum())
         for i in np.flatnonzero(~g.vertex_class):
             assert g.vertex_target_ellipse[i] is None
+        # a vertex's target is the target row of its track row
+        assert g.vertex_target_ellipse == [
+            None if row < 0 else Ellipse5(*g.targets[row].tolist())
+            for row in g.track_row]
+        assert (g.tracks.particle_id[g.track_row[g.vertex_class]]
+                == g.hits.particle_id[g.vertex_class]).all()
 
     def test_same_ellipse_per_track(self, detector):
         gen = GenConfig(n_tracks=1, noise_fraction=0.0, hit_smearing_sigma=0.0)
@@ -340,43 +349,59 @@ class TestAssignTargets:
         gen = GenConfig(n_tracks=2, noise_fraction=0.0, hit_smearing_sigma=0.0)
         e = generate_event(detector, gen, seed=27)
         with pytest.raises(ConsistencyError,
-                           match=r"^graph 0 has 1 targets for 2 tracks$"):
+                           match=r"^graph 0 has targets of shape \(1, 5\) "
+                                 r"for 2 tracks$"):
             Graph(0, e.hits, e.tracks, np.zeros((0, 2), dtype=int),
                   truth_ellipses(e)[1:])
-
-    @staticmethod
-    def with_params(g, **values):
-        """The tracks of `g`, each with its params changed by `values`."""
-        return tuple(replace(t, params=replace(t.params, **values))
-                     for t in g.tracks)
 
     @pytest.mark.parametrize("change, message", [
         (lambda g: {"hits": replace(g.hits, hit_id=np.r_[
             g.hits.hit_id[1:2], g.hits.hit_id[1:]])},
          "repeats a hit_id"),
-        (lambda g: {"tracks": g.tracks + (replace(g.tracks[0],
-                                                  particle_id=999),),
-                    "targets": g.targets + g.targets[:1]},
+        (lambda g: {"tracks": track_table(
+            track_rows(g.tracks) + [(999, *track_rows(g.tracks)[0][1:])]),
+                    "targets": np.r_[g.targets, g.targets[:1]]},
          r"particles \[999\] lack a hit"),
-        (lambda g: {"tracks": TestAssignTargets.with_params(g, p_t=0.0)},
+        (lambda g: {"tracks": replace(g.tracks, pt=0.0 * g.tracks.pt)},
          "p_T must be positive"),
-        (lambda g: {"tracks": TestAssignTargets.with_params(
-            g, eps_t=math.nan)}, "eps_T must be finite"),
-        (lambda g: {"targets": g.targets[1:]}, "targets for"),
-        (lambda g: {"targets": g.targets + g.targets[:1]}, "targets for"),
+        (lambda g: {"tracks": replace(g.tracks, eps_t=math.nan
+                                      * g.tracks.eps_t)},
+         "eps_T must be finite"),
+        (lambda g: {"targets": g.targets[1:]}, "targets of shape"),
+        (lambda g: {"targets": np.r_[g.targets, g.targets[:1]]},
+         "targets of shape"),
+        (lambda g: {"targets": g.targets[:, :4]}, "targets of shape"),
+        (lambda g: {"targets": np.where(  # row 1 with its axes swapped
+            np.arange(len(g.targets))[:, None] == 1,
+            g.targets[:, [0, 1, 3, 2, 4]], g.targets)},
+         r"^target row 1: semi-axes must satisfy a >= b > 0"),
+        (lambda g: {"targets": g.targets + [0.0, 0.0, 0.0, 0.0, math.pi]},
+         r"^target row 0: theta must lie in \[0, pi\)"),
         (lambda g: {"edges": np.array([[0, g.n_vertices]])}, "edges"),
         (lambda g: {"edges": np.array([[1, 1]])}, "edges"),
         (lambda g: {"edges": np.array([0, 1])}, "edges"),
         (lambda g: {"edges": np.array([[1, 0]])}, "pairs i < j")],
         ids=["hit-id-repeated", "particle-without-vertex", "pt-zero",
              "eps-nan", "track-vertices-without-targets",
-             "target-without-vertex", "edge-out-of-range", "edge-self-loop",
+             "target-without-vertex", "target-of-four-values",
+             "target-a-below-b", "target-theta-past-pi",
+             "edge-out-of-range", "edge-self-loop",
              "edge-not-a-pair", "edge-i-above-j"])
     def test_graph_checks_its_invariants_when_built(self, toy_graph, change,
                                                     message):
-        # a track's (p_T, eps_T) is checked as its TrackParams is built
+        # a track's (p_T, eps_T) is checked as its TrackTable is built
         with pytest.raises((ConsistencyError, DomainError), match=message):
             replace(toy_graph, **change(toy_graph))
+
+    def test_graphs_compare_by_event_edges_and_targets(self, toy_graph):
+        g = toy_graph
+        assert g == replace(g, edges=g.edges.copy())
+        assert g == replace(g, targets=g.targets.copy())
+        assert g != replace(g, edges=g.edges[:-1])
+        assert g != replace(g, edges=np.r_[g.edges[:-1], [[0, 1]]])
+        assert g != replace(g, targets=g.targets * [1.0, 1.0, 1.0, 1.0, 0.5])
+        assert g != replace(g, event_id=g.event_id + 1)
+        assert g != Event(g.event_id, g.hits, g.tracks)
 
     def test_graph_is_frozen(self, toy_graph):
         with pytest.raises(FrozenInstanceError):
@@ -423,7 +448,8 @@ def _assert_same_graph(g2, g):
         [(e.hex(), p.hex()) for e, p in zip(g.eta.tolist(), g.phi.tolist())]
     assert g2.hits.z.dtype == g.hits.z.dtype == float
     assert g2.hits.layer.dtype == g.hits.layer.dtype == int
-    assert g2.targets == g.targets
+    assert np.array_equal(g2.targets, g.targets)
+    assert g2 == g
     assert g2.vertex_target_ellipse == g.vertex_target_ellipse
 
 
@@ -487,7 +513,7 @@ class TestGraphSerialization:
 
     def test_graph_without_edges_or_particles_round_trips(self):
         hits = hit_table([hit_at(1, 0.0, 1.0), hit_at(2, 0.5, 3.0)])
-        g = build_graph(Event(3, hits, ()), DbscanParams())
+        g = build_graph(Event(3, hits, track_table([])), DbscanParams())
         assert g.n_edges == 0
         doc = json.loads(json.dumps(graph_to_dict(g)))
         assert doc["edges"] == {"i": ["<i8", ""], "j": ["<i8", ""]}
@@ -602,9 +628,9 @@ class TestGraphSerialization:
 
     @pytest.mark.parametrize("change, message", [
         (lambda doc: [c.pop() for c in doc["targets"].values()],
-         "graph 0 has 1 targets for 2 tracks"),
+         "graph 0 has targets of shape (1, 5) for 2 tracks"),
         (lambda doc: doc.update(targets=_with_row("targets")),
-         "graph 0 has 3 targets for 2 tracks"),
+         "graph 0 has targets of shape (3, 5) for 2 tracks"),
         (lambda doc: doc.update(targets=_table("targets", 1, a=1e-4, b=0.5)),
          "semi-axes must satisfy a >= b > 0"),
         (lambda doc: doc.pop("targets"),
@@ -635,7 +661,7 @@ class TestGraphSerialization:
         assert isinstance(graph, Graph)
         loaded = [graph.eta, graph.phi, graph.hits.x, graph.hits.y,
                   graph.hits.z,
-                  [(t.params.p_t, t.params.eps_t) for t in graph.tracks],
+                  graph.tracks.pt, graph.tracks.eps_t, graph.targets,
                   [astuple(e) for e in graph.vertex_target_ellipse
                    if e is not None]]
         for values in loaded:
@@ -652,8 +678,8 @@ def test_default_params_cocluster_same_track_pairs(detector):
         e = generate_event(detector, gen, seed=seed)
         pts = np.stack([e.hits.eta, e.hits.phi], axis=1)
         labels = dbscan(pts, DbscanParams())
-        for t in e.tracks:
-            ids = np.flatnonzero(e.hits.particle_id == t.particle_id)
+        for pid in e.tracks.particle_id:
+            ids = np.flatnonzero(e.hits.particle_id == pid)
             for x in range(len(ids)):
                 for y in range(x + 1, len(ids)):
                     total += 1

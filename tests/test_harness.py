@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 
 import trackseg
 from conftest import (JSON_VALUES, decoded, doc_paths, encoded, hit_at,
-                      hit_table, set_at)
+                      hit_table, set_at, track_table)
 from oracles import brute_force_dbscan
 from test_events import BAD_TRACKML, BAD_TRACKML_IDS, HITS_CSV, \
     write_trackml
 from trackseg import tracknet
-from trackseg.ellipses import IOU_RESOLUTION, make_ellipse
+from trackseg.ellipses import IOU_RESOLUTION, Ellipse5, make_ellipse
 from trackseg.errors import ConfigError, ConsistencyError, DataError
 from trackseg.events import (DetectorConfig, Event, GenConfig,
                              event_from_dict, event_to_dict, generate_event,
@@ -75,30 +75,25 @@ class TestAuc:
 
 
 def truth_identity_prediction(event):
-    """Prediction payload built from truth: one candidate per track."""
-    ellipses = {t.particle_id: ellipse for t, ellipse in
-                zip(event.tracks, truth_ellipses(event))}
-    hit_ids = event.hits.hit_id.tolist()
-    pids = event.hits.particle_id.tolist()
-    class_prob = [1.0 if pid != 0 else 0.0 for pid in pids]
-    candidates = []
-    track_index = {}
-    for k, t in enumerate(event.tracks):
-        vertex_ids = [i for i, pid in enumerate(pids)
-                      if pid == t.particle_id]
-        candidates.append(TrackCandidate(
-            ellipses[t.particle_id], 1.0, tuple(vertex_ids),
-            params=(t.params.p_t, t.params.eps_t)))
-        track_index[t.particle_id] = k
-    assignments = [track_index.get(pid) for pid in pids]
-    per_vertex = [ellipses.get(pid) for pid in pids]
+    """Prediction payload built from truth: one candidate per track row,
+    each track vertex with its track's ellipse."""
+    targets = truth_ellipses(event)
+    track_row = event.track_row
+    candidates = [
+        TrackCandidate(Ellipse5(*target), 1.0,
+                       tuple(np.flatnonzero(track_row == k).tolist()),
+                       params=(pt, eps_t))
+        for k, (target, pt, eps_t) in enumerate(zip(
+            targets.tolist(), event.tracks.pt.tolist(),
+            event.tracks.eps_t.tolist()))]
+    vertices = np.flatnonzero(track_row >= 0)
     return {
         "event_id": event.event_id,
-        "vertex_hit_ids": hit_ids,
-        "class_prob": class_prob,
-        "ellipses": per_vertex,
+        "vertex_hit_ids": event.hits.hit_id.tolist(),
+        "class_prob": (track_row >= 0).astype(float).tolist(),
+        "ellipses": (vertices, targets[track_row[vertices]]),
         "candidates": candidates,
-        "assignments": assignments,
+        "assignments": [k if k >= 0 else None for k in track_row.tolist()],
     }
 
 
@@ -130,7 +125,8 @@ class TestEvaluate:
 
     def test_no_tracks(self):
         e = self.event(seed=91)
-        noise = Event(e.event_id, e.hits.take(e.hits.particle_id == 0), ())
+        noise = Event(e.event_id, e.hits.take(e.hits.particle_id == 0),
+                      track_table([]))
         m = evaluate({e.event_id: truth_identity_prediction(noise)},
                      {e.event_id: noise})
         assert m["counts"]["n_tracks"] == 0
@@ -144,7 +140,7 @@ class TestEvaluate:
         e = self.event(seed=92, n_tracks=2)
         pred = truth_identity_prediction(e)
         # drop the second track's assignments
-        second_pid = e.tracks[1].particle_id
+        second_pid = e.tracks.particle_id[1]
         pred["assignments"] = [
             a if e.hits.particle_id[i] != second_pid else None
             for i, a in enumerate(pred["assignments"])]
@@ -159,11 +155,10 @@ class TestEvaluate:
     def test_resolution_rms(self):
         e = self.event(seed=94, n_tracks=1)
         pred = truth_identity_prediction(e)
-        t = e.tracks[0]
+        pt, eps_t = e.tracks.pt[0], e.tracks.eps_t[0]
         biased = TrackCandidate(pred["candidates"][0].ellipse, 1.0,
                                 pred["candidates"][0].member_vertex_ids,
-                                params=(t.params.p_t * 1.1,
-                                        t.params.eps_t + 2e-4))
+                                params=(pt * 1.1, eps_t + 2e-4))
         pred["candidates"] = [biased]
         res = evaluate({e.event_id: pred},
                        {e.event_id: e})["parameter_resolution"]
@@ -173,11 +168,11 @@ class TestEvaluate:
     def test_resolution_rms_of_residuals_whose_squares_overflow(self):
         e = self.event(seed=94, n_tracks=1)
         pred = truth_identity_prediction(e)
-        t = e.tracks[0]
         pred["candidates"] = [TrackCandidate(
             pred["candidates"][0].ellipse, 1.0,
             pred["candidates"][0].member_vertex_ids,
-            params=(t.params.p_t, t.params.eps_t + 1.3407807929942597e154))]
+            params=(e.tracks.pt[0],
+                    e.tracks.eps_t[0] + 1.3407807929942597e154))]
         res = evaluate({e.event_id: pred},
                        {e.event_id: e})["parameter_resolution"]
         assert res["eps_t_abs_rms"] == pytest.approx(1.3407807929942597e154)
@@ -195,7 +190,7 @@ class TestEvaluate:
 class TestRender:
     def test_empty_event_valid_svg(self, tmp_path):
         path = tmp_path / "empty.svg"
-        render_event_svg(Event(0, hit_table([]), ()), [], path)
+        render_event_svg(Event(0, hit_table([]), track_table([])), [], path)
         text = path.read_text()
         assert text.startswith("<svg")
         assert "</svg>" in text
@@ -213,9 +208,10 @@ class TestRender:
         assert text.count("<ellipse") == len(shapes)
 
     def test_single_hit_single_ellipse(self, tmp_path):
-        e = Event(0, hit_table([hit_at(1, 0.5, 1.0)]), ())
+        e = Event(0, hit_table([hit_at(1, 0.5, 1.0)]), track_table([]))
         path = tmp_path / "one.svg"
-        render_event_svg(e, [make_ellipse(0.5, 1.0, 0.1, 0.05, 0.3)], path)
+        render_event_svg(e, [astuple(make_ellipse(0.5, 1.0, 0.1, 0.05, 0.3))],
+                         path)
         text = path.read_text()
         assert text.count("<circle") == 1
         assert text.count("<ellipse") == 1
@@ -457,9 +453,13 @@ def predictions(draw):
         st.none() | ELLIPSES
     assignments = st.none() if shape == "unassigned" or not candidates \
         else st.none() | st.integers(0, len(candidates) - 1)
-    return (draw(st.integers(-2**63, 2**63 - 1)), ids,
-            draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
-            draw(st.lists(ellipses, min_size=n, max_size=n)), candidates,
+    event_id = draw(st.integers(-2**63, 2**63 - 1))
+    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    per_vertex = draw(st.lists(ellipses, min_size=n, max_size=n))
+    vertices = [v for v, e in enumerate(per_vertex) if e is not None]
+    rows = np.array([astuple(per_vertex[v]) for v in vertices])
+    return (event_id, ids, probs,
+            (np.array(vertices, dtype=int), rows.reshape(-1, 5)), candidates,
             draw(st.lists(assignments, min_size=n, max_size=n)))
 
 
@@ -519,9 +519,11 @@ class TestIo:
         doc = prediction_to_dict(*prediction)
         text = json.dumps(doc, sort_keys=True)
         pred = prediction_from_dict(json.loads(text))
+        event_id, ids, probs, ellipses, candidates, assignments = prediction
         assert (pred["event_id"], pred["vertex_hit_ids"], pred["class_prob"],
-                pred["ellipses"], pred["candidates"],
-                pred["assignments"]) == prediction
+                pred["candidates"], pred["assignments"]) == \
+            (event_id, ids, probs, candidates, assignments)
+        assert all(map(np.array_equal, pred["ellipses"], ellipses))
         # what the benchmark's output check compares
         again = prediction_to_dict(pred["event_id"], pred["vertex_hit_ids"],
                                    pred["class_prob"], pred["ellipses"],
@@ -591,7 +593,7 @@ class TestIo:
         e = generate_event(DetectorConfig(), GenConfig(n_tracks=0,
                                                        noise_fraction=0.5),
                            seed=47)
-        assert len(e.hits) == 0 and e.tracks == ()
+        assert len(e.hits) == 0 and len(e.tracks) == 0
         doc = json.loads(json.dumps(event_to_dict(e)))
         assert doc["tracks"]["pt"] == ["<f8", ""]
         assert event_from_dict(doc) == e
@@ -632,14 +634,17 @@ class TestIo:
         n_vertices, n_candidates = (len(pred["vertex_hit_ids"]),
                                     len(pred["candidates"]))
         assert all(len(pred[key]) == n_vertices
-                   for key in ("class_prob", "ellipses", "assignments"))
+                   for key in ("class_prob", "assignments"))
+        vertices, rows = pred["ellipses"]
+        assert rows.shape == (len(vertices), 5)
+        assert all(0 <= v < n_vertices for v in vertices)
         assert len(set(pred["vertex_hit_ids"])) == n_vertices
         assert all(0 <= i < n_vertices for c in pred["candidates"]
                    for i in c.member_vertex_ids)
         assert all(a is None or 0 <= a < n_candidates
                    for a in pred["assignments"])
         assert all(0.0 <= p <= 1.0 for p in pred["class_prob"])
-        loaded = [*(astuple(e) for e in pred["ellipses"] if e is not None),
+        loaded = [*rows.tolist(),
                   *(astuple(c.ellipse) for c in pred["candidates"]),
                   *((c.confidence, *c.params) for c in pred["candidates"])]
         assert all(map(math.isfinite, itertools.chain(*loaded)))
@@ -950,7 +955,7 @@ class TestCli:
         preds = sorted((tmp_path / "out" / "predictions").glob("pred_*.json"))
         assert len(lines) == len(preds) == 1
         pred = prediction_from_dict(read_json(preds[0]))
-        kept = sum(e is not None for e in pred["ellipses"])
+        kept = len(pred["ellipses"][0])
         n_cand = len(pred["candidates"])
         head, counts = lines[0].split("; ")
         assert head.endswith(

@@ -21,10 +21,16 @@ def ellipse_at(eta, phi=3.0, a=0.2, b=0.1, theta=0.0):
     return make_ellipse(eta, phi, a, b, theta)
 
 
+def rows_of(ellipses) -> np.ndarray:
+    """The parameter rows of Ellipse5s, (n, 5), as merge_ellipses takes
+    them."""
+    return np.array([astuple(e) for e in ellipses]).reshape(-1, 5)
+
+
 class TestMergeEllipses:
     def test_three_identical(self):
         e = ellipse_at(0.0)
-        cands = merge_ellipses([e, e, e], [0.9, 0.8, 0.7], t_h=0.5)
+        cands = merge_ellipses(rows_of([e, e, e]), [0.9, 0.8, 0.7], t_h=0.5)
         assert len(cands) == 1
         c = cands[0]
         assert c.confidence == pytest.approx(0.8)
@@ -36,7 +42,7 @@ class TestMergeEllipses:
         assert c.ellipse.theta == pytest.approx(e.theta, abs=1e-12)
 
     def test_disjoint_stay_separate(self):
-        cands = merge_ellipses([ellipse_at(0.0), ellipse_at(5.0)],
+        cands = merge_ellipses(rows_of([ellipse_at(0.0), ellipse_at(5.0)]),
                                [0.9, 0.8], t_h=0.3)
         assert len(cands) == 2
 
@@ -47,7 +53,7 @@ class TestMergeEllipses:
         c = ellipse_at(4.0)
         iou_ab = iou(a, b)
         assert iou_ab > 0.5
-        cands = merge_ellipses([a, b, c], [0.9, 0.8, 0.7], t_h=0.5)
+        cands = merge_ellipses(rows_of([a, b, c]), [0.9, 0.8, 0.7], t_h=0.5)
         assert len(cands) == 2
         merged = next(x for x in cands if len(x.member_vertex_ids) == 2)
         lone = next(x for x in cands if len(x.member_vertex_ids) == 1)
@@ -65,7 +71,7 @@ class TestMergeEllipses:
                                    b=rng.uniform(0.05, 0.1))
                         for _ in range(n)]
             scores = rng.uniform(0, 1, n)
-            cands = merge_ellipses(ellipses, scores, t_h=0.4)
+            cands = merge_ellipses(rows_of(ellipses), scores, t_h=0.4)
             members = sorted(itertools.chain.from_iterable(
                 c.member_vertex_ids for c in cands))
             assert members == list(range(n))
@@ -74,13 +80,13 @@ class TestMergeEllipses:
         rng = np.random.default_rng(31)
         ellipses = [ellipse_at(rng.uniform(-0.2, 0.2)) for _ in range(8)]
         scores = rng.uniform(0.1, 0.9, 8)
-        for c in merge_ellipses(ellipses, scores, t_h=0.3):
+        for c in merge_ellipses(rows_of(ellipses), scores, t_h=0.3):
             member_scores = [scores[i] for i in c.member_vertex_ids]
             assert min(member_scores) <= c.confidence <= max(member_scores)
 
     def test_descending_confidence_order(self):
         ellipses = [ellipse_at(0.0), ellipse_at(3.0), ellipse_at(-3.0)]
-        cands = merge_ellipses(ellipses, [0.2, 0.9, 0.5], t_h=0.5)
+        cands = merge_ellipses(rows_of(ellipses), [0.2, 0.9, 0.5], t_h=0.5)
         confs = [c.confidence for c in cands]
         assert confs == sorted(confs, reverse=True)
 
@@ -88,10 +94,10 @@ class TestMergeEllipses:
         ellipses = [ellipse_at(0.0), ellipse_at(0.05), ellipse_at(3.0),
                     ellipse_at(-3.0)]
         scores = [0.9, 0.7, 0.8, 0.6]
-        first = merge_ellipses(ellipses, scores, t_h=0.5)
+        first = merge_ellipses(rows_of(ellipses), scores, t_h=0.5)
         assert all(iou(a.ellipse, b.ellipse) <= 0.5
                    for a, b in itertools.combinations(first, 2))
-        second = merge_ellipses([c.ellipse for c in first],
+        second = merge_ellipses(rows_of([c.ellipse for c in first]),
                                 [c.confidence for c in first], t_h=0.5)
         assert len(second) == len(first)
         for merged, original in zip(second, first):
@@ -106,7 +112,7 @@ class TestMergeEllipses:
         ellipses = group1 + group2
         base = None
         for perm in itertools.permutations(np.linspace(0.3, 0.9, 5)):
-            cands = merge_ellipses(ellipses, list(perm), t_h=0.2)
+            cands = merge_ellipses(rows_of(ellipses), list(perm), t_h=0.2)
             partition = frozenset(c.member_vertex_ids for c in cands)
             if base is None:
                 base = partition
@@ -116,7 +122,7 @@ class TestMergeEllipses:
     def test_theta_circular_mean_at_wrap(self):
         e1 = make_ellipse(0.0, 3.0, 0.2, 0.1, 0.05)
         e2 = make_ellipse(0.0, 3.0, 0.2, 0.1, math.pi - 0.05)
-        cands = merge_ellipses([e1, e2], [0.9, 0.8], t_h=0.1)
+        cands = merge_ellipses(rows_of([e1, e2]), [0.9, 0.8], t_h=0.1)
         assert len(cands) == 1
         theta = cands[0].ellipse.theta
         # mean over period pi sits at 0, not at pi/2
@@ -125,25 +131,25 @@ class TestMergeEllipses:
     def test_phi_wrapped_mean(self):
         e1 = make_ellipse(0.0, 0.02, 0.2, 0.1, 0.0)
         e2 = make_ellipse(0.0, 2 * math.pi - 0.02, 0.2, 0.1, 0.0)
-        cands = merge_ellipses([e1, e2], [0.9, 0.8], t_h=0.1)
+        cands = merge_ellipses(rows_of([e1, e2]), [0.9, 0.8], t_h=0.1)
         assert len(cands) == 1
         phi = cands[0].ellipse.phi_c
         assert min(phi, 2 * math.pi - phi) == pytest.approx(0.0, abs=1e-9)
 
     def test_bad_threshold(self):
         with pytest.raises(DomainError):
-            merge_ellipses([], [], t_h=0.0)
+            merge_ellipses(np.zeros((0, 5)), [], t_h=0.0)
 
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
-            merge_ellipses([ellipse_at(0.0)], [0.5, 0.6])
+            merge_ellipses(rows_of([ellipse_at(0.0)]), [0.5, 0.6])
 
 
 def merge_seed_by_seed(ellipses, scores, t_h):
     """The greedy grouping one seed at a time: IoU of each seed against
     every unassigned ellipse by the full clip, means of each group on its
     own."""
-    rows = np.array([astuple(e) for e in ellipses]).reshape(-1, 5)
+    rows = rows_of(ellipses)
     order = np.array(sorted(range(len(ellipses)),
                             key=lambda i: (-scores[i], i)), dtype=int)
     assigned = np.zeros(len(ellipses), dtype=bool)
@@ -194,7 +200,7 @@ class TestMergeEqualsSeedBySeed:
             # one decimal: many scores tie
             scores = np.round(rng.uniform(0.0, 1.0, n), 1)
             t_h = float(rng.uniform(0.1, 0.8))
-            got = merge_ellipses(ellipses, scores, t_h)
+            got = merge_ellipses(rows_of(ellipses), scores, t_h)
             assert repr(got) == repr(merge_seed_by_seed(ellipses, scores,
                                                         t_h))
             merged += n - len(got)
@@ -204,8 +210,8 @@ class TestMergeEqualsSeedBySeed:
         rng = np.random.default_rng(33)
         ellipses = clustered_ellipses(rng, 40, 5)
         stats = {"pairs": 1}
-        cands = merge_ellipses(ellipses, rng.uniform(0.0, 1.0, 40), 0.3,
-                               stats=stats)
+        cands = merge_ellipses(rows_of(ellipses), rng.uniform(0.0, 1.0, 40),
+                               0.3, stats=stats)
         assert stats["pairs"] == 1 + 40 * 39 // 2
         assert 40 - len(cands) <= stats["pairs_over_t_h"] \
             <= stats["near_pairs"] < stats["pairs"]
@@ -220,11 +226,11 @@ class TestMergeEqualsSeedBySeed:
         ellipses = [make_ellipse(0.03 * (i % 50), 0.03 * (i // 50) + 1.0,
                                  0.04, 0.02, rng.uniform(0.0, math.pi))
                     for i in range(n)]
-        scores = rng.uniform(0.0, 1.0, n)
+        rows, scores = rows_of(ellipses), rng.uniform(0.0, 1.0, n)
         stats = {}
         tracemalloc.start()
         try:
-            cands = merge_ellipses(ellipses, scores, 0.2, stats=stats)
+            cands = merge_ellipses(rows, scores, 0.2, stats=stats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -383,7 +389,7 @@ class TestChooseThreshold:
                       [(0.5, True), (1.0, False)]):
             result = choose_threshold(pairs)
             assert 0.0 < result.threshold < 1.0
-            merge_ellipses([], [], result.threshold)  # accepted
+            merge_ellipses(np.zeros((0, 5)), [], result.threshold)  # accepted
 
     def test_single_class_rejected(self):
         with pytest.raises(DomainError):

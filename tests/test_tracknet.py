@@ -13,17 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (JSON_VALUES, doc_paths, hit_at, hit_table,
-                      make_training_graph, set_at)
+                      make_training_graph, set_at, track_table)
 from oracles import decode_box_row, initial_flat, plain_message_passing
 from trackseg import tracknet as tn
 from test_ellipses import SCALES
 from trackseg.ellipses import make_ellipse
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
                              DomainError, NumericError, ParseError)
-from trackseg.events import Event, HitTable, TruthTrack
+from trackseg.events import Event, HitTable
 from trackseg.graphs import (DbscanParams, Graph, build_graph,
                              graph_from_dict, graph_to_dict)
-from trackseg.kinematics import TrackParams
 from trackseg.neural.nn import AdamState, mlp_forward
 
 
@@ -47,9 +46,9 @@ def tiny_graph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 2))):
         hits=HitTable(np.arange(1, n + 1), xy[:, 0], xy[:, 1],
                       rng.normal(0, 0.3, n), rng.integers(0, 4, n),
                       np.ones(n, dtype=int), np.zeros(n, dtype=int)),
-        tracks=(TruthTrack(1, TrackParams(2.5, 3e-4, 0.0, 1.0)),),
+        tracks=track_table([(1, 2.5, 3e-4, 0.0, 1.0)]),
         edges=edges,
-        targets=(make_ellipse(0, 0, 0.05, 0.01, 0.0),),
+        targets=[astuple(make_ellipse(0, 0, 0.05, 0.01, 0.0))],
     )
 
 
@@ -239,8 +238,8 @@ class TestPredictClusterParams:
         g = make_training_graph(seed=32, n_tracks=4)[1]
         m = tn.Model(small_config(), seed=15)
         out = forward(m, g)
-        clusters = [np.flatnonzero(g.hits.particle_id == t.particle_id)
-                    for t in g.tracks] + [[0, 1], [2]]
+        clusters = [np.flatnonzero(g.hits.particle_id == pid)
+                    for pid in g.tracks.particle_id] + [[0, 1], [2]]
         batched = tn.predict_cluster_params(
             m, out.final_state, tn.cluster_features(clusters, g))
         assert batched.data.shape == (len(clusters), 2)
@@ -338,7 +337,7 @@ class TestTrain:
     def test_all_noise_empty_edges(self):
         hits = hit_table([hit_at(i + 1, float(i), (2.0 * i) % 6.28)
                           for i in range(6)])
-        e = Event(0, hits, ())
+        e = Event(0, hits, track_table([]))
         g = build_graph(e, DbscanParams(eps=0.01, min_pts=2))
         assert g.n_edges == 0
         m = tn.Model(small_config(), seed=20)
@@ -403,8 +402,7 @@ class TestTrain:
 
         once = count(1)
         assert once["canonical_parabola_coeffs"] > 0
-        assert once["encode_box"] == sum(np.count_nonzero(g.vertex_class)
-                                         for g in graphs)
+        assert once["encode_box"] == len(graphs)
         assert count(3) == once
 
     def test_fresh_copies_of_the_same_graphs_train_alike(self):
@@ -440,7 +438,7 @@ class TestTrain:
         g = tiny_graph()
         g = replace(g, hits=replace(g.hits,
                                     particle_id=np.zeros(4, dtype=int)),
-                    tracks=(), targets=())
+                    tracks=track_table([]), targets=np.zeros((0, 5)))
         assert g.n_edges > 0
         m = tn.Model(small_config(), seed=28)
         comps = tn.train_step(m, tn.training_view(g),
@@ -465,12 +463,13 @@ class TestInfer:
     def test_threshold_one_no_ellipses(self, toy_graph):
         m = tn.Model(small_config(), seed=24)
         r = tn.infer(m, toy_graph, threshold=1.1)
-        assert all(e is None for e in r.ellipses)
+        assert len(r.kept) == 0 and r.rows.shape == (0, 5)
 
     def test_threshold_zero_all_ellipses(self, toy_graph):
         m = tn.Model(small_config(), seed=25)
         r = tn.infer(m, toy_graph, threshold=0.0)
-        assert all(e is not None for e in r.ellipses)
+        assert r.kept.tolist() == list(range(toy_graph.n_vertices))
+        assert r.rows.shape == (toy_graph.n_vertices, 5)
 
     def test_decoded_ellipses_canonical(self):
         # decoded boxes satisfy the type invariants on random models
@@ -478,9 +477,9 @@ class TestInfer:
             g = make_training_graph(seed=70 + seed, n_tracks=3)[1]
             m = tn.Model(small_config(), seed=seed)
             r = tn.infer(m, g, threshold=0.0)
-            for e in r.ellipses:
-                assert e.a >= e.b > 0.0
-                assert 0.0 <= e.theta < math.pi
+            for _, _, a, b, theta in r.rows.tolist():
+                assert a >= b > 0.0
+                assert 0.0 <= theta < math.pi
 
     def test_ellipses_equal_vertex_by_vertex_decoding(self):
         g = make_training_graph(seed=75, n_tracks=3)[1]
@@ -491,10 +490,11 @@ class TestInfer:
                     if r.class_prob[i] >= 0.5 else None
                     for i in range(g.n_vertices)]
         assert 0 < sum(e is not None for e in expected) < g.n_vertices
-        assert [e and np.array(e).view(np.int64).tolist()
-                for e in expected] == \
-            [e and np.array(astuple(e)).view(np.int64).tolist()
-             for e in r.ellipses]
+        assert r.kept.tolist() == [i for i, e in enumerate(expected)
+                                   if e is not None]
+        assert [np.array(e).view(np.int64).tolist()
+                for e in expected if e is not None] == \
+            r.rows.view(np.int64).tolist()
 
     @pytest.mark.parametrize("column, value", [(3, -800.0), (2, 720.0)],
                              ids=["zero-axis", "overflow"])
@@ -627,6 +627,17 @@ class TestCheckpoint:
             tn.infer(model, FUZZ_GRAPH)
         except (DomainError, NumericError):
             pass  # finite weights with undecodable or non-finite outputs
+
+    def test_huge_iteration_count_rejected_without_its_block_table(
+            self, tmp_path):
+        # a draw of the test above: a block table of 3 * 2e12 entries
+        # would exhaust memory before the parameter count is compared
+        doc = json.loads(CHECKPOINT_DOC)
+        doc["config"]["iterations"] = 2_086_169_630_852
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConsistencyError, match="config needs "):
+            tn.load_checkpoint(path)
 
     def test_round_trip(self, tmp_path):
         g = make_training_graph(seed=81, n_tracks=2)[1]
