@@ -4,19 +4,22 @@ An ellipse is parametrized by 5 degrees of freedom: center (eta_c, phi_c),
 semi-axes a >= b > 0 and rotation theta of the major axis with respect to
 the eta-axis, canonical in [0, pi).  phi is periodic with period 2*pi and
 all phi differences are taken along the shortest arc; theta is periodic
-with period pi.
+with period pi.  Every ellipse is a parameter row (eta_c, phi_c, a, b,
+theta), and many are an (n, 5) array of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import (circular_mean, signed_dphi, wrap_half_pi, wrap_phi,
                      wrap_theta)
 from .errors import DomainError, check_rows
+
+# the columns of a parameter row, float each, as jsonio tables store them
+SHAPE_COLUMNS = dict.fromkeys(("eta_c", "phi_c", "a", "b", "theta"), float)
 
 # membership is boundary-inclusive; the slack absorbs rounding on points
 # constructed to lie exactly on the boundary
@@ -53,46 +56,26 @@ THETA_M = math.pi / 4.0
 DELTA_THETA = 0.5
 
 
-@dataclass(frozen=True)
-class Ellipse5:
-    """5-dof rotated ellipse; invariant: all parameters finite,
-    a >= b > 0, theta in [0, pi)."""
-    eta_c: float
-    phi_c: float
-    a: float
-    b: float
-    theta: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, vars(self).values())):
-            raise DomainError(f"ellipse parameters must be finite: {self}")
-        if not (self.a >= self.b > 0.0):
-            raise DomainError(f"semi-axes must satisfy a >= b > 0, "
-                              f"got a={self.a}, b={self.b}")
-        if not (0.0 <= self.theta < math.pi):
-            raise DomainError(f"theta must lie in [0, pi), got {self.theta}")
-
-
-def make_ellipse(eta_c: float, phi_c: float, a: float, b: float,
-                 theta: float) -> Ellipse5:
-    """Canonicalize raw parameters into a valid Ellipse5.
-
-    Swaps the axes (rotating theta by pi/2) when a < b, wraps theta into
-    [0, pi) and phi_c into [0, 2*pi).
-    """
-    if a < b:
-        a, b = b, a
-        theta = theta + 0.5 * math.pi
-    return Ellipse5(float(eta_c), float(wrap_phi(phi_c)), float(a), float(b),
-                    float(wrap_theta(theta)))
+def canonical_rows(eta_c, phi_c, a, b, theta) -> np.ndarray:
+    """Parameter rows, (n, 5), of raw parameters, each a float or an
+    (n,) array: the axes swapped where a < b (theta rotated by pi/2),
+    then phi_c wrapped into [0, 2*pi) and theta into [0, pi)."""
+    eta_c, phi_c, a, b, theta = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (eta_c, phi_c, a, b, theta)))
+    swap = a < b
+    return np.stack([eta_c, wrap_phi(phi_c), np.where(swap, b, a),
+                     np.where(swap, a, b),
+                     wrap_theta(np.where(swap, theta + 0.5 * math.pi,
+                                         theta))], axis=-1).reshape(-1, 5)
 
 
 def check_ellipses(rows, name) -> None:
     """check_rows' DomainError for the first parameter row of `rows`,
-    (n, 5), that breaks Ellipse5's invariant, in Ellipse5's words."""
+    (n, 5), that breaks the ellipse invariant: all parameters finite,
+    a >= b > 0 and theta in [0, pi)."""
     rows = np.asarray(rows, dtype=float).reshape(-1, 5)
     _, _, a, b, theta = rows.T
-    check_rows({  # in the order Ellipse5 checks
+    check_rows({
         "ellipse parameters must be finite: {row}":
             ~np.isfinite(rows).all(axis=1),
         "semi-axes must satisfy a >= b > 0, got a={a}, b={b}":
@@ -134,7 +117,7 @@ def _exp(x: float) -> float:
 def decode_box(d, eta, phi) -> np.ndarray:
     """Exact inverse of encode_box (theta modulo pi) for each encoded row
     of d, (n, 5), at its vertex (eta, phi): the parameter rows (eta_c,
-    phi_c, a, b, theta), (n, 5), canonical as make_ellipse makes them.
+    phi_c, a, b, theta), (n, 5), canonical (canonical_rows).
     The first row whose log-axes overflow, or that gives no valid
     ellipse (check_ellipses), raises DomainError naming it."""
     d = np.asarray(d, dtype=float).reshape(-1, 5)
@@ -142,12 +125,8 @@ def decode_box(d, eta, phi) -> np.ndarray:
     # some inputs
     axes = np.array(list(map(_exp, d[:, 2:4].ravel().tolist())))
     a, b = (axes.reshape(-1, 2) * (A_M, B_M)).T
-    theta = d[:, 4] * THETA_M - DELTA_THETA
-    swap = a < b
-    rows = np.stack([eta + d[:, 0] * ETA_M, wrap_phi(phi + d[:, 1] * PHI_M),
-                     np.where(swap, b, a), np.where(swap, a, b),
-                     wrap_theta(np.where(swap, theta + 0.5 * math.pi,
-                                         theta))], axis=1)
+    rows = canonical_rows(eta + d[:, 0] * ETA_M, phi + d[:, 1] * PHI_M, a, b,
+                          d[:, 4] * THETA_M - DELTA_THETA)
     check_ellipses(rows, lambda k: f"row {k}, {d[k].tolist()}, decodes to "
                    f"no valid ellipse: ")
     return rows
@@ -164,11 +143,13 @@ def quad_form(eta_c, phi_c, a, b, ct, st, eta, phi):
     return (major / a) ** 2 + (minor / b) ** 2
 
 
-def point_in_ellipse(e: Ellipse5, p):
-    """Boundary-inclusive membership test with phi wrapped to the
-    shortest arc, of one (eta, phi) point or elementwise of two arrays."""
-    return quad_form(e.eta_c, e.phi_c, e.a, e.b, math.cos(e.theta),
-                     math.sin(e.theta), p[0], p[1]) <= 1.0 + MEMBERSHIP_SLACK
+def point_in_ellipse(row, p):
+    """Boundary-inclusive membership test, in the ellipse of parameter
+    row (eta_c, phi_c, a, b, theta) with phi wrapped to the shortest
+    arc, of one (eta, phi) point or elementwise of two arrays."""
+    eta_c, phi_c, a, b, theta = row
+    return quad_form(eta_c, phi_c, a, b, math.cos(theta), math.sin(theta),
+                     p[0], p[1]) <= 1.0 + MEMBERSHIP_SLACK
 
 
 def _polygons(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,8 +275,8 @@ def ellipse_ious(seeds, others, stats: dict | None = None) -> np.ndarray:
 
 def mvee(point_sets, stats: dict | None = None) -> np.ndarray:
     """Minimum-area enclosing ellipse of each set of eta-phi points, as
-    parameter rows (eta_c, phi_c, a, b, theta), (n, 5), canonical as
-    make_ellipse makes them.
+    parameter rows (eta_c, phi_c, a, b, theta), (n, 5), canonical
+    (canonical_rows).
 
     Solves Khachiyan's dual (see _khachiyan_ellipses) to MVEE_TOLERANCE,
     that is to rounding, then rescales the result so the farthest input
@@ -346,8 +327,7 @@ def mvee(point_sets, stats: dict | None = None) -> np.ndarray:
             svals[~line], vecs[~line])
     if stats is not None:
         stats["iterations"] = stats.get("iterations", 0) + iterations
-    rows[:, 1] = wrap_phi(rows[:, 1])
-    rows[:, 4] = wrap_theta(rows[:, 4])
+    rows = canonical_rows(*rows.T)
     rows[solve] = _rescale_to_contain(rows[solve], flat[solve], valid[solve])
     return rows
 

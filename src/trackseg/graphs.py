@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .angles import TWO_PI, wrap_phi
-from .ellipses import Ellipse5, check_ellipses, mvee
+from .ellipses import SHAPE_COLUMNS, check_ellipses, mvee
 from .errors import ConfigError, ConsistencyError
 from .events import Event, decode_event, encode_event
 from .jsonio import decode_table, encode_table, parsing
@@ -21,8 +21,6 @@ TARGET_PADDING = 1.1
 
 GRAPH_FORMAT = "graph-v6"
 EDGE_COLUMNS = dict(i=int, j=int)
-# a track's target in Ellipse5 field order, row k for track k
-TARGET_COLUMNS = dict.fromkeys(("eta_c", "phi_c", "a", "b", "theta"), float)
 
 
 @dataclass(frozen=True)
@@ -41,8 +39,8 @@ class DbscanParams:
 class Graph(Event):
     """Hit graph of one event, as build_graph or graph_from_dict builds it:
     the event, its undirected edges (stored once, i < j) and its targets,
-    one read-only TARGET_COLUMNS row per track row; a stored graph is a
-    self-contained training sample.  Its vertices are the event's hits
+    one read-only ellipse parameter row per track row; a stored graph is
+    a self-contained training sample.  Its vertices are the event's hits
     at their (eta, phi).  Construction checks the event (Event), then
     raises ConsistencyError unless there is a vertex, one target row per
     track and each edge (i, j) has 0 <= i < j < n_vertices, and
@@ -207,9 +205,9 @@ def truth_ellipses(e: Event, stats: dict | None = None) -> np.ndarray:
 
 
 def assign_vertex_targets(g: Graph) -> list:
-    """The target Ellipse5 of each vertex of `g`: its track's, None for
-    noise (particle id 0)."""
-    targets = [Ellipse5(*row) for row in g.targets.tolist()]
+    """The target parameter row of each vertex of `g`, as a tuple: its
+    track's, None for noise (particle id 0)."""
+    targets = list(map(tuple, g.targets.tolist()))
     return [targets[row] if row >= 0 else None
             for row in g.track_row.tolist()]
 
@@ -217,12 +215,12 @@ def assign_vertex_targets(g: Graph) -> list:
 def graph_to_dict(g: Graph) -> dict:
     """The graph-v6 document: the event's tables (events.encode_event)
     with the hits under "vertices", then the edges as columns i and j
-    and the targets as TARGET_COLUMNS, one row per track row."""
+    and the targets as SHAPE_COLUMNS, one row per track row."""
     return {
         "format": GRAPH_FORMAT,
         **encode_event(g, "vertices"),
         "edges": encode_table(EDGE_COLUMNS, g.edges.T),
-        "targets": encode_table(TARGET_COLUMNS, g.targets.T),
+        "targets": encode_table(SHAPE_COLUMNS, g.targets.T),
     }
 
 
@@ -235,4 +233,4 @@ def graph_from_dict(d: dict) -> Graph:
         event = decode_event(d, "vertices")
         edges = np.stack(decode_table(d["edges"], EDGE_COLUMNS), axis=1)
         return Graph(*event, edges, np.stack(
-            decode_table(d["targets"], TARGET_COLUMNS), axis=1))
+            decode_table(d["targets"], SHAPE_COLUMNS), axis=1))

@@ -18,11 +18,9 @@ stores four tables of binary columns (jsonio.encode_table):
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 
-from ..ellipses import Ellipse5, check_ellipses
+from ..ellipses import SHAPE_COLUMNS, check_ellipses
 from ..errors import ConsistencyError
 # perfbench/workloads.py imports read_json from this module
 from ..jsonio import decode_table, encode_table, number, parsing, read_json
@@ -31,10 +29,10 @@ from ..postprocess import TrackCandidate
 PRED_FORMAT = "pred-v2"
 METRICS_FORMAT = "metrics-v1"
 
-_SHAPE = dict.fromkeys((f.name for f in fields(Ellipse5)), float)
 VERTEX_COLUMNS = dict(hit_id=int, class_prob=float, assignment=int)
-ELLIPSE_COLUMNS = dict(vertex=int, **_SHAPE)
-CANDIDATE_COLUMNS = dict(_SHAPE, confidence=float, pt=float, eps_t=float)
+ELLIPSE_COLUMNS = dict(vertex=int, **SHAPE_COLUMNS)
+CANDIDATE_COLUMNS = dict(SHAPE_COLUMNS, confidence=float, pt=float,
+                         eps_t=float)
 MEMBER_COLUMNS = dict(candidate=int, vertex=int)
 
 
@@ -56,7 +54,7 @@ def prediction_to_dict(event_id: int, vertex_hit_ids, class_prob, ellipses,
         "ellipses": encode_table(ELLIPSE_COLUMNS,
                                  [vertices, *np.reshape(rows, (-1, 5)).T]),
         "candidates": encode_table(CANDIDATE_COLUMNS, zip(*[
-            (*vars(c.ellipse).values(), c.confidence, *c.params)
+            (*c.ellipse, c.confidence, *c.params)
             for c in candidates])),
         "members": encode_table(MEMBER_COLUMNS, zip(*[
             (k, v) for k, c in enumerate(candidates)
@@ -81,17 +79,18 @@ def prediction_from_dict(d: dict) -> dict:
     jsonio.decode_table rejects, a repeated vertex hit id, a class
     probability outside [0, 1], an index out of range, ellipse vertices
     that do not ascend, members not grouped by candidate, an invalid
-    ellipse row and a prediction document of another version raise
-    ConsistencyError."""
+    ellipse or candidate row (named by its row) and a prediction
+    document of another version raise ConsistencyError."""
     with parsing(d, PRED_FORMAT, "rerun infer"):
         ids, probs, assigned = decode_table(d["vertices"], VERTEX_COLUMNS)
         ellipse_vertex, *shape = decode_table(d["ellipses"], ELLIPSE_COLUMNS)
         shape = np.stack(shape, axis=1)
-        rows = list(zip(*(column.tolist() for column in decode_table(
-            d["candidates"], CANDIDATE_COLUMNS))))
+        candidates = np.stack(decode_table(d["candidates"],
+                                           CANDIDATE_COLUMNS), axis=1)
         owner, member = decode_table(d["members"], MEMBER_COLUMNS)
-        n, n_cand = len(ids), len(rows)
-        if len(np.unique(ids)) < n:
+        n, n_cand = len(ids), len(candidates)
+        # sorted rather than np.unique, which imports numpy.ma
+        if np.any(np.diff(np.sort(ids)) == 0):
             raise ConsistencyError("prediction repeats a vertex hit id")
         if not np.all((0.0 <= probs) & (probs <= 1.0)):
             raise ConsistencyError("prediction class_prob must lie in "
@@ -107,6 +106,7 @@ def prediction_from_dict(d: dict) -> dict:
             raise ConsistencyError("prediction members are not grouped by "
                                    "candidate")
         check_ellipses(shape, lambda k: f"ellipse row {k}: ")
+        check_ellipses(candidates[:, :5], lambda k: f"candidate row {k}: ")
         bounds = np.searchsorted(owner, np.arange(n_cand + 1)).tolist()
         members = member.tolist()
         return {
@@ -115,9 +115,10 @@ def prediction_from_dict(d: dict) -> dict:
             "class_prob": probs.tolist(),
             "ellipses": (ellipse_vertex, shape),
             "candidates": [
-                TrackCandidate(Ellipse5(*row[:5]), row[5],
-                               tuple(members[lo:hi]), row[6:])
-                for row, lo, hi in zip(rows, bounds, bounds[1:])],
+                TrackCandidate(tuple(row[:5]), row[5],
+                               tuple(members[lo:hi]), tuple(row[6:]))
+                for row, lo, hi in zip(candidates.tolist(), bounds,
+                                       bounds[1:])],
             "assignments": [None if a < 0 else a
                             for a in assigned.tolist()],
         }

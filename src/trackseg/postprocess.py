@@ -1,4 +1,5 @@
-"""Merge per-vertex ellipses, as parameter rows, into track candidates.
+"""Merge per-vertex ellipses, as parameter rows, into track candidates,
+whose ellipses are parameter rows too.
 
 A modified non-maximum suppression: instead of discarding overlaps, all
 ellipses whose IoU with the current highest-scoring seed exceeds the
@@ -9,20 +10,23 @@ periodic components) with the mean member score as its confidence.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import circular_mean, signed_dphi
 # perfbench/tracing.py looks point_in_ellipse up in this module
-from .ellipses import (MEMBERSHIP_SLACK, Ellipse5, ellipse_ious,
-                       make_ellipse, point_in_ellipse, quad_form)
+from .ellipses import (MEMBERSHIP_SLACK, canonical_rows, check_ellipses,
+                       ellipse_ious, point_in_ellipse, quad_form)
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class TrackCandidate:
-    ellipse: Ellipse5
+    """A track candidate: its ellipse as a parameter row (eta_c, phi_c,
+    a, b, theta) of floats, its confidence, its member vertices and its
+    (p_T, eps_T) once estimated."""
+    ellipse: tuple[float, float, float, float, float]
     confidence: float
     member_vertex_ids: tuple[int, ...]
     params: tuple[float, float] | None = None
@@ -37,10 +41,11 @@ _SEARCH_BLOCK = 1 << 14
 _IOU_CHUNK = 256
 
 
-def ellipse_iou(e1: Ellipse5, e2: Ellipse5) -> float:
-    """IoU of one pair of ellipses.  Merging batches through ellipse_ious;
-    this name stays while perfbench/tracing.py wraps IoU under it."""
-    return float(ellipse_ious(astuple(e1), [astuple(e2)])[0])
+def ellipse_iou(row1, row2) -> float:
+    """IoU of one pair of ellipse parameter rows.  Merging batches
+    through ellipse_ious; this name stays while perfbench/tracing.py
+    wraps IoU under it."""
+    return float(ellipse_ious(row1, [row2])[0])
 
 
 def _near_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,8 +75,9 @@ def merge_ellipses(ellipses, scores, t_h: float = 0.5,
     and absorbs every unassigned ellipse whose IoU against the seed
     exceeds t_h; the group's ellipse is the componentwise mean of its
     members (wrapped mean for phi_c, circular mean over period pi for
-    theta) and its confidence the mean member score.  Candidates come
-    back in descending confidence order.
+    theta), canonical, and its confidence the mean member score.
+    Candidates come back in descending confidence order.  An invalid
+    ellipse row raises check_ellipses' DomainError naming it.
 
     Every pair that can matter, a higher-scoring ellipse and a lower one
     whose centres pass the centre-gap reject of ellipse_ious, is measured
@@ -88,6 +94,7 @@ def merge_ellipses(ellipses, scores, t_h: float = 0.5,
     scores = np.asarray(scores, dtype=float)
     if len(rows) != len(scores):
         raise DomainError(f"{len(rows)} ellipses vs {len(scores)} scores")
+    check_ellipses(rows, lambda k: f"ellipse row {k}: ")
     n = len(rows)
     # descending score; ties by ascending index for determinism
     order = np.argsort(-scores, kind="stable")
@@ -125,18 +132,18 @@ def merge_ellipses(ellipses, scores, t_h: float = 0.5,
     slots = np.zeros(valid.shape, dtype=int)
     slots[valid] = np.concatenate(groups)
     members = rows[slots]
-    means = zip(members[..., 0].mean(axis=1, where=valid).tolist(),
-                circular_mean(members[..., 1], where=valid).tolist(),
-                members[..., 2].mean(axis=1, where=valid).tolist(),
-                members[..., 3].mean(axis=1, where=valid).tolist(),
-                circular_mean(members[..., 4], period=math.pi,
-                              where=valid).tolist())
+    means = canonical_rows(
+        members[..., 0].mean(axis=1, where=valid),
+        circular_mean(members[..., 1], where=valid),
+        members[..., 2].mean(axis=1, where=valid),
+        members[..., 3].mean(axis=1, where=valid),
+        circular_mean(members[..., 4], period=math.pi, where=valid))
     confidence = scores[slots].mean(axis=1, where=valid).tolist()
-    candidates = [TrackCandidate(ellipse=make_ellipse(*mean),
-                                 confidence=conf,
+    candidates = [TrackCandidate(ellipse=tuple(mean), confidence=conf,
                                  member_vertex_ids=tuple(sorted(
                                      order[group].tolist())))
-                  for mean, conf, group in zip(means, confidence, groups)]
+                  for mean, conf, group in zip(means.tolist(), confidence,
+                                               groups)]
     candidates.sort(key=lambda c: (-c.confidence, c.member_vertex_ids))
     return candidates
 
@@ -154,8 +161,7 @@ def assign_hits(candidates: list[TrackCandidate], vertices,
     order = sorted(range(len(candidates)),
                    key=lambda i: (-candidates[i].confidence, i))
     rows = np.asarray(vertices, dtype=float).reshape(-1, 3)
-    shapes = np.array([(e.eta_c, e.phi_c, e.a, e.b, math.cos(e.theta),
-                        math.sin(e.theta))
+    shapes = np.array([(*e[:4], math.cos(e[4]), math.sin(e[4]))
                        for e in (candidates[i].ellipse for i in order)],
                       dtype=float).reshape(-1, 6)
     # per vertex the first containing candidate in confidence order, or
@@ -195,7 +201,8 @@ def choose_threshold(truth_pairs) -> ThresholdResult:
     if len(pos) == 0 or len(neg) == 0:
         raise DomainError("need at least one pair of each class")
 
-    values = np.unique([iou for iou, _ in pairs])
+    # return_counts keeps np.unique from importing numpy.ma
+    values, _ = np.unique([iou for iou, _ in pairs], return_counts=True)
     # elementary intervals: below min, between consecutive values, above
     # max, all inside [0, 1] so every midpoint is a valid threshold
     bounds = np.concatenate([[max(values[0] - 1.0, 0.0)], values, [1.0]])

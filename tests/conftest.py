@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from trackseg.ellipses import SHAPE_COLUMNS, canonical_rows
 from trackseg.events import (HIT_COLUMNS, TRACK_COLUMNS, DetectorConfig,
                              GenConfig, HitTable, TrackTable, generate_event)
-from trackseg.graphs import (EDGE_COLUMNS, TARGET_COLUMNS, DbscanParams,
-                             build_graph)
+from trackseg.graphs import EDGE_COLUMNS, DbscanParams, build_graph
 from trackseg.harness.io import (CANDIDATE_COLUMNS, ELLIPSE_COLUMNS,
                                  MEMBER_COLUMNS, VERTEX_COLUMNS)
 from trackseg.jsonio import DTYPES
@@ -17,6 +17,12 @@ from trackseg.jsonio import DTYPES
 @pytest.fixture
 def detector():
     return DetectorConfig()
+
+
+def ellipse(eta_c, phi_c, a, b, theta) -> tuple:
+    """The canonical parameter row (canonical_rows) of raw parameters,
+    as a tuple of floats."""
+    return tuple(canonical_rows(eta_c, phi_c, a, b, theta)[0].tolist())
 
 
 def make_training_graph(seed=0, n_tracks=5, noise_fraction=0.1,
@@ -88,7 +94,7 @@ def set_at(doc, path, value):
 
 # the kind of every column of an event, graph or prediction document, by
 # name
-COLUMN_KINDS = {**HIT_COLUMNS, **TRACK_COLUMNS, **TARGET_COLUMNS,
+COLUMN_KINDS = {**HIT_COLUMNS, **TRACK_COLUMNS, **SHAPE_COLUMNS,
                 **EDGE_COLUMNS, **VERTEX_COLUMNS, **ELLIPSE_COLUMNS,
                 **CANDIDATE_COLUMNS, **MEMBER_COLUMNS}
 TABLES = ("hits", "tracks", "vertices", "edges", "targets", "ellipses",

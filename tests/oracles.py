@@ -150,28 +150,31 @@ def partition_of(labels):
 
 
 def point_in_ellipse_quadform(e, eta, phi):
-    """Membership via the raw quadratic form (vectorized)."""
-    d_eta = np.asarray(eta) - e.eta_c
-    raw = np.asarray(phi) - e.phi_c
+    """Membership in the ellipse of parameter row e via the raw
+    quadratic form (vectorized)."""
+    eta_c, phi_c, a, b, theta = e
+    d_eta = np.asarray(eta) - eta_c
+    raw = np.asarray(phi) - phi_c
     d_phi = (raw + math.pi) % (2.0 * math.pi) - math.pi
-    ct, st = math.cos(e.theta), math.sin(e.theta)
+    ct, st = math.cos(theta), math.sin(theta)
     major = ct * d_eta + st * d_phi
     minor = -st * d_eta + ct * d_phi
-    return (major / e.a) ** 2 + (minor / e.b) ** 2 <= 1.0
+    return (major / a) ** 2 + (minor / b) ** 2 <= 1.0
 
 
 def monte_carlo_iou(e1, e2, n_samples, seed=0):
-    """IoU estimated by uniform sampling of the joint bounding box."""
+    """IoU of two parameter rows estimated by uniform sampling of the
+    joint bounding box."""
     rng = np.random.default_rng(seed)
-    reach1 = e1.a
-    reach2 = e2.a
-    lo_eta = min(e1.eta_c - reach1, e2.eta_c - reach2)
-    hi_eta = max(e1.eta_c + reach1, e2.eta_c + reach2)
+    eta1, phi1, reach1 = e1[:3]
+    eta2, phi2_c, reach2 = e2[:3]
+    lo_eta = min(eta1 - reach1, eta2 - reach2)
+    hi_eta = max(eta1 + reach1, eta2 + reach2)
     # place e2's phi in the chart of e1 to bound the box
-    dphi = (e2.phi_c - e1.phi_c + math.pi) % (2.0 * math.pi) - math.pi
-    phi2 = e1.phi_c + dphi
-    lo_phi = min(e1.phi_c - reach1, phi2 - reach2)
-    hi_phi = max(e1.phi_c + reach1, phi2 + reach2)
+    dphi = (phi2_c - phi1 + math.pi) % (2.0 * math.pi) - math.pi
+    phi2 = phi1 + dphi
+    lo_phi = min(phi1 - reach1, phi2 - reach2)
+    hi_phi = max(phi1 + reach1, phi2 + reach2)
     eta = rng.uniform(lo_eta, hi_eta, n_samples)
     phi = rng.uniform(lo_phi, hi_phi, n_samples)
     in1 = point_in_ellipse_quadform(e1, eta, phi)
@@ -183,14 +186,15 @@ def monte_carlo_iou(e1, e2, n_samples, seed=0):
 
 
 def _inscribed_polygon(e, phi_center, resolution):
-    """Inscribed polygon of the ellipse in a flat chart whose phi
-    coordinate is continuous around phi_center."""
+    """Inscribed polygon of the ellipse of parameter row e in a flat
+    chart whose phi coordinate is continuous around phi_center."""
+    eta_c, phi_c, a, b, theta = e
     t = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    ct, st = math.cos(e.theta), math.sin(e.theta)
-    x = e.a * np.cos(t)
-    y = e.b * np.sin(t)
-    dphi = (e.phi_c - phi_center + math.pi) % (2.0 * math.pi) - math.pi
-    eta = e.eta_c + ct * x - st * y
+    ct, st = math.cos(theta), math.sin(theta)
+    x = a * np.cos(t)
+    y = b * np.sin(t)
+    dphi = (phi_c - phi_center + math.pi) % (2.0 * math.pi) - math.pi
+    eta = eta_c + ct * x - st * y
     phi = phi_center + dphi + st * x + ct * y
     return np.stack([eta, phi], axis=1)
 
@@ -232,11 +236,11 @@ def _clip_convex(subject, clip):
 
 
 def polygon_iou(e1, e2, resolution):
-    """IoU of the inscribed resolution-gons of two ellipses, clipped
+    """IoU of the inscribed resolution-gons of two parameter rows, clipped
     vertex by vertex in e1's chart (absolute eta, phi continuous around
     e1's centre)."""
-    p1 = _inscribed_polygon(e1, e1.phi_c, resolution)
-    p2 = _inscribed_polygon(e2, e1.phi_c, resolution)
+    p1 = _inscribed_polygon(e1, e1[1], resolution)
+    p2 = _inscribed_polygon(e2, e1[1], resolution)
     inter = _shoelace(_clip_convex(p1, p2))
     union = _shoelace(p1) + _shoelace(p2) - inter
     return min(max(inter / union, 0.0), 1.0)

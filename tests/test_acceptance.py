@@ -10,12 +10,11 @@ import inspect
 import json
 import math
 import time
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from conftest import decoded, make_training_graph
+from conftest import decoded, ellipse, make_training_graph
 from oracles import (brute_force_dbscan, monte_carlo_iou, partition_of,
                      plain_message_passing, sample_circle, weighted_sum)
 from test_ellipses import iou
@@ -25,8 +24,7 @@ from test_postprocess import rows_of
 from test_neural import check_op_gradient, mlp_gradient_builds
 from test_tracknet import small_config, sweep_composite_gradients
 from trackseg import tracknet as tn
-from trackseg.ellipses import (Ellipse5, decode_box, encode_box,
-                               make_ellipse, mvee)
+from trackseg.ellipses import check_ellipses, decode_box, encode_box, mvee
 from trackseg.errors import ParseError
 from trackseg.events import (DetectorConfig, GenConfig, generate_event,
                              read_trackml_event)
@@ -149,21 +147,20 @@ def test_criterion_4_ellipse_suite():
     cases = []
     for _ in range(10_000):
         a = rng.uniform(0.02, 0.4)
-        e = make_ellipse(rng.uniform(-2, 2), rng.uniform(0, TWO_PI), a,
-                         rng.uniform(0.2 * a, a), rng.uniform(0, math.pi))
-        vtx = (e.eta_c + rng.uniform(-0.02, 0.02),
-               (e.phi_c + rng.uniform(-0.01, 0.01)) % TWO_PI)
+        e = ellipse(rng.uniform(-2, 2), rng.uniform(0, TWO_PI), a,
+                    rng.uniform(0.2 * a, a), rng.uniform(0, math.pi))
+        vtx = (e[0] + rng.uniform(-0.02, 0.02),
+               (e[1] + rng.uniform(-0.01, 0.01)) % TWO_PI)
         cases.append((e, vtx))
     eta, phi = np.array([vtx for _, vtx in cases]).T
-    rows = decode_box(encode_box([astuple(e) for e, _ in cases], eta, phi),
-                      eta, phi)
+    rows = decode_box(encode_box([e for e, _ in cases], eta, phi), eta, phi)
+    check_ellipses(rows, lambda k: f"case {k}: ")
     worst = 0.0
-    for (e, _), row in zip(cases, rows.tolist()):
-        back = Ellipse5(*row)
-        dphi = abs(back.phi_c - e.phi_c + math.pi) % TWO_PI - math.pi
-        dtheta = abs(back.theta - e.theta) % math.pi
-        worst = max(worst, abs(back.eta_c - e.eta_c), abs(dphi),
-                    abs(back.a - e.a), abs(back.b - e.b),
+    for (e, _), back in zip(cases, rows.tolist()):
+        dphi = abs(back[1] - e[1] + math.pi) % TWO_PI - math.pi
+        dtheta = abs(back[4] - e[4]) % math.pi
+        worst = max(worst, abs(back[0] - e[0]), abs(dphi),
+                    abs(back[2] - e[2]), abs(back[3] - e[3]),
                     min(dtheta, math.pi - dtheta))
     assert worst < 1e-12
 
@@ -171,21 +168,19 @@ def test_criterion_4_ellipse_suite():
     worst_mc = 0.0
     for trial in range(50):
         a1 = rng.uniform(0.1, 0.4)
-        e1 = make_ellipse(rng.uniform(-0.2, 0.2), 3.0 + rng.uniform(-0.2, 0.2),
-                          a1, rng.uniform(0.3 * a1, a1),
-                          rng.uniform(0, math.pi))
+        e1 = ellipse(rng.uniform(-0.2, 0.2), 3.0 + rng.uniform(-0.2, 0.2),
+                     a1, rng.uniform(0.3 * a1, a1), rng.uniform(0, math.pi))
         a2 = rng.uniform(0.1, 0.4)
-        e2 = make_ellipse(e1.eta_c + rng.uniform(-0.3, 0.3),
-                          e1.phi_c + rng.uniform(-0.3, 0.3),
-                          a2, rng.uniform(0.3 * a2, a2),
-                          rng.uniform(0, math.pi))
+        e2 = ellipse(e1[0] + rng.uniform(-0.3, 0.3),
+                     e1[1] + rng.uniform(-0.3, 0.3),
+                     a2, rng.uniform(0.3 * a2, a2), rng.uniform(0, math.pi))
         mc = monte_carlo_iou(e1, e2, 1_000_000, seed=trial)
         worst_mc = max(worst_mc, abs(iou(e1, e2) - mc))
     assert worst_mc < 0.005
 
     # closed-form two-unit-circle lens value
-    c1 = make_ellipse(0.0, 3.0, 1.0, 1.0, 0.0)
-    c2 = make_ellipse(1.0, 3.0, 1.0, 1.0, 0.0)
+    c1 = ellipse(0.0, 3.0, 1.0, 1.0, 0.0)
+    c2 = ellipse(1.0, 3.0, 1.0, 1.0, 0.0)
     lens = 2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0
     expected = lens / (2.0 * math.pi - lens)
     assert iou(c1, c2) == pytest.approx(expected, abs=0.005)
@@ -371,11 +366,9 @@ def test_criterion_8_nms_merging():
     # partition property on random inputs
     for _ in range(30):
         n = int(rng.integers(1, 15))
-        ellipses = [make_ellipse(rng.uniform(-1, 1),
-                                 3.0 + rng.uniform(-1, 1),
-                                 rng.uniform(0.1, 0.3),
-                                 rng.uniform(0.05, 0.1),
-                                 rng.uniform(0, math.pi))
+        ellipses = [ellipse(rng.uniform(-1, 1), 3.0 + rng.uniform(-1, 1),
+                            rng.uniform(0.1, 0.3), rng.uniform(0.05, 0.1),
+                            rng.uniform(0, math.pi))
                     for _ in range(n)]
         cands = merge_ellipses(rows_of(ellipses), rng.uniform(0, 1, n),
                                t_h=0.4)
@@ -383,7 +376,7 @@ def test_criterion_8_nms_merging():
         assert members == list(range(n))
 
     # idempotence on separated candidates
-    base = [make_ellipse(x, 3.0, 0.15, 0.08, 0.0)
+    base = [ellipse(x, 3.0, 0.15, 0.08, 0.0)
             for x in (-2.0, -1.95, 0.0, 2.0)]
     first = merge_ellipses(rows_of(base), [0.9, 0.6, 0.8, 0.7], t_h=0.5)
     import itertools as it
@@ -394,7 +387,7 @@ def test_criterion_8_nms_merging():
     assert [c.ellipse for c in second] == [c.ellipse for c in first]
 
     # three identical ellipses merge with mean confidence
-    e = make_ellipse(0.0, 3.0, 0.2, 0.1, 0.4)
+    e = ellipse(0.0, 3.0, 0.2, 0.1, 0.4)
     merged = merge_ellipses(rows_of([e, e, e]), [0.9, 0.8, 0.7], t_h=0.5)
     assert len(merged) == 1
     assert merged[0].confidence == pytest.approx(0.8)

@@ -1,19 +1,20 @@
 import json
 import math
-from dataclasses import astuple
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ellipse
 from oracles import (decode_box_row, encode_box_row, full_clip_ious,
                      monte_carlo_iou, mvee_oracle, point_in_ellipse_quadform,
                      polygon_iou)
 from trackseg.ellipses import (A_M, AXIS_FLOOR, B_M, DELTA_THETA, ETA_M,
-                               IOU_RESOLUTION, PHI_M, THETA_M, Ellipse5,
-                               decode_box, ellipse_ious, encode_box,
-                               make_ellipse, mvee, point_in_ellipse)
+                               IOU_RESOLUTION, PHI_M, THETA_M, canonical_rows,
+                               check_ellipses, decode_box, ellipse_ious,
+                               encode_box, mvee, point_in_ellipse)
 from trackseg.errors import ConsistencyError, DomainError
 from trackseg.harness.io import prediction_from_dict, prediction_to_dict
 from trackseg.jsonio import to_base64
@@ -22,54 +23,78 @@ TWO_PI = 2.0 * math.pi
 
 
 def iou(e1, e2):
-    """IoU of two Ellipse5 through the batched kernel."""
-    return float(ellipse_ious(astuple(e1), [astuple(e2)])[0])
+    """IoU of two parameter rows through the batched kernel."""
+    return float(ellipse_ious(e1, [e2])[0])
 
 
-def decoded(d, vertex) -> Ellipse5:
-    """The ellipse of one encoded row at one vertex."""
-    return Ellipse5(*decode_box(d, *vertex)[0])
+def decoded(d, vertex) -> tuple:
+    """The parameter row of one encoded row at one vertex."""
+    return tuple(decode_box(d, *vertex)[0].tolist())
 
 
-def enclosing(pts) -> Ellipse5:
-    """The minimum-area enclosing ellipse of one point set."""
-    return Ellipse5(*mvee([pts])[0])
+def enclosing(pts) -> tuple:
+    """The minimum-area enclosing ellipse of one point set, a valid
+    parameter row."""
+    rows = mvee([pts])
+    check_ellipses(rows, lambda k: "enclosing ellipse: ")
+    return tuple(rows[0].tolist())
 
 
 def random_ellipse(rng, a_range=(0.02, 0.4)):
     a = rng.uniform(*a_range)
     b = rng.uniform(0.2 * a, a)
-    return make_ellipse(rng.uniform(-2, 2), rng.uniform(0, TWO_PI),
-                        a, b, rng.uniform(0, math.pi))
+    return ellipse(rng.uniform(-2, 2), rng.uniform(0, TWO_PI), a, b,
+                   rng.uniform(0, math.pi))
 
 
 class TestEllipse5:
+    """An ellipse as a parameter row: canonical_rows makes the canonical
+    form, check_ellipses states the invariant, and a prediction
+    document stores rows."""
+
     def test_canonicalization_swaps_axes(self):
-        e = make_ellipse(0.0, 0.0, 0.1, 0.3, 0.2)
-        assert e.a == 0.3 and e.b == 0.1
-        assert e.theta == pytest.approx(0.2 + math.pi / 2)
+        rows = canonical_rows([0.0, 1.0], [0.0, 7.0], [0.1, 0.3],
+                              [0.3, 0.1], [0.2, -0.1])
+        assert rows.shape == (2, 5)
+        eta_c, phi_c, a, b, theta = rows[0]
+        assert (eta_c, phi_c, a, b) == (0.0, 0.0, 0.3, 0.1)
+        assert theta == pytest.approx(0.2 + math.pi / 2)
+        # no swap where a >= b; phi_c and theta wrapped into range
+        assert rows[1].tolist() == pytest.approx(
+            [1.0, 7.0 - TWO_PI, 0.3, 0.1, math.pi - 0.1])
+        assert ellipse(0, 0, 0.1, 0.3, 0.2) == tuple(rows[0].tolist())
+        check_ellipses(rows, lambda k: f"row {k}: ")
 
     def test_invalid(self):
-        with pytest.raises(DomainError):
-            Ellipse5(0, 0, 0.1, 0.2, 0.0)  # a < b
-        with pytest.raises(DomainError):
-            Ellipse5(0, 0, 0.1, 0.05, -0.1)  # theta out of range
+        good = ellipse(0, 0, 0.1, 0.05, 0.0)
+        for row, message in [
+                ((0, 0, 0.1, 0.2, 0.0), "semi-axes must satisfy a >= b > 0, "
+                 "got a=0.1, b=0.2"),
+                ((0, 0, 0.1, 0.05, -0.1), "theta must lie in [0, pi), got "
+                 "-0.1"),
+                ((0, 0, 0.1, 0.0, 0.0), "semi-axes must satisfy a >= b > 0"),
+                ((0, math.nan, 0.1, 0.05, 0.0), "ellipse parameters must be "
+                 "finite")]:
+            with pytest.raises(DomainError, match="row 1: " + re.escape(
+                    message)) as err:
+                check_ellipses([good, row, row], lambda k: f"row {k}: ")
+            assert err.value.row == 1
 
     # a stored ellipse is a row of a prediction document's ellipse table:
     # that of the one vertex of this document
     @staticmethod
-    def stored(e: Ellipse5) -> dict:
+    def stored(e: tuple) -> dict:
         return json.loads(json.dumps(prediction_to_dict(
-            0, [1], [0.5], ([0], [astuple(e)]), [], [None])))
+            0, [1], [0.5], ([0], [e]), [], [None])))
 
     def test_dict_round_trip(self):
-        e = make_ellipse(0.5, 1.2, 0.3, 0.1, 2.0)
+        e = ellipse(0.5, 1.2, 0.3, 0.1, 2.0)
         vertices, rows = prediction_from_dict(self.stored(e))["ellipses"]
-        assert vertices.tolist() == [0] and rows.tolist() == [list(astuple(e))]
+        assert vertices.tolist() == [0] and rows.tolist() == [list(e)]
 
     @pytest.mark.parametrize("key", ["eta_c", "phi_c", "a", "b", "theta"])
     def test_dict_non_finite_rejected(self, key):
-        doc = self.stored(make_ellipse(0.5, 1.2, 0.3, 0.1, 2.0))
+        doc = self.stored(ellipse(0.5, 1.2, 0.3, 0.1, 2.0))
         for value in (math.nan, math.inf):
             doc["ellipses"][key] = ["<f8", to_base64([value], "<f8")]
             with pytest.raises(ConsistencyError, match=f"column '{key}' has "
@@ -77,42 +102,42 @@ class TestEllipse5:
                 prediction_from_dict(doc)
 
 
-def encoded(e: Ellipse5, vertex) -> np.ndarray:
-    """The encoded row of one ellipse at one vertex."""
-    rows = encode_box([astuple(e)], *vertex)
+def encoded(e: tuple, vertex) -> np.ndarray:
+    """The encoded row of one parameter row at one vertex."""
+    rows = encode_box([e], *vertex)
     assert rows.shape == (1, 5)
     return rows[0]
 
 
 class TestEncodeDecode:
     def test_zero_case_with_default_scales(self):
-        e = make_ellipse(0.5, 2.0, A_M, B_M, -DELTA_THETA)
+        e = ellipse(0.5, 2.0, A_M, B_M, -DELTA_THETA)
         assert encoded(e, (0.5, 2.0)) == pytest.approx(np.zeros(5),
                                                        abs=1e-12)
 
     def test_eta_offset_unit(self):
-        e = make_ellipse(0.51, 2.0, A_M, B_M, -DELTA_THETA)
+        e = ellipse(0.51, 2.0, A_M, B_M, -DELTA_THETA)
         assert encoded(e, (0.5, 2.0)) == \
             pytest.approx([1.0, 0.0, 0.0, 0.0, 0.0], abs=1e-12)
 
     def test_theta_encoding(self):
         # THETA_M = pi/4, DELTA_THETA = 0.5
-        e = make_ellipse(0.0, 0.0, 0.1, 0.05, math.pi / 4)
+        e = ellipse(0.0, 0.0, 0.1, 0.05, math.pi / 4)
         assert encoded(e, (0.0, 0.0))[4] == \
             pytest.approx(1.0 + 2.0 / math.pi)
 
     def test_decode_zero(self):
-        e = decoded(np.zeros(5), (0.0, 0.0))
-        assert e.a == pytest.approx(A_M)
-        assert e.b == pytest.approx(B_M)
-        assert e.theta == pytest.approx(math.pi - DELTA_THETA)
+        _, _, a, b, theta = decoded(np.zeros(5), (0.0, 0.0))
+        assert a == pytest.approx(A_M)
+        assert b == pytest.approx(B_M)
+        assert theta == pytest.approx(math.pi - DELTA_THETA)
 
     def test_log_axis_decoding(self):
-        e = decoded([0, 0, math.log(2.0), 0, 0], (0, 0))
-        assert e.a == pytest.approx(0.076)
+        _, _, a, _, _ = decoded([0, 0, math.log(2.0), 0, 0], (0, 0))
+        assert a == pytest.approx(0.076)
 
     def test_phi_wrap_in_encoding(self):
-        e = make_ellipse(0.0, 0.002, 0.05, 0.01, 0.0)
+        e = ellipse(0.0, 0.002, 0.05, 0.01, 0.0)
         d = encoded(e, (0.0, TWO_PI - 0.002))
         assert d[1] == pytest.approx(0.004 / PHI_M)
 
@@ -121,20 +146,20 @@ class TestEncodeDecode:
         cases = []
         for _ in range(10_000):
             e = random_ellipse(rng)
-            vertex = (e.eta_c + rng.uniform(-0.02, 0.02),
-                      (e.phi_c + rng.uniform(-0.01, 0.01)) % TWO_PI)
+            vertex = (e[0] + rng.uniform(-0.02, 0.02),
+                      (e[1] + rng.uniform(-0.01, 0.01)) % TWO_PI)
             cases.append((e, vertex))
         eta, phi = np.array([vertex for _, vertex in cases]).T
-        rows = decode_box(encode_box([astuple(e) for e, _ in cases], eta,
-                                     phi), eta, phi)
-        for (e, _), row in zip(cases, rows.tolist()):
-            back = Ellipse5(*row)
-            assert abs(back.eta_c - e.eta_c) < 1e-12
-            assert abs((back.phi_c - e.phi_c + math.pi) % TWO_PI
+        rows = decode_box(encode_box([e for e, _ in cases], eta, phi), eta,
+                          phi)
+        check_ellipses(rows, lambda k: f"case {k}: ")
+        for (e, _), back in zip(cases, rows.tolist()):
+            assert abs(back[0] - e[0]) < 1e-12
+            assert abs((back[1] - e[1] + math.pi) % TWO_PI
                        - math.pi) < 1e-12
-            assert abs(back.a - e.a) < 1e-12
-            assert abs(back.b - e.b) < 1e-12
-            dt = abs(back.theta - e.theta) % math.pi
+            assert abs(back[2] - e[2]) < 1e-12
+            assert abs(back[3] - e[3]) < 1e-12
+            dt = abs(back[4] - e[4]) % math.pi
             assert min(dt, math.pi - dt) < 1e-12
 
     # theta is only identifiable away from the circular case a == b,
@@ -144,11 +169,11 @@ class TestEncodeDecode:
            theta=st.floats(0, 3.14))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_hypothesis(self, eta, phi, a, ratio, theta):
-        e = make_ellipse(eta, phi, a, a * ratio, theta)
+        e = ellipse(eta, phi, a, a * ratio, theta)
         back = decoded(encoded(e, (eta, phi)), (eta, phi))
-        assert back.a == pytest.approx(e.a, rel=1e-12)
-        assert back.b == pytest.approx(e.b, rel=1e-12)
-        dt = abs(back.theta - e.theta) % math.pi
+        assert back[2] == pytest.approx(e[2], rel=1e-12)
+        assert back[3] == pytest.approx(e[3], rel=1e-12)
+        dt = abs(back[4] - e[4]) % math.pi
         assert min(dt, math.pi - dt) < 1e-9
 
 
@@ -234,11 +259,11 @@ class TestEncodeOracle:
 
 class TestMembership:
     def test_center(self):
-        e = make_ellipse(0.1, 1.0, 0.2, 0.1, 0.5)
+        e = ellipse(0.1, 1.0, 0.2, 0.1, 0.5)
         assert point_in_ellipse(e, (0.1, 1.0))
 
     def test_boundary_inclusive(self):
-        e = make_ellipse(0.0, 1.0, 0.2, 0.1, 0.3)
+        e = ellipse(0.0, 1.0, 0.2, 0.1, 0.3)
         tip = (0.2 * math.cos(0.3), 1.0 + 0.2 * math.sin(0.3))
         assert point_in_ellipse(e, tip)
         beyond = (0.2 * 1.001 * math.cos(0.3),
@@ -246,12 +271,12 @@ class TestMembership:
         assert not point_in_ellipse(e, beyond)
 
     def test_phi_wrap(self):
-        e = make_ellipse(0.0, 0.01, 0.1, 0.05, 0.0)
+        e = ellipse(0.0, 0.01, 0.1, 0.05, 0.0)
         assert point_in_ellipse(e, (0.0, TWO_PI - 0.01))
 
     def test_arrays_match_points(self):
         rng = np.random.default_rng(5)
-        e = make_ellipse(0.0, 0.02, 0.1, 0.05, 0.4)
+        e = ellipse(0.0, 0.02, 0.1, 0.05, 0.4)
         eta = rng.uniform(-0.15, 0.15, 200)
         phi = rng.uniform(-0.15, 0.15, 200) % TWO_PI
         inside = point_in_ellipse(e, (eta, phi))
@@ -262,17 +287,17 @@ class TestMembership:
 
 class TestIou:
     def test_identical(self):
-        e = make_ellipse(0.3, 2.0, 0.2, 0.1, 1.0)
+        e = ellipse(0.3, 2.0, 0.2, 0.1, 1.0)
         assert iou(e, e) == pytest.approx(1.0, abs=1e-6)
 
     def test_disjoint_exact_zero(self):
-        e1 = make_ellipse(0.0, 1.0, 0.1, 0.05, 0.0)
-        e2 = make_ellipse(1.0, 1.0, 0.1, 0.05, 0.0)
+        e1 = ellipse(0.0, 1.0, 0.1, 0.05, 0.0)
+        e2 = ellipse(1.0, 1.0, 0.1, 0.05, 0.0)
         assert iou(e1, e2) == 0.0
 
     def test_two_unit_circles(self):
-        e1 = make_ellipse(0.0, 3.0, 1.0, 1.0, 0.0)
-        e2 = make_ellipse(1.0, 3.0, 1.0, 1.0, 0.0)
+        e1 = ellipse(0.0, 3.0, 1.0, 1.0, 0.0)
+        e2 = ellipse(1.0, 3.0, 1.0, 1.0, 0.0)
         lens = 2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0
         expected = lens / (2.0 * math.pi - lens)
         assert iou(e1, e2) == pytest.approx(expected, abs=0.005)
@@ -286,17 +311,15 @@ class TestIou:
     def test_bounds(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            e1 = random_ellipse(rng)
-            e2 = make_ellipse(e1.eta_c + rng.uniform(-0.1, 0.1),
-                              e1.phi_c + rng.uniform(-0.1, 0.1),
-                              e1.a, e1.b, e1.theta)
+            eta_c, phi_c, a, b, theta = e1 = random_ellipse(rng)
+            e2 = ellipse(eta_c + rng.uniform(-0.1, 0.1),
+                         phi_c + rng.uniform(-0.1, 0.1), a, b, theta)
             assert 0.0 <= iou(e1, e2) <= 1.0
 
     def test_dilation_monotone(self):
-        e = make_ellipse(0.0, 1.0, 0.2, 0.1, 0.7)
+        e = ellipse(0.0, 1.0, 0.2, 0.1, 0.7)
         factors = [1.2, 1.5, 2.0, 3.0]
-        ious = [iou(e, make_ellipse(e.eta_c, e.phi_c, e.a * k, e.b * k,
-                                    e.theta))
+        ious = [iou(e, ellipse(0.0, 1.0, 0.2 * k, 0.1 * k, 0.7))
                 for k in factors]
         assert all(x > y for x, y in zip(ious, ious[1:]))
 
@@ -304,10 +327,10 @@ class TestIou:
         rng = np.random.default_rng(8)
         for trial in range(10):
             e1 = random_ellipse(rng, a_range=(0.1, 0.3))
-            e2 = make_ellipse(e1.eta_c + rng.uniform(-0.2, 0.2),
-                              e1.phi_c + rng.uniform(-0.2, 0.2),
-                              rng.uniform(0.1, 0.3), rng.uniform(0.05, 0.1),
-                              rng.uniform(0, math.pi))
+            e2 = ellipse(e1[0] + rng.uniform(-0.2, 0.2),
+                         e1[1] + rng.uniform(-0.2, 0.2),
+                         rng.uniform(0.1, 0.3), rng.uniform(0.05, 0.1),
+                         rng.uniform(0, math.pi))
             mc = monte_carlo_iou(e1, e2, 200_000, seed=trial)
             assert iou(e1, e2) == pytest.approx(mc, abs=0.01)
 
@@ -316,10 +339,8 @@ class TestIou:
         e1, e2 = random_ellipse(rng), random_ellipse(rng)
         base = iou(e1, e2)
         for shift in (1.0, 3.0, 6.0):
-            s1 = make_ellipse(e1.eta_c, e1.phi_c + shift, e1.a, e1.b,
-                              e1.theta)
-            s2 = make_ellipse(e2.eta_c, e2.phi_c + shift, e2.a, e2.b,
-                              e2.theta)
+            s1, s2 = (ellipse(eta_c, phi_c + shift, a, b, theta)
+                      for eta_c, phi_c, a, b, theta in (e1, e2))
             assert iou(s1, s2) == pytest.approx(base, abs=1e-9)
 
 
@@ -327,41 +348,39 @@ def _pair(rng, kind):
     """One seeded random pair of ellipses of the given kind."""
     if kind == "pixel":
         a1, a2 = rng.uniform(0.008, 0.012, 2)
-        e1 = make_ellipse(rng.uniform(-2.5, 2.5), rng.uniform(0, TWO_PI),
-                          a1, rng.uniform(0.004, 0.006),
-                          rng.uniform(0, math.pi))
-        return e1, make_ellipse(e1.eta_c + rng.uniform(-0.015, 0.015),
-                                e1.phi_c + rng.uniform(-0.015, 0.015),
-                                a2, rng.uniform(0.004, 0.006),
-                                rng.uniform(0, math.pi))
+        e1 = ellipse(rng.uniform(-2.5, 2.5), rng.uniform(0, TWO_PI),
+                     a1, rng.uniform(0.004, 0.006), rng.uniform(0, math.pi))
+        return e1, ellipse(e1[0] + rng.uniform(-0.015, 0.015),
+                           e1[1] + rng.uniform(-0.015, 0.015),
+                           a2, rng.uniform(0.004, 0.006),
+                           rng.uniform(0, math.pi))
     if kind == "seam":
         e1 = random_ellipse(rng, a_range=(0.02, 0.2))
-        e1 = make_ellipse(e1.eta_c, rng.uniform(-0.1, 0.1), e1.a, e1.b,
-                          e1.theta)
+        e1 = ellipse(e1[0], rng.uniform(-0.1, 0.1), *e1[2:])
     else:
         e1 = random_ellipse(rng)
+    eta_c, phi_c, a, b, theta = e1
     if kind == "identical":
-        return e1, make_ellipse(e1.eta_c, e1.phi_c, e1.a, e1.b, e1.theta)
+        return e1, ellipse(eta_c, phi_c, a, b, theta)
     if kind == "nested":
         k = rng.uniform(0.2, 0.6)
-        return e1, make_ellipse(e1.eta_c + rng.uniform(-0.2, 0.2) * e1.b,
-                                e1.phi_c + rng.uniform(-0.2, 0.2) * e1.b,
-                                k * e1.b, rng.uniform(0.3, 1.0) * k * e1.b,
-                                rng.uniform(0, math.pi))
+        return e1, ellipse(eta_c + rng.uniform(-0.2, 0.2) * b,
+                           phi_c + rng.uniform(-0.2, 0.2) * b,
+                           k * b, rng.uniform(0.3, 1.0) * k * b,
+                           rng.uniform(0, math.pi))
     if kind == "touching":
         # a copy moved by one full axis along that axis: the two
         # polygons share a vertex and nothing else
-        axis = e1.theta + (0.0 if rng.uniform() < 0.5 else 0.5 * math.pi)
-        reach = 2.0 * (e1.a if axis == e1.theta else e1.b)
-        return e1, make_ellipse(e1.eta_c + reach * math.cos(axis),
-                                e1.phi_c + reach * math.sin(axis),
-                                e1.a, e1.b, e1.theta)
+        axis = theta + (0.0 if rng.uniform() < 0.5 else 0.5 * math.pi)
+        reach = 2.0 * (a if axis == theta else b)
+        return e1, ellipse(eta_c + reach * math.cos(axis),
+                           phi_c + reach * math.sin(axis), a, b, theta)
     a2 = rng.uniform(0.02, 0.4)
-    reach = e1.a + a2
-    return e1, make_ellipse(e1.eta_c + rng.uniform(-reach, reach),
-                            e1.phi_c + rng.uniform(-reach, reach),
-                            a2, rng.uniform(0.2 * a2, a2),
-                            rng.uniform(0, math.pi))
+    reach = a + a2
+    return e1, ellipse(eta_c + rng.uniform(-reach, reach),
+                       phi_c + rng.uniform(-reach, reach),
+                       a2, rng.uniform(0.2 * a2, a2),
+                       rng.uniform(0, math.pi))
 
 
 class TestIouOracle:
@@ -389,18 +408,17 @@ class TestIouOracle:
             pairs = [_pair(rng, kind) for _ in range(40)]
             e = pairs[0][0]
             # each partner keeps its offset from its own first ellipse
-            others = [astuple(make_ellipse(
-                e.eta_c + e2.eta_c - e1.eta_c, e.phi_c + e2.phi_c - e1.phi_c,
-                e2.a, e2.b, e2.theta)) for e1, e2 in pairs]
-            others += [astuple(e), astuple(random_ellipse(rng))]
-            batch = ellipse_ious(astuple(e), others)
+            others = [ellipse(e[0] + e2[0] - e1[0], e[1] + e2[1] - e1[1],
+                              *e2[2:]) for e1, e2 in pairs]
+            others += [e, random_ellipse(rng)]
+            batch = ellipse_ious(e, others)
             assert batch.shape == (len(others),)
             assert np.count_nonzero(batch) >= 10
             for i, other in enumerate(others):
-                assert batch[i] == ellipse_ious(astuple(e), [other])[0]
+                assert batch[i] == ellipse_ious(e, [other])[0]
 
     def test_no_others(self):
-        e = astuple(make_ellipse(0.0, 1.0, 0.2, 0.1, 0.3))
+        e = ellipse(0.0, 1.0, 0.2, 0.1, 0.3)
         assert ellipse_ious(e, []).shape == (0,)
 
 
@@ -413,21 +431,22 @@ def _classified_pair(rng, kind):
         # outside or (scaled, so no more curved) from inside, moved by a
         # tiny fraction of the axis either way or not at all
         k = rng.uniform(0.2, 1.0)
-        axis = e1.theta + (0.0 if rng.uniform() < 0.5 else 0.5 * math.pi)
-        reach = e1.a if axis == e1.theta else e1.b
+        eta_c, phi_c, a, b, theta = e1
+        axis = theta + (0.0 if rng.uniform() < 0.5 else 0.5 * math.pi)
+        reach = a if axis == theta else b
         gap = 1.0 + rng.choice([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6,
                                 -1e-6, 1e-3, -1e-3])
         shift = reach * (1.0 + k if rng.uniform() < 0.5 else 1.0 - k) * gap
-        return e1, make_ellipse(e1.eta_c + shift * math.cos(axis),
-                                e1.phi_c + shift * math.sin(axis),
-                                k * e1.a, k * e1.b, e1.theta)
+        return e1, ellipse(eta_c + shift * math.cos(axis),
+                           phi_c + shift * math.sin(axis), k * a, k * b,
+                           theta)
     if kind == "thin":
-        e1 = make_ellipse(e1.eta_c, e1.phi_c, e1.a, AXIS_FLOOR, e1.theta)
+        e1 = ellipse(*e1[:3], AXIS_FLOOR, e1[4])
         a2 = rng.uniform(0.01, 0.4)
         b2 = AXIS_FLOOR if rng.uniform() < 0.5 else \
             rng.uniform(AXIS_FLOOR, a2)
-        return e1, make_ellipse(e1.eta_c + rng.uniform(-a2, a2),
-                                e1.phi_c + rng.uniform(-a2, a2), a2, b2,
+        return e1, ellipse(e1[0] + rng.uniform(-a2, a2),
+                           e1[1] + rng.uniform(-a2, a2), a2, b2,
                                 rng.uniform(0, math.pi))
     return _pair(rng, kind)
 
@@ -447,8 +466,7 @@ class TestIouEdgeClassification:
     def test_equals_full_clip_bit_for_bit(self, kind):
         rng = np.random.default_rng(40 + self.KINDS.index(kind))
         pairs = [_classified_pair(rng, kind) for _ in range(600)]
-        seeds = [astuple(e1) for e1, _ in pairs]
-        others = [astuple(e2) for _, e2 in pairs]
+        seeds, others = zip(*pairs)
         expected = [full_clip_ious(s, [o], IOU_RESOLUTION)[0]
                     for s, o in zip(seeds, others)]
         assert np.count_nonzero(expected) >= 100
@@ -459,8 +477,7 @@ class TestIouEdgeClassification:
         rng = np.random.default_rng(47)
         pairs = [_classified_pair(rng, kind) for kind in self.KINDS
                  for _ in range(40)]
-        seeds = np.array([astuple(e1) for e1, _ in pairs])
-        others = np.array([astuple(e2) for _, e2 in pairs])
+        seeds, others = np.array(pairs).transpose(1, 0, 2)
         batch = ellipse_ious(seeds, others)
         assert np.array_equal(_bits(batch), _bits(
             [ellipse_ious(s, o[None])[0] for s, o in zip(seeds, others)]))
@@ -474,13 +491,12 @@ class TestIouEdgeClassification:
         rng = np.random.default_rng(48)
         pairs = [_pair(rng, "overlapping") for _ in range(200)]
         stats = {}
-        ellipse_ious([astuple(e1) for e1, _ in pairs],
-                     [astuple(e2) for _, e2 in pairs], stats)
+        ellipse_ious(*zip(*pairs), stats)
         # two crossing boundaries cut a few edges of each polygon; the
         # full clip would take 2 * IOU_RESOLUTION per pair
         assert 0 < stats["edges_clipped"] <= 8 * len(pairs)
         identical = {}
-        e = astuple(random_ellipse(rng))
+        e = random_ellipse(rng)
         ellipse_ious(e, [e], identical)
         assert identical["edges_clipped"] == 2 * IOU_RESOLUTION
 
@@ -500,15 +516,14 @@ class TestMvee:
         e = enclosing(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                                 [0.0, 1.0]]))
         r = math.sqrt(2.0) / 2.0
-        assert e.eta_c == pytest.approx(0.5, abs=1e-3)
-        assert e.phi_c == pytest.approx(0.5, abs=1e-3)
-        assert e.a == pytest.approx(r, abs=1e-3)
-        assert e.b == pytest.approx(r, abs=1e-3)
+        assert e[0] == pytest.approx(0.5, abs=1e-3)  # eta_c
+        assert e[1] == pytest.approx(0.5, abs=1e-3)  # phi_c
+        assert e[2] == pytest.approx(r, abs=1e-3)  # a
+        assert e[3] == pytest.approx(r, abs=1e-3)  # b
 
     def test_single_point(self):
         e = enclosing(np.array([[0.3, 1.5]]))
-        assert (e.eta_c, e.phi_c) == (0.3, 1.5)
-        assert e.a == AXIS_FLOOR and e.b == AXIS_FLOOR
+        assert e[:4] == (0.3, 1.5, AXIS_FLOOR, AXIS_FLOOR)
 
     def test_boundary_recovery(self):
         t = np.linspace(0, TWO_PI, 48, endpoint=False)
@@ -518,18 +533,18 @@ class TestMvee:
             * math.sin(th),
             2.0 + a0 * np.cos(t) * math.sin(th) + b0 * np.sin(t)
             * math.cos(th)], axis=1)
-        e = enclosing(pts)
-        assert e.a == pytest.approx(a0, abs=1e-3)
-        assert e.b == pytest.approx(b0, abs=1e-3)
-        assert e.theta == pytest.approx(th, abs=1e-3)
+        _, _, a, b, theta = enclosing(pts)
+        assert a == pytest.approx(a0, abs=1e-3)
+        assert b == pytest.approx(b0, abs=1e-3)
+        assert theta == pytest.approx(th, abs=1e-3)
 
     def test_collinear(self):
         pts = np.array([[0.0, 0.0], [0.05, 0.0], [0.1, 0.0], [0.15, 0.0],
                         [0.2, 0.0]])
-        e = enclosing(pts)
-        assert e.a == pytest.approx(0.1, abs=1e-12)  # half the span
-        assert e.b == AXIS_FLOOR
-        assert e.theta in (pytest.approx(0.0, abs=1e-12),
+        _, _, a, b, theta = enclosing(pts)
+        assert a == pytest.approx(0.1, abs=1e-12)  # half the span
+        assert b == AXIS_FLOOR
+        assert theta in (pytest.approx(0.0, abs=1e-12),
                            pytest.approx(math.pi, abs=1e-12))
 
     def test_containment_property(self):
@@ -537,9 +552,8 @@ class TestMvee:
         for _ in range(100):
             k = int(rng.integers(1, 25))
             pts = rng.normal(0, 1, (k, 2)) * rng.uniform(1e-3, 0.5, 2)
-            e = enclosing(pts)
-            inflated = Ellipse5(e.eta_c, e.phi_c, e.a * (1 + 1e-6),
-                                e.b * (1 + 1e-6), e.theta)
+            eta_c, phi_c, a, b, theta = enclosing(pts)
+            inflated = (eta_c, phi_c, a * (1 + 1e-6), b * (1 + 1e-6), theta)
             assert np.all(point_in_ellipse_quadform(
                 inflated, pts[:, 0], pts[:, 1]))
 
@@ -548,7 +562,7 @@ class TestMvee:
         e = enclosing(pts)
         for p in pts:
             assert point_in_ellipse(e, tuple(p))
-        assert e.a < 0.5  # did not span the whole circle
+        assert e[2] < 0.5  # did not span the whole circle
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -654,18 +668,19 @@ class TestBatchedMvee:
         stats = {}
         rows = mvee(sets, stats)
         assert stats["iterations"] <= 100
+        check_ellipses(rows, lambda k: f"set {k}: ")
         for row, pts, want in zip(rows, sets, exact):
-            assert np.all(point_in_ellipse(Ellipse5(*row),
-                                           (pts[:, 0], pts[:, 1])))
+            assert np.all(point_in_ellipse(row, (pts[:, 0], pts[:, 1])))
             if row[3] > AXIS_FLOOR:
                 assert_same_ellipse(row, want or mvee_oracle(
                     pts, 1e-13, AXIS_FLOOR))
 
     def test_every_point_inside_its_ellipse(self):
         sets = mixed_point_sets(np.random.default_rng(32), 200)
-        for row, pts in zip(mvee(sets), sets):
-            assert np.all(point_in_ellipse(Ellipse5(*row),
-                                           (pts[:, 0], pts[:, 1])))
+        rows = mvee(sets)
+        check_ellipses(rows, lambda k: f"set {k}: ")
+        for row, pts in zip(rows, sets):
+            assert np.all(point_in_ellipse(row, (pts[:, 0], pts[:, 1])))
 
     def test_seeded_rerun_bit_identical(self):
         first = mvee(mixed_point_sets(np.random.default_rng(33), 100))

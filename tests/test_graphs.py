@@ -3,7 +3,7 @@ import json
 import math
 import re
 import tracemalloc
-from dataclasses import FrozenInstanceError, astuple, replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -15,13 +15,13 @@ from conftest import (JSON_VALUES, decoded, doc_paths, encoded, hit_at,
                       track_table)
 from oracles import brute_force_dbscan, partition_of
 from test_events import write_trackml
-from trackseg.ellipses import Ellipse5, point_in_ellipse
+from trackseg.ellipses import SHAPE_COLUMNS, check_ellipses, point_in_ellipse
 from trackseg import graphs
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
                              DomainError)
 from trackseg.events import (TRACK_COLUMNS, Event, GenConfig,
                              generate_event, read_trackml_event)
-from trackseg.graphs import (TARGET_COLUMNS, DbscanParams, Graph,
+from trackseg.graphs import (DbscanParams, Graph,
                              build_graph, dbscan, graph_from_dict,
                              graph_to_dict, truth_ellipses)
 from trackseg.jsonio import read_json, write_json
@@ -272,9 +272,11 @@ class TestBuildGraph:
 
 
 def only_target(e):
-    """The Ellipse5 of the one target row of a one-track event."""
-    (row,) = truth_ellipses(e).tolist()
-    return Ellipse5(*row)
+    """The one target row of a one-track event, a valid ellipse."""
+    rows = truth_ellipses(e)
+    check_ellipses(rows, lambda k: "target: ")
+    (row,) = rows.tolist()
+    return row
 
 
 class TestTruthEllipses:
@@ -284,33 +286,35 @@ class TestTruthEllipses:
         e = generate_event(detector, gen, seed=24)
         rows = truth_ellipses(e)
         assert rows.shape == (len(e.tracks), 5)
+        check_ellipses(rows, lambda k: f"target row {k}: ")
         for pid, row in zip(e.tracks.particle_id, rows.tolist()):
             mine = e.hits.particle_id == pid
             for eta, phi in zip(e.hits.eta[mine], e.hits.phi[mine]):
-                assert point_in_ellipse(Ellipse5(*row), (eta, phi))
+                assert point_in_ellipse(row, (eta, phi))
 
     def test_two_hit_track_floor_minor_axis(self):
         hits = hit_table([hit_at(1, 0.0, 1.0, particle_id=1),
                           hit_at(2, 0.02, 1.0, layer=1, particle_id=1)])
-        ell = only_target(Event(0, hits, track_table([TRACK])))
-        assert ell.a == pytest.approx(1.1 * 0.01, rel=1e-9)
-        assert ell.b == pytest.approx(1.1 * 1e-4, rel=1e-9)
+        _, _, a, b, _ = only_target(Event(0, hits, track_table([TRACK])))
+        assert a == pytest.approx(1.1 * 0.01, rel=1e-9)
+        assert b == pytest.approx(1.1 * 1e-4, rel=1e-9)
 
     def test_single_hit_track(self):
         hits = hit_table([hit_at(1, 0.3, 2.0, particle_id=1)])
-        ell = only_target(Event(0, hits, track_table([TRACK])))
-        assert (ell.eta_c, ell.phi_c) == (0.3, 2.0)
-        assert ell.a == pytest.approx(1.1e-4)
-        assert ell.b == pytest.approx(1.1e-4)
+        eta_c, phi_c, a, b, _ = only_target(Event(0, hits,
+                                                  track_table([TRACK])))
+        assert (eta_c, phi_c) == (0.3, 2.0)
+        assert a == pytest.approx(1.1e-4)
+        assert b == pytest.approx(1.1e-4)
 
     def test_collinear_in_eta(self):
         length = 0.4
         hits = hit_table([hit_at(i + 1, i * length / 4.0, 1.5,
                                  particle_id=1) for i in range(5)])
-        ell = only_target(Event(0, hits, track_table([TRACK])))
-        assert ell.theta in (pytest.approx(0.0, abs=1e-9),
-                             pytest.approx(math.pi, abs=1e-9))
-        assert ell.a == pytest.approx(1.1 * length / 2.0, rel=1e-9)
+        _, _, a, _, theta = only_target(Event(0, hits, track_table([TRACK])))
+        assert theta in (pytest.approx(0.0, abs=1e-9),
+                         pytest.approx(math.pi, abs=1e-9))
+        assert a == pytest.approx(1.1 * length / 2.0, rel=1e-9)
 
 
 class TestAssignTargets:
@@ -322,10 +326,12 @@ class TestAssignTargets:
         assert n_targets == int(g.vertex_class.sum())
         for i in np.flatnonzero(~g.vertex_class):
             assert g.vertex_target_ellipse[i] is None
-        # a vertex's target is the target row of its track row
+        # a vertex's target is the target row of its track row, a tuple
         assert g.vertex_target_ellipse == [
-            None if row < 0 else Ellipse5(*g.targets[row].tolist())
+            None if row < 0 else tuple(g.targets[row].tolist())
             for row in g.track_row]
+        assert all(type(t) is tuple for t in g.vertex_target_ellipse
+                   if t is not None)
         assert (g.tracks.particle_id[g.track_row[g.vertex_class]]
                 == g.hits.particle_id[g.vertex_class]).all()
 
@@ -534,12 +540,12 @@ class TestGraphSerialization:
         assert list(doc["tracks"]) == list(TRACK_COLUMNS)
         assert list(doc["edges"]) == ["i", "j"]
         assert all(i < j for i, j in zip(*doc["edges"].values()))
-        assert list(doc["targets"]) == list(TARGET_COLUMNS) == \
+        assert list(doc["targets"]) == list(SHAPE_COLUMNS) == \
             ["eta_c", "phi_c", "a", "b", "theta"]
         g = graph_from_dict(stored)
         # target row k belongs to track row k
         targets = dict(zip(doc["tracks"]["particle_id"],
-                           map(Ellipse5, *doc["targets"].values())))
+                           zip(*doc["targets"].values())))
         assert len(targets) == len(g.tracks) == 2
         for pid, target in zip(g.hits.particle_id,
                                g.vertex_target_ellipse):
@@ -662,8 +668,7 @@ class TestGraphSerialization:
         loaded = [graph.eta, graph.phi, graph.hits.x, graph.hits.y,
                   graph.hits.z,
                   graph.tracks.pt, graph.tracks.eps_t, graph.targets,
-                  [astuple(e) for e in graph.vertex_target_ellipse
-                   if e is not None]]
+                  [e for e in graph.vertex_target_ellipse if e is not None]]
         for values in loaded:
             assert np.all(np.isfinite(np.asarray(values, dtype=float)))
 

@@ -8,7 +8,6 @@ import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackseg
-from conftest import (JSON_VALUES, decoded, doc_paths, encoded, hit_at,
-                      hit_table, set_at, track_table)
+from conftest import (JSON_VALUES, decoded, doc_paths, ellipse, encoded,
+                      hit_at, hit_table, set_at, track_table)
 from oracles import brute_force_dbscan
 from test_events import BAD_TRACKML, BAD_TRACKML_IDS, HITS_CSV, \
     write_trackml
 from trackseg import tracknet
-from trackseg.ellipses import IOU_RESOLUTION, Ellipse5, make_ellipse
+from trackseg.ellipses import IOU_RESOLUTION
 from trackseg.errors import ConfigError, ConsistencyError, DataError
 from trackseg.events import (DetectorConfig, Event, GenConfig,
                              event_from_dict, event_to_dict, generate_event,
@@ -80,7 +79,7 @@ def truth_identity_prediction(event):
     targets = truth_ellipses(event)
     track_row = event.track_row
     candidates = [
-        TrackCandidate(Ellipse5(*target), 1.0,
+        TrackCandidate(tuple(target), 1.0,
                        tuple(np.flatnonzero(track_row == k).tolist()),
                        params=(pt, eps_t))
         for k, (target, pt, eps_t) in enumerate(zip(
@@ -210,8 +209,7 @@ class TestRender:
     def test_single_hit_single_ellipse(self, tmp_path):
         e = Event(0, hit_table([hit_at(1, 0.5, 1.0)]), track_table([]))
         path = tmp_path / "one.svg"
-        render_event_svg(e, [astuple(make_ellipse(0.5, 1.0, 0.1, 0.05, 0.3))],
-                         path)
+        render_event_svg(e, [ellipse(0.5, 1.0, 0.1, 0.05, 0.3)], path)
         text = path.read_text()
         assert text.count("<circle") == 1
         assert text.count("<ellipse") == 1
@@ -428,7 +426,7 @@ def _prediction_doc():
 
 
 ELLIPSES = st.builds(
-    make_ellipse, st.floats(-5.0, 5.0), st.floats(0.0, 2.0 * math.pi),
+    ellipse, st.floats(-5.0, 5.0), st.floats(0.0, 2.0 * math.pi),
     st.floats(1e-4, 1.0), st.floats(1e-4, 1.0), st.floats(0.0, math.pi))
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -457,10 +455,18 @@ def predictions(draw):
     probs = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     per_vertex = draw(st.lists(ellipses, min_size=n, max_size=n))
     vertices = [v for v, e in enumerate(per_vertex) if e is not None]
-    rows = np.array([astuple(per_vertex[v]) for v in vertices])
+    rows = np.array([per_vertex[v] for v in vertices])
     return (event_id, ids, probs,
             (np.array(vertices, dtype=int), rows.reshape(-1, 5)), candidates,
             draw(st.lists(assignments, min_size=n, max_size=n)))
+
+
+def package_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH,
+    for a fresh interpreter."""
+    src = str(Path(trackseg.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 PRED_DOC = _prediction_doc()
@@ -471,6 +477,21 @@ PRED_VERTICES = decoded(json.loads(PRED_DOC))["vertices"]
 
 
 class TestIo:
+    def test_reading_a_prediction_leaves_numpy_ma_unimported(self, tmp_path):
+        # a plain np.unique imports numpy.ma, about 1.2 MB of peak RSS
+        path = tmp_path / "pred.json"
+        path.write_text(PRED_DOC)
+        code = ("import sys\n"
+                "from trackseg.harness.io import prediction_from_dict\n"
+                "from trackseg.jsonio import read_json\n"
+                "pred = prediction_from_dict(read_json(sys.argv[1]))\n"
+                "assert pred['candidates'], 'no candidates read'\n"
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+        result = subprocess.run([sys.executable, "-c", code, str(path)],
+                                env=package_env(), capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+
     def test_event_round_trip(self):
         det = DetectorConfig()
         e = generate_event(det, GenConfig(n_tracks=3, noise_fraction=0.2,
@@ -645,7 +666,7 @@ class TestIo:
                    for a in pred["assignments"])
         assert all(0.0 <= p <= 1.0 for p in pred["class_prob"])
         loaded = [*rows.tolist(),
-                  *(astuple(c.ellipse) for c in pred["candidates"]),
+                  *(c.ellipse for c in pred["candidates"]),
                   *((c.confidence, *c.params) for c in pred["candidates"])]
         assert all(map(math.isfinite, itertools.chain(*loaded)))
 
@@ -867,9 +888,9 @@ def _n_candidates(doc):
     return len(doc["candidates"]["pt"])
 
 
-def _swap_first_axes(doc):
-    ellipses = doc["ellipses"]
-    _set_row(ellipses, 0, a=ellipses["b"][0], b=ellipses["a"][0])
+def _swap_first_axes(doc, table="ellipses"):
+    rows = doc[table]
+    _set_row(rows, 0, a=rows["b"][0], b=rows["a"][0])
 
 
 # damage that each check of the prediction reader (run by evaluate)
@@ -901,6 +922,8 @@ PRED_DAMAGE = [
     (_edited(lambda doc: doc["members"]["candidate"].reverse()),
      "prediction members are not grouped by candidate"),
     (_edited(_swap_first_axes), "semi-axes must satisfy a >= b > 0"),
+    (_edited(lambda doc: _swap_first_axes(doc, "candidates")),
+     "candidate row 0: semi-axes must satisfy a >= b > 0"),
     (_edited(lambda doc: _set_row(doc["candidates"], 0, theta=4.0)),
      "theta must lie in [0, pi)"),
     (_edited(lambda doc: _set_row(doc["candidates"], 0, pt=math.inf)),
@@ -912,7 +935,7 @@ PRED_DAMAGE_IDS = [
     "assignment-below-none", "assignment-past-candidates",
     "ellipse-vertex-out-of-range", "ellipse-vertex-repeated",
     "member-candidate-out-of-range", "member-vertex-negative",
-    "members-not-grouped", "ellipse-axes-swapped",
+    "members-not-grouped", "ellipse-axes-swapped", "candidate-axes-swapped",
     "candidate-theta-out-of-range", "candidate-pt-inf", "pred-v1"]
 
 STAGES = ("generate", "build-graphs", "train", "infer", "evaluate")
@@ -1354,12 +1377,9 @@ class TestCli:
         assert not list((tmp_path / "out").glob("predictions/pred_*.json"))
 
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(trackseg.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
         result = subprocess.run([sys.executable, "-m", "trackseg", "--help"],
-                                env=env, capture_output=True, text=True,
-                                timeout=60)
+                                env=package_env(), capture_output=True,
+                                text=True, timeout=60)
         assert result.returncode == 0
         assert "build-graphs" in result.stdout
 

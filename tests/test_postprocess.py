@@ -1,15 +1,15 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from conftest import ellipse
 from oracles import full_clip_ious
 from test_ellipses import iou
 from trackseg.angles import circular_mean
-from trackseg.ellipses import IOU_RESOLUTION, make_ellipse, point_in_ellipse
+from trackseg.ellipses import IOU_RESOLUTION, point_in_ellipse
 from trackseg import postprocess
 from trackseg.errors import DomainError
 from trackseg.postprocess import (ThresholdResult, TrackCandidate,
@@ -18,13 +18,13 @@ from trackseg.postprocess import (ThresholdResult, TrackCandidate,
 
 
 def ellipse_at(eta, phi=3.0, a=0.2, b=0.1, theta=0.0):
-    return make_ellipse(eta, phi, a, b, theta)
+    return ellipse(eta, phi, a, b, theta)
 
 
 def rows_of(ellipses) -> np.ndarray:
-    """The parameter rows of Ellipse5s, (n, 5), as merge_ellipses takes
-    them."""
-    return np.array([astuple(e) for e in ellipses]).reshape(-1, 5)
+    """Parameter rows, given one by one, as the (n, 5) array
+    merge_ellipses takes."""
+    return np.array(list(ellipses), dtype=float).reshape(-1, 5)
 
 
 class TestMergeEllipses:
@@ -35,11 +35,8 @@ class TestMergeEllipses:
         c = cands[0]
         assert c.confidence == pytest.approx(0.8)
         assert c.member_vertex_ids == (0, 1, 2)
-        assert c.ellipse.eta_c == pytest.approx(e.eta_c, abs=1e-12)
-        assert c.ellipse.phi_c == pytest.approx(e.phi_c, abs=1e-12)
-        assert c.ellipse.a == pytest.approx(e.a, abs=1e-12)
-        assert c.ellipse.b == pytest.approx(e.b, abs=1e-12)
-        assert c.ellipse.theta == pytest.approx(e.theta, abs=1e-12)
+        assert type(c.ellipse) is tuple and len(c.ellipse) == 5
+        assert c.ellipse == pytest.approx(e, abs=1e-12)
 
     def test_disjoint_stay_separate(self):
         cands = merge_ellipses(rows_of([ellipse_at(0.0), ellipse_at(5.0)]),
@@ -58,7 +55,7 @@ class TestMergeEllipses:
         merged = next(x for x in cands if len(x.member_vertex_ids) == 2)
         lone = next(x for x in cands if len(x.member_vertex_ids) == 1)
         assert merged.member_vertex_ids == (0, 1)
-        assert merged.ellipse.eta_c == pytest.approx(0.025)
+        assert merged.ellipse[0] == pytest.approx(0.025)  # eta_c
         assert lone.ellipse == c
 
     def test_partition_property(self):
@@ -120,21 +117,28 @@ class TestMergeEllipses:
         assert base == frozenset({(0, 1, 2), (3, 4)})
 
     def test_theta_circular_mean_at_wrap(self):
-        e1 = make_ellipse(0.0, 3.0, 0.2, 0.1, 0.05)
-        e2 = make_ellipse(0.0, 3.0, 0.2, 0.1, math.pi - 0.05)
+        e1 = ellipse(0.0, 3.0, 0.2, 0.1, 0.05)
+        e2 = ellipse(0.0, 3.0, 0.2, 0.1, math.pi - 0.05)
         cands = merge_ellipses(rows_of([e1, e2]), [0.9, 0.8], t_h=0.1)
         assert len(cands) == 1
-        theta = cands[0].ellipse.theta
+        theta = cands[0].ellipse[4]
         # mean over period pi sits at 0, not at pi/2
         assert min(theta, math.pi - theta) == pytest.approx(0.0, abs=1e-9)
 
     def test_phi_wrapped_mean(self):
-        e1 = make_ellipse(0.0, 0.02, 0.2, 0.1, 0.0)
-        e2 = make_ellipse(0.0, 2 * math.pi - 0.02, 0.2, 0.1, 0.0)
+        e1 = ellipse(0.0, 0.02, 0.2, 0.1, 0.0)
+        e2 = ellipse(0.0, 2 * math.pi - 0.02, 0.2, 0.1, 0.0)
         cands = merge_ellipses(rows_of([e1, e2]), [0.9, 0.8], t_h=0.1)
         assert len(cands) == 1
-        phi = cands[0].ellipse.phi_c
+        phi = cands[0].ellipse[1]
         assert min(phi, 2 * math.pi - phi) == pytest.approx(0.0, abs=1e-9)
+
+    def test_invalid_ellipse_row_named(self):
+        rows = rows_of([ellipse_at(0.0), ellipse_at(1.0)])
+        rows[1, 2:4] = rows[1, 3:1:-1]
+        with pytest.raises(DomainError, match="ellipse row 1: semi-axes "
+                           "must satisfy a >= b > 0"):
+            merge_ellipses(rows, [0.9, 0.8])
 
     def test_bad_threshold(self):
         with pytest.raises(DomainError):
@@ -165,7 +169,7 @@ def merge_seed_by_seed(ellipses, scores, t_h):
         group = np.concatenate([[seed], absorbed])
         members = rows[group]
         candidates.append(TrackCandidate(
-            ellipse=make_ellipse(
+            ellipse=ellipse(
                 members[:, 0].mean(), circular_mean(members[:, 1]),
                 members[:, 2].mean(), members[:, 3].mean(),
                 circular_mean(members[:, 4], period=math.pi)),
@@ -183,10 +187,10 @@ def clustered_ellipses(rng, n, n_clusters):
     out = []
     for k in rng.integers(n_clusters, size=n):
         a = rng.uniform(0.02, 0.2)
-        out.append(make_ellipse(centres[k, 0] + rng.normal(0.0, 0.03),
-                                centres[k, 1] + rng.normal(0.0, 0.03), a,
-                                rng.uniform(0.2, 1.0) * a,
-                                rng.uniform(0.0, math.pi)))
+        out.append(ellipse(centres[k, 0] + rng.normal(0.0, 0.03),
+                           centres[k, 1] + rng.normal(0.0, 0.03), a,
+                           rng.uniform(0.2, 1.0) * a,
+                           rng.uniform(0.0, math.pi)))
     return out
 
 
@@ -223,8 +227,8 @@ class TestMergeEqualsSeedBySeed:
         # array of doubles alone would take 32 MB
         n = 2000
         rng = np.random.default_rng(34)
-        ellipses = [make_ellipse(0.03 * (i % 50), 0.03 * (i // 50) + 1.0,
-                                 0.04, 0.02, rng.uniform(0.0, math.pi))
+        ellipses = [ellipse(0.03 * (i % 50), 0.03 * (i // 50) + 1.0,
+                            0.04, 0.02, rng.uniform(0.0, math.pi))
                     for i in range(n)]
         rows, scores = rows_of(ellipses), rng.uniform(0.0, 1.0, n)
         stats = {}
@@ -288,9 +292,9 @@ class TestAssignHitsBatch:
         for _ in range(60):
             n_cand = int(rng.integers(0, 8))
             cands = [TrackCandidate(
-                make_ellipse(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3),
-                             rng.uniform(0.1, 0.4), rng.uniform(0.05, 0.1),
-                             rng.uniform(0, math.pi)),
+                ellipse(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3),
+                        rng.uniform(0.1, 0.4), rng.uniform(0.05, 0.1),
+                        rng.uniform(0, math.pi)),
                 float(rng.choice([0.3, 0.6, 0.9])), (k,))
                 for k in range(n_cand)]
             # phi straddles the seam
@@ -302,10 +306,9 @@ class TestAssignHitsBatch:
                 assign_one_by_one(cands, vertices, 0.5)
 
     def test_boundary_seam_and_threshold_cases(self):
-        e = make_ellipse(0.0, 0.01, 0.2, 0.1, 0.3)
+        e = ellipse(0.0, 0.01, 0.2, 0.1, 0.3)
         tip = (0.2 * math.cos(0.3), 0.01 + 0.2 * math.sin(0.3), 0.9)
-        cands = [TrackCandidate(make_ellipse(3.0, 3.0, 0.2, 0.1, 0.0), 0.9,
-                                (0,)),
+        cands = [TrackCandidate(ellipse(3.0, 3.0, 0.2, 0.1, 0.0), 0.9, (0,)),
                  TrackCandidate(e, 0.7, (1,)),
                  TrackCandidate(e, 0.7, (2,))]
         vertices = [tip,                       # on the boundary
@@ -326,14 +329,14 @@ class TestAssignHitsBatch:
         monkeypatch.setattr(postprocess, "_SEARCH_BLOCK", block)
         rng = np.random.default_rng(34)
         cands = [TrackCandidate(
-            make_ellipse(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2),
-                         rng.uniform(0.1, 0.3), rng.uniform(0.05, 0.1),
-                         rng.uniform(0, math.pi)),
+            ellipse(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2),
+                    rng.uniform(0.1, 0.3), rng.uniform(0.05, 0.1),
+                    rng.uniform(0, math.pi)),
             float(rng.choice([0.4, 0.7])), (k,)) for k in range(20)]
         # half the vertices on a candidate's boundary, at its major tip
-        tips = [(c.ellipse.eta_c + c.ellipse.a * math.cos(c.ellipse.theta),
-                 (c.ellipse.phi_c + c.ellipse.a * math.sin(c.ellipse.theta))
-                 % (2 * math.pi), 0.9) for c in cands]
+        tips = [(eta_c + a * math.cos(theta),
+                 (phi_c + a * math.sin(theta)) % (2 * math.pi), 0.9)
+                for eta_c, phi_c, a, _, theta in (c.ellipse for c in cands)]
         vertices = tips + [(rng.uniform(-0.6, 0.6),
                             rng.uniform(-0.4, 0.4) % (2 * math.pi), 0.9)
                            for _ in range(20)]

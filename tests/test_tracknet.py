@@ -4,7 +4,7 @@ import json
 import math
 import tempfile
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (JSON_VALUES, doc_paths, hit_at, hit_table,
+from conftest import (JSON_VALUES, doc_paths, ellipse, hit_at, hit_table,
                       make_training_graph, set_at, track_table)
 from oracles import decode_box_row, initial_flat, plain_message_passing
 from trackseg import tracknet as tn
 from test_ellipses import SCALES
-from trackseg.ellipses import make_ellipse
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
                              DomainError, NumericError, ParseError)
 from trackseg.events import Event, HitTable
@@ -48,7 +47,7 @@ def tiny_graph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 2))):
                       np.ones(n, dtype=int), np.zeros(n, dtype=int)),
         tracks=track_table([(1, 2.5, 3e-4, 0.0, 1.0)]),
         edges=edges,
-        targets=[astuple(make_ellipse(0, 0, 0.05, 0.01, 0.0))],
+        targets=[ellipse(0, 0, 0.05, 0.01, 0.0)],
     )
 
 
