@@ -55,16 +55,6 @@ def check_rows(problems: dict, name, **values) -> None:
             **{key: value[row] for key, value in values.items()}), row=row)
 
 
-class FitError(TracksegError):
-    """Least-squares fit failure; carries the condition number seen."""
-
-    def __init__(self, message: str, condition: float | None = None):
-        if condition is not None:
-            message = f"{message} (condition number {condition:.3e})"
-        super().__init__(message)
-        self.condition = condition
-
-
 class ShapeError(TracksegError, ValueError):
     """Array shape mismatch; the message names both shapes."""
 

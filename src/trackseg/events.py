@@ -26,7 +26,7 @@ from .angles import wrap_phi
 from .errors import ConfigError, ConsistencyError, DomainError, \
     ParseError, ShapeError, check_rows
 from .jsonio import decode_table, encode_table, number, parsing
-from .kinematics import PT_COEFF, CircleTrack, TrackParams, pseudorapidity
+from .kinematics import PT_COEFF, pseudorapidity
 
 MM_TO_M = 1e-3
 
@@ -42,7 +42,8 @@ EVENT_FORMAT = "event-v4"
 # a hit's columns in HitTable field order: x, y, z numbers, the rest ints
 HIT_COLUMNS = dict(hit_id=int, x=float, y=float, z=float, layer=int,
                    particle_id=int, volume=int)
-# a track's columns: its id, then TrackParams in field order
+# a track's columns: its id, then its transverse parameters in the order
+# kinematics.track_params gives them
 TRACK_COLUMNS = dict(particle_id=int, pt=float, eps_t=float, a=float, b=float)
 
 
@@ -146,10 +147,11 @@ class HitTable(_Table):
 @dataclass(frozen=True, eq=False)
 class TrackTable(_Table):
     """Truth tracks as read-only numpy columns, one row per track: the
-    particle id and the TrackParams fields.  Construction checks whole
-    columns: unequal lengths raise ShapeError, an id beyond int64, a p_T
-    not positive and finite or a non-finite eps_T DomainError naming the
-    first track that fails and carrying its row."""
+    particle id, p_T, eps_T and the circle center (a, b).  Construction
+    checks whole columns: unequal lengths raise ShapeError, an id beyond
+    int64, a p_T not positive and finite or a non-finite eps_T
+    DomainError naming the first track that fails and carrying its
+    row."""
     particle_id: np.ndarray
     pt: np.ndarray
     eps_t: np.ndarray
@@ -297,16 +299,16 @@ class GenConfig:
             raise ConfigError("hit_smearing_sigma must be >= 0")
 
 
-def intersect_helix_layer(circle: CircleTrack, phi0: float, eta: float,
-                          layer_radius: float):
-    """First circle-cylinder intersection along the direction of flight.
+def intersect_helix_layer(a: float, b: float, radius: float, phi0: float,
+                          eta: float, layer_radius: float):
+    """First intersection of the transverse circle (x-a)^2 + (y-b)^2 =
+    radius^2 with a cylinder, along the direction of flight.
 
     phi0 is the flight azimuth at the point of closest approach; it
     selects the traversal sense of the circle.  Returns (x, y, z) with z
     from the straight-line z-s relation, or None when the circle never
     reaches the layer.
     """
-    a, b, radius = circle.a, circle.b, circle.R
     d = math.hypot(a, b)
     if d < 1e-15:
         return None  # circle concentric with the beamline: degenerate
@@ -345,8 +347,10 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
     Each track contributes one hit per reachable layer (dropped beyond
     the cylinder half-length); tracks left with no hits are dropped.
     Noise hits are placed uniformly in (phi, eta, layer) so that
-    noise/(noise+signal) matches noise_fraction after rounding.  Truth
-    parameters come exactly from the generating circle.
+    noise/(noise+signal) matches noise_fraction after rounding.  A
+    track's row of floats (p_T, eps_T, a, b) comes exactly from its
+    generating circle, whose radius GenConfig and DetectorConfig keep
+    positive and finite.
     """
     r_min = gen.pt_range[0] / (PT_COEFF * det.field_b)
     eps_max = gen.eps_range[1]
@@ -369,13 +373,14 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
         charge = int(rng.integers(0, 2)) * 2 - 1
         side = int(rng.integers(0, 2)) * 2 - 1
         d = radius + side * eps
-        circle = CircleTrack(d * math.cos(alpha), d * math.sin(alpha), radius)
+        a, b = d * math.cos(alpha), d * math.sin(alpha)
         # charge +1 circulates counterclockwise under this convention
         phi0 = alpha - charge * 0.5 * math.pi
 
         track_rows = []
         for layer, layer_radius in enumerate(det.layer_radii):
-            pos = intersect_helix_layer(circle, phi0, eta, layer_radius)
+            pos = intersect_helix_layer(a, b, radius, phi0, eta,
+                                        layer_radius)
             if pos is None:
                 continue
             x, y, z = pos
@@ -388,7 +393,7 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
         if not track_rows:
             continue
         rows.extend(track_rows)
-        tracks.append((pid, pt, abs(d - radius), circle.a, circle.b))
+        tracks.append((pid, pt, abs(d - radius), a, b))
 
     n_signal = len(rows)
     nf = gen.noise_fraction
@@ -457,9 +462,10 @@ def read_trackml_event(hits_path, truth_path, particles_path,
     particles file momenta; the truth circle is reconstructed from the
     production vertex, momentum direction and charge assuming an ideal
     solenoid field.  Particles with zero p_T or a non-unit charge cannot
-    form a circle and their hits are kept as noise.  A hit that the
-    HitTable rejects, a particle whose momentum gives no finite track
-    and a repeated row raise ParseError naming the line.
+    form a circle and their hits are kept as noise.  A particle that the
+    TrackTable rejects (one whose momentum gives no finite track), a hit
+    that the HitTable rejects and a repeated row raise ParseError naming
+    the line; the particles are checked before the hits.
     """
     hits = _keyed_rows(hits_path, TRACKML_HITS_HEADER, {0, 4, 5, 6})
     truth = _keyed_rows(truth_path, TRACKML_TRUTH_HEADER, {0, 1})
@@ -471,7 +477,7 @@ def read_trackml_event(hits_path, truth_path, particles_path,
                             {0, 7, 8})
 
     hit_particle = {hit_id: vals[1] for hit_id, (vals, _) in truth.items()}
-    params = {}
+    tracks, lines = [], []  # a TrackTable row and its line per track
     for pid in sorted(set(hit_particle.values()) - {0}):
         if pid not in particles:
             raise ConsistencyError(
@@ -484,26 +490,27 @@ def read_trackml_event(hits_path, truth_path, particles_path,
         phi_c = math.atan2(py, px) - q * 0.5 * math.pi
         a = vx * MM_TO_M + radius * math.cos(phi_c)
         b = vy * MM_TO_M + radius * math.sin(phi_c)
-        try:
-            params[pid] = TrackParams(pt, abs(math.hypot(a, b) - radius),
-                                      a, b)
-        except DomainError as err:
-            raise ParseError(f"{particles_path}: particle {pid}: {err}",
-                             line=lineno) from err
+        tracks.append((pid, pt, abs(math.hypot(a, b) - radius), a, b))
+        lines.append(lineno)
+    try:
+        track_table = TrackTable(*(list(zip(*tracks)) or [()] * 5))
+    except DomainError as err:
+        raise ParseError(f"{particles_path}: {err}", line=lines[err.row]) \
+            from err
 
+    with_track = set(track_table.particle_id.tolist())
     pids = [hit_particle.get(hit_id, 0) for hit_id in hits]
     rows = list(hits.values())
     hit_id, x, y, z, volume, layer, _ = \
         list(zip(*(vals for vals, _ in rows))) or [()] * 7
     try:
         table = HitTable(hit_id, *(np.multiply(c, MM_TO_M) for c in (x, y, z)),
-                         layer, [pid if pid in params else 0 for pid in pids],
-                         volume)
+                         layer, [pid if pid in with_track else 0
+                                 for pid in pids], volume)
     except DomainError as err:
         raise ParseError(f"{hits_path}: {err}", line=rows[err.row][1]) \
             from err
-    tracks = [(pid, *vars(p).values()) for pid, p in params.items()]
-    return Event(0, table, TrackTable(*(list(zip(*tracks)) or [()] * 5)))
+    return Event(0, table, track_table)
 
 
 def apply_selection(e: Event, pt_min: float, volumes) -> Event:

@@ -15,8 +15,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ..errors import (ConfigError, DataError, DomainError, FitError,
-                      NumericError, ShapeError)
+from ..errors import (ConfigError, DataError, DomainError, NumericError,
+                      ShapeError)
 from . import pipeline
 from .config import apply_overrides, load_config
 
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, FitError, DomainError, ShapeError) as err:
+    except (NumericError, DomainError, ShapeError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as err:

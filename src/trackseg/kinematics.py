@@ -7,62 +7,24 @@ whose quadratic term carries the transverse impact parameter.  Fitting
 that parabola and inverting the coefficient relations yields the circle
 center (a, b), radius R and impact parameter, and p_T = 0.3*B*R.
 
-Units are meters, tesla and GeV throughout.
+The fits work on many hit sets at once: coefficients and track
+parameters are rows of arrays, and a set the fit cannot determine gets a
+row of NaN.  Units are meters, tesla and GeV throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import DomainError, FitError
+from .errors import DomainError
 
 # p_T [GeV] = PT_COEFF * B [T] * R [m]
 PT_COEFF = 0.3
 
-# normal-equation condition number above which a fit is rejected
+# normal-equation condition number above which a fit gives NaN
 FIT_CONDITION_LIMIT = 1e10
-
-
-@dataclass(frozen=True)
-class CircleTrack:
-    """Transverse circle (x-a)^2 + (y-b)^2 = R^2.
-
-    R^2 - a^2 - b^2 vanishes for circles through the beamline; parabola
-    extraction assumes it is small against R^2 (enforced by callers, not
-    here).
-    """
-    a: float
-    b: float
-    R: float
-
-    def __post_init__(self):
-        if not (self.R > 0 and math.isfinite(self.R)):
-            raise DomainError(f"circle radius must be positive, got {self.R}")
-
-
-@dataclass(frozen=True)
-class ParabolaCoeffs:
-    """Coefficients of v = c0 + c1*u + c2*u^2 (c0: 1/m, c1: 1, c2: m)."""
-    c0: float
-    c1: float
-    c2: float
-
-
-@dataclass(frozen=True)
-class TrackParams:
-    """Transverse track parameters: momentum, impact parameter, center."""
-    p_t: float
-    eps_t: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.p_t > 0 and math.isfinite(self.p_t)):
-            raise DomainError(f"p_T must be positive, got {self.p_t}")
-        if not math.isfinite(self.eps_t):
-            raise DomainError("eps_T must be finite")
 
 
 def conformal_xy(x, y):
@@ -90,88 +52,80 @@ def pseudorapidity(theta):
     return float(eta) if eta.ndim == 0 else eta
 
 
-def pt_from_radius(field_b: float, radius: float) -> float:
-    """Transverse momentum in GeV of a circle of the given radius (m)
-    in a solenoidal field of the given strength (T)."""
-    if not (field_b > 0):
-        raise DomainError(f"field strength must be positive, got {field_b}")
-    if not (radius > 0):
-        raise DomainError(f"radius must be positive, got {radius}")
-    return PT_COEFF * field_b * radius
+def fit_parabolas(uv, sizes) -> np.ndarray:
+    """Least-squares (c0, c1, c2) of v = c0 + c1*u + c2*u^2 for each set
+    of (u, v) rows, (n, 3) (c0: 1/m, c1: 1, c2: m); `uv` holds the rows
+    of the sets one set after another and `sizes` their counts.
 
-
-def fit_parabola(points) -> ParabolaCoeffs:
-    """Least-squares fit of v = c0 + c1*u + c2*u^2 over n >= 3 (u, v) rows.
-
-    Solved via normal equations after scaling each design column to unit
-    norm; rank-deficient designs (all-equal u, or any scaled normal
-    matrix with condition number above 1e10) raise FitError.
+    The sets are padded with zero-weight rows to one (sets, points)
+    batch, each design column is scaled to unit norm and the normal
+    equations are solved.  Every sum runs over a set's points in order,
+    so its row does not depend on the batch.  A set gets a row of NaN
+    when it has fewer than 3 points, all its u are equal (a singular
+    normal matrix) or the scaled normal matrix has a condition number
+    above FIT_CONDITION_LIMIT.
     """
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
-        raise DomainError(f"need >= 3 (u, v) points, got shape {arr.shape}")
-    u, v = arr[:, 0], arr[:, 1]
-    if np.ptp(u) == 0.0:
-        raise FitError("all u-values identical; parabola fit is rank-deficient")
+    sizes = np.asarray(sizes, dtype=int)
+    valid = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    batch = np.zeros(valid.shape + (2,))
+    batch[valid] = uv
+    # powers 0..4 of u, zero on the padding, and their sums with v
+    u, u2 = batch[..., 0], batch[..., 0] ** 2
+    powers = np.stack([valid, u, u2, u2 * u, u2 * u2], axis=2)
+    moments = powers.sum(axis=1)
+    rhs = (powers[..., :3] * batch[..., 1:]).sum(axis=1)
+    fit = np.flatnonzero((sizes >= 3) & (moments[:, 4] > 0))
+    norm = np.sqrt(moments[fit][:, [0, 2, 4]])  # of the design columns
+    normal = moments[fit][:, [[0, 1, 2], [1, 2, 3], [2, 3, 4]]] \
+        / (norm[:, :, None] * norm[:, None, :])
+    # a symmetric positive semi-definite matrix's condition number is
+    # the ratio of its extreme eigenvalues; NaN fails too
+    low, _, high = np.linalg.eigvalsh(normal).T
+    ok = low * FIT_CONDITION_LIMIT >= high
+    coeffs = np.full((len(sizes), 3), np.nan)
+    coeffs[fit[ok]] = np.linalg.solve(
+        normal[ok], (rhs[fit] / norm)[ok][..., None])[..., 0] / norm[ok]
+    return coeffs
 
-    design = np.stack([np.ones_like(u), u, u * u], axis=1)
-    col_scale = np.linalg.norm(design, axis=0)
-    col_scale[col_scale == 0.0] = 1.0
-    scaled = design / col_scale
-    normal = scaled.T @ scaled
-    cond = np.linalg.cond(normal)
-    if not np.isfinite(cond) or cond > FIT_CONDITION_LIMIT:
-        raise FitError("ill-conditioned parabola fit", condition=float(cond))
-    coeffs = np.linalg.solve(normal, scaled.T @ v) / col_scale
-    return ParabolaCoeffs(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]))
+
+def canonical_fits(xy, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Parabola coefficients of each set of (x, y) hits in its canonical
+    frame, (n, 3), and the frame angles, (n,); `xy` and `sizes` as in
+    fit_parabolas.
+
+    A set is rotated by minus its angle, the azimuth of its mean point,
+    so that the mean points along +x before the conformal fit.  The raw
+    v(u) parabola degenerates when a circle's center lies near the
+    x-axis; in this frame the center lies near the y-axis, so the
+    coefficients are well conditioned for any track orientation.  They
+    determine the rotation invariants (R, eps_T, p_T); track_params
+    rotates the center back.  An empty set's angle is 0.
+    """
+    x, y = np.asarray(xy, dtype=float).reshape(-1, 2).T
+    segment = np.repeat(np.arange(len(sizes)), sizes)
+    # bincount sums each set's coordinates in order
+    alpha = np.arctan2(np.bincount(segment, y, len(sizes)),
+                       np.bincount(segment, x, len(sizes)))
+    ca, sa = np.cos(alpha)[segment], np.sin(alpha)[segment]
+    uv = np.stack(conformal_xy(x * ca + y * sa, -x * sa + y * ca), axis=1)
+    return fit_parabolas(uv, sizes), alpha
 
 
-def extract_track_params(c: ParabolaCoeffs, field_b: float) -> TrackParams:
-    """Invert the parabola coefficients into transverse track parameters.
+def track_params(coeffs, alpha, field_b: float) -> np.ndarray:
+    """Transverse track parameters (p_T, eps_T, a, b) of parabola
+    coefficient rows fitted in frames rotated by alpha, (n, 4), the
+    center (a, b) rotated back.
 
-    b = 1/(2 c0), a = -c1 b, R^2 ~= a^2 + b^2, eps_T = -c2 b^3 / R^3,
+    b' = 1/(2 c0), a' = -c1 b', R^2 ~= a'^2 + b'^2, eps_T = -c2 b'^3 / R^3,
     p_T = 0.3 B R.  eps_T keeps the sign the inversion produces; compare
-    magnitudes against unsigned truth displacements.
+    magnitudes against unsigned truth displacements.  A row is NaN where
+    c0 = 0 (an infinite radius) or the coefficients are NaN.
     """
-    if c.c0 == 0.0:
-        raise DomainError("c0 = 0: infinite-radius track, extraction undefined")
-    b = 0.5 / c.c0
-    a = -c.c1 * b
-    radius = math.hypot(a, b)
-    eps_t = -c.c2 * (b / radius) ** 3
-    return TrackParams(pt_from_radius(field_b, radius), eps_t, a, b)
-
-
-def canonical_parabola_coeffs(xy: np.ndarray) -> ParabolaCoeffs:
-    """Parabola coefficients of a hit set in its canonical frame.
-
-    Rotates the hits so their mean azimuth points along +x before the
-    conformal fit; the resulting coefficients are well-conditioned for
-    any track orientation and still determine the rotation-invariant
-    quantities (R, eps_T, p_T).
-    """
-    xy = np.asarray(xy, dtype=float)
-    alpha = math.atan2(xy[:, 1].mean(), xy[:, 0].mean())
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    xr = xy[:, 0] * ca + xy[:, 1] * sa
-    yr = -xy[:, 0] * sa + xy[:, 1] * ca
-    u, v = conformal_xy(xr, yr)
-    return fit_parabola(np.stack([u, v], axis=1))
-
-
-def fit_track_conformal(xy: np.ndarray, field_b: float) -> TrackParams:
-    """Fit one track's transverse hits through the conformal pipeline.
-
-    The raw v(u) parabola model degenerates when the circle center lies
-    near the x-axis, so the hits are first rotated so their mean azimuth
-    points along +x (center then lies near the y-axis), fitted there, and
-    the recovered center rotated back.  R, eps_T and p_T are rotation
-    invariants.
-    """
-    xy = np.asarray(xy, dtype=float)
-    alpha = math.atan2(xy[:, 1].mean(), xy[:, 0].mean())
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    params = extract_track_params(canonical_parabola_coeffs(xy), field_b)
-    a = params.a * ca - params.b * sa
-    b = params.a * sa + params.b * ca
-    return TrackParams(params.p_t, params.eps_t, a, b)
+    c0, c1, c2 = np.asarray(coeffs, dtype=float).reshape(-1, 3).T
+    b = np.divide(0.5, c0, out=np.full(c0.shape, np.nan), where=c0 != 0)
+    a = -c1 * b
+    radius = np.hypot(a, b)
+    eps_t = -c2 * (b / radius) ** 3
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    return np.stack([PT_COEFF * field_b * radius, eps_t,
+                     a * ca - b * sa, a * sa + b * ca], axis=1)

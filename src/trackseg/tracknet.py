@@ -32,17 +32,17 @@ import logging
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .angles import signed_dphi
 from .ellipses import decode_box, encode_box
-from .errors import (ConfigError, ConsistencyError, DomainError, FitError,
-                     NumericError)
+from .errors import ConfigError, ConsistencyError, DomainError, NumericError
 from .graphs import Graph
 from .jsonio import (from_base64, number, parsing, read_json, to_base64,
                      write_json)
-from .kinematics import canonical_parabola_coeffs
+from .kinematics import canonical_fits
 from .neural import autodiff as ad
 from .neural.autodiff import Tape, Var
 from .neural.nn import (AdamState, MlpSpec, adam_step, bce_loss, huber_loss,
@@ -212,23 +212,18 @@ class ClusterFeatures:
 
 
 def cluster_features(clusters, graph: Graph) -> ClusterFeatures:
-    """The head's weight-independent inputs for clusters of a graph's
-    vertices.  The coefficients are zero when a cluster has fewer than 3
-    hits or the fit degenerates."""
-    clusters = [np.asarray(vids, dtype=int) for vids in clusters]
+    """The head's weight-independent inputs for a list of clusters of a
+    graph's vertices, the coefficients from one canonical_fits call over
+    the clusters' hits.  A cluster's coefficients are zero where its fit
+    gives NaN: fewer than 3 hits or a degenerate fit."""
+    sizes = list(map(len, clusters))
+    members = np.fromiter(chain.from_iterable(clusters), dtype=int,
+                          count=sum(sizes))
     hits_xy = np.stack([graph.hits.x, graph.hits.y], axis=1)
-    coeffs = np.zeros((len(clusters), 3))
-    for k, vids in enumerate(clusters):
-        if len(vids) >= 3:
-            try:
-                c = canonical_parabola_coeffs(hits_xy[vids])
-                coeffs[k] = (c.c0, c.c1, c.c2)
-            except FitError:
-                pass
-    members = np.concatenate([np.zeros(0, dtype=int), *clusters])
-    segment = np.repeat(np.arange(len(clusters)),
-                        [len(vids) for vids in clusters])
-    return ClusterFeatures(members, segment, coeffs)
+    coeffs, _ = canonical_fits(hits_xy[members], sizes)
+    return ClusterFeatures(members,
+                           np.repeat(np.arange(len(sizes)), sizes),
+                           np.nan_to_num(coeffs, nan=0.0))
 
 
 def predict_cluster_params(model: Model, final_state: Var,

@@ -5,8 +5,9 @@ from the density-connectivity definition, IoU from Monte Carlo sampling
 or by clipping every polygon edge against every half-plane, ellipse
 membership from the raw quadratic form, box decoding one value at a
 time, plain message passing vertex by vertex, the initial parameters
-from the layer widths written out, and the gradient checks reduce to a
-scalar through a test-local node.
+from the layer widths written out, the parabola fit one set at a time
+through a matrix product, and the gradient checks reduce to a scalar
+through a test-local node.
 """
 
 import math
@@ -441,3 +442,23 @@ def sample_circle(a, b, radius, arc_lengths):
     psis = psi_pca + np.asarray(arc_lengths, dtype=float) / radius
     return np.stack([a + radius * np.cos(psis),
                      b + radius * np.sin(psis)], axis=1)
+
+
+def parabola_fit_oracle(points, condition_limit):
+    """(c0, c1, c2) of the least-squares parabola v = c0 + c1*u + c2*u^2
+    through one set of (u, v) rows, from the normal equations of its
+    design matrix formed by a matrix product, each column scaled to unit
+    norm; NaN for fewer than 3 points, all u equal, or a condition
+    number above condition_limit."""
+    arr = np.asarray(points, dtype=float).reshape(-1, 2)
+    u, v = arr[:, 0], arr[:, 1]
+    if len(arr) < 3 or np.ptp(u) == 0.0:
+        return np.full(3, np.nan)
+    design = np.stack([np.ones_like(u), u, u * u], axis=1)
+    col_scale = np.linalg.norm(design, axis=0)
+    scaled = design / col_scale
+    normal = scaled.T @ scaled
+    cond = np.linalg.cond(normal)
+    if not np.isfinite(cond) or cond > condition_limit:
+        return np.full(3, np.nan)
+    return np.linalg.solve(normal, scaled.T @ v) / col_scale

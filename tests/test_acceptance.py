@@ -31,7 +31,7 @@ from trackseg.events import (DetectorConfig, GenConfig, generate_event,
 from trackseg.graphs import DbscanParams, build_graph, dbscan
 from trackseg.harness.cli import main
 from trackseg.harness.metrics import auc_score, evaluate
-from trackseg.kinematics import extract_track_params, fit_parabola
+from trackseg.kinematics import fit_parabolas, track_params
 from trackseg.neural import autodiff as ad
 from trackseg.neural.nn import bce_loss, huber_loss, mse_tracking_loss
 from trackseg.postprocess import choose_threshold, merge_ellipses
@@ -87,7 +87,7 @@ def test_criterion_1_conformal_geometry():
 def test_criterion_2_parameter_extraction():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
-    worst_a = worst_b = worst_eps = 0.0
+    uv_sets, truth = [], []
     for _ in range(500):
         radius = rng.uniform(1.0, 5.0)
         eps = rng.uniform(0.2, 1.0) * min(1e-3, 4.99e-4 * radius)
@@ -104,12 +104,17 @@ def test_criterion_2_parameter_extraction():
         assert abs(radius**2 - d * d) / radius**2 <= 1e-3
         pts = sample_circle(a0, b0, radius, np.linspace(0.2, 0.6, 12))
         rho2 = pts[:, 0]**2 + pts[:, 1]**2
-        coeffs = fit_parabola(np.stack([pts[:, 0] / rho2,
-                                        pts[:, 1] / rho2], axis=1))
-        t = extract_track_params(coeffs, 2.0)
-        worst_a = max(worst_a, abs(t.a - a0) / abs(a0))
-        worst_b = max(worst_b, abs(t.b - b0) / abs(b0))
-        worst_eps = max(worst_eps, abs(abs(t.eps_t) - eps) / eps)
+        uv_sets.append(np.stack([pts[:, 0] / rho2, pts[:, 1] / rho2],
+                                axis=1))
+        truth.append((eps, a0, b0))
+    # the raw (u, v) fits, in the unrotated frame
+    coeffs = fit_parabolas(np.concatenate(uv_sets),
+                           [len(uv) for uv in uv_sets])
+    _, eps_t, a, b = track_params(coeffs, np.zeros(len(coeffs)), 2.0).T
+    eps, a0, b0 = np.array(truth).T
+    worst_a = np.max(np.abs(a - a0) / np.abs(a0))
+    worst_b = np.max(np.abs(b - b0) / np.abs(b0))
+    worst_eps = np.max(np.abs(np.abs(eps_t) - eps) / eps)
     assert worst_a < 1e-3
     assert worst_b < 1e-3
     assert worst_eps < 5e-2

@@ -11,19 +11,19 @@ from trackseg.errors import ShapeError
 from trackseg.events import (Event, GenConfig, HitTable, TrackTable,
                              apply_selection, generate_event,
                              intersect_helix_layer, read_trackml_event)
-from trackseg.kinematics import CircleTrack, fit_track_conformal
+from trackseg.kinematics import canonical_fits, track_params
 
 
 class TestIntersectHelixLayer:
     def test_on_layer_radius(self):
         # prompt circle through the origin, layer at the circle diameter
         radius = 2.0
-        c = CircleTrack(0.0, radius, radius)
-        pos = intersect_helix_layer(c, phi0=0.0, eta=0.0, layer_radius=1.5)
+        pos = intersect_helix_layer(0.0, radius, radius, phi0=0.0, eta=0.0,
+                                    layer_radius=1.5)
         assert pos is not None
         x, y, z = pos
         assert abs(math.hypot(x, y) - 1.5) < 1e-10
-        assert abs(math.hypot(x - c.a, y - c.b) - radius) < 1e-10
+        assert abs(math.hypot(x, y - radius) - radius) < 1e-10
 
     def test_straight_line_limit(self):
         # huge radius: the intersection azimuth approaches the flight
@@ -31,23 +31,23 @@ class TestIntersectHelixLayer:
         for phi0 in (0.3, 2.0, 5.5):
             radius = 1e4
             alpha = phi0 + 0.5 * math.pi  # counterclockwise convention
-            c = CircleTrack(radius * math.cos(alpha),
-                            radius * math.sin(alpha), radius)
-            pos = intersect_helix_layer(c, phi0, eta=0.0, layer_radius=0.1)
+            pos = intersect_helix_layer(radius * math.cos(alpha),
+                                        radius * math.sin(alpha), radius,
+                                        phi0, eta=0.0, layer_radius=0.1)
             x, y, _ = pos
             azim = math.atan2(y, x) % (2 * math.pi)
             assert abs((azim - phi0 + math.pi) % (2 * math.pi) - math.pi) \
                 < 2 * (0.1 / radius)
 
     def test_unreachable(self):
-        c = CircleTrack(0.05, 0.0, 0.1)  # max reach 0.15 m
-        assert intersect_helix_layer(c, math.pi / 2, 0.0, 0.5) is None
+        # max reach 0.15 m
+        assert intersect_helix_layer(0.05, 0.0, 0.1, math.pi / 2, 0.0,
+                                     0.5) is None
 
     def test_z_from_eta(self):
         radius = 3.0
-        c = CircleTrack(0.0, radius, radius)
         eta = 0.8
-        x, y, z = intersect_helix_layer(c, 0.0, eta, 0.5)
+        x, y, z = intersect_helix_layer(0.0, radius, radius, 0.0, eta, 0.5)
         # transverse arc from the origin subtends the intersection chord
         chord = math.hypot(x, y)
         arc = 2.0 * radius * math.asin(chord / (2.0 * radius))
@@ -56,9 +56,8 @@ class TestIntersectHelixLayer:
     def test_first_intersection_chosen(self):
         # both senses must give a point on the layer, at different spots
         radius = 2.0
-        c = CircleTrack(0.0, radius, radius)
-        p_ccw = intersect_helix_layer(c, 0.0, 0.0, 1.0)
-        p_cw = intersect_helix_layer(c, math.pi, 0.0, 1.0)
+        p_ccw = intersect_helix_layer(0.0, radius, radius, 0.0, 0.0, 1.0)
+        p_cw = intersect_helix_layer(0.0, radius, radius, math.pi, 0.0, 1.0)
         assert p_ccw is not None and p_cw is not None
         assert not np.allclose(p_ccw[:2], p_cw[:2])
 
@@ -121,15 +120,19 @@ class TestGenerateEvent:
         gen = GenConfig(n_tracks=20, noise_fraction=0.0,
                         hit_smearing_sigma=0.0, eps_range=(1e-4, 5e-4))
         e = generate_event(detector, gen, seed=6)
-        for pid, _, eps_t, a, b in track_rows(e.tracks):
-            mine = e.hits.particle_id == pid
-            if np.count_nonzero(mine) < 4:
-                continue
-            xy = np.stack([e.hits.x[mine], e.hits.y[mine]], axis=1)
-            fit = fit_track_conformal(xy, detector.field_b)
-            assert fit.a == pytest.approx(a, rel=1e-3, abs=1e-4)
-            assert fit.b == pytest.approx(b, rel=1e-3, abs=1e-4)
-            assert abs(fit.eps_t) == pytest.approx(eps_t, rel=5e-2)
+        xy = np.stack([e.hits.x, e.hits.y], axis=1)
+        hits = e.track_hits()
+        sizes = np.array([len(rows) for rows in hits])
+        fits = track_params(*canonical_fits(xy[np.concatenate(hits)], sizes),
+                            detector.field_b)
+        enough = sizes >= 4
+        assert enough.any()
+        t = e.tracks.take(enough)
+        for (_, eps_fit, a_fit, b_fit), eps_t, a, b in zip(
+                fits[enough], t.eps_t, t.a, t.b):
+            assert a_fit == pytest.approx(a, rel=1e-3, abs=1e-4)
+            assert b_fit == pytest.approx(b, rel=1e-3, abs=1e-4)
+            assert abs(eps_fit) == pytest.approx(eps_t, rel=5e-2)
 
 
 class TestValidateEvent:
@@ -199,10 +202,16 @@ BAD_TRACKML = [
     ({"hits": HITS_CSV + HITS_CSV.splitlines()[2] + "\n"}, 5,
      "hits.csv: repeated hit_id 2"),
     ({"hits": HITS_CSV.replace("13,2,3", "13,-1,3")}, 4,
-     "hits.csv: hit 3: negative layer -1")]
+     "hits.csv: hit 3: negative layer -1"),
+    # the overflowing particle follows one that no hit refers to
+    ({"particles": PARTICLES_CSV.replace(
+        "nhits\n", "nhits\n102,0.0,0.0,0.0,1.0,1.0,1.0,1,0\n")
+      .replace("3.0,4.0", "1e308,1e308")}, 3,
+     "particles.csv: particle 101: eps_T must be finite")]
 BAD_TRACKML_IDS = ["hit-on-beamline", "hit-x-nan", "particle-px-nan",
                    "particle-momentum-overflow", "particle-repeated",
-                   "truth-hit-repeated", "hit-repeated", "hit-layer-negative"]
+                   "truth-hit-repeated", "hit-repeated", "hit-layer-negative",
+                   "particle-overflow-after-unreferenced"]
 
 
 def write_trackml(tmp_path, hits=HITS_CSV, truth=TRUTH_CSV,

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import sample_circle
-from trackseg.errors import DomainError, FitError
-from trackseg.kinematics import (CircleTrack, ParabolaCoeffs,
-                                 canonical_parabola_coeffs, conformal_xy,
-                                 extract_track_params, fit_parabola,
-                                 fit_track_conformal, pseudorapidity,
-                                 pt_from_radius)
+from oracles import parabola_fit_oracle, sample_circle
+from trackseg.errors import DomainError
+from trackseg.kinematics import (FIT_CONDITION_LIMIT, canonical_fits,
+                                 conformal_xy, fit_parabolas, pseudorapidity,
+                                 track_params)
 
 # -ln(tan(pi/6)) = ln(3)/2, evaluated independently at high precision
 ETA_AT_PI_OVER_3 = 0.5493061443340548
@@ -87,44 +85,58 @@ class TestPseudorapidity:
         assert pseudorapidity(np.empty(0)).shape == (0,)
 
 
+def fit_parabola(points):
+    """The fitted coefficients of one set of (u, v) rows."""
+    return fit_parabolas(points, [len(points)])[0]
+
+
+def one_track(coeffs, field_b=2.0):
+    """(p_T, eps_T, a, b) of one coefficient row fitted unrotated."""
+    return track_params([coeffs], np.zeros(1), field_b)[0]
+
+
+def fit_track(xy, field_b=2.0):
+    """(p_T, eps_T, a, b) of one (x, y) hit set through the canonical
+    frame."""
+    coeffs, alpha = canonical_fits(xy, [len(xy)])
+    return track_params(coeffs, alpha, field_b)[0]
+
+
 class TestPtFromRadius:
+    # a prompt circle centred at (0, R) has the coefficients (1/(2R), 0, 0)
     def test_values(self):
-        assert pt_from_radius(2.0, 1.0) == pytest.approx(0.6)
+        assert one_track([0.5, 0.0, 0.0])[0] == pytest.approx(0.6)
         # inverts the 2 GeV selection radius at B = 2 T
-        assert pt_from_radius(2.0, 10.0 / 3.0) == pytest.approx(2.0)
+        assert one_track([0.15, 0.0, 0.0])[0] == pytest.approx(2.0)
 
     def test_linear(self):
-        assert pt_from_radius(4.0, 3.0) == \
-            pytest.approx(2 * pt_from_radius(2.0, 3.0))
-
-    @pytest.mark.parametrize("b,r", [(1.0, 0.0), (0.0, 1.0), (-2.0, 1.0)])
-    def test_domain(self, b, r):
-        with pytest.raises(DomainError):
-            pt_from_radius(b, r)
+        assert one_track([1 / 6, 0.0, 0.0], 4.0)[0] == \
+            pytest.approx(2 * one_track([1 / 6, 0.0, 0.0], 2.0)[0])
 
 
 class TestFitParabola:
     def test_constant(self):
-        c = fit_parabola([(0.0, 0.5), (0.1, 0.5), (0.2, 0.5)])
-        assert c.c0 == pytest.approx(0.5, abs=1e-12)
-        assert c.c1 == pytest.approx(0.0, abs=1e-12)
-        assert c.c2 == pytest.approx(0.0, abs=1e-12)
+        c0, c1, c2 = fit_parabola([(0.0, 0.5), (0.1, 0.5), (0.2, 0.5)])
+        assert c0 == pytest.approx(0.5, abs=1e-12)
+        assert c1 == pytest.approx(0.0, abs=1e-12)
+        assert c2 == pytest.approx(0.0, abs=1e-12)
 
     def test_three_point_interpolation(self):
-        c = fit_parabola(np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 9.0]]))
-        assert (c.c0, c.c1, c.c2) == (
+        c0, c1, c2 = fit_parabola(
+            np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 9.0]]))
+        assert (c0, c1, c2) == (
             pytest.approx(1.0, abs=1e-10), pytest.approx(0.0, abs=1e-10),
             pytest.approx(2.0, abs=1e-10))
         for u, v in [(0.0, 1.0), (1.0, 3.0), (2.0, 9.0)]:
-            assert c.c0 + c.c1 * u + c.c2 * u * u == pytest.approx(v, abs=1e-9)
+            assert c0 + c1 * u + c2 * u * u == pytest.approx(v, abs=1e-9)
 
     def test_noiseless_line(self):
         u = np.linspace(-1.0, 3.0, 50)
         pts = np.stack([u, 0.25 - 0.5 * u], axis=1)
-        c = fit_parabola(pts)
-        assert c.c0 == pytest.approx(0.25, abs=1e-12)
-        assert c.c1 == pytest.approx(-0.5, abs=1e-12)
-        assert c.c2 == pytest.approx(0.0, abs=1e-12)
+        c0, c1, c2 = fit_parabola(pts)
+        assert c0 == pytest.approx(0.25, abs=1e-12)
+        assert c1 == pytest.approx(-0.5, abs=1e-12)
+        assert c2 == pytest.approx(0.0, abs=1e-12)
 
     def test_projection_idempotent(self):
         rng = np.random.default_rng(3)
@@ -132,42 +144,73 @@ class TestFitParabola:
         v = rng.normal(0, 1, 30)
         c = fit_parabola(np.stack([u, v], axis=1))
         refit = fit_parabola(
-            np.stack([u, c.c0 + c.c1 * u + c.c2 * u * u], axis=1))
-        assert refit.c0 == pytest.approx(c.c0, abs=1e-12)
-        assert refit.c1 == pytest.approx(c.c1, abs=1e-12)
-        assert refit.c2 == pytest.approx(c.c2, abs=1e-12)
+            np.stack([u, c[0] + c[1] * u + c[2] * u * u], axis=1))
+        assert refit == pytest.approx(c, abs=1e-12)
 
     def test_identical_u_rejected(self):
-        with pytest.raises(FitError):
-            fit_parabola(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]))
+        assert np.isnan(fit_parabola(
+            np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]))).all()
 
-    def test_near_degenerate_reports_condition(self):
+    def test_near_degenerate_rejected(self):
         pts = np.array([[1.0, 0.0], [1.0 + 1e-14, 1.0], [1.0 - 1e-14, 2.0]])
-        with pytest.raises(FitError) as err:
-            fit_parabola(pts)
-        assert err.value.condition is None or err.value.condition > 1e10 \
-            or "identical" in str(err.value)
+        assert np.isnan(fit_parabola(pts)).all()
 
     def test_too_few_points(self):
-        with pytest.raises(DomainError):
-            fit_parabola(np.array([[0.0, 1.0], [1.0, 2.0]]))
+        assert np.isnan(fit_parabola(
+            np.array([[0.0, 1.0], [1.0, 2.0]]))).all()
+
+    def test_matches_the_scalar_oracle(self):
+        # random sets of mixed sizes, the degenerate sizes among them
+        rng = np.random.default_rng(5)
+        sets = [rng.normal(size=(k, 2)) * [1.0, 3.0]
+                for k in rng.permutation([1, 2, 3, 4, 12] * 40)]
+        expected = [parabola_fit_oracle(p, FIT_CONDITION_LIMIT)
+                    for p in sets]
+        got = fit_parabolas(np.concatenate(sets), [len(p) for p in sets])
+        assert got.shape == (len(sets), 3)
+        assert np.isnan(got[[len(p) < 3 for p in sets]]).all()
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
+
+    def test_row_does_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(6)
+        longer = rng.normal(size=(20, 2))
+        for k in (1, 2, 3, 4, 7, 12, 19):
+            points = rng.normal(size=(k, 2))
+            alone = fit_parabolas(points, [k])[0]
+            batched = fit_parabolas(np.concatenate([points, longer]),
+                                    [k, 20])[0]
+            assert alone.tobytes() == batched.tobytes()
+            xy = points + [3.0, 0.0]
+            alone, alpha = canonical_fits(xy, [k])
+            batched, alphas = canonical_fits(
+                np.concatenate([longer + [3.0, 0.0], xy]), [20, k])
+            assert alone[0].tobytes() == batched[1].tobytes()
+            assert alpha[0] == alphas[1]
+
+    def test_empty_list(self):
+        assert fit_parabolas(np.zeros((0, 2)), []).shape == (0, 3)
+        coeffs, alpha = canonical_fits(np.zeros((0, 2)), [])
+        assert coeffs.shape == (0, 3) and alpha.shape == (0,)
+        assert track_params(coeffs, alpha, 2.0).shape == (0, 4)
 
 
 class TestExtractTrackParams:
     def test_prompt(self):
-        t = extract_track_params(ParabolaCoeffs(0.5, 0.0, 0.0), 2.0)
-        assert (t.b, t.a, t.eps_t) == (1.0, 0.0, 0.0)
-        assert t.p_t == pytest.approx(0.6)
+        p_t, eps_t, a, b = one_track([0.5, 0.0, 0.0])
+        assert (b, a, eps_t) == (1.0, 0.0, 0.0)
+        assert p_t == pytest.approx(0.6)
 
     def test_displaced_line(self):
-        t = extract_track_params(ParabolaCoeffs(0.25, -0.5, 0.0), 2.0)
-        assert (t.b, t.a) == (2.0, 1.0)
-        assert t.eps_t == 0.0
-        assert t.p_t == pytest.approx(0.6 * math.sqrt(5.0))
+        p_t, eps_t, a, b = one_track([0.25, -0.5, 0.0])
+        assert (b, a) == (2.0, 1.0)
+        assert eps_t == 0.0
+        assert p_t == pytest.approx(0.6 * math.sqrt(5.0))
 
     def test_zero_c0(self):
-        with pytest.raises(DomainError):
-            extract_track_params(ParabolaCoeffs(0.0, 1.0, 0.0), 2.0)
+        assert np.isnan(one_track([0.0, 1.0, 0.0])).all()
+        rows = track_params([[0.5, 0.0, 0.0], [np.nan] * 3], np.zeros(2),
+                            2.0)
+        assert not np.isnan(rows[0]).any() and np.isnan(rows[1]).all()
 
     @pytest.mark.parametrize("side", [+1, -1])
     def test_round_trip_exact_circle(self, side):
@@ -176,11 +219,11 @@ class TestExtractTrackParams:
         d = math.hypot(a0, b0)
         radius = d + side * eps
         pts = sample_circle(a0, b0, radius, np.linspace(0.03, 0.2, 12))
-        t = fit_track_conformal(pts, 2.0)
-        assert t.a == pytest.approx(a0, rel=1e-3)
-        assert t.b == pytest.approx(b0, rel=1e-3)
-        assert abs(t.eps_t) == pytest.approx(eps, rel=5e-2)
-        assert t.p_t == pytest.approx(0.6 * radius, rel=1e-3)
+        p_t, eps_t, a, b = fit_track(pts)
+        assert a == pytest.approx(a0, rel=1e-3)
+        assert b == pytest.approx(b0, rel=1e-3)
+        assert abs(eps_t) == pytest.approx(eps, rel=5e-2)
+        assert p_t == pytest.approx(0.6 * radius, rel=1e-3)
 
 
 class TestPromptCircleLinearity:
@@ -213,20 +256,12 @@ class TestDisplacedParabolaAccuracy:
             pts = sample_circle(a0, b0, radius, arcs)
             u = pts[:, 0] / (pts[:, 0]**2 + pts[:, 1]**2)
             v = pts[:, 1] / (pts[:, 0]**2 + pts[:, 1]**2)
-            c = fit_parabola(np.stack([u, v], axis=1))
-            return np.abs(v - (c.c0 + c.c1 * u + c.c2 * u * u)).max()
+            c0, c1, c2 = fit_parabola(np.stack([u, v], axis=1))
+            return np.abs(v - (c0 + c1 * u + c2 * u * u)).max()
 
         delta = 1e-3 * d * d
         r1, r2 = residual(delta), residual(delta / 2.0)
         assert r1 / r2 >= 3.5
-
-
-class TestCircleTrack:
-    def test_invalid(self):
-        with pytest.raises(DomainError):
-            CircleTrack(0.0, 0.0, -1.0)
-        with pytest.raises(DomainError):
-            CircleTrack(0.0, 0.0, math.inf)
 
 
 def test_canonical_coeffs_match_raw_fit_when_well_oriented():
@@ -234,9 +269,6 @@ def test_canonical_coeffs_match_raw_fit_when_well_oriented():
     pts = sample_circle(a0, b0, radius, np.linspace(0.03, 0.2, 8))
     u = pts[:, 0] / (pts[:, 0]**2 + pts[:, 1]**2)
     v = pts[:, 1] / (pts[:, 0]**2 + pts[:, 1]**2)
-    raw = fit_parabola(np.stack([u, v], axis=1))
-    canon = canonical_parabola_coeffs(pts)
     # same circle, so both fits recover the same radius
-    t_raw = extract_track_params(raw, 2.0)
-    t_can = extract_track_params(canon, 2.0)
-    assert t_can.p_t == pytest.approx(t_raw.p_t, rel=1e-6)
+    p_raw = one_track(fit_parabola(np.stack([u, v], axis=1)))[0]
+    assert fit_track(pts)[0] == pytest.approx(p_raw, rel=1e-6)

@@ -40,7 +40,7 @@ CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # their fate is an open ROADMAP decision: wire into the pipeline or delete
-ALLOWED_UNUSED = {"choose_threshold", "fit_track_conformal"}
+ALLOWED_UNUSED = {"choose_threshold", "track_params"}
 
 # defaulted parameters that only tests pass
 ALLOWED_UNPASSED = {

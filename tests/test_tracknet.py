@@ -202,11 +202,11 @@ class TestPredictClusterParams:
         assert np.allclose(pred.data, [[3.5, 2e-4]])
 
     def test_prompt_track_has_small_c2_feature(self):
-        from trackseg.kinematics import canonical_parabola_coeffs
+        from trackseg.kinematics import canonical_fits
         from oracles import sample_circle
         pts = sample_circle(0.0, 2.0, 2.0, np.linspace(0.03, 0.2, 6))
-        c = canonical_parabola_coeffs(pts)
-        assert abs(c.c2) < 1e-9
+        coeffs, _ = canonical_fits(pts, [len(pts)])
+        assert abs(coeffs[0, 2]) < 1e-9
 
     def test_small_cluster_zeroes_fit(self):
         g = tiny_graph()
@@ -379,7 +379,7 @@ class TestTrain:
     def test_constants_are_built_once_per_graph(self, monkeypatch):
         graphs = [make_training_graph(seed=s, n_tracks=3)[1]
                   for s in (55, 56)]
-        calls = {"canonical_parabola_coeffs": 0, "encode_box": 0}
+        calls = {"canonical_fits": 0, "encode_box": 0}
 
         def counted(name):
             original = getattr(tn, name)
@@ -400,7 +400,7 @@ class TestTrain:
             return dict(calls)
 
         once = count(1)
-        assert once["canonical_parabola_coeffs"] > 0
+        assert once["canonical_fits"] == len(graphs)
         assert once["encode_box"] == len(graphs)
         assert count(3) == once
 
