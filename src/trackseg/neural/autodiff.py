@@ -3,12 +3,23 @@
 A Tape records every Var in creation order, which is already a valid
 topological order, so the backward pass is a single reverse sweep.  All
 operations are deterministic; ties in max operations route the gradient
-to the lowest contributing index.  A whole dense stack (`mlp`) is one
-node with one backward; the losses live in `nn` and record their own
-nodes through `Tape.node`.
+to the lowest contributing row.
+
+The ops that do the work run on arrays: each returns its value and a
+backward that maps the value's gradient to its input's gradient, adding
+any weight gradients into their slots as it goes.  `record` makes one
+node of such an op over a Var.  A dense stack (`mlp`) is one op, and so
+is a whole message-passing iteration (`message_passing`); the losses
+live in `nn` and record their own nodes through `Tape.node`.
+
+A tape used as a context manager (`with Tape() as tape`) is forward
+only: its Vars hold no gradient and it keeps no node, so each op's
+intermediates are freed as soon as the op returns.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,14 +27,15 @@ from ..errors import ShapeError, StateError
 
 
 class Var:
-    """One node of the recorded computation: value, gradient slot and the
-    closure that scatters its upstream gradient to its parents."""
+    """One node of the recorded computation: value, gradient slot (None
+    on a forward-only tape) and the closure that scatters its upstream
+    gradient to its parents."""
 
     __slots__ = ("data", "grad", "_backward", "tape")
 
     def __init__(self, data: np.ndarray, tape: "Tape", backward=None):
         self.data = data
-        self.grad = np.zeros_like(data)
+        self.grad = np.zeros_like(data) if tape.records else None
         self._backward = backward
         self.tape = tape
 
@@ -34,12 +46,16 @@ class Tape:
     def __init__(self):
         self._nodes: list[Var] = []
         self._done = False
+        self.records = True
 
     def node(self, data, backward=None) -> Var:
         """Record a Var whose `backward` scatters its gradient to its
-        parents; None marks a value that routes no gradient."""
-        v = Var(np.asarray(data, dtype=np.float64), self, backward)
-        self._nodes.append(v)
+        parents; None marks a value that routes no gradient.  A
+        forward-only tape keeps neither the Var nor its backward."""
+        v = Var(np.asarray(data, dtype=np.float64), self,
+                backward if self.records else None)
+        if self.records:
+            self._nodes.append(v)
         return v
 
     def const(self, data) -> Var:
@@ -48,6 +64,8 @@ class Tape:
 
     def backward(self, loss: Var) -> None:
         """Reverse sweep from a scalar loss; may run once per tape."""
+        if not self.records:
+            raise StateError("forward-only tape records no gradients")
         if self._done:
             raise StateError("tape already used; build a new tape")
         if loss.tape is not self:
@@ -64,12 +82,12 @@ class Tape:
         self._nodes.clear()
 
     def __enter__(self) -> "Tape":
+        """Make this tape forward-only."""
+        self.records = False
         return self
 
     def __exit__(self, *exc) -> None:
-        """Ends a forward-only tape, breaking the cycle as backward does."""
-        self._done = True
-        self._nodes.clear()
+        pass
 
 
 def _same_tape(*vars_: Var) -> Tape:
@@ -94,23 +112,43 @@ def add(a: Var, b: Var) -> Var:
     return tape.node(a.data + b.data, backward)
 
 
-def mlp(x: Var, layers: list[tuple], sigmoid_out: bool) -> Var:
+def scale(a: Var, s: float) -> Var:
+    def backward(g):
+        a.grad += g * s
+
+    return a.tape.node(a.data * s, backward)
+
+
+def record(x: Var, op) -> Var:
+    """One node over x for an array op: `op(x.data)` returns the value
+    and a backward from the value's gradient to x's, which the node adds
+    into `x.grad`.  A forward-only tape drops that backward at once."""
+    out, op_backward = op(x.data)
+
+    def backward(g):
+        x.grad += op_backward(g)
+
+    return x.tape.node(out, backward)
+
+
+def mlp(x: np.ndarray, layers: list[tuple], sigmoid_out: bool):
     """Dense stack over the rows of x: affine then ReLU per hidden layer,
     affine last, then a sigmoid if `sigmoid_out`.  `layers` holds one
-    (W, b, dW, db) array tuple per layer; backward adds the weight
-    gradients into dW and db.  Records one node."""
-    inputs, pre = [], []  # each layer's input; each hidden pre-activation
-    h = x.data
+    (W, b, dW, db) array tuple per layer.  Returns the output and its
+    backward, which adds the weight gradients into dW and db and returns
+    the gradient of x."""
+    inputs = []  # each layer's input
+    h = x
     for k, (w, b, _, _) in enumerate(layers):
         if w.shape[0] != h.shape[1] or b.shape != w.shape[1:]:
             raise ShapeError(f"layer {k}: {h.shape[1]} input columns, W "
                              f"{w.shape}, b {b.shape}")
         inputs.append(h)
-        h = h @ w + b
+        h = h @ w
+        h += b
         if k < len(layers) - 1:
-            pre.append(h)
             # np.maximum (not where) so NaN inputs propagate
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     if sigmoid_out:
         e = np.exp(-np.abs(h))
         h = np.where(h >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -121,78 +159,117 @@ def mlp(x: Var, layers: list[tuple], sigmoid_out: bool) -> Var:
             g = g * out * (1.0 - out)
         for k in reversed(range(len(layers))):
             w, _, dw, db = layers[k]
-            if k < len(pre):
-                g = g * (pre[k] > 0.0)
+            if k < len(layers) - 1:
+                # a ReLU output is > 0 exactly where its input was
+                g = g * (inputs[k + 1] > 0.0)
             dw += inputs[k].T @ g
             db += g.sum(axis=0)
             g = g @ w.T
-        x.grad += g
+        return g
 
-    return x.tape.node(out, backward)
-
-
-def scale(a: Var, s: float) -> Var:
-    def backward(g):
-        a.grad += g * s
-
-    return a.tape.node(a.data * s, backward)
+    return out, backward
 
 
-def concat_cols(parts: list[Var]) -> Var:
-    tape = _same_tape(*parts)
-    widths = [p.data.shape[1] for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=1)
+@dataclass(frozen=True)
+class Segments:
+    """`rows` rows grouped into `n` segments, laid out for reduceat:
+    `order` lists the rows segment after segment, each segment's rows in
+    their own order (None when the rows are grouped already), `starts`
+    gives the position in that order where each non-empty segment
+    begins, `sizes` its row count, and `ids` names those segments,
+    ascending.  Its arrays are read-only."""
+    n: int
+    rows: int
+    starts: np.ndarray
+    sizes: np.ndarray
+    ids: np.ndarray
+    order: np.ndarray | None
 
-    def backward(g):
-        start = 0
-        for p, w in zip(parts, widths):
-            p.grad += g[:, start:start + w]
-            start += w
+    @classmethod
+    def of(cls, segment_ids, n: int) -> "Segments":
+        """The layout of rows whose segments are `segment_ids`, each in
+        [0, n); the order is a stable sort by segment."""
+        seg = np.asarray(segment_ids, dtype=int)
+        if seg.ndim != 1:
+            raise ShapeError(f"segment ids must be flat, got shape "
+                             f"{seg.shape}")
+        if seg.size and (seg.min() < 0 or seg.max() >= n):
+            raise IndexError(f"segment id out of range [0, {n})")
+        order = None
+        if np.any(seg[1:] < seg[:-1]):
+            order = np.argsort(seg, kind="stable")
+            seg = seg[order]
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        layout = cls(n, len(seg), starts, np.diff(starts, append=len(seg)),
+                     seg[starts], order)
+        for array in (starts, layout.sizes, layout.ids, order):
+            if array is not None:
+                array.flags.writeable = False
+        return layout
 
-    return tape.node(out_data, backward)
 
-
-def gather_rows(a: Var, idx: np.ndarray) -> Var:
-    idx = np.asarray(idx, dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise IndexError(f"gather index out of range for {a.data.shape[0]} rows")
-
-    def backward(g):
-        np.add.at(a.grad, idx, g)
-
-    return a.tape.node(a.data[idx], backward)
-
-
-def segment_max(a: Var, segment_ids: np.ndarray, num_segments: int) -> Var:
-    """Componentwise maximum of rows grouped by segment id.
-
-    Empty segments yield zero rows.  The gradient routes each upstream
-    element to exactly one argmax row (the lowest row index on ties).
-    """
-    seg = np.asarray(segment_ids, dtype=int)
-    if a.data.ndim != 2:
-        raise ShapeError(f"segment_max needs rows, got shape {a.data.shape}")
-    m, k = a.data.shape
-    if seg.shape != (m,):
-        raise ShapeError(f"segment ids shape {seg.shape} does not match "
-                         f"{m} rows")
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise IndexError(f"segment id out of range [0, {num_segments})")
-
-    out = np.full((num_segments, k), -np.inf)
-    np.maximum.at(out, seg, a.data)
-
-    # winner per (segment, column): lowest row index attaining the max
-    winners = a.data == out[seg]
-    row_ids = np.broadcast_to(np.arange(m)[:, None], (m, k))
-    sel = np.full((num_segments, k), m, dtype=int)
-    np.minimum.at(sel, seg, np.where(winners, row_ids, m))
-    out[np.bincount(seg, minlength=num_segments) == 0] = 0.0
+def segment_max(a: np.ndarray, segments: Segments):
+    """Componentwise maximum of the rows of a in each segment; an empty
+    segment yields a zero row.  Returns the (n, k) maxima and their
+    backward, which routes each upstream element to exactly one row: the
+    lowest row attaining the maximum (none where the maximum is NaN)."""
+    if a.ndim != 2:
+        raise ShapeError(f"segment_max needs rows, got shape {a.shape}")
+    if len(a) != segments.rows:
+        raise ShapeError(f"{len(a)} rows for a layout of {segments.rows}")
+    out = np.zeros((segments.n, a.shape[1]))
+    if not len(segments.ids):  # no rows
+        return out, lambda g: np.zeros_like(a)
+    rows = a if segments.order is None else a[segments.order]
+    top = np.maximum.reduceat(rows, segments.starts, axis=0)
+    out[segments.ids] = top
 
     def backward(g):
-        s_idx, c_idx = np.nonzero(sel < m)
-        if s_idx.size:
-            np.add.at(a.grad, (sel[s_idx, c_idx], c_idx), g[s_idx, c_idx])
+        m = len(rows)
+        wins = rows == np.repeat(top, segments.sizes, axis=0)
+        # per (segment, column): the lowest sorted position that wins,
+        # which a stable order maps to the lowest row
+        first = np.minimum.reduceat(
+            np.where(wins, np.arange(m)[:, None], m), segments.starts,
+            axis=0)
+        s_idx, c_idx = np.nonzero(first < m)
+        r_idx = first[s_idx, c_idx]
+        if segments.order is not None:
+            r_idx = segments.order[r_idx]
+        grad = np.zeros_like(a)
+        # one winner per (segment, column): the targets are unique
+        grad[r_idx, c_idx] = g[segments.ids[s_idx], c_idx]
+        return grad
 
-    return a.tape.node(out, backward)
+    return out, backward
 
+
+def message_passing(x: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                    coord_diff: np.ndarray, receivers: Segments, h, f, g):
+    """One message-passing iteration over the vertex states x: h(x) is
+    an offset per vertex; the message along edge e is
+    f([coord_diff[e] + h(x)[dst[e]], x[src[e]]]); each vertex takes the
+    componentwise max of the messages it receives (`receivers` groups
+    the messages by `dst`) and returns x + g([max, x]).  h, f and g are
+    array ops like `mlp`.  Returns the new states and their backward,
+    which visits the parts in reverse and sums x's gradient in the order
+    residual, g, the gather from `src`, h."""
+    dx, h_backward = h(x)
+    msg, f_backward = f(np.concatenate([coord_diff + dx[dst], x[src]],
+                                       axis=1))
+    agg, max_backward = segment_max(msg, receivers)
+    update, g_backward = g(np.concatenate([agg, x], axis=1))
+    k = agg.shape[1]
+    c = coord_diff.shape[1]
+
+    def backward(grad):
+        g_in = g_backward(grad)
+        gx = grad + g_in[:, k:]
+        g_edge = f_backward(max_backward(g_in[:, :k]))
+        np.add.at(gx, src, g_edge[:, c:])
+        g_dx = np.zeros_like(dx)
+        np.add.at(g_dx, dst, g_edge[:, :c])
+        gx += h_backward(g_dx)
+        return gx
+
+    return update + x, backward

@@ -44,14 +44,13 @@ class MlpSpec:
                 for i, (fan_in, fan_out) in enumerate(zip(w, w[1:]))]
 
 
-def mlp_forward(spec: MlpSpec, model, x: Var, prefix: str = "") -> Var:
-    """Affine-then-activation per layer, rows preserved; one tape node,
-    which checks the layer shapes.  Layer i reads its weights from
-    `model.params` and adds their gradients into `model.grads`, both
-    keyed by the names `spec.layers(prefix)` gives."""
-    return ad.mlp(x, [(model.params[w], model.params[b], model.grads[w],
-                       model.grads[b]) for w, b, _, _ in spec.layers(prefix)],
-                  spec.sigmoid_out)
+def mlp_forward(spec: MlpSpec, model, x: np.ndarray, prefix: str = ""):
+    """The block `prefix`, of shape `spec`, over the rows of x as an
+    array op (see `autodiff.mlp`), which checks the layer shapes: it
+    reads the block's (W, b, dW, db) layer tuples from
+    `model.layers[prefix]`, and its backward adds the weight gradients
+    into the dW and db slots."""
+    return ad.mlp(x, model.layers[prefix], spec.sigmoid_out)
 
 
 def _column(x, name: str) -> np.ndarray:

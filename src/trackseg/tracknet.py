@@ -14,9 +14,16 @@ MLP shape, the parameter count, the layout of the flat parameter vector,
 the order of the initial draw and each block a forward pass runs come
 from it.  A loaded checkpoint becomes a model without any draw.
 
+Each iteration is one tape node: `autodiff.message_passing` runs h,
+the gather, f, the max over each vertex's messages and g with its
+residual on arrays, and keeps one backward for all of them.  The heads
+are one node each, the track-parameter head with its max over cluster
+members included; every block runs through `mlp_forward`.
+
 The network reads a graph only through the `GraphInputs` that
 `graph_inputs` alone builds: the initial vertex states (z, layer), the
-message index arrays and the coordinate differences.  Training reads
+message index arrays, the coordinate differences and the messages'
+layout by receiving vertex for the max.  Training reads
 each graph through a `TrainingView`, which `train` builds once per graph
 before its epoch loop and drops when it returns: the inputs, the truth
 clusters' member arrays and parabola coefficients, the classification
@@ -31,7 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 
 import numpy as np
@@ -44,7 +51,7 @@ from .jsonio import (from_base64, number, parsing, read_json, to_base64,
                      write_json)
 from .kinematics import canonical_fits
 from .neural import autodiff as ad
-from .neural.autodiff import Tape, Var
+from .neural.autodiff import Segments, Tape, Var
 from .neural.nn import (AdamState, MlpSpec, adam_step, bce_loss, huber_loss,
                         mlp_forward, mse_tracking_loss)
 
@@ -111,10 +118,12 @@ class Model:
     Parameter names are the block prefix and the layer's weight or bias
     name, e.g. "f2.W0" or "cls.b3".  All parameters live in one float64
     vector, `flat`, and their gradients in `grad`, laid out alike: every
-    `params[name]` and `grads[name]` is a reshaped view into it, in
-    table order.  A model built from the decoded vector `flat` holds a
-    copy of it; otherwise each weight is drawn, U(+-1/sqrt(fan_in)), from
-    a stream seeded by `seed`, and every bias is zero.
+    `params[name]` is a reshaped view into `flat`, in table order, and
+    `layers[prefix]` holds the block's (W, b, dW, db) tuple per layer, as
+    `mlp_forward` reads them, with dW and db the matching views into
+    `grad`.  A model built from the decoded vector `flat` holds a copy
+    of it; otherwise each weight is drawn, U(+-1/sqrt(fan_in)), from a
+    stream seeded by `seed`, and every bias is zero.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0,
@@ -124,20 +133,24 @@ class Model:
             np.array(flat, dtype=float)
         self.grad = np.zeros_like(self.flat)
         self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
+        self.layers: dict[str, list[tuple]] = {}
         rng = np.random.default_rng(seed) if flat is None else None
         offset = 0
         for prefix, spec in config.blocks.items():
+            self.layers[prefix] = []
             for w, b, fan_in, fan_out in spec.layers(prefix):
+                slots = []
                 for name, shape in ((w, (fan_in, fan_out)), (b, (fan_out,))):
                     span = slice(offset, offset + math.prod(shape))
                     self.params[name] = self.flat[span].reshape(shape)
-                    self.grads[name] = self.grad[span].reshape(shape)
+                    slots.append(self.grad[span].reshape(shape))
                     offset = span.stop
                 if rng is not None:
                     bound = 1.0 / np.sqrt(fan_in)
                     self.params[w][...] = rng.uniform(-bound, bound,
                                                       (fan_in, fan_out))
+                self.layers[prefix].append((self.params[w], self.params[b],
+                                            *slots))
 
 
 @dataclass
@@ -153,11 +166,16 @@ class GraphInputs:
     """What the network reads of a graph: each vertex's initial state,
     and each undirected edge as a message in both directions, from
     vertex `src` to vertex `dst`, with the (delta eta, delta phi)
-    coordinate difference of `src` from `dst`."""
+    coordinate difference of `src` from `dst`.  `receivers` groups the
+    messages by `dst` for the max each vertex takes over them: the
+    stable permutation of the messages by `dst`, the position in it
+    where each receiving vertex's messages start, and the ids of the
+    vertices that receive any."""
     state: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     coord_diff: np.ndarray
+    receivers: Segments
 
 
 def graph_inputs(graph: Graph) -> GraphInputs:
@@ -169,45 +187,45 @@ def graph_inputs(graph: Graph) -> GraphInputs:
     deta = graph.eta[src] - graph.eta[dst]
     dphi = np.asarray(signed_dphi(graph.phi[src], graph.phi[dst]),
                       dtype=float).reshape(-1)
-    return GraphInputs(state, src, dst, np.stack([deta, dphi], axis=1))
+    return GraphInputs(state, src, dst, np.stack([deta, dphi], axis=1),
+                       Segments.of(dst, len(state)))
 
 
 def gnn_forward(model: Model, inputs: GraphInputs,
                 tape: Tape | None = None) -> VertexOutputs:
-    """Run the T message-passing iterations and the per-vertex heads.
-    Isolated vertices receive a zero aggregate."""
+    """Run the T message-passing iterations, one tape node each, and the
+    per-vertex heads.  Isolated vertices receive a zero aggregate."""
     tape = tape if tape is not None else Tape()
-    src, dst = inputs.src, inputs.dst
-
-    n = len(inputs.state)
     s = tape.const(inputs.state)
     for t in range(1, model.config.iterations + 1):
-        dx = _block(model, f"h{t}.", s)
-        shifted = ad.add(tape.const(inputs.coord_diff),
-                         ad.gather_rows(dx, dst))
-        edge_in = ad.concat_cols([shifted, ad.gather_rows(s, src)])
-        msg = _block(model, f"f{t}.", edge_in)
-        agg = ad.segment_max(msg, dst, n)
-        update = _block(model, f"g{t}.", ad.concat_cols([agg, s]))
-        s = ad.add(update, s)
-
+        s = ad.record(s, partial(
+            ad.message_passing, src=inputs.src, dst=inputs.dst,
+            coord_diff=inputs.coord_diff, receivers=inputs.receivers,
+            h=_op(model, f"h{t}."), f=_op(model, f"f{t}."),
+            g=_op(model, f"g{t}.")))
     return VertexOutputs(_block(model, "cls.", s), _block(model, "loc.", s),
                          s)
 
 
+def _op(model: Model, prefix: str):
+    """The block `prefix` of the model's table as an array op."""
+    spec = model.config.blocks[prefix]
+    return lambda x: mlp_forward(spec, model, x, prefix)
+
+
 def _block(model: Model, prefix: str, x: Var) -> Var:
     """The block `prefix` of the model's table applied to x."""
-    return mlp_forward(model.config.blocks[prefix], model, x, prefix)
+    return ad.record(x, _op(model, prefix))
 
 
 @dataclass(frozen=True)
 class ClusterFeatures:
     """A set of vertex clusters as the track-parameter head reads them:
-    the member vertex ids cluster after cluster, the cluster index of
-    each member, and one row of conformal parabola coefficients per
+    the member vertex ids cluster after cluster, their grouping by
+    cluster, and one row of conformal parabola coefficients per
     cluster."""
     members: np.ndarray
-    segment: np.ndarray
+    segments: Segments
     coeffs: np.ndarray
 
 
@@ -221,25 +239,38 @@ def cluster_features(clusters, graph: Graph) -> ClusterFeatures:
                           count=sum(sizes))
     hits_xy = np.stack([graph.hits.x, graph.hits.y], axis=1)
     coeffs, _ = canonical_fits(hits_xy[members], sizes)
-    return ClusterFeatures(members,
-                           np.repeat(np.arange(len(sizes)), sizes),
-                           np.nan_to_num(coeffs, nan=0.0))
+    return ClusterFeatures(
+        members, Segments.of(np.repeat(np.arange(len(sizes)), sizes),
+                             len(sizes)),
+        np.nan_to_num(coeffs, nan=0.0))
 
 
 def predict_cluster_params(model: Model, final_state: Var,
                            clusters: ClusterFeatures) -> Var:
-    """Track-parameter head over a set of vertex clusters.
+    """Track-parameter head over a set of vertex clusters, one tape node.
 
     Features per cluster: its parabola coefficients and the componentwise
     max of its member final states.  Returns a (n_clusters, 2) Var of
     (p_T, eps_T).
     """
-    n_clusters = len(clusters.coeffs)
-    state_max = ad.segment_max(ad.gather_rows(final_state, clusters.members),
-                               clusters.segment, n_clusters)
-    feats = ad.concat_cols([final_state.tape.const(clusters.coeffs),
-                            state_max])
-    return _block(model, "trk.", feats)
+    head = _op(model, "trk.")
+    n_coeffs = clusters.coeffs.shape[1]
+
+    def op(x):
+        state_max, max_backward = ad.segment_max(x[clusters.members],
+                                                 clusters.segments)
+        out, head_backward = head(np.concatenate([clusters.coeffs,
+                                                  state_max], axis=1))
+
+        def backward(g):
+            grad = np.zeros_like(x)
+            np.add.at(grad, clusters.members,
+                      max_backward(head_backward(g)[:, n_coeffs:]))
+            return grad
+
+        return out, backward
+
+    return ad.record(final_state, op)
 
 
 def cluster_params_from_states(model: Model, final_state: np.ndarray,
@@ -315,7 +346,8 @@ def training_view(graph: Graph) -> TrainingView:
     for array in (*vars(view.inputs).values(),
                   *vars(view.clusters).values(), *view.targets,
                   view.truths):
-        array.flags.writeable = False
+        if isinstance(array, np.ndarray):  # a Segments layout is frozen
+            array.flags.writeable = False
     return view
 
 
@@ -394,9 +426,9 @@ def infer(model: Model, graph: Graph,
     the output."""
     with Tape() as tape:
         outputs = gnn_forward(model, graph_inputs(graph), tape)
-        prob = outputs.class_prob.data[:, 0].copy()
-        boxes = outputs.encoded_box.data.copy()
-        final_state = outputs.final_state.data.copy()
+    prob = outputs.class_prob.data[:, 0]
+    boxes = outputs.encoded_box.data
+    final_state = outputs.final_state.data
     for name, values in (("class_prob", prob), ("encoded_box", boxes)):
         if not np.all(np.isfinite(values)):
             raise NumericError("non-finite inference output",

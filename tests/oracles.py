@@ -4,7 +4,8 @@ Nothing here may call the code paths it checks: DBSCAN is re-derived
 from the density-connectivity definition, IoU from Monte Carlo sampling
 or by clipping every polygon edge against every half-plane, ellipse
 membership from the raw quadratic form, box decoding one value at a
-time, plain message passing vertex by vertex, the initial parameters
+time, the segment max by np.maximum.at and a row-by-row search for the
+winners, plain message passing vertex by vertex, the initial parameters
 from the layer widths written out, the parabola fit one set at a time
 through a matrix product, and the gradient checks reduce to a scalar
 through a test-local node.
@@ -24,6 +25,27 @@ def weighted_sum(v, w):
         v.grad += g * w
 
     return v.tape.node(np.sum(v.data * w), backward)
+
+
+def segment_max_oracle(rows, segment_ids, n):
+    """Componentwise maximum of the rows in each of n segments, folded by
+    np.maximum.at from -inf, with zero rows for empty segments, and the
+    rows the gradient reaches: per (segment, column) the first row, in
+    row order, that equals the maximum (none where it is NaN).  Returns
+    the (n, k) maxima and a boolean (rows, k) mask of those entries."""
+    rows = np.asarray(rows, dtype=float)
+    m, k = rows.shape
+    out = np.full((n, k), -np.inf)
+    np.maximum.at(out, segment_ids, rows)
+    out[np.bincount(segment_ids, minlength=n) == 0] = 0.0
+    routed = np.zeros((m, k), dtype=bool)
+    for seg in range(n):
+        for c in range(k):
+            for i in range(m):
+                if segment_ids[i] == seg and rows[i, c] == out[seg, c]:
+                    routed[i, c] = True
+                    break
+    return out, routed
 
 
 def wrap_dphi(a, b):

@@ -21,7 +21,8 @@ from test_ellipses import iou
 from test_events import HITS_CSV, write_trackml
 from test_harness import tiny_cli_config, truth_identity_prediction
 from test_postprocess import rows_of
-from test_neural import check_op_gradient, mlp_gradient_builds
+from test_neural import (check_op_gradient, message_passing_builds,
+                         mlp_gradient_builds)
 from test_tracknet import small_config, sweep_composite_gradients
 from trackseg import tracknet as tn
 from trackseg.ellipses import check_ellipses, decode_box, encode_box, mvee
@@ -212,8 +213,7 @@ def test_criterion_5_gradient_checks():
     mix = rng.normal(0, 1, (4, 2))
     base53 = rng.normal(0, 1, (5, 3))
     weights32 = rng.normal(0, 1, (3, 2))
-    seg = np.array([0, 1, 0, 1])
-    idx = np.array([2, 0, 1])
+    segments = ad.Segments.of([0, 1, 0, 1], 2)
     # [x, W0, b0, ...]: ReLU layers 3 -> 4 -> 4 -> 2 with an identity
     # output, and 3 -> 4 -> 2 with a sigmoid output
     relu_net = [rng.normal(0, 1, shape) for shape in
@@ -223,8 +223,7 @@ def test_criterion_5_gradient_checks():
     relu_builds = mlp_gradient_builds(relu_net, False, mix)
     sigmoid_builds = mlp_gradient_builds(sigmoid_net, True, mix)
     # weights of the linear reducer, one array per output shape
-    w53, w34, w23 = (rng.normal(0, 1, shape)
-                     for shape in ((5, 3), (3, 4), (2, 3)))
+    w53, w23 = (rng.normal(0, 1, shape) for shape in ((5, 3), (2, 3)))
     labels = np.array([[1.0], [0.0], [0.0], [1.0]])
     # residuals on both sides of the Huber knot; the last row masked out
     huber_x0 = np.array([[0.4, -0.3], [1.7, -2.5], [0.6, 2.2]])
@@ -245,12 +244,12 @@ def test_criterion_5_gradient_checks():
             v, np.zeros((3, 2)), huber_mask), huber_x0),
         "mse_tracking_loss": (lambda t, v: mse_tracking_loss(
             v, mse_truth, scales=(1.0, 2.0)), rng.normal(0, 1, (3, 2))),
-        "concat_slice_gather": (lambda t, v: weighted_sum(
-            ad.concat_cols([ad.gather_rows(v, idx), ad.gather_rows(v, idx)]),
-            w34), rng.normal(0, 1, (3, 2))),
-        "segment_max": (lambda t, v: weighted_sum(
-            ad.segment_max(v, seg, 2), w23),
+        "segment_max": (lambda t, v: weighted_sum(ad.record(
+            v, lambda a: ad.segment_max(a, segments)), w23),
             rng.normal(0, 1, (4, 3))),
+        # one fused iteration on a 4-vertex graph: the state and one
+        # weight each of h, f and g
+        **message_passing_builds(104),
     }
     # the table must exercise every public op of the autodiff module, so
     # a new op cannot skip its finite-difference check

@@ -1,14 +1,15 @@
 import math
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import weighted_sum
+from oracles import segment_max_oracle, weighted_sum
 from trackseg.errors import ConfigError, ShapeError, StateError
 from trackseg.neural import autodiff as ad
-from trackseg.neural.autodiff import Tape
+from trackseg.neural.autodiff import Segments, Tape
 from trackseg.tracknet import ModelConfig
 from trackseg.neural.nn import (HUBER_DELTA, AdamState, MlpSpec, adam_step,
                                 bce_loss, huber_loss, mlp_forward,
@@ -44,28 +45,67 @@ def check_op_gradient(build, x0, h=1e-6, tol=1e-6):
         f"analytic {v.grad} vs fd {fd}"
 
 
+def layer_slots(arrays, varied=None, v=None):
+    """(W, b, dW, db) layer tuples for arrays = [W0, b0, W1, b1, ...],
+    each with a zero gradient slot, except arrays[varied], which enters
+    as v's value with v's gradient slot as its dW or db."""
+    slots = [(v.data, v.grad) if k == varied else (a, np.zeros_like(a))
+             for k, a in enumerate(arrays)]
+    return [(w, b, dw, db) for (w, dw), (b, db)
+            in zip(slots[::2], slots[1::2])]
+
+
 def mlp_gradient_builds(arrays, sigmoid_out, mix):
     """check_op_gradient builds of sum(mix * mlp(x)) for arrays = [x, W0,
-    b0, W1, b1, ...]: one per array, each varying that array.  A varied
-    weight enters mlp as its Var's value, with the Var's gradient slot as
-    the dW or db that mlp adds into."""
+    b0, W1, b1, ...]: one per array, each varying that array."""
     def build_for(which):
         def build(t, v):
             x = v if which == 0 else t.const(arrays[0])
-            slots = [(v.data, v.grad) if k == which else (a, np.zeros_like(a))
-                     for k, a in enumerate(arrays) if k > 0]
-            layers = [(w, b, dw, db) for (w, dw), (b, db)
-                      in zip(slots[::2], slots[1::2])]
-            return weighted_sum(ad.mlp(x, layers, sigmoid_out), mix)
+            layers = layer_slots(arrays[1:], which - 1, v)
+            return weighted_sum(ad.record(
+                x, lambda a: ad.mlp(a, layers, sigmoid_out)), mix)
         return build
     return [build_for(k) for k in range(len(arrays))]
 
 
-def weights(**arrays):
-    """Stand-in model for mlp_forward: the arrays as its parameters,
-    each with a zero gradient slot."""
-    return SimpleNamespace(params=arrays, grads={
-        name: np.zeros_like(a) for name, a in arrays.items()})
+def message_passing_builds(seed):
+    """check_op_gradient builds of sum(mix * message_passing(x)) on a
+    4-vertex graph whose vertex 3 receives no message, with ReLU blocks
+    h 2 -> 3 -> 2, f 4 -> 3 -> 3 and g 5 -> 3 -> 2: name -> (build, x0),
+    varying the state and one weight each of h, f and g."""
+    rng = np.random.default_rng(seed)
+    src = np.array([1, 0, 2, 1, 0])
+    dst = np.array([0, 2, 1, 2, 1])
+    coord_diff = rng.normal(0, 1, (5, 2))
+    receivers = Segments.of(dst, 4)
+    nets = {name: [rng.normal(0, 1, shape) for shape in
+                   ((fan_in, 3), (3,), (3, fan_out), (fan_out,))]
+            for name, fan_in, fan_out in (("h", 2, 2), ("f", 4, 3),
+                                          ("g", 5, 2))}
+    x0 = rng.normal(0, 1, (4, 2))
+    mix = rng.normal(0, 1, (4, 2))
+
+    def build_for(varied, k):
+        def build(t, v):
+            x = v if varied is None else t.const(x0)
+            h, f, g = (partial(ad.mlp, layers=layer_slots(
+                nets[name], k if name == varied else None, v),
+                sigmoid_out=False) for name in "hfg")
+            return weighted_sum(ad.record(x, lambda a: ad.message_passing(
+                a, src, dst, coord_diff, receivers, h, f, g)), mix)
+        return build
+
+    return {"message_passing_x": (build_for(None, None), x0),
+            "message_passing_h_W0": (build_for("h", 0), nets["h"][0]),
+            "message_passing_f_W1": (build_for("f", 2), nets["f"][2]),
+            "message_passing_g_b0": (build_for("g", 1), nets["g"][1])}
+
+
+def weights(spec, **arrays):
+    """Stand-in model for mlp_forward: the arrays as the layers of its
+    block "", each with a zero gradient slot."""
+    return SimpleNamespace(layers={"": layer_slots(
+        [arrays[name] for w, b, _, _ in spec.layers() for name in (w, b)])})
 
 
 class TestPrimitiveGradients:
@@ -139,45 +179,39 @@ class TestPrimitiveGradients:
         check_op_gradient(
             lambda t, v: ad.scale(mse_tracking_loss(v, truth), 0.7), x0)
 
-    def test_concat_slice_gather(self):
-        rng = np.random.default_rng(3)
-        idx = np.array([2, 0, 1, 2])
-        x0 = rng.normal(0, 1, (3, 2))
-        w = rng.normal(0, 1, (4, 4))
-
-        def build(t, v):
-            g = ad.gather_rows(v, idx)
-            return weighted_sum(ad.concat_cols([g, ad.scale(g, 2.0)]), w)
-
-        check_op_gradient(build, x0)
-
     def test_segment_max_gradient_routing(self):
         # upstream gradient flows only to the argmax entries
         x0 = np.array([[1.0, 2.0], [3.0, 0.5], [0.2, 0.9]])
-        seg = np.array([0, 0, 1])
         t = Tape()
         v = t.const(x0)
-        out = ad.segment_max(v, seg, 2)
+        out = ad.record(v, lambda a: ad.segment_max(
+            a, Segments.of([0, 0, 1], 2)))
         t.backward(weighted_sum(out, np.ones((2, 2))))
         expected = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         assert np.array_equal(v.grad, expected)
 
     def test_segment_max_finite_difference(self):
         rng = np.random.default_rng(4)
-        seg = np.array([0, 1, 0, 1, 0])
+        segments = Segments.of([0, 1, 0, 1, 0], 2)
         x0 = rng.normal(0, 1, (5, 3))
         w = rng.normal(0, 1, (2, 3))
 
         def build(t, v):
-            return weighted_sum(ad.segment_max(v, seg, 2), w)
+            return weighted_sum(ad.record(
+                v, lambda a: ad.segment_max(a, segments)), w)
 
+        check_op_gradient(build, x0)
+
+    @pytest.mark.parametrize("name", list(message_passing_builds(0)))
+    def test_message_passing_finite_difference(self, name):
+        build, x0 = message_passing_builds(11)[name]
         check_op_gradient(build, x0)
 
 
 def max_aggregate(features, segment_ids, num_segments):
     """Forward value of segment_max on a plain array."""
-    v = Tape().const(np.asarray(features, dtype=float))
-    return ad.segment_max(v, segment_ids, num_segments).data
+    return ad.segment_max(np.asarray(features, dtype=float),
+                          Segments.of(segment_ids, num_segments))[0]
 
 
 class TestMaxAggregate:
@@ -200,11 +234,10 @@ class TestMaxAggregate:
         assert np.array_equal(out[1], np.array([1.0, -2.0]))
 
     def test_tie_routes_to_lowest_index(self):
-        t = Tape()
-        v = t.const(np.array([[5.0], [5.0]]))
-        out = ad.segment_max(v, np.array([0, 0]), 1)
-        t.backward(weighted_sum(out, np.ones((1, 1))))
-        assert np.array_equal(v.grad, np.array([[1.0], [0.0]]))
+        _, backward = ad.segment_max(np.array([[5.0], [5.0]]),
+                                     Segments.of([0, 0], 1))
+        assert np.array_equal(backward(np.ones((1, 1))),
+                              np.array([[1.0], [0.0]]))
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -222,22 +255,89 @@ class TestMaxAggregate:
         assert np.array_equal(out, feats)
 
 
+class TestSegmentMaxOracle:
+    """segment_max over its layout against np.maximum.at and a row-by-row
+    search for the winners."""
+
+    @staticmethod
+    def check(rows, segment_ids, n):
+        rows = np.asarray(rows, dtype=float)
+        seg = np.asarray(segment_ids, dtype=int)
+        expected, routed = segment_max_oracle(rows, seg, n)
+        out, backward = ad.segment_max(rows, Segments.of(seg, n))
+        assert out.tobytes() == expected.tobytes()
+        g = np.random.default_rng(len(rows)).normal(0, 1, out.shape)
+        assert backward(g).tobytes() == \
+            np.where(routed, g[seg], 0.0).tobytes()
+        return out, backward(np.ones_like(out))
+
+    def test_random_layouts(self):
+        # few distinct values, so ties are common; unsorted and grouped
+        # ids, empty segments, NaN rows and infinities
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            m = int(rng.integers(0, 25))
+            n = int(rng.integers(1, 8))
+            rows = rng.integers(-2, 3, (m, int(rng.integers(1, 4)))) \
+                .astype(float)
+            special = rng.random(rows.shape)
+            rows[special < 0.05] = np.nan
+            rows[(special > 0.05) & (special < 0.08)] = np.inf
+            seg = rng.integers(0, n, m)
+            self.check(rows, np.sort(seg) if trial % 3 == 0 else seg, n)
+
+    def test_ties_route_to_the_lowest_row(self):
+        _, grad = self.check([[1.0, 4.0], [2.0, 4.0], [2.0, 3.0],
+                              [1.0, 4.0]], [1, 0, 1, 1], 2)
+        assert grad.tolist() == [[0.0, 1.0], [1.0, 1.0], [1.0, 0.0],
+                                 [0.0, 0.0]]
+
+    def test_nan_propagates_without_gradient(self):
+        out, grad = self.check([[1.0, 2.0], [np.nan, 5.0], [3.0, 1.0]],
+                               [0, 0, 1], 2)
+        assert np.isnan(out[0, 0]) and out[0, 1] == 5.0
+        assert grad.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+
+    def test_empty_segments_get_zero_rows_and_no_gradient(self):
+        out, grad = self.check([[-3.0], [-1.0]], [2, 2], 4)
+        assert out.tolist() == [[0.0], [0.0], [-1.0], [0.0]]
+        assert grad.tolist() == [[0.0], [1.0]]
+
+    def test_zero_messages(self):
+        out, grad = self.check(np.zeros((0, 3)), [], 3)
+        assert out.tolist() == [[0.0] * 3] * 3
+        assert grad.shape == (0, 3)
+
+    def test_layout_is_read_only(self):
+        layout = Segments.of([2, 0, 2, 1], 3)
+        assert layout.order.tolist() == [1, 3, 0, 2]
+        assert (layout.starts.tolist(), layout.sizes.tolist(),
+                layout.ids.tolist()) == ([0, 1, 2], [1, 1, 2], [0, 1, 2])
+        assert Segments.of([0, 0, 2], 3).order is None
+        for array in (layout.order, layout.starts, layout.sizes,
+                      layout.ids):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_row_count_must_match_the_layout(self):
+        with pytest.raises(ShapeError):
+            ad.segment_max(np.zeros((3, 2)), Segments.of([0, 1], 2))
+
+
 class TestMlp:
     def test_zero_weights_bias_only(self):
         spec = MlpSpec((3, 2))
-        t = Tape()
-        params = weights(W0=np.zeros((3, 2)), b0=np.array([0.5, -1.0]))
-        out = mlp_forward(spec, params, t.const(np.random.default_rng(0)
-                                                .normal(0, 1, (4, 3))))
-        assert np.allclose(out.data, np.tile([0.5, -1.0], (4, 1)))
+        params = weights(spec, W0=np.zeros((3, 2)), b0=np.array([0.5, -1.0]))
+        out, _ = mlp_forward(spec, params, np.random.default_rng(0)
+                             .normal(0, 1, (4, 3)))
+        assert np.allclose(out, np.tile([0.5, -1.0], (4, 1)))
 
     def test_identity_layer(self):
         spec = MlpSpec((3, 3))
-        t = Tape()
-        params = weights(W0=np.eye(3), b0=np.zeros(3))
+        params = weights(spec, W0=np.eye(3), b0=np.zeros(3))
         x = np.random.default_rng(1).normal(0, 1, (5, 3))
-        out = mlp_forward(spec, params, t.const(x))
-        assert np.array_equal(out.data, x)
+        out, _ = mlp_forward(spec, params, x)
+        assert np.array_equal(out, x)
 
     def test_hand_unrolled_relu_net(self):
         # one hidden relu layer evaluated by hand
@@ -249,17 +349,15 @@ class TestMlp:
         x = np.array([[0.5, -1.0]])
         hidden = np.maximum(x @ w0 + b0, 0.0)
         expected = hidden @ w1 + b1
-        t = Tape()
-        params = weights(W0=w0, b0=b0, W1=w1, b1=b1)
-        out = mlp_forward(spec, params, t.const(x))
-        assert np.allclose(out.data, expected)
+        params = weights(spec, W0=w0, b0=b0, W1=w1, b1=b1)
+        out, _ = mlp_forward(spec, params, x)
+        assert np.allclose(out, expected)
 
     def test_shape_error_names_both(self):
         spec = MlpSpec((3, 2))
-        t = Tape()
-        params = weights(W0=np.zeros((3, 2)), b0=np.zeros(2))
+        params = weights(spec, W0=np.zeros((3, 2)), b0=np.zeros(2))
         with pytest.raises(ShapeError, match="4.*3|3.*4"):
-            mlp_forward(spec, params, t.const(np.zeros((1, 4))))
+            mlp_forward(spec, params, np.zeros((1, 4)))
 
     def test_bad_spec(self):
         with pytest.raises(ConfigError):
@@ -269,14 +367,14 @@ class TestMlp:
         spec = MlpSpec((3, 4, 4, 1), sigmoid_out=True)
         t = Tape()
         rng = np.random.default_rng(3)
-        params = weights(**{
+        params = weights(spec, **{
             name: rng.uniform(-0.5, 0.5, shape)
             for w, b, fan_in, fan_out in spec.layers()
             for name, shape in ((w, (fan_in, fan_out)), (b, fan_out))})
         x = t.const(np.ones((5, 3)))
         for _ in range(2):
             before = len(t._nodes)
-            mlp_forward(spec, params, x)
+            ad.record(x, lambda a: mlp_forward(spec, params, a))
             assert len(t._nodes) == before + 1
 
 
@@ -511,6 +609,22 @@ class TestGradients:
         assert float(loss.data) == 3.0
         with pytest.raises(StateError):
             t.backward(loss)
+
+    def test_forward_only_tape_keeps_no_gradient(self):
+        # a tape used as a context manager allocates no gradient slot,
+        # records no node and refuses a backward sweep, also before it
+        # exits
+        with Tape() as t:
+            x = t.const(np.ones((3, 2)))
+            y = ad.record(x, lambda a: ad.segment_max(
+                a, Segments.of([0, 1, 1], 2)))
+            loss = weighted_sum(y, np.ones((2, 2)))
+            assert all(v.grad is None and v._backward is None
+                       for v in (x, y, loss))
+            assert t._nodes == []
+            with pytest.raises(StateError, match="forward-only"):
+                t.backward(loss)
+        assert float(loss.data) == 4.0
 
     def test_cross_tape_rejected(self):
         t1, t2 = Tape(), Tape()

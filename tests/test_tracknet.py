@@ -22,6 +22,7 @@ from trackseg.errors import (ConfigError, ConsistencyError, DataError,
 from trackseg.events import Event, HitTable
 from trackseg.graphs import (DbscanParams, Graph, build_graph,
                              graph_from_dict, graph_to_dict)
+from trackseg.neural.autodiff import Tape
 from trackseg.neural.nn import AdamState, mlp_forward
 
 
@@ -216,10 +217,9 @@ class TestPredictClusterParams:
             m, out.final_state, tn.cluster_features([[0, 1]], g))
         # the parabola features are zeroed: only the state max is read
         state_max = out.final_state.data[:2].max(axis=0)
-        feats = out.final_state.tape.const(
-            np.concatenate([np.zeros(3), state_max])[None])
-        zero_fit = mlp_forward(m.config.blocks["trk."], m, feats, "trk.")
-        assert np.array_equal(pred.data, zero_fit.data)
+        feats = np.concatenate([np.zeros(3), state_max])[None]
+        zero_fit, _ = mlp_forward(m.config.blocks["trk."], m, feats, "trk.")
+        assert np.array_equal(pred.data, zero_fit)
         assert pred.data.shape == (1, 2)
 
     def test_output_shape(self):
@@ -425,13 +425,47 @@ class TestTrain:
 
     def test_training_view_is_read_only(self):
         view = tn.training_view(make_training_graph(seed=54, n_tracks=2)[1])
+        layouts = (view.inputs.receivers, view.clusters.segments)
         arrays = [view.inputs.state, view.inputs.src, view.inputs.dst,
                   view.inputs.coord_diff, view.clusters.members,
-                  view.clusters.segment, view.clusters.coeffs,
-                  *view.targets, view.truths]
+                  view.clusters.coeffs, *view.targets, view.truths,
+                  view.inputs.receivers.order,
+                  *(array for layout in layouts for array in
+                    (layout.starts, layout.sizes, layout.ids))]
         for array in arrays:
             with pytest.raises(ValueError):
                 array[...] = 0
+
+    def test_receivers_group_the_messages_by_destination(self):
+        inputs = tn.graph_inputs(make_training_graph(seed=54,
+                                                     n_tracks=2)[1])
+        layout = inputs.receivers
+        grouped = inputs.dst[layout.order]
+        assert np.all(np.diff(grouped) >= 0)
+        assert layout.ids.tolist() == np.unique(inputs.dst).tolist()
+        assert grouped[layout.starts].tolist() == layout.ids.tolist()
+        # stable: each vertex's messages keep their order
+        for vertex in layout.ids:
+            rows = layout.order[grouped == vertex]
+            assert rows.tolist() == np.flatnonzero(
+                inputs.dst == vertex).tolist()
+
+    def test_full_scale_step_records_sixteen_tape_nodes(self, monkeypatch):
+        # one node per message-passing iteration and per head, the
+        # initial state, and the eight nodes of the losses and their sum
+        recorded = []
+        backward = Tape.backward
+
+        def counting(tape, loss):
+            recorded.append(len(tape._nodes))
+            backward(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", counting)
+        view = tn.training_view(make_training_graph(seed=54,
+                                                    n_tracks=10)[1])
+        tn.train_step(tn.Model(tn.ModelConfig(), seed=1), view,
+                      AdamState(lr=1e-3, weight_decay=1e-5))
+        assert recorded == [16]
 
     def test_train_step_without_truth_tracks(self):
         g = tiny_graph()
@@ -512,6 +546,20 @@ class TestInfer:
                            "component=encoded_box"):
             tn.infer(m, toy_graph)
 
+    def test_forward_only_outputs_equal_the_recording_pass(self):
+        g = make_training_graph(seed=76, n_tracks=3)[1]
+        m = tn.Model(small_config(), seed=7)
+        r = tn.infer(m, g, threshold=0.0)
+        out = forward(m, g)
+        assert r.class_prob.tobytes() == out.class_prob.data[:, 0].tobytes()
+        assert r.final_state.tobytes() == out.final_state.data.tobytes()
+        clusters = [np.flatnonzero(g.hits.particle_id == pid)
+                    for pid in g.tracks.particle_id]
+        assert tn.cluster_params_from_states(
+            m, r.final_state, clusters, g).tobytes() == \
+            tn.predict_cluster_params(m, out.final_state, tn.cluster_features(
+                clusters, g)).data.tobytes()
+
     def test_leaves_no_reference_cycles(self, toy_graph):
         # forward-only tapes are released, so refcounting frees them and
         # peak memory does not wait on the cyclic GC
@@ -565,9 +613,14 @@ class TestGradientVector:
         m = tn.Model(small_config(), seed=2)
         assert m.grad.shape == m.flat.shape
         assert np.array_equal(m.grad, np.zeros_like(m.flat))
-        assert list(m.grads) == list(m.params)
-        for name, p in m.params.items():
-            g = m.grads[name]
+        assert list(m.layers) == list(m.config.blocks)
+        names = [name for prefix, spec in m.config.blocks.items()
+                 for w, b, _, _ in spec.layers(prefix) for name in (w, b)]
+        slots = [slot for layers in m.layers.values()
+                 for layer in layers for slot in zip(layer[:2], layer[2:])]
+        assert len(slots) == len(names) == len(m.params)
+        for name, (p, g) in zip(names, slots):
+            assert p is m.params[name]
             assert g.shape == p.shape and np.shares_memory(g, m.grad)
             assert byte_offset(g, m.grad) == byte_offset(p, m.flat)
 
