@@ -155,9 +155,13 @@ def decode_table(doc, kinds: dict) -> list[np.ndarray]:
 
 def number(value, kind: type = float):
     """`value` as `kind` if it is a JSON number of that kind, else
-    ConsistencyError."""
+    ConsistencyError; so is an int past the float range read as a
+    float."""
     found = type(value)
     if found is bool or not issubclass(found, _NUMBER_TYPES[kind]):
         raise ConsistencyError(f"expected {kind.__name__}, found "
                                f"{found.__name__}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError as err:
+        raise ConsistencyError(f"{kind.__name__} out of range") from err

@@ -9,8 +9,9 @@ The ops that do the work run on arrays: each returns its value and a
 backward that maps the value's gradient to its input's gradient, adding
 any weight gradients into their slots as it goes.  `record` makes one
 node of such an op over a Var.  A dense stack (`mlp`) is one op, and so
-is a whole message-passing iteration (`message_passing`); the losses
-live in `nn` and record their own nodes through `Tape.node`.
+is a whole message-passing iteration (`message_passing`).  The losses
+in `nn` are array ops too; `tracknet.total_loss` records their weighted
+sum as one node through `Tape.node`.
 
 A tape used as a context manager (`with Tape() as tape`) is forward
 only: its Vars hold no gradient and it keeps no node, so each op's
@@ -88,35 +89,6 @@ class Tape:
 
     def __exit__(self, *exc) -> None:
         pass
-
-
-def _same_tape(*vars_: Var) -> Tape:
-    tape = vars_[0].tape
-    for v in vars_[1:]:
-        if v.tape is not tape:
-            raise StateError("operands recorded on different tapes")
-    return tape
-
-
-def add(a: Var, b: Var) -> Var:
-    """Elementwise sum of two same-shape Vars."""
-    tape = _same_tape(a, b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add needs equal shapes, got {a.data.shape} and "
-                         f"{b.data.shape}")
-
-    def backward(g):
-        a.grad += g
-        b.grad += g
-
-    return tape.node(a.data + b.data, backward)
-
-
-def scale(a: Var, s: float) -> Var:
-    def backward(g):
-        a.grad += g * s
-
-    return a.tape.node(a.data * s, backward)
 
 
 def record(x: Var, op) -> Var:

@@ -1,8 +1,8 @@
 """Dense layers, the pipeline losses and Adam.
 
-Each loss checks its inputs, takes the prediction as a Var and records
-itself as one autodiff node (`Tape.node`) with a closed-form backward: a
-scalar Var on the prediction's tape.
+Each loss is an array op like `autodiff.mlp`: it checks its inputs,
+takes the prediction as an array and returns its scalar value and a
+closed-form backward from the value's gradient to the prediction's.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 from ..errors import ConfigError, ShapeError
 from . import autodiff as ad
-from .autodiff import Var
 
 # probabilities clamp to [BCE_CLAMP, 1 - BCE_CLAMP] inside the BCE log
 BCE_CLAMP = 1e-12
@@ -63,30 +62,28 @@ def _column(x, name: str) -> np.ndarray:
     return arr
 
 
-def bce_loss(y_true, p: Var) -> Var:
+def bce_loss(y_true, p: np.ndarray):
     """Mean binary cross entropy of the (n, 1) probabilities `p`, clamped
     to [BCE_CLAMP, 1 - BCE_CLAMP]; the gradient passes only where p lies
     strictly inside."""
     y = _column(y_true, "y_true")
-    if p.data.shape != y.shape:
+    if p.shape != y.shape:
         raise ShapeError(f"labels shape {y.shape} vs predictions shape "
-                         f"{p.data.shape}")
+                         f"{p.shape}")
     lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
-    x = p.data
-    inside = (x > lo) & (x < hi)
-    ph = np.clip(x, lo, hi)
+    inside = (p > lo) & (p < hi)
+    ph = np.clip(p, lo, hi)
     q = ph * -1.0 + 1.0
     s = -1.0 / len(y)
 
     def backward(g):
         c = g * s
-        p.grad += ((c * (1.0 - y)) / q * -1.0 + (c * y) / ph) * inside
+        return ((c * (1.0 - y)) / q * -1.0 + (c * y) / ph) * inside
 
-    return p.tape.node(
-        np.sum(np.log(ph) * y + np.log(q) * (1.0 - y)) * s, backward)
+    return np.sum(np.log(ph) * y + np.log(q) * (1.0 - y)) * s, backward
 
 
-def huber_loss(pred: Var, target, mask) -> Var:
+def huber_loss(pred: np.ndarray, target, mask):
     """Masked Huber loss over encoded-box residuals d = pred - target.
 
     Each component costs d^2/2 inside |d| <= HUBER_DELTA and grows
@@ -96,25 +93,25 @@ def huber_loss(pred: Var, target, mask) -> Var:
     """
     target = np.asarray(target, dtype=float)
     mask_col = _column(mask, "mask")
-    if pred.data.shape != target.shape:
-        raise ShapeError(f"pred shape {pred.data.shape} vs target shape "
+    if pred.shape != target.shape:
+        raise ShapeError(f"pred shape {pred.shape} vs target shape "
                          f"{target.shape}")
-    if len(mask_col) != pred.data.shape[0]:
+    if len(mask_col) != pred.shape[0]:
         raise ShapeError(f"mask length {len(mask_col)} vs "
-                         f"{pred.data.shape[0]} vertices")
+                         f"{pred.shape[0]} vertices")
     delta = HUBER_DELTA
-    d = pred.data + -target
+    d = pred + -target
     absd = np.abs(d)
     h = np.where(absd <= delta, 0.5 * d * d, delta * (absd - 0.5 * delta))
-    s = 1.0 / pred.data.shape[0]
+    s = 1.0 / pred.shape[0]
 
     def backward(g):
-        pred.grad += ((g * s) * mask_col) * np.clip(d, -delta, delta)
+        return ((g * s) * mask_col) * np.clip(d, -delta, delta)
 
-    return pred.tape.node(np.sum(h * mask_col) * s, backward)
+    return np.sum(h * mask_col) * s, backward
 
 
-def mse_tracking_loss(pred: Var, truth, scales=(1.0, 1e-3)) -> Var:
+def mse_tracking_loss(pred: np.ndarray, truth, scales=(1.0, 1e-3)):
     """Sum of squared scaled residuals (pred - truth) / scales over the
     per-cluster (p_T, eps_T) pairs, divided by the cluster count; an
     empty cluster set costs 0."""
@@ -123,18 +120,18 @@ def mse_tracking_loss(pred: Var, truth, scales=(1.0, 1e-3)) -> Var:
         raise ConfigError("tracking loss scales must be positive")
     truth = np.asarray(truth, dtype=float).reshape(-1, 2)
     if len(truth) == 0:
-        return pred.tape.const(0.0)
-    if pred.data.shape != truth.shape:
-        raise ShapeError(f"pred shape {pred.data.shape} vs truth shape "
+        return 0.0, lambda g: np.zeros_like(pred)
+    if pred.shape != truth.shape:
+        raise ShapeError(f"pred shape {pred.shape} vs truth shape "
                          f"{truth.shape}")
     inv_scales = np.array([1.0 / c_pt, 1.0 / c_eps])
-    sc = (pred.data + -truth) * inv_scales
-    s = 1.0 / pred.data.shape[0]
+    sc = (pred + -truth) * inv_scales
+    s = 1.0 / pred.shape[0]
 
     def backward(g):
-        pred.grad += (((g * s) * 2.0) * sc) * inv_scales
+        return (((g * s) * 2.0) * sc) * inv_scales
 
-    return pred.tape.node(np.sum(sc * sc) * s, backward)
+    return np.sum(sc * sc) * s, backward
 
 
 @dataclass

@@ -18,7 +18,8 @@ Each iteration is one tape node: `autodiff.message_passing` runs h,
 the gather, f, the max over each vertex's messages and g with its
 residual on arrays, and keeps one backward for all of them.  The heads
 are one node each, the track-parameter head with its max over cluster
-members included; every block runs through `mlp_forward`.
+members included; every block runs through `mlp_forward`.  The three
+losses and their weighted sum are one more node (`total_loss`).
 
 The network reads a graph only through the `GraphInputs` that
 `graph_inputs` alone builds: the initial vertex states (z, layer), the
@@ -129,9 +130,13 @@ class Model:
     def __init__(self, config: ModelConfig, seed: int = 0,
                  flat: np.ndarray | None = None):
         self.config = config
-        self.flat = np.zeros(config.n_params) if flat is None else \
-            np.array(flat, dtype=float)
-        self.grad = np.zeros_like(self.flat)
+        try:
+            self.flat = np.zeros(config.n_params) if flat is None else \
+                np.array(flat, dtype=float)
+            self.grad = np.zeros_like(self.flat)
+        except MemoryError as err:
+            raise ConfigError(f"a model of {config.n_params} parameters "
+                              f"does not fit in memory") from err
         self.params: dict[str, np.ndarray] = {}
         self.layers: dict[str, list[tuple]] = {}
         rng = np.random.default_rng(seed) if flat is None else None
@@ -296,16 +301,25 @@ def build_targets(graph: Graph):
 def total_loss(outputs: VertexOutputs, targets, cluster_preds,
                cluster_truth, weights, tracking_scales=(1.0, 1e-3)):
     """Weighted sum of the classification, localization and tracking
-    losses; returns (total Var, per-component float breakdown)."""
+    losses as one node on the heads' tape; returns (total Var,
+    per-component float breakdown)."""
     y, target_enc = targets
     alpha, beta, gamma = weights
-    l_c = bce_loss(y, outputs.class_prob)
-    l_loc = huber_loss(outputs.encoded_box, target_enc, y)
-    l_t = mse_tracking_loss(cluster_preds, cluster_truth, tracking_scales)
-    total = ad.add(ad.add(ad.scale(l_c, alpha), ad.scale(l_loc, beta)),
-                   ad.scale(l_t, gamma))
-    components = {"l_c": float(l_c.data), "l_loc": float(l_loc.data),
-                  "l_t": float(l_t.data), "l_total": float(total.data)}
+    prob, box = outputs.class_prob, outputs.encoded_box
+    l_c, back_c = bce_loss(y, prob.data)
+    l_loc, back_loc = huber_loss(box.data, target_enc, y)
+    l_t, back_t = mse_tracking_loss(cluster_preds.data, cluster_truth,
+                                    tracking_scales)
+
+    def backward(g):
+        prob.grad += back_c(g * alpha)
+        box.grad += back_loc(g * beta)
+        cluster_preds.grad += back_t(g * gamma)
+
+    total = prob.tape.node(alpha * l_c + beta * l_loc + gamma * l_t,
+                           backward)
+    components = {"l_c": float(l_c), "l_loc": float(l_loc),
+                  "l_t": float(l_t), "l_total": float(total.data)}
     return total, components
 
 

@@ -262,7 +262,8 @@ BAD_VALUES = [
     ("generator", "n_events", 0),
     ("nms", "class_threshold", 1.5),
     ("model", "loss_weights", [1, -1, 1]),
-    ("training", "weight_decay", -1e-5)]
+    ("training", "weight_decay", -1e-5),
+    ("training", "lr", 10**400)]
 
 
 class TestConfig:
@@ -1006,6 +1007,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "data error" in err and "graph_00001.json" in err
         assert "column 'x' is not a [dtype, base64] pair" in err
+
+    def test_model_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        cfg_path = tiny_cli_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["model"] = {"hidden": 100_000_000}
+        cfg_path.write_text(json.dumps(cfg))
+        for cmd in STAGES[:STAGES.index("train")]:
+            assert main(["--config", str(cfg_path), cmd]) == 0
+        assert main(["--config", str(cfg_path), "train"]) == 2
+        err = capsys.readouterr().err
+        n_params = tracknet.ModelConfig(hidden=100_000_000).n_params
+        assert f"config error: a model of {n_params} parameters" in err
+        assert not (tmp_path / "out" / "checkpoint.json").exists()
 
     def test_run_log_has_graph_line_per_event(self, tmp_path):
         cfg_path = tiny_cli_config(tmp_path)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from trackseg.errors import ConsistencyError
 from trackseg.jsonio import (decode_table, encode_table, from_base64,
-                             to_base64)
+                             number, to_base64)
 
 KINDS = dict(k=int, v=float)
 # finite float64 values whose bytes are easy to get wrong
@@ -127,3 +127,10 @@ def test_to_base64_is_from_base64_inverse_on_floats():
     values = np.array(EXTREME_FLOATS)
     assert from_base64(to_base64(values, "<f8"), "<f8", "x").tobytes() == \
         values.tobytes()
+
+
+def test_number_rejects_an_int_past_the_float_range():
+    assert number(10**308) == 1e308
+    assert number(10**400, int) == 10**400
+    with pytest.raises(ConsistencyError, match="float out of range"):
+        number(10**400)

@@ -129,6 +129,13 @@ class TestForward:
         with pytest.raises(ConfigError):
             tn.ModelConfig(iterations=0)
 
+    def test_model_too_large_to_allocate(self):
+        # about 7e16 parameters: no address space holds them, so the
+        # allocation fails at once
+        cfg = tn.ModelConfig(hidden=100_000_000)
+        with pytest.raises(ConfigError, match=f"{cfg.n_params} parameters"):
+            tn.Model(cfg)
+
 
 class TestTotalLoss:
     def test_perfect_predictions(self, toy_graph):
@@ -320,11 +327,17 @@ def sweep_composite_gradients(graph, cfg, model_seed, element_cap=None,
 
 
 class TestEndToEndGradient:
-    def test_full_forward_and_loss_vs_finite_differences(self):
+    # unequal weights catch a weight routed to the wrong loss
+    @pytest.mark.parametrize("loss_weights", [(1.0, 1.0, 1.0),
+                                              (0.5, 2.0, 1.5)],
+                             ids=["unit", "unequal"])
+    def test_full_forward_and_loss_vs_finite_differences(self,
+                                                         loss_weights):
         _, graph = make_training_graph(seed=41, n_tracks=2,
                                        noise_fraction=0.2)
         assert graph.n_vertices <= 12
-        cfg = small_config(iterations=2, hidden=6)
+        cfg = small_config(iterations=2, hidden=6,
+                           loss_weights=loss_weights)
         worst, checked = sweep_composite_gradients(graph, cfg, model_seed=17,
                                                    element_cap=6)
         sampled = sum(min(6, p.size) for p in tn.Model(cfg).params.values())
@@ -450,9 +463,9 @@ class TestTrain:
             assert rows.tolist() == np.flatnonzero(
                 inputs.dst == vertex).tolist()
 
-    def test_full_scale_step_records_sixteen_tape_nodes(self, monkeypatch):
+    def test_full_scale_step_records_nine_tape_nodes(self, monkeypatch):
         # one node per message-passing iteration and per head, the
-        # initial state, and the eight nodes of the losses and their sum
+        # initial state, and one for the losses and their weighted sum
         recorded = []
         backward = Tape.backward
 
@@ -465,7 +478,7 @@ class TestTrain:
                                                     n_tracks=10)[1])
         tn.train_step(tn.Model(tn.ModelConfig(), seed=1), view,
                       AdamState(lr=1e-3, weight_decay=1e-5))
-        assert recorded == [16]
+        assert recorded == [9]
 
     def test_train_step_without_truth_tracks(self):
         g = tiny_graph()
