@@ -59,10 +59,6 @@ class ShapeError(TracksegError, ValueError):
     """Array shape mismatch; the message names both shapes."""
 
 
-class StateError(TracksegError, RuntimeError):
-    """Object used in an invalid lifecycle state (e.g. tape reuse)."""
-
-
 class NumericError(TracksegError):
     """Non-finite value during training; carries location diagnostics."""
 

@@ -1,3 +1,4 @@
-"""Self-contained differentiable core: a reverse-mode tape over numpy
-float64 arrays, dense layers, the pipeline losses and a deterministic
-Adam optimizer."""
+"""Self-contained differentiable core: array ops over numpy float64
+arrays that each return their value and backward, the reverse sweep
+over a chain of them, dense layers, the pipeline losses and a
+deterministic Adam optimizer."""

@@ -1,21 +1,15 @@
 """Minimal reverse-mode differentiation over numpy float64 arrays.
 
-A Tape records every Var in creation order, which is already a valid
-topological order, so the backward pass is a single reverse sweep.  All
-operations are deterministic; ties in max operations route the gradient
-to the lowest contributing row.
-
-The ops that do the work run on arrays: each returns its value and a
-backward that maps the value's gradient to its input's gradient, adding
-any weight gradients into their slots as it goes.  `record` makes one
-node of such an op over a Var.  A dense stack (`mlp`) is one op, and so
-is a whole message-passing iteration (`message_passing`).  The losses
-in `nn` are array ops too; `tracknet.total_loss` records their weighted
-sum as one node through `Tape.node`.
-
-A tape used as a context manager (`with Tape() as tape`) is forward
-only: its Vars hold no gradient and it keeps no node, so each op's
-intermediates are freed as soon as the op returns.
+Every op runs on arrays: it returns its value and a backward that maps
+the value's gradient to its input's gradient, adding any weight
+gradients into their slots as it goes.  A dense stack (`mlp`) is one
+op, and so is a whole message-passing iteration (`message_passing`);
+the losses in `nn` are array ops too.  A network is a chain of such
+ops, so a `Tape` needs no graph: it is the list of their backwards in
+forward order, and its sweep runs them last to first.  A caller that
+keeps no backward (inference) frees each op's intermediates as soon as
+the op returns.  All operations are deterministic; ties in max
+operations route the gradient to the lowest contributing row.
 """
 
 from __future__ import annotations
@@ -24,83 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeError, StateError
+from ..errors import ShapeError
 
 
-class Var:
-    """One node of the recorded computation: value, gradient slot (None
-    on a forward-only tape) and the closure that scatters its upstream
-    gradient to its parents."""
+class Tape(list):
+    """The backwards of a chain of ops, in forward order."""
 
-    __slots__ = ("data", "grad", "_backward", "tape")
-
-    def __init__(self, data: np.ndarray, tape: "Tape", backward=None):
-        self.data = data
-        self.grad = np.zeros_like(data) if tape.records else None
-        self._backward = backward
-        self.tape = tape
-
-
-class Tape:
-    """Operation recorder; one tape per forward/backward cycle."""
-
-    def __init__(self):
-        self._nodes: list[Var] = []
-        self._done = False
-        self.records = True
-
-    def node(self, data, backward=None) -> Var:
-        """Record a Var whose `backward` scatters its gradient to its
-        parents; None marks a value that routes no gradient.  A
-        forward-only tape keeps neither the Var nor its backward."""
-        v = Var(np.asarray(data, dtype=np.float64), self,
-                backward if self.records else None)
-        if self.records:
-            self._nodes.append(v)
-        return v
-
-    def const(self, data) -> Var:
-        """Wrap a value that needs no gradient routing."""
-        return self.node(data)
-
-    def backward(self, loss: Var) -> None:
-        """Reverse sweep from a scalar loss; may run once per tape."""
-        if not self.records:
-            raise StateError("forward-only tape records no gradients")
-        if self._done:
-            raise StateError("tape already used; build a new tape")
-        if loss.tape is not self:
-            raise StateError("loss does not belong to this tape")
-        if loss.data.size != 1:
-            raise ShapeError(f"backward needs a scalar loss, got shape "
-                             f"{loss.data.shape}")
-        self._done = True
-        loss.grad = np.ones_like(loss.data)
-        for node in reversed(self._nodes):
-            if node._backward is not None:
-                node._backward(node.grad)
-        # Vars point back at the tape: break the cycle so refcounting frees
-        self._nodes.clear()
-
-    def __enter__(self) -> "Tape":
-        """Make this tape forward-only."""
-        self.records = False
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-def record(x: Var, op) -> Var:
-    """One node over x for an array op: `op(x.data)` returns the value
-    and a backward from the value's gradient to x's, which the node adds
-    into `x.grad`.  A forward-only tape drops that backward at once."""
-    out, op_backward = op(x.data)
-
-    def backward(g):
-        x.grad += op_backward(g)
-
-    return x.tape.node(out, backward)
+    def backward(self, grad) -> None:
+        """Reverse sweep: run the backwards last to first, each on the
+        gradient the one after it returned, starting from `grad`, the
+        gradient of the chain's output; then drop them."""
+        for step in reversed(self):
+            grad = step(grad)
+        self.clear()
 
 
 def mlp(x: np.ndarray, layers: list[tuple], sigmoid_out: bool):

@@ -14,12 +14,15 @@ MLP shape, the parameter count, the layout of the flat parameter vector,
 the order of the initial draw and each block a forward pass runs come
 from it.  A loaded checkpoint becomes a model without any draw.
 
-Each iteration is one tape node: `autodiff.message_passing` runs h,
-the gather, f, the max over each vertex's messages and g with its
-residual on arrays, and keeps one backward for all of them.  The heads
-are one node each, the track-parameter head with its max over cluster
-members included; every block runs through `mlp_forward`.  The three
-losses and their weighted sum are one more node (`total_loss`).
+The network is a chain of array ops, each returning its value and
+its backward.  Each iteration is one op: `autodiff.message_passing`
+runs h, the gather, f, the max over each vertex's messages and g with
+its residual, and keeps one backward for all of them.  The two
+per-vertex heads share one backward, the track-parameter head with its
+max over cluster members is one op, and so are the three losses with
+their weighted sum (`total_loss`); every block runs through
+`mlp_forward`.  A train step puts the backwards on a `Tape`, T + 2 of
+them; inference keeps none.
 
 The network reads a graph only through the `GraphInputs` that
 `graph_inputs` alone builds: the initial vertex states (z, layer), the
@@ -39,7 +42,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -52,7 +55,7 @@ from .jsonio import (from_base64, number, parsing, read_json, to_base64,
                      write_json)
 from .kinematics import canonical_fits
 from .neural import autodiff as ad
-from .neural.autodiff import Segments, Tape, Var
+from .neural.autodiff import Segments, Tape
 from .neural.nn import (AdamState, MlpSpec, adam_step, bce_loss, huber_loss,
                         mlp_forward, mse_tracking_loss)
 
@@ -161,9 +164,9 @@ class Model:
 @dataclass
 class VertexOutputs:
     """Per-vertex head outputs."""
-    class_prob: Var
-    encoded_box: Var
-    final_state: Var
+    class_prob: np.ndarray
+    encoded_box: np.ndarray
+    final_state: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -198,29 +201,40 @@ def graph_inputs(graph: Graph) -> GraphInputs:
 
 def gnn_forward(model: Model, inputs: GraphInputs,
                 tape: Tape | None = None) -> VertexOutputs:
-    """Run the T message-passing iterations, one tape node each, and the
-    per-vertex heads.  Isolated vertices receive a zero aggregate."""
-    tape = tape if tape is not None else Tape()
-    s = tape.const(inputs.state)
+    """Run the T message-passing iterations and the per-vertex heads.
+    Given a tape, appends each iteration's backward, then the heads'
+    backward, which maps (g_prob, g_box, g_state) to the final states'
+    gradient; without one, each op's backward is dropped as it returns.
+    Isolated vertices receive a zero aggregate."""
+    s = inputs.state
     for t in range(1, model.config.iterations + 1):
-        s = ad.record(s, partial(
-            ad.message_passing, src=inputs.src, dst=inputs.dst,
-            coord_diff=inputs.coord_diff, receivers=inputs.receivers,
-            h=_op(model, f"h{t}."), f=_op(model, f"f{t}."),
-            g=_op(model, f"g{t}.")))
-    return VertexOutputs(_block(model, "cls.", s), _block(model, "loc.", s),
-                         s)
+        s = _kept(tape, ad.message_passing(
+            s, inputs.src, inputs.dst, inputs.coord_diff, inputs.receivers,
+            _op(model, f"h{t}."), _op(model, f"f{t}."), _op(model, f"g{t}.")))
+    prob, cls_backward = _op(model, "cls.")(s)
+    box, loc_backward = _op(model, "loc.")(s)
+    if tape is not None:
+        def heads_backward(grads):
+            g_prob, g_box, g_state = grads
+            return g_state + loc_backward(g_box) + cls_backward(g_prob)
+
+        tape.append(heads_backward)
+    return VertexOutputs(prob, box, s)
+
+
+def _kept(tape: Tape | None, op_output):
+    """The value of an op's (value, backward) pair, its backward appended
+    to the tape if there is one and dropped here otherwise."""
+    value, backward = op_output
+    if tape is not None:
+        tape.append(backward)
+    return value
 
 
 def _op(model: Model, prefix: str):
     """The block `prefix` of the model's table as an array op."""
     spec = model.config.blocks[prefix]
     return lambda x: mlp_forward(spec, model, x, prefix)
-
-
-def _block(model: Model, prefix: str, x: Var) -> Var:
-    """The block `prefix` of the model's table applied to x."""
-    return ad.record(x, _op(model, prefix))
 
 
 @dataclass(frozen=True)
@@ -250,41 +264,34 @@ def cluster_features(clusters, graph: Graph) -> ClusterFeatures:
         np.nan_to_num(coeffs, nan=0.0))
 
 
-def predict_cluster_params(model: Model, final_state: Var,
-                           clusters: ClusterFeatures) -> Var:
-    """Track-parameter head over a set of vertex clusters, one tape node.
+def predict_cluster_params(model: Model, final_state: np.ndarray,
+                           clusters: ClusterFeatures):
+    """Track-parameter head over a set of vertex clusters, one array op.
 
     Features per cluster: its parabola coefficients and the componentwise
-    max of its member final states.  Returns a (n_clusters, 2) Var of
-    (p_T, eps_T).
+    max of its member final states.  Returns the (n_clusters, 2) rows of
+    (p_T, eps_T) and their backward to the final states' gradient.
     """
-    head = _op(model, "trk.")
     n_coeffs = clusters.coeffs.shape[1]
+    state_max, max_backward = ad.segment_max(final_state[clusters.members],
+                                             clusters.segments)
+    out, head_backward = _op(model, "trk.")(
+        np.concatenate([clusters.coeffs, state_max], axis=1))
 
-    def op(x):
-        state_max, max_backward = ad.segment_max(x[clusters.members],
-                                                 clusters.segments)
-        out, head_backward = head(np.concatenate([clusters.coeffs,
-                                                  state_max], axis=1))
+    def backward(g):
+        grad = np.zeros_like(final_state)
+        np.add.at(grad, clusters.members,
+                  max_backward(head_backward(g)[:, n_coeffs:]))
+        return grad
 
-        def backward(g):
-            grad = np.zeros_like(x)
-            np.add.at(grad, clusters.members,
-                      max_backward(head_backward(g)[:, n_coeffs:]))
-            return grad
-
-        return out, backward
-
-    return ad.record(final_state, op)
+    return out, backward
 
 
 def cluster_params_from_states(model: Model, final_state: np.ndarray,
                                clusters, graph: Graph) -> np.ndarray:
     """Gradient-free entry to the head for an inference pass's states."""
-    with Tape() as tape:
-        return predict_cluster_params(model, tape.const(final_state),
-                                      cluster_features(clusters,
-                                                       graph)).data
+    return predict_cluster_params(model, final_state,
+                                  cluster_features(clusters, graph))[0]
 
 
 def build_targets(graph: Graph):
@@ -301,26 +308,20 @@ def build_targets(graph: Graph):
 def total_loss(outputs: VertexOutputs, targets, cluster_preds,
                cluster_truth, weights, tracking_scales=(1.0, 1e-3)):
     """Weighted sum of the classification, localization and tracking
-    losses as one node on the heads' tape; returns (total Var,
-    per-component float breakdown)."""
+    losses as one array op; returns the total, the per-component float
+    breakdown and the backward from the total's gradient to those of
+    (class_prob, encoded_box, cluster_preds)."""
     y, target_enc = targets
     alpha, beta, gamma = weights
-    prob, box = outputs.class_prob, outputs.encoded_box
-    l_c, back_c = bce_loss(y, prob.data)
-    l_loc, back_loc = huber_loss(box.data, target_enc, y)
-    l_t, back_t = mse_tracking_loss(cluster_preds.data, cluster_truth,
+    l_c, back_c = bce_loss(y, outputs.class_prob)
+    l_loc, back_loc = huber_loss(outputs.encoded_box, target_enc, y)
+    l_t, back_t = mse_tracking_loss(cluster_preds, cluster_truth,
                                     tracking_scales)
-
-    def backward(g):
-        prob.grad += back_c(g * alpha)
-        box.grad += back_loc(g * beta)
-        cluster_preds.grad += back_t(g * gamma)
-
-    total = prob.tape.node(alpha * l_c + beta * l_loc + gamma * l_t,
-                           backward)
+    total = alpha * l_c + beta * l_loc + gamma * l_t
     components = {"l_c": float(l_c), "l_loc": float(l_loc),
-                  "l_t": float(l_t), "l_total": float(total.data)}
-    return total, components
+                  "l_t": float(l_t), "l_total": float(total)}
+    return total, components, lambda g: (
+        back_c(g * alpha), back_loc(g * beta), back_t(g * gamma))
 
 
 @dataclass(frozen=True)
@@ -372,16 +373,24 @@ def train_step(model: Model, view: TrainingView, state: AdamState):
     learns independently of segmentation quality.
     """
     model.grad.fill(0.0)
-    outputs = gnn_forward(model, view.inputs)
-    cluster_preds = predict_cluster_params(model, outputs.final_state,
-                                           view.clusters)
-    total, components = total_loss(outputs, view.targets, cluster_preds,
-                                   view.truths, model.config.loss_weights)
+    tape = Tape()
+    outputs = gnn_forward(model, view.inputs, tape)
+    cluster_preds, head_backward = predict_cluster_params(
+        model, outputs.final_state, view.clusters)
+    _, components, loss_backward = total_loss(
+        outputs, view.targets, cluster_preds, view.truths,
+        model.config.loss_weights)
     for name, value in components.items():
         if not math.isfinite(value):
             raise NumericError("non-finite loss",
                                graph_id=view.graph.event_id, component=name)
-    total.tape.backward(total)
+
+    def backward(g):
+        g_prob, g_box, g_preds = loss_backward(g)
+        return g_prob, g_box, head_backward(g_preds)
+
+    tape.append(backward)
+    tape.backward(np.ones(()))
     adam_step(state, model.flat, model.grad)
     return components
 
@@ -438,11 +447,10 @@ def infer(model: Model, graph: Graph,
     call.  A non-finite class probability or encoded box, or a box that
     decodes to no valid ellipse, raises NumericError naming the graph and
     the output."""
-    with Tape() as tape:
-        outputs = gnn_forward(model, graph_inputs(graph), tape)
-    prob = outputs.class_prob.data[:, 0]
-    boxes = outputs.encoded_box.data
-    final_state = outputs.final_state.data
+    outputs = gnn_forward(model, graph_inputs(graph))
+    prob = outputs.class_prob[:, 0]
+    boxes = outputs.encoded_box
+    final_state = outputs.final_state
     for name, values in (("class_prob", prob), ("encoded_box", boxes)):
         if not np.all(np.isfinite(values)):
             raise NumericError("non-finite inference output",

@@ -6,25 +6,13 @@ or by clipping every polygon edge against every half-plane, ellipse
 membership from the raw quadratic form, box decoding one value at a
 time, the segment max by np.maximum.at and a row-by-row search for the
 winners, plain message passing vertex by vertex, the initial parameters
-from the layer widths written out, the parabola fit one set at a time
-through a matrix product, and the gradient checks reduce to a scalar
-through a test-local node.
+from the layer widths written out, and the parabola fit one set at a
+time through a matrix product.
 """
 
 import math
 
 import numpy as np
-
-
-def weighted_sum(v, w):
-    """Scalar sum(v * w) recorded on v's tape as one node: a linear
-    reducer for gradient checks of the autodiff ops."""
-    w = np.asarray(w, dtype=float)
-
-    def backward(g):
-        v.grad += g * w
-
-    return v.tape.node(np.sum(v.data * w), backward)
 
 
 def segment_max_oracle(rows, segment_ids, n):

@@ -17,13 +17,13 @@ import pytest
 
 from conftest import decoded, ellipse, make_training_graph
 from oracles import (brute_force_dbscan, monte_carlo_iou, partition_of,
-                     plain_message_passing, sample_circle, weighted_sum)
+                     plain_message_passing, sample_circle)
 from test_ellipses import iou
 from test_events import HITS_CSV, write_trackml
 from test_harness import tiny_cli_config, truth_identity_prediction
 from test_postprocess import rows_of
-from test_neural import (check_op_gradient, message_passing_builds,
-                         mlp_gradient_builds)
+from test_neural import (check_op_gradient, message_passing_ops,
+                         mlp_gradient_ops)
 from test_tracknet import small_config, sweep_composite_gradients
 from trackseg import tracknet as tn
 from trackseg.ellipses import check_ellipses, decode_box, encode_box, mvee
@@ -208,10 +208,9 @@ def test_criterion_5_gradient_checks():
     start = time.perf_counter()
     rng = np.random.default_rng(104)
 
-    # every public op and the three losses, each through `record`,
-    # against central differences;
-    # constants are drawn once so the perturbed evaluations see the same
-    # function
+    # every public op and the three losses against central differences
+    # of sum(w * op(x)); constants are drawn once so the perturbed
+    # evaluations see the same function
     mix = rng.normal(0, 1, (4, 2))
     segments = ad.Segments.of([0, 1, 0, 1], 2)
     # [x, W0, b0, ...]: ReLU layers 3 -> 4 -> 4 -> 2 with an identity
@@ -220,8 +219,8 @@ def test_criterion_5_gradient_checks():
                 ((4, 3), (3, 4), (4,), (4, 4), (4,), (4, 2), (2,))]
     sigmoid_net = [rng.normal(0, 1, shape) for shape in
                    ((4, 3), (3, 4), (4,), (4, 2), (2,))]
-    relu_builds = mlp_gradient_builds(relu_net, False, mix)
-    sigmoid_builds = mlp_gradient_builds(sigmoid_net, True, mix)
+    relu_ops = mlp_gradient_ops(relu_net, False)
+    sigmoid_ops = mlp_gradient_ops(sigmoid_net, True)
     # weights of the linear reducer of segment_max's output
     w23 = rng.normal(0, 1, (2, 3))
     labels = np.array([[1.0], [0.0], [0.0], [1.0]])
@@ -229,24 +228,24 @@ def test_criterion_5_gradient_checks():
     huber_x0 = np.array([[0.4, -0.3], [1.7, -2.5], [0.6, 2.2]])
     huber_mask = np.array([[1.0], [1.0], [0.0]])
     mse_truth = rng.normal(0, 1, (3, 2))
-    op_builds = {
-        **{f"mlp_relu_{name}": (relu_builds[k], relu_net[k])
+    # name -> (op, x0, w)
+    op_checks = {
+        **{f"mlp_relu_{name}": (relu_ops[k], relu_net[k], mix)
            for k, name in ((0, "x"), (3, "W1"), (6, "b2"))},
-        **{f"mlp_sigmoid_{name}": (sigmoid_builds[k], sigmoid_net[k])
+        **{f"mlp_sigmoid_{name}": (sigmoid_ops[k], sigmoid_net[k], mix)
            for k, name in ((0, "x"), (3, "W1"), (4, "b1"))},
-        "bce_loss": (lambda t, v: ad.record(v, partial(bce_loss, labels)),
-                     rng.uniform(0.1, 0.9, (4, 1))),
-        "huber_loss": (lambda t, v: ad.record(v, lambda a: huber_loss(
-            a, np.zeros((3, 2)), huber_mask)), huber_x0),
-        "mse_tracking_loss": (lambda t, v: ad.record(
-            v, lambda a: mse_tracking_loss(a, mse_truth, scales=(1.0, 2.0))),
-            rng.normal(0, 1, (3, 2))),
-        "segment_max": (lambda t, v: weighted_sum(ad.record(
-            v, lambda a: ad.segment_max(a, segments)), w23),
-            rng.normal(0, 1, (4, 3))),
+        "bce_loss": (partial(bce_loss, labels),
+                     rng.uniform(0.1, 0.9, (4, 1)), 1.0),
+        "huber_loss": (lambda a: huber_loss(a, np.zeros((3, 2)),
+                                            huber_mask), huber_x0, 1.0),
+        "mse_tracking_loss": (
+            lambda a: mse_tracking_loss(a, mse_truth, scales=(1.0, 2.0)),
+            rng.normal(0, 1, (3, 2)), 1.0),
+        "segment_max": (lambda a: ad.segment_max(a, segments),
+                        rng.normal(0, 1, (4, 3)), w23),
         # one fused iteration on a 4-vertex graph: the state and one
         # weight each of h, f and g
-        **message_passing_builds(104),
+        **message_passing_ops(104),
     }
     # the table must exercise every public op of the autodiff module, so
     # a new op cannot skip its finite-difference check
@@ -264,8 +263,8 @@ def test_criterion_5_gradient_checks():
     with pytest.MonkeyPatch.context() as patch:
         for name in public_ops:
             patch.setattr(ad, name, recording(name, getattr(ad, name)))
-        for name, (build, x0) in op_builds.items():
-            check_op_gradient(build, x0)
+        for op, x0, w in op_checks.values():
+            check_op_gradient(op, x0, w)
     assert exercised == public_ops, sorted(public_ops ^ exercised)
 
     # full gnn_forward + total_loss composite on a <= 12-vertex graph,
@@ -280,7 +279,7 @@ def test_criterion_5_gradient_checks():
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report("5 gradient checks",
-           f"({len(op_builds)} ops + {checked} composite params, worst "
+           f"({len(op_checks)} ops + {checked} composite params, worst "
            f"{worst:.1e}, {elapsed:.1f}s)")
 
 
@@ -307,13 +306,13 @@ def test_criterion_6_architecture_fidelity(toy_graph):
     eq1 = plain_message_passing(m.params, cfg.iterations, toy_graph)
     for a, b in zip((eq2.final_state, eq2.class_prob, eq2.encoded_box),
                     eq1):
-        assert np.max(np.abs(a.data - b)) <= 1e-12
+        assert np.max(np.abs(a - b)) <= 1e-12
 
     # residual connection: the zero network is a fixed point of the state
     m.flat[:] = 0.0
     out = tn.gnn_forward(m, inputs)
-    assert np.array_equal(out.final_state.data, inputs.state)
-    assert np.all(out.class_prob.data == 0.5)
+    assert np.array_equal(out.final_state, inputs.state)
+    assert np.all(out.class_prob == 0.5)
     report("6 architecture fidelity")
 
 

@@ -175,7 +175,8 @@ def test_every_assigned_attribute_is_read_outside_its_class():
 
 def test_attribute_check_sees_the_package_classes():
     found = {(cls, attr) for _, cls, attr, _, _ in assigned_attributes()}
-    assert {("Var", "data"), ("Model", "flat"), ("Model", "params")} <= found
+    assert {("Model", "layers"), ("Model", "flat"),
+            ("Model", "params")} <= found
     assert not any(cls.endswith("Error") for cls, _ in found)
 
 

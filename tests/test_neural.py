@@ -6,10 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import segment_max_oracle, weighted_sum
-from trackseg.errors import ConfigError, ShapeError, StateError
+from oracles import segment_max_oracle
+from trackseg.errors import ConfigError, ShapeError
 from trackseg.neural import autodiff as ad
-from trackseg.neural.autodiff import Segments, Tape
+from trackseg.neural.autodiff import Segments
 from trackseg.tracknet import ModelConfig
 from trackseg.neural.nn import (HUBER_DELTA, AdamState, MlpSpec, adam_step,
                                 bce_loss, huber_loss, mlp_forward,
@@ -28,77 +28,88 @@ def finite_difference(f, x0, h=1e-6):
     return g
 
 
-def check_op_gradient(build, x0, h=1e-6, tol=1e-6):
-    """build(tape, var) -> scalar Var; compares reverse-mode against
-    central differences."""
-    def value(x):
-        t = Tape()
-        v = t.const(x)
-        return float(build(t, v).data)
-
-    t = Tape()
-    v = t.const(x0)
-    loss = build(t, v)
-    t.backward(loss)
-    fd = finite_difference(value, x0, h)
-    assert np.allclose(v.grad, fd, rtol=tol, atol=tol), \
-        f"analytic {v.grad} vs fd {fd}"
+def check_op_gradient(op, x0, w, h=1e-6, tol=1e-6):
+    """Compares the backward of the array op `op` at x0, run on the
+    weights w, against central differences of sum(w * op(x)[0])."""
+    analytic = op(x0)[1](w)
+    fd = finite_difference(lambda x: float(np.sum(w * op(x)[0])), x0, h)
+    assert np.allclose(analytic, fd, rtol=tol, atol=tol), \
+        f"analytic {analytic} vs fd {fd}"
 
 
-def layer_slots(arrays, varied=None, v=None):
-    """(W, b, dW, db) layer tuples for arrays = [W0, b0, W1, b1, ...],
-    each with a zero gradient slot, except arrays[varied], which enters
-    as v's value with v's gradient slot as its dW or db."""
-    slots = [(v.data, v.grad) if k == varied else (a, np.zeros_like(a))
-             for k, a in enumerate(arrays)]
+def layers_of(slots):
+    """(W, b, dW, db) layer tuples for slots = [(W0, dW0), (b0, db0),
+    (W1, dW1), ...]."""
     return [(w, b, dw, db) for (w, dw), (b, db)
             in zip(slots[::2], slots[1::2])]
 
 
-def mlp_gradient_builds(arrays, sigmoid_out, mix):
-    """check_op_gradient builds of sum(mix * mlp(x)) for arrays = [x, W0,
-    b0, W1, b1, ...]: one per array, each varying that array."""
-    def build_for(which):
-        def build(t, v):
-            x = v if which == 0 else t.const(arrays[0])
-            layers = layer_slots(arrays[1:], which - 1, v)
-            return weighted_sum(ad.record(
-                x, lambda a: ad.mlp(a, layers, sigmoid_out)), mix)
-        return build
-    return [build_for(k) for k in range(len(arrays))]
+def layer_slots(arrays):
+    """(W, b, dW, db) layer tuples for arrays = [W0, b0, W1, b1, ...],
+    each with a zero gradient slot."""
+    return layers_of([(a, np.zeros_like(a)) for a in arrays])
 
 
-def message_passing_builds(seed):
-    """check_op_gradient builds of sum(mix * message_passing(x)) on a
-    4-vertex graph whose vertex 3 receives no message, with ReLU blocks
-    h 2 -> 3 -> 2, f 4 -> 3 -> 3 and g 5 -> 3 -> 2: name -> (build, x0),
+def slot_op(arrays, k, run):
+    """arrays[k] as the input of an array op: its value is run(slots)'s,
+    where slots pairs each of arrays, arrays[k] replaced by the input,
+    with a zero gradient slot, and its backward runs run's and returns
+    the input's slot."""
+    def op(a):
+        slots = [(a if i == k else b, np.zeros_like(b))
+                 for i, b in enumerate(arrays)]
+        out, backward = run(slots)
+
+        def slot_backward(g):
+            backward(g)
+            return slots[k][1]
+
+        return out, slot_backward
+    return op
+
+
+def mlp_gradient_ops(arrays, sigmoid_out):
+    """Array ops of mlp(x) for arrays = [x, W0, b0, W1, b1, ...]: one per
+    array, each a function of that array."""
+    x, params = arrays[0], arrays[1:]
+    return [lambda a: ad.mlp(a, layer_slots(params), sigmoid_out)] + [
+        slot_op(params, k, lambda slots: ad.mlp(x, layers_of(slots),
+                                                 sigmoid_out))
+        for k in range(len(params))]
+
+
+def message_passing_ops(seed):
+    """check_op_gradient arguments for message_passing(x) on a 4-vertex
+    graph whose vertex 3 receives no message, with ReLU blocks
+    h 2 -> 3 -> 2, f 4 -> 3 -> 3 and g 5 -> 3 -> 2: name -> (op, x0, w),
     varying the state and one weight each of h, f and g."""
     rng = np.random.default_rng(seed)
     src = np.array([1, 0, 2, 1, 0])
     dst = np.array([0, 2, 1, 2, 1])
     coord_diff = rng.normal(0, 1, (5, 2))
     receivers = Segments.of(dst, 4)
-    nets = {name: [rng.normal(0, 1, shape) for shape in
-                   ((fan_in, 3), (3,), (3, fan_out), (fan_out,))]
-            for name, fan_in, fan_out in (("h", 2, 2), ("f", 4, 3),
-                                          ("g", 5, 2))}
+    # [h W0, h b0, h W1, h b1, f W0, ..., g b1]
+    params = [rng.normal(0, 1, shape)
+              for fan_in, fan_out in ((2, 2), (4, 3), (5, 2))
+              for shape in ((fan_in, 3), (3,), (3, fan_out), (fan_out,))]
     x0 = rng.normal(0, 1, (4, 2))
     mix = rng.normal(0, 1, (4, 2))
 
-    def build_for(varied, k):
-        def build(t, v):
-            x = v if varied is None else t.const(x0)
-            h, f, g = (partial(ad.mlp, layers=layer_slots(
-                nets[name], k if name == varied else None, v),
-                sigmoid_out=False) for name in "hfg")
-            return weighted_sum(ad.record(x, lambda a: ad.message_passing(
-                a, src, dst, coord_diff, receivers, h, f, g)), mix)
-        return build
+    def run(x, slots):
+        h, f, g = (partial(ad.mlp, layers=layers_of(slots[4 * j:4 * j + 4]),
+                           sigmoid_out=False) for j in range(3))
+        return ad.message_passing(x, src, dst, coord_diff, receivers, h, f,
+                                  g)
 
-    return {"message_passing_x": (build_for(None, None), x0),
-            "message_passing_h_W0": (build_for("h", 0), nets["h"][0]),
-            "message_passing_f_W1": (build_for("f", 2), nets["f"][2]),
-            "message_passing_g_b0": (build_for("g", 1), nets["g"][1])}
+    def weight(k):
+        return (slot_op(params, k, partial(run, x0)), params[k], mix)
+
+    return {"message_passing_x": (
+                lambda a: run(a, [(p, np.zeros_like(p)) for p in params]),
+                x0, mix),
+            "message_passing_h_W0": weight(0),
+            "message_passing_f_W1": weight(6),
+            "message_passing_g_b0": weight(9)}
 
 
 def weights(spec, **arrays):
@@ -114,17 +125,15 @@ class TestPrimitiveGradients:
         w = rng.normal(0, 1, (3, 2))
         rng_fixed = rng.normal(0, 1, (4, 2))
         arrays = [rng.normal(0, 1, (4, 3)), w, rng.normal(0, 1, 2)]
-        for build, x0 in zip(mlp_gradient_builds(arrays, False, rng_fixed),
-                             arrays):
-            check_op_gradient(build, x0)
+        for op, x0 in zip(mlp_gradient_ops(arrays, False), arrays):
+            check_op_gradient(op, x0, rng_fixed)
 
     def test_relu_away_from_kink(self):
         # identity layers: the hidden pre-activation is x0 itself
         x0 = np.array([[0.5, -0.7], [1.2, -0.1]])
         arrays = [x0, np.eye(2), np.zeros(2), np.eye(2), np.zeros(2)]
-        for build, a in zip(mlp_gradient_builds(arrays, False,
-                                                np.ones((2, 2))), arrays):
-            check_op_gradient(build, a)
+        for op, a in zip(mlp_gradient_ops(arrays, False), arrays):
+            check_op_gradient(op, a, np.ones((2, 2)))
 
     def test_sigmoid(self):
         # identity layer: the sigmoid's input is x0 itself
@@ -132,8 +141,8 @@ class TestPrimitiveGradients:
         x0 = rng.normal(0, 2, (4, 3))
         arrays = [x0, np.eye(3), np.zeros(3)]
         mix = rng.normal(0, 1, (4, 3))
-        for build, a in zip(mlp_gradient_builds(arrays, True, mix), arrays):
-            check_op_gradient(build, a)
+        for op, a in zip(mlp_gradient_ops(arrays, True), arrays):
+            check_op_gradient(op, a, mix)
 
     # the losses below run under a weight, so their upstream gradient is
     # not 1
@@ -141,8 +150,7 @@ class TestPrimitiveGradients:
     def test_log_clip_interior(self):
         x0 = np.array([[0.3], [0.6], [0.9], [0.2]])
         y = np.array([[1.0], [0.0], [0.0], [1.0]])
-        check_op_gradient(lambda t, v: weighted_sum(
-            ad.record(v, partial(bce_loss, y)), 0.7), x0)
+        check_op_gradient(partial(bce_loss, y), x0, 0.7)
 
     def test_clip_blocks_gradient_outside(self):
         # 1.0 lies beyond the clamp at 1 - BCE_CLAMP
@@ -154,44 +162,33 @@ class TestPrimitiveGradients:
         # the last row is masked out: zero gradient
         x0 = np.array([[0.4, -0.3], [1.7, -2.5], [0.6, 2.2]])
         mask = np.array([[1.0], [1.0], [0.0]])
-        check_op_gradient(lambda t, v: weighted_sum(ad.record(
-            v, lambda a: huber_loss(a, np.zeros((3, 2)), mask)), 0.7), x0)
+        check_op_gradient(lambda a: huber_loss(a, np.zeros((3, 2)), mask),
+                          x0, 0.7)
 
     def test_scaled_mse(self):
         # the default tracking scales (1, 1e-3)
         rng = np.random.default_rng(5)
         truth = rng.normal(0, 1, (3, 2))
         x0 = truth + 1e-3 * rng.normal(0, 1, (3, 2))
-        check_op_gradient(lambda t, v: weighted_sum(
-            ad.record(v, lambda a: mse_tracking_loss(a, truth)), 0.7), x0)
+        check_op_gradient(lambda a: mse_tracking_loss(a, truth), x0, 0.7)
 
     def test_segment_max_gradient_routing(self):
         # upstream gradient flows only to the argmax entries
         x0 = np.array([[1.0, 2.0], [3.0, 0.5], [0.2, 0.9]])
-        t = Tape()
-        v = t.const(x0)
-        out = ad.record(v, lambda a: ad.segment_max(
-            a, Segments.of([0, 0, 1], 2)))
-        t.backward(weighted_sum(out, np.ones((2, 2))))
+        _, backward = ad.segment_max(x0, Segments.of([0, 0, 1], 2))
         expected = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        assert np.array_equal(v.grad, expected)
+        assert np.array_equal(backward(np.ones((2, 2))), expected)
 
     def test_segment_max_finite_difference(self):
         rng = np.random.default_rng(4)
         segments = Segments.of([0, 1, 0, 1, 0], 2)
         x0 = rng.normal(0, 1, (5, 3))
         w = rng.normal(0, 1, (2, 3))
+        check_op_gradient(lambda a: ad.segment_max(a, segments), x0, w)
 
-        def build(t, v):
-            return weighted_sum(ad.record(
-                v, lambda a: ad.segment_max(a, segments)), w)
-
-        check_op_gradient(build, x0)
-
-    @pytest.mark.parametrize("name", list(message_passing_builds(0)))
+    @pytest.mark.parametrize("name", list(message_passing_ops(0)))
     def test_message_passing_finite_difference(self, name):
-        build, x0 = message_passing_builds(11)[name]
-        check_op_gradient(build, x0)
+        check_op_gradient(*message_passing_ops(11)[name])
 
 
 def max_aggregate(features, segment_ids, num_segments):
@@ -348,20 +345,6 @@ class TestMlp:
     def test_bad_spec(self):
         with pytest.raises(ConfigError):
             MlpSpec((3,))
-
-    def test_one_tape_node_per_call(self):
-        spec = MlpSpec((3, 4, 4, 1), sigmoid_out=True)
-        t = Tape()
-        rng = np.random.default_rng(3)
-        params = weights(spec, **{
-            name: rng.uniform(-0.5, 0.5, shape)
-            for w, b, fan_in, fan_out in spec.layers()
-            for name, shape in ((w, (fan_in, fan_out)), (b, fan_out))})
-        x = t.const(np.ones((5, 3)))
-        for _ in range(2):
-            before = len(t._nodes)
-            ad.record(x, lambda a: mlp_forward(spec, params, a))
-            assert len(t._nodes) == before + 1
 
 
 def bce(y, p):
@@ -563,35 +546,3 @@ class TestAdam:
         with pytest.raises(ShapeError):
             adam_step(state, np.zeros(2), np.zeros(3))
         assert state.step == 0 and state.m is None
-
-
-class TestGradients:
-    def test_tape_reuse_rejected(self):
-        t = Tape()
-        v = t.const(np.array([1.0]))
-        loss = weighted_sum(v, np.ones(1))
-        t.backward(loss)
-        with pytest.raises(StateError):
-            t.backward(loss)
-        # a tape ended by its context manager is used up as well
-        with Tape() as t:
-            loss = weighted_sum(t.const(np.array([1.0, 2.0])), np.ones(2))
-        assert float(loss.data) == 3.0
-        with pytest.raises(StateError):
-            t.backward(loss)
-
-    def test_forward_only_tape_keeps_no_gradient(self):
-        # a tape used as a context manager allocates no gradient slot,
-        # records no node and refuses a backward sweep, also before it
-        # exits
-        with Tape() as t:
-            x = t.const(np.ones((3, 2)))
-            y = ad.record(x, lambda a: ad.segment_max(
-                a, Segments.of([0, 1, 1], 2)))
-            loss = weighted_sum(y, np.ones((2, 2)))
-            assert all(v.grad is None and v._backward is None
-                       for v in (x, y, loss))
-            assert t._nodes == []
-            with pytest.raises(StateError, match="forward-only"):
-                t.backward(loss)
-        assert float(loss.data) == 4.0

@@ -61,17 +61,17 @@ class TestForward:
     def test_zero_model_fixed_point(self, toy_graph):
         m = zero_model(small_config())
         out = forward(m, toy_graph)
-        assert np.all(out.class_prob.data == 0.5)
-        assert np.array_equal(out.final_state.data,
+        assert np.all(out.class_prob == 0.5)
+        assert np.array_equal(out.final_state,
                               tn.graph_inputs(toy_graph).state)
-        assert np.all(out.encoded_box.data == 0.0)
+        assert np.all(out.encoded_box == 0.0)
 
     def test_single_vertex_graph(self):
         g = tiny_graph(n=1, edges=())
         m = tn.Model(small_config(), seed=3)
         out = forward(m, g)
-        assert out.class_prob.data.shape == (1, 1)
-        assert 0.0 < out.class_prob.data[0, 0] < 1.0
+        assert out.class_prob.shape == (1, 1)
+        assert 0.0 < out.class_prob[0, 0] < 1.0
 
     def test_permutation_equivariance(self):
         g = make_training_graph(seed=31, n_tracks=4)[1]
@@ -85,9 +85,9 @@ class TestForward:
             g, hits=g.hits.take(perm),
             edges=np.sort(inv[g.edges], axis=1) if g.n_edges else g.edges)
         pout = forward(m, pg)
-        assert np.allclose(pout.final_state.data, out.final_state.data[perm],
+        assert np.allclose(pout.final_state, out.final_state[perm],
                            atol=1e-12)
-        assert np.allclose(pout.class_prob.data, out.class_prob.data[perm],
+        assert np.allclose(pout.class_prob, out.class_prob[perm],
                            atol=1e-12)
 
     def test_auto_registration_off_equals_zero_h(self, toy_graph):
@@ -100,7 +100,7 @@ class TestForward:
                                       toy_graph)
         for a, b in zip((out.final_state, out.class_prob, out.encoded_box),
                         plain):
-            assert np.max(np.abs(a.data - b)) <= 1e-12
+            assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_per_iteration_parameters_distinct(self):
         m = tn.Model(small_config(iterations=3))
@@ -142,13 +142,10 @@ class TestTotalLoss:
         m = tn.Model(small_config(), seed=9)
         out = forward(m, toy_graph)
         y, enc = tn.build_targets(toy_graph)
-        tape = out.final_state.tape
-        perfect = tn.VertexOutputs(
-            class_prob=tape.const(y[:, None]),
-            encoded_box=tape.const(enc),
-            final_state=out.final_state)
-        preds = tape.const(np.array([[2.0, 1e-4]]))
-        total, comps = tn.total_loss(perfect, (y, enc), preds,
+        perfect = tn.VertexOutputs(class_prob=y[:, None], encoded_box=enc,
+                                   final_state=out.final_state)
+        preds = np.array([[2.0, 1e-4]])
+        _, comps, _ = tn.total_loss(perfect, (y, enc), preds,
                                      [(2.0, 1e-4)], m.config.loss_weights)
         assert comps["l_total"] == pytest.approx(0.0, abs=1e-9)
 
@@ -156,23 +153,22 @@ class TestTotalLoss:
         m = tn.Model(small_config(), seed=10)
         out = forward(m, toy_graph)
         targets = tn.build_targets(toy_graph)
-        tape = out.final_state.tape
-        p1 = tape.const(np.array([[5.0, 1.0]]))
-        p2 = tape.const(np.array([[-3.0, 2.0]]))
-        t1, _ = tn.total_loss(out, targets, p1, [(2.0, 1e-4)],
-                              weights=(1.0, 1.0, 0.0))
-        t2, _ = tn.total_loss(out, targets, p2, [(2.0, 1e-4)],
-                              weights=(1.0, 1.0, 0.0))
-        assert float(t1.data) == pytest.approx(float(t2.data), abs=1e-15)
+        p1 = np.array([[5.0, 1.0]])
+        p2 = np.array([[-3.0, 2.0]])
+        t1, _, _ = tn.total_loss(out, targets, p1, [(2.0, 1e-4)],
+                                 weights=(1.0, 1.0, 0.0))
+        t2, _, _ = tn.total_loss(out, targets, p2, [(2.0, 1e-4)],
+                                 weights=(1.0, 1.0, 0.0))
+        assert float(t1) == pytest.approx(float(t2), abs=1e-15)
 
     def test_weighted_sum(self):
         g = tiny_graph()
         m = tn.Model(small_config(), seed=11)
         out = forward(m, g)
         targets = tn.build_targets(g)
-        preds = out.final_state.tape.const(np.array([[2.0, 1e-4]]))
-        _, comps = tn.total_loss(out, targets, preds, [(2.5, 3e-4)],
-                                 weights=(1.0, 1.0, 1.0))
+        preds = np.array([[2.0, 1e-4]])
+        _, comps, _ = tn.total_loss(out, targets, preds, [(2.5, 3e-4)],
+                                    weights=(1.0, 1.0, 1.0))
         expected = comps["l_c"] + comps["l_loc"] + comps["l_t"]
         assert comps["l_total"] == pytest.approx(expected, rel=1e-12)
 
@@ -182,9 +178,9 @@ class TestTotalLoss:
         def total(weights):
             out = forward(m, toy_graph)
             targets = tn.build_targets(toy_graph)
-            preds = out.final_state.tape.const(np.array([[2.0, 1e-4]]))
-            _, comps = tn.total_loss(out, targets, preds, [(2.5, 3e-4)],
-                                     weights=weights)
+            preds = np.array([[2.0, 1e-4]])
+            _, comps, _ = tn.total_loss(out, targets, preds, [(2.5, 3e-4)],
+                                        weights=weights)
             return comps
 
         c1 = total((1.0, 0.0, 0.0))
@@ -204,10 +200,10 @@ class TestPredictClusterParams:
                 m.params[k][...] = 0.0
         m.params["trk.b1"][:] = [3.5, 2e-4]
         out = forward(m, g)
-        pred = tn.predict_cluster_params(
+        pred, _ = tn.predict_cluster_params(
             m, out.final_state, tn.cluster_features([[0, 1, 2, 3]],
                                                     g))
-        assert np.allclose(pred.data, [[3.5, 2e-4]])
+        assert np.allclose(pred, [[3.5, 2e-4]])
 
     def test_prompt_track_has_small_c2_feature(self):
         from trackseg.kinematics import canonical_fits
@@ -220,25 +216,25 @@ class TestPredictClusterParams:
         g = tiny_graph()
         m = tn.Model(small_config(), seed=14)
         out = forward(m, g)
-        pred = tn.predict_cluster_params(
+        pred, _ = tn.predict_cluster_params(
             m, out.final_state, tn.cluster_features([[0, 1]], g))
         # the parabola features are zeroed: only the state max is read
-        state_max = out.final_state.data[:2].max(axis=0)
+        state_max = out.final_state[:2].max(axis=0)
         feats = np.concatenate([np.zeros(3), state_max])[None]
         zero_fit, _ = mlp_forward(m.config.blocks["trk."], m, feats, "trk.")
-        assert np.array_equal(pred.data, zero_fit)
-        assert pred.data.shape == (1, 2)
+        assert np.array_equal(pred, zero_fit)
+        assert pred.shape == (1, 2)
 
     def test_output_shape(self):
         g = tiny_graph()
         m = tn.Model(small_config(), seed=15)
         out = forward(m, g)
-        pred = tn.predict_cluster_params(
+        pred, _ = tn.predict_cluster_params(
             m, out.final_state, tn.cluster_features([[0, 1, 2]], g))
-        assert pred.data.shape == (1, 2)
-        none = tn.predict_cluster_params(
+        assert pred.shape == (1, 2)
+        none, _ = tn.predict_cluster_params(
             m, out.final_state, tn.cluster_features([], g))
-        assert none.data.shape == (0, 2)
+        assert none.shape == (0, 2)
 
     def test_batched_matches_one_call_per_cluster(self):
         g = make_training_graph(seed=32, n_tracks=4)[1]
@@ -246,13 +242,13 @@ class TestPredictClusterParams:
         out = forward(m, g)
         clusters = [np.flatnonzero(g.hits.particle_id == pid)
                     for pid in g.tracks.particle_id] + [[0, 1], [2]]
-        batched = tn.predict_cluster_params(
+        batched, _ = tn.predict_cluster_params(
             m, out.final_state, tn.cluster_features(clusters, g))
-        assert batched.data.shape == (len(clusters), 2)
+        assert batched.shape == (len(clusters), 2)
         for k, vids in enumerate(clusters):
-            single = tn.predict_cluster_params(
+            single, _ = tn.predict_cluster_params(
                 m, out.final_state, tn.cluster_features([vids], g))
-            assert np.allclose(batched.data[k], single.data[0], rtol=1e-12,
+            assert np.allclose(batched[k], single[0], rtol=1e-12,
                                atol=0.0)
 
     def test_numpy_path_matches_tape_path(self):
@@ -260,26 +256,35 @@ class TestPredictClusterParams:
         m = tn.Model(small_config(), seed=16)
         out = forward(m, g)
         vids = [0, 1, 2, 3]
-        pred = tn.predict_cluster_params(
+        pred, _ = tn.predict_cluster_params(
             m, out.final_state, tn.cluster_features([vids], g))
         (pt, eps), = tn.cluster_params_from_states(
-            m, out.final_state.data, [vids], g)
-        assert pt == pytest.approx(pred.data[0, 0], rel=1e-12)
-        assert eps == pytest.approx(pred.data[0, 1], rel=1e-12)
+            m, out.final_state, [vids], g)
+        assert pt == pytest.approx(pred[0, 0], rel=1e-12)
+        assert eps == pytest.approx(pred[0, 1], rel=1e-12)
 
 
-def composite_loss(cfg, graph, flat):
+def composite_loss(cfg, graph, flat, tape=None):
     """Full gnn_forward + total_loss composite at the flat parameter
     vector `flat`, unit tracking scales so the finite-difference
-    comparison stays well conditioned.  Returns the loss Var and the
-    model, whose `grad` the reverse sweep fills."""
+    comparison stays well conditioned.  Returns the loss and the model;
+    given a tape, appends the composite's backwards, whose reverse sweep
+    fills the model's `grad`."""
     m = tn.Model(cfg)
     m.flat[:] = flat
     view = tn.training_view(graph)
-    out = tn.gnn_forward(m, view.inputs)
-    preds = tn.predict_cluster_params(m, out.final_state, view.clusters)
-    total, _ = tn.total_loss(out, view.targets, preds, view.truths,
-                             cfg.loss_weights, tracking_scales=(1.0, 1.0))
+    out = tn.gnn_forward(m, view.inputs, tape)
+    preds, head_backward = tn.predict_cluster_params(m, out.final_state,
+                                                     view.clusters)
+    total, _, loss_backward = tn.total_loss(
+        out, view.targets, preds, view.truths, cfg.loss_weights,
+        tracking_scales=(1.0, 1.0))
+    if tape is not None:
+        def backward(g):
+            g_prob, g_box, g_preds = loss_backward(g)
+            return g_prob, g_box, head_backward(g_preds)
+
+        tape.append(backward)
     return total, m
 
 
@@ -301,8 +306,9 @@ def sweep_composite_gradients(graph, cfg, model_seed, element_cap=None,
             model.params[k][...] = rng.uniform(0.01, 0.2,
                                                model.params[k].shape)
 
-    total, swept = composite_loss(cfg, graph, model.flat)
-    total.tape.backward(total)
+    tape = Tape()
+    _, swept = composite_loss(cfg, graph, model.flat, tape)
+    tape.backward(np.ones(()))
     grads = swept.grad
 
     rng2 = np.random.default_rng(seed)
@@ -318,7 +324,7 @@ def sweep_composite_gradients(graph, cfg, model_seed, element_cap=None,
             lp, _ = composite_loss(cfg, graph, flat)
             flat[offset + fi] -= 2 * h
             lm, _ = composite_loss(cfg, graph, flat)
-            fd = (float(lp.data) - float(lm.data)) / (2 * h)
+            fd = (float(lp) - float(lm)) / (2 * h)
             an = grads[offset + fi]
             worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-4))
             checked += 1
@@ -463,22 +469,22 @@ class TestTrain:
             assert rows.tolist() == np.flatnonzero(
                 inputs.dst == vertex).tolist()
 
-    def test_full_scale_step_records_nine_tape_nodes(self, monkeypatch):
-        # one node per message-passing iteration and per head, the
-        # initial state, and one for the losses and their weighted sum
+    def test_full_scale_step_runs_six_backwards(self, monkeypatch):
+        # one backward per message-passing iteration, one for the two
+        # per-vertex heads, and one for the losses with the track head
         recorded = []
         backward = Tape.backward
 
-        def counting(tape, loss):
-            recorded.append(len(tape._nodes))
-            backward(tape, loss)
+        def counting(tape, grad):
+            recorded.append(len(tape))
+            backward(tape, grad)
 
         monkeypatch.setattr(Tape, "backward", counting)
         view = tn.training_view(make_training_graph(seed=54,
                                                     n_tracks=10)[1])
         tn.train_step(tn.Model(tn.ModelConfig(), seed=1), view,
                       AdamState(lr=1e-3, weight_decay=1e-5))
-        assert recorded == [9]
+        assert recorded == [6]
 
     def test_train_step_without_truth_tracks(self):
         g = tiny_graph()
@@ -531,7 +537,7 @@ class TestInfer:
         g = make_training_graph(seed=75, n_tracks=3)[1]
         m = tn.Model(small_config(), seed=8)
         r = tn.infer(m, g, threshold=0.5)
-        boxes = forward(m, g).encoded_box.data
+        boxes = forward(m, g).encoded_box
         expected = [decode_box_row(boxes[i], (g.eta[i], g.phi[i]), SCALES)
                     if r.class_prob[i] >= 0.5 else None
                     for i in range(g.n_vertices)]
@@ -564,18 +570,24 @@ class TestInfer:
         m = tn.Model(small_config(), seed=7)
         r = tn.infer(m, g, threshold=0.0)
         out = forward(m, g)
-        assert r.class_prob.tobytes() == out.class_prob.data[:, 0].tobytes()
-        assert r.final_state.tobytes() == out.final_state.data.tobytes()
+        tape = Tape()
+        recorded = tn.gnn_forward(m, tn.graph_inputs(g), tape)
+        assert len(tape) == m.config.iterations + 1
+        for name in ("class_prob", "encoded_box", "final_state"):
+            assert getattr(out, name).tobytes() == \
+                getattr(recorded, name).tobytes()
+        assert r.class_prob.tobytes() == out.class_prob[:, 0].tobytes()
+        assert r.final_state.tobytes() == out.final_state.tobytes()
         clusters = [np.flatnonzero(g.hits.particle_id == pid)
                     for pid in g.tracks.particle_id]
         assert tn.cluster_params_from_states(
             m, r.final_state, clusters, g).tobytes() == \
             tn.predict_cluster_params(m, out.final_state, tn.cluster_features(
-                clusters, g)).data.tobytes()
+                clusters, g))[0].tobytes()
 
     def test_leaves_no_reference_cycles(self, toy_graph):
-        # forward-only tapes are released, so refcounting frees them and
-        # peak memory does not wait on the cyclic GC
+        # inference keeps no backward, so refcounting frees each op's
+        # intermediates and peak memory does not wait on the cyclic GC
         m = tn.Model(small_config(), seed=27)
         vids = list(range(toy_graph.n_vertices))
         gc.collect()
@@ -718,7 +730,7 @@ class TestCheckpoint:
         # the restored model produces identical outputs
         o1 = forward(m, g)
         o2 = forward(m2, g)
-        assert np.array_equal(o1.class_prob.data, o2.class_prob.data)
+        assert np.array_equal(o1.class_prob, o2.class_prob)
 
     def test_load_draws_nothing(self, tmp_path, monkeypatch):
         path = tmp_path / "ckpt.json"
