@@ -273,10 +273,11 @@ def ellipse_ious(seeds, others, stats: dict | None = None) -> np.ndarray:
     return out
 
 
-def mvee(point_sets, stats: dict | None = None) -> np.ndarray:
+def mvee(points, sizes, stats: dict | None = None) -> np.ndarray:
     """Minimum-area enclosing ellipse of each set of eta-phi points, as
     parameter rows (eta_c, phi_c, a, b, theta), (n, 5), canonical
-    (canonical_rows).
+    (canonical_rows); `points` holds the (eta, phi) rows of the sets one
+    set after another and `sizes` their counts, each at least 1.
 
     Solves Khachiyan's dual (see _khachiyan_ellipses) to MVEE_TOLERANCE,
     that is to rounding, then rescales the result so the farthest input
@@ -293,15 +294,14 @@ def mvee(point_sets, stats: dict | None = None) -> np.ndarray:
     alone.  `stats`, when given, gains the number of batched iterations
     under "iterations".
     """
-    sets = [np.asarray(p, dtype=float).reshape(-1, 2) for p in point_sets]
-    if not sets:
+    sizes = np.asarray(sizes, dtype=int)
+    if not len(sizes):
         return np.zeros((0, 5))
-    sizes = np.array([len(p) for p in sets])
     if np.any(sizes == 0):
         raise DomainError("mvee needs at least one point per set")
     valid = np.arange(sizes.max()) < sizes[:, None]
     pts = np.zeros(valid.shape + (2,))
-    pts[valid] = np.concatenate(sets)
+    pts[valid] = points
 
     phi_ref = circular_mean(pts[..., 1], where=valid)[:, None]
     flat = np.stack([pts[..., 0],
@@ -311,8 +311,8 @@ def mvee(point_sets, stats: dict | None = None) -> np.ndarray:
 
     # rows (eta_c, phi_c, a, b, theta); coincident sets keep the floor
     # circle, the others are filled in below
-    rows = np.column_stack([center, np.full((len(sets), 2), AXIS_FLOOR),
-                            np.zeros(len(sets))])
+    rows = np.column_stack([center, np.full((len(sizes), 2), AXIS_FLOOR),
+                            np.zeros(len(sizes))])
     solve = np.flatnonzero(np.abs(spread).max(axis=(1, 2)) >= 1e-12)
     iterations = 0
     if len(solve):

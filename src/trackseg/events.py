@@ -198,11 +198,12 @@ class Event:
         at = np.searchsorted(ids, pids, sorter=order)
         return np.where(pids == 0, -1, np.append(order, -1)[at])
 
-    def track_hits(self) -> list[np.ndarray]:
-        """The rows of each track's hits, ascending, in track order."""
+    def track_hits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the tracks' hits, track after track and ascending
+        within a track, and each track's hit count."""
         rows = self.track_row + 1  # 0 for noise
-        return np.split(np.argsort(rows, kind="stable"), np.cumsum(
-            np.bincount(rows, minlength=len(self.tracks) + 1)))[1:-1]
+        counts = np.bincount(rows, minlength=len(self.tracks) + 1)
+        return np.argsort(rows, kind="stable")[counts[0]:], counts[1:]
 
 
 def encode_event(e: Event, hits_key: str) -> dict:

@@ -194,12 +194,14 @@ def _cluster_edges(labels: np.ndarray) -> np.ndarray:
 
 
 def truth_ellipses(e: Event, stats: dict | None = None) -> np.ndarray:
-    """Minimum-area enclosing ellipse rows (mvee) of each truth track's
-    (eta, phi) hits, in track order, inflated by TARGET_PADDING on both
-    semi-axes.  Degenerate tracks (one hit, collinear hits) fall back to
-    the semi-axis floor.  `stats` is passed on to mvee."""
+    """Minimum-area enclosing ellipse rows (one mvee call over
+    Event.track_hits) of each truth track's (eta, phi) hits, in track
+    order, inflated by TARGET_PADDING on both semi-axes.  Degenerate
+    tracks (one hit, collinear hits) fall back to the semi-axis floor.
+    `stats` is passed on to mvee."""
     points = np.stack([e.hits.eta, e.hits.phi], axis=1)
-    rows = mvee([points[r] for r in e.track_hits()], stats)
+    hits, sizes = e.track_hits()
+    rows = mvee(points[hits], sizes, stats)
     rows[:, 2:4] *= TARGET_PADDING
     return rows
 

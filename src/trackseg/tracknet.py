@@ -248,14 +248,13 @@ class ClusterFeatures:
     coeffs: np.ndarray
 
 
-def cluster_features(clusters, graph: Graph) -> ClusterFeatures:
-    """The head's weight-independent inputs for a list of clusters of a
-    graph's vertices, the coefficients from one canonical_fits call over
-    the clusters' hits.  A cluster's coefficients are zero where its fit
+def cluster_features(members, sizes, graph: Graph) -> ClusterFeatures:
+    """The head's weight-independent inputs for clusters of a graph's
+    vertices, their member ids cluster after cluster and each cluster's
+    size, the coefficients from one canonical_fits call over the
+    clusters' hits.  A cluster's coefficients are zero where its fit
     gives NaN: fewer than 3 hits or a degenerate fit."""
-    sizes = list(map(len, clusters))
-    members = np.fromiter(chain.from_iterable(clusters), dtype=int,
-                          count=sum(sizes))
+    members = np.asarray(members, dtype=int)
     hits_xy = np.stack([graph.hits.x, graph.hits.y], axis=1)
     coeffs, _ = canonical_fits(hits_xy[members], sizes)
     return ClusterFeatures(
@@ -289,9 +288,14 @@ def predict_cluster_params(model: Model, final_state: np.ndarray,
 
 def cluster_params_from_states(model: Model, final_state: np.ndarray,
                                clusters, graph: Graph) -> np.ndarray:
-    """Gradient-free entry to the head for an inference pass's states."""
-    return predict_cluster_params(model, final_state,
-                                  cluster_features(clusters, graph))[0]
+    """Gradient-free entry to the head for an inference pass's states;
+    `clusters` holds each cluster's vertex ids, as a TrackCandidate's
+    member_vertex_ids does."""
+    sizes = list(map(len, clusters))
+    members = np.fromiter(chain.from_iterable(clusters), dtype=int,
+                          count=sum(sizes))
+    return predict_cluster_params(
+        model, final_state, cluster_features(members, sizes, graph))[0]
 
 
 def build_targets(graph: Graph):
@@ -356,7 +360,7 @@ def training_view(graph: Graph) -> TrainingView:
     """Build the training view of a graph."""
     view = TrainingView(
         graph, graph_inputs(graph),
-        cluster_features(graph.track_hits(), graph), build_targets(graph),
+        cluster_features(*graph.track_hits(), graph), build_targets(graph),
         np.stack([graph.tracks.pt, graph.tracks.eps_t], axis=1))
     for array in (*vars(view.inputs).values(),
                   *vars(view.clusters).values(), *view.targets,

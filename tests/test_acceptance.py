@@ -194,7 +194,7 @@ def test_criterion_4_ellipse_suite():
 
     # MVEE of the unit square corners
     (sq_eta, sq_phi, sq_a, sq_b, _), = mvee(
-        [np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])])
+        np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), [4])
     r = math.sqrt(2.0) / 2.0
     assert abs(sq_a - r) < 1e-3 and abs(sq_b - r) < 1e-3
     assert abs(sq_eta - 0.5) < 1e-3 and abs(sq_phi - 0.5) < 1e-3

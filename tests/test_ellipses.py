@@ -35,7 +35,7 @@ def decoded(d, vertex) -> tuple:
 def enclosing(pts) -> tuple:
     """The minimum-area enclosing ellipse of one point set, a valid
     parameter row."""
-    rows = mvee([pts])
+    rows = mvee(pts, [len(pts)])
     check_ellipses(rows, lambda k: "enclosing ellipse: ")
     return tuple(rows[0].tolist())
 
@@ -566,7 +566,13 @@ class TestMvee:
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            mvee([np.zeros((0, 2))])
+            mvee(np.zeros((0, 2)), [0])
+
+
+def batched(sets) -> tuple:
+    """The points of `sets` one set after another and each set's size,
+    mvee's layout."""
+    return np.concatenate([np.zeros((0, 2)), *sets]), list(map(len, sets))
 
 
 def mixed_point_sets(rng, n):
@@ -651,7 +657,7 @@ def assert_same_ellipse(got, want):
 class TestBatchedMvee:
     def test_matches_per_set_oracle(self):
         sets = mixed_point_sets(np.random.default_rng(31), 200)
-        for got, pts in zip(mvee(sets), sets):
+        for got, pts in zip(mvee(*batched(sets)), sets):
             assert_same_ellipse(got, mvee_oracle(pts, 1e-13, AXIS_FLOOR))
 
     @pytest.mark.parametrize("family", [thin_line, repeated_triangle,
@@ -666,7 +672,7 @@ class TestBatchedMvee:
         rng = np.random.default_rng(35)
         sets, exact = zip(*(family(rng) for _ in range(100)))
         stats = {}
-        rows = mvee(sets, stats)
+        rows = mvee(*batched(sets), stats)
         assert stats["iterations"] <= 100
         check_ellipses(rows, lambda k: f"set {k}: ")
         for row, pts, want in zip(rows, sets, exact):
@@ -677,22 +683,24 @@ class TestBatchedMvee:
 
     def test_every_point_inside_its_ellipse(self):
         sets = mixed_point_sets(np.random.default_rng(32), 200)
-        rows = mvee(sets)
+        rows = mvee(*batched(sets))
         check_ellipses(rows, lambda k: f"set {k}: ")
         for row, pts in zip(rows, sets):
             assert np.all(point_in_ellipse(row, (pts[:, 0], pts[:, 1])))
 
     def test_seeded_rerun_bit_identical(self):
-        first = mvee(mixed_point_sets(np.random.default_rng(33), 100))
-        again = mvee(mixed_point_sets(np.random.default_rng(33), 100))
+        first = mvee(*batched(mixed_point_sets(np.random.default_rng(33),
+                                               100)))
+        again = mvee(*batched(mixed_point_sets(np.random.default_rng(33),
+                                               100)))
         assert first.tobytes() == again.tobytes()
 
     def test_set_alone_equals_set_in_batch(self):
         sets = mixed_point_sets(np.random.default_rng(34), 50)
-        batch = mvee(sets)
+        batch = mvee(*batched(sets))
         for row, pts in zip(batch, sets):
-            assert mvee([pts])[0].tolist() == \
+            assert mvee(pts, [len(pts)])[0].tolist() == \
                 pytest.approx(row.tolist(), rel=1e-12, abs=1e-15)
 
     def test_no_sets(self):
-        assert mvee([]).shape == (0, 5)
+        assert mvee(*batched([])).shape == (0, 5)

@@ -104,6 +104,17 @@ class TestGenerateEvent:
                         hit_smearing_sigma=2e-4)
         assert len(generate_event(detector, gen, seed=5).hits)
 
+    def test_track_hits_are_rows_plus_sizes(self, detector):
+        gen = GenConfig(n_tracks=8, noise_fraction=0.15,
+                        hit_smearing_sigma=2e-4)
+        e = generate_event(detector, gen, seed=5)
+        rows, sizes = e.track_hits()
+        per_track = [np.flatnonzero(e.track_row == k)
+                     for k in range(len(e.tracks))]
+        assert rows.tolist() == np.concatenate(per_track).tolist()
+        assert sizes.tolist() == list(map(len, per_track))
+        assert 0 < len(rows) < len(e.hits)  # the noise hits are left out
+
     def test_bad_config(self, detector):
         with pytest.raises(ConfigError):
             generate_event(detector, GenConfig(noise_fraction=1.0), seed=0)
@@ -121,9 +132,8 @@ class TestGenerateEvent:
                         hit_smearing_sigma=0.0, eps_range=(1e-4, 5e-4))
         e = generate_event(detector, gen, seed=6)
         xy = np.stack([e.hits.x, e.hits.y], axis=1)
-        hits = e.track_hits()
-        sizes = np.array([len(rows) for rows in hits])
-        fits = track_params(*canonical_fits(xy[np.concatenate(hits)], sizes),
+        rows, sizes = e.track_hits()
+        fits = track_params(*canonical_fits(xy[rows], sizes),
                             detector.field_b)
         enough = sizes >= 4
         assert enough.any()

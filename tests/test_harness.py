@@ -1451,3 +1451,90 @@ class TestCli:
         assert main(["--config", str(cfg_path), "plot", "--event", "0",
                      "--truth"]) == 0
         assert (tmp_path / "out" / "plots" / "event_00000.svg").exists()
+
+    def test_unwritable_out_dir_exits_5(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["--config", str(tiny_cli_config(tmp_path)), "--out",
+                     str(blocker / "sub"), "generate"]) == 5
+        assert "i/o error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "must hold a JSON object"),
+        ({"model": 3}, "model must be an object, got 3")],
+        ids=["list", "model-number"])
+    def test_config_of_the_wrong_shape_exits_2(self, tmp_path, capsys, doc,
+                                               message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "generate"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: " in err and message in err
+
+    def test_plot_without_its_inputs_exits_2(self, tmp_path, capsys):
+        cfg_path = tiny_cli_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "plot", "--event", "7"]) == 2
+        assert (f"missing input path: {out / 'events' / 'event_00007.json'}"
+                in capsys.readouterr().err)
+        assert main(["--config", str(cfg_path), "generate"]) == 0
+        assert main(["--config", str(cfg_path), "plot", "--event", "0"]) == 2
+        assert (f"missing input path: "
+                f"{out / 'predictions' / 'pred_00000.json'}"
+                in capsys.readouterr().err)
+
+    def test_prediction_of_unknown_hits_exits_3(self, tmp_path, capsys):
+        cfg_path = tiny_cli_config(tmp_path)
+        for cmd in STAGES[:STAGES.index("evaluate")]:
+            assert main(["--config", str(cfg_path), cmd]) == 0
+        path, = (tmp_path / "out").glob("predictions/pred_*.json")
+        path.write_text(_edited(lambda doc: _set_row(
+            doc["vertices"], 0, hit_id=10**9))(path.read_text()))
+        assert main(["--config", str(cfg_path), "evaluate"]) == 3
+        assert ("predicted hit ids [1000000000] not in truth event"
+                in capsys.readouterr().err)
+
+    def test_empty_hits_csv_exits_3(self, tmp_path, capsys):
+        hits, truth, particles = write_trackml(tmp_path, hits="")
+        code = main(["--config", str(tiny_cli_config(tmp_path)), "ingest",
+                     "--hits", str(hits), "--truth", str(truth),
+                     "--particles", str(particles)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"line 1: {hits}: empty file" in err
+
+    def test_ingest_stores_the_selected_event(self, tmp_path):
+        cfg_path = tiny_cli_config(tmp_path)
+        hits, truth, particles = write_trackml(tmp_path)
+        assert main(["--config", str(cfg_path), "ingest", "--hits",
+                     str(hits), "--truth", str(truth), "--particles",
+                     str(particles)]) == 0
+        path, = (tmp_path / "out" / "events").glob("event_*.json")
+        assert path.name == "event_00000.json"
+        event = event_from_dict(read_json(path))
+        # hit 3 lies in volume 13, outside the default pixel volumes
+        assert event.hits.hit_id.tolist() == [1, 2]
+        assert event.tracks.particle_id.tolist() == [101]
+        assert event.tracks.pt.tolist() == [5.0]
+        assert main(["--config", str(cfg_path), "build-graphs"]) == 0
+        assert [p.name for p in (tmp_path / "out" / "graphs").iterdir()] \
+            == ["graph_00000.json"]
+
+    def test_no_holdout_predicts_every_graph(self, tmp_path):
+        cfg_path = tiny_cli_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["eval"]["n_holdout"] = 0
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--config", str(cfg_path), "run"]) == 0
+        preds = (tmp_path / "out" / "predictions").glob("pred_*.json")
+        assert sorted(p.name for p in preds) == [
+            f"pred_{i:05d}.json" for i in range(4)]
+
+    def test_holdout_of_every_graph_exits_2(self, tmp_path, capsys):
+        cfg_path = tiny_cli_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["eval"]["n_holdout"] = 4
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--config", str(cfg_path), "run"]) == 2
+        assert ("n_holdout=4 keeps no training data for 4 graphs"
+                in capsys.readouterr().err)

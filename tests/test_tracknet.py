@@ -201,7 +201,7 @@ class TestPredictClusterParams:
         m.params["trk.b1"][:] = [3.5, 2e-4]
         out = forward(m, g)
         pred, _ = tn.predict_cluster_params(
-            m, out.final_state, tn.cluster_features([[0, 1, 2, 3]],
+            m, out.final_state, tn.cluster_features([0, 1, 2, 3], [4],
                                                     g))
         assert np.allclose(pred, [[3.5, 2e-4]])
 
@@ -217,7 +217,7 @@ class TestPredictClusterParams:
         m = tn.Model(small_config(), seed=14)
         out = forward(m, g)
         pred, _ = tn.predict_cluster_params(
-            m, out.final_state, tn.cluster_features([[0, 1]], g))
+            m, out.final_state, tn.cluster_features([0, 1], [2], g))
         # the parabola features are zeroed: only the state max is read
         state_max = out.final_state[:2].max(axis=0)
         feats = np.concatenate([np.zeros(3), state_max])[None]
@@ -230,10 +230,10 @@ class TestPredictClusterParams:
         m = tn.Model(small_config(), seed=15)
         out = forward(m, g)
         pred, _ = tn.predict_cluster_params(
-            m, out.final_state, tn.cluster_features([[0, 1, 2]], g))
+            m, out.final_state, tn.cluster_features([0, 1, 2], [3], g))
         assert pred.shape == (1, 2)
         none, _ = tn.predict_cluster_params(
-            m, out.final_state, tn.cluster_features([], g))
+            m, out.final_state, tn.cluster_features([], [], g))
         assert none.shape == (0, 2)
 
     def test_batched_matches_one_call_per_cluster(self):
@@ -243,11 +243,13 @@ class TestPredictClusterParams:
         clusters = [np.flatnonzero(g.hits.particle_id == pid)
                     for pid in g.tracks.particle_id] + [[0, 1], [2]]
         batched, _ = tn.predict_cluster_params(
-            m, out.final_state, tn.cluster_features(clusters, g))
+            m, out.final_state, tn.cluster_features(
+                np.concatenate(clusters), list(map(len, clusters)), g))
         assert batched.shape == (len(clusters), 2)
         for k, vids in enumerate(clusters):
             single, _ = tn.predict_cluster_params(
-                m, out.final_state, tn.cluster_features([vids], g))
+                m, out.final_state, tn.cluster_features(vids, [len(vids)],
+                                                        g))
             assert np.allclose(batched[k], single[0], rtol=1e-12,
                                atol=0.0)
 
@@ -257,7 +259,7 @@ class TestPredictClusterParams:
         out = forward(m, g)
         vids = [0, 1, 2, 3]
         pred, _ = tn.predict_cluster_params(
-            m, out.final_state, tn.cluster_features([vids], g))
+            m, out.final_state, tn.cluster_features(vids, [len(vids)], g))
         (pt, eps), = tn.cluster_params_from_states(
             m, out.final_state, [vids], g)
         assert pt == pytest.approx(pred[0, 0], rel=1e-12)
@@ -583,7 +585,8 @@ class TestInfer:
         assert tn.cluster_params_from_states(
             m, r.final_state, clusters, g).tobytes() == \
             tn.predict_cluster_params(m, out.final_state, tn.cluster_features(
-                clusters, g))[0].tobytes()
+                np.concatenate(clusters), list(map(len, clusters)),
+                g))[0].tobytes()
 
     def test_leaves_no_reference_cycles(self, toy_graph):
         # inference keeps no backward, so refcounting frees each op's
