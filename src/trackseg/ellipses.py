@@ -219,9 +219,11 @@ def ellipse_ious(seeds, others, stats: dict | None = None) -> np.ndarray:
     Each ellipse is approximated by its inscribed polygon with
     IOU_RESOLUTION vertices (error O(1/IOU_RESOLUTION^2)); the polygons'
     intersection area is exact.  Symmetric, and exactly 0 for disjoint
-    ellipses.  Pairs whose centres lie farther apart than the summed
-    major axes are rejected first; each partner is placed in its
-    seed's chart at its offset (d_eta, shortest-arc d_phi).  By Green's
+    ellipses, whose edges all classify outside or clip to nothing.
+    Every pair given is measured: a caller with many pairs first drops
+    those whose centres lie farther apart than the summed major axes
+    (postprocess._near_pairs).  Each partner is placed in its seed's
+    chart at its offset (d_eta, shortest-arc d_phi).  By Green's
     theorem, area(P & Q) = 1/2 [sum_i f_i cross(p_i, p_i+1) + sum_j g_j
     cross(q_j, q_j+1)] with f_i the fraction of P's edge i inside Q and
     g_j that of Q's edge j inside P.  An edge whose ends both lie well
@@ -238,26 +240,21 @@ def ellipse_ious(seeds, others, stats: dict | None = None) -> np.ndarray:
     """
     rows = np.asarray(others, dtype=float).reshape(-1, 5)
     seeds = np.broadcast_to(np.asarray(seeds, dtype=float), rows.shape)
+    m = len(rows)
     d_eta = rows[:, 0] - seeds[:, 0]
     d_phi = signed_dphi(rows[:, 1], seeds[:, 1])
-    near = np.hypot(d_eta, d_phi) <= seeds[:, 2] + rows[:, 2]
-    out = np.zeros(len(rows))
-    m = int(np.count_nonzero(near))
-    if m == 0:
-        return out
     # rows of P (the seeds) then Q, each pair in its seed's chart; P's
     # edges are clipped by Q's closed half-planes and Q's edges by P's
     # open ones
-    pq = np.concatenate([seeds[near], rows[near]])
+    pq = np.concatenate([seeds, rows])
     sx, sy = _polygons(pq)
-    sx[m:] += d_eta[near, None]
-    sy[m:] += d_phi[near, None]
+    sx[m:] += d_eta[:, None]
+    sy[m:] += d_phi[:, None]
     # the ellipse each ring is clipped by, and its centre
     zeros = np.zeros(m)
     inside, outside = _edge_classes(
-        sx, sy, np.roll(pq, m, axis=0),
-        np.concatenate([d_eta[near], zeros]),
-        np.concatenate([d_phi[near], zeros]))
+        sx, sy, np.roll(pq, m, axis=0), np.concatenate([d_eta, zeros]),
+        np.concatenate([d_phi, zeros]))
     frac = inside.astype(float)
     r, k = np.nonzero(~(inside | outside))
     ring = (r + m) % (2 * m)  # the other polygon of edge k of ring r
@@ -269,8 +266,7 @@ def ellipse_ious(seeds, others, stats: dict | None = None) -> np.ndarray:
     parts = np.sum(cross * frac, axis=1)
     inter = parts[:m] + parts[m:]
     areas = np.sum(cross, axis=1)
-    out[near] = np.clip(inter / (areas[:m] + areas[m:] - inter), 0.0, 1.0)
-    return out
+    return np.clip(inter / (areas[:m] + areas[m:] - inter), 0.0, 1.0)
 
 
 def mvee(points, sizes, stats: dict | None = None) -> np.ndarray:

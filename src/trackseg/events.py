@@ -255,9 +255,9 @@ class DetectorConfig:
     def __post_init__(self):
         radii = self.layer_radii
         if len(radii) == 0 or any(r <= 0 for r in radii):
-            raise ConfigError("layer radii must be positive")
+            raise ConfigError("layer_radii must be positive")
         if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ConfigError("layer radii must be strictly increasing")
+            raise ConfigError("layer_radii must be strictly increasing")
         if self.z_halflength <= 0 or self.field_b <= 0:
             raise ConfigError("z_halflength and field_b must be positive")
         if PT_COEFF * self.field_b * RADIUS_LIMIT < PT_LIMIT:
@@ -347,8 +347,10 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
 
     Each track contributes one hit per reachable layer (dropped beyond
     the cylinder half-length); tracks left with no hits are dropped.
-    Noise hits are placed uniformly in (phi, eta, layer) so that
-    noise/(noise+signal) matches noise_fraction after rounding.  A
+    Noise hits are placed uniformly in (phi, eta, layer) within the same
+    half-length, a draw beyond it drawn again, so that
+    noise/(noise+signal) matches noise_fraction after rounding; an
+    eta_range at which no noise hit fits raises ConfigError.  A
     track's row of floats (p_T, eps_T, a, b) comes exactly from its
     generating circle, whose radius GenConfig and DetectorConfig keep
     positive and finite.
@@ -399,12 +401,20 @@ def generate_event(det: DetectorConfig, gen: GenConfig, seed: int,
     n_signal = len(rows)
     nf = gen.noise_fraction
     n_noise = int(round(n_signal * nf / (1.0 - nf))) if nf > 0 else 0
+    # the innermost layer at the smallest |eta| holds the hit nearest z 0
+    lo, hi = gen.eta_range
+    if n_noise and det.layer_radii[0] * math.sinh(max(lo, -hi, 0.0)) \
+            > det.z_halflength:
+        raise ConfigError("no noise hit fits within detector.z_halflength "
+                          "at generator.eta_range")
     for _ in range(n_noise):
-        layer = int(rng.integers(0, len(det.layer_radii)))
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        eta = rng.uniform(*gen.eta_range)
-        r = det.layer_radii[layer]
-        z = r * math.sinh(eta)
+        z = math.inf
+        while abs(z) > det.z_halflength:  # redrawn where a track hit drops
+            layer = int(rng.integers(0, len(det.layer_radii)))
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            eta = rng.uniform(lo, hi)
+            r = det.layer_radii[layer]
+            z = r * math.sinh(eta)
         rows.append((r * math.cos(phi), r * math.sin(phi), z, layer, 0))
 
     n = len(rows)

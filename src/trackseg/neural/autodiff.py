@@ -76,16 +76,16 @@ def mlp(x: np.ndarray, layers: list[tuple], sigmoid_out: bool):
 class Segments:
     """`rows` rows grouped into `n` segments, laid out for reduceat:
     `order` lists the rows segment after segment, each segment's rows in
-    their own order (None when the rows are grouped already), `starts`
-    gives the position in that order where each non-empty segment
-    begins, `sizes` its row count, and `ids` names those segments,
-    ascending.  Its arrays are read-only."""
+    their own order (the identity when the rows are grouped already),
+    `starts` gives the position in that order where each non-empty
+    segment begins, `sizes` its row count, and `ids` names those
+    segments, ascending.  Its arrays are read-only."""
     n: int
     rows: int
     starts: np.ndarray
     sizes: np.ndarray
     ids: np.ndarray
-    order: np.ndarray | None
+    order: np.ndarray
 
     @classmethod
     def of(cls, segment_ids, n: int) -> "Segments":
@@ -97,24 +97,22 @@ class Segments:
                              f"{seg.shape}")
         if seg.size and (seg.min() < 0 or seg.max() >= n):
             raise IndexError(f"segment id out of range [0, {n})")
-        order = None
-        if np.any(seg[1:] < seg[:-1]):
-            order = np.argsort(seg, kind="stable")
-            seg = seg[order]
+        order = np.argsort(seg, kind="stable")
+        seg = seg[order]
         starts = np.flatnonzero(np.diff(seg, prepend=-1))
         layout = cls(n, len(seg), starts, np.diff(starts, append=len(seg)),
                      seg[starts], order)
         for array in (starts, layout.sizes, layout.ids, order):
-            if array is not None:
-                array.flags.writeable = False
+            array.flags.writeable = False
         return layout
 
 
 def segment_max(a: np.ndarray, segments: Segments):
-    """Componentwise maximum of the rows of a in each segment; an empty
-    segment yields a zero row.  Returns the (n, k) maxima and their
-    backward, which routes each upstream element to exactly one row: the
-    lowest row attaining the maximum (none where the maximum is NaN)."""
+    """Componentwise maximum of the rows of a in each segment, reduced
+    over the rows gathered in the layout's order; an empty segment
+    yields a zero row.  Returns the (n, k) maxima and their backward,
+    which routes each upstream element through the order to exactly one
+    row: the lowest row attaining the maximum (none where it is NaN)."""
     if a.ndim != 2:
         raise ShapeError(f"segment_max needs rows, got shape {a.shape}")
     if len(a) != segments.rows:
@@ -122,7 +120,7 @@ def segment_max(a: np.ndarray, segments: Segments):
     out = np.zeros((segments.n, a.shape[1]))
     if not len(segments.ids):  # no rows
         return out, lambda g: np.zeros_like(a)
-    rows = a if segments.order is None else a[segments.order]
+    rows = a[segments.order]
     top = np.maximum.reduceat(rows, segments.starts, axis=0)
     out[segments.ids] = top
 
@@ -135,9 +133,7 @@ def segment_max(a: np.ndarray, segments: Segments):
             np.where(wins, np.arange(m)[:, None], m), segments.starts,
             axis=0)
         s_idx, c_idx = np.nonzero(first < m)
-        r_idx = first[s_idx, c_idx]
-        if segments.order is not None:
-            r_idx = segments.order[r_idx]
+        r_idx = segments.order[first[s_idx, c_idx]]
         grad = np.zeros_like(a)
         # one winner per (segment, column): the targets are unique
         grad[r_idx, c_idx] = g[segments.ids[s_idx], c_idx]

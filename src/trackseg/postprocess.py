@@ -49,8 +49,11 @@ def ellipse_iou(row1, row2) -> float:
 
 
 def _near_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (p, q), p < q, of the pairs of rows that pass the
-    centre-gap reject of ellipse_ious, ordered by p, then q."""
+    """Indices (p, q), p < q, of the pairs of rows whose centres lie no
+    farther apart (d_eta, shortest-arc d_phi) than their summed major
+    axes, ordered by p, then q.  This centre-gap reject is the only one:
+    a pair it drops is disjoint, and ellipse_ious measures every pair
+    it keeps."""
     n = len(rows)
     block = max(1, _SEARCH_BLOCK // max(n, 1))
     found = [np.zeros((2, 0), dtype=int)]
@@ -80,7 +83,7 @@ def merge_ellipses(ellipses, scores, t_h: float = 0.5,
     ellipse row raises check_ellipses' DomainError naming it.
 
     Every pair that can matter, a higher-scoring ellipse and a lower one
-    whose centres pass the centre-gap reject of ellipse_ious, is measured
+    whose centres pass the centre-gap reject of _near_pairs, is measured
     before the grouping, by batched ellipse_ious calls of up to
     _IOU_CHUNK pairs (one call for an event of a few hundred ellipses),
     and all group means are taken in one padded pass.  `stats`, when

@@ -338,7 +338,7 @@ class TrainConfig:
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
 

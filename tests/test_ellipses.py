@@ -47,7 +47,7 @@ def random_ellipse(rng, a_range=(0.02, 0.4)):
                    rng.uniform(0, math.pi))
 
 
-class TestEllipse5:
+class TestCanonicalRows:
     """An ellipse as a parameter row: canonical_rows makes the canonical
     form, check_ellipses states the invariant, and a prediction
     document stores rows."""
@@ -294,6 +294,17 @@ class TestIou:
         e1 = ellipse(0.0, 1.0, 0.1, 0.05, 0.0)
         e2 = ellipse(1.0, 1.0, 0.1, 0.05, 0.0)
         assert iou(e1, e2) == 0.0
+        # a far pair across the phi seam, 0.4 apart along the short arc
+        seam = (ellipse(0.0, 0.2, 0.1, 0.05, 0.3),
+                ellipse(0.05, TWO_PI - 0.2, 0.1, 0.05, 1.0))
+        # major axes on the line of centres, whose gap lies just above
+        # a1 + a2: the tips of the two ellipses nearly touch
+        gap = 0.3 * (1.0 + 1e-12)
+        tips = (ellipse(0.0, 1.0, 0.1, 0.05, 0.0),
+                ellipse(gap, 1.0, 0.2, 0.02, 0.0))
+        assert tips[1][0] - tips[0][0] > tips[0][2] + tips[1][2]
+        for p, q in (seam, tips):
+            assert iou(p, q) == 0.0 and iou(q, p) == 0.0
 
     def test_two_unit_circles(self):
         e1 = ellipse(0.0, 3.0, 1.0, 1.0, 0.0)

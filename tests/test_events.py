@@ -8,8 +8,8 @@ from conftest import hit_table, track_rows, track_table
 from trackseg.errors import (ConfigError, ConsistencyError, DomainError,
                              ParseError)
 from trackseg.errors import ShapeError
-from trackseg.events import (Event, GenConfig, HitTable, TrackTable,
-                             apply_selection, generate_event,
+from trackseg.events import (DetectorConfig, Event, GenConfig, HitTable,
+                             TrackTable, apply_selection, generate_event,
                              intersect_helix_layer, read_trackml_event)
 from trackseg.kinematics import canonical_fits, track_params
 
@@ -124,6 +124,42 @@ class TestGenerateEvent:
             # 0.1 GeV track with 5 mm displacement violates |delta|/R^2
             generate_event(detector, GenConfig(pt_range=(0.1, 0.2),
                                                eps_range=(5e-3, 5e-3)), seed=0)
+
+    def test_every_hit_within_the_half_length(self, detector):
+        # noise obeys the tracks' acceptance and keeps its count
+        for seed in range(1, 6):
+            e = generate_event(detector, GenConfig(eta_range=(-2.5, 2.5)),
+                               seed)
+            assert np.all(np.abs(e.hits.z) <= detector.z_halflength)
+            n_signal = np.count_nonzero(e.hits.particle_id != 0)
+            assert np.count_nonzero(e.hits.particle_id == 0) == \
+                round(n_signal * 0.1 / 0.9)
+
+    def test_no_noise_hit_fits(self):
+        # smeared track hits at eta 3 reach into z 0.3, the noise hits of
+        # layer 0 (0.032 sinh 3 = 0.32) do not
+        det = DetectorConfig(z_halflength=0.3)
+        gen = GenConfig(n_tracks=40, eta_range=(3.0, 3.0),
+                        hit_smearing_sigma=0.05)
+        with pytest.raises(ConfigError, match="no noise hit fits"):
+            generate_event(det, gen, seed=0)
+
+    def test_track_beyond_the_half_length_dropped(self, detector):
+        e = generate_event(detector, GenConfig(eta_range=(5.0, 5.0)), 1)
+        assert len(e.hits) == 0 and len(e.tracks) == 0
+
+    # at eta 3 the hits past layer 0 lie beyond z 0.5; a 0.01 GeV track
+    # at 2 T curls on a 0.017 m radius through the beamline, reaching the
+    # 0.032 m layer but not the 0.072 m one
+    @pytest.mark.parametrize("params", [
+        {"eta_range": (3.0, 3.0)},
+        {"pt_range": (0.01, 0.01), "eps_range": (0.0, 0.0)}],
+        ids=["steep", "curled"])
+    def test_track_keeps_its_layer_0_hit_only(self, detector, params):
+        gen = GenConfig(n_tracks=5, noise_fraction=0.0, **params)
+        e = generate_event(detector, gen, seed=1)
+        assert len(e.tracks) == 5
+        assert e.hits.layer.tolist() == [0] * 5
 
     def test_truth_closure_through_conformal_fit(self, detector):
         # unsmeared hits refit through the conformal pipeline must
@@ -423,6 +459,28 @@ class TestReadTrackml:
             read_trackml_event(*write_trackml(
                 tmp_path,
                 particles=PARTICLES_CSV.splitlines()[0] + "\n"))
+
+    @pytest.mark.parametrize("momentum", ["0.0,0.0,1.0,1", "3.0,4.0,1.0,0"],
+                             ids=["pt-zero", "charge-zero"])
+    def test_particle_without_a_circle_is_noise(self, tmp_path, momentum):
+        e = read_trackml_event(*write_trackml(
+            tmp_path, particles=PARTICLES_CSV.replace("3.0,4.0,1.0,1",
+                                                      momentum)))
+        assert len(e.tracks) == 0
+        assert e.hits.hit_id.tolist() == [1, 2, 3]
+        assert e.hits.particle_id.tolist() == [0, 0, 0]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        # a blank line after the header, after the first row and at the end
+        texts = {"hits": HITS_CSV, "truth": TRUTH_CSV,
+                 "particles": PARTICLES_CSV}
+        spaced = tmp_path / "spaced"
+        spaced.mkdir()
+        e = read_trackml_event(*write_trackml(spaced, **{
+            name: text.replace("\n", "\n\n", 2) + "\n"
+            for name, text in texts.items()}))
+        assert e == read_trackml_event(*write_trackml(tmp_path))
+        assert len(e.hits) == 3 and len(e.tracks) == 1
 
     def test_validates(self, tmp_path):
         # the Event checks its invariants as read_trackml_event builds it

@@ -263,7 +263,12 @@ BAD_VALUES = [
     ("nms", "class_threshold", 1.5),
     ("model", "loss_weights", [1, -1, 1]),
     ("training", "weight_decay", -1e-5),
-    ("training", "lr", 10**400)]
+    ("training", "lr", 10**400),
+    ("training", "lr", 0),
+    ("detector", "layer_radii", [0.1, 0.05]),
+    ("generator", "n_tracks", -1),
+    ("generator", "eps_range", [-1e-4, 0]),
+    ("generator", "hit_smearing_sigma", -1e-4)]
 
 
 class TestConfig:
@@ -1096,6 +1101,14 @@ class TestCli:
         cfg_path = tiny_cli_config(tmp_path)
         assert main(["--config", str(cfg_path), "train"]) == 2
 
+    def test_empty_graphs_dir_exits_2(self, tmp_path, capsys):
+        graphs = tmp_path / "out" / "graphs"
+        graphs.mkdir(parents=True)
+        assert main(["--config", str(tiny_cli_config(tmp_path)),
+                     "train"]) == 2
+        assert (f"config error: no graph_*.json files under {graphs}"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("artifact, damage, command", [
         ("graphs/graph_00000.json", lambda text: text[:100], "train"),
         ("graphs/graph_00000.json", _drop_key("vertices"), "train"),
@@ -1396,6 +1409,16 @@ class TestCli:
                                 text=True, timeout=60)
         assert result.returncode == 0
         assert "build-graphs" in result.stdout
+
+    def test_python_dash_m_exits_with_the_cli_code(self, tmp_path):
+        # entrypoint hands main's code to sys.exit
+        result = subprocess.run(
+            [sys.executable, "-m", "trackseg", "--config",
+             str(tmp_path / "missing.json"), "generate"],
+            env=package_env(), capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2
+        assert result.stderr.startswith("config error: config file not "
+                                        "found")
 
     def test_run_with_missing_hits_csv_writes_nothing(self, tmp_path,
                                                        capsys):

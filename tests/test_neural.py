@@ -296,7 +296,7 @@ class TestSegmentMaxOracle:
         assert layout.order.tolist() == [1, 3, 0, 2]
         assert (layout.starts.tolist(), layout.sizes.tolist(),
                 layout.ids.tolist()) == ([0, 1, 2], [1, 1, 2], [0, 1, 2])
-        assert Segments.of([0, 0, 2], 3).order is None
+        assert Segments.of([0, 0, 2], 3).order.tolist() == [0, 1, 2]
         for array in (layout.order, layout.starts, layout.sizes,
                       layout.ids):
             with pytest.raises(ValueError):
