@@ -279,7 +279,8 @@ def mvee(points, sizes, stats: dict | None = None) -> np.ndarray:
     that is to rounding, then rescales the result so the farthest input
     point lies exactly on the boundary (guaranteeing containment).
     Degenerate inputs are handled directly: a single or coincident point
-    set yields a floor-radius circle, collinear points a segment-spanning
+    set yields a floor-radius circle, collinear points (a minor principal
+    axis, _principal_axes, within 1e-7 of the major) a segment-spanning
     ellipse with the minor axis at the floor.  phi is unwrapped around
     its circular mean first, so point sets straddling the 2*pi seam are
     fine.
@@ -287,8 +288,9 @@ def mvee(points, sizes, stats: dict | None = None) -> np.ndarray:
     All sets are solved at once: they are padded with zero-weight slots
     to one (sets, points) batch, and each iteration updates the sets that
     have not converged yet, so every set takes the steps it would take
-    alone.  `stats`, when given, gains the number of batched iterations
-    under "iterations".
+    alone, with no LAPACK call per set but the pseudo-inverse fallback
+    (_principal_axes, _inv3, _support_solve).  `stats`, when given, gains
+    the number of batched iterations under "iterations".
     """
     sizes = np.asarray(sizes, dtype=int)
     if not len(sizes):
@@ -312,15 +314,16 @@ def mvee(points, sizes, stats: dict | None = None) -> np.ndarray:
     solve = np.flatnonzero(np.abs(spread).max(axis=(1, 2)) >= 1e-12)
     iterations = 0
     if len(solve):
-        _, svals, vecs = np.linalg.svd(spread[solve], full_matrices=False)
+        angle, proj, sums = _principal_axes(spread[solve], valid[solve])
+        svals = np.sqrt(sums)
         line = svals[:, 1] <= 1e-7 * svals[:, 0]
         rows[solve[line]] = _segment_ellipses(
-            center[solve[line]], spread[solve[line]], valid[solve[line]],
-            vecs[line, 0])
+            center[solve[line]], proj[line, :, 0], valid[solve[line]],
+            angle[line])
         rest = solve[~line]
         rows[rest], iterations = _khachiyan_ellipses(
-            center[rest], spread[rest], valid[rest], sizes[rest],
-            svals[~line], vecs[~line])
+            center[rest], proj[~line], valid[rest], sizes[rest],
+            svals[~line], angle[~line])
     if stats is not None:
         stats["iterations"] = stats.get("iterations", 0) + iterations
     rows = canonical_rows(*rows.T)
@@ -328,16 +331,32 @@ def mvee(points, sizes, stats: dict | None = None) -> np.ndarray:
     return rows
 
 
-def _segment_ellipses(center, spread, valid, axis) -> np.ndarray:
-    """Rows of the ellipses spanning collinear sets along their unit
-    principal axes, the minor axis at the floor."""
-    proj = np.einsum("tkd,td->tk", spread, axis)
+def _principal_axes(offsets, weights) -> tuple:
+    """The principal axes of sets of weighted 2-d offsets, (n, k, 2) and
+    (n, k): the major axis' angle, (n,), 0.5 * arctan2(2 Sxy, Sxx - Syy)
+    of the weighted second moments S; the offsets in the frame of the
+    major and minor axis, (n, k, 2); and the weighted sums of their
+    squares, (n, 2).  The sums are taken over the projections, not from
+    S's trace and discriminant, which cancel on thin sets."""
+    x, y = offsets[..., 0], offsets[..., 1]
+    wx, wy = weights * x, weights * y
+    angle = 0.5 * np.arctan2(2.0 * (wx * y).sum(axis=1),
+                             (wx * x).sum(axis=1) - (wy * y).sum(axis=1))
+    ct, st = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    proj = np.stack([ct * x + st * y, ct * y - st * x], axis=2)
+    return angle, proj, np.einsum("tk,tke->te", weights, proj * proj)
+
+
+def _segment_ellipses(center, proj, valid, angle) -> np.ndarray:
+    """Rows of the ellipses spanning collinear sets along their principal
+    axes at `angle`, the points' projections onto them `proj`, the minor
+    axis at the floor."""
     lo = np.where(valid, proj, np.inf).min(axis=1)
     hi = np.where(valid, proj, -np.inf).max(axis=1)
-    mid = center + (0.5 * (lo + hi))[:, None] * axis
+    mid = center + (0.5 * (lo + hi))[:, None] * np.stack(
+        [np.cos(angle), np.sin(angle)], axis=1)
     return np.column_stack([mid, np.maximum(0.5 * (hi - lo), AXIS_FLOOR),
-                            np.full(len(mid), AXIS_FLOOR),
-                            np.arctan2(axis[:, 1], axis[:, 0])])
+                            np.full(len(mid), AXIS_FLOOR), angle])
 
 
 def _inv3(x: np.ndarray) -> np.ndarray:
@@ -388,24 +407,32 @@ def _support_solve(h, rhs, u, support):
     Repeated or co-elliptic support points make h singular, but diag K
     and the ones vector both lie in its range, so the pseudo-inverse
     solves it.  Where the support has at most 6 points (the dimension of
-    the lifted outer products) LU is tried first; it is kept where the
-    first column, diag K, gives back the support weights (H u = diag K)
-    to 1e-9, which bounds the error a nearly singular h lets in.
+    the lifted outer products) elimination is tried first: one
+    Gauss-Jordan sweep without pivoting (h is positive semi-definite)
+    over all those systems at once, the batch axis last, so that no
+    call is made per matrix.  It is kept where the first column, diag K,
+    gives back the support weights (H u = diag K) to 1e-9, which bounds
+    the error a nearly singular h lets in and fails on the inf or NaN
+    of a zero pivot.
     """
     x = np.empty_like(rhs)
     lu = np.count_nonzero(support, axis=1) <= 6
-    try:
-        x[lu] = np.linalg.solve(h[lu], rhs[lu])
-        lu[lu] = np.abs(x[lu, :, 0] - np.where(support[lu], u[lu], 0.0)
-                        ).max(axis=1) <= 1e-9
-    except np.linalg.LinAlgError:  # an exactly singular h
-        lu[:] = False
+    pick = slice(None) if lu.all() else lu  # a view, not a masked copy
+    a = np.concatenate([h[pick], rhs[pick]], axis=2).transpose(1, 2, 0).copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p in range(len(a)):
+            row = a[p, p:] / a[p, p]
+            a[:, p:] -= a[:, p, None] * row
+            a[p, p:] = row
+        x[pick] = a[:, len(a):].transpose(2, 0, 1)
+        lu[pick] = np.abs(x[pick, :, 0] - np.where(support[pick], u[pick],
+                                                   0.0)).max(axis=1) <= 1e-9
     if not lu.all():
         x[~lu] = np.linalg.pinv(h[~lu], 1e-12, hermitian=True) @ rhs[~lu]
     return x
 
 
-def _khachiyan_ellipses(center, spread, valid, sizes, svals, vecs
+def _khachiyan_ellipses(center, proj, valid, sizes, svals, angle
                         ) -> tuple[np.ndarray, int]:
     """Rows of the minimum-area enclosing ellipses of non-degenerate
     sets, to MVEE_TOLERANCE, and the number of batched iterations.
@@ -418,12 +445,14 @@ def _khachiyan_ellipses(center, spread, valid, sizes, svals, vecs
     support face (Sun & Freund 2004); any other takes Khachiyan's
     one-coordinate step toward the point farthest out, which only adds
     weight.  A set ends when the certificate holds or a Newton step
-    converges.
+    converges.  `proj` holds each set's offsets from `center` in the
+    frame of its principal axes at `angle`, and `svals` the root sums of
+    their squares (_principal_axes).
     """
     # the problem is affine-equivariant: whiten each set along its
     # principal axes so thin sets converge as fast as round ones
     scale = svals / np.sqrt(sizes)[:, None]
-    norm = np.einsum("tkd,ted->tke", spread, vecs) / scale[:, None]
+    norm = proj / scale[:, None]
     d = norm.shape[2]
     lift = d + 1.0
     q = np.concatenate([norm, valid[..., None].astype(float)], axis=2)
@@ -446,8 +475,9 @@ def _khachiyan_ellipses(center, spread, valid, sizes, svals, vecs
         done = np.maximum(gain_add, gain_away) <= lift * MVEE_TOLERANCE
         newton = ~done & (gain_off <= lift * MVEE_TOLERANCE)
         if newton.any():
-            u_live[newton], done[newton] = _newton_steps(
-                k[newton], u_live[newton], support[newton])
+            pick = slice(None) if newton.all() else newton
+            u_live[pick], done[pick] = _newton_steps(
+                k[pick], u_live[pick], support[pick])
         step = np.flatnonzero(~(done | newton))
         j = m_add[step].argmax(axis=1)
         m_j = m[step, j]
@@ -461,21 +491,17 @@ def _khachiyan_ellipses(center, spread, valid, sizes, svals, vecs
                 live[go], q_live[go], u_live[go], valid_live[go])
     u[live] = u_live
 
-    c_norm = np.einsum("tk,tkd->td", u, norm)
     # the ellipse is {x: (x - c)' E^-1 (x - c) <= 1} with E = d times the
-    # weighted covariance; E's eigenvalues are the squared semi-axes, and
-    # its largest, the major axis, is exact to rounding however thin the
-    # ellipse.  Undo the whitening: x - center = V' S z, S = diag(scale)
-    # and V the principal axes as rows
-    cov_norm = (np.matmul(norm.transpose(0, 2, 1), u[..., None] * norm)
-                - c_norm[:, :, None] * c_norm[:, None, :])
-    from_norm = vecs * scale[:, :, None]
-    evals, evecs = np.linalg.eigh(
-        d * from_norm.transpose(0, 2, 1) @ cov_norm @ from_norm)
+    # weighted covariance; E's principal axes are the ellipse's, and its
+    # variances along them the squared semi-axes.  Undone, the whitening
+    # leaves the frame of the sets' axes: c there, then turned by angle
+    c = np.einsum("tk,tkd->td", u, norm) * scale
+    turn, _, var = _principal_axes(proj - c[:, None], d * u)
+    ct, st = np.cos(angle), np.sin(angle)
     return np.column_stack([
-        center + np.einsum("td,tde->te", c_norm, from_norm),
-        np.maximum(np.sqrt(np.maximum(evals[:, ::-1], 0.0)), AXIS_FLOOR),
-        np.arctan2(evecs[:, 1, 1], evecs[:, 0, 1])]), iterations
+        center + np.stack([ct * c[:, 0] - st * c[:, 1],
+                           st * c[:, 0] + ct * c[:, 1]], axis=1),
+        np.maximum(np.sqrt(var), AXIS_FLOOR), angle + turn]), iterations
 
 
 def _rescale_to_contain(rows: np.ndarray, flat: np.ndarray,

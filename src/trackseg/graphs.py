@@ -97,8 +97,12 @@ def _neighbors(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     Candidates come from an (eta, phi) cell grid: cells are at least
     eps (padded against rounding) wide, the phi columns wrap at the seam
     and each point looks at its own and the 8 surrounding cells.  A grid
-    never has more rows or columns than points, so its cell keys stay
-    small however small eps is.  Memory is O(n + candidate pairs).
+    never has more columns than points, and its rows grow taller than
+    eps where that keeps it at about 4 cells per point, so it has O(n)
+    cells however small eps is.  An empty row pads each end, so every
+    block lies inside it, and a cell-start table (where each cell's run
+    of points sorted by cell begins) gives a block's points without a
+    search.  Memory is O(n + candidate pairs).
     """
     n = len(pts)
     eta, phi = pts[:, 0], pts[:, 1]
@@ -106,17 +110,19 @@ def _neighbors(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     n_cols = int(max(1, min(n, TWO_PI // width)))
     col = (wrap_phi(phi) * (n_cols / TWO_PI)).astype(np.int64) % n_cols
     eta0 = eta.min()
-    height = max(width, (eta.max() - eta0) / n)
-    row = ((eta - eta0) / height).astype(np.int64)
+    height = max(width, (eta.max() - eta0) * n_cols / (4 * n))
+    row = ((eta - eta0) / height).astype(np.int64) + 1
+    cells = (int(row.max()) + 2) * n_cols
     key = row * n_cols + col
     order = np.argsort(key, kind="stable")
-    keys = key[order]
+    first_in = np.zeros(cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=cells), out=first_in[1:])
     # the 3 x 3 block, its columns deduplicated when fewer than 3 wrap
     d_col = np.array(sorted({-1 % n_cols, 0, 1 % n_cols}))
     block = ((row[:, None, None] + np.array([-1, 0, 1])[:, None]) * n_cols
-             + (col[:, None, None] + d_col) % n_cols).reshape(n, -1)
-    lo = np.searchsorted(keys, block, side="left").ravel()
-    counts = np.searchsorted(keys, block, side="right").ravel() - lo
+             + (col[:, None, None] + d_col) % n_cols).ravel()
+    lo = first_in[block]
+    counts = first_in[block + 1] - lo
     total = int(counts.sum())
     first = np.cumsum(counts) - counts
     i = np.repeat(np.arange(n), counts.reshape(n, -1).sum(axis=1))

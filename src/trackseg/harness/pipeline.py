@@ -225,7 +225,7 @@ def stage_train(cfg: RunConfig) -> Path:
     return save_path
 
 
-def _infer_one(cfg: RunConfig, model: tracknet.Model, graph) -> dict:
+def _infer_one(cfg: RunConfig, model: tracknet.Model, graph, echo) -> dict:
     result = tracknet.infer(model, graph, cfg.nms.class_threshold)
     kept = result.kept.tolist()
     stats = Counter()
@@ -252,16 +252,17 @@ def _infer_one(cfg: RunConfig, model: tracknet.Model, graph) -> dict:
     assignments = assign_hits(candidates, vertices, cfg.nms.class_threshold)
     return prediction_to_dict(graph.event_id, graph.hits.hit_id,
                               result.class_prob, (result.kept, result.rows),
-                              candidates, assignments, cfg.to_dict())
+                              candidates, assignments, echo)
 
 
 def stage_infer(cfg: RunConfig) -> list[Path]:
     model = tracknet.load_checkpoint(_checkpoint_path(cfg))
     graphs = _load_graphs(cfg)
     _, eval_graphs = _split(graphs, cfg.eval.n_holdout)
+    echo = cfg.to_dict()
     paths = []
     for graph in eval_graphs:
-        doc = _infer_one(cfg, model, graph)
+        doc = _infer_one(cfg, model, graph, echo)
         path = _preds_dir(cfg) / f"pred_{graph.event_id:05d}.json"
         write_json(path, doc)
         paths.append(path)

@@ -16,6 +16,7 @@ from trackseg.ellipses import (A_M, AXIS_FLOOR, B_M, DELTA_THETA, ETA_M,
                                check_ellipses, decode_box, ellipse_ious,
                                encode_box, mvee, point_in_ellipse)
 from trackseg.errors import ConsistencyError, DomainError
+from trackseg.events import DetectorConfig, GenConfig, generate_event
 from trackseg.harness.io import prediction_from_dict, prediction_to_dict
 from trackseg.jsonio import to_base64
 
@@ -654,6 +655,14 @@ def near_straight(rng):
     return pts + rng.normal(0.0, 1e-6, (4, 2)), None
 
 
+def coincident_pair(rng):
+    """4 points, two of them the same: the Newton system of the first
+    step, on all four, has two equal rows, so its elimination meets an
+    exactly zero pivot."""
+    corners = rng.uniform(0.0, 0.05, (3, 2)) + (-0.4, 1.0)
+    return corners[rng.permutation([0, 1, 2, int(rng.integers(3))])]
+
+
 def assert_same_ellipse(got, want):
     """Equal rows (eta_c, phi_c, a, b, theta) to rel 1e-9, phi and
     theta along their periods."""
@@ -691,6 +700,28 @@ class TestBatchedMvee:
             if row[3] > AXIS_FLOOR:
                 assert_same_ellipse(row, want or mvee_oracle(
                     pts, 1e-13, AXIS_FLOOR))
+
+    def test_truth_tracks_of_a_thousand_track_event(self):
+        """The sets graph building passes: the first 200 tracks of a
+        1000-track event, four hits each."""
+        e = generate_event(DetectorConfig(), GenConfig(n_tracks=1000), 1)
+        hits, sizes = e.track_hits()
+        points = np.stack([e.hits.eta, e.hits.phi], axis=1)[hits]
+        sets = np.split(points, np.cumsum(sizes)[:-1])[:200]
+        assert {len(pts) for pts in sets} == {4}
+        for got, pts in zip(mvee(*batched(sets)), sets):
+            assert_same_ellipse(got, mvee_oracle(pts, 1e-13, AXIS_FLOOR))
+
+    def test_zero_pivot_falls_back_to_the_pseudo_inverse(self, monkeypatch):
+        pinv, calls = np.linalg.pinv, []
+        monkeypatch.setattr(np.linalg, "pinv", lambda h, *args, **kwargs:
+                            calls.append(len(h)) or pinv(h, *args, **kwargs))
+        rng = np.random.default_rng(36)
+        sets = [coincident_pair(rng) for _ in range(50)]
+        rows = mvee(*batched(sets))
+        assert calls and calls[0] == 50
+        for got, pts in zip(rows, sets):
+            assert_same_ellipse(got, mvee_oracle(pts, 1e-13, AXIS_FLOOR))
 
     def test_every_point_inside_its_ellipse(self):
         sets = mixed_point_sets(np.random.default_rng(32), 200)

@@ -135,6 +135,67 @@ class TestDbscan:
             for min_pts in (1, 3):
                 self.assert_oracle(pts, eps, min_pts)
 
+    def test_rows_taller_than_eps(self):
+        # eps-tall rows would give 60 points 6000 rows of 60 columns; the
+        # grid grows them to 1.5 instead.  Each point has a partner within
+        # eps, in the same row or the next
+        rng = np.random.default_rng(20)
+        base = np.stack([rng.uniform(-3.0, 3.0, 30),
+                         rng.uniform(0, TWO_PI, 30)], axis=1)
+        pts = np.concatenate([base, base + rng.uniform(-7e-4, 7e-4, (30, 2))])
+        pts[:, 1] %= TWO_PI
+        pts = rng.permutation(pts)
+        for min_pts in (1, 3):
+            self.assert_oracle(pts, 1e-3, min_pts)
+        assert np.all(self.assert_oracle(pts, 1e-3, 2) >= 0)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3])
+    def test_core_points_on_the_first_and_last_rows(self, eps):
+        # a cluster at the lowest eta and one across the phi seam at the
+        # highest, next to the empty rows that pad the grid; its rows are
+        # eps tall at eps 0.3 and taller at 0.05
+        low = [(-1.0, 1.0), (-1.0, 1.0 + 0.6 * eps), (-1.0 + 0.5 * eps, 1.0)]
+        high = [(2.0, TWO_PI - 0.3 * eps), (2.0, 0.3 * eps),
+                (2.0 - 0.5 * eps, 0.0)]
+        rng = np.random.default_rng(21)
+        middle = np.stack([rng.uniform(-0.5, 1.5, 60),
+                           rng.uniform(0, TWO_PI, 60)], axis=1)
+        labels = self.assert_oracle(np.concatenate([low, high, middle]),
+                                    eps, 3)
+        assert list(labels[:6]) == [0, 0, 0, 1, 1, 1]
+
+    def test_every_point_in_one_cell(self):
+        # 30 columns 2 pi / 30 wide and rows eps tall: every point is in
+        # the first cell, some pairs within eps of each other, some not
+        rng = np.random.default_rng(22)
+        pts = np.stack([rng.uniform(0.0, 0.045, 30),
+                        rng.uniform(0.0, 0.2, 30)], axis=1)
+        for min_pts in (1, 3, 6):
+            self.assert_oracle(pts, 0.05, min_pts)
+
+    @pytest.mark.parametrize("pts, labels", [
+        # two points give the grid two columns: a pair across the seam,
+        # a pair in one column and rows taller than eps, a coincident pair
+        ([(0.5, 0.01), (0.5, TWO_PI - 0.01)], [0, 0]),
+        ([(-2.0, 3.0), (2.0, 3.0)], [-1, -1]),
+        ([(0.0, 1.0), (0.0, 1.0)], [0, 0]),
+    ])
+    def test_two_points_in_two_phi_columns(self, pts, labels):
+        assert list(self.assert_oracle(pts, 0.05, 2)) == labels
+
+    @pytest.mark.parametrize("eps", [3.5, 2.5])
+    def test_one_and_two_phi_columns_with_rows_taller_than_eps(self, eps):
+        # eps 3.5 leaves one phi column and 2.5 two; 8 points over eta in
+        # [-100, 100] make the rows about 6 and 12 tall
+        rng = np.random.default_rng(23)
+        base = np.stack([[-100.0, -30.0, 40.0, 100.0],
+                         rng.uniform(0, TWO_PI, 4)], axis=1)
+        pts = np.concatenate([base,
+                              base + rng.uniform(-0.6, 0.6, (4, 2)) * eps])
+        pts[:, 1] %= TWO_PI
+        for min_pts in (1, 2, 3):
+            self.assert_oracle(pts, eps, min_pts)
+
     def test_eps_wider_than_the_eta_range(self):
         rng = np.random.default_rng(15)
         pts = np.stack([rng.uniform(0.0, 0.1, 30),
