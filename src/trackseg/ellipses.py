@@ -23,7 +23,7 @@ SHAPE_COLUMNS = dict.fromkeys(("eta_c", "phi_c", "a", "b", "theta"), float)
 
 # membership is boundary-inclusive; the slack absorbs rounding on points
 # constructed to lie exactly on the boundary
-MEMBERSHIP_SLACK = 1e-9
+_MEMBERSHIP_SLACK = 1e-9
 
 # smallest admissible semi-axis, in eta-phi units
 AXIS_FLOOR = 1e-4
@@ -132,7 +132,7 @@ def decode_box(d, eta, phi) -> np.ndarray:
     return rows
 
 
-def quad_form(eta_c, phi_c, a, b, ct, st, eta, phi):
+def _quad_form(eta_c, phi_c, a, b, ct, st, eta, phi):
     """Quadratic form of the ellipse with centre (eta_c, phi_c), semi-axes
     a and b and rotation cosine and sine ct and st, broadcast over its
     arguments; <= 1 on and inside the boundary."""
@@ -143,13 +143,14 @@ def quad_form(eta_c, phi_c, a, b, ct, st, eta, phi):
     return (major / a) ** 2 + (minor / b) ** 2
 
 
-def point_in_ellipse(row, p):
-    """Boundary-inclusive membership test, in the ellipse of parameter
-    row (eta_c, phi_c, a, b, theta) with phi wrapped to the shortest
-    arc, of one (eta, phi) point or elementwise of two arrays."""
-    eta_c, phi_c, a, b, theta = row
-    return quad_form(eta_c, phi_c, a, b, math.cos(theta), math.sin(theta),
-                     p[0], p[1]) <= 1.0 + MEMBERSHIP_SLACK
+def point_in_ellipse(rows, p):
+    """Boundary-inclusive membership of the (eta, phi) points p, phi on
+    the shortest arc, by one expression: in one parameter row, of a point
+    or of two arrays elementwise; in a (k, 5) block, its (k, n) mask."""
+    rows = np.asarray(rows, dtype=float)
+    eta_c, phi_c, a, b, theta = rows.T[..., None] if rows.ndim == 2 else rows
+    return _quad_form(eta_c, phi_c, a, b, np.cos(theta), np.sin(theta),
+                      p[0], p[1]) <= 1.0 + _MEMBERSHIP_SLACK
 
 
 def _polygons(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -509,8 +510,8 @@ def _rescale_to_contain(rows: np.ndarray, flat: np.ndarray,
     """Rows with the semi-axes scaled so each set's farthest point sits
     on the boundary, never dropping below the axis floor."""
     eta_c, phi_c, a, b, theta = (rows[:, [k]] for k in range(5))
-    q = quad_form(eta_c, phi_c, a, b, np.cos(theta), np.sin(theta),
-              flat[..., 0], flat[..., 1])
+    q = _quad_form(eta_c, phi_c, a, b, np.cos(theta), np.sin(theta),
+                   flat[..., 0], flat[..., 1])
     s = np.sqrt(np.where(valid, q, 0.0).max(axis=1))
     grow = s > 0.0
     out = rows.copy()

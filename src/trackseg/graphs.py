@@ -102,13 +102,14 @@ def _neighbors(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     cells however small eps is.  An empty row pads each end, so every
     block lies inside it, and a cell-start table (where each cell's run
     of points sorted by cell begins) gives a block's points without a
-    search.  Memory is O(n + candidate pairs).
+    search.  phi is wrapped once per point, for its column and the exact
+    test.  Memory is O(n + candidate pairs).
     """
     n = len(pts)
-    eta, phi = pts[:, 0], pts[:, 1]
+    eta, phi = pts[:, 0], wrap_phi(pts[:, 1])
     width = eps * (1.0 + 2.0 ** -20)
     n_cols = int(max(1, min(n, TWO_PI // width)))
-    col = (wrap_phi(phi) * (n_cols / TWO_PI)).astype(np.int64) % n_cols
+    col = (phi * (n_cols / TWO_PI)).astype(np.int64) % n_cols
     eta0 = eta.min()
     height = max(width, (eta.max() - eta0) * n_cols / (4 * n))
     row = ((eta - eta0) / height).astype(np.int64) + 1
@@ -128,7 +129,7 @@ def _neighbors(pts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     i = np.repeat(np.arange(n), counts.reshape(n, -1).sum(axis=1))
     j = order[np.repeat(lo - first, counts) + np.arange(total)]
     deta = eta[i] - eta[j]
-    dphi = np.abs(phi[i] - phi[j]) % TWO_PI
+    dphi = np.abs(phi[i] - phi[j])
     dphi = np.minimum(dphi, TWO_PI - dphi)
     keep = deta * deta + dphi * dphi <= eps * eps
     return i[keep], j[keep]

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import circular_mean, signed_dphi
-# perfbench/tracing.py looks point_in_ellipse up in this module
-from .ellipses import (MEMBERSHIP_SLACK, canonical_rows, check_ellipses,
-                       ellipse_ious, point_in_ellipse, quad_form)
+from .ellipses import (canonical_rows, check_ellipses, ellipse_ious,
+                       point_in_ellipse)
 from .errors import DomainError
 
 
@@ -158,22 +157,21 @@ def assign_hits(candidates: list[TrackCandidate], vertices,
 
     `vertices` rows are (eta, phi, class_prob).  Vertices below the class
     threshold, or contained by no candidate, get None.  Membership is
-    point_in_ellipse's test, taken for a block of candidates against all
-    vertices at once.
+    point_in_ellipse's, called once per block of candidates in confidence
+    order against all vertices.
     """
     order = sorted(range(len(candidates)),
                    key=lambda i: (-candidates[i].confidence, i))
     rows = np.asarray(vertices, dtype=float).reshape(-1, 3)
-    shapes = np.array([(*e[:4], math.cos(e[4]), math.sin(e[4]))
-                       for e in (candidates[i].ellipse for i in order)],
-                      dtype=float).reshape(-1, 6)
+    ellipses = np.array([candidates[i].ellipse for i in order],
+                        dtype=float).reshape(-1, 5)
     # per vertex the first containing candidate in confidence order, or
     # len(order), which stands for none
     first = np.full(len(rows), len(order))
     block = max(1, _SEARCH_BLOCK // max(len(rows), 1))
     for start in range(0, len(order), block):
-        inside = quad_form(*shapes[start:start + block].T[..., None],
-                           rows[:, 0], rows[:, 1]) <= 1.0 + MEMBERSHIP_SLACK
+        inside = point_in_ellipse(ellipses[start:start + block],
+                                  (rows[:, 0], rows[:, 1]))
         found = inside.any(axis=0) & (first == len(order))
         first[found] = start + inside.argmax(axis=0)[found]
     choice = [*order, None]
@@ -196,38 +194,36 @@ def choose_threshold(truth_pairs) -> ThresholdResult:
     maximizes the balanced accuracy of "same track iff IoU > T_h";
     returns the midpoint of the widest optimal interval (lowest interval
     on width ties).  Inputs with only one class are an error; a best
-    balanced accuracy of 0.5 is flagged non-separable.
+    balanced accuracy of 0.5 is flagged non-separable.  The scan is one
+    array pass over the intervals.
     """
     pairs = [(float(iou), bool(same)) for iou, same in truth_pairs]
-    pos = np.array([iou for iou, same in pairs if same])
-    neg = np.array([iou for iou, same in pairs if not same])
+    pos = np.sort([iou for iou, same in pairs if same])
+    neg = np.sort([iou for iou, same in pairs if not same])
     if len(pos) == 0 or len(neg) == 0:
         raise DomainError("need at least one pair of each class")
 
     # return_counts keeps np.unique from importing numpy.ma
-    values, _ = np.unique([iou for iou, _ in pairs], return_counts=True)
+    values, _ = np.unique(np.concatenate([pos, neg]), return_counts=True)
     # elementary intervals: below min, between consecutive values, above
-    # max, all inside [0, 1] so every midpoint is a valid threshold
+    # max, all inside [0, 1] so every midpoint is a valid threshold; only
+    # the two at the ends can be empty, so the kept ones stay adjacent
     bounds = np.concatenate([[max(values[0] - 1.0, 0.0)], values, [1.0]])
-    intervals, accs = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi <= lo:
-            continue
-        t = 0.5 * (lo + hi)
-        intervals.append((float(lo), float(hi)))
-        accs.append(0.5 * (float(np.mean(pos > t)) + float(np.mean(neg <= t))))
-    best_acc = max(accs)
+    keep = bounds[1:] > bounds[:-1]
+    lo, hi = bounds[:-1][keep], bounds[1:][keep]
+    t = 0.5 * (lo + hi)
+    # a bool array's mean is its count over its length, so these are
+    # the accuracies of mean(pos > t) and mean(neg <= t) bit for bit
+    accs = 0.5 * ((len(pos) - np.searchsorted(pos, t, side="right"))
+                  / len(pos) + np.searchsorted(neg, t, side="right")
+                  / len(neg))
+    best_acc = float(accs.max())
 
-    # merge consecutive optimal intervals into maximal runs
-    runs: list[tuple[float, float]] = []
-    extend = False
-    for (lo, hi), acc in zip(intervals, accs):
-        optimal = abs(acc - best_acc) <= 1e-12
-        if optimal and extend and runs[-1][1] == lo:
-            runs[-1] = (runs[-1][0], hi)
-        elif optimal:
-            runs.append((lo, hi))
-        extend = optimal
-    runs.sort(key=lambda r: (-(r[1] - r[0]), r[0]))
-    threshold = 0.5 * (runs[0][0] + runs[0][1])
+    # maximal runs of consecutive optimal intervals, [start, end) each;
+    # argmax takes the lowest of the widest
+    optimal = np.abs(accs - best_acc) <= 1e-12
+    start, end = np.flatnonzero(np.diff(optimal, prepend=False,
+                                        append=False)).reshape(-1, 2).T
+    best = np.argmax(hi[end - 1] - lo[start])
+    threshold = float(0.5 * (lo[start[best]] + hi[end[best] - 1]))
     return ThresholdResult(threshold, best_acc, separable=best_acc > 0.5)

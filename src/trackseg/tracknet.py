@@ -62,7 +62,7 @@ from .neural.nn import (AdamState, MlpSpec, adam_step, bce_loss, huber_loss,
 STATE_DIM = 2
 COORD_DIM = 2
 EDGE_FEATURE_DIM = 4
-TRACKING_FEATURE_DIM = 5  # 3 parabola coefficients + 2 state-max components
+TRACKING_FEATURE_DIM = 3 + STATE_DIM  # parabola coefficients + state max
 CHECKPOINT_FORMAT = "tracknet-v4"
 
 log = logging.getLogger(__name__)
@@ -193,8 +193,7 @@ def graph_inputs(graph: Graph) -> GraphInputs:
     i, j = graph.edges[:, 0], graph.edges[:, 1]
     src, dst = np.concatenate([j, i]), np.concatenate([i, j])
     deta = graph.eta[src] - graph.eta[dst]
-    dphi = np.asarray(signed_dphi(graph.phi[src], graph.phi[dst]),
-                      dtype=float).reshape(-1)
+    dphi = signed_dphi(graph.phi[src], graph.phi[dst])
     return GraphInputs(state, src, dst, np.stack([deta, dphi], axis=1),
                        Segments.of(dst, len(state)))
 

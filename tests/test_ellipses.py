@@ -285,6 +285,34 @@ class TestMembership:
         assert inside.tolist() == [bool(point_in_ellipse(e, p))
                                    for p in zip(eta, phi)]
 
+    def test_block_matches_one_row_calls(self):
+        # a (k, 5) block of rows gives the (k, n) mask of its k one-row
+        # calls, bit for bit; the points are the major-axis tips of every
+        # row, on its boundary, and points around the phi seam
+        rng = np.random.default_rng(6)
+        rows = np.array([ellipse(rng.uniform(-0.2, 0.2),
+                                 rng.choice([0.01, 3.0, TWO_PI - 0.02]),
+                                 rng.uniform(0.1, 0.3), rng.uniform(0.02, 0.1),
+                                 rng.uniform(0, math.pi)) for _ in range(12)])
+        tips = [(eta_c + s * a * math.cos(theta),
+                 (phi_c + s * a * math.sin(theta)) % TWO_PI)
+                for eta_c, phi_c, a, _, theta in rows.tolist()
+                for s in (1, -1)]
+        seam = [(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3) % TWO_PI)
+                for _ in range(40)]
+        eta, phi = np.array(tips + seam).T
+        block = point_in_ellipse(rows, (eta, phi))
+        assert block.shape == (12, 64) and block.dtype == bool
+        assert np.array_equal(block, [point_in_ellipse(row, (eta, phi))
+                                      for row in rows])
+        # one row as a tuple, one scalar point
+        assert block.tolist() == [
+            [bool(point_in_ellipse(row, p)) for p in zip(eta.tolist(),
+                                                        phi.tolist())]
+            for row in map(tuple, rows.tolist())]
+        assert all(block[k, 2 * k] and block[k, 2 * k + 1] for k in range(12))
+        assert 0 < block[:, 24:].sum() < block[:, 24:].size
+
 
 class TestIou:
     def test_identical(self):

@@ -15,6 +15,7 @@ from conftest import (JSON_VALUES, decoded, doc_paths, encoded, hit_at,
                       track_table)
 from oracles import brute_force_dbscan, partition_of
 from test_events import write_trackml
+from trackseg.angles import wrap_phi
 from trackseg.ellipses import SHAPE_COLUMNS, check_ellipses, point_in_ellipse
 from trackseg import graphs
 from trackseg.errors import (ConfigError, ConsistencyError, DataError,
@@ -80,6 +81,23 @@ class TestDbscan:
             shifted = pts.copy()
             shifted[:, 1] = (shifted[:, 1] + shift) % TWO_PI
             assert partition_of(dbscan(shifted, params)) == base
+
+    @pytest.mark.parametrize("unwrap", [
+        lambda phi: np.where(phi > math.pi, phi - TWO_PI, phi),
+        lambda phi: phi + TWO_PI], ids=["signed", "shifted"])
+    def test_phi_outside_zero_two_pi(self, unwrap):
+        # phi in (-pi, pi], or in [2 pi, 4 pi), clusters as its wrap into
+        # [0, 2 pi) does; clusters straddle phi 0, the seam once wrapped
+        rng = np.random.default_rng(16)
+        for n in (5, 60, 200):
+            phi = rng.uniform(0, TWO_PI, n)
+            phi[:n // 3] = rng.uniform(-0.1, 0.1, n // 3) % TWO_PI
+            pts = np.stack([rng.uniform(-1, 1, n), unwrap(phi)], axis=1)
+            wrapped = np.stack([pts[:, 0], wrap_phi(pts[:, 1])], axis=1)
+            for min_pts in (1, 3):
+                labels = dbscan(pts, DbscanParams(eps=0.1, min_pts=min_pts))
+                assert np.array_equal(
+                    labels, brute_force_dbscan(wrapped, 0.1, min_pts))
 
     def test_wraparound_cluster(self):
         pts = [(0.0, 0.02), (0.0, TWO_PI - 0.02), (0.0, 0.05)]

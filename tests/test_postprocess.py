@@ -344,6 +344,24 @@ class TestAssignHitsBatch:
         assert assign_hits(cands, vertices, 0.5) == expected
         assert None not in expected[:20]
 
+    def test_each_block_calls_point_in_ellipse(self, monkeypatch):
+        # containment is postprocess.point_in_ellipse, called once per
+        # block of candidates: 3 vertices and blocks of 6 pairs give
+        # blocks of 2 of the 7 candidates
+        calls = []
+
+        def counting(rows, p):
+            calls.append(len(rows))
+            return point_in_ellipse(rows, p)
+
+        monkeypatch.setattr(postprocess, "point_in_ellipse", counting)
+        monkeypatch.setattr(postprocess, "_SEARCH_BLOCK", 6)
+        cands = [TrackCandidate(ellipse_at(0.1 * k), 0.9 - 0.1 * k, (k,))
+                 for k in range(7)]
+        vertices = [(0.0, 3.0, 0.9), (0.65, 3.0, 0.9), (5.0, 1.0, 0.9)]
+        assert assign_hits(cands, vertices, 0.5) == [0, 5, None]
+        assert calls == [2, 2, 2, 1]
+
     def test_no_candidates(self):
         vertices = [(0.0, 1.0, 0.9), (0.5, 2.0, 0.1)]
         assert assign_hits([], vertices, 0.5) == [None, None]
