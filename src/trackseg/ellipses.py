@@ -143,12 +143,12 @@ def _quad_form(eta_c, phi_c, a, b, ct, st, eta, phi):
     return (major / a) ** 2 + (minor / b) ** 2
 
 
-def point_in_ellipse(rows, p):
-    """Boundary-inclusive membership of the (eta, phi) points p, phi on
-    the shortest arc, by one expression: in one parameter row, of a point
-    or of two arrays elementwise; in a (k, 5) block, its (k, n) mask."""
-    rows = np.asarray(rows, dtype=float)
-    eta_c, phi_c, a, b, theta = rows.T[..., None] if rows.ndim == 2 else rows
+def point_in_ellipse(row, p):
+    """Boundary-inclusive membership test, in the ellipse of parameter
+    row (eta_c, phi_c, a, b, theta) with phi wrapped to the shortest
+    arc, of one (eta, phi) point or elementwise of two arrays; a block's
+    rows as (5, k, 1) columns give the (k, n) mask of n points."""
+    eta_c, phi_c, a, b, theta = row
     return _quad_form(eta_c, phi_c, a, b, np.cos(theta), np.sin(theta),
                       p[0], p[1]) <= 1.0 + _MEMBERSHIP_SLACK
 

@@ -170,7 +170,7 @@ def assign_hits(candidates: list[TrackCandidate], vertices,
     first = np.full(len(rows), len(order))
     block = max(1, _SEARCH_BLOCK // max(len(rows), 1))
     for start in range(0, len(order), block):
-        inside = point_in_ellipse(ellipses[start:start + block],
+        inside = point_in_ellipse(ellipses[start:start + block].T[..., None],
                                   (rows[:, 0], rows[:, 1]))
         found = inside.any(axis=0) & (first == len(order))
         first[found] = start + inside.argmax(axis=0)[found]
@@ -194,36 +194,38 @@ def choose_threshold(truth_pairs) -> ThresholdResult:
     maximizes the balanced accuracy of "same track iff IoU > T_h";
     returns the midpoint of the widest optimal interval (lowest interval
     on width ties).  Inputs with only one class are an error; a best
-    balanced accuracy of 0.5 is flagged non-separable.  The scan is one
-    array pass over the intervals.
+    balanced accuracy of 0.5 is flagged non-separable.
     """
     pairs = [(float(iou), bool(same)) for iou, same in truth_pairs]
-    pos = np.sort([iou for iou, same in pairs if same])
-    neg = np.sort([iou for iou, same in pairs if not same])
+    pos = np.array([iou for iou, same in pairs if same])
+    neg = np.array([iou for iou, same in pairs if not same])
     if len(pos) == 0 or len(neg) == 0:
         raise DomainError("need at least one pair of each class")
 
     # return_counts keeps np.unique from importing numpy.ma
-    values, _ = np.unique(np.concatenate([pos, neg]), return_counts=True)
+    values, _ = np.unique([iou for iou, _ in pairs], return_counts=True)
     # elementary intervals: below min, between consecutive values, above
-    # max, all inside [0, 1] so every midpoint is a valid threshold; only
-    # the two at the ends can be empty, so the kept ones stay adjacent
+    # max, all inside [0, 1] so every midpoint is a valid threshold
     bounds = np.concatenate([[max(values[0] - 1.0, 0.0)], values, [1.0]])
-    keep = bounds[1:] > bounds[:-1]
-    lo, hi = bounds[:-1][keep], bounds[1:][keep]
-    t = 0.5 * (lo + hi)
-    # a bool array's mean is its count over its length, so these are
-    # the accuracies of mean(pos > t) and mean(neg <= t) bit for bit
-    accs = 0.5 * ((len(pos) - np.searchsorted(pos, t, side="right"))
-                  / len(pos) + np.searchsorted(neg, t, side="right")
-                  / len(neg))
-    best_acc = float(accs.max())
+    intervals, accs = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi <= lo:
+            continue
+        t = 0.5 * (lo + hi)
+        intervals.append((float(lo), float(hi)))
+        accs.append(0.5 * (float(np.mean(pos > t)) + float(np.mean(neg <= t))))
+    best_acc = max(accs)
 
-    # maximal runs of consecutive optimal intervals, [start, end) each;
-    # argmax takes the lowest of the widest
-    optimal = np.abs(accs - best_acc) <= 1e-12
-    start, end = np.flatnonzero(np.diff(optimal, prepend=False,
-                                        append=False)).reshape(-1, 2).T
-    best = np.argmax(hi[end - 1] - lo[start])
-    threshold = float(0.5 * (lo[start[best]] + hi[end[best] - 1]))
+    # merge consecutive optimal intervals into maximal runs
+    runs: list[tuple[float, float]] = []
+    extend = False
+    for (lo, hi), acc in zip(intervals, accs):
+        optimal = abs(acc - best_acc) <= 1e-12
+        if optimal and extend and runs[-1][1] == lo:
+            runs[-1] = (runs[-1][0], hi)
+        elif optimal:
+            runs.append((lo, hi))
+        extend = optimal
+    runs.sort(key=lambda r: (-(r[1] - r[0]), r[0]))
+    threshold = 0.5 * (runs[0][0] + runs[0][1])
     return ThresholdResult(threshold, best_acc, separable=best_acc > 0.5)

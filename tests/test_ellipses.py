@@ -286,8 +286,8 @@ class TestMembership:
                                    for p in zip(eta, phi)]
 
     def test_block_matches_one_row_calls(self):
-        # a (k, 5) block of rows gives the (k, n) mask of its k one-row
-        # calls, bit for bit; the points are the major-axis tips of every
+        # a block's rows as (5, k, 1) columns give the (k, n) mask of
+        # its k one-row calls, bit for bit; the points are the major-axis tips of every
         # row, on its boundary, and points around the phi seam
         rng = np.random.default_rng(6)
         rows = np.array([ellipse(rng.uniform(-0.2, 0.2),
@@ -301,7 +301,7 @@ class TestMembership:
         seam = [(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3) % TWO_PI)
                 for _ in range(40)]
         eta, phi = np.array(tips + seam).T
-        block = point_in_ellipse(rows, (eta, phi))
+        block = point_in_ellipse(rows.T[..., None], (eta, phi))
         assert block.shape == (12, 64) and block.dtype == bool
         assert np.array_equal(block, [point_in_ellipse(row, (eta, phi))
                                       for row in rows])

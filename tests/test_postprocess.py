@@ -347,11 +347,12 @@ class TestAssignHitsBatch:
     def test_each_block_calls_point_in_ellipse(self, monkeypatch):
         # containment is postprocess.point_in_ellipse, called once per
         # block of candidates: 3 vertices and blocks of 6 pairs give
-        # blocks of 2 of the 7 candidates
+        # blocks of 2 of the 7 candidates, each passed as (5, k, 1)
+        # columns
         calls = []
 
         def counting(rows, p):
-            calls.append(len(rows))
+            calls.append(rows.shape[1])
             return point_in_ellipse(rows, p)
 
         monkeypatch.setattr(postprocess, "point_in_ellipse", counting)
